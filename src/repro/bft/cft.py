@@ -179,9 +179,12 @@ class CftReplica(BaseReplica):
             self._append(request)
 
     def _already_replicating(self, request: ClientRequest) -> bool:
+        # The log is never truncated; only its uncommitted tail can match,
+        # and no entry lies above _next_seq.
+        key, log = request.key(), self._log
         return any(
-            e.seq > self._committed_seq and request.key() in proposal_keys(e.request)
-            for e in self._log.values()
+            seq in log and key in proposal_keys(log[seq].request)
+            for seq in range(self._committed_seq + 1, self._next_seq + 1)
         )
 
     def _append(self, request: ClientRequest) -> None:

@@ -10,7 +10,7 @@ the usual BFT accounting: 8-byte ids/sequence numbers, 32-byte digests,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.crypto.mac import digest as _digest
 from repro.hybrids.usig import UI
@@ -142,6 +142,42 @@ def requests_of(proposal: Proposal) -> Tuple[ClientRequest, ...]:
 def proposal_keys(proposal: Proposal) -> Tuple[Tuple[str, int], ...]:
     """Dedup keys of every request in a proposal."""
     return tuple(r.key() for r in requests_of(proposal))
+
+
+class OrderingIndex:
+    """Request keys under agreement: bound to a slot that has not committed.
+
+    A multiset, because one key can sit in several slots at once (PBFT
+    keeps old-view slots until a checkpoint truncates them).  Replicas
+    ``add`` a proposal when a slot accepts it and ``discard`` it when that
+    slot commits or is dropped, so the admission check "is this request
+    already being ordered?" is one dict lookup instead of a scan of every
+    slot.
+    """
+
+    __slots__ = ("_count",)
+
+    def __init__(self) -> None:
+        self._count: Dict[Tuple[str, int], int] = {}
+
+    def add(self, proposal: Proposal) -> None:
+        count = self._count
+        for key in proposal_keys(proposal):
+            count[key] = count.get(key, 0) + 1
+
+    def discard(self, proposal: Proposal) -> None:
+        count = self._count
+        for key in proposal_keys(proposal):
+            if count[key] == 1:
+                del count[key]
+            else:
+                count[key] -= 1
+
+    def clear(self) -> None:
+        self._count.clear()
+
+    def __contains__(self, key: Tuple[str, int]) -> bool:
+        return key in self._count
 
 
 def proposal_digest(proposal: Proposal) -> bytes:

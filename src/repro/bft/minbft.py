@@ -45,9 +45,9 @@ from repro.bft.messages import (
     MbPrepare,
     MbReqViewChange,
     MbViewChange,
+    OrderingIndex,
     Proposal,
     proposal_digest,
-    proposal_keys,
     requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
@@ -124,6 +124,7 @@ class MinBftReplica(BaseReplica):
         self.usig = Usig(name, group.keystore, self.config.register_kind)
         self.verifier = UsigVerifier(group.keystore)
         self._slots: Dict[int, _MbSlot] = {}
+        self._ordering = OrderingIndex()  # keys in prepared, uncommitted slots
         self._holdback: Dict[str, Dict[int, Any]] = {}
         self._expected_counter: Dict[str, Optional[int]] = {}
         # Execution follows prepare-counter order within a view: committed
@@ -286,12 +287,16 @@ class MinBftReplica(BaseReplica):
             self._propose(request)
 
     def _already_ordering(self, request: ClientRequest) -> bool:
-        return any(
-            slot.prepare is not None
-            and not slot.committed
-            and request.key() in proposal_keys(slot.prepare.request)
-            for slot in self._slots.values()
-        )
+        return request.key() in self._ordering
+
+    def _bind(self, slot: _MbSlot, message: MbPrepare) -> None:
+        """Set a slot's prepare — the one place that does, so
+        ``_ordering`` stays exact."""
+        if not slot.committed:
+            if slot.prepare is not None:
+                self._ordering.discard(slot.prepare.request)
+            self._ordering.add(message.request)
+        slot.prepare = message
 
     def _propose(self, request: ClientRequest) -> None:
         if self._already_ordering(request):
@@ -323,7 +328,7 @@ class MinBftReplica(BaseReplica):
             return
         message = MbPrepare(self.view, proposal, dig, ui, exec_seq)
         slot = self._slots.setdefault(message.seq, _MbSlot())
-        slot.prepare = message
+        self._bind(slot, message)
         slot.commit_votes[self.name] = dig  # prepare doubles as primary's vote
         if self._exec_cursor is None:
             self._exec_cursor = message.seq
@@ -342,7 +347,7 @@ class MinBftReplica(BaseReplica):
             return
         slot = self._slots.setdefault(message.seq, _MbSlot())
         if slot.prepare is None:
-            slot.prepare = message
+            self._bind(slot, message)
         slot.commit_votes[sender] = message.digest
         if self._exec_cursor is None:
             # Prepares from the primary arrive in counter order (the
@@ -397,6 +402,7 @@ class MinBftReplica(BaseReplica):
         )
         if matching >= self.commit_quorum:
             slot.committed = True
+            self._ordering.discard(slot.prepare.request)
             self._ready[seq] = slot.prepare
             self._drain_ready()
 
@@ -525,6 +531,7 @@ class MinBftReplica(BaseReplica):
         if self.lease_table is not None:
             self.lease_table.clear()  # grants are view-tagged anyway; hygiene
         self._slots = {s: slot for s, slot in self._slots.items() if slot.committed}
+        self._ordering.clear()  # every uncommitted slot was just dropped
         self._exec_cursor = None  # next accepted prepare re-anchors it
         self._ready.clear()
         self._next_exec_seq = max(self._next_exec_seq, self.last_executed)
@@ -553,6 +560,7 @@ class MinBftReplica(BaseReplica):
     # ------------------------------------------------------------------
     def reset_protocol_state(self) -> None:
         self._slots.clear()
+        self._ordering.clear()
         self._holdback.clear()
         self._expected_counter.clear()  # resync on first contact per sender
         self._exec_cursor = None

@@ -38,12 +38,12 @@ from repro.bft.messages import (
     ClientRequest,
     Commit,
     NewView,
+    OrderingIndex,
     PrePrepare,
     Prepare,
     Proposal,
     ViewChange,
     proposal_digest,
-    proposal_keys,
     requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
@@ -101,6 +101,7 @@ class PbftReplica(BaseReplica):
         if group.n < expected:
             raise ValueError(f"PBFT with f={group.f} needs n>={expected}, got {group.n}")
         self._slots: Dict[Tuple[int, int], _SlotState] = {}
+        self._ordering = OrderingIndex()  # keys in pre-prepared, uncommitted slots
         self._next_seq = 0
         self._stable_seq = 0
         self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
@@ -234,12 +235,16 @@ class PbftReplica(BaseReplica):
             self._propose(request)
 
     def _already_ordering(self, request: ClientRequest) -> bool:
-        return any(
-            slot.pre_prepare is not None
-            and not slot.committed
-            and request.key() in proposal_keys(slot.pre_prepare.request)
-            for slot in self._slots.values()
-        )
+        return request.key() in self._ordering
+
+    def _bind(self, slot: _SlotState, message: PrePrepare) -> None:
+        """Set a slot's pre-prepare — the one place that does, so
+        ``_ordering`` stays exact."""
+        if not slot.committed:
+            if slot.pre_prepare is not None:
+                self._ordering.discard(slot.pre_prepare.request)
+            self._ordering.add(message.request)
+        slot.pre_prepare = message
 
     def _propose(self, request: ClientRequest) -> None:
         if self._already_ordering(request):
@@ -256,8 +261,7 @@ class PbftReplica(BaseReplica):
         seq = self._next_seq
         dig = proposal_digest(proposal)
         message = PrePrepare(self.view, seq, dig, proposal)
-        slot = self._slot(self.view, seq)
-        slot.pre_prepare = message
+        self._bind(self._slot(self.view, seq), message)
         for request in requests_of(proposal):
             self._note_pending(request)
         self._auth_multicast(message)
@@ -283,7 +287,7 @@ class PbftReplica(BaseReplica):
         slot = self._slot(message.view, message.seq)
         if slot.pre_prepare is not None and slot.pre_prepare.digest != message.digest:
             return  # equivocation: keep the first binding
-        slot.pre_prepare = message
+        self._bind(slot, message)
         for request in requests_of(message.request):
             self._note_pending(request)
         if not slot.prepare_sent:
@@ -337,6 +341,7 @@ class PbftReplica(BaseReplica):
         if len(slot.commits) >= self.commit_quorum:
             slot.committed = True
             proposal = slot.pre_prepare.request
+            self._ordering.discard(proposal)
             self.commit_operation(seq, slot.pre_prepare.digest, proposal)
             for request in requests_of(proposal):
                 self._note_executed(request)
@@ -365,8 +370,10 @@ class PbftReplica(BaseReplica):
             self._truncate_log(message.seq)
 
     def _truncate_log(self, stable_seq: int) -> None:
-        for (view, seq) in [k for k in self._slots if k[1] <= stable_seq]:
-            del self._slots[(view, seq)]
+        for key in [k for k in self._slots if k[1] <= stable_seq]:
+            slot = self._slots.pop(key)
+            if slot.pre_prepare is not None and not slot.committed:
+                self._ordering.discard(slot.pre_prepare.request)
         for key in [k for k in self._checkpoint_votes if k[0] < stable_seq]:
             del self._checkpoint_votes[key]
 
@@ -438,8 +445,7 @@ class PbftReplica(BaseReplica):
             self._next_seq = max(self._next_seq, max(seen))
         self._auth_multicast(message)
         for reproposal in message.reproposals:
-            slot = self._slot(new_view, reproposal.seq)
-            slot.pre_prepare = reproposal
+            self._bind(self._slot(new_view, reproposal.seq), reproposal)
             self._maybe_prepared(new_view, reproposal.seq)
         self._repropose_pending()
 
@@ -504,6 +510,7 @@ class PbftReplica(BaseReplica):
 
     def reset_protocol_state(self) -> None:
         self._slots.clear()
+        self._ordering.clear()
         self._checkpoint_votes.clear()
         self._pending_requests.clear()
         self._view_change_votes.clear()

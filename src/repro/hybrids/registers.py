@@ -16,7 +16,8 @@ single errors and detects double errors from the actual syndrome.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import lru_cache
+from typing import List, Tuple
 
 
 class RegisterError(Exception):
@@ -89,12 +90,46 @@ def _parity_bit_count(data_bits: int) -> int:
     return r
 
 
+def _parity(bits: int) -> int:
+    """XOR of all bits of a non-negative int."""
+    return bin(bits).count("1") & 1
+
+
+@lru_cache(maxsize=None)
+def _hamming_layout(width: int) -> Tuple[Tuple[Tuple[int, int, int], ...], Tuple[int, ...]]:
+    """The code's geometry for one data width, computed once.
+
+    Returns ``(runs, checks)``.  Data positions (those that are not powers
+    of two) are contiguous between parity positions, so the data bits move
+    in and out of the codeword as a few shifted fields: ``runs`` holds
+    ``(data_shift, position, field_mask)`` per field.  ``checks[r]`` masks
+    every codeword position with bit ``r`` set (the parity position
+    included), the group whose XOR is syndrome bit ``r``.
+    """
+    parity_bits = _parity_bit_count(width)
+    n = width + parity_bits
+    runs: List[Tuple[int, int, int]] = []
+    taken = 0
+    pos = 3
+    while taken < width:
+        length = min((1 << pos.bit_length()) - pos, width - taken)
+        runs.append((taken, pos, (1 << length) - 1))
+        taken += length
+        pos += length + 1  # skip the parity position that ends the run
+    checks = tuple(
+        sum(1 << p for p in range(1, n + 1) if p & (1 << r)) for r in range(parity_bits)
+    )
+    return tuple(runs), checks
+
+
 class EccRegister(Register):
     """Extended Hamming SEC-DED protected register.
 
     Layout: codeword positions are 1-indexed; positions that are powers of
     two hold parity bits; the rest hold data bits (LSB-first); position 0
-    holds the overall parity bit.  ``read`` decodes:
+    holds the overall parity bit.  The codeword is stored as one integer
+    whose bit ``p`` is position ``p``, so encode and decode are a handful
+    of mask-and-parity operations.  ``read`` decodes:
 
     * syndrome == 0, overall parity ok   → clean, return data
     * syndrome != 0, overall parity bad  → single-bit error, corrected
@@ -107,7 +142,8 @@ class EccRegister(Register):
         super().__init__(width, initial)
         self.parity_bits = _parity_bit_count(width)
         self.codeword_bits = width + self.parity_bits  # 1-indexed positions 1..n
-        self._codeword: List[int] = []
+        self._runs, self._checks = _hamming_layout(width)
+        self._codeword = 0
         self._overall = 0
         self.corrected_count = 0
         self.detected_count = 0
@@ -117,45 +153,30 @@ class EccRegister(Register):
     def physical_bits(self) -> int:
         return self.codeword_bits + 1  # + overall parity bit
 
-    # -- encoding ------------------------------------------------------
-    def _data_positions(self) -> List[int]:
-        return [p for p in range(1, self.codeword_bits + 1) if p & (p - 1) != 0]
-
     def write(self, value: int) -> None:
         value &= self._mask
-        codeword = [0] * (self.codeword_bits + 1)  # index 0 unused inside
-        data_positions = self._data_positions()
-        for i, pos in enumerate(data_positions):
-            codeword[pos] = (value >> i) & 1
-        for r in range(self.parity_bits):
-            parity_pos = 1 << r
-            parity = 0
-            for pos in range(1, self.codeword_bits + 1):
-                if pos != parity_pos and pos & parity_pos:
-                    parity ^= codeword[pos]
-            codeword[parity_pos] = parity
+        codeword = 0
+        for shift, pos, field in self._runs:
+            codeword |= ((value >> shift) & field) << pos
+        for r, check in enumerate(self._checks):
+            # The parity position itself is still 0 here.
+            codeword |= _parity(codeword & check) << (1 << r)
         self._codeword = codeword
-        self._overall = 0
-        for pos in range(1, self.codeword_bits + 1):
-            self._overall ^= codeword[pos]
+        self._overall = _parity(codeword)
 
-    # -- decoding --------------------------------------------------------
     def read(self) -> int:
+        codeword = self._codeword
         syndrome = 0
-        for pos in range(1, self.codeword_bits + 1):
-            if self._codeword[pos]:
-                syndrome ^= pos
-        parity_all = 0
-        for pos in range(1, self.codeword_bits + 1):
-            parity_all ^= self._codeword[pos]
-        parity_ok = parity_all == self._overall
+        for r, check in enumerate(self._checks):
+            syndrome |= _parity(codeword & check) << r
+        parity_ok = _parity(codeword) == self._overall
 
         if syndrome == 0 and parity_ok:
             return self._extract()
         if syndrome != 0 and not parity_ok:
             # Single-bit error at codeword position `syndrome`: correct it.
             if syndrome <= self.codeword_bits:
-                self._codeword[syndrome] ^= 1
+                self._codeword ^= 1 << syndrome
                 self.corrected_count += 1
                 return self._extract()
             # Syndrome points outside the codeword: treat as detected.
@@ -170,9 +191,10 @@ class EccRegister(Register):
         return self._extract()
 
     def _extract(self) -> int:
+        codeword = self._codeword
         value = 0
-        for i, pos in enumerate(self._data_positions()):
-            value |= self._codeword[pos] << i
+        for shift, pos, field in self._runs:
+            value |= ((codeword >> pos) & field) << shift
         return value
 
     def inject_bitflip(self, bit_index: int) -> None:
@@ -181,7 +203,7 @@ class EccRegister(Register):
         if bit_index == self.codeword_bits:  # the overall parity bit
             self._overall ^= 1
         else:
-            self._codeword[bit_index + 1] ^= 1
+            self._codeword ^= 1 << (bit_index + 1)
 
 
 class TmrRegister(Register):

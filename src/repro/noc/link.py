@@ -34,10 +34,12 @@ class Link:
     ``n * cycle_time`` after the head enters, plus a fixed ``latency``
     for traversal.  ``busy_until`` implements output contention.
 
-    Links are the hottest objects in the interconnect (one ``reserve``
-    per packet per hop), hence ``__slots__``.  Fault state must be
-    driven through :class:`~repro.noc.network.NocNetwork`'s fault
-    interface, which keeps the express-path bookkeeping consistent.
+    Links are the hottest objects in the interconnect — the forwarding
+    loop (:meth:`NocNetwork._hop`) reserves one per packet per hop,
+    updating ``busy_until`` and the carried counters in place — hence
+    ``__slots__``.  Fault state must be driven through
+    :class:`~repro.noc.network.NocNetwork`'s fault interface, which
+    keeps the express-path bookkeeping consistent.
     """
 
     __slots__ = (
@@ -96,22 +98,6 @@ class Link:
     def transfer_time(self, flits: int) -> float:
         """Time from entering the link to fully arriving at the far router."""
         return self.latency + flits * self.cycle_time
-
-    def reserve(self, flits: int, now: float) -> float:
-        """Reserve the link for a packet; returns its arrival time at dst.
-
-        The caller must have already checked the link is not DOWN.
-        """
-        start = self.busy_until
-        if now > start:
-            start = now
-        # The link is occupied while flits serialize onto it; the fixed
-        # traversal latency pipelines with the next packet.
-        serialize = flits * self.cycle_time
-        self.busy_until = start + serialize
-        self.packets_carried += 1
-        self.flits_carried += flits
-        return start + serialize + self.latency
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Link {self.src}->{self.dst} {self.state.value}>"

@@ -10,15 +10,21 @@ Two traversal modes share one code path:
   inside one event and only the final delivery is scheduled.  Batching
   is bounded by :meth:`Simulator.lookahead_limit` — a hop is committed
   eagerly only if its virtual time lies strictly before the next
-  pending event (and within the run horizon), which makes the fast path
-  *provably unobservable*: same seed produces byte-identical results
-  with express routing on or off.  The gate is **per compiled route**: a
-  route whose routers and links were all healthy at compile time batches
-  eagerly, while a route that crosses a fault takes the original slow
-  path — so one faulty link only de-optimizes traffic that actually
-  crosses it.  Per-hop health checks still run on every committed hop,
-  which (with the lookahead bound pinning fault state for the whole
-  batch) keeps the gate exact even if the flag is stale.
+  pending event (and within the run horizon).  That makes the fast path
+  unobservable — same seed, byte-identical results with express routing
+  on or off — **under one precondition**: the bound is read from the
+  queue as it stands when the hops are committed, so the handler that
+  called :meth:`NocNetwork.send` must not, after ``send`` returns,
+  schedule anything below that bound that contends for the same links
+  (``send(A); schedule(5.0, send, B)`` over a shared link reorders A
+  and B; pinned as an ``xfail`` in ``tests/test_hotpath.py``).  The
+  gate is **per compiled route**: a route whose routers and links were
+  all healthy at compile time batches eagerly, while a route that
+  crosses a fault takes the original slow path — so one faulty link
+  only de-optimizes traffic that actually crosses it.  Per-hop health
+  checks still run on every committed hop, which (with the lookahead
+  bound pinning fault state for the whole batch) keeps the gate exact
+  even if the flag is stale.
 
 Routes on the fault-free mesh are memoized in a ``(src, dst)`` cache
 invalidated by ``fault_epoch``, which every fault/repair call bumps.
@@ -38,6 +44,9 @@ from repro.noc.router import Router
 from repro.noc.topology import Coord, MeshTopology
 
 DeliveryHandler = Callable[[Packet], None]
+
+_UP = LinkState.UP
+_INF = float("inf")
 
 
 class CompiledRoute:
@@ -171,33 +180,7 @@ class NocNetwork:
     # Sending
     # ------------------------------------------------------------------
     def send(self, src: Coord, dst: Coord, payload: Any, size_bytes: int = 64) -> Packet:
-        """Inject a packet; returns it so callers can trace its fate."""
-        self.topology.require(src)
-        self.topology.require(dst)
-        packet = Packet(
-            packet_id=self._next_packet_id,
-            src=src,
-            dst=dst,
-            payload=payload,
-            size_bytes=size_bytes,
-            injected_at=self.sim.now,
-        )
-        self._next_packet_id += 1
-        packet.path.append(src)
-        if src == dst:
-            # Local loopback: skip the fabric, pay only switch latency.
-            delay = self.routers[src].switch()
-            self.sim.schedule(delay, self._deliver, packet)
-            return packet
-        route = self._route(src, dst)
-        if route is None:
-            self._drop(packet, "no route (failed links)", "no_route")
-            return packet
-        self._inject(packet, route)
-        return packet
-
-    def _inject(self, packet: Packet, route: CompiledRoute) -> None:
-        """Start the packet down its route.
+        """Inject a packet; returns it so callers can trace its fate.
 
         Normally the first hop is deferred with ``call_soon`` so that
         events already pending at the current instant keep their place
@@ -205,13 +188,30 @@ class NocNetwork:
         ahead of now), deferral is unobservable and the express path
         enters :meth:`_hop` synchronously, saving one event per packet.
         """
+        routers = self.routers
+        if src not in routers or dst not in routers:
+            self.topology.require(src)
+            self.topology.require(dst)
         sim = self.sim
-        if self.config.express_routing and route.fault_free:
+        packet = Packet(self._next_packet_id, src, dst, payload, size_bytes, sim.now)
+        self._next_packet_id += 1
+        if src == dst:
+            # Local loopback: skip the fabric, pay only switch latency.
+            router = routers[src]
+            router.packets_switched += 1
+            sim.schedule(router.switch_latency, self._deliver, packet)
+            return packet
+        route = self._route(src, dst)
+        if route is None:
+            self._drop(packet, "no route (failed links)", "no_route")
+            return packet
+        if route.fault_free and self.config.express_routing:
             limit = sim.lookahead_limit()
             if limit is not None and limit > sim.now:
                 self._hop(packet, route, 0)
-                return
+                return packet
         sim.call_soon(self._hop, packet, route, 0)
+        return packet
 
     def multicast(
         self, src: Coord, dsts: List[Coord], payload: Any, size_bytes: int = 64
@@ -219,37 +219,12 @@ class NocNetwork:
         """Send the same payload to several destinations (replicated unicast,
         as real NoCs without multicast trees do).
 
-        The shared work is done once: the source is validated here, the
-        payload object (including any authenticator riding on it) is
+        The payload object (including any authenticator riding on it) is
         reused across all copies rather than rebuilt per destination, and
         each destination's route comes from the shared route cache.
         """
         self.topology.require(src)
-        now = self.sim.now
-        packets: List[Packet] = []
-        for dst in dsts:
-            self.topology.require(dst)
-            packet = Packet(
-                packet_id=self._next_packet_id,
-                src=src,
-                dst=dst,
-                payload=payload,
-                size_bytes=size_bytes,
-                injected_at=now,
-            )
-            self._next_packet_id += 1
-            packet.path.append(src)
-            if src == dst:
-                delay = self.routers[src].switch()
-                self.sim.schedule(delay, self._deliver, packet)
-            else:
-                route = self._route(src, dst)
-                if route is None:
-                    self._drop(packet, "no route (failed links)", "no_route")
-                else:
-                    self._inject(packet, route)
-            packets.append(packet)
-        return packets
+        return [self.send(src, dst, payload, size_bytes) for dst in dsts]
 
     # ------------------------------------------------------------------
     # Faults
@@ -344,24 +319,32 @@ class NocNetwork:
         """Move the packet along ``route`` starting at ``route.coords[index]``.
 
         Fires at the packet's arrival time at ``route.coords[index]``.  On
-        the express path, subsequent hops whose virtual times are provably
-        unobservable (strictly before the next pending event and within
-        the run horizon) are committed in the same pass; otherwise the
+        the express path, subsequent hops whose virtual times no pending
+        event can observe (strictly before the next pending event and
+        within the run horizon; see the module docstring for the
+        precondition) are committed in the same pass; otherwise the
         next hop is scheduled as its own event, exactly as the original
         hop-by-hop model did.
+
+        Each hop switches through the router (``switch_latency``) and
+        reserves the outgoing link: the link is occupied while the flits
+        serialize onto it (``busy_until``), and the fixed traversal
+        ``latency`` pipelines with the next packet.
         """
         sim = self.sim
-        express = self.config.express_routing and route.fault_free
-        if express:
+        last = route.last
+        # The bound is only consulted before a hop that does not end the
+        # route (delivery observes sim.now: always an event).
+        limit = None
+        if index + 1 < last and route.fault_free and self.config.express_routing:
             limit = sim.lookahead_limit()
-            if limit is None:
-                express = False
-            else:
+            if limit is not None:
                 horizon = sim.run_horizon
+                if horizon is None:
+                    horizon = _INF
         coords = route.coords
         route_routers = route.routers
         route_links = route.links
-        last = route.last
         flits = packet.flits
         path = packet.path
         vtime = sim.now
@@ -375,7 +358,7 @@ class NocNetwork:
                 return
             link = route_links[index]
             state = link.state
-            if state is not LinkState.UP:
+            if state is not _UP:
                 if state is LinkState.DOWN:
                     if self.config.adaptive_routing:
                         reroute = self._route(coords[index], packet.dst)
@@ -387,16 +370,19 @@ class NocNetwork:
                     )
                     return
                 packet.corrupted = True  # CORRUPTING link
-            arrival = link.reserve(flits, vtime + router.switch())
+            router.packets_switched += 1
+            depart = vtime + router.switch_latency
+            start = link.busy_until
+            if depart > start:
+                start = depart
+            link.busy_until = busy_until = start + flits * link.cycle_time
+            link.packets_carried += 1
+            link.flits_carried += flits
+            arrival = busy_until + link.latency
             packet.hops += 1
             index += 1
             path.append(coords[index])
-            if (
-                express
-                and index != last  # delivery observes sim.now: always an event
-                and arrival < limit
-                and (horizon is None or arrival <= horizon)
-            ):
+            if limit is not None and index != last and arrival < limit and arrival <= horizon:
                 vtime = arrival
                 continue
             sim.schedule_at(arrival, self._hop, packet, route, index)
@@ -410,10 +396,10 @@ class NocNetwork:
         if handler is None:
             self._drop(packet, f"no endpoint at {packet.dst}", "no_endpoint")
             return
-        packet.delivered_at = self.sim.now
+        packet.delivered_at = now = self.sim.now
         self._delivered.inc()
         self._flit_hops.inc(packet.flit_hops)
-        self._latency.observe(packet.delivered_at - packet.injected_at)
+        self._latency.observe(now - packet.injected_at)
         handler(packet)
 
     def _drop(self, packet: Packet, reason: str, label: str) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.noc.topology import Coord
@@ -19,36 +18,39 @@ def flits_for(size_bytes: int) -> int:
     return max(1, math.ceil(size_bytes / FLIT_BYTES))
 
 
-@dataclass
 class Packet:
     """One NoC packet in flight.
 
     ``payload`` is opaque to the NoC; the SoC layer puts protocol messages
     here.  ``size_bytes`` drives serialization latency (flits cross a link
-    one per cycle), and the trace fields let benches account for cost.
+    one per cycle) and fixes ``flits``, the packet's length, at creation;
+    the trace fields (``hops``, ``path``, ``delivered_at``, the drop
+    fields) let benches account for cost.  One is built per message sent,
+    hence ``__slots__``.
     """
 
-    packet_id: int
-    src: Coord
-    dst: Coord
-    payload: Any
-    size_bytes: int
-    injected_at: float
-    corrupted: bool = False
-    delivered_at: Optional[float] = None
-    dropped: bool = False
-    drop_reason: str = ""
-    hops: int = 0
-    path: List[Coord] = field(default_factory=list)
+    __slots__ = (
+        "packet_id", "src", "dst", "payload", "size_bytes", "injected_at", "flits",
+        "corrupted", "delivered_at", "dropped", "drop_reason", "hops", "path",
+    )
 
-    def __post_init__(self) -> None:
-        # Cached: read once per hop on the forwarding path.
-        self._flits = flits_for(self.size_bytes)
-
-    @property
-    def flits(self) -> int:
-        """Packet length in flits (fixed at creation from ``size_bytes``)."""
-        return self._flits
+    def __init__(
+        self, packet_id: int, src: Coord, dst: Coord, payload: Any, size_bytes: int,
+        injected_at: float,
+    ) -> None:
+        self.packet_id = packet_id
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.injected_at = injected_at
+        self.flits = flits_for(size_bytes)
+        self.corrupted = False
+        self.delivered_at: Optional[float] = None
+        self.dropped = False
+        self.drop_reason = ""
+        self.hops = 0
+        self.path: List[Coord] = [src]
 
     @property
     def latency(self) -> Optional[float]:

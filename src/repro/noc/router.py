@@ -17,8 +17,9 @@ class Router:
     every packet passing through, and can hard-fail — a failed router
     drops everything addressed through it, modelling a dead tile region.
 
-    Routers sit on the per-hop fast path (one ``switch`` per packet per
-    hop), hence ``__slots__``.  Fault state must be driven through
+    Routers sit on the per-hop fast path (the forwarding loop counts
+    one ``packets_switched`` per packet per hop), hence ``__slots__``.
+    Fault state must be driven through
     :class:`~repro.noc.network.NocNetwork`'s fault interface.
     """
 
@@ -40,11 +41,6 @@ class Router:
     def repair(self) -> None:
         """Restore the router."""
         self.failed = False
-
-    def switch(self) -> float:
-        """Account one packet through the crossbar; returns added latency."""
-        self.packets_switched += 1
-        return self.switch_latency
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "failed" if self.failed else "ok"

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Coord:
-    """A tile coordinate on the mesh: x grows east, y grows south."""
+class Coord(NamedTuple):
+    """A tile coordinate on the mesh: x grows east, y grows south.
+
+    A tuple, so the hashing and comparing that every Coord-keyed dict
+    lookup on the packet path does run in C.
+    """
 
     x: int
     y: int

@@ -3,6 +3,9 @@
 A :class:`ScheduledEvent` is returned by every ``Simulator.schedule*`` call.
 It is a cancellable, introspectable handle: callers can test whether the
 event already fired, cancel it before it fires, and read the time it is due.
+The handle is not what the queue orders: the kernel's heap holds
+``(time, priority, seq, event)`` tuples, which ``heapq`` compares in C and
+which never tie (``seq`` is unique), so the handle itself is never compared.
 Cancellation is lazy — the heap entry stays in the queue but is skipped when
 popped — which keeps cancellation O(1).
 """
@@ -19,9 +22,8 @@ class EventCancelled(Exception):
 class ScheduledEvent:
     """A cancellable handle for a callback scheduled on the simulator.
 
-    Instances are ordered by ``(time, priority, seq)`` which gives the
-    kernel its deterministic tie-breaking: earlier time first, then lower
-    priority number, then insertion order.
+    ``(time, priority, seq)`` is the kernel's deterministic firing order:
+    earlier time first, then lower priority number, then insertion order.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_fired", "_owner")
@@ -33,6 +35,7 @@ class ScheduledEvent:
         seq: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
+        owner: Optional[Any] = None,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -41,7 +44,7 @@ class ScheduledEvent:
         self.args = args
         self._cancelled = False
         self._fired = False
-        self._owner: Optional[Any] = None  # set by the scheduling Simulator
+        self._owner = owner  # the scheduling Simulator, told of cancellations
 
     @property
     def cancelled(self) -> bool:
@@ -73,24 +76,6 @@ class ScheduledEvent:
         if owner is not None:
             owner._note_cancelled()
         return True
-
-    def _fire(self) -> None:
-        """Execute the callback.  Called by the kernel only."""
-        if self._cancelled:
-            return
-        callback, args = self.callback, self.args
-        self._fired = True
-        self.callback = None
-        self.args = ()
-        assert callback is not None
-        callback(*args)
-
-    def sort_key(self) -> Tuple[float, int, int]:
-        """The deterministic ordering key used by the event queue."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import ScheduledEvent
 from repro.sim.rng import RngRegistry
+
+_INF = float("inf")
 
 SimTime = float
 """Simulated time.  Units are abstract; the SoC layer interprets them as
@@ -24,7 +26,9 @@ class Simulator:
     The simulator owns the virtual clock and an event heap.  Components
     schedule callbacks with :meth:`schedule` (relative delay) or
     :meth:`schedule_at` (absolute time) and the kernel fires them in
-    deterministic ``(time, priority, seq)`` order.
+    deterministic ``(time, priority, seq)`` order.  Heap entries are
+    ``(time, priority, seq, event)`` tuples: ``seq`` is unique, so
+    ``heapq`` orders them in C without ever comparing the handles.
 
     Parameters
     ----------
@@ -38,26 +42,20 @@ class Simulator:
     COMPACTION_MIN = 64
 
     def __init__(self, seed: int = 0) -> None:
-        self._now: SimTime = 0.0
-        self._heap: List[ScheduledEvent] = []
+        #: Current simulated time.  Read it freely; only the kernel writes it.
+        self.now: SimTime = 0.0
+        self._heap: List[Tuple[SimTime, int, int, ScheduledEvent]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
         self._cancelled_pending = 0
-        self._horizon: Optional[SimTime] = None
+        #: The ``until`` bound of the currently executing :meth:`run`, if any.
+        self.run_horizon: Optional[SimTime] = None
         self._capped = False  # True while run(max_events=...) is active
         self.rng = RngRegistry(seed)
         self.seed = seed
         self._trace_hooks: List[Callable[[ScheduledEvent], None]] = []
         self.events_fired = 0
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> SimTime:
-        """Current simulated time."""
-        return self._now
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -77,7 +75,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -87,12 +85,12 @@ class Simulator:
         priority: int = 0,
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        event = ScheduledEvent(time, priority, self._seq, callback, args)
-        event._owner = self
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        if time < self.now:
+            raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(time, priority, seq, callback, args, self)
+        heappush(self._heap, (time, priority, seq, event))
         return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> ScheduledEvent:
@@ -120,38 +118,45 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
-        self._horizon = until
+        self.run_horizon = until
         self._capped = max_events is not None
         fired = 0
-        heappop = heapq.heappop
+        heap = self._heap  # compaction rebuilds it in place, so this stays valid
+        hooks = self._trace_hooks
+        limit = _INF if until is None else until
+        cap = _INF if max_events is None else max_events
         try:
-            while self._heap and not self._stopped:
-                event = self._heap[0]
+            while heap and not self._stopped:
+                time, _, _, event = heap[0]
                 if event._cancelled:
-                    heappop(self._heap)
+                    heappop(heap)
                     self._cancelled_pending -= 1
                     continue
-                if until is not None and event.time > until:
+                if time > limit:
                     break
-                heappop(self._heap)
-                self._now = event.time
-                event._fire()
+                heappop(heap)
+                self.now = time
+                callback, args = event.callback, event.args
+                event._fired = True
+                event.callback = None
+                event.args = ()
+                callback(*args)
                 self.events_fired += 1
                 fired += 1
-                if self._trace_hooks:
-                    for hook in self._trace_hooks:
+                if hooks:
+                    for hook in hooks:
                         hook(event)
-                if max_events is not None and fired >= max_events:
+                if fired >= cap:
                     break
         finally:
             self._running = False
-            self._horizon = None
+            self.run_horizon = None
             self._capped = False
-        if until is not None and not self._stopped and self._now < until:
+        if until is not None and not self._stopped and self.now < until:
             # Advance the clock to the requested horizon even if the queue
             # drained early, so periodic measurement windows stay aligned.
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def run_to(self, time: SimTime) -> SimTime:
         """Advance the clock to absolute ``time``, firing everything due.
@@ -163,31 +168,22 @@ class Simulator:
         clock never moves backwards — asking for a horizon below ``now``
         is kernel misuse and raises :class:`SimulationError`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot run to the past: {time} < {self._now}"
+                f"cannot run to the past: {time} < {self.now}"
             )
         return self.run(until=time)
 
     def step(self) -> bool:
         """Fire exactly one pending event.  Returns False if the queue is empty.
 
-        Registered trace hooks see the fired event, exactly as in
-        :meth:`run` — step-driven tests trace the same stream.
+        This *is* a one-event :meth:`run`, so the firing order, the clock
+        and the trace hooks are the same by construction.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = event.time
-            event._fire()
-            self.events_fired += 1
-            if self._trace_hooks:
-                for hook in self._trace_hooks:
-                    hook(event)
-            return True
-        return False
+        if self.peek_next_time() is None:
+            return False
+        self.run(max_events=1)
+        return True
 
     def stop(self) -> None:
         """Stop the event loop after the currently executing event returns."""
@@ -204,19 +200,14 @@ class Simulator:
         lazily rather than sorting the whole queue.
         """
         heap = self._heap
-        while heap and heap[0]._cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][3]._cancelled:
+            heappop(heap)
             self._cancelled_pending -= 1
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # Lookahead (used by the NoC express path)
     # ------------------------------------------------------------------
-    @property
-    def run_horizon(self) -> Optional[SimTime]:
-        """The ``until`` bound of the currently executing :meth:`run`, if any."""
-        return self._horizon
-
     def lookahead_limit(self) -> Optional[SimTime]:
         """Exclusive bound on virtual times a component may pre-commit.
 
@@ -224,7 +215,9 @@ class Simulator:
         fire before the queue's next pending time — so state changes
         whose virtual time lies strictly below it are unobservable, and
         a component (the NoC express path) may apply them eagerly in a
-        single pass without changing any simulation outcome.
+        single pass without changing any simulation outcome — as long as
+        the executing handler schedules nothing below the bound afterwards
+        (the bound is a snapshot of the queue, not of the handler's future).
 
         Returns ``inf`` when the queue is empty, or None when lookahead
         is not permitted: outside :meth:`run` (step-driven execution may
@@ -234,11 +227,8 @@ class Simulator:
         """
         if not self._running or self._capped:
             return None
-        heap = self._heap
-        while heap and heap[0]._cancelled:
-            heapq.heappop(heap)
-            self._cancelled_pending -= 1
-        return heap[0].time if heap else float("inf")
+        next_time = self.peek_next_time()
+        return _INF if next_time is None else next_time
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -251,8 +241,9 @@ class Simulator:
             self._cancelled_pending >= self.COMPACTION_MIN
             and self._cancelled_pending * 2 > len(self._heap)
         ):
-            self._heap = [e for e in self._heap if not e._cancelled]
-            heapq.heapify(self._heap)
+            # In place: run() holds this list in a local.
+            self._heap[:] = [entry for entry in self._heap if not entry[3]._cancelled]
+            heapify(self._heap)
             self._cancelled_pending = 0
 
     def add_trace_hook(self, hook: Callable[[ScheduledEvent], None]) -> None:
@@ -260,4 +251,4 @@ class Simulator:
         self._trace_hooks.append(hook)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now} pending={len(self._heap)} seed={self.seed}>"
+        return f"<Simulator t={self.now} pending={len(self._heap)} seed={self.seed}>"

@@ -25,13 +25,15 @@ class ChipConfig:
     costs: CostModel = field(default_factory=CostModel)
 
 
-@dataclass
 class _Envelope:
-    """NoC payload wrapper: (sender name, protocol message)."""
+    """NoC payload wrapper: (sender name, addressee name, protocol message)."""
 
-    sender: str
-    dst: str
-    body: Any
+    __slots__ = ("sender", "dst", "body")
+
+    def __init__(self, sender: str, dst: str, body: Any) -> None:
+        self.sender = sender
+        self.dst = dst
+        self.body = body
 
 
 class Chip:
@@ -133,8 +135,9 @@ class Chip:
         Unknown destinations silently drop (the peer may have been evicted
         mid-rejuvenation — exactly the race protocols must tolerate).
         """
-        dst_coord = self._placement.get(dst_name)
-        src_coord = self._placement.get(src_name)
+        placement = self._placement
+        dst_coord = placement.get(dst_name)
+        src_coord = placement.get(src_name)
         if src_coord is None:
             self.metrics.counter("chip.dropped_unplaced").inc()
             return None
@@ -144,8 +147,7 @@ class Chip:
                 return self.off_chip_handler(src_name, dst_name, body, size_bytes)
             self.metrics.counter("chip.dropped_unplaced").inc()
             return None
-        envelope = _Envelope(sender=src_name, dst=dst_name, body=body)
-        return self.noc.send(src_coord, dst_coord, envelope, size_bytes)
+        return self.noc.send(src_coord, dst_coord, _Envelope(src_name, dst_name, body), size_bytes)
 
     def deliver_from_gateway(self, src_name: str, dst_name: str, body: Any, size_bytes: int,
                              gateway: Coord) -> Optional[Packet]:
@@ -158,26 +160,28 @@ class Chip:
         if dst_coord is None:
             self.metrics.counter("chip.dropped_unplaced").inc()
             return None
-        envelope = _Envelope(sender=src_name, dst=dst_name, body=body)
-        return self.noc.send(gateway, dst_coord, envelope, size_bytes)
+        return self.noc.send(gateway, dst_coord, _Envelope(src_name, dst_name, body), size_bytes)
 
     def _make_delivery_handler(self, coord: Coord):
+        tile = self.tiles[coord]  # the tile object is fixed; its node and state are not
+        crashed = TileState.CRASHED
+
         def handler(packet: Packet) -> None:
-            tile = self.tiles[coord]
             envelope = packet.payload
             if not isinstance(envelope, _Envelope):
                 # Tunnelled inter-chip traffic: the gateway tile needs no
                 # hosted node, but a physically crashed tile kills the
                 # gateway logic too.
-                if self.gateway_handler is not None and tile.state != TileState.CRASHED:
+                if self.gateway_handler is not None and tile.state is not crashed:
                     self.gateway_handler(packet)
                     return
                 self.metrics.counter("chip.dropped_malformed").inc()
                 return
-            if tile.state == TileState.CRASHED or tile.node is None:
+            node = tile.node
+            if tile.state is crashed or node is None:
                 self.metrics.counter("chip.dropped_dead_tile").inc()
                 return
-            if envelope.dst != tile.node.name:
+            if envelope.dst != node.name:
                 # The addressee moved away between injection and delivery.
                 self.metrics.counter("chip.dropped_stale_addr").inc()
                 return
@@ -187,7 +191,7 @@ class Chip:
                 body = _corrupt_marker(envelope.body)
             else:
                 body = envelope.body
-            tile.node.deliver(envelope.sender, body)
+            node.deliver(envelope.sender, body)
 
         return handler
 

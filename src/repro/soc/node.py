@@ -46,6 +46,10 @@ class Node:
         self.name = name
         self.state = NodeState.OK
         self.chip: Optional["Chip"] = None
+        #: The chip's simulator and cost model, bound at placement (every
+        #: message handled reads both).
+        self.sim: Any = None
+        self.costs: Any = None
         self._busy_until = 0.0
         self.messages_sent = 0
         self.messages_received = 0
@@ -59,24 +63,14 @@ class Node:
     def attach_to(self, chip: "Chip") -> None:
         """Bind this node to a chip.  Called by :meth:`Chip.place_node`."""
         self.chip = chip
-
-    @property
-    def sim(self):
-        """The simulator, via the chip."""
-        assert self.chip is not None, f"node {self.name!r} not placed on a chip"
-        return self.chip.sim
+        self.sim = chip.sim
+        self.costs = chip.costs
 
     @property
     def coord(self):
         """Current tile coordinate (nodes can be relocated)."""
         assert self.chip is not None
         return self.chip.coord_of(self.name)
-
-    @property
-    def costs(self):
-        """The chip-wide cost model."""
-        assert self.chip is not None
-        return self.chip.costs
 
     # ------------------------------------------------------------------
     # Health
@@ -161,10 +155,11 @@ class Node:
         """
         if duration < 0:
             raise ValueError(f"negative charge duration {duration}")
-        now = self.sim.now
-        start = max(now, self._busy_until)
-        self._busy_until = start + duration
-        return self._busy_until - now
+        start = now = self.sim.now
+        if self._busy_until > now:
+            start = self._busy_until
+        self._busy_until = busy_until = start + duration
+        return busy_until - now
 
     def deliver(self, sender: str, message: Any) -> None:
         """Entry point from the chip: queue handling of a received message."""

@@ -16,7 +16,13 @@ import pytest
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
 from repro.bft.group import protocol_config_for
-from repro.bft.messages import ClientRequest, RequestBatch, proposal_digest, requests_of
+from repro.bft.messages import (
+    ClientRequest,
+    RequestBatch,
+    proposal_digest,
+    proposal_keys,
+    requests_of,
+)
 from repro.bft.pbft import PbftConfig
 from repro.bft.replica import ExecutionLedger
 from repro.crypto.mac import digest
@@ -239,6 +245,71 @@ def test_pbft_batched_checkpoint_view_change_consistent():
     assert len(digests) == 1
     for replica in group.correct_replicas():
         assert all(seq > replica._stable_seq for (_, seq) in replica._slots)
+
+
+# ----------------------------------------------------------------------
+# The admission check's O(1) index == the scan of every slot it replaced
+# ----------------------------------------------------------------------
+def _scan_under_agreement(replica, key):
+    """The original admission check: walk every slot / log entry."""
+    if hasattr(replica, "_log"):  # cft
+        return any(
+            e.seq > replica._committed_seq and key in proposal_keys(e.request)
+            for e in replica._log.values()
+        )
+    bound = "pre_prepare" if isinstance(replica.config, PbftConfig) else "prepare"
+    return any(
+        getattr(slot, bound) is not None
+        and not slot.committed
+        and key in proposal_keys(getattr(slot, bound).request)
+        for slot in replica._slots.values()
+    )
+
+
+@pytest.mark.parametrize("protocol", LEADER_PROTOCOLS)
+def test_admission_check_equals_slot_scan(protocol):
+    options = {"checkpoint_interval": 8} if protocol == "pbft" else {}
+    config = protocol_config_for(
+        protocol, BatchConfig(batch_size=4, batch_delay=100, max_inflight=4), **options
+    )
+    cfg = ClientConfig(think_time=50, timeout=20_000, max_outstanding=8)
+    sim, chip, group, client = build(protocol, client_cfg=cfg, protocol_config=config)
+    check = "_already_replicating" if protocol == "cft" else "_already_ordering"
+    answers = {True: 0, False: 0}
+    recent = {}  # the last requests any replica waited on: pending, then committed
+
+    def probe_recent_requests(event):
+        # Not only the requests that happen to reach admission: every
+        # recently pending request, asked of every replica, on every 200th
+        # event — across the crash, the view change and (PBFT) the
+        # checkpoint truncations.
+        if sim.events_fired % 200:
+            return
+        for replica in group.replicas.values():
+            recent.update(replica._pending_requests)
+        for key in list(recent)[:-24]:
+            del recent[key]
+        for replica in group.replicas.values():
+            for request in recent.values():
+                answer = getattr(replica, check)(request)
+                assert answer == _scan_under_agreement(replica, request.key())
+                answers[answer] += 1
+
+    sim.add_trace_hook(probe_recent_requests)
+    client.start()
+    # Mute the primary instead of crashing it: it keeps binding proposals
+    # that can never commit, so the view change (and, for PBFT, the next
+    # checkpoints) must drop *uncommitted* slots from the index.
+    group.replicas[group.members[0]].add_outbound_filter(
+        lambda dst, message: None if 120_000 <= sim.now < 400_000 else message
+    )
+    sim.run(until=650_000)
+    assert client.completed > 60 and group.safety.is_safe
+    assert answers[True] > 200 and answers[False] > 200  # both outcomes exercised
+    for replica in group.correct_replicas():
+        assert replica.view > 0  # the view change happened
+        if protocol == "pbft":
+            assert replica._stable_seq > 0  # and so did checkpoint truncation
 
 
 # ----------------------------------------------------------------------

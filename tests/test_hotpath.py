@@ -155,6 +155,29 @@ def test_express_respects_run_horizon():
     assert windowed(True) == windowed(False)
 
 
+@pytest.mark.xfail(strict=True, reason="known gap: the lookahead bound cannot see events "
+                   "the sending handler schedules after send() returns")
+def test_express_ignores_events_scheduled_after_send_returns():
+    # A's eager hops reserve link (1,0)->(2,0) before B, which the same
+    # handler schedules only after send() returns, exists.  Hop by hop B
+    # gets that link first (B@17, A@21); express delivers A@18, B@22.
+    def deliveries(express):
+        sim, net = make_net(4, 1, express_routing=express)
+        got = []
+        net.attach(Coord(3, 0), lambda p: got.append((p.payload, p.delivered_at)))
+
+        def handler():
+            net.send(Coord(0, 0), Coord(3, 0), "A")
+            sim.schedule(5.0, net.send, Coord(1, 0), Coord(3, 0), "B")
+
+        sim.schedule(0.0, handler)
+        sim.run()
+        return got
+
+    assert deliveries(False) == [("B", 17.0), ("A", 21.0)]  # the reference holds
+    assert deliveries(True) == deliveries(False)
+
+
 def test_same_seed_identical_metrics_express_on_off(monkeypatch):
     # The end-to-end determinism gate: a full protocol stack (replicas,
     # clients, MAC charging, NoC contention) reports identical metrics
@@ -298,6 +321,8 @@ def test_heap_compaction_under_mass_cancellation():
     # Compaction kicked in: the heap cannot hoard all 200 cancelled
     # entries — at most one sub-threshold residue remains.
     assert len(sim._heap) < len(keep) + 2 * Simulator.COMPACTION_MIN
+    # Entries are (time, priority, seq, handle); every live handle survived.
+    assert [e for _, _, _, e in sorted(sim._heap) if e.pending] == keep
     assert sim.pending_count() == len(keep)
     assert sim.peek_next_time() == 1000.0
 

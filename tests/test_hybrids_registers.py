@@ -65,6 +65,27 @@ def test_ecc_corrects_every_single_bit_flip():
         assert reg.corrected_count == 1
 
 
+def test_ecc_8bit_exhaustive_write_flip_read():
+    """Every value x every physical bit: one flip is corrected (and
+    scrubbed), a second distinct flip is detected, a rewrite recovers."""
+    reg = EccRegister(8)
+    assert reg.physical_bits == 13  # 8 data + 4 Hamming parity + 1 overall
+    for value in range(256):
+        for first in range(reg.physical_bits):
+            reg.write(value)
+            assert reg.read() == value
+            reg.inject_bitflip(first)
+            assert reg.read() == value
+            assert reg.read() == value  # the correction persisted
+            second = (first + 1 + value) % reg.physical_bits
+            if second != first:
+                reg.inject_bitflip(first)
+                reg.inject_bitflip(second)
+                with pytest.raises(RegisterError):
+                    reg.read()
+    assert reg.corrected_count == 256 * 13
+
+
 def test_ecc_detects_double_flips():
     reg = EccRegister(16, 0x1234)
     reg.inject_bitflip(2)

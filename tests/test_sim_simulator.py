@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import ScheduledEvent, Simulator
 from repro.sim.simulator import SimulationError
 
 
@@ -204,6 +206,7 @@ def test_peek_next_time_empty_queue_returns_none():
 def test_peek_next_time_all_cancelled_heap_returns_none():
     sim = Simulator()
     events = [sim.schedule(t, lambda: None) for t in (1.0, 2.0, 3.0)]
+    assert [entry[:3] for entry in sim._heap] == [(e.time, 0, e.seq) for e in events]
     for event in events:
         event.cancel()
     assert sim.peek_next_time() is None
@@ -303,3 +306,102 @@ def test_windowed_run_to_matches_single_run():
     straight_sim.run()
     assert windowed_log == straight_log
     assert windowed_sim.events_fired == straight_sim.events_fired
+
+
+# ----------------------------------------------------------------------
+# Firing order against a reference model
+# ----------------------------------------------------------------------
+def _run_random_program(seed, drive):
+    """A random schedule/cancel program, checked online against a model.
+
+    ``model`` maps seq -> (time, priority, seq) for every pending event;
+    each firing must be the model's minimum.  Times come from a coarse
+    grid so ties on time (and on time+priority) are the common case, and
+    handlers schedule and cancel from inside the loop.  Returns what the
+    callbacks and the trace hook saw.
+    """
+    rng = random.Random(seed)
+    sim = Simulator(seed=seed)
+    model, handles, fired, hooked = {}, {}, [], []
+
+    def hook(event):
+        assert isinstance(event, ScheduledEvent) and event.fired and not event.pending
+        hooked.append((event.time, event.priority, event.seq))
+
+    sim.add_trace_hook(hook)
+
+    def check_accounting():
+        assert sim.pending_count() == len(model)
+        expected = min(model.values())[0] if model else None
+        assert sim.peek_next_time() == expected
+        assert all(
+            entry[:3] == (entry[3].time, entry[3].priority, entry[3].seq)
+            for entry in sim._heap
+        )
+
+    def add(budget):
+        kind = rng.randrange(3)
+        priority = rng.choice((0, 0, 0, -1, 1, 5))
+        if kind == 0:
+            event = sim.schedule(float(rng.randrange(4)), fire, budget, priority=priority)
+        elif kind == 1:
+            event = sim.schedule_at(sim.now + rng.randrange(6), fire, budget, priority=priority)
+        else:
+            event = sim.call_soon(fire, budget)
+        assert event.pending and event.time >= sim.now
+        model[event.seq] = (event.time, event.priority, event.seq)
+        handles[event.seq] = event
+
+    def cancel(seq):
+        assert handles.pop(seq).cancel()
+        del model[seq]
+
+    def fire(budget):
+        key = min(model.values())
+        assert key[0] == sim.now
+        fired.append(key)
+        handle = handles.pop(key[2])
+        del model[key[2]]
+        assert not handle.cancel()  # already firing: not cancellable
+        if budget:
+            for _ in range(rng.randrange(4)):
+                add(budget - 1)
+        if model and rng.random() < 0.3:
+            cancel(rng.choice(sorted(model)))
+        if len(fired) == 40:
+            # Enough corpses at once to cross the compaction threshold.
+            doomed = [seq for seq, key in model.items() if key[0] >= 1000.0]
+            for seq in doomed:
+                cancel(seq)
+            assert len(sim._heap) < len(model) + 2 * Simulator.COMPACTION_MIN
+        check_accounting()
+
+    for _ in range(30):
+        add(6)
+    for i in range(3 * Simulator.COMPACTION_MIN):
+        event = sim.schedule_at(1000.0 + i % 7, fire, 0)
+        model[event.seq] = (event.time, 0, event.seq)
+        handles[event.seq] = event
+    check_accounting()
+    drive(sim)
+    assert not model and sim.pending_count() == 0 and sim.peek_next_time() is None
+    assert len(fired) > 40  # the compaction branch ran
+    return fired, hooked, sim.events_fired, sim.now
+
+
+def _drive_by_steps(sim):
+    while sim.step():
+        pass
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_firing_order_matches_reference_model(seed):
+    fired, hooked, count, end = _run_random_program(seed, lambda sim: sim.run())
+    assert fired == hooked and count == len(fired)
+    # step() is a one-event run(): same program, same stream.
+    assert _run_random_program(seed, _drive_by_steps) == (fired, hooked, count, end)
+    # Windowed runs too (run() resumes mid-queue with cancelled entries inside).
+    def windows(sim):
+        while sim.pending_count():
+            sim.run(until=sim.now + 1.5)
+    assert _run_random_program(seed, windows)[:3] == (fired, hooked, count)
