@@ -17,10 +17,10 @@ and re-replicates before serving new requests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchConfig
+from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     Append,
     AppendAck,
@@ -34,7 +34,6 @@ from repro.bft.messages import (
     requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
-from repro.sim.timers import Timeout
 from repro.soc.chip import is_corrupted
 
 
@@ -75,8 +74,7 @@ class CftReplica(BaseReplica):
     """One CFT replica.  ``term`` plays the role PBFT's view does."""
 
     def __init__(self, name: str, group: GroupContext, config: Optional[CftConfig] = None) -> None:
-        super().__init__(name, group)
-        self.config = config or CftConfig()
+        super().__init__(name, group, config or CftConfig())
         expected = required_replicas(group.f)
         if group.n < expected:
             raise ValueError(f"CFT with f={group.f} needs n>={expected}, got {group.n}")
@@ -84,17 +82,8 @@ class CftReplica(BaseReplica):
         self._acks: Dict[int, set] = {}
         self._next_seq = 0
         self._committed_seq = 0
-        self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
         self._elect_votes: Dict[int, Dict[str, LeaderElectAck]] = {}
         self._elect_sent: set = set()
-        self._election_timer = None
-        batching = resolve_batching(self.config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._append_proposal)
-        leases = resolve_leases(self.config.leases)
-        if leases is not None:
-            self.lease_table = LeaseTable(self, leases)
-            self.lease_manager = LeaseManager(self, leases)
 
     # ``view`` (BaseReplica) is used as the term so primary_of() works.
 
@@ -102,32 +91,6 @@ class CftReplica(BaseReplica):
     def majority(self) -> int:
         """Majority quorum: f+1."""
         return self.group.f + 1
-
-    # ------------------------------------------------------------------
-    # Timer plumbing
-    # ------------------------------------------------------------------
-    def _ensure_timer(self) -> Timeout:
-        if self._election_timer is None:
-            self._election_timer = Timeout(
-                self.sim, self.config.election_timeout, self._on_election_timeout
-            )
-        return self._election_timer
-
-    def _note_pending(self, request: ClientRequest) -> None:
-        if request.key() in self._pending_requests or self.already_executed(request):
-            return
-        self._pending_requests[request.key()] = request
-        timer = self._ensure_timer()
-        if not timer.armed:
-            timer.start()
-
-    def _note_executed(self, request: ClientRequest) -> None:
-        self._pending_requests.pop(request.key(), None)
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -156,29 +119,7 @@ class CftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Normal case
     # ------------------------------------------------------------------
-    def _handle_request(self, sender: str, request: ClientRequest) -> None:
-        if self.already_executed(request):
-            self.resend_cached_reply(request)
-            return
-        if self.is_primary:
-            if self.lease_manager is not None:
-                self._note_pending(request)  # parked writes survive failover
-                if self.lease_manager.intercept(request):
-                    return
-            self._admit_ordered(request)
-        else:
-            self.send(self.primary, request, request.wire_size())
-            self._note_pending(request)
-
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        if self.batcher is not None:
-            if self._already_replicating(request) or request.key() in self.batcher.pending_keys:
-                return
-            self.batcher.add(request)
-        else:
-            self._append(request)
-
-    def _already_replicating(self, request: ClientRequest) -> bool:
+    def _already_ordering(self, request: ClientRequest) -> bool:
         # The log is never truncated; only its uncommitted tail can match,
         # and no entry lies above _next_seq.
         key, log = request.key(), self._log
@@ -187,13 +128,8 @@ class CftReplica(BaseReplica):
             for seq in range(self._committed_seq + 1, self._next_seq + 1)
         )
 
-    def _append(self, request: ClientRequest) -> None:
-        if self._already_replicating(request):
-            return
-        self._append_proposal(request)
-
-    def _append_proposal(self, proposal: Proposal) -> bool:
-        """Replicate one proposal (a bare request, or a RequestBatch)."""
+    def _order_proposal(self, proposal: Proposal) -> bool:
+        """APPEND one proposal (a bare request, or a RequestBatch)."""
         if not self.is_primary:
             return False  # demoted while the batch was queued
         self._next_seq += 1
@@ -252,7 +188,10 @@ class CftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Leader failover
     # ------------------------------------------------------------------
-    def _on_election_timeout(self) -> None:
+    def _progress_timeout(self) -> float:
+        return self.config.election_timeout
+
+    def _on_progress_timeout(self) -> None:
         if not self._pending_requests:
             return
         target = self.view + 1
@@ -311,34 +250,12 @@ class CftReplica(BaseReplica):
                 self._acks[seq] = {self.name}
                 message = Append(term, seq, entry.request, self.name)
                 self.broadcast(self.other_members(), message, message.wire_size())
-        for request in list(self._pending_requests.values()):
-            if self.already_executed(request):
-                continue
-            if self.lease_manager is not None and self.lease_manager.intercept(request):
-                continue  # held by the new-term quiesce; released later
-            self._admit_ordered(request)
-        if self.batcher is not None:
-            self.batcher.flush()
+        self._repropose_pending()
 
     def _adopt_term(self, term: int) -> None:
-        self.view = term
-        if self.batcher is not None:
-            # Term changed: in-flight accounting is stale; pending
-            # requests re-enter via re-batching or client retransmission.
-            self.batcher.reset()
-        if self.lease_manager is not None:
-            # Old-term grants and revocations are void; quiesce writes for
-            # one lease duration so leftover holders drain safely.
-            self.lease_manager.on_view_entered(term)
-        if self.lease_table is not None:
-            self.lease_table.clear()  # grants are term-tagged anyway; hygiene
         for stale in [t for t in self._elect_votes if t <= term]:
             del self._elect_votes[stale]
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
+        self._enter_era(term)
 
     # ------------------------------------------------------------------
     @property
@@ -353,10 +270,7 @@ class CftReplica(BaseReplica):
     def reset_protocol_state(self) -> None:
         self._log = {s: e for s, e in self._log.items() if s <= self._committed_seq}
         self._acks.clear()
-        self._pending_requests.clear()
         self._elect_votes.clear()
         self._elect_sent.clear()
         self._committed_seq = max(self._committed_seq, self.last_executed)
         self._next_seq = max(self._next_seq, self._committed_seq)
-        if self._election_timer is not None:
-            self._election_timer.cancel()

@@ -132,24 +132,23 @@ class ReplicaGroup:
         )
         self.replicas: Dict[str, BaseReplica] = {}
         self.clients: List[ClientNode] = []
-        self._build_replicas(family, config.protocol_config)
-
-    # ------------------------------------------------------------------
-    def _build_replicas(self, family: _Family, protocol_config: Any) -> None:
-        for name in self.context.members:
-            if protocol_config is not None:
-                replica = family.replica_cls(name, self.context, protocol_config)
-            else:
-                replica = family.replica_cls(name, self.context)
+        for name in member_names:
+            replica = self.make_replica(name)
             self.chip.place_node(replica, self.placement[name])
             self.replicas[name] = replica
         self._start_replicas()
 
+    # ------------------------------------------------------------------
+    def make_replica(self, name: str) -> BaseReplica:
+        """Construct (not place) one member in the group's current
+        protocol family; ``config.protocol_config=None`` means the
+        family's defaults."""
+        family = FAMILIES[self.protocol]
+        return family.replica_cls(name, self.context, self.config.protocol_config)
+
     def _start_replicas(self) -> None:
         for replica in self.replicas.values():
-            start = getattr(replica, "start", None)
-            if callable(start):
-                start()
+            replica.start()
 
     # ------------------------------------------------------------------
     @property
@@ -193,13 +192,20 @@ class ReplicaGroup:
         if client.chip is None:
             target = coord or self.chip.free_tiles()[0]
             self.chip.place_node(client, target)
-        client.configure(
-            self.members,
-            self.reply_quorum,
-            self.read_quorum,
-            lease_reads=self.leases_enabled,
-        )
+        self.configure_clients([client])
         self.clients.append(client)
+
+    def configure_clients(self, clients: Optional[List[ClientNode]] = None) -> None:
+        """Point clients (default: every attached one) at the current
+        membership, quorums and read mode — the one place that does, so a
+        protocol switch or a scale event cannot drop a parameter."""
+        for client in self.clients if clients is None else clients:
+            client.configure(
+                self.members,
+                self.reply_quorum,
+                self.read_quorum,
+                lease_reads=self.leases_enabled,
+            )
 
     # ------------------------------------------------------------------
     # Leases (detector / rejuvenation integration)
@@ -272,29 +278,20 @@ class ReplicaGroup:
 
         self.protocol = protocol
         self.config.protocol = protocol
+        self.config.protocol_config = protocol_config
         self.config.f = new_f
         self.placement = dict(zip(member_names, coords))
         self.context.members[:] = member_names
         self.context.f = new_f
 
         for name in member_names:
-            if protocol_config is not None:
-                replica = family.replica_cls(name, self.context, protocol_config)
-            else:
-                replica = family.replica_cls(name, self.context)
+            replica = self.make_replica(name)
             if donor is not None:
                 replica.import_state(donor)
             self.chip.place_node(replica, self.placement[name])
             self.replicas[name] = replica
         self._start_replicas()
-
-        for client in self.clients:
-            client.configure(
-                self.members,
-                self.reply_quorum,
-                self.read_quorum,
-                lease_reads=self.leases_enabled,
-            )
+        self.configure_clients()
 
         # Charge switch time: a state-transfer round plus restart slack,
         # scaled by history length (executed sequence numbers — the

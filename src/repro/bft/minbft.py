@@ -34,10 +34,10 @@ event-for-event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchConfig
+from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     ClientRequest,
     MbCommit,
@@ -52,7 +52,6 @@ from repro.bft.messages import (
 )
 from repro.bft.replica import BaseReplica, GroupContext
 from repro.hybrids.usig import UI, Usig, UsigError, UsigVerifier
-from repro.sim.timers import Timeout
 from repro.soc.chip import is_corrupted
 
 
@@ -116,8 +115,7 @@ class MinBftReplica(BaseReplica):
     def __init__(
         self, name: str, group: GroupContext, config: Optional[MinBftConfig] = None
     ) -> None:
-        super().__init__(name, group)
-        self.config = config or MinBftConfig()
+        super().__init__(name, group, config or MinBftConfig())
         expected = required_replicas(group.f)
         if group.n < expected:
             raise ValueError(f"MinBFT with f={group.f} needs n>={expected}, got {group.n}")
@@ -133,19 +131,9 @@ class MinBftReplica(BaseReplica):
         self._exec_cursor: Optional[int] = None
         self._ready: Dict[int, MbPrepare] = {}
         self._next_exec_seq = 0
-        self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
         self._req_view_change_votes: Dict[int, set] = {}
         self._view_change_votes: Dict[int, Dict[str, MbViewChange]] = {}
-        self._in_view_change = False
-        self._view_timer = None
         self.usig_failures = 0
-        batching = resolve_batching(self.config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._propose_proposal)
-        leases = resolve_leases(self.config.leases)
-        if leases is not None:
-            self.lease_table = LeaseTable(self, leases)
-            self.lease_manager = LeaseManager(self, leases)
 
     # ------------------------------------------------------------------
     @property
@@ -161,30 +149,6 @@ class MinBftReplica(BaseReplica):
             self.usig_failures += 1
             self.group.metrics.counter(f"{self.group.group_id}.usig_halted").inc()
             return None
-
-    # ------------------------------------------------------------------
-    # Timer plumbing
-    # ------------------------------------------------------------------
-    def _ensure_timer(self) -> Timeout:
-        if self._view_timer is None:
-            self._view_timer = Timeout(self.sim, self.config.view_timeout, self._on_view_timeout)
-        return self._view_timer
-
-    def _note_pending(self, request: ClientRequest) -> None:
-        if request.key() in self._pending_requests or self.already_executed(request):
-            return
-        self._pending_requests[request.key()] = request
-        timer = self._ensure_timer()
-        if not timer.armed:
-            timer.start()
-
-    def _note_executed(self, request: ClientRequest) -> None:
-        self._pending_requests.pop(request.key(), None)
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
 
     # ------------------------------------------------------------------
     # Dispatch with per-sender sequential UI processing
@@ -261,31 +225,6 @@ class MinBftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Normal case
     # ------------------------------------------------------------------
-    def _handle_request(self, sender: str, request: ClientRequest) -> None:
-        if self.already_executed(request):
-            self.resend_cached_reply(request)
-            return
-        if self._in_view_change:
-            self._note_pending(request)
-            return
-        if self.is_primary:
-            if self.lease_manager is not None:
-                self._note_pending(request)  # parked writes survive view changes
-                if self.lease_manager.intercept(request):
-                    return
-            self._admit_ordered(request)
-        else:
-            self.send(self.primary, request, request.wire_size())
-            self._note_pending(request)
-
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        if self.batcher is not None:
-            if self._already_ordering(request) or request.key() in self.batcher.pending_keys:
-                return
-            self.batcher.add(request)
-        else:
-            self._propose(request)
-
     def _already_ordering(self, request: ClientRequest) -> bool:
         return request.key() in self._ordering
 
@@ -298,14 +237,9 @@ class MinBftReplica(BaseReplica):
             self._ordering.add(message.request)
         slot.prepare = message
 
-    def _propose(self, request: ClientRequest) -> None:
-        if self._already_ordering(request):
-            return
-        self._propose_proposal(request)
-
-    def _propose_proposal(self, proposal: Proposal) -> bool:
-        """Order one proposal (a bare request, or a RequestBatch): a single
-        usig_create charge covers the whole batch."""
+    def _order_proposal(self, proposal: Proposal) -> bool:
+        """PREPARE one proposal (a bare request, or a RequestBatch): a
+        single usig_create charge covers the whole batch."""
         if self._in_view_change or not self.is_primary:
             return False  # demoted while the batch was queued
         dig = proposal_digest(proposal)
@@ -450,7 +384,10 @@ class MinBftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # View change (REQ-VIEW-CHANGE → VIEW-CHANGE → NEW-VIEW)
     # ------------------------------------------------------------------
-    def _on_view_timeout(self) -> None:
+    def _progress_timeout(self) -> float:
+        return self.config.view_timeout
+
+    def _on_progress_timeout(self) -> None:
         if not self._pending_requests:
             return
         target = self.view + 1
@@ -518,18 +455,6 @@ class MinBftReplica(BaseReplica):
             self.send(self.primary, request, request.wire_size())
 
     def _enter_view(self, new_view: int) -> None:
-        self.view = new_view
-        self._in_view_change = False
-        if self.batcher is not None:
-            # Window accounting restarts in the new view; pending requests
-            # re-enter via _repropose_pending / client retransmission.
-            self.batcher.reset()
-        if self.lease_manager is not None:
-            # Old-era grants and revocations are void; quiesce writes for
-            # one lease duration so leftover holders drain safely.
-            self.lease_manager.on_view_entered(new_view)
-        if self.lease_table is not None:
-            self.lease_table.clear()  # grants are view-tagged anyway; hygiene
         self._slots = {s: slot for s, slot in self._slots.items() if slot.committed}
         self._ordering.clear()  # every uncommitted slot was just dropped
         self._exec_cursor = None  # next accepted prepare re-anchors it
@@ -539,23 +464,7 @@ class MinBftReplica(BaseReplica):
             del self._req_view_change_votes[stale]
         for stale in [v for v in self._view_change_votes if v <= new_view]:
             del self._view_change_votes[stale]
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
-
-    def _repropose_pending(self) -> None:
-        if not self.is_primary:
-            return
-        for request in list(self._pending_requests.values()):
-            if self.already_executed(request):
-                continue
-            if self.lease_manager is not None and self.lease_manager.intercept(request):
-                continue  # held by the new-view quiesce; released later
-            self._admit_ordered(request)
-        if self.batcher is not None:
-            self.batcher.flush()
+        self._enter_era(new_view)
 
     # ------------------------------------------------------------------
     def reset_protocol_state(self) -> None:
@@ -565,9 +474,5 @@ class MinBftReplica(BaseReplica):
         self._expected_counter.clear()  # resync on first contact per sender
         self._exec_cursor = None
         self._ready.clear()
-        self._pending_requests.clear()
         self._req_view_change_votes.clear()
         self._view_change_votes.clear()
-        self._in_view_change = False
-        if self._view_timer is not None:
-            self._view_timer.cancel()

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchConfig
+from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     ClientRequest,
     Heartbeat,
@@ -62,8 +62,7 @@ class PassiveReplica(BaseReplica):
     def __init__(
         self, name: str, group: GroupContext, config: Optional[PassiveConfig] = None
     ) -> None:
-        super().__init__(name, group)
-        self.config = config or PassiveConfig()
+        super().__init__(name, group, config or PassiveConfig())
         self.role = "primary" if group.members[0] == name else "backup"
         self._next_seq = 0
         self._applied_seq = 0
@@ -71,13 +70,6 @@ class PassiveReplica(BaseReplica):
         self._heartbeat_timer: Optional[PeriodicTimer] = None
         self._detector: Optional[Timeout] = None
         self.promotions = 0
-        batching = resolve_batching(self.config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._commit_proposal)
-        leases = resolve_leases(self.config.leases)
-        if leases is not None:
-            self.lease_table = LeaseTable(self, leases)
-            self.lease_manager = LeaseManager(self, leases)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -130,15 +122,10 @@ class PassiveReplica(BaseReplica):
             return
         self._admit_ordered(request)
 
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        if self.batcher is not None:
-            if request.key() in self.batcher.pending_keys:
-                return
-            self.batcher.add(request)
-            return
-        self._commit_proposal(request)
+    def _already_ordering(self, request: ClientRequest) -> bool:
+        return False  # ordering is execution: nothing is ever in between
 
-    def _commit_proposal(self, proposal: Proposal) -> bool:
+    def _order_proposal(self, proposal: Proposal) -> bool:
         """Execute one proposal and ship one StateUpdate covering it."""
         if self.role != "primary":
             return False  # demoted/never promoted while the batch waited
@@ -180,18 +167,14 @@ class PassiveReplica(BaseReplica):
         if self.role != "backup" or self.state.value == "crashed":
             return
         self.role = "primary"
-        # Advance the view so replies steer clients to us: view % n must
-        # select this replica's member index (otherwise every request
-        # keeps timing out against the dead primary first).
-        self.view = self.group.members.index(self.name)
         self.promotions += 1
         self.group.metrics.counter(f"{self.group.group_id}.promotions").inc()
-        if self.lease_manager is not None:
-            # Promotion is a view change: drop our held grants and quiesce
-            # writes until any lease the old primary issued has expired.
-            self.lease_manager.on_view_entered(self.view)
-        if self.lease_table is not None:
-            self.lease_table.clear()
+        # Advance the view so replies steer clients to us: view % n must
+        # select this replica's member index (otherwise every request
+        # keeps timing out against the dead primary first).  Promotion is
+        # an era change: the core drops our held grants and quiesces
+        # writes until any lease the old primary issued has expired.
+        self._enter_era(self.group.members.index(self.name))
         self._heartbeat_timer = PeriodicTimer(
             self.sim, self.config.heartbeat_period, self._send_heartbeat
         )

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchConfig
+from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     Checkpoint,
     ClientReply,
@@ -48,7 +48,6 @@ from repro.bft.messages import (
 )
 from repro.bft.replica import BaseReplica, GroupContext
 from repro.crypto.mac import MAC_LENGTH
-from repro.sim.timers import Timeout
 from repro.soc.chip import is_corrupted
 
 
@@ -95,8 +94,7 @@ class PbftReplica(BaseReplica):
     def __init__(
         self, name: str, group: GroupContext, config: Optional[PbftConfig] = None
     ) -> None:
-        super().__init__(name, group)
-        self.config = config or PbftConfig()
+        super().__init__(name, group, config or PbftConfig())
         expected = required_replicas(group.f)
         if group.n < expected:
             raise ValueError(f"PBFT with f={group.f} needs n>={expected}, got {group.n}")
@@ -105,18 +103,8 @@ class PbftReplica(BaseReplica):
         self._next_seq = 0
         self._stable_seq = 0
         self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
-        self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
         self._seen_digests: Dict[int, bytes] = {}  # seq -> digest once prepared
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
-        self._in_view_change = False
-        self._view_timer = None  # created lazily (needs sim, i.e. placement)
-        batching = resolve_batching(self.config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._propose_proposal)
-        leases = resolve_leases(self.config.leases)
-        if leases is not None:
-            self.lease_table = LeaseTable(self, leases)
-            self.lease_manager = LeaseManager(self, leases)
 
     # ------------------------------------------------------------------
     # Quorums
@@ -146,30 +134,6 @@ class PbftReplica(BaseReplica):
             return
         size = message.wire_size() + MAC_LENGTH * len(recipients)
         self.broadcast(recipients, message, size)
-
-    # ------------------------------------------------------------------
-    # Timer plumbing
-    # ------------------------------------------------------------------
-    def _ensure_timer(self) -> Timeout:
-        if self._view_timer is None:
-            self._view_timer = Timeout(self.sim, self.config.view_timeout, self._on_view_timeout)
-        return self._view_timer
-
-    def _note_pending(self, request: ClientRequest) -> None:
-        if request.key() in self._pending_requests or self.already_executed(request):
-            return
-        self._pending_requests[request.key()] = request
-        timer = self._ensure_timer()
-        if not timer.armed:
-            timer.start()
-
-    def _note_executed(self, request: ClientRequest) -> None:
-        self._pending_requests.pop(request.key(), None)
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()  # progress: give remaining requests a fresh window
-        else:
-            timer.cancel()
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -208,32 +172,6 @@ class PbftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Normal case
     # ------------------------------------------------------------------
-    def _handle_request(self, sender: str, request: ClientRequest) -> None:
-        if self.already_executed(request):
-            self.resend_cached_reply(request)
-            return
-        if self._in_view_change:
-            self._note_pending(request)
-            return
-        if self.is_primary:
-            if self.lease_manager is not None:
-                self._note_pending(request)  # parked writes survive view changes
-                if self.lease_manager.intercept(request):
-                    return
-            self._admit_ordered(request)
-        else:
-            # Forward to the primary and start watching for progress.
-            self.send(self.primary, request, request.wire_size())
-            self._note_pending(request)
-
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        if self.batcher is not None:
-            if self._already_ordering(request) or request.key() in self.batcher.pending_keys:
-                return
-            self.batcher.add(request)
-        else:
-            self._propose(request)
-
     def _already_ordering(self, request: ClientRequest) -> bool:
         return request.key() in self._ordering
 
@@ -246,13 +184,8 @@ class PbftReplica(BaseReplica):
             self._ordering.add(message.request)
         slot.pre_prepare = message
 
-    def _propose(self, request: ClientRequest) -> None:
-        if self._already_ordering(request):
-            return
-        self._propose_proposal(request)
-
-    def _propose_proposal(self, proposal: Proposal) -> bool:
-        """Order one proposal (a bare request, or a RequestBatch)."""
+    def _order_proposal(self, proposal: Proposal) -> bool:
+        """PRE-PREPARE one proposal (a bare request, or a RequestBatch)."""
         if self._in_view_change or not self.is_primary:
             return False  # demoted while the batch was queued
         if self._next_seq - self._stable_seq >= self.config.watermark_window:
@@ -380,7 +313,10 @@ class PbftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # View change
     # ------------------------------------------------------------------
-    def _on_view_timeout(self) -> None:
+    def _progress_timeout(self) -> float:
+        return self.config.view_timeout
+
+    def _on_progress_timeout(self) -> None:
         if not self._pending_requests:
             return
         self._start_view_change(self.view + 1)
@@ -400,8 +336,7 @@ class PbftReplica(BaseReplica):
         self._record_view_change_vote(self.name, message)
         self._auth_multicast(message)
         # If this view change stalls too, escalate further.
-        timer = self._ensure_timer()
-        timer.start()
+        self._ensure_timer().start()
         self.group.metrics.counter(f"{self.group.group_id}.view_changes").inc()
 
     def _handle_view_change(self, sender: str, message: ViewChange) -> None:
@@ -462,38 +397,10 @@ class PbftReplica(BaseReplica):
             self.send(self.primary, request, request.wire_size())
 
     def _enter_view(self, new_view: int) -> None:
-        self.view = new_view
-        self._in_view_change = False
         self._next_seq = max(self._next_seq, self.last_executed)
-        if self.batcher is not None:
-            # Window accounting restarts in the new view; pending requests
-            # re-enter via _repropose_pending / client retransmission.
-            self.batcher.reset()
-        if self.lease_manager is not None:
-            # Old-era grants and revocations are void; quiesce writes for
-            # one lease duration so leftover holders drain safely.
-            self.lease_manager.on_view_entered(new_view)
-        if self.lease_table is not None:
-            self.lease_table.clear()  # grants are view-tagged anyway; hygiene
         for stale in [v for v in self._view_change_votes if v <= new_view]:
             del self._view_change_votes[stale]
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
-
-    def _repropose_pending(self) -> None:
-        if not self.is_primary:
-            return
-        for request in list(self._pending_requests.values()):
-            if self.already_executed(request):
-                continue
-            if self.lease_manager is not None and self.lease_manager.intercept(request):
-                continue  # held by the new-view quiesce; released later
-            self._admit_ordered(request)
-        if self.batcher is not None:
-            self.batcher.flush()
+        self._enter_era(new_view)
 
     def _find_request(self, dig: bytes) -> Optional[Proposal]:
         for slot in self._slots.values():
@@ -512,9 +419,5 @@ class PbftReplica(BaseReplica):
         self._slots.clear()
         self._ordering.clear()
         self._checkpoint_votes.clear()
-        self._pending_requests.clear()
         self._view_change_votes.clear()
-        self._in_view_change = False
         self._next_seq = max(self._next_seq, self.last_executed)
-        if self._view_timer is not None:
-            self._view_timer.cancel()

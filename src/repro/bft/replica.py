@@ -1,4 +1,20 @@
-"""Common replica machinery shared by all protocol families."""
+"""The ordering core shared by all protocol families.
+
+:class:`BaseReplica` owns everything about ordering client requests that
+is *not* agreement: primary admission (dedup, lease intercept, batch or
+order), the pending-request map and its progress timer, the batcher and
+lease install, re-proposal after an era change, in-order execution,
+replies and state transfer.  A protocol module supplies only the hooks
+the core calls —
+
+* ``_order_proposal(proposal) -> bool``: start agreement on one proposal;
+* ``_already_ordering(request) -> bool``: is it in an uncommitted slot;
+* ``_progress_timeout()`` / ``_on_progress_timeout()``: how long pending
+  requests may stall, and what to do then (view change, election);
+
+— plus what genuinely differs between families: slots, phases, quorum
+sizes, USIG sequencing, checkpoints and the view-change/election votes.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bft.app import StateMachine
+from repro.bft.batching import BatchAccumulator, resolve_batching
+from repro.bft.leases import LeaseManager, LeaseTable, resolve_leases
 from repro.bft.messages import (
     ClientReply,
     ClientRequest,
@@ -19,9 +37,11 @@ from repro.bft.messages import (
     requests_of,
 )
 from repro.bft.safety import SafetyRecorder
-from repro.crypto.mac import digest as payload_digest
+# Unused here, but benchmarks/perf/trace.py patches it by this module attribute.
+from repro.crypto.mac import digest as payload_digest  # noqa: F401
 from repro.crypto.keys import KeyStore
 from repro.metrics import MetricsRegistry
+from repro.sim.timers import Timeout
 from repro.soc.node import Node, NodeState
 
 
@@ -130,24 +150,25 @@ class GroupContext:
 
 
 class BaseReplica(Node):
-    """Base class: in-order execution, reply cache, safety reporting.
+    """The ordering core: admission, progress timer, execution, replies.
 
-    Subclasses implement the ordering protocol and call
-    :meth:`commit_operation` once an operation is committed at a sequence
-    number; this class handles ordered execution, deduplication, client
-    replies, and the safety recorder.
+    Subclasses implement the agreement protocol behind the hooks listed in
+    the module docstring and call :meth:`commit_operation` once an
+    operation is committed at a sequence number (then
+    :meth:`_note_executed` for its requests); this class handles
+    everything before agreement (admission, batching, lease intercept,
+    stall detection) and after it (ordered execution, deduplication,
+    client replies, the safety recorder).
     """
-
-    # Subclasses override: how many matching replies a client must collect.
-    reply_quorum = 1
 
     # Cached replies kept per client; must cover the client's outstanding
     # pipeline so retransmits of any incomplete rid can be answered.
     REPLY_CACHE_SIZE = 64
 
-    def __init__(self, name: str, group: GroupContext) -> None:
+    def __init__(self, name: str, group: GroupContext, config: Any) -> None:
         super().__init__(name)
         self.group = group
+        self.config = config
         self.app: StateMachine = group.app_factory()
         self.view = 0
         self.last_executed = 0
@@ -159,13 +180,26 @@ class BaseReplica(Node):
         self.syncing = False
         self.commits = 0
         self.state_syncs = 0
-        # Installed by protocols that enable batching (primary side).
+        # Requests seen but not yet executed: what the progress timer
+        # watches, and what a new primary re-proposes.
+        self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
+        self._in_view_change = False
+        self._progress_timer: Optional[Timeout] = None  # lazy: needs sim, i.e. placement
+        # Primary-side batching (config.batching or the env override);
+        # None keeps one proposal per request (exactness contract).
         self.batcher = None
-        # Installed by protocols that enable leases (repro.bft.leases):
-        # every replica gets both — any member can hold leases or become
-        # primary.  None when leases are off (exactness contract).
+        batching = resolve_batching(config.batching)
+        if batching is not None:
+            self.batcher = BatchAccumulator(self, batching, self._order_proposal)
+        # Read leases (repro.bft.leases): every replica gets both — any
+        # member can hold leases or become primary.  None when leases are
+        # off (exactness contract).
         self.lease_table = None
         self.lease_manager = None
+        leases = resolve_leases(config.leases)
+        if leases is not None:
+            self.lease_table = LeaseTable(self, leases)
+            self.lease_manager = LeaseManager(self, leases)
 
     # ------------------------------------------------------------------
     @property
@@ -191,14 +225,132 @@ class BaseReplica(Node):
         if self.lease_manager is not None:
             self.lease_manager.start()
 
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        """Primary admission funnel: batch-or-propose one request.
-
-        Protocols route their primary-side request handling through this
-        so the lease manager can park conflicting writes and re-admit
-        them once the revocation completes.
-        """
+    # ------------------------------------------------------------------
+    # Protocol hooks
+    # ------------------------------------------------------------------
+    def _order_proposal(self, proposal: Proposal) -> bool:
+        """Start agreement on one proposal (a bare request, or a
+        RequestBatch).  False = refused (demoted, window full): the
+        batcher frees the slot and clients retransmit."""
         raise NotImplementedError
+
+    def _already_ordering(self, request: ClientRequest) -> bool:
+        """True if the request sits in a proposed, uncommitted slot."""
+        raise NotImplementedError
+
+    def _progress_timeout(self) -> float:
+        """How long pending requests may go without progress."""
+        raise NotImplementedError
+
+    def _on_progress_timeout(self) -> None:
+        """Pending requests stalled: suspect the primary."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Progress timer
+    # ------------------------------------------------------------------
+    def _ensure_timer(self) -> Timeout:
+        if self._progress_timer is None:
+            self._progress_timer = Timeout(
+                self.sim, self._progress_timeout(), self._on_progress_timeout
+            )
+        return self._progress_timer
+
+    def _rearm_timer(self) -> None:
+        """Give the remaining pending requests a fresh window, or stand
+        down when nothing is pending."""
+        if self._pending_requests:
+            self._ensure_timer().start()
+        elif self._progress_timer is not None:
+            self._progress_timer.cancel()
+
+    def _note_pending(self, request: ClientRequest) -> None:
+        if request.key() in self._pending_requests or self.already_executed(request):
+            return
+        self._pending_requests[request.key()] = request
+        timer = self._ensure_timer()
+        if not timer.armed:
+            timer.start()
+
+    def _note_executed(self, request: ClientRequest) -> None:
+        self._pending_requests.pop(request.key(), None)
+        self._rearm_timer()  # progress
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+    def _handle_request(self, sender: str, request: ClientRequest) -> None:
+        if self.already_executed(request):
+            self.resend_cached_reply(request)
+            return
+        if self._in_view_change:
+            self._note_pending(request)
+            return
+        if self.is_primary:
+            if self.lease_manager is not None:
+                self._note_pending(request)  # parked writes survive view changes
+                if self.lease_manager.intercept(request):
+                    return
+            self._admit_ordered(request)
+        else:
+            # Forward to the primary and start watching for progress.
+            self.send(self.primary, request, request.wire_size())
+            self._note_pending(request)
+
+    def _admit_ordered(self, request: ClientRequest) -> None:
+        """Primary admission funnel: dedup, then batch-or-order one request.
+
+        Every primary-side path ends here — client requests, re-proposal
+        after an era change, and the lease manager re-admitting a parked
+        write once its revocation completes.
+        """
+        if self._already_ordering(request):
+            return
+        if self.batcher is None:
+            self._order_proposal(request)
+        elif request.key() not in self.batcher.pending_keys:
+            self.batcher.add(request)
+
+    def _repropose_pending(self) -> None:
+        """New primary: re-admit every still-pending request."""
+        if not self.is_primary:
+            return
+        for request in list(self._pending_requests.values()):
+            if self.already_executed(request):
+                continue
+            if self.lease_manager is not None and self.lease_manager.intercept(request):
+                continue  # held by the new-era quiesce; released later
+            self._admit_ordered(request)
+        if self.batcher is not None:
+            self.batcher.flush()
+
+    # ------------------------------------------------------------------
+    # Era change (view, term, promotion, adopted state)
+    # ------------------------------------------------------------------
+    def _void_era_state(self) -> None:
+        """Drop what the previous era's primary accounted or granted."""
+        if self.batcher is not None:
+            # Window accounting restarts; pending requests re-enter via
+            # _repropose_pending / client retransmission.
+            self.batcher.reset()
+        if self.lease_manager is not None:
+            # Old-era grants and revocations are void; quiesce writes for
+            # one lease duration so leftover holders drain safely.
+            self.lease_manager.on_view_entered(self.view)
+        if self.lease_table is not None:
+            self.lease_table.clear()  # grants are view-tagged anyway; hygiene
+
+    def _enter_era(self, view: int) -> None:
+        """Adopt ``view`` (a PBFT/MinBFT view, a CFT term, a passive
+        promotion): the one place batching, leases and the progress timer
+        learn that the primary changed — in this order, which is
+        observable (the lease quiesce reads the clock, the timer
+        schedules).  Protocols purge their own votes and slots around it.
+        """
+        self.view = view
+        self._in_view_change = False
+        self._void_era_state()
+        self._rearm_timer()
 
     # ------------------------------------------------------------------
     # Execution pipeline
@@ -312,17 +464,11 @@ class BaseReplica(Node):
             s: v for s, v in self._pending_execution.items() if s > self.last_executed
         }
         self.group.safety.reset_replica(self.name, self.last_executed)
-        if self.batcher is not None:
-            # In-flight accounting is stale relative to the adopted state;
-            # pending requests survive in the protocol's pending map and
-            # re-enter through re-batching.
-            self.batcher.reset()
-        if self.lease_manager is not None:
-            # The adopted state may carry a newer view: treat it as an era
-            # change — grants from before the transfer are untrustworthy.
-            self.lease_manager.on_view_entered(self.view)
-        if self.lease_table is not None:
-            self.lease_table.clear()
+        # The adopted state may carry a newer view, and in-flight
+        # accounting is stale relative to it: treat it as an era change —
+        # grants from before the transfer are untrustworthy.  (Not
+        # _enter_era: the progress timer keeps watching what is pending.)
+        self._void_era_state()
         if state.get("protocol_tag") == type(self).__name__:
             self.import_protocol_state(state.get("protocol_extra", {}))
         self.on_state_imported()
@@ -347,6 +493,7 @@ class BaseReplica(Node):
         """
         self.state = NodeState.CRASHED
         self.syncing = False
+        self._drop_pending()
         self.reset_protocol_state()
         if self.batcher is not None:
             self.batcher.reset()
@@ -365,6 +512,7 @@ class BaseReplica(Node):
         """
         self._pending_execution.clear()
         self.group.safety.reset_replica(self.name, self.last_executed)
+        self._drop_pending()
         self.reset_protocol_state()
         if self.batcher is not None:
             self.batcher.reset()
@@ -377,8 +525,16 @@ class BaseReplica(Node):
         if self.chip is not None:
             self.sim.call_soon(self.request_state_sync)
 
+    def _drop_pending(self) -> None:
+        """Forget pending requests and stand the progress timer down
+        (clients retransmit whatever still matters)."""
+        self._pending_requests.clear()
+        self._in_view_change = False
+        if self._progress_timer is not None:
+            self._progress_timer.cancel()
+
     def reset_protocol_state(self) -> None:
-        """Subclass hook: drop in-flight protocol bookkeeping."""
+        """Subclass hook: drop in-flight agreement bookkeeping."""
 
     # ------------------------------------------------------------------
     # State synchronisation (catch-up after downtime / view change)

@@ -78,16 +78,14 @@ class ReplicationManager:
             def ready(node) -> None:
                 self.spawn_completions[name] = self.chip.sim.now
                 remaining.discard(name)
-                start = getattr(node, "start", None)
-                if callable(start):
-                    start()
+                node.start()
                 if not remaining and on_all_ready is not None:
                     on_all_ready(group)
 
             return ready
 
         for name in group.context.members:
-            replica = self._make_replica(group, name)
+            replica = group.make_replica(name)
             group.replicas[name] = replica
             result = self.fabric.spawn(
                 self.principal,
@@ -132,12 +130,6 @@ class ReplicationManager:
         group.replicas = {}
         group.clients = []
 
-    def _make_replica(self, group: ReplicaGroup, name: str) -> BaseReplica:
-        family = FAMILIES[group.config.protocol]
-        if group.config.protocol_config is not None:
-            return family.replica_cls(name, group.context, group.config.protocol_config)
-        return family.replica_cls(name, group.context)
-
     # ------------------------------------------------------------------
     # Elastic scaling (§II.D: "scaling out/in the system when f may change")
     # ------------------------------------------------------------------
@@ -154,7 +146,7 @@ class ReplicationManager:
         name = f"{group.config.group_id}-r{index}"
         group.context.members.append(name)
         group.placement[name] = free[0]
-        replica = self._make_replica(group, name)
+        replica = group.make_replica(name)
         group.replicas[name] = replica
         donor = group._most_advanced_state()
         variant = self.diversity.assign(group.context.members)[name]
@@ -167,7 +159,7 @@ class ReplicationManager:
                 on_ready(node)
 
         self.fabric.spawn(self.principal, replica, variant, free[0], on_ready=ready)
-        self._reconfigure_clients(group)
+        group.configure_clients()
         return name
 
     def scale_in(self) -> Optional[str]:
@@ -185,12 +177,8 @@ class ReplicationManager:
         if self.chip.has_node(name):
             self.fabric.despawn(coord)
         self.diversity.assignment.pop(name, None)
-        self._reconfigure_clients(group)
+        group.configure_clients()
         return name
-
-    def _reconfigure_clients(self, group: ReplicaGroup) -> None:
-        for client in group.clients:
-            client.configure(group.members, group.reply_quorum)
 
     def _require_group(self) -> ReplicaGroup:
         if self.group is None:

@@ -68,9 +68,7 @@ class SpanningGroup:
             chip.place_node(replica, free[0])
             self.replicas[name] = replica
             self.home_chip[name] = chip_name
-            start = getattr(replica, "start", None)
-            if callable(start):
-                start()
+            replica.start()
 
     # ------------------------------------------------------------------
     @property

@@ -274,7 +274,6 @@ def test_admission_check_equals_slot_scan(protocol):
     )
     cfg = ClientConfig(think_time=50, timeout=20_000, max_outstanding=8)
     sim, chip, group, client = build(protocol, client_cfg=cfg, protocol_config=config)
-    check = "_already_replicating" if protocol == "cft" else "_already_ordering"
     answers = {True: 0, False: 0}
     recent = {}  # the last requests any replica waited on: pending, then committed
 
@@ -291,7 +290,7 @@ def test_admission_check_equals_slot_scan(protocol):
             del recent[key]
         for replica in group.replicas.values():
             for request in recent.values():
-                answer = getattr(replica, check)(request)
+                answer = replica._already_ordering(request)
                 assert answer == _scan_under_agreement(replica, request.key())
                 answers[answer] += 1
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
-from repro.bft.group import FAMILIES
+from repro.bft.group import FAMILIES, protocol_config_for
+from repro.bft.leases import LeaseConfig
 from repro.core import DiversityManager, ReplicationManager, VariantLibrary
 from repro.fabric import FpgaFabric
 from repro.sim import Simulator
@@ -95,7 +96,7 @@ def test_switch_counts_metric(big_chip):
 # ----------------------------------------------------------------------
 # ReplicationManager: fabric-spawned groups and elasticity
 # ----------------------------------------------------------------------
-def make_managed(seed=1, protocol="minbft", f=1, n_variants=4):
+def make_managed(seed=1, protocol="minbft", f=1, n_variants=4, protocol_config=None):
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=6, height=6))
     fabric = FpgaFabric(sim, chip)
@@ -103,7 +104,9 @@ def make_managed(seed=1, protocol="minbft", f=1, n_variants=4):
     fabric.register_variants("svc", library.names())
     diversity = DiversityManager(library)
     manager = ReplicationManager(chip, fabric, diversity)
-    group = manager.deploy_group(GroupConfig(protocol=protocol, f=f, group_id="m"))
+    group = manager.deploy_group(
+        GroupConfig(protocol=protocol, f=f, group_id="m", protocol_config=protocol_config)
+    )
     return sim, chip, fabric, manager, group
 
 
@@ -160,3 +163,41 @@ def test_scale_in_respects_protocol_minimum():
     sim, chip, fabric, manager, group = make_managed()
     sim.run(until=50_000)
     assert manager.scale_in() is None  # already at minimum (2f+1 = 3)
+
+
+def test_scaling_keeps_clients_on_leased_reads():
+    """A scale event re-points clients; it must not drop their read mode
+    (scale_out/scale_in used to reconfigure with two of four parameters,
+    silently sending a lease-enabled group's reads back to quorum reads)."""
+    sim, chip, fabric, manager, group = make_managed(
+        protocol_config=protocol_config_for("minbft", leases=LeaseConfig())
+    )
+    sim.run(until=50_000)
+    client = ClientNode("c0", ClientConfig(think_time=50))
+    group.attach_client(client)
+    assert client.lease_reads is True
+    manager.scale_out()
+    sim.run(until=100_000)
+    assert client.replicas == group.members and len(client.replicas) == 4
+    assert client.lease_reads is True
+    assert client.read_quorum == group.read_quorum
+    manager.scale_in()
+    assert client.replicas == group.members and len(client.replicas) == 3
+    assert client.lease_reads is True
+    assert client.read_quorum == group.read_quorum
+    assert group.replicas["m-r0"].lease_manager is not None
+
+
+def test_switch_protocol_config_governs_later_spawns():
+    """``make_replica`` builds from the group's *current* protocol config:
+    a switch replaces it, so a later scale-out cannot hand the new family
+    the old family's config object."""
+    sim, chip, fabric, manager, group = make_managed(
+        protocol_config=protocol_config_for("minbft", leases=LeaseConfig())
+    )
+    sim.run(until=50_000)
+    group.switch_protocol("pbft")
+    assert group.config.protocol_config is None
+    manager.scale_out()
+    sim.run(until=100_000)
+    assert isinstance(group.replicas["m-r4"].config, FAMILIES["pbft"].config_cls)
