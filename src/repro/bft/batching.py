@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.bft.messages import ClientRequest, RequestBatch
+from repro.soc.node import NodeState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bft.replica import BaseReplica
@@ -211,7 +212,7 @@ class BatchAccumulator:
         if gen != self._timer_gen:
             return  # armed before a reset
         self._timer_armed = False
-        if self.replica.state.value == "crashed":
+        if self.replica.state is NodeState.CRASHED:
             return
         if self._open:
             self._delay_due = True

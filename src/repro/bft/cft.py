@@ -31,7 +31,6 @@ from repro.bft.messages import (
     Proposal,
     proposal_digest,
     proposal_keys,
-    requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
 from repro.soc.chip import is_corrupted
@@ -84,6 +83,13 @@ class CftReplica(BaseReplica):
         self._committed_seq = 0
         self._elect_votes: Dict[int, Dict[str, LeaderElectAck]] = {}
         self._elect_sent: set = set()
+        self._peer_handlers = {  # inter-replica traffic by exact type
+            Append: self._handle_append,
+            AppendAck: self._handle_ack,
+            CommitNotice: self._handle_commit_notice,
+            LeaderElect: self._handle_elect,
+            LeaderElectAck: self._handle_elect_ack,
+        }
 
     # ``view`` (BaseReplica) is used as the term so primary_of() works.
 
@@ -96,25 +102,15 @@ class CftReplica(BaseReplica):
     # Dispatch
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
-        if is_corrupted(message):
+        handler = self._peer_handlers.get(type(message))
+        if handler is not None:
+            if sender in self.group.members:
+                handler(sender, message)
             return
-        if self.handle_common(sender, message):
+        if is_corrupted(message) or self.handle_common(sender, message):
             return
-        if isinstance(message, ClientRequest):
+        if type(message) is ClientRequest:
             self._handle_request(sender, message)
-            return
-        if sender not in self.group.members:
-            return
-        if isinstance(message, Append):
-            self._handle_append(sender, message)
-        elif isinstance(message, AppendAck):
-            self._handle_ack(sender, message)
-        elif isinstance(message, CommitNotice):
-            self._handle_commit_notice(sender, message)
-        elif isinstance(message, LeaderElect):
-            self._handle_elect(sender, message)
-        elif isinstance(message, LeaderElectAck):
-            self._handle_elect_ack(sender, message)
 
     # ------------------------------------------------------------------
     # Normal case
@@ -138,8 +134,7 @@ class CftReplica(BaseReplica):
         entry = _LogEntry(self.view, seq, dig, proposal)
         self._log[seq] = entry
         self._acks[seq] = {self.name}
-        for request in requests_of(proposal):
-            self._note_pending(request)
+        self._note_pending(proposal)
         message = Append(self.view, seq, proposal, self.name)
         self.broadcast(self.other_members(), message, message.wire_size())
         return True
@@ -154,8 +149,7 @@ class CftReplica(BaseReplica):
         dig = proposal_digest(message.request)
         self._log[message.seq] = _LogEntry(message.term, message.seq, dig, message.request)
         self._next_seq = max(self._next_seq, message.seq)
-        for request in requests_of(message.request):
-            self._note_pending(request)
+        self._note_pending(message.request)
         ack = AppendAck(message.term, message.seq, self.name)
         self.send(sender, ack, ack.wire_size())
 
@@ -182,8 +176,7 @@ class CftReplica(BaseReplica):
                 break  # hole: wait for the missing append
             self._committed_seq = next_seq
             self.commit_operation(entry.seq, entry.digest, entry.request)
-            for request in requests_of(entry.request):
-                self._note_executed(request)
+            self._note_executed(entry.request)
 
     # ------------------------------------------------------------------
     # Leader failover

@@ -48,6 +48,7 @@ from repro.bft.messages import (
     LeaseRevokeAck,
 )
 from repro.sim.timers import PeriodicTimer
+from repro.soc.node import NodeState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bft.replica import BaseReplica
@@ -285,7 +286,7 @@ class LeaseManager:
     # ------------------------------------------------------------------
     def _on_renew(self) -> None:
         replica = self.replica
-        if replica.state.value == "crashed" or not replica.is_primary:
+        if replica.state is NodeState.CRASHED or not replica.is_primary:
             return
         if not self.holds_self_lease:
             return  # no commit evidence: a partitioned primary must not renew
@@ -415,7 +416,7 @@ class LeaseManager:
                     self._clear_range(r)
 
     def _expire_revocations(self, epoch: int) -> None:
-        if epoch != self.epoch or self.replica.state.value == "crashed":
+        if epoch != self.epoch or self.replica.state is NodeState.CRASHED:
             return
         now = self.replica.sim.now
         if now < self._quiesce_until:
@@ -444,7 +445,7 @@ class LeaseManager:
 
     def _release(self, request: ClientRequest, epoch: int) -> None:
         replica = self.replica
-        if epoch != self.epoch or replica.state.value == "crashed":
+        if epoch != self.epoch or replica.state is NodeState.CRASHED:
             return
         if not replica.is_primary or replica.already_executed(request):
             return

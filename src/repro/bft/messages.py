@@ -5,6 +5,13 @@ Messages are frozen dataclasses (so adversarial tampering must go through
 with a ``wire_size()`` that feeds the NoC's flit accounting.  Sizes follow
 the usual BFT accounting: 8-byte ids/sequence numbers, 32-byte digests,
 16-byte MACs, plus the opaque operation payload.
+
+A message is measured once: messages are immutable, so what every layer
+and every receiver asks of one again — a request's payload size, a
+batch's digest — is computed on first use and kept on the instance (see
+:class:`_once`).  Such a fact is not a dataclass field: ``==``, ``hash``
+and ``repr`` ignore it, and ``dataclasses.replace`` (tampering) starts
+the copy without it.
 """
 
 from __future__ import annotations
@@ -18,6 +25,27 @@ from repro.hybrids.usig import UI
 DIGEST_BYTES = 32
 MAC_BYTES = 16
 HEADER_BYTES = 16  # type tag, view, flags
+
+
+class _once:
+    """A method whose result becomes a plain instance attribute on first use.
+
+    ``functools.cached_property`` for frozen dataclasses kept by the
+    thousand (replicas log what they order): storing the value with
+    ``object.__setattr__`` instead of through ``__dict__`` keeps CPython's
+    compact attribute storage (measured 16 bytes per request against 80).
+    """
+
+    def __init__(self, func: Any) -> None:
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj: Any, owner: Any = None) -> Any:
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 def _op_size(op: Any) -> int:
@@ -62,8 +90,14 @@ class ClientRequest:
     read_only: bool = False
     lease_read: bool = False
 
-    def wire_size(self) -> int:
+    @_once
+    def _wire_size(self) -> int:
+        # Sized by the router, a forwarding backup, the batcher (twice)
+        # and the carrying proposal; the payload is walked for the first.
         return HEADER_BYTES + 8 + _op_size(self.op) + MAC_BYTES
+
+    def wire_size(self) -> int:
+        return self._wire_size
 
     def key(self) -> Tuple[str, int]:
         """The dedup key."""
@@ -120,6 +154,11 @@ class RequestBatch:
     def wire_size(self) -> int:
         return HEADER_BYTES + sum(r.wire_size() for r in self.requests)
 
+    @_once
+    def _proposal_digest(self) -> bytes:
+        # The primary and every backup that checks the proposal ask.
+        return _digest(tuple(proposal_digest(r) for r in self.requests))
+
     def __len__(self) -> int:
         return len(self.requests)
 
@@ -134,14 +173,14 @@ Proposal = Any
 
 def requests_of(proposal: Proposal) -> Tuple[ClientRequest, ...]:
     """The client requests a proposal carries, in execution order."""
-    if isinstance(proposal, RequestBatch):
+    if type(proposal) is RequestBatch:
         return proposal.requests
     return (proposal,)
 
 
 def proposal_keys(proposal: Proposal) -> Tuple[Tuple[str, int], ...]:
     """Dedup keys of every request in a proposal."""
-    return tuple(r.key() for r in requests_of(proposal))
+    return tuple([r.key() for r in requests_of(proposal)])
 
 
 class OrderingIndex:
@@ -186,14 +225,10 @@ def proposal_digest(proposal: Proposal) -> bytes:
     For a bare request this is exactly the classic request digest
     (``digest((client, rid, op))``), so unbatched traffic is unchanged;
     for a batch it is one digest covering all request digests, computed
-    in a single pass.
+    once per batch object and shared by every replica that checks it.
     """
-    if isinstance(proposal, RequestBatch):
-        return _digest(
-            tuple(
-                _digest((r.client, r.rid, r.op)) for r in proposal.requests
-            )
-        )
+    if type(proposal) is RequestBatch:
+        return proposal._proposal_digest
     return _digest((proposal.client, proposal.rid, proposal.op))
 
 

@@ -48,11 +48,11 @@ from repro.bft.messages import (
     OrderingIndex,
     Proposal,
     proposal_digest,
-    requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
 from repro.hybrids.usig import UI, Usig, UsigError, UsigVerifier
 from repro.soc.chip import is_corrupted
+from repro.soc.node import NodeState
 
 
 @dataclass
@@ -88,25 +88,26 @@ def required_replicas(f: int) -> int:
 
 def _ui_payload(message: Any) -> bytes:
     """The byte string a message's UI must certify."""
-    if isinstance(message, MbPrepare):
+    kind = type(message)
+    if kind is MbPrepare:
         return (
             b"prep|"
             + message.view.to_bytes(8, "big")
             + message.exec_seq.to_bytes(8, "big")
             + message.digest
         )
-    if isinstance(message, MbCommit):
+    if kind is MbCommit:
         return (
             b"comm|"
             + message.view.to_bytes(8, "big")
             + message.prepare_ui.counter.to_bytes(8, "big")
             + message.digest
         )
-    if isinstance(message, MbViewChange):
+    if kind is MbViewChange:
         return b"vc|" + message.new_view.to_bytes(8, "big")
-    if isinstance(message, MbNewView):
+    if kind is MbNewView:
         return b"nv|" + message.view.to_bytes(8, "big")
-    raise TypeError(f"{type(message).__name__} carries no UI")
+    raise TypeError(f"{kind.__name__} carries no UI")
 
 
 class MinBftReplica(BaseReplica):
@@ -134,6 +135,14 @@ class MinBftReplica(BaseReplica):
         self._req_view_change_votes: Dict[int, set] = {}
         self._view_change_votes: Dict[int, Dict[str, MbViewChange]] = {}
         self.usig_failures = 0
+        # UI-carrying traffic by exact type: verified and sequenced per
+        # sender before its handler runs.
+        self._ui_handlers = {
+            MbPrepare: self._handle_prepare,
+            MbCommit: self._handle_commit,
+            MbViewChange: self._handle_view_change,
+            MbNewView: self._handle_new_view,
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -154,30 +163,29 @@ class MinBftReplica(BaseReplica):
     # Dispatch with per-sender sequential UI processing
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
-        if is_corrupted(message):
-            self.group.metrics.counter(f"{self.group.group_id}.corrupt_dropped").inc()
-            return
-        if self.handle_common(sender, message):
-            return
-        if isinstance(message, ClientRequest):
-            self._handle_request(sender, message)
+        kind = type(message)
+        if kind not in self._ui_handlers:
+            if is_corrupted(message):
+                self.group.metrics.counter(f"{self.group.group_id}.corrupt_dropped").inc()
+                return
+            if self.handle_common(sender, message):
+                return
+            if kind is ClientRequest:
+                self._handle_request(sender, message)
+            elif kind is MbReqViewChange and sender in self.group.members:
+                # No UI on this message type; handle directly.
+                self._handle_req_view_change(sender, message)
+            # Anything else is stale traffic from a previous protocol era
+            # (the group may have just switched families); ignore.
             return
         if sender not in self.group.members:
-            return
-        if isinstance(message, MbReqViewChange):
-            # No UI on this message type; handle directly.
-            self._handle_req_view_change(sender, message)
-            return
-        if not isinstance(message, (MbPrepare, MbCommit, MbViewChange, MbNewView)):
-            # Stale traffic from a previous protocol era (the group may
-            # have just switched families); ignore.
             return
         delay = self.charge(self.costs.usig_verify)
         self.sim.schedule(delay, self._sequence_ui_message, sender, message)
 
     def _sequence_ui_message(self, sender: str, message: Any) -> None:
         """Verify the UI and enforce per-sender counter order with hold-back."""
-        if self.state.value == "crashed":
+        if self.state is NodeState.CRASHED:
             return
         ui: UI = message.ui
         if ui.replica_id != sender:
@@ -213,14 +221,7 @@ class MinBftReplica(BaseReplica):
             self._process_ui_message(sender, message)
 
     def _process_ui_message(self, sender: str, message: Any) -> None:
-        if isinstance(message, MbPrepare):
-            self._handle_prepare(sender, message)
-        elif isinstance(message, MbCommit):
-            self._handle_commit(sender, message)
-        elif isinstance(message, MbViewChange):
-            self._handle_view_change(sender, message)
-        elif isinstance(message, MbNewView):
-            self._handle_new_view(sender, message)
+        self._ui_handlers[type(message)](sender, message)
 
     # ------------------------------------------------------------------
     # Normal case
@@ -248,7 +249,7 @@ class MinBftReplica(BaseReplica):
         return True
 
     def _send_prepare(self, proposal: Proposal, dig: bytes) -> None:
-        if self.state.value == "crashed" or not self.is_primary or self._in_view_change:
+        if self.state is NodeState.CRASHED or not self.is_primary or self._in_view_change:
             return
         self._next_exec_seq = max(self._next_exec_seq, self.last_executed) + 1
         exec_seq = self._next_exec_seq
@@ -266,8 +267,7 @@ class MinBftReplica(BaseReplica):
         slot.commit_votes[self.name] = dig  # prepare doubles as primary's vote
         if self._exec_cursor is None:
             self._exec_cursor = message.seq
-        for request in requests_of(proposal):
-            self._note_pending(request)
+        self._note_pending(proposal)
         self.broadcast(self.other_members(), message, message.wire_size())
         self._maybe_committed(message.seq)
 
@@ -288,8 +288,7 @@ class MinBftReplica(BaseReplica):
             # hold-back queue guarantees it), so the first one seen in a
             # view is the view's lowest sequence.
             self._exec_cursor = message.seq
-        for request in requests_of(message.request):
-            self._note_pending(request)
+        self._note_pending(message.request)
         self._send_commit(message)
         self._maybe_committed(message.seq)
 
@@ -302,7 +301,7 @@ class MinBftReplica(BaseReplica):
         self.sim.schedule(delay, self._emit_commit, prepare)
 
     def _emit_commit(self, prepare: MbPrepare) -> None:
-        if self.state.value == "crashed":
+        if self.state is NodeState.CRASHED:
             return
         ui = self._create_ui(
             b"comm|"
@@ -331,9 +330,7 @@ class MinBftReplica(BaseReplica):
         slot = self._slots.get(seq)
         if slot is None or slot.committed or slot.prepare is None:
             return
-        matching = sum(
-            1 for dig in slot.commit_votes.values() if dig == slot.prepare.digest
-        )
+        matching = list(slot.commit_votes.values()).count(slot.prepare.digest)
         if matching >= self.commit_quorum:
             slot.committed = True
             self._ordering.discard(slot.prepare.request)
@@ -356,8 +353,7 @@ class MinBftReplica(BaseReplica):
                 # view; consuming it again would shift later numbering.
                 self._ready.pop(self._exec_cursor)
                 self._exec_cursor += 1
-                for request in requests_of(prepare.request):
-                    self._note_executed(request)
+                self._note_executed(prepare.request)
                 continue
             if prepare.exec_seq > self.last_executed + 1:
                 # We missed operations (joined/recovered mid-stream):
@@ -368,8 +364,7 @@ class MinBftReplica(BaseReplica):
             self._ready.pop(self._exec_cursor)
             self._exec_cursor += 1
             self.commit_operation(prepare.exec_seq, prepare.digest, prepare.request)
-            for request in requests_of(prepare.request):
-                self._note_executed(request)
+            self._note_executed(prepare.request)
 
     def on_state_synced(self) -> None:
         self._drain_ready()

@@ -32,6 +32,7 @@ from repro.bft.messages import (
 from repro.bft.replica import BaseReplica, GroupContext
 from repro.sim.timers import PeriodicTimer, Timeout
 from repro.soc.chip import is_corrupted
+from repro.soc.node import NodeState
 
 
 @dataclass
@@ -87,25 +88,24 @@ class PassiveReplica(BaseReplica):
             self._detector.start()
 
     def _send_heartbeat(self) -> None:
-        if self.state.value == "crashed" or self.role != "primary":
+        if self.state is NodeState.CRASHED or self.role != "primary":
             return
         message = Heartbeat(self.name, self._next_seq)
         self.broadcast(self.other_members(), message, message.wire_size())
 
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
-        if is_corrupted(message):
-            return
-        if self.handle_common(sender, message):
-            return
-        if isinstance(message, ClientRequest):
-            self._handle_request(sender, message)
-        elif isinstance(message, StateUpdate):
+        kind = type(message)
+        if kind is StateUpdate:
             self._handle_state_update(sender, message)
-        elif isinstance(message, StateAck):
-            pass  # acks are informational in this model
-        elif isinstance(message, Heartbeat):
+        elif kind is Heartbeat:
             self._handle_heartbeat(sender, message)
+        elif kind is StateAck or is_corrupted(message):
+            return  # acks are informational in this model
+        elif self.handle_common(sender, message):
+            return
+        elif kind is ClientRequest:
+            self._handle_request(sender, message)
 
     # ------------------------------------------------------------------
     # Primary path
@@ -164,7 +164,7 @@ class PassiveReplica(BaseReplica):
 
     def _on_suspect(self) -> None:
         """Failure detector fired: promote to primary."""
-        if self.role != "backup" or self.state.value == "crashed":
+        if self.role != "backup" or self.state is NodeState.CRASHED:
             return
         self.role = "primary"
         self.promotions += 1

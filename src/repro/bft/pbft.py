@@ -44,11 +44,11 @@ from repro.bft.messages import (
     Proposal,
     ViewChange,
     proposal_digest,
-    requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
 from repro.crypto.mac import MAC_LENGTH
 from repro.soc.chip import is_corrupted
+from repro.soc.node import NodeState
 
 
 @dataclass
@@ -105,6 +105,16 @@ class PbftReplica(BaseReplica):
         self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
         self._seen_digests: Dict[int, bytes] = {}  # seq -> digest once prepared
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
+        # Inter-replica traffic by exact type; all of it pays MAC
+        # verification before its handler runs.
+        self._verified_handlers = {
+            PrePrepare: self._handle_pre_prepare,
+            Prepare: self._handle_prepare,
+            Commit: self._handle_commit,
+            Checkpoint: self._handle_checkpoint,
+            ViewChange: self._handle_view_change,
+            NewView: self._handle_new_view,
+        }
 
     # ------------------------------------------------------------------
     # Quorums
@@ -130,7 +140,7 @@ class PbftReplica(BaseReplica):
         self.sim.schedule(delay, self._do_multicast, recipients, message)
 
     def _do_multicast(self, recipients, message) -> None:
-        if self.state.value == "crashed":
+        if self.state is NodeState.CRASHED:
             return
         size = message.wire_size() + MAC_LENGTH * len(recipients)
         self.broadcast(recipients, message, size)
@@ -139,35 +149,29 @@ class PbftReplica(BaseReplica):
     # Message dispatch
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
-        if is_corrupted(message):
-            self.group.metrics.counter(f"{self.group.group_id}.corrupt_dropped").inc()
-            return
-        if self.handle_common(sender, message):
-            return
-        if isinstance(message, ClientRequest):
-            self._handle_request(sender, message)
-            return
-        # All inter-replica traffic pays MAC verification first.
+        kind = type(message)
+        if kind not in self._verified_handlers:
+            if is_corrupted(message):
+                self.group.metrics.counter(f"{self.group.group_id}.corrupt_dropped").inc()
+                return
+            if self.handle_common(sender, message):
+                return
+            if kind is ClientRequest:
+                self._handle_request(sender, message)
+                return
+        # All inter-replica traffic (and anything unrecognised) pays MAC
+        # verification first.
         if sender not in self.group.members:
             return
         delay = self.charge(self.costs.mac_verify)
         self.sim.schedule(delay, self._dispatch_verified, sender, message)
 
     def _dispatch_verified(self, sender: str, message: Any) -> None:
-        if self.state.value == "crashed":
+        if self.state is NodeState.CRASHED:
             return
-        if isinstance(message, PrePrepare):
-            self._handle_pre_prepare(sender, message)
-        elif isinstance(message, Prepare):
-            self._handle_prepare(sender, message)
-        elif isinstance(message, Commit):
-            self._handle_commit(sender, message)
-        elif isinstance(message, Checkpoint):
-            self._handle_checkpoint(sender, message)
-        elif isinstance(message, ViewChange):
-            self._handle_view_change(sender, message)
-        elif isinstance(message, NewView):
-            self._handle_new_view(sender, message)
+        handler = self._verified_handlers.get(type(message))
+        if handler is not None:
+            handler(sender, message)
 
     # ------------------------------------------------------------------
     # Normal case
@@ -194,16 +198,22 @@ class PbftReplica(BaseReplica):
         seq = self._next_seq
         dig = proposal_digest(proposal)
         message = PrePrepare(self.view, seq, dig, proposal)
-        self._bind(self._slot(self.view, seq), message)
-        for request in requests_of(proposal):
-            self._note_pending(request)
+        slot = self._slot(self.view, seq)
+        self._bind(slot, message)
+        self._note_pending(proposal)
         self._auth_multicast(message)
         # The primary prepares implicitly via its pre-prepare.
-        self._maybe_prepared(self.view, seq)
+        self._maybe_prepared(self.view, seq, slot)
         return True
 
     def _slot(self, view: int, seq: int) -> _SlotState:
-        return self._slots.setdefault((view, seq), _SlotState())
+        """Get or create: a lookup leaves the empty slot in the log, where
+        checkpoint truncation and the view-change scan see it."""
+        key = (view, seq)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = _SlotState()
+        return slot
 
     def _handle_pre_prepare(self, sender: str, message: PrePrepare) -> None:
         if message.view != self.view or self._in_view_change:
@@ -221,14 +231,13 @@ class PbftReplica(BaseReplica):
         if slot.pre_prepare is not None and slot.pre_prepare.digest != message.digest:
             return  # equivocation: keep the first binding
         self._bind(slot, message)
-        for request in requests_of(message.request):
-            self._note_pending(request)
+        self._note_pending(message.request)
         if not slot.prepare_sent:
             slot.prepare_sent = True
             prepare = Prepare(message.view, message.seq, message.digest, self.name)
             slot.prepares.add(self.name)
             self._auth_multicast(prepare)
-        self._maybe_prepared(message.view, message.seq)
+        self._maybe_prepared(message.view, message.seq, slot)
 
     def _handle_prepare(self, sender: str, message: Prepare) -> None:
         if message.view != self.view or self._in_view_change:
@@ -239,22 +248,20 @@ class PbftReplica(BaseReplica):
         if slot.pre_prepare is not None and slot.pre_prepare.digest != message.digest:
             return
         slot.prepares.add(sender)
-        self._maybe_prepared(message.view, message.seq)
+        self._maybe_prepared(message.view, message.seq, slot)
 
-    def _maybe_prepared(self, view: int, seq: int) -> None:
-        slot = self._slot(view, seq)
+    def _maybe_prepared(self, view: int, seq: int, slot: _SlotState) -> None:
         if slot.pre_prepare is None or slot.commit_sent:
             return
         # The primary's pre-prepare stands in for its prepare.
-        votes = set(slot.prepares)
-        votes.add(self.group.primary_of(view))
-        if len(votes) >= self.prepare_quorum + 1:  # 2f distinct + primary
+        votes = len(slot.prepares) + (self.group.primary_of(view) not in slot.prepares)
+        if votes >= self.prepare_quorum + 1:  # 2f distinct + primary
             slot.commit_sent = True
             self._seen_digests[seq] = slot.pre_prepare.digest
             commit = Commit(view, seq, slot.pre_prepare.digest, self.name)
             slot.commits.add(self.name)
             self._auth_multicast(commit)
-            self._maybe_committed(view, seq)
+            self._maybe_committed(view, seq, slot)
 
     def _handle_commit(self, sender: str, message: Commit) -> None:
         if message.view != self.view or self._in_view_change:
@@ -265,10 +272,9 @@ class PbftReplica(BaseReplica):
         if slot.pre_prepare is not None and slot.pre_prepare.digest != message.digest:
             return
         slot.commits.add(sender)
-        self._maybe_committed(message.view, message.seq)
+        self._maybe_committed(message.view, message.seq, slot)
 
-    def _maybe_committed(self, view: int, seq: int) -> None:
-        slot = self._slot(view, seq)
+    def _maybe_committed(self, view: int, seq: int, slot: _SlotState) -> None:
         if slot.committed or slot.pre_prepare is None or not slot.commit_sent:
             return
         if len(slot.commits) >= self.commit_quorum:
@@ -276,8 +282,7 @@ class PbftReplica(BaseReplica):
             proposal = slot.pre_prepare.request
             self._ordering.discard(proposal)
             self.commit_operation(seq, slot.pre_prepare.digest, proposal)
-            for request in requests_of(proposal):
-                self._note_executed(request)
+            self._note_executed(proposal)
             if seq % self.config.checkpoint_interval == 0:
                 self._emit_checkpoint(seq)
 
@@ -380,8 +385,9 @@ class PbftReplica(BaseReplica):
             self._next_seq = max(self._next_seq, max(seen))
         self._auth_multicast(message)
         for reproposal in message.reproposals:
-            self._bind(self._slot(new_view, reproposal.seq), reproposal)
-            self._maybe_prepared(new_view, reproposal.seq)
+            slot = self._slot(new_view, reproposal.seq)
+            self._bind(slot, reproposal)
+            self._maybe_prepared(new_view, reproposal.seq, slot)
         self._repropose_pending()
 
     def _handle_new_view(self, sender: str, message: NewView) -> None:

@@ -19,6 +19,7 @@ sizes, USIG sequencing, checkpoints and the view-change/election votes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bft.app import StateMachine
@@ -34,6 +35,7 @@ from repro.bft.messages import (
     ReadNack,
     StateRequest,
     StateResponse,
+    proposal_keys,
     requests_of,
 )
 from repro.bft.safety import SafetyRecorder
@@ -43,6 +45,10 @@ from repro.crypto.keys import KeyStore
 from repro.metrics import MetricsRegistry
 from repro.sim.timers import Timeout
 from repro.soc.node import Node, NodeState
+
+
+def _ignore(sender: str, message: Any) -> None:
+    """Handler for a message type this replica has no use for."""
 
 
 class ExecutionLedger:
@@ -146,7 +152,17 @@ class GroupContext:
 
     def primary_of(self, view: int) -> str:
         """Round-robin primary for a view."""
-        return self.members[view % self.n]
+        return self.members[view % len(self.members)]
+
+
+def _group_counter(suffix: str) -> cached_property:
+    """The ``<group_id>.<suffix>`` counter as a replica attribute, bound on
+    first use: binding in ``__init__`` would put a zero-valued metric into
+    byte-stable summaries; re-formatting the name per event is the cost
+    this removes."""
+    return cached_property(
+        lambda self: self.group.metrics.counter(f"{self.group.group_id}.{suffix}")
+    )
 
 
 class BaseReplica(Node):
@@ -155,7 +171,7 @@ class BaseReplica(Node):
     Subclasses implement the agreement protocol behind the hooks listed in
     the module docstring and call :meth:`commit_operation` once an
     operation is committed at a sequence number (then
-    :meth:`_note_executed` for its requests); this class handles
+    :meth:`_note_executed` for that proposal); this class handles
     everything before agreement (admission, batching, lease intercept,
     stall detection) and after it (ordered execution, deduplication,
     client replies, the safety recorder).
@@ -164,6 +180,12 @@ class BaseReplica(Node):
     # Cached replies kept per client; must cover the client's outstanding
     # pipeline so retransmits of any incomplete rid can be answered.
     REPLY_CACHE_SIZE = 64
+
+    _committed_ops = _group_counter("committed_ops")
+    _executions = _group_counter("executions")
+    _fast_reads = _group_counter("fast_reads")
+    _reads_local = _group_counter("reads.local")
+    _reads_quorum_fallback = _group_counter("reads.quorum_fallback")
 
     def __init__(self, name: str, group: GroupContext, config: Any) -> None:
         super().__init__(name)
@@ -200,6 +222,16 @@ class BaseReplica(Node):
         if leases is not None:
             self.lease_table = LeaseTable(self, leases)
             self.lease_manager = LeaseManager(self, leases)
+        # Messages every family handles the same way, by exact type (read
+        # requests aside, see handle_common).  Lease traffic reaching a
+        # replica without leases is consumed and ignored.
+        self._common_handlers: Dict[type, Callable[[str, Any], None]] = {
+            StateRequest: self._handle_state_request,
+            StateResponse: self._handle_state_response,
+            LeaseGrant: _ignore if leases is None else self.lease_table.on_grant,
+            LeaseRevoke: _ignore if leases is None else self.lease_table.on_revoke,
+            LeaseRevokeAck: _ignore if leases is None else self.lease_manager.on_revoke_ack,
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -264,17 +296,25 @@ class BaseReplica(Node):
         elif self._progress_timer is not None:
             self._progress_timer.cancel()
 
-    def _note_pending(self, request: ClientRequest) -> None:
-        if request.key() in self._pending_requests or self.already_executed(request):
-            return
-        self._pending_requests[request.key()] = request
-        timer = self._ensure_timer()
-        if not timer.armed:
-            timer.start()
+    def _note_pending(self, proposal: Proposal) -> None:
+        """Watch every not-yet-executed request of ``proposal``."""
+        pending = self._pending_requests
+        for request in requests_of(proposal):
+            key = request.key()
+            if key in pending or self._executed.contains(*key):
+                continue
+            pending[key] = request
+            timer = self._ensure_timer()
+            if not timer.armed:
+                timer.start()
 
-    def _note_executed(self, request: ClientRequest) -> None:
-        self._pending_requests.pop(request.key(), None)
-        self._rearm_timer()  # progress
+    def _note_executed(self, proposal: Proposal) -> None:
+        """``proposal`` executed: that is progress, so what is still
+        pending gets one fresh window (not one re-arm per request of a
+        batch — each would only cancel the one before it)."""
+        for key in proposal_keys(proposal):
+            self._pending_requests.pop(key, None)
+        self._rearm_timer()
 
     # ------------------------------------------------------------------
     # Admission
@@ -381,9 +421,7 @@ class BaseReplica(Node):
         self.commits += 1
         self.last_executed = seq
         requests = requests_of(proposal)
-        self.group.metrics.counter(f"{self.group.group_id}.committed_ops").inc(
-            len(requests)
-        )
+        self._committed_ops.inc(len(requests))
         for request in requests:
             self._apply_request(request)
         if self.batcher is not None:
@@ -392,16 +430,17 @@ class BaseReplica(Node):
             self.lease_manager.on_committed()
 
     def _apply_request(self, request: ClientRequest) -> None:
-        if self._executed.contains(*request.key()):
+        client, rid = request.client, request.rid
+        if self._executed.contains(client, rid):
             return  # replayed request re-ordered at a later seq: no-op
-        self._executed.add(*request.key())
+        self._executed.add(client, rid)
         # Apply to the app state *now* so snapshots taken at any instant
         # are consistent with last_executed; only the reply is delayed by
         # the execution cost.
         result = self.app.execute(request.op)
-        reply = ClientReply(self.name, request.client, request.rid, result, self.view)
+        reply = ClientReply(self.name, client, rid, result, self.view)
         self._cache_reply(reply)
-        self.group.metrics.counter(f"{self.group.group_id}.executions").inc()
+        self._executions.inc()
         delay = self.charge(self.costs.execute_request)
         self.sim.schedule(delay, self._send_reply, reply)
 
@@ -412,7 +451,7 @@ class BaseReplica(Node):
             del cache[min(cache)]
 
     def _send_reply(self, reply: ClientReply) -> None:
-        if self.state.value == "crashed" or self.chip is None:
+        if self.state is NodeState.CRASHED or self.chip is None:
             return
         if self.chip.has_node(reply.client) or self.chip.off_chip_handler is not None:
             # The client may live on another chip (repro.sos tunnelling).
@@ -553,7 +592,7 @@ class BaseReplica(Node):
         flag clears when either a newer state is adopted or a quorum of
         peers confirms we are current; unresolved syncs retry.
         """
-        if self.state.value == "crashed":
+        if self.state is NodeState.CRASHED:
             return
         self.syncing = True
         self._state_offers.clear()
@@ -564,36 +603,25 @@ class BaseReplica(Node):
             self.sim.schedule(retry_after, self._retry_sync, retry_after)
 
     def _retry_sync(self, retry_after: float) -> None:
-        if self.syncing and self.state.value != "crashed":
+        if self.syncing and self.state is not NodeState.CRASHED:
             self.request_state_sync(retry_after)
 
     def handle_common(self, sender: str, message: Any) -> bool:
         """Protocols call this first in ``on_message``; True = consumed."""
-        if isinstance(message, StateRequest):
-            self._handle_state_request(sender, message)
-            return True
-        if isinstance(message, StateResponse):
-            self._handle_state_response(sender, message)
-            return True
-        if isinstance(message, ClientRequest) and message.read_only:
+        kind = type(message)
+        if kind is ClientRequest:
+            if not message.read_only:
+                return False  # an ordered request: the protocol admits it
             if message.lease_read:
                 self._serve_lease_read(sender, message)
             else:
                 self._serve_read(sender, message)
             return True
-        if isinstance(message, LeaseGrant):
-            if self.lease_table is not None:
-                self.lease_table.on_grant(sender, message)
-            return True
-        if isinstance(message, LeaseRevoke):
-            if self.lease_table is not None:
-                self.lease_table.on_revoke(sender, message)
-            return True
-        if isinstance(message, LeaseRevokeAck):
-            if self.lease_manager is not None:
-                self.lease_manager.on_revoke_ack(sender, message)
-            return True
-        return False
+        handler = self._common_handlers.get(kind)
+        if handler is None:
+            return False
+        handler(sender, message)
+        return True
 
     def _serve_read(self, sender: str, request: ClientRequest) -> None:
         """Read-only fast path: answer from current state, no ordering.
@@ -609,7 +637,7 @@ class BaseReplica(Node):
             result = self.app.read(request.op)
         except ValueError:
             return  # not actually read-only: only the ordered path may run it
-        self.group.metrics.counter(f"{self.group.group_id}.fast_reads").inc()
+        self._fast_reads.inc()
         reply = ClientReply(self.name, request.client, request.rid, result, self.view)
         if self.chip is not None and (
             self.chip.has_node(request.client) or self.chip.off_chip_handler is not None
@@ -625,7 +653,6 @@ class BaseReplica(Node):
         gets a :class:`ReadNack`, pushing the client onto the f+1 quorum
         path (same rid, no ordering traffic either way).
         """
-        gid = self.group.group_id
         result: Any = None
         serveable = not self.syncing and (
             (self.lease_table is not None and self.lease_table.covers(request.op))
@@ -644,14 +671,14 @@ class BaseReplica(Node):
             self.chip.has_node(request.client) or self.chip.off_chip_handler is not None
         )
         if serveable:
-            self.group.metrics.counter(f"{gid}.reads.local").inc()
+            self._reads_local.inc()
             reply = ClientReply(
                 self.name, request.client, request.rid, result, self.view, leased=True
             )
             if reachable:
                 self.send(request.client, reply, reply.wire_size())
         else:
-            self.group.metrics.counter(f"{gid}.reads.quorum_fallback").inc()
+            self._reads_quorum_fallback.inc()
             nack = ReadNack(self.name, request.client, request.rid)
             if reachable:
                 self.send(request.client, nack, nack.wire_size())

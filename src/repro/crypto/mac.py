@@ -33,7 +33,23 @@ def canonical_bytes(payload: Any) -> bytes:
 
 
 def _encode(value: Any, out: bytearray) -> None:
-    if value is None:
+    # Exact-type dispatch for what messages are made of, most frequent
+    # first; everything else (bool, float, dicts, subclasses) takes the
+    # isinstance ladder below.  Both produce the same bytes.
+    kind = type(value)
+    if kind is str:
+        encoded = value.encode("utf-8")
+        out += b"s%d:" % len(encoded) + encoded
+    elif kind is bytes:
+        out += b"b%d:" % len(value) + value
+    elif kind is int:
+        encoded = b"%d" % value
+        out += b"i%d:" % len(encoded) + encoded
+    elif kind is tuple:
+        out += b"l%d:" % len(value)
+        for item in value:
+            _encode(item, out)
+    elif value is None:
         out += b"N"
     elif isinstance(value, bool):
         out += b"T" if value else b"F"
@@ -66,7 +82,7 @@ def _encode(value: Any, out: bytearray) -> None:
 
 def compute_mac(key: bytes, payload: Any) -> bytes:
     """HMAC-SHA256 (truncated) over the canonical serialization of payload."""
-    return hmac.new(key, canonical_bytes(payload), hashlib.sha256).digest()[:MAC_LENGTH]
+    return hmac.digest(key, canonical_bytes(payload), "sha256")[:MAC_LENGTH]
 
 
 def compute_mac_bytes(key: bytes, data: bytes) -> bytes:
@@ -75,7 +91,7 @@ def compute_mac_bytes(key: bytes, data: bytes) -> bytes:
     The one-pass primitive behind MAC vectors: serialize the payload
     once with :func:`canonical_bytes`, then HMAC per key.
     """
-    return hmac.new(key, data, hashlib.sha256).digest()[:MAC_LENGTH]
+    return hmac.digest(key, data, "sha256")[:MAC_LENGTH]
 
 
 def verify_mac(key: bytes, payload: Any, mac: bytes) -> bool:

@@ -90,9 +90,19 @@ def _parity_bit_count(data_bits: int) -> int:
     return r
 
 
-def _parity(bits: int) -> int:
+def _parity_portable(bits: int) -> int:
     """XOR of all bits of a non-negative int."""
     return bin(bits).count("1") & 1
+
+
+if hasattr(int, "bit_count"):  # Python >= 3.10
+
+    def _parity(bits: int) -> int:
+        """XOR of all bits of a non-negative int."""
+        return bits.bit_count() & 1
+
+else:
+    _parity = _parity_portable
 
 
 @lru_cache(maxsize=None)

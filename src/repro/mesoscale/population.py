@@ -132,6 +132,7 @@ class ClientPopulation(TrafficSource):
         self._draining = False
         self._timer: Optional[PeriodicTimer] = None
         self._stream: Optional["RngStream"] = None
+        self._counters: Dict[str, Any] = {}  # suffix -> counter, bound on first use
 
     # ------------------------------------------------------------------
     # Introspection
@@ -310,7 +311,12 @@ class ClientPopulation(TrafficSource):
     # Metrics plumbing (open mode publishes under mesoscale.<name>.*)
     # ------------------------------------------------------------------
     def _counter(self, suffix: str):
-        return self.router.chip.metrics.counter(f"mesoscale.{self.name}.{suffix}")
+        counter = self._counters.get(suffix)
+        if counter is None:
+            counter = self._counters[suffix] = self.router.chip.metrics.counter(
+                f"mesoscale.{self.name}.{suffix}"
+            )
+        return counter
 
     def _histogram(self, suffix: str):
         return self.router.chip.metrics.histogram(f"mesoscale.{self.name}.{suffix}")

@@ -30,6 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import RngStream
 
 
+_OWNER_MEMO_CAP = 65_536
+
+
 def _hash64(text: str) -> int:
     """Stable 64-bit hash of a string (process-independent)."""
     digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -62,6 +65,7 @@ class ShardDirectory:
         ring.sort()
         self._ring = ring
         self._points = [point for point, _ in ring]
+        self._owners: Dict[str, str] = {}  # shard_for memo; the ring never changes
         self._degraded: Set[str] = set()
 
     @classmethod
@@ -80,7 +84,23 @@ class ShardDirectory:
         return list(self._shard_ids)
 
     def shard_for(self, key: Any) -> str:
-        """The shard owning ``key`` (degraded or not — ownership is fixed)."""
+        """The shard owning ``key`` (degraded or not — ownership is fixed).
+
+        Owners of ``str`` keys are memoized (bounded): a router, its
+        admission layer and its population each ask per operation.  Other
+        key types always hash — equal keys of different types (``1``,
+        ``True``, ``1.0``) format, and so hash, differently.
+        """
+        if type(key) is not str:
+            return self._locate(key)
+        owner = self._owners.get(key)
+        if owner is None:
+            if len(self._owners) >= _OWNER_MEMO_CAP:
+                self._owners.clear()
+            owner = self._owners[key] = self._locate(key)
+        return owner
+
+    def _locate(self, key: Any) -> str:
         h = _hash64(f"{self.salt}:key:{key}")
         index = bisect_right(self._points, h) % len(self._ring)
         return self._ring[index][1]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.bft.client import OpFactory, default_op_factory
 from repro.bft.leases import keys_of, stable_key_hash
@@ -38,7 +38,6 @@ from repro.mesoscale.population import ClientPopulation, PopulationConfig
 from repro.metrics.traffic import TrafficSource
 from repro.shard.directory import ShardDirectory
 from repro.sim.timers import Timeout
-from repro.soc.chip import is_corrupted
 from repro.soc.node import Node
 from repro.workloads.workload import FactoryWorkload
 
@@ -111,6 +110,14 @@ class _ShardView:
     read_quorum: int
     primary_hint: int = 0
     lease_reads: bool = False
+    inflight: int = 0  # sub-operations awaiting a quorum from this shard
+    # (placement epoch, placed members nearest-first); None = recompute.
+    lease_order: Optional[Tuple[int, List[str]]] = None
+    # Metric handles, bound on first use: a zero-valued metric created
+    # ahead of use would change byte-stable summaries.
+    ops: Any = None
+    latency: Any = None
+    inflight_gauge: Any = None
 
     def primary(self) -> str:
         return self.members[self.primary_hint % len(self.members)]
@@ -223,6 +230,7 @@ class ShardRouter(Node, TrafficSource):
             view.read_quorum = read_q
             view.primary_hint %= len(view.members)
             view.lease_reads = lease_reads
+            view.lease_order = None
         self.stats.setdefault(shard_id, ShardStats(shard_id))
 
     def binding_for(self, shard_id: str) -> _RouterBinding:
@@ -336,7 +344,8 @@ class ShardRouter(Node, TrafficSource):
             current_timeout=self.config.timeout,
         )
         self._subops[sub.rid] = sub
-        self._gauge_inflight(shard_id).set(self._shard_inflight(shard_id))
+        view.inflight += 1
+        self._set_inflight_gauge(shard_id, view)
         if lease_target is not None:
             # One NoC hop to the leaseholder nearest this router's tile;
             # a ReadNack (no covering lease) falls back to the quorum path.
@@ -370,24 +379,28 @@ class ShardRouter(Node, TrafficSource):
             return None
         if self.chip is None:
             return None
-        here = self.coord
-        candidates = [m for m in view.members if self.chip.has_node(m)]
+        chip = self.chip
+        order = view.lease_order
+        if order is None or order[0] != chip.placement_epoch:
+            here = self.coord
+            candidates = [m for m in view.members if chip.has_node(m)]
+            candidates.sort(key=lambda m: (chip.coord_of(m).manhattan(here), m))
+            order = view.lease_order = (chip.placement_epoch, candidates)
+        candidates = order[1]
         if not candidates:
             return None
-        candidates.sort(key=lambda m: (self.chip.coord_of(m).manhattan(here), m))
         return candidates[stable_key_hash(keys[0]) % len(candidates)]
 
     # ------------------------------------------------------------------
     # Reply and timeout handling
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
-        if is_corrupted(message):
-            return
-        if isinstance(message, ReadNack):
+        kind = type(message)
+        if kind is ReadNack:
             self._handle_read_nack(sender, message)
             return
-        if not isinstance(message, ClientReply):
-            return
+        if kind is not ClientReply:
+            return  # corrupted in transit, or not addressed to a router
         sub = self._subops.get(message.rid)
         if sub is None:
             return
@@ -456,13 +469,17 @@ class ShardRouter(Node, TrafficSource):
     def _complete_sub(self, sub: _SubOp, reply: ClientReply) -> None:
         del self._subops[sub.rid]
         sub.timeout.cancel()
-        view = self._views[sub.shard_id]
+        shard_id = sub.shard_id
+        view = self._views[shard_id]
+        view.inflight -= 1
         view.primary_hint = reply.view % len(view.members)
-        stats = self.stats[sub.shard_id]
-        stats.completed += 1
-        self._counter(sub.shard_id, "ops").inc()
-        self._histogram(sub.shard_id, "latency").observe(self.sim.now - sub.sent_at)
-        self._gauge_inflight(sub.shard_id).set(self._shard_inflight(sub.shard_id))
+        self.stats[shard_id].completed += 1
+        if view.ops is None:
+            view.ops = self._counter(shard_id, "ops")
+            view.latency = self.chip.metrics.histogram(f"shard.{shard_id}.latency")
+        view.ops.inc()
+        view.latency.observe(self.sim.now - sub.sent_at)
+        self._set_inflight_gauge(shard_id, view)
         ticket = sub.ticket
         if ticket.multi:
             ticket.results[sub.key] = reply.result
@@ -473,9 +490,11 @@ class ShardRouter(Node, TrafficSource):
     def _fail_sub(self, sub: _SubOp, reason: str) -> None:
         del self._subops[sub.rid]
         sub.timeout.cancel()
+        view = self._views[sub.shard_id]
+        view.inflight -= 1
         self.stats[sub.shard_id].failed += 1
         self._counter(sub.shard_id, "failed_ops").inc()
-        self._gauge_inflight(sub.shard_id).set(self._shard_inflight(sub.shard_id))
+        self._set_inflight_gauge(sub.shard_id, view)
         sub.ticket.errors.append(reason)
         self._sub_done(sub.ticket)
 
@@ -507,17 +526,13 @@ class ShardRouter(Node, TrafficSource):
     # ------------------------------------------------------------------
     # Metrics plumbing
     # ------------------------------------------------------------------
-    def _shard_inflight(self, shard_id: str) -> int:
-        return sum(1 for sub in self._subops.values() if sub.shard_id == shard_id)
-
     def _counter(self, shard_id: str, suffix: str):
         return self.chip.metrics.counter(f"shard.{shard_id}.{suffix}")
 
-    def _histogram(self, shard_id: str, suffix: str):
-        return self.chip.metrics.histogram(f"shard.{shard_id}.{suffix}")
-
-    def _gauge_inflight(self, shard_id: str):
-        return self.chip.metrics.gauge(f"shard.{shard_id}.inflight")
+    def _set_inflight_gauge(self, shard_id: str, view: _ShardView) -> None:
+        if view.inflight_gauge is None:
+            view.inflight_gauge = self.chip.metrics.gauge(f"shard.{shard_id}.inflight")
+        view.inflight_gauge.set(view.inflight)
 
 
 @dataclass

@@ -122,3 +122,75 @@ def test_forged_authenticator_rejected():
     attacker_view = store.view_for("e")
     with pytest.raises(PermissionError):
         Authenticator.create("s", ["r1"], "msg", attacker_view.pair_key)
+
+
+# ----------------------------------------------------------------------
+# The serializer's exact-type fast path and the one-shot HMAC
+# ----------------------------------------------------------------------
+def _reference_encode(value, out):
+    """``_encode`` as it was before the exact-type dispatch: the ladder."""
+    from collections.abc import Mapping
+
+    if value is None:
+        out += b"N"
+    elif isinstance(value, bool):
+        out += b"T" if value else b"F"
+    elif isinstance(value, int):
+        encoded = str(value).encode("ascii")
+        out += b"i" + str(len(encoded)).encode("ascii") + b":" + encoded
+    elif isinstance(value, float):
+        encoded = repr(value).encode("ascii")
+        out += b"f" + str(len(encoded)).encode("ascii") + b":" + encoded
+    elif isinstance(value, str):
+        encoded = value.encode("utf-8")
+        out += b"s" + str(len(encoded)).encode("ascii") + b":" + encoded
+    elif isinstance(value, bytes):
+        out += b"b" + str(len(value)).encode("ascii") + b":" + value
+    elif isinstance(value, (tuple, list)):
+        out += b"l" + str(len(value)).encode("ascii") + b":"
+        for item in value:
+            _reference_encode(item, out)
+    elif isinstance(value, Mapping):
+        keys = sorted(value)
+        out += b"d" + str(len(keys)).encode("ascii") + b":"
+        for key in keys:
+            _reference_encode(key, out)
+            _reference_encode(value[key], out)
+    else:
+        raise TypeError(type(value).__name__)
+
+
+def test_canonical_bytes_equal_the_reference_ladder():
+    from collections import OrderedDict, namedtuple
+
+    class Name(str):
+        pass
+
+    class Big(int):
+        pass
+
+    Pair = namedtuple("Pair", "a b")
+    corpus = [
+        None, True, False, 0, 1, -1, 255, 10**40, -(10**40), Big(7), 0.0, -0.0, 1.5, 1e300,
+        float("inf"), "", "a", "é€😀", Name("sub"), b"", b"\x00\xff", (), [], {},
+        ("c0", 7, ("put", "k", 1)), ["get", ("a", b"b")], Pair("x", (1, 2.0)),
+        {"b": 1, "a": [True, None, {"z": b"y"}]}, OrderedDict(z=1, a=(2,)),
+        ("r0", 42, b"prep|" + bytes(48)), (b"\x01" * 32, b"\x02" * 32),
+        ("nest", ("deep", ("deeper", [1, (2, {"k": ("v", 1.25, False)})]))),
+    ]
+    for payload in corpus:
+        expected = bytearray()
+        _reference_encode(payload, expected)
+        assert canonical_bytes(payload) == bytes(expected), payload
+
+
+def test_compute_mac_is_truncated_hmac_sha256():
+    import hashlib
+    import hmac as std_hmac
+
+    from repro.crypto.mac import compute_mac_bytes
+
+    key, payload = b"k" * 32, ("r0", 3, b"digest")
+    expected = std_hmac.new(key, canonical_bytes(payload), hashlib.sha256).digest()[:MAC_LENGTH]
+    assert compute_mac(key, payload) == expected
+    assert compute_mac_bytes(key, canonical_bytes(payload)) == expected

@@ -86,6 +86,27 @@ def test_ecc_8bit_exhaustive_write_flip_read():
     assert reg.corrected_count == 256 * 13
 
 
+def test_ecc_8bit_codewords_do_not_depend_on_the_parity_kernel(monkeypatch):
+    """``_parity`` uses ``int.bit_count`` where it exists (3.10+) and
+    ``bin().count`` elsewhere; both must store the same bits."""
+    import repro.hybrids.registers as registers
+
+    def codewords():
+        reg = EccRegister(8)
+        stored = []
+        for value in range(256):
+            reg.write(value)
+            stored.append((reg._codeword, reg._overall))
+            assert reg.read() == value
+        return stored
+
+    for bits in list(range(1 << 13)) + [2**64 - 1, 2**64 + 1, 0xDEADBEEFCAFEF00D]:
+        assert registers._parity(bits) == registers._parity_portable(bits)
+    native = codewords()
+    monkeypatch.setattr(registers, "_parity", registers._parity_portable)
+    assert codewords() == native
+
+
 def test_ecc_detects_double_flips():
     reg = EccRegister(16, 0x1234)
     reg.inject_bitflip(2)

@@ -83,3 +83,44 @@ def test_constructor_validation():
 def test_single_shard_owns_everything():
     directory = ShardDirectory(["only"], salt=11)
     assert all(directory.shard_for(f"k{i}") == "only" for i in range(100))
+
+
+# Every salt a test or the benchmark pins, plus one seeded draw.
+SALTS = (0, 1, 2, 3, 5, 11, 99, 0xBEEF, RngStream(7, "shard.directory").getrandbits(64))
+
+
+@pytest.mark.parametrize("salt", SALTS)
+def test_owner_memo_equals_the_ring_walk(salt):
+    """``shard_for`` memoizes str keys; ``_locate`` is the un-memoised
+    hash + bisect.  10 000 random keys, each asked twice (miss, then hit)."""
+    directory = ShardDirectory(["s0", "s1", "s2", "s3"], salt=salt)
+    draw = RngStream(salt & 0xFFFF, "test.directory.keys")
+    keys = [f"k{draw.getrandbits(40)}" for _ in range(10_000)]
+    expected = [directory._locate(k) for k in keys]
+    assert [directory.shard_for(k) for k in keys] == expected
+    assert [directory.shard_for(k) for k in keys] == expected
+    assert directory.shards_for(keys[:50]) == {
+        s: [k for k, owner in zip(keys[:50], expected) if owner == s]
+        for s in dict.fromkeys(expected[:50])
+    }
+
+
+def test_owner_memo_keeps_equal_keys_of_different_types_apart():
+    """1 == True == 1.0 as dict keys, but they format (and hash onto the
+    ring) differently; unhashable keys must still route."""
+    directory = ShardDirectory([f"s{i}" for i in range(16)], salt=2, vnodes=8)
+    for key in ("1", 1, True, 1.0, "True", b"1", ("a", 1), ["a", 1], None):
+        for _ in range(2):
+            assert directory.shard_for(key) == directory._locate(key), key
+    owners = {directory._locate(k) for k in ("1", "True", "1.0")}
+    assert len(owners) > 1  # the collision the type check guards against is real
+
+
+def test_owner_memo_is_bounded(monkeypatch):
+    import repro.shard.directory as module
+
+    monkeypatch.setattr(module, "_OWNER_MEMO_CAP", 64)
+    directory = ShardDirectory(["s0", "s1", "s2"], salt=5)
+    for i in range(1000):
+        assert directory.shard_for(f"k{i}") == directory._locate(f"k{i}")
+        assert len(directory._owners) <= 64

@@ -208,3 +208,119 @@ def test_router_timeout_retransmits_and_recovers():
     assert results and results[0].ok
     assert router.timeouts > 0
     assert router.stats["s0"].timeouts > 0
+
+
+# ----------------------------------------------------------------------
+# O(1) per-op bookkeeping: in-flight counts and the lease-target order
+# ----------------------------------------------------------------------
+def _scan_inflight(router, shard_id):
+    """The per-shard in-flight depth as the router used to compute it."""
+    return sum(1 for sub in router._subops.values() if sub.shard_id == shard_id)
+
+
+def test_per_shard_inflight_count_equals_a_scan_of_the_subops():
+    """Through issue, completion, timeout-failure and degraded fast-fail
+    the maintained count, the scan and the published gauge agree."""
+    system = build(n_shards=2, router=RouterConfig(timeout=5_000.0, max_attempts=2))
+    system.add_client("c0", IDLE)
+    router = system.routers[0]
+    system.start(warmup=60_000)
+    shards = system.directory.shard_ids
+
+    def check():
+        for sid in shards:
+            assert router._views[sid].inflight == _scan_inflight(router, sid), sid
+            gauge = system.chip.metrics.gauge(f"shard.{sid}.inflight")
+            if sid in seen:
+                assert gauge.value == _scan_inflight(router, sid)
+        assert router.inflight == sum(router._views[sid].inflight for sid in shards)
+
+    seen, done = set(), []
+    keys = [f"k{i}" for i in range(24)]
+    for i, key in enumerate(keys):
+        router.submit(("put", key, i), done.append)
+        seen.add(system.directory.shard_for(key))
+        check()
+    router.submit(("mget", *keys[:6]), done.append)
+    check()
+    assert router.inflight == 30
+    for _ in range(40):
+        system.run(500)
+        check()
+    assert len(done) == 25 and all(r.ok for r in done) and router.inflight == 0
+    # Failure paths: every replica of s0 crashed -> timeouts exhaust attempts.
+    victim = system.shards["s0"].group
+    for name in victim.members:
+        victim.crash(name)
+    s0_keys = [k for k in keys if system.directory.shard_for(k) == "s0"][:4]
+    for key in s0_keys:
+        router.submit(("put", key, 0), done.append)
+    check()
+    assert router._views["s0"].inflight == len(s0_keys)
+    for _ in range(60):
+        system.run(500)
+        check()
+    assert router._views["s0"].inflight == 0 and router.stats["s0"].failed == len(s0_keys)
+    system.directory.mark_degraded("s0")
+    router.submit(("put", s0_keys[0], 1), done.append)  # fails fast, never in flight
+    check()
+    assert not done[-1].ok
+
+
+def _lease_target_by_sorting(router, view, op):
+    """``_lease_target`` as it was: rebuild and re-sort on every read."""
+    from repro.bft.leases import keys_of, stable_key_hash
+
+    chip, here = router.chip, router.coord
+    candidates = [m for m in view.members if chip.has_node(m)]
+    if not view.lease_reads or keys_of(op) is None or not candidates:
+        return None
+    candidates.sort(key=lambda m: (chip.coord_of(m).manhattan(here), m))
+    return candidates[stable_key_hash(keys_of(op)[0]) % len(candidates)]
+
+
+def test_lease_target_order_is_cached_until_placement_or_membership_changes():
+    from repro.bft.group import protocol_config_for
+    from repro.bft.leases import LeaseConfig
+
+    system = build(
+        n_shards=2, protocol="minbft",
+        protocol_config=protocol_config_for("minbft", leases=LeaseConfig()),
+    )
+    system.add_client("c0", IDLE)
+    router = system.routers[0]
+    system.start(warmup=60_000)
+    chip = system.chip
+    reads = [("get", f"k{i}") for i in range(64)]
+
+    def check():
+        for sid, view in router._views.items():
+            for op in reads:
+                assert router._lease_target(view, op) == _lease_target_by_sorting(router, view, op)
+
+    check()
+    view = router._views["s0"]
+    cached = view.lease_order
+    assert cached is not None and cached[0] == chip.placement_epoch
+    check()
+    assert view.lease_order is cached  # no re-sort while nothing moved
+    # A member moves to the far corner: its distance rank changes.
+    mover = cached[1][0]
+    corner = max(chip.free_tiles(), key=lambda c: c.manhattan(router.coord))
+    chip.relocate_node(mover, corner)
+    check()
+    assert view.lease_order is not cached and view.lease_order[1][0] != mover
+    # The router itself moves: every distance changes.
+    chip.relocate_node(router.name, min(chip.free_tiles(), key=lambda c: c.manhattan(corner)))
+    check()
+    # A member leaves the chip, then the group is re-bound without it.
+    gone = view.members[1]
+    chip.remove_node(gone)
+    check()
+    assert gone not in view.lease_order[1]
+    router.bind("s0", [m for m in view.members if m != gone], view.reply_quorum,
+                view.read_quorum, lease_reads=True)
+    assert view.lease_order is None
+    check()
+    router.bind("s0", view.members, view.reply_quorum, view.read_quorum, lease_reads=False)
+    assert router._lease_target(view, reads[0]) is None
