@@ -116,8 +116,8 @@ class CftReplica(BaseReplica):
     # Normal case
     # ------------------------------------------------------------------
     def _already_ordering(self, request: ClientRequest) -> bool:
-        # The log is never truncated; only its uncommitted tail can match,
-        # and no entry lies above _next_seq.
+        # Only the uncommitted tail can match (executed entries are
+        # dropped, see _commit_up_to), and no entry lies above _next_seq.
         key, log = request.key(), self._log
         return any(
             seq in log and key in proposal_keys(log[seq].request)
@@ -146,8 +146,11 @@ class CftReplica(BaseReplica):
             self._adopt_term(message.term)
         if sender != self.primary:
             return
-        dig = proposal_digest(message.request)
-        self._log[message.seq] = _LogEntry(message.term, message.seq, dig, message.request)
+        if message.seq > min(self._committed_seq, self.last_executed):
+            # Else a new leader re-replicates what we already executed:
+            # acked below, but there is nothing left to keep it for.
+            dig = proposal_digest(message.request)
+            self._log[message.seq] = _LogEntry(message.term, message.seq, dig, message.request)
         self._next_seq = max(self._next_seq, message.seq)
         self._note_pending(message.request)
         ack = AppendAck(message.term, message.seq, self.name)
@@ -156,12 +159,17 @@ class CftReplica(BaseReplica):
     def _handle_ack(self, sender: str, message: AppendAck) -> None:
         if message.term != self.view or not self.is_primary:
             return
-        acks = self._acks.setdefault(message.seq, {self.name})
-        acks.add(sender)
-        if len(acks) >= self.majority and message.seq in self._log:
-            self._commit_up_to(message.seq)
-            notice = CommitNotice(self.view, self._committed_seq, self.name)
-            self.broadcast(self.other_members(), notice, notice.wire_size())
+        seq = message.seq
+        if seq > self._committed_seq:
+            acks = self._acks.setdefault(seq, {self.name})
+            acks.add(sender)
+            if len(acks) < self.majority or seq not in self._log:
+                return
+            self._commit_up_to(seq)
+        # else a late ack for a committed seq: its ack set went with the
+        # log entry, and (as ever) it re-announces the commit point.
+        notice = CommitNotice(self.view, self._committed_seq, self.name)
+        self.broadcast(self.other_members(), notice, notice.wire_size())
 
     def _handle_commit_notice(self, sender: str, message: CommitNotice) -> None:
         if message.term != self.view or sender != self.primary:
@@ -177,6 +185,12 @@ class CftReplica(BaseReplica):
             self._committed_seq = next_seq
             self.commit_operation(entry.seq, entry.digest, entry.request)
             self._note_executed(entry.request)
+            if next_seq <= self.last_executed:
+                # Executed: no reader is left — elections forward and
+                # re-replicate only above min(committed, executed), and
+                # catch-up is a snapshot.
+                del self._log[next_seq]
+                self._acks.pop(next_seq, None)
 
     # ------------------------------------------------------------------
     # Leader failover
@@ -259,9 +273,14 @@ class CftReplica(BaseReplica):
     def on_state_imported(self) -> None:
         self._committed_seq = max(self._committed_seq, self.last_executed)
         self._next_seq = max(self._next_seq, self._committed_seq)
+        # The snapshot covers everything up to last_executed.
+        self._log = {s: e for s, e in self._log.items() if s > self.last_executed}
+        self._acks = {s: a for s, a in self._acks.items() if s > self.last_executed}
 
     def reset_protocol_state(self) -> None:
-        self._log = {s: e for s, e in self._log.items() if s <= self._committed_seq}
+        self._log = {
+            s: e for s, e in self._log.items() if self.last_executed < s <= self._committed_seq
+        }
         self._acks.clear()
         self._elect_votes.clear()
         self._elect_sent.clear()

@@ -229,6 +229,19 @@ class MinBftReplica(BaseReplica):
     def _already_ordering(self, request: ClientRequest) -> bool:
         return request.key() in self._ordering
 
+    def _live_slot(self, seq: int) -> Optional[_MbSlot]:
+        """The slot late traffic for ``seq`` lands in — None once the
+        cursor passed it: the slot was dropped when it executed (nothing
+        reads it again; see ``_drain_ready``), and re-creating it per
+        late COMMIT is what used to make memory grow with the horizon."""
+        cursor = self._exec_cursor
+        if cursor is not None and seq < cursor:
+            return None
+        slot = self._slots.get(seq)
+        if slot is None:
+            slot = self._slots[seq] = _MbSlot()
+        return slot
+
     def _bind(self, slot: _MbSlot, message: MbPrepare) -> None:
         """Set a slot's prepare — the one place that does, so
         ``_ordering`` stays exact."""
@@ -279,7 +292,9 @@ class MinBftReplica(BaseReplica):
         if proposal_digest(message.request) != message.digest:
             self.group.metrics.counter(f"{self.group.group_id}.bad_digest").inc()
             return
-        slot = self._slots.setdefault(message.seq, _MbSlot())
+        slot = self._live_slot(message.seq)
+        if slot is None:
+            return  # below the cursor: cannot execute in this view
         if slot.prepare is None:
             self._bind(slot, message)
         slot.commit_votes[sender] = message.digest
@@ -289,11 +304,10 @@ class MinBftReplica(BaseReplica):
             # view is the view's lowest sequence.
             self._exec_cursor = message.seq
         self._note_pending(message.request)
-        self._send_commit(message)
+        self._send_commit(slot, message)
         self._maybe_committed(message.seq)
 
-    def _send_commit(self, prepare: MbPrepare) -> None:
-        slot = self._slots.setdefault(prepare.seq, _MbSlot())
+    def _send_commit(self, slot: _MbSlot, prepare: MbPrepare) -> None:
         if slot.commit_sent:
             return
         slot.commit_sent = True
@@ -312,8 +326,9 @@ class MinBftReplica(BaseReplica):
         if ui is None:
             return
         message = MbCommit(prepare.view, self.name, prepare.ui, prepare.digest, ui)
-        slot = self._slots.setdefault(prepare.seq, _MbSlot())
-        slot.commit_votes[self.name] = prepare.digest
+        slot = self._live_slot(prepare.seq)
+        if slot is not None:  # else f+1 others committed it first: vote moot
+            slot.commit_votes[self.name] = prepare.digest
         self.broadcast(self.other_members(), message, message.wire_size())
         self._maybe_committed(prepare.seq)
 
@@ -322,7 +337,9 @@ class MinBftReplica(BaseReplica):
             return
         if sender != message.replica:
             return
-        slot = self._slots.setdefault(message.seq, _MbSlot())
+        slot = self._live_slot(message.seq)
+        if slot is None:
+            return  # late vote for an executed slot
         slot.commit_votes[sender] = message.digest
         self._maybe_committed(message.seq)
 
@@ -338,7 +355,11 @@ class MinBftReplica(BaseReplica):
             self._drain_ready()
 
     def _drain_ready(self) -> None:
-        """Execute committed slots in prepare-counter order.
+        """Execute committed slots in prepare-counter order, dropping each
+        as the cursor passes it: nothing reads an executed slot (a view
+        change carries ``last_executed``, catch-up is a snapshot, replays
+        stop at the USIG hold-back), so a replica retains only its
+        in-flight window however long it runs.
 
         Gated on ``syncing``: after recovery the replica must not assign
         global sequence numbers until it knows whether peers executed
@@ -348,22 +369,19 @@ class MinBftReplica(BaseReplica):
             return
         while self._exec_cursor is not None and self._exec_cursor in self._ready:
             prepare = self._ready[self._exec_cursor]
-            if prepare.exec_seq <= self.last_executed:
-                # Covered by an adopted snapshot / executed in an earlier
-                # view; consuming it again would shift later numbering.
-                self._ready.pop(self._exec_cursor)
-                self._exec_cursor += 1
-                self._note_executed(prepare.request)
-                continue
             if prepare.exec_seq > self.last_executed + 1:
                 # We missed operations (joined/recovered mid-stream):
                 # catch up by state transfer before executing further.
                 if not self.syncing:
                     self.request_state_sync()
                 return
-            self._ready.pop(self._exec_cursor)
+            del self._ready[self._exec_cursor]
+            del self._slots[self._exec_cursor]
             self._exec_cursor += 1
-            self.commit_operation(prepare.exec_seq, prepare.digest, prepare.request)
+            if prepare.exec_seq > self.last_executed:
+                self.commit_operation(prepare.exec_seq, prepare.digest, prepare.request)
+            # else: covered by an adopted snapshot / executed in an earlier
+            # view; consuming it again would shift later numbering.
             self._note_executed(prepare.request)
 
     def on_state_synced(self) -> None:
@@ -450,8 +468,11 @@ class MinBftReplica(BaseReplica):
             self.send(self.primary, request, request.wire_size())
 
     def _enter_view(self, new_view: int) -> None:
-        self._slots = {s: slot for s, slot in self._slots.items() if slot.committed}
-        self._ordering.clear()  # every uncommitted slot was just dropped
+        # Committed-but-unexecuted slots go too: with _ready cleared and
+        # the cursor re-anchored they could never execute or be dropped;
+        # their requests are still pending and get re-proposed.
+        self._slots.clear()
+        self._ordering.clear()
         self._exec_cursor = None  # next accepted prepare re-anchors it
         self._ready.clear()
         self._next_exec_seq = max(self._next_exec_seq, self.last_executed)

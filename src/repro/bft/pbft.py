@@ -103,7 +103,6 @@ class PbftReplica(BaseReplica):
         self._next_seq = 0
         self._stable_seq = 0
         self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
-        self._seen_digests: Dict[int, bytes] = {}  # seq -> digest once prepared
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
         # Inter-replica traffic by exact type; all of it pays MAC
         # verification before its handler runs.
@@ -257,7 +256,6 @@ class PbftReplica(BaseReplica):
         votes = len(slot.prepares) + (self.group.primary_of(view) not in slot.prepares)
         if votes >= self.prepare_quorum + 1:  # 2f distinct + primary
             slot.commit_sent = True
-            self._seen_digests[seq] = slot.pre_prepare.digest
             commit = Commit(view, seq, slot.pre_prepare.digest, self.name)
             slot.commits.add(self.name)
             self._auth_multicast(commit)

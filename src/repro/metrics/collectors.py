@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 
@@ -78,20 +79,22 @@ class Gauge:
 class Histogram:
     """A distribution of observed values with percentile queries.
 
-    Stores raw observations (simulations here produce at most a few
-    million samples, which comfortably fits in memory and keeps
-    percentiles exact).
+    Stores raw observations, which keeps percentiles exact, packed as C
+    doubles: 8 bytes a sample, where a list of boxed floats takes 32 for
+    the same bits.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._values: List[float] = []
+        self._values = array("d")
+        self._last = -math.inf  # == _values[-1]: read back, it would box a float per call
         self._sorted = True
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        if self._values and value < self._values[-1]:
+        if value < self._last:
             self._sorted = False
+        self._last = value
         self._values.append(value)
 
     @property
@@ -138,13 +141,14 @@ class Histogram:
 
     def reset(self) -> None:
         """Drop all observations."""
-        self._values.clear()
+        del self._values[:]
+        self._last = -math.inf
         self._sorted = True
 
     def values(self) -> List[float]:
         """A copy of the raw observations (unsorted insertion order is lost
         after any percentile query)."""
-        return list(self._values)
+        return self._values.tolist()
 
     def summary(self) -> Dict[str, float]:
         """Dict of count/mean/p50/p95/p99/max — the row most benches print."""
@@ -174,10 +178,12 @@ class Histogram:
         elif not self._values:
             self._sorted = other._sorted
         self._values.extend(other._values)
+        self._last = other._last
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            self._values.sort()
+            self._values = array("d", sorted(self._values))
+            self._last = self._values[-1]
             self._sorted = True
 
     def __repr__(self) -> str:  # pragma: no cover

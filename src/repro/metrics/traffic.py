@@ -14,6 +14,8 @@ without double-counting completions on the boundary.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.metrics.stats import percentile
@@ -24,15 +26,17 @@ class TrafficSource:
 
     Subclasses call :meth:`record_completion` once per successful
     operation; everything else (windowed counts, windowed latencies,
-    gap analysis) derives from the two parallel lists this keeps.
-    Memory is O(completions), never O(clients) — an aggregated
-    population of 10^6 modeled clients records only what it completes.
+    gap analysis) derives from the two parallel arrays this keeps (packed
+    doubles, 16 bytes a completion).  Memory is O(completions), never
+    O(clients) — an aggregated population of 10^6 modeled clients records
+    only what it completes.  Completions are recorded as they happen, so
+    the time array is non-decreasing and a window is a bisected slice.
     """
 
     def __init__(self) -> None:
         self.completed = 0
-        self.latencies: List[float] = []
-        self._completion_times: List[float] = []
+        self.latencies = array("d")
+        self._completion_times = array("d")
 
     # ------------------------------------------------------------------
     # Recording
@@ -48,15 +52,19 @@ class TrafficSource:
     # ------------------------------------------------------------------
     def completions_in(self, start: float, end: float) -> int:
         """Operations completed in ``[start, end)``."""
-        return sum(1 for t in self._completion_times if start <= t < end)
+        lo, hi = self._window(start, end)
+        return hi - lo
 
     def latencies_in(self, start: float, end: float) -> List[float]:
         """Latencies of operations completed in ``[start, end)``."""
-        return [
-            lat
-            for t, lat in zip(self._completion_times, self.latencies)
-            if start <= t < end
-        ]
+        lo, hi = self._window(start, end)
+        return self.latencies[lo:hi].tolist()
+
+    def _window(self, start: float, end: float) -> Tuple[int, int]:
+        """Index range of the completions in ``[start, end)``."""
+        times = self._completion_times
+        lo = bisect_left(times, start)
+        return lo, bisect_left(times, end, lo)
 
     def max_completion_gap(self, start: float, end: float) -> float:
         """Largest gap between consecutive completions in a window.
@@ -64,11 +72,8 @@ class TrafficSource:
         The E8 'failover gap' metric: how long the service was effectively
         unavailable to this driver.  Window edges count as events.
         """
-        events = (
-            [start]
-            + [t for t in self._completion_times if start <= t < end]
-            + [end]
-        )
+        lo, hi = self._window(start, end)
+        events = [start] + self._completion_times[lo:hi].tolist() + [end]
         return max(b - a for a, b in zip(events, events[1:]))
 
     def throughput_in(self, start: float, end: float) -> float:

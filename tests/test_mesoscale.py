@@ -230,7 +230,7 @@ def test_determinism_via_derive_trial_seed():
                 "admitted": pop.admitted,
                 "shed": pop.shed_by_reason,
                 "completed": pop.completed,
-                "latencies": pop.latencies,
+                "latencies": list(pop.latencies),
             },
             sort_keys=True,
         )
