@@ -1,26 +1,29 @@
 """P1 — perf: the NoC express path and simulator-kernel hot-path overhaul.
 
 Unlike E1-E12 this bench measures *wall-clock* performance of the
-simulator itself, not a paper claim.  The express path batches
-consecutive hops of a packet inside one event whenever the hop's
-virtual time is provably unobservable (strictly before the kernel's
-next pending event, within the run horizon, on a fault-free mesh), so
-a fault-free traversal costs ~1 event instead of one per hop.  The
-batching bound makes the optimization *exact*: same seed, same
-results, byte for byte, with the fast path on or off.
+simulator itself, not a paper claim.  Links are arbitrated by (arrival
+at the router, packet id) and every NoC event fires at ``(time, 1 +
+packet_id)``, so a packet's timing is a function of simulated time and
+ids alone.  The express path uses that: on a healthy route it reserves
+every hop in the links' calendars when the packet is sent and fires one
+event, the delivery; a reservation that a later send overtakes is
+re-timed (one more event).  Same seed, same results, byte for byte,
+with the fast path on or off.
 
-Scenarios:
-
-The fast-path gate is *per compiled route*: a route batches iff every
-router and link it actually crosses is healthy, so one faulty link
-elsewhere on the mesh no longer drags unrelated traffic onto the
+The fast-path gate is *per compiled route*: a route is reserved ahead
+iff every router and link it actually crosses is healthy, so one faulty
+link elsewhere on the mesh does not drag unrelated traffic onto the
 slow path.
 
 Scenarios:
 
 * P1a — fault-free stream: a closed-loop corner-to-corner packet
-  stream; wall-clock packets/sec and events/sec with express routing
-  on vs off (best-of-N pairing to damp machine noise).
+  stream (one packet in flight, 22 hops: the most the express path can
+  save); wall-clock packets/sec and events/sec with express routing on
+  vs off (best-of-N pairing to damp machine noise).
+* P1e — contended: 64 closed-loop flows on 8x8 (the shape of
+  ``noc.probe_contended_packets_per_s``), where reservations overtake
+  each other and packets are re-timed; packets/sec and events both ways.
 * P1b — fault on the route: one degraded link *on* the stream's XY
   path clears the route's ``fault_free`` and forces the hop-by-hop
   slow path in both configurations; the express config must converge
@@ -37,6 +40,8 @@ Shape assertions:
 * express delivers >= 2x the packets/sec of hop-by-hop (the P1 gate);
 * express fires at most 1/5th the events of hop-by-hop (deterministic);
 * both modes end at the same simulated time with all packets delivered;
+* P1e: same deliveries and final time, at most half the events, and
+  express is not slower than hop-by-hop;
 * P1b (on-route fault) event counts match baseline exactly;
 * P1d (off-route fault) keeps the 1/5th event economy and the exact
   baseline deliveries/sim time;
@@ -72,15 +77,32 @@ SMOKE_PACKETS = 3_000
 SMOKE_TRIALS = 2
 SMOKE_RATIO_GATE = 1.2  # sanity floor only: shared CI runners are noisy
 EVENT_FACTOR = 5  # express must use <= 1/5th the events (deterministic)
+CONTENDED_PACKETS = 20_000
+SMOKE_CONTENDED_PACKETS = 4_000
+CONTENDED_EVENT_FACTOR = 2  # contended: re-timed packets cost an event each
+CONTENDED_RATIO_GATE = 1.0  # express must not be slower where packets are re-timed
+SMOKE_CONTENDED_RATIO_GATE = 0.8  # sanity floor only, as above
 TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P1.json")
+
+
+def measured(sim, delivered, wall):
+    """What one run reports: deterministic counts plus wall-clock rates."""
+    return {
+        "delivered": delivered,
+        "events": sim.events_fired,
+        "sim_now": sim.now,
+        "wall_s": wall,
+        "pkt_per_s": delivered / wall,
+        "events_per_s": sim.events_fired / wall,
+    }
 
 
 def stream_run(express, n_packets, degrade=None):
     """One closed-loop corner-to-corner stream; returns measured rates.
 
     The delivery handler injects the next packet, so exactly one packet
-    is in flight at a time and the express path sees the maximal
-    batching window.  ``degrade`` optionally names a link to put into
+    is in flight at a time and the express path saves the most it can
+    (22 hop events per packet).  ``degrade`` optionally names a link to put into
     corrupting mode before traffic starts — on the stream's route for
     P1b, elsewhere on the mesh for P1d.
     """
@@ -104,24 +126,66 @@ def stream_run(express, n_packets, degrade=None):
     wall_start = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - wall_start
-    return {
-        "delivered": state["done"],
-        "events": sim.events_fired,
-        "sim_now": sim.now,
-        "wall_s": wall,
-        "pkt_per_s": state["done"] / wall,
-        "events_per_s": sim.events_fired / wall,
-    }
+    return measured(sim, state["done"], wall)
 
 
-def best_of(express, n_packets, trials, degrade=None):
-    """Best wall-clock rate over ``trials`` runs (noise only slows runs,
-    never speeds them, so the max is the least-contaminated sample).
-    Deterministic fields are asserted invariant across trials."""
-    runs = [stream_run(express, n_packets, degrade) for _ in range(trials)]
+def contended_run(express, n_packets):
+    """64 closed-loop flows on 8x8: every delivery launches its flow's
+    next packet, so reservations made at send time keep overtaking each
+    other on shared links."""
+    sim = Simulator()
+    topo = MeshTopology(8, 8)
+    net = NocNetwork(sim, topo, NocConfig(express_routing=express))
+    coords = list(topo.coords())
+    state = {"sent": 0, "done": 0}
+
+    def launch(i):
+        state["sent"] += 1
+        net.send(coords[i], coords[(i * 29 + 17) % 64], i, 64)
+
+    def handler(packet):
+        state["done"] += 1
+        if state["sent"] < n_packets:
+            launch(packet.payload)
+
+    for coord in coords:
+        net.attach(coord, handler)
+    for i in range(64):
+        launch(i)
+    wall_start = time.perf_counter()
+    sim.run()
+    wall = time.perf_counter() - wall_start
+    return measured(sim, state["done"], wall)
+
+
+def best_of(trials, run, *args):
+    """Best wall-clock rate over ``trials`` calls of ``run(*args)`` (noise
+    only slows runs, never speeds them, so the max is the
+    least-contaminated sample).  Deterministic fields are asserted
+    invariant across trials."""
+    runs = [run(*args) for _ in range(trials)]
     assert len({r["events"] for r in runs}) == 1
     assert len({r["sim_now"] for r in runs}) == 1
     return max(runs, key=lambda r: r["pkt_per_s"])
+
+
+def print_on_off(tag, title, express, baseline):
+    """One express / hop-by-hop table with the packets/sec speedup."""
+    table = Table(
+        tag,
+        ["mode", "packets", "events", "pkt/s (wall)", "events/s (wall)", "speedup"],
+        title=title,
+    )
+    for label, r in (("express", express), ("hop-by-hop", baseline)):
+        table.add_row([
+            label,
+            r["delivered"],
+            r["events"],
+            round(r["pkt_per_s"]),
+            round(r["events_per_s"]),
+            round(r["pkt_per_s"] / baseline["pkt_per_s"], 2),
+        ])
+    table.print()
 
 
 def campaign_summary_bytes(express, duration):
@@ -149,8 +213,8 @@ def experiment(smoke=False):
     trials = SMOKE_TRIALS if smoke else TRIALS
     ratio_gate = SMOKE_RATIO_GATE if smoke else RATIO_GATE
 
-    express = best_of(True, n_packets, trials)
-    baseline = best_of(False, n_packets, trials)
+    express = best_of(trials, stream_run, True, n_packets)
+    baseline = best_of(trials, stream_run, False, n_packets)
     # One bounded retry round if a noise spike ate the margin: re-pair
     # both sides so the comparison stays honest.
     if express["pkt_per_s"] < ratio_gate * baseline["pkt_per_s"]:
@@ -162,27 +226,22 @@ def experiment(smoke=False):
             baseline = rerun
     ratio = express["pkt_per_s"] / baseline["pkt_per_s"]
 
-    table = Table(
-        "P1a",
-        ["mode", "packets", "events", "pkt/s (wall)", "events/s (wall)", "speedup"],
-        title=f"Fault-free corner-to-corner stream, {MESH_W}x{MESH_H} mesh",
+    print_on_off(
+        "P1a", f"Fault-free corner-to-corner stream, {MESH_W}x{MESH_H} mesh", express, baseline
     )
-    for label, r in (("express", express), ("hop-by-hop", baseline)):
-        table.add_row([
-            label,
-            r["delivered"],
-            r["events"],
-            round(r["pkt_per_s"]),
-            round(r["events_per_s"]),
-            round(r["pkt_per_s"] / baseline["pkt_per_s"], 2),
-        ])
-    table.print()
+
+    n_contended = SMOKE_CONTENDED_PACKETS if smoke else CONTENDED_PACKETS
+    contended_express = best_of(trials, contended_run, True, n_contended)
+    contended_baseline = best_of(trials, contended_run, False, n_contended)
+    print_on_off(
+        "P1e", "64 contended closed-loop flows, 8x8 mesh", contended_express, contended_baseline
+    )
 
     # P1b: a degraded link *on* the XY route (the X leg along y=0)
     # clears the compiled route's fault_free and forces the slow path.
     on_route = (Coord(5, 0), Coord(6, 0))
-    faulty_express = best_of(True, n_packets, 1, on_route)
-    faulty_baseline = best_of(False, n_packets, 1, on_route)
+    faulty_express = best_of(1, stream_run, True, n_packets, on_route)
+    faulty_baseline = best_of(1, stream_run, False, n_packets, on_route)
     fb = Table(
         "P1b",
         ["mode", "packets", "events", "pkt/s (wall)", "sim time"],
@@ -196,8 +255,8 @@ def experiment(smoke=False):
     # which the XY path from (0,0) never climbs).  The per-route gate
     # must keep this stream on the express path.
     off_route = (Coord(0, 5), Coord(0, 6))
-    elsewhere_express = best_of(True, n_packets, 1, off_route)
-    elsewhere_baseline = best_of(False, n_packets, 1, off_route)
+    elsewhere_express = best_of(1, stream_run, True, n_packets, off_route)
+    elsewhere_baseline = best_of(1, stream_run, False, n_packets, off_route)
     fd = Table(
         "P1d",
         ["mode", "packets", "events", "pkt/s (wall)", "sim time"],
@@ -219,23 +278,28 @@ def experiment(smoke=False):
     ic.add_row(["smoke", len(summary_on), "yes" if identical else "NO"])
     ic.print()
 
-    record_trajectory(smoke, express, baseline, faulty_express,
-                      elsewhere_express, ratio, identical)
+    record_trajectory(smoke, express, baseline, faulty_express, faulty_baseline,
+                      elsewhere_express, contended_express, contended_baseline,
+                      ratio, identical)
     return {
         "express": express,
         "baseline": baseline,
+        "contended_express": contended_express,
+        "contended_baseline": contended_baseline,
         "faulty_express": faulty_express,
         "faulty_baseline": faulty_baseline,
         "elsewhere_express": elsewhere_express,
         "elsewhere_baseline": elsewhere_baseline,
         "ratio": ratio,
         "ratio_gate": ratio_gate,
+        "contended_ratio_gate": SMOKE_CONTENDED_RATIO_GATE if smoke else CONTENDED_RATIO_GATE,
         "identical": identical,
     }
 
 
-def record_trajectory(smoke, express, baseline, faulty_express,
-                      elsewhere_express, ratio, identical):
+def record_trajectory(smoke, express, baseline, faulty_express, faulty_baseline,
+                      elsewhere_express, contended_express, contended_baseline,
+                      ratio, identical):
     """Append this run's numbers to BENCH_P1.json (the perf trajectory)."""
     history = []
     if os.path.exists(TRAJECTORY):
@@ -252,6 +316,11 @@ def record_trajectory(smoke, express, baseline, faulty_express,
         "express_events_per_s": round(express["events_per_s"], 1),
         "baseline_events_per_s": round(baseline["events_per_s"], 1),
         "faulty_pkt_per_s": round(faulty_express["pkt_per_s"], 1),
+        "faulty_baseline_pkt_per_s": round(faulty_baseline["pkt_per_s"], 1),
+        "contended_express_pkt_per_s": round(contended_express["pkt_per_s"], 1),
+        "contended_baseline_pkt_per_s": round(contended_baseline["pkt_per_s"], 1),
+        "contended_express_events": contended_express["events"],
+        "contended_baseline_events": contended_baseline["events"],
         "elsewhere_pkt_per_s": round(elsewhere_express["pkt_per_s"], 1),
         "speedup": round(ratio, 3),
         "byte_identical": identical,
@@ -274,6 +343,14 @@ def check(results):
     # The wall-clock gate.
     assert results["ratio"] >= results["ratio_gate"], (
         f"express speedup {results['ratio']:.2f}x below {results['ratio_gate']}x gate"
+    )
+    # Contended: identical outcome, and the economy survives re-timing.
+    ce, cb = results["contended_express"], results["contended_baseline"]
+    assert ce["delivered"] == cb["delivered"]
+    assert ce["sim_now"] == cb["sim_now"]
+    assert ce["events"] * CONTENDED_EVENT_FACTOR <= cb["events"]
+    assert ce["pkt_per_s"] >= results["contended_ratio_gate"] * cb["pkt_per_s"], (
+        f"contended: express {ce['pkt_per_s']:.0f} pkt/s against hop-by-hop {cb['pkt_per_s']:.0f}"
     )
     # Under an on-route fault the express config must behave exactly
     # like the slow path: same events, same deliveries, same sim time.

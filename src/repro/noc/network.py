@@ -1,30 +1,30 @@
-"""The NoC facade: endpoint registration, sending, hop-by-hop traversal.
+"""The NoC facade: endpoint registration, sending, traversal, faults.
 
-Two traversal modes share one code path:
+**Arbitration.**  A link serves packets in the order ``(arrival at its
+source router, packet id)``: first come first served, the older packet
+first among those that arrive together.  The kernel is made to agree:
+every NoC event — injection, hop, resumed traversal, delivery — is
+scheduled at ``(time, priority = 1 + packet_id)``, i.e. after every other
+event of its instant and oldest packet first.  So what a packet finds at
+a router is a function of simulated time and packet ids, never of the
+order in which events happened to be scheduled.
 
-* **hop-by-hop** (the original model): every hop is a scheduled event —
-  arrive at a router, check health, reserve the outgoing link, schedule
-  the next hop.
-* **express** (``NocConfig.express_routing``, on by default): on a
-  fault-free network, consecutive hops are committed in a single pass
-  inside one event and only the final delivery is scheduled.  Batching
-  is bounded by :meth:`Simulator.lookahead_limit` — a hop is committed
-  eagerly only if its virtual time lies strictly before the next
-  pending event (and within the run horizon).  That makes the fast path
-  unobservable — same seed, byte-identical results with express routing
-  on or off — **under one precondition**: the bound is read from the
-  queue as it stands when the hops are committed, so the handler that
-  called :meth:`NocNetwork.send` must not, after ``send`` returns,
-  schedule anything below that bound that contends for the same links
-  (``send(A); schedule(5.0, send, B)`` over a shared link reorders A
-  and B; pinned as an ``xfail`` in ``tests/test_hotpath.py``).  The
-  gate is **per compiled route**: a route whose routers and links were
-  all healthy at compile time batches eagerly, while a route that
-  crosses a fault takes the original slow path — so one faulty link
-  only de-optimizes traffic that actually crosses it.  Per-hop health
-  checks still run on every committed hop, which (with the lookahead
-  bound pinning fault state for the whole batch) keeps the gate exact
-  even if the flag is stale.
+Two traversal modes produce the same deliveries, drops and counters:
+
+* **hop by hop** (``NocConfig.express_routing=False``, the reference):
+  every hop is an event — arrive at a router, check health, reserve the
+  outgoing link on its scalar ``busy_until``, schedule the next hop.
+* **analytic** (``express_routing=True``, the default): on a route whose
+  routers and links were all healthy when it was compiled,
+  :meth:`NocNetwork.send` reserves *every* hop at once in the links'
+  calendars (:class:`~repro.noc.link.Link`) and schedules one event, the
+  delivery.  A reservation ahead of the clock is tentative: a packet
+  sent later that reaches a link earlier is inserted before it, and a
+  packet whose slot moves because of that is taken out of the calendars
+  from that hop on and resumes there, as one event at its unchanged
+  arrival time.  A fault transition takes back everything reserved ahead
+  of the clock; those packets, like the ones whose route crosses a fault
+  to begin with, go on one hop per event with the live health checks.
 
 Routes on the fault-free mesh are memoized in a ``(src, dst)`` cache
 invalidated by ``fault_epoch``, which every fault/repair call bumps.
@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import count
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics import MetricsRegistry
 from repro.metrics.collectors import Counter
-from repro.noc.link import Link, LinkState
+from repro.noc.link import Link, LinkState, Slot
 from repro.noc.packet import Packet
 from repro.noc.router import Router
 from repro.noc.topology import Coord, MeshTopology
@@ -73,16 +74,16 @@ class CompiledRoute:
         self.last = len(coords) - 1
         # Health of this route at compile time.  Entries live in the
         # fault-epoch route cache, so the flag is recomputed whenever any
-        # fault state changes; it gates express batching per route rather
-        # than de-optimizing the whole mesh for one distant fault.
+        # fault state changes; it gates the analytic traversal per route
+        # rather than de-optimizing the whole mesh for one distant fault.
         self.fault_free = not any(r.failed for r in self.routers) and all(
             l.state is LinkState.UP for l in self.links
         )
 
 
 def _express_default() -> bool:
-    """Express routing defaults on; REPRO_NOC_EXPRESS=0 disables it
-    process-wide (the perf bench and CI use this to A/B the fast path)."""
+    """Express (analytic) routing defaults on; REPRO_NOC_EXPRESS=0 selects
+    the hop-by-hop reference process-wide (benches and CI A/B the two)."""
     return os.environ.get("REPRO_NOC_EXPRESS", "1").lower() not in ("0", "false", "no")
 
 
@@ -125,7 +126,12 @@ class NocNetwork:
     ``fail_router``, ``repair_router`` — driven by :mod:`repro.faults`.
     All fault state MUST go through these methods (not the Link/Router
     objects directly): they maintain ``fault_epoch`` and the health
-    counters that gate the express path and the route cache.
+    counters, flush the route cache and take back what the analytic
+    traversal reserved ahead of the clock.
+
+    ``packet_ids`` is the sequence packet ids are drawn from.  Ids rank
+    same-instant NoC events, so networks that share a kernel must share
+    one sequence (:meth:`repro.sos.MultiChipSystem.add_chip` does that).
     """
 
     def __init__(
@@ -148,15 +154,18 @@ class NocNetwork:
             for a, b in topology.links()
         }
         self._handlers: Dict[Coord, DeliveryHandler] = {}
-        self._next_packet_id = 0
+        self.packet_ids: Iterator[int] = count()
         self._delivered = self.metrics.counter("noc.delivered")
         self._dropped = self.metrics.counter("noc.dropped")
         self._flit_hops = self.metrics.counter("noc.flit_hops")
         self._latency = self.metrics.histogram("noc.latency")
         self._drop_reason_counters: Dict[str, Counter] = {}
+        # (time, packet id) of the latest delivery: how far into the
+        # current instant's NoC events the kernel has got (_take_back).
+        self._fired_at = -1.0
+        self._fired_id = -1
         # Fault-epoch bookkeeping: bumped on every link/router state
-        # transition; invalidates the route cache and (via the health
-        # counters) forces the hop-by-hop slow path while faults exist.
+        # transition; invalidates the route cache.
         self.fault_epoch = 0
         self._down_links = 0
         self._corrupting_links = 0
@@ -182,35 +191,40 @@ class NocNetwork:
     def send(self, src: Coord, dst: Coord, payload: Any, size_bytes: int = 64) -> Packet:
         """Inject a packet; returns it so callers can trace its fate.
 
-        Normally the first hop is deferred with ``call_soon`` so that
-        events already pending at the current instant keep their place
-        in line.  When no such event exists (``lookahead_limit`` strictly
-        ahead of now), deferral is unobservable and the express path
-        enters :meth:`_hop` synchronously, saving one event per packet.
+        The packet enters the fabric at the current instant, behind every
+        older packet.  Inside an event the analytic traversal reserves
+        its whole route before ``send`` returns; between runs (and hop by
+        hop) injection is an event of its own.
         """
         routers = self.routers
         if src not in routers or dst not in routers:
             self.topology.require(src)
             self.topology.require(dst)
         sim = self.sim
-        packet = Packet(self._next_packet_id, src, dst, payload, size_bytes, sim.now)
-        self._next_packet_id += 1
+        now = sim.now
+        packet = Packet(next(self.packet_ids), src, dst, payload, size_bytes, now)
         if src == dst:
             # Local loopback: skip the fabric, pay only switch latency.
             router = routers[src]
             router.packets_switched += 1
-            sim.schedule(router.switch_latency, self._deliver, packet)
+            sim.schedule_at(
+                now + router.switch_latency, self._deliver, packet,
+                priority=1 + packet.packet_id,
+            )
             return packet
         route = self._route(src, dst)
         if route is None:
             self._drop(packet, "no route (failed links)", "no_route")
             return packet
+        packet._route = route
         if route.fault_free and self.config.express_routing:
-            limit = sim.lookahead_limit()
-            if limit is not None and limit > sim.now:
-                self._hop(packet, route, 0)
+            if sim.running:
+                self._commit(packet)
                 return packet
-        sim.call_soon(self._hop, packet, route, 0)
+            inject = self._commit
+        else:
+            inject = self._step
+        packet._event = sim.schedule_at(now, inject, packet, priority=1 + packet.packet_id)
         return packet
 
     def multicast(
@@ -250,7 +264,7 @@ class NocNetwork:
         if not router.failed:
             router.fail()
             self._failed_routers += 1
-            self.fault_epoch += 1
+            self._fault_transition()
 
     def repair_router(self, coord: Coord) -> None:
         """Repair a tile's router."""
@@ -258,7 +272,7 @@ class NocNetwork:
         if router.failed:
             router.repair()
             self._failed_routers -= 1
-            self.fault_epoch += 1
+            self._fault_transition()
 
     def failed_links(self) -> "frozenset[Tuple[Coord, Coord]]":
         """The set of currently DOWN directed links."""
@@ -285,7 +299,7 @@ class NocNetwork:
         elif new_state is LinkState.CORRUPTING:
             self._corrupting_links += 1
         link.state = new_state
-        self.fault_epoch += 1
+        self._fault_transition()
 
     def _link(self, a: Coord, b: Coord) -> Link:
         link = self.links.get((a, b))
@@ -315,78 +329,211 @@ class NocNetwork:
             self._route_cache[key] = route
         return route
 
-    def _hop(self, packet: Packet, route: CompiledRoute, index: int) -> None:
-        """Move the packet along ``route`` starting at ``route.coords[index]``.
+    # ------------------------------------------------------------------
+    # Traversal
+    # ------------------------------------------------------------------
+    def _step(self, packet: Packet) -> None:
+        """Event: ``packet`` arrives at router ``_index`` of its route.
 
-        Fires at the packet's arrival time at ``route.coords[index]``.  On
-        the express path, subsequent hops whose virtual times no pending
-        event can observe (strictly before the next pending event and
-        within the run horizon; see the module docstring for the
-        precondition) are committed in the same pass; otherwise the
-        next hop is scheduled as its own event, exactly as the original
-        hop-by-hop model did.
-
-        Each hop switches through the router (``switch_latency``) and
-        reserves the outgoing link: the link is occupied while the flits
-        serialize onto it (``busy_until``), and the fixed traversal
-        ``latency`` pipelines with the next packet.
+        At the destination it is delivered.  Anywhere else it makes one
+        hop with the live health checks: switch through the router
+        (``switch_latency``), occupy the outgoing link while the flits
+        serialize onto it, and arrive after the link's fixed ``latency``,
+        which pipelines with the next packet.  This is the whole of the
+        hop-by-hop reference; the analytic mode comes here for
+        deliveries and for packets that have met a fault.
         """
+        route = packet._route
+        index = packet._index
+        router = route.routers[index]
+        if router.failed:
+            self._drop(packet, f"router {route.coords[index]} failed", "router_failed")
+            return
+        if index == route.last:
+            self._deliver(packet)
+            return
+        link = route.links[index]
+        state = link.state
+        if state is not _UP:
+            if state is LinkState.DOWN:
+                coords = route.coords
+                if self.config.adaptive_routing:
+                    reroute = self._route(coords[index], packet.dst)
+                    if reroute is not None and reroute.last > 0:
+                        packet._route = reroute
+                        packet._index = 0
+                        self._step(packet)
+                        return
+                self._drop(packet, f"link {coords[index]}->{coords[index + 1]} down", "link_down")
+                return
+            packet.corrupted = True  # CORRUPTING link
         sim = self.sim
-        last = route.last
-        # The bound is only consulted before a hop that does not end the
-        # route (delivery observes sim.now: always an event).
-        limit = None
-        if index + 1 < last and route.fault_free and self.config.express_routing:
-            limit = sim.lookahead_limit()
-            if limit is not None:
-                horizon = sim.run_horizon
-                if horizon is None:
-                    horizon = _INF
-        coords = route.coords
-        route_routers = route.routers
-        route_links = route.links
-        flits = packet.flits
-        path = packet.path
-        vtime = sim.now
-        while True:
-            router = route_routers[index]
-            if router.failed:
-                self._drop(packet, f"router {coords[index]} failed", "router_failed")
-                return
-            if index == last:
-                self._deliver(packet)
-                return
-            link = route_links[index]
-            state = link.state
-            if state is not _UP:
-                if state is LinkState.DOWN:
-                    if self.config.adaptive_routing:
-                        reroute = self._route(coords[index], packet.dst)
-                        if reroute is not None and reroute.last > 0:
-                            sim.call_soon(self._hop, packet, reroute, 0)
-                            return
-                    self._drop(
-                        packet, f"link {coords[index]}->{coords[index + 1]} down", "link_down"
-                    )
-                    return
-                packet.corrupted = True  # CORRUPTING link
-            router.packets_switched += 1
-            depart = vtime + router.switch_latency
+        depart = sim.now + router.switch_latency
+        if link.slots:
+            # Reservations made ahead of the clock: go in before them.
+            displaced: List[Slot] = []
+            end = link.reserve(sim.now, sim.now, packet, index, depart, displaced)
+            if displaced:
+                self._requeue(displaced)
+        else:
             start = link.busy_until
             if depart > start:
                 start = depart
-            link.busy_until = busy_until = start + flits * link.cycle_time
+            link.busy_until = end = start + packet.flits * link.cycle_time
+        router.packets_switched += 1
+        link.packets_carried += 1
+        link.flits_carried += packet.flits
+        packet.hops += 1
+        packet._index = index = index + 1
+        packet.path.append(route.coords[index])
+        packet._event = sim.schedule_at(
+            end + link.latency, self._step, packet, priority=1 + packet.packet_id
+        )
+
+    def _commit(self, packet: Packet) -> None:
+        """Reserve every remaining hop of ``packet``'s route, now.
+
+        Called at the instant the packet is at router ``_index`` (from
+        :meth:`send`, or as the event that injects or resumes it).  Each
+        hop takes a slot in its link's calendar at the time the previous
+        one ends, so the only event left is the arrival at the
+        destination.  Should a router or link on the way be unhealthy the
+        reservation stops in front of it and that arrival is the event.
+        """
+        sim = self.sim
+        now = arrival = sim.now
+        route = packet._route
+        first = index = packet._index
+        routers = route.routers
+        links = route.links
+        last = route.last
+        packet_id = packet.packet_id
+        flits = packet.flits
+        while index < last:
+            router = routers[index]
+            link = links[index]
+            if router.failed or link.state is not _UP:
+                break
+            depart = arrival + router.switch_latency
+            slots = link.slots
+            # Inlined Link.reserve for a packet that goes last: an empty
+            # calendar, one wholly behind the clock, or one it extends.
+            if not slots:
+                start = link.busy_until
+            else:
+                tail = slots[-1]
+                if tail[0] < now:
+                    link.busy_until = start = tail[3]
+                    slots.clear()
+                elif tail[0] < arrival or (tail[0] == arrival and tail[1] < packet_id):
+                    start = tail[3]
+                    if slots[0][0] < now:
+                        link.fold(now)
+                else:
+                    start = None
+            if start is None:
+                displaced: List[Slot] = []
+                end = link.reserve(now, arrival, packet, index, depart, displaced)
+                if displaced:
+                    self._requeue(displaced)
+            else:
+                if depart > start:
+                    start = depart
+                end = start + flits * link.cycle_time
+                slots.append((arrival, packet_id, depart, end, packet, index))
+            router.packets_switched += 1
             link.packets_carried += 1
             link.flits_carried += flits
-            arrival = busy_until + link.latency
-            packet.hops += 1
             index += 1
-            path.append(coords[index])
-            if limit is not None and index != last and arrival < limit and arrival <= horizon:
-                vtime = arrival
-                continue
-            sim.schedule_at(arrival, self._hop, packet, route, index)
-            return
+            arrival = end + link.latency
+        packet.hops += index - first
+        packet.path.extend(route.coords[first + 1:index + 1])
+        packet._index = index
+        packet._event = sim.schedule_at(arrival, self._step, packet, priority=1 + packet_id)
+
+    def _requeue(self, displaced: List[Slot]) -> None:
+        """Re-time the packets whose slots a calendar change displaced.
+
+        A displaced slot is already out of its calendar.  Its packet
+        gives up the slots (and counts) of the hops after it — which may
+        displace others in turn — and its pending event, and resumes from
+        that hop at the arrival time the slot had, which no later change
+        can have moved.
+        """
+        while displaced:
+            arrival, _, _, _, packet, hop = displaced.pop()
+            self._uncount(packet, hop)
+            if hop >= packet._index:
+                continue  # already cut back to an earlier hop
+            links = packet._route.links
+            for later in range(hop + 1, packet._index):
+                if links[later].release(packet, displaced):
+                    self._uncount(packet, later)
+            self._cut_back(packet, hop, arrival, self._commit)
+
+    def _uncount(self, packet: Packet, hop: int) -> None:
+        """Take hop ``hop`` of ``packet`` back out of the traffic counters."""
+        route = packet._route
+        route.routers[hop].packets_switched -= 1
+        link = route.links[hop]
+        link.packets_carried -= 1
+        link.flits_carried -= packet.flits
+
+    def _cut_back(
+        self, packet: Packet, hop: int, arrival: float, resume: Callable[[Packet], None]
+    ) -> None:
+        """Make ``resume`` at router ``hop`` the packet's one pending event."""
+        undone = packet._index - hop
+        packet.hops -= undone
+        del packet.path[-undone:]
+        packet._index = hop
+        packet._event.cancel()
+        packet._event = self.sim.schedule_at(
+            arrival, resume, packet, priority=1 + packet.packet_id
+        )
+
+    def _fault_transition(self) -> None:
+        """A router or link changed health: take back what was reserved
+        ahead of the clock, because the reference checks health hop by hop.
+
+        Every packet is cut back to its first hop the reference has not
+        made yet and goes on from there one hop per event.  The reference
+        makes hop ``(arrival, packet_id)`` in the event at ``(arrival,
+        1 + packet_id)``, so hops that arrive later than now are ahead of
+        the clock and earlier ones behind it.  Of those that arrive *now*,
+        all are behind it between runs.  Inside an event, those up to the
+        latest delivery of this instant are: only a delivery calls out of
+        the NoC, so a fault that comes after some NoC event of the instant
+        comes from that delivery's handler or a zero-delay event it led
+        to, before any younger packet's event.
+        """
+        self.fault_epoch += 1
+        sim = self.sim
+        now = sim.now
+        if not sim.running:
+            passed = _INF
+        elif self._fired_at == now:
+            passed = self._fired_id
+        else:
+            passed = -1
+        cut: Dict[Packet, Slot] = {}
+        for link in self.links.values():
+            slots = link.slots
+            keep = len(slots)
+            while keep:
+                slot = slots[keep - 1]
+                if slot[0] < now or (slot[0] == now and slot[1] <= passed):
+                    break
+                keep -= 1
+            for slot in slots[keep:]:
+                packet = slot[4]
+                self._uncount(packet, slot[5])
+                first = cut.get(packet)
+                if first is None or slot[5] < first[5]:
+                    cut[packet] = slot
+            del slots[keep:]
+        for packet, slot in cut.items():
+            self._cut_back(packet, slot[5], slot[0], self._step)
 
     def _deliver(self, packet: Packet) -> None:
         if packet.corrupted and self.config.drop_corrupted_silently:
@@ -396,7 +543,8 @@ class NocNetwork:
         if handler is None:
             self._drop(packet, f"no endpoint at {packet.dst}", "no_endpoint")
             return
-        packet.delivered_at = now = self.sim.now
+        packet.delivered_at = self._fired_at = now = self.sim.now
+        self._fired_id = packet.packet_id
         self._delivered.inc()
         self._flit_hops.inc(packet.flit_hops)
         self._latency.observe(now - packet.injected_at)

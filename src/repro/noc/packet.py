@@ -27,11 +27,22 @@ class Packet:
     the trace fields (``hops``, ``path``, ``delivered_at``, the drop
     fields) let benches account for cost.  One is built per message sent,
     hence ``__slots__``.
+
+    ``packet_id`` is the packet's age among everything sent on the same
+    kernel, and with it its rank among the NoC events of one instant.
+    ``hops`` and ``path`` grow hop by hop under ``express_routing=False``;
+    on the analytic path they are complete when ``send`` returns and are
+    cut back if the packet has to be re-timed.  Either way they are exact
+    once the packet is delivered or dropped.  ``_route``, ``_index`` and
+    ``_event`` are the network's: the compiled route being followed, the
+    position on it of the packet's one pending event (every hop before it
+    is reserved), and that event.
     """
 
     __slots__ = (
         "packet_id", "src", "dst", "payload", "size_bytes", "injected_at", "flits",
         "corrupted", "delivered_at", "dropped", "drop_reason", "hops", "path",
+        "_route", "_index", "_event",
     )
 
     def __init__(
@@ -51,6 +62,9 @@ class Packet:
         self.drop_reason = ""
         self.hops = 0
         self.path: List[Coord] = [src]
+        self._route: Any = None
+        self._index = 0
+        self._event: Any = None
 
     @property
     def latency(self) -> Optional[float]:

@@ -46,12 +46,12 @@ class Simulator:
         self.now: SimTime = 0.0
         self._heap: List[Tuple[SimTime, int, int, ScheduledEvent]] = []
         self._seq = 0
-        self._running = False
+        #: True while :meth:`run` (or :meth:`step`) is firing an event.  A
+        #: component that works ahead of the clock reads it to tell "inside
+        #: an event: more of this instant may follow" from "between runs".
+        self.running = False
         self._stopped = False
         self._cancelled_pending = 0
-        #: The ``until`` bound of the currently executing :meth:`run`, if any.
-        self.run_horizon: Optional[SimTime] = None
-        self._capped = False  # True while run(max_events=...) is active
         self.rng = RngRegistry(seed)
         self.seed = seed
         self._trace_hooks: List[Callable[[ScheduledEvent], None]] = []
@@ -114,12 +114,10 @@ class Simulator:
 
         Returns the simulated time at which the loop stopped.
         """
-        if self._running:
+        if self.running:
             raise SimulationError("simulator is already running (re-entrant run())")
-        self._running = True
+        self.running = True
         self._stopped = False
-        self.run_horizon = until
-        self._capped = max_events is not None
         fired = 0
         heap = self._heap  # compaction rebuilds it in place, so this stays valid
         hooks = self._trace_hooks
@@ -149,9 +147,7 @@ class Simulator:
                 if fired >= cap:
                     break
         finally:
-            self._running = False
-            self.run_horizon = None
-            self._capped = False
+            self.running = False
         if until is not None and not self._stopped and self.now < until:
             # Advance the clock to the requested horizon even if the queue
             # drained early, so periodic measurement windows stay aligned.
@@ -204,31 +200,6 @@ class Simulator:
             heappop(heap)
             self._cancelled_pending -= 1
         return heap[0][0] if heap else None
-
-    # ------------------------------------------------------------------
-    # Lookahead (used by the NoC express path)
-    # ------------------------------------------------------------------
-    def lookahead_limit(self) -> Optional[SimTime]:
-        """Exclusive bound on virtual times a component may pre-commit.
-
-        While an event executes inside :meth:`run`, no other event can
-        fire before the queue's next pending time — so state changes
-        whose virtual time lies strictly below it are unobservable, and
-        a component (the NoC express path) may apply them eagerly in a
-        single pass without changing any simulation outcome — as long as
-        the executing handler schedules nothing below the bound afterwards
-        (the bound is a snapshot of the queue, not of the handler's future).
-
-        Returns ``inf`` when the queue is empty, or None when lookahead
-        is not permitted: outside :meth:`run` (step-driven execution may
-        interleave external mutations between events) or during a
-        ``max_events``-capped run (an abort could strand pre-committed
-        state ahead of the clock).
-        """
-        if not self._running or self._capped:
-            return None
-        next_time = self.peek_next_time()
-        return _INF if next_time is None else next_time
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.noc.topology import Coord
 from repro.sim.simulator import Simulator
@@ -37,6 +37,7 @@ class MultiChipSystem:
         self.chips: Dict[str, Chip] = {}
         self.gateways: Dict[str, Coord] = {}
         self._links: Dict[Tuple[str, str], InterChipLink] = {}
+        self._packet_ids: Optional[Iterator[int]] = None
         self.dropped_no_owner = 0
         self.dropped_no_route = 0
 
@@ -44,9 +45,17 @@ class MultiChipSystem:
     # Construction
     # ------------------------------------------------------------------
     def add_chip(self, name: str, chip: Chip, gateway: Optional[Coord] = None) -> None:
-        """Register a chip; ``gateway`` defaults to its (0, 0) tile."""
+        """Register a chip; ``gateway`` defaults to its (0, 0) tile.
+
+        The chips' NoCs run on one kernel, where a packet's id ranks its
+        events among those of the same instant, so from here on they all
+        draw ids from the first chip's sequence.
+        """
         if name in self.chips:
             raise ValueError(f"chip {name!r} already registered")
+        if self._packet_ids is None:
+            self._packet_ids = chip.noc.packet_ids
+        chip.noc.packet_ids = self._packet_ids
         self.chips[name] = chip
         self.gateways[name] = gateway or Coord(0, 0)
         chip.off_chip_handler = self._make_egress(name)

@@ -6,10 +6,15 @@ timer, the batch/lease install and the era change for every protocol:
 * **Goldens** — each protocol, plain and with batching + leases, runs one
   seeded group through a primary crash; ``sim.events_fired`` and a sha256
   of the full metrics dump are pinned.  Any change to what the ordering
-  path schedules, sends or counts moves them.  The constants were
-  **captured at parent commit 07fb3a5** (four hand-kept copies of the
-  plumbing) and must not be regenerated by a refactor — a PR that means
-  to change ordering behaviour updates them knowingly and says so.
+  path schedules, sends or counts moves them.  They must not be
+  regenerated by a refactor — a PR that means to change ordering
+  behaviour updates them knowingly and says so.  Captured at 07fb3a5
+  (four hand-kept copies of the plumbing); **regenerated once, in PR 17**,
+  which changed same-instant order on purpose (NoC events fire after the
+  instant's other events, oldest packet first: DESIGN §5) — under
+  ``express_routing=False``, and pinned in both NoC modes: one metrics
+  hash for the two, one ``events_fired`` each (a hop-by-hop packet is one
+  event per hop, an analytic one ≈ one event).
 * **No re-forking** — the plumbing names live in ``replica.py`` only.
 """
 
@@ -29,27 +34,28 @@ from repro.bft.leases import LeaseConfig
 from repro.bft.minbft import MinBftReplica
 from repro.bft.pbft import PbftReplica
 from repro.bft.replica import BaseReplica
+from repro.noc import NocConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 
 CRASH_AT = 120_000.0
 RUN_UNTIL = 400_000.0
 
-# (protocol, tuned) -> (sim.events_fired, sha256 of chip.metrics.dump()).
-# Captured at parent commit 07fb3a5; see the module docstring.
+# (protocol, tuned) -> (events_fired hop by hop, events_fired analytic,
+# sha256 of chip.metrics.dump() in both); see the module docstring.
 GOLDENS = {
-    ("pbft", False): (64219, "99595f6b957083d705211ba4a6737ad7d3c3c46992d7a59bff05563221e55547"),
-    ("pbft", True): (34143, "11789730df5a8517dd2b0ad786a7160fe6d0093f92a0ab2486b22d5ebf3b2450"),
-    ("minbft", False): (66035, "e73d5acdb437960c3f69f0595bb7492da66ce8a1d0d8139b19fe782f3511095e"),
-    ("minbft", True): (37425, "ee2cef14bf496f0cd4cccef7f7258cddc433846325ff1075a48ebe9eec6bdf1c"),
-    ("cft", False): (148654, "d5220defb1b926b3c60488e2c759dc63a20d07b4e1e806fdbf051027b2e1266d"),
-    ("cft", True): (60484, "970cce5bed1c76d38a5bb0738a380e6236e3e7d1b058e532c2203f4b61aae34d"),
-    ("passive", False): (80629, "249c5b08c218f6f5a0b35694d6884781ea6d86f0540f142913c8117ddbf988be"),
-    ("passive", True): (35438, "32a54cb0bae6bec9be74f7cc15f8edadf4e07c92f44ec701a8d28eba8513d6bf"),
+    ("pbft", False): (83394, 49381, "fb42ee2c1972b7b89822318c468b2ed559c9fa5fcab44a768b4e79a82ed5d018"),
+    ("pbft", True): (42434, 25625, "9ec2abca9d1bcfa51b4b7e872fad1e713b16e8efe5bdea7b3e2e53e68eb465e2"),
+    ("minbft", False): (88418, 50319, "2f9f136ceba860c64b0707cba3117cc11049fa27c29e534968ce387b49386870"),
+    ("minbft", True): (47325, 27087, "2422c47436a908b61614cd33808e69d46a1f0615f888ba77f1e9b2eaf810fde6"),
+    ("cft", False): (182496, 98807, "6524073198b22399161cb832d8ffcd9f8315ef146ea5ab7055bbcfd7fa5b5b8f"),
+    ("cft", True): (71243, 38543, "91b5b4416822114f1886bd7c5b256349893ef4954dfcbe9c6e0f7a96ef345ec4"),
+    ("passive", False): (108096, 62635, "9d0b71c1c3bd440bc17222979e80d1fd68fe16b328e3d2ab020a219214e531d6"),
+    ("passive", True): (44994, 26802, "606240dd9c4dd7220aee0b2e5329eae80fd905a11a3aeb5ec0ec61d1f3336875"),
 }
 
 
-def run_through_primary_crash(protocol, tuned):
+def run_through_primary_crash(protocol, tuned, express):
     config = None
     if tuned:
         config = protocol_config_for(
@@ -58,7 +64,7 @@ def run_through_primary_crash(protocol, tuned):
             leases=LeaseConfig(),
         )
     sim = Simulator(seed=14)
-    chip = Chip(sim, ChipConfig(width=5, height=5))
+    chip = Chip(sim, ChipConfig(width=5, height=5, noc=NocConfig(express_routing=express)))
     group = build_group(
         chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=config)
     )
@@ -84,15 +90,17 @@ def run_through_primary_crash(protocol, tuned):
 def test_golden_run_through_primary_crash(protocol, tuned, monkeypatch):
     monkeypatch.delenv("REPRO_CONSENSUS_BATCH", raising=False)
     monkeypatch.delenv("REPRO_BFT_LEASES", raising=False)
-    sim, chip, group = run_through_primary_crash(protocol, tuned)
-    dump = json.dumps(chip.metrics.dump(), sort_keys=True)
-    observed = (sim.events_fired, hashlib.sha256(dump.encode()).hexdigest())
-    # The scenario must exercise what it pins: service before and after
-    # the failover, safely.
-    assert group.safety.is_safe
-    assert all(client.completions_in(CRASH_AT, RUN_UNTIL) > 0 for client in group.clients)
-    assert any(replica.view > 0 for replica in group.correct_replicas())
-    assert observed == GOLDENS[(protocol, tuned)]
+    hop_by_hop, analytic, metrics_hash = GOLDENS[(protocol, tuned)]
+    for express, events in ((False, hop_by_hop), (True, analytic)):
+        sim, chip, group = run_through_primary_crash(protocol, tuned, express)
+        dump = json.dumps(chip.metrics.dump(), sort_keys=True)
+        observed = (sim.events_fired, hashlib.sha256(dump.encode()).hexdigest())
+        # The scenario must exercise what it pins: service before and after
+        # the failover, safely.
+        assert group.safety.is_safe
+        assert all(client.completions_in(CRASH_AT, RUN_UNTIL) > 0 for client in group.clients)
+        assert any(replica.view > 0 for replica in group.correct_replicas())
+        assert observed == (events, metrics_hash), f"express_routing={express}"
 
 
 PLUMBING = (

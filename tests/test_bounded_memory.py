@@ -210,6 +210,45 @@ def test_view_change_recovery_and_state_transfer_on_truncated_logs(protocol, bat
             assert size <= OUTSTANDING + SLACK, (replica.name, attr, size)
 
 
+def test_minbft_new_view_reusing_an_executed_usig_counter_is_not_shadowed():
+    """A MinBFT sequence number is the primary's USIG counter, and the
+    counters of different primaries overlap.  r1 misses 20 000 sim-ms of
+    view 0, so its counter (one per COMMIT it sent) trails r0's (one per
+    PREPARE); when r0 crashes, r1 leads view 1 with numbers view 0 has
+    executed.  A slot kept under such a number across the view change
+    shadowed the new PREPARE — the backup never voted and the group sat
+    out another view timeout (602 -> 1066 completed ops in the churn run
+    that found it; fails at 76f5517, the parent of PR 16)."""
+    view_timeout = 8_000.0
+    sim = Simulator(seed=3)
+    chip = Chip(sim, ChipConfig(width=5, height=5))
+    group = build_group(chip, GroupConfig(
+        protocol="minbft", f=1, group_id="g",
+        protocol_config=protocol_config_for("minbft", view_timeout=view_timeout),
+    ))
+    client = ClientNode("c0", ClientConfig(think_time=50, timeout=20_000))
+    group.attach_client(client)
+    client.start()
+    r0, r1, r2 = (group.replicas[name] for name in group.members)
+    sim.schedule_at(10_000, r1.crash)
+    sim.schedule_at(30_000, r1.recover)
+    sim.run(until=60_000)
+    executed_in_view_0 = r2.last_executed
+    assert r1.last_executed == executed_in_view_0  # r1 caught up, but its
+    assert r1.usig.peek_counter() + 10 < executed_in_view_0  # counter did not
+    r0.crash()
+    sim.run(until=92_000)  # client timeout, one progress timeout, the view change
+    view_changes = chip.metrics.counter("g.view_changes").value
+    assert (r1.view, r2.view, view_changes) == (1, 1, 2)
+    # Both survivors commit under the reused numbers, in view 1, at once.
+    assert min(r1.last_executed, r2.last_executed) > executed_in_view_0 + 5
+    sim.run(until=92_000 + 4 * view_timeout)
+    assert (r1.view, r2.view) == (1, 1)
+    assert chip.metrics.counter("g.view_changes").value == view_changes
+    assert client.completed > executed_in_view_0 + 50
+    assert group.safety.is_safe and not group.safety.violations
+
+
 @pytest.mark.parametrize("batched", [False, True], ids=["plain", "batched+leases"])
 def test_minbft_equivocating_backup_on_truncated_logs(batched):
     n = 300

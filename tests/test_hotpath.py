@@ -1,14 +1,14 @@
 """Tests for the hot-path overhaul: NoC express routing, the fault-epoch
 route cache, O(1) kernel accounting, and one-pass MAC vectors.
 
-The express path's contract is *exactness*: batching hops inside one
-event must be unobservable — same deliveries, same timestamps, same
+The express path's contract is *exactness*: reserving a whole route at
+send time must be unobservable — same deliveries, same timestamps, same
 metrics, byte for byte — compared to hop-by-hop execution.  Most tests
 here run the same scenario under both configurations and assert
-equality rather than asserting absolute numbers.
+equality rather than asserting absolute numbers
+(``tests/test_noc_analytic.py`` does the same on seeded random traffic
+and faults).
 """
-
-import pytest
 
 from repro.crypto import Authenticator, KeyStore, compute_mac
 from repro.crypto.mac import digest
@@ -65,8 +65,8 @@ def test_express_matches_hop_by_hop_under_faults():
     sim_h, _, slow = run_traffic(express=False, fault="degrade")
     assert fast == slow
     # The gate is per route: flows crossing the degraded link take the
-    # hop-by-hop slow path, but unrelated flows keep batching, so the
-    # express config still fires fewer events than the pure slow path.
+    # hop-by-hop slow path, but unrelated flows are still one event each,
+    # so the express config fires fewer events than the pure slow path.
     assert sim_e.events_fired < sim_h.events_fired
     # The degraded link really corrupted the flow crossing it.
     assert any(corrupted for *_, corrupted in fast)
@@ -74,7 +74,7 @@ def test_express_matches_hop_by_hop_under_faults():
 
 def test_per_route_gate_only_slows_routes_crossing_the_fault():
     # All flows cross the degraded link -> event counts converge to the
-    # slow path exactly; no flow crosses it -> full batching survives.
+    # slow path exactly; no flow crosses it -> one event per packet survives.
     def corner_stream(express, flows, degrade):
         sim, net = make_net(5, 5, express_routing=express)
         net.degrade_link(*degrade)
@@ -93,7 +93,7 @@ def test_per_route_gate_only_slows_routes_crossing_the_fault():
     elsewhere = [(Coord(0, 4), Coord(4, 4)), (Coord(4, 0), Coord(4, 4))]
     on = corner_stream(True, elsewhere, (Coord(1, 0), Coord(2, 0)))
     off = corner_stream(False, elsewhere, (Coord(1, 0), Coord(2, 0)))
-    assert on < off  # fault elsewhere: batching keeps its economy
+    assert on < off  # fault elsewhere: the event economy is kept
 
 
 def test_compiled_route_fault_free_reflects_route_state():
@@ -125,8 +125,8 @@ def test_express_single_flow_latency_equivalence():
 
 
 def test_express_disabled_outside_run():
-    # Sends issued outside run() cannot use lookahead; they must still
-    # deliver correctly once the loop starts.
+    # A send issued between runs reserves nothing until the loop starts
+    # (its injection is an event); it must still deliver correctly.
     sim, net = make_net(express_routing=True)
     got = []
     net.attach(Coord(3, 3), got.append)
@@ -137,9 +137,9 @@ def test_express_disabled_outside_run():
 
 
 def test_express_respects_run_horizon():
-    # A packet injected just before the horizon must not pre-commit
-    # state beyond it: faults applied between run() windows still take
-    # effect at the boundary, exactly as with hop-by-hop execution.
+    # A packet injected just before the horizon has hops reserved beyond
+    # it: a fault applied between run() windows must take those back and
+    # take effect at the boundary, exactly as with hop-by-hop execution.
     def windowed(express):
         sim, net = make_net(6, 1, express_routing=express)
         outcome = []
@@ -155,12 +155,11 @@ def test_express_respects_run_horizon():
     assert windowed(True) == windowed(False)
 
 
-@pytest.mark.xfail(strict=True, reason="known gap: the lookahead bound cannot see events "
-                   "the sending handler schedules after send() returns")
 def test_express_ignores_events_scheduled_after_send_returns():
-    # A's eager hops reserve link (1,0)->(2,0) before B, which the same
-    # handler schedules only after send() returns, exists.  Hop by hop B
-    # gets that link first (B@17, A@21); express delivers A@18, B@22.
+    # A's hops reserve link (1,0)->(2,0) before B, which the same handler
+    # schedules only after send() returns, exists.  B reaches that link
+    # first, so B goes in before A there and A is re-timed: B@17, A@21 in
+    # both modes (the lookahead-bounded express path delivered A@18, B@22).
     def deliveries(express):
         sim, net = make_net(4, 1, express_routing=express)
         got = []
@@ -336,23 +335,6 @@ def test_step_fires_trace_hooks():
     assert sim.step() and sim.step()
     assert not sim.step()
     assert [e.time for e in seen] == [1.0, 2.0]
-
-
-def test_lookahead_limit_gating():
-    sim = Simulator()
-    assert sim.lookahead_limit() is None  # outside run()
-    observed = []
-
-    def probe():
-        observed.append(sim.lookahead_limit())
-
-    sim.schedule(1.0, probe)
-    sim.schedule(5.0, lambda: None)
-    sim.run()
-    assert observed == [5.0]  # next pending event bounds the lookahead
-    sim.schedule(6.0, probe)
-    sim.run(max_events=10)
-    assert observed[-1] is None  # capped runs forbid pre-commits
 
 
 # ----------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_events_fired_counter():
 
 
 # ----------------------------------------------------------------------
-# peek_next_time / lookahead_limit edge cases
+# peek_next_time edge cases
 # ----------------------------------------------------------------------
 def test_peek_next_time_empty_queue_returns_none():
     sim = Simulator()
@@ -213,42 +213,6 @@ def test_peek_next_time_all_cancelled_heap_returns_none():
     # The lazy sweep really discarded the corpses.
     assert sim.pending_count() == 0
     assert not sim._heap
-
-
-def test_lookahead_limit_unbounded_on_empty_queue():
-    sim = Simulator()
-    observed = []
-    sim.schedule(1.0, lambda: observed.append(sim.lookahead_limit()))
-    sim.run()
-    # The probe is the last event: nothing pending bounds the lookahead.
-    assert observed == [float("inf")]
-
-
-def test_lookahead_limit_skips_all_cancelled_heap():
-    sim = Simulator()
-    observed = []
-    sim.schedule(1.0, lambda: observed.append(sim.lookahead_limit()))
-    doomed = [sim.schedule(t, lambda: None) for t in (2.0, 3.0, 4.0)]
-    for event in doomed:
-        event.cancel()
-    sim.run()
-    assert observed == [float("inf")]
-
-
-def test_lookahead_limit_when_horizon_equals_next_event_time():
-    sim = Simulator()
-    observed = []
-    sim.schedule(1.0, lambda: observed.append(
-        (sim.lookahead_limit(), sim.run_horizon)
-    ))
-    fired = []
-    sim.schedule(5.0, lambda: fired.append(sim.now))
-    sim.run(until=5.0)
-    # The limit is the next *pending* time — here exactly the horizon —
-    # and the event at the horizon still fires (until is inclusive).
-    assert observed == [(5.0, 5.0)]
-    assert fired == [5.0]
-    assert sim.now == 5.0
 
 
 # ----------------------------------------------------------------------

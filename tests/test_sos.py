@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bft import ClientConfig, ClientNode
-from repro.noc import Coord
+from repro.noc import Coord, NocConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig, Node
 from repro.sos import (
@@ -217,3 +217,65 @@ def test_single_chip_group_dies_with_its_chip():
     before = client.completed
     sim.run(until=400_000)
     assert client.completed == before
+
+
+# ----------------------------------------------------------------------
+# One kernel, several NoCs
+# ----------------------------------------------------------------------
+def test_same_instant_deliveries_on_two_chips_fire_in_one_order_in_both_modes():
+    # Each chip's first packet; both are delivered at t=40.  "a" is sent
+    # first (t=4, six 6-unit hops), but hop by hop its delivery is only
+    # scheduled at t=34, long after that of "b" (t=6, one 34-unit hop).
+    # Were both packet 0 of their own chip, their deliveries would tie on
+    # (time, priority) and fire in scheduling order: a, b when analytic
+    # and b, a hop by hop.  With one id sequence per kernel "a" is older.
+    def order(express):
+        sim = Simulator()
+        system = MultiChipSystem(sim)
+        log = []
+        for name in ("A", "B"):
+            config = ChipConfig(width=7, height=1, noc=NocConfig(express_routing=express))
+            system.add_chip(name, Chip(sim, config))
+            for coord in system.chips[name].noc.routers:
+                system.chips[name].noc.attach(coord, lambda p: log.append((p.payload, sim.now)))
+        a, b = system.chips["A"].noc, system.chips["B"].noc
+        assert a.packet_ids is b.packet_ids
+        sim.schedule_at(4.0, a.send, Coord(0, 0), Coord(6, 0), "a", 64)
+        sim.schedule_at(6.0, b.send, Coord(0, 0), Coord(1, 0), "b", 512)
+        sim.run()
+        return log
+
+    assert order(True) == order(False) == [("a", 40.0), ("b", 40.0)]
+
+
+def test_express_on_off_identical_on_a_two_chip_system():
+    # Same-instant NoC events are ranked by packet id on the shared
+    # kernel; with per-chip ids they would tie across chips and fall back
+    # to scheduling order, which differs between the traversal modes.
+    def spanning_run(express):
+        sim = Simulator(seed=5)
+        system = MultiChipSystem(sim)
+        for name in ("A", "B"):
+            config = ChipConfig(width=4, height=4, noc=NocConfig(express_routing=express))
+            system.add_chip(name, Chip(sim, config))
+        system.connect("A", "B")
+        group = build_spanning_group(system, protocol="minbft", f=1)
+        clients = []
+        for i, chip_name in enumerate(("A", "B", "A")):
+            client = ClientNode(f"c{i}", ClientConfig(think_time=40, timeout=30_000))
+            group.attach_client(client, chip_name)
+            client.start()
+            clients.append(client)
+        sim.run(until=120_000)
+        assert group.safety.is_safe
+        return (
+            [client.completed for client in clients],
+            [client.latencies_in(0, sim.now) for client in clients],
+            {name: chip.metrics.dump() for name, chip in system.chips.items()},
+            group.metrics.dump(),
+        ), sim.events_fired
+
+    (fast, fast_events), (slow, slow_events) = spanning_run(True), spanning_run(False)
+    assert fast == slow
+    assert min(fast[0]) > 50  # every client, both chips, was served through the tunnel
+    assert fast_events < slow_events
