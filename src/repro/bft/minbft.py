@@ -180,8 +180,7 @@ class MinBftReplica(BaseReplica):
             return
         if sender not in self.group.members:
             return
-        delay = self.charge(self.costs.usig_verify)
-        self.sim.schedule(delay, self._sequence_ui_message, sender, message)
+        self.after(self.costs.usig_verify, self._sequence_ui_message, sender, message)
 
     def _sequence_ui_message(self, sender: str, message: Any) -> None:
         """Verify the UI and enforce per-sender counter order with hold-back."""
@@ -257,8 +256,7 @@ class MinBftReplica(BaseReplica):
         if self._in_view_change or not self.is_primary:
             return False  # demoted while the batch was queued
         dig = proposal_digest(proposal)
-        delay = self.charge(self.costs.usig_create)
-        self.sim.schedule(delay, self._send_prepare, proposal, dig)
+        self.after(self.costs.usig_create, self._send_prepare, proposal, dig)
         return True
 
     def _send_prepare(self, proposal: Proposal, dig: bytes) -> None:
@@ -311,8 +309,7 @@ class MinBftReplica(BaseReplica):
         if slot.commit_sent:
             return
         slot.commit_sent = True
-        delay = self.charge(self.costs.usig_create)
-        self.sim.schedule(delay, self._emit_commit, prepare)
+        self.after(self.costs.usig_create, self._emit_commit, prepare)
 
     def _emit_commit(self, prepare: MbPrepare) -> None:
         if self.state is NodeState.CRASHED:

@@ -135,8 +135,9 @@ class PbftReplica(BaseReplica):
         """Multicast with a MAC vector: charge one MAC per recipient, then
         send.  ``auth_size`` rides on the message for wire accounting."""
         recipients = self.other_members()
-        delay = self.charge(self.costs.mac_compute * len(recipients))
-        self.sim.schedule(delay, self._do_multicast, recipients, message)
+        self.after(
+            self.costs.mac_compute * len(recipients), self._do_multicast, recipients, message
+        )
 
     def _do_multicast(self, recipients, message) -> None:
         if self.state is NodeState.CRASHED:
@@ -162,8 +163,7 @@ class PbftReplica(BaseReplica):
         # verification first.
         if sender not in self.group.members:
             return
-        delay = self.charge(self.costs.mac_verify)
-        self.sim.schedule(delay, self._dispatch_verified, sender, message)
+        self.after(self.costs.mac_verify, self._dispatch_verified, sender, message)
 
     def _dispatch_verified(self, sender: str, message: Any) -> None:
         if self.state is NodeState.CRASHED:

@@ -441,8 +441,7 @@ class BaseReplica(Node):
         reply = ClientReply(self.name, client, rid, result, self.view)
         self._cache_reply(reply)
         self._executions.inc()
-        delay = self.charge(self.costs.execute_request)
-        self.sim.schedule(delay, self._send_reply, reply)
+        self.after(self.costs.execute_request, self._send_reply, reply)
 
     def _cache_reply(self, reply: ClientReply) -> None:
         cache = self._last_reply.setdefault(reply.client, {})

@@ -26,15 +26,16 @@ Two traversal modes produce the same deliveries, drops and counters:
   of the clock; those packets, like the ones whose route crosses a fault
   to begin with, go on one hop per event with the live health checks.
 
-Routes on the fault-free mesh are memoized in a ``(src, dst)`` cache
-invalidated by ``fault_epoch``, which every fault/repair call bumps.
+Routes on the fault-free mesh are memoized in a ``(src, dst)`` cache that
+every fault/repair call empties as it bumps ``fault_epoch``; an entry is
+also :meth:`NocNetwork.send`'s proof that both ends are on the mesh.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics import MetricsRegistry
@@ -60,13 +61,14 @@ class CompiledRoute:
     Coord hashing on the hot path.
     """
 
-    __slots__ = ("coords", "routers", "links", "last", "fault_free")
+    __slots__ = ("coords", "routers", "links", "last", "fault_free", "analytic")
 
     def __init__(
         self,
         coords: List[Coord],
         routers: Dict[Coord, Router],
         links: Dict[Tuple[Coord, Coord], Link],
+        express: bool,
     ) -> None:
         self.coords = coords
         self.routers = [routers[c] for c in coords]
@@ -79,6 +81,9 @@ class CompiledRoute:
         self.fault_free = not any(r.failed for r in self.routers) and all(
             l.state is LinkState.UP for l in self.links
         )
+        #: :meth:`NocNetwork.send` may reserve the whole route on the spot
+        #: (a one-tile route is a loopback, which never enters the fabric).
+        self.analytic = express and self.fault_free and self.last > 0
 
 
 def _express_default() -> bool:
@@ -165,13 +170,12 @@ class NocNetwork:
         self._fired_at = -1.0
         self._fired_id = -1
         # Fault-epoch bookkeeping: bumped on every link/router state
-        # transition; invalidates the route cache.
+        # transition, which also empties the route cache.
         self.fault_epoch = 0
         self._down_links = 0
         self._corrupting_links = 0
         self._failed_routers = 0
         self._route_cache: Dict[Tuple[Coord, Coord], CompiledRoute] = {}
-        self._route_cache_epoch = 0
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -188,57 +192,61 @@ class NocNetwork:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, src: Coord, dst: Coord, payload: Any, size_bytes: int = 64) -> Packet:
+    def send(
+        self, src: Coord, dst: Coord, payload: Any, size_bytes: int = 64,
+        sender: Optional[str] = None, addressee: Optional[str] = None,
+    ) -> Packet:
         """Inject a packet; returns it so callers can trace its fate.
 
         The packet enters the fabric at the current instant, behind every
         older packet.  Inside an event the analytic traversal reserves
         its whole route before ``send`` returns; between runs (and hop by
-        hop) injection is an event of its own.
+        hop) injection is an event of its own.  ``sender`` and
+        ``addressee`` ride on the packet for the endpoints' use.
         """
-        routers = self.routers
-        if src not in routers or dst not in routers:
-            self.topology.require(src)
-            self.topology.require(dst)
         sim = self.sim
-        now = sim.now
-        packet = Packet(next(self.packet_ids), src, dst, payload, size_bytes, now)
-        if src == dst:
-            # Local loopback: skip the fabric, pay only switch latency.
-            router = routers[src]
-            router.packets_switched += 1
-            sim.schedule_at(
-                now + router.switch_latency, self._deliver, packet,
-                priority=1 + packet.packet_id,
-            )
-            return packet
-        route = self._route(src, dst)
-        if route is None:
-            self._drop(packet, "no route (failed links)", "no_route")
-            return packet
+        # A cached route vouches for both ends: only a miss validates them.
+        route = self._route_cache.get((src, dst)) or self._route(src, dst)
+        packet = Packet(
+            next(self.packet_ids), src, dst, payload, size_bytes, sim.now, sender, addressee
+        )
         packet._route = route
-        if route.fault_free and self.config.express_routing:
-            if sim.running:
-                self._commit(packet)
-                return packet
-            inject = self._commit
+        if sim.running and route is not None and route.analytic:
+            self._commit(packet)
         else:
-            inject = self._step
-        packet._event = sim.schedule_at(now, inject, packet, priority=1 + packet.packet_id)
+            self._inject(packet)
         return packet
 
     def multicast(
-        self, src: Coord, dsts: List[Coord], payload: Any, size_bytes: int = 64
+        self, src: Coord, dsts: List[Coord], payload: Any, size_bytes: int = 64,
+        sender: Optional[str] = None, addressees: Optional[List[str]] = None,
     ) -> List[Packet]:
         """Send the same payload to several destinations (replicated unicast,
-        as real NoCs without multicast trees do).
+        as real NoCs without multicast trees do), oldest packet first.
 
         The payload object (including any authenticator riding on it) is
         reused across all copies rather than rebuilt per destination, and
         each destination's route comes from the shared route cache.
+        ``addressees``, when given, names the endpoint behind each of
+        ``dsts``.  One pass: this is :meth:`send` with everything that
+        does not depend on the destination read once.
         """
-        self.topology.require(src)
-        return [self.send(src, dst, payload, size_bytes) for dst in dsts]
+        sim = self.sim
+        now = sim.now
+        running = sim.running
+        cache = self._route_cache
+        ids = self.packet_ids
+        packets = []
+        for dst, addressee in zip(dsts, addressees or repeat(None)):
+            route = cache.get((src, dst)) or self._route(src, dst)
+            packet = Packet(next(ids), src, dst, payload, size_bytes, now, sender, addressee)
+            packet._route = route
+            if running and route is not None and route.analytic:
+                self._commit(packet)
+            else:
+                self._inject(packet)
+            packets.append(packet)
+        return packets
 
     # ------------------------------------------------------------------
     # Faults
@@ -308,26 +316,46 @@ class NocNetwork:
         return link
 
     def _route(self, src: Coord, dst: Coord) -> Optional[CompiledRoute]:
-        if self.config.adaptive_routing:
-            blocked = self.failed_links() if self._down_links else None
-            if blocked:
-                try:
-                    detour = self.topology.route_avoiding(src, dst, blocked)
-                except ValueError:
-                    return None
-                return CompiledRoute(detour, self.routers, self.links)
+        """Resolve a route the cache does not hold: check both ends are on
+        the mesh, compile, and remember it unless it is a detour."""
+        topology = self.topology
+        express = self.config.express_routing
+        if self.config.adaptive_routing and self._down_links:
+            topology.require(src)
+            topology.require(dst)
+            try:
+                detour = topology.route_avoiding(src, dst, self.failed_links())
+            except ValueError:
+                return None
+            return CompiledRoute(detour, self.routers, self.links, express)
         # Deterministic XY route: independent of fault state, so safe to
-        # cache.  The cache is flushed whenever the fault epoch moves —
-        # cheap insurance that adaptive mode never sees a stale detour.
-        if self._route_cache_epoch != self.fault_epoch:
-            self._route_cache.clear()
-            self._route_cache_epoch = self.fault_epoch
+        # cache.  Every fault transition empties the cache all the same —
+        # cheap insurance that adaptive mode never sees a stale detour,
+        # and what keeps ``fault_free`` true to the epoch.
         key = (src, dst)
         route = self._route_cache.get(key)
         if route is None:
-            route = CompiledRoute(self.topology.xy_route(src, dst), self.routers, self.links)
+            route = CompiledRoute(topology.xy_route(src, dst), self.routers, self.links, express)
             self._route_cache[key] = route
         return route
+
+    def _inject(self, packet: Packet) -> None:
+        """The rest of :meth:`send` for a packet whose route is not
+        reserved on the spot: no route, a loopback, hop by hop, a route
+        across a fault, or a send between runs."""
+        route = packet._route
+        if route is None:
+            self._drop(packet, "no route (failed links)", "no_route")
+            return
+        sim = self.sim
+        at = sim.now
+        enter = self._commit if route.analytic else self._step
+        if not route.last:
+            # Local loopback: skip the fabric, pay only switch latency.
+            router = route.routers[0]
+            router.packets_switched += 1
+            at += router.switch_latency
+        packet._event = sim.schedule_at(at, enter, packet, priority=1 + packet.packet_id)
 
     # ------------------------------------------------------------------
     # Traversal
@@ -346,11 +374,23 @@ class NocNetwork:
         route = packet._route
         index = packet._index
         router = route.routers[index]
-        if router.failed:
+        if router.failed and route.last:  # a loopback never meets its router
             self._drop(packet, f"router {route.coords[index]} failed", "router_failed")
             return
         if index == route.last:
-            self._deliver(packet)
+            if packet.corrupted and self.config.drop_corrupted_silently:
+                self._drop(packet, "corrupted (end-to-end check)", "corrupted")
+                return
+            handler = self._handlers.get(packet.dst)
+            if handler is None:
+                self._drop(packet, f"no endpoint at {packet.dst}", "no_endpoint")
+                return
+            packet.delivered_at = self._fired_at = now = self.sim.now
+            self._fired_id = packet.packet_id
+            self._delivered.value += 1  # Counter.inc, without the call: one per packet
+            self._flit_hops.value += packet.flits * packet.hops
+            self._latency.observe(now - packet.injected_at)
+            handler(packet)
             return
         link = route.links[index]
         state = link.state
@@ -508,6 +548,7 @@ class NocNetwork:
         to, before any younger packet's event.
         """
         self.fault_epoch += 1
+        self._route_cache.clear()
         sim = self.sim
         now = sim.now
         if not sim.running:
@@ -534,21 +575,6 @@ class NocNetwork:
             del slots[keep:]
         for packet, slot in cut.items():
             self._cut_back(packet, slot[5], slot[0], self._step)
-
-    def _deliver(self, packet: Packet) -> None:
-        if packet.corrupted and self.config.drop_corrupted_silently:
-            self._drop(packet, "corrupted (end-to-end check)", "corrupted")
-            return
-        handler = self._handlers.get(packet.dst)
-        if handler is None:
-            self._drop(packet, f"no endpoint at {packet.dst}", "no_endpoint")
-            return
-        packet.delivered_at = self._fired_at = now = self.sim.now
-        self._fired_id = packet.packet_id
-        self._delivered.inc()
-        self._flit_hops.inc(packet.flit_hops)
-        self._latency.observe(now - packet.injected_at)
-        handler(packet)
 
     def _drop(self, packet: Packet, reason: str, label: str) -> None:
         packet.dropped = True

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Any, List, Optional
 
 from repro.noc.topology import Coord
@@ -15,15 +14,18 @@ def flits_for(size_bytes: int) -> int:
     """Number of flits needed for a payload, minimum 1 (head flit)."""
     if size_bytes < 0:
         raise ValueError(f"negative payload size {size_bytes}")
-    return max(1, math.ceil(size_bytes / FLIT_BYTES))
+    return -(-size_bytes // FLIT_BYTES) or 1
 
 
 class Packet:
     """One NoC packet in flight.
 
     ``payload`` is opaque to the NoC; the SoC layer puts protocol messages
-    here.  ``size_bytes`` drives serialization latency (flits cross a link
-    one per cycle) and fixes ``flits``, the packet's length, at creation;
+    here and names their two ends in ``sender`` and ``addressee`` (a packet
+    without an addressee is not for a node: raw NoC traffic, or an
+    inter-chip payload on its way to a gateway tile).  ``size_bytes``
+    drives serialization latency (flits cross a link one per cycle) and
+    fixes ``flits``, the packet's length, at creation;
     the trace fields (``hops``, ``path``, ``delivered_at``, the drop
     fields) let benches account for cost.  One is built per message sent,
     hence ``__slots__``.
@@ -41,21 +43,26 @@ class Packet:
 
     __slots__ = (
         "packet_id", "src", "dst", "payload", "size_bytes", "injected_at", "flits",
+        "sender", "addressee",
         "corrupted", "delivered_at", "dropped", "drop_reason", "hops", "path",
         "_route", "_index", "_event",
     )
 
     def __init__(
         self, packet_id: int, src: Coord, dst: Coord, payload: Any, size_bytes: int,
-        injected_at: float,
+        injected_at: float, sender: Optional[str] = None, addressee: Optional[str] = None,
     ) -> None:
+        if size_bytes < 0:
+            raise ValueError(f"negative payload size {size_bytes}")
         self.packet_id = packet_id
         self.src = src
         self.dst = dst
         self.payload = payload
         self.size_bytes = size_bytes
         self.injected_at = injected_at
-        self.flits = flits_for(size_bytes)
+        self.flits = -(-size_bytes // FLIT_BYTES) or 1  # flits_for, without the call
+        self.sender = sender
+        self.addressee = addressee
         self.corrupted = False
         self.delivered_at: Optional[float] = None
         self.dropped = False
@@ -79,5 +86,6 @@ class Packet:
         return self.flits * self.hops
 
     def __repr__(self) -> str:  # pragma: no cover
-        state = "dropped" if self.dropped else ("delivered" if self.delivered_at else "in-flight")
+        delivered = self.delivered_at is not None
+        state = "dropped" if self.dropped else ("delivered" if delivered else "in-flight")
         return f"<Packet #{self.packet_id} {self.src}->{self.dst} {self.flits}f {state}>"

@@ -25,17 +25,6 @@ class ChipConfig:
     costs: CostModel = field(default_factory=CostModel)
 
 
-class _Envelope:
-    """NoC payload wrapper: (sender name, addressee name, protocol message)."""
-
-    __slots__ = ("sender", "dst", "body")
-
-    def __init__(self, sender: str, dst: str, body: Any) -> None:
-        self.sender = sender
-        self.dst = dst
-        self.body = body
-
-
 class Chip:
     """The manycore SoC: the first object every experiment constructs.
 
@@ -153,7 +142,28 @@ class Chip:
                 return self.off_chip_handler(src_name, dst_name, body, size_bytes)
             self.metrics.counter("chip.dropped_unplaced").inc()
             return None
-        return self.noc.send(src_coord, dst_coord, _Envelope(src_name, dst_name, body), size_bytes)
+        return self.noc.send(src_coord, dst_coord, body, size_bytes, src_name, dst_name)
+
+    def multicast(self, src_name: str, dst_names: List[str], body: Any, size_bytes: int) -> int:
+        """:meth:`transmit` one message to every name but the sender's;
+        returns how many that is.
+
+        With everyone placed on this chip it is one pass down to
+        :meth:`NocNetwork.multicast`; anything else (an evicted peer, an
+        addressee on another chip) takes :meth:`transmit` name by name,
+        in the same order.
+        """
+        if src_name in dst_names:
+            dst_names = [name for name in dst_names if name != src_name]
+        placement = self._placement
+        src_coord = placement.get(src_name)
+        coords = list(map(placement.get, dst_names))
+        if src_coord is None or None in coords:
+            for name in dst_names:
+                self.transmit(src_name, name, body, size_bytes)
+        else:
+            self.noc.multicast(src_coord, coords, body, size_bytes, src_name, dst_names)
+        return len(dst_names)
 
     def deliver_from_gateway(self, src_name: str, dst_name: str, body: Any, size_bytes: int,
                              gateway: Coord) -> Optional[Packet]:
@@ -166,18 +176,18 @@ class Chip:
         if dst_coord is None:
             self.metrics.counter("chip.dropped_unplaced").inc()
             return None
-        return self.noc.send(gateway, dst_coord, _Envelope(src_name, dst_name, body), size_bytes)
+        return self.noc.send(gateway, dst_coord, body, size_bytes, src_name, dst_name)
 
     def _make_delivery_handler(self, coord: Coord):
         tile = self.tiles[coord]  # the tile object is fixed; its node and state are not
         crashed = TileState.CRASHED
 
         def handler(packet: Packet) -> None:
-            envelope = packet.payload
-            if not isinstance(envelope, _Envelope):
-                # Tunnelled inter-chip traffic: the gateway tile needs no
-                # hosted node, but a physically crashed tile kills the
-                # gateway logic too.
+            addressee = packet.addressee
+            if addressee is None:
+                # Not for a node.  Tunnelled inter-chip traffic: the
+                # gateway tile needs no hosted node, but a physically
+                # crashed tile kills the gateway logic too.
                 if self.gateway_handler is not None and tile.state is not crashed:
                     self.gateway_handler(packet)
                     return
@@ -187,17 +197,16 @@ class Chip:
             if tile.state is crashed or node is None:
                 self.metrics.counter("chip.dropped_dead_tile").inc()
                 return
-            if envelope.dst != node.name:
+            if addressee != node.name:
                 # The addressee moved away between injection and delivery.
                 self.metrics.counter("chip.dropped_stale_addr").inc()
                 return
+            body = packet.payload
             if packet.corrupted:
                 # Mark so MAC verification fails downstream; we model
                 # corruption as authenticator damage.
-                body = _corrupt_marker(envelope.body)
-            else:
-                body = envelope.body
-            node.deliver(envelope.sender, body)
+                body = _Corrupted(body)
+            node.deliver(packet.sender, body)
 
         return handler
 
@@ -205,17 +214,12 @@ class Chip:
         return f"<Chip {self.config.width}x{self.config.height} nodes={len(self._nodes)}>"
 
 
-def _corrupt_marker(body: Any) -> Any:
-    """Wrap a corrupted message body so protocol layers reject it.
-
-    Protocol messages check ``is_corrupted`` before MAC verification; this
-    models end-to-end integrity checks catching link-level bit errors.
-    """
-    return _Corrupted(body)
-
-
 class _Corrupted:
-    """Sentinel wrapper for link-corrupted message bodies."""
+    """Sentinel wrapper for link-corrupted message bodies.
+
+    Protocol messages check :func:`is_corrupted` before MAC verification;
+    this models end-to-end integrity checks catching link-level bit errors.
+    """
 
     def __init__(self, original: Any) -> None:
         self.original = original

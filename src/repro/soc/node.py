@@ -78,11 +78,11 @@ class Node:
     @property
     def is_correct(self) -> bool:
         """True if the node is neither crashed nor compromised."""
-        return self.state == NodeState.OK
+        return self.state is NodeState.OK
 
     def crash(self) -> None:
         """Stop the node.  In-flight handler work is abandoned."""
-        if self.state != NodeState.COMPROMISED:
+        if self.state is not NodeState.COMPROMISED:
             self.state = NodeState.CRASHED
         self.on_crash()
 
@@ -130,7 +130,7 @@ class Node:
         Returns the packet, or None if the node is crashed or an
         adversarial filter dropped the send.
         """
-        if self.state == NodeState.CRASHED or self.chip is None:
+        if self.state is NodeState.CRASHED or self.chip is None:
             return None
         for flt in self._outbound_filters:
             filtered = flt(dst, message)
@@ -142,10 +142,20 @@ class Node:
         return self.chip.transmit(self.name, dst, message, size_bytes)
 
     def broadcast(self, dsts: List[str], message: Any, size_bytes: int = 64) -> None:
-        """Send the same message to several nodes (self is skipped)."""
-        for dst in dsts:
-            if dst != self.name:
-                self.send(dst, message, size_bytes)
+        """Send the same message to several nodes (self is skipped).
+
+        What :meth:`send` would do name by name, in one call down to the
+        chip — unless an outbound filter is installed, which must see (and
+        may rewrite or drop) every ``(dst, message)`` on its own.
+        """
+        if self._outbound_filters:
+            for dst in dsts:
+                if dst != self.name:
+                    self.send(dst, message, size_bytes)
+        elif self.state is not NodeState.CRASHED and self.chip is not None:
+            copies = self.chip.multicast(self.name, dsts, message, size_bytes)
+            self.messages_sent += copies
+            self.bytes_sent += copies * size_bytes
 
     def charge(self, duration: float) -> float:
         """Serialize ``duration`` of compute on this node's core.
@@ -161,9 +171,25 @@ class Node:
         self._busy_until = busy_until = start + duration
         return busy_until - now
 
+    def after(self, duration: float, callback: Callable[..., Any], *args: Any) -> Any:
+        """:meth:`charge` ``duration``, then run ``callback(*args)`` when the
+        work completes: how every handler continues after paying for a step.
+
+        Fires at the instant scheduling after a :meth:`charge` delay would,
+        bit for bit, and returns the scheduled event.
+        """
+        if duration < 0:
+            raise ValueError(f"negative charge duration {duration}")
+        sim = self.sim
+        start = now = sim.now
+        if self._busy_until > now:
+            start = self._busy_until
+        self._busy_until = busy_until = start + duration
+        return sim.schedule_at(now + (busy_until - now), callback, *args)
+
     def deliver(self, sender: str, message: Any) -> None:
         """Entry point from the chip: queue handling of a received message."""
-        if self.state == NodeState.CRASHED:
+        if self.state is NodeState.CRASHED:
             return
         for flt in self._inbound_filters:
             filtered = flt(sender, message)
@@ -171,11 +197,10 @@ class Node:
                 return
             message = filtered
         self.messages_received += 1
-        delay = self.charge(self.costs.handle_message)
-        self.sim.schedule(delay, self._handle_if_alive, sender, message)
+        self.after(self.costs.handle_message, self._handle_if_alive, sender, message)
 
     def _handle_if_alive(self, sender: str, message: Any) -> None:
-        if self.state == NodeState.CRASHED:
+        if self.state is NodeState.CRASHED:
             return
         self.on_message(sender, message)
 

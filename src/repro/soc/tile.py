@@ -50,7 +50,7 @@ class Tile:
     @property
     def available(self) -> bool:
         """True if a new node (or spawn) may claim this tile."""
-        return not self.occupied and not self.reserved and self.state != TileState.CRASHED
+        return not self.occupied and not self.reserved and self.state is not TileState.CRASHED
 
     def reserve(self) -> None:
         """Hold the tile for an in-flight fabric spawn."""
@@ -66,7 +66,7 @@ class Tile:
         """Place a node on this tile.  The tile must be free and healthy."""
         if self.node is not None:
             raise ValueError(f"tile {self.coord} already hosts {self.node.name!r}")
-        if self.state == TileState.CRASHED:
+        if self.state is TileState.CRASHED:
             raise ValueError(f"tile {self.coord} is crashed; repair before hosting")
         self.node = node
         self.reserved = False
@@ -85,7 +85,7 @@ class Tile:
 
     def degrade(self) -> None:
         """Mark the tile as aging-degraded."""
-        if self.state == TileState.OK:
+        if self.state is TileState.OK:
             self.state = TileState.DEGRADED
 
     def repair(self) -> None:

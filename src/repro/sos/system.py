@@ -8,6 +8,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.noc.topology import Coord
 from repro.sim.simulator import Simulator
 from repro.soc.chip import Chip
+from repro.soc.tile import TileState
 from repro.sos.link import InterChipLink, InterChipLinkConfig
 
 
@@ -115,7 +116,7 @@ class MultiChipSystem:
         """Whole-chip failure: every tile crashes, all its links go down."""
         chip = self.chips[name]
         for tile in chip.tiles.values():
-            if tile.state.value != "crashed":
+            if tile.state is not TileState.CRASHED:
                 tile.crash()
         for (a, b), link in self._links.items():
             if a == name or b == name:

@@ -136,7 +136,7 @@ def test_express_disabled_outside_run():
     assert got and got[0].delivered_at == packet.delivered_at
 
 
-def test_express_respects_run_horizon():
+def test_express_fault_between_run_windows_takes_effect_at_the_boundary():
     # A packet injected just before the horizon has hops reserved beyond
     # it: a fault applied between run() windows must take those back and
     # take effect at the boundary, exactly as with hop-by-hop execution.
