@@ -29,15 +29,13 @@ Each run appends its numbers to ``benchmarks/BENCH_C3.json``.
 Standalone (CI smoke): ``python benchmarks/bench_c3_faultspace.py --smoke``
 """
 
-import json
 import os
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import run_once
+from conftest import append_trajectory, run_once
 
 from repro.faultspace import FaultspaceConfig, SequentialCampaign, render_report
 
@@ -106,18 +104,10 @@ def experiment(smoke=False):
 
 def record_trajectory(results):
     """Append this run's numbers to BENCH_C3.json (the C3 trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
     seq, fix = results["sequential"], results["fixed"]
-    history.append(
+    append_trajectory(
+        TRAJECTORY,
         {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "smoke": results["smoke"],
             "sequential_trials": seq["early_stopping"]["trials_executed"],
             "fixed_trials": fix["early_stopping"]["trials_executed"],
             "savings_fraction": seq["early_stopping"]["savings_fraction"],
@@ -127,11 +117,9 @@ def record_trajectory(results):
             ],
             "effective_mttf_lower": seq["dependability"]["effective_mttf_lower"],
             "byte_identical": results["identical"],
-        }
+        },
+        results["smoke"],
     )
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
 
 
 def check(results):

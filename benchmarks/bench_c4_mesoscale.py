@@ -32,12 +32,11 @@ Standalone (CI smoke): ``python benchmarks/bench_c4_mesoscale.py --smoke``
 import json
 import os
 import sys
-import time
 import tracemalloc
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import run_once
+from conftest import append_trajectory, run_once
 
 from repro.mesoscale import PopulationConfig
 from repro.metrics import Table
@@ -205,18 +204,10 @@ def experiment(smoke=False):
 
 def record_trajectory(results):
     """Append this run's numbers to BENCH_C4.json (the C4 trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
     main = results["main"]
-    history.append(
+    append_trajectory(
+        TRAJECTORY,
         {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "smoke": results["smoke"],
             "modeled_clients": main["modeled_clients"],
             "attach_bytes": main["attach_bytes"],
             "ops": main["ops"],
@@ -226,11 +217,9 @@ def record_trajectory(results):
             "shed": main["shed"],
             "shed_degraded": main["shed_degraded"],
             "byte_identical": results["identical"],
-        }
+        },
+        results["smoke"],
     )
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
 
 
 def check(results):

@@ -53,7 +53,6 @@ noisy) but the full deterministic assertions, and appends the measured
 numbers to ``benchmarks/BENCH_P1.json``.
 """
 
-import json
 import os
 import sys
 import tempfile
@@ -61,7 +60,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.metrics import Table  # noqa: E402
 from repro.noc.network import NocConfig, NocNetwork  # noqa: E402
@@ -301,16 +300,7 @@ def record_trajectory(smoke, express, baseline, faulty_express, faulty_baseline,
                       elsewhere_express, contended_express, contended_baseline,
                       ratio, identical):
     """Append this run's numbers to BENCH_P1.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "smoke": smoke,
+    append_trajectory(TRAJECTORY, {
         "express_pkt_per_s": round(express["pkt_per_s"], 1),
         "baseline_pkt_per_s": round(baseline["pkt_per_s"], 1),
         "express_events_per_s": round(express["events_per_s"], 1),
@@ -324,10 +314,7 @@ def record_trajectory(smoke, express, baseline, faulty_express, faulty_baseline,
         "elsewhere_pkt_per_s": round(elsewhere_express["pkt_per_s"], 1),
         "speedup": round(ratio, 3),
         "byte_identical": identical,
-    })
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
+    }, smoke)
 
 
 def check(results):

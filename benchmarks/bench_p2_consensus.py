@@ -33,15 +33,13 @@ runs shorter horizons with the same deterministic gates and appends the
 measured numbers to ``benchmarks/BENCH_P2.json``.
 """
 
-import json
 import os
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.bft.batching import BatchConfig  # noqa: E402
 from repro.bft.client import ClientConfig  # noqa: E402
@@ -184,18 +182,7 @@ def experiment(smoke=False):
 
 def record_trajectory(smoke, results):
     """Append this run's numbers to BENCH_P2.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
-    entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "smoke": smoke,
-        "byte_identical": results["identical"],
-    }
+    entry = {"byte_identical": results["identical"]}
     for protocol in PROTOCOLS:
         r = results[protocol]
         entry[f"{protocol}_baseline_ops_per_sec"] = round(r["baseline"]["ops_per_sec"], 2)
@@ -203,10 +190,7 @@ def record_trajectory(smoke, results):
         entry[f"{protocol}_speedup"] = round(r["ratio"], 3)
         entry[f"{protocol}_mean_batch"] = round(r["batched"]["mean_batch"], 2)
         entry[f"{protocol}_peak_inflight"] = int(r["batched"]["peak_inflight"])
-    history.append(entry)
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
+    append_trajectory(TRAJECTORY, entry, smoke)
 
 
 def check(results):

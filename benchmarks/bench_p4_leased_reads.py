@@ -37,14 +37,12 @@ Standalone (CI smoke): ``python benchmarks/bench_p4_leased_reads.py
 appends the measured numbers to ``benchmarks/BENCH_P4.json``.
 """
 
-import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig  # noqa: E402
 from repro.bft.batching import BatchConfig  # noqa: E402
@@ -282,18 +280,7 @@ def experiment(smoke=False):
 
 def record_trajectory(smoke, results):
     """Append this run's numbers to BENCH_P4.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
-    entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "smoke": smoke,
-        "staleness_violations": results["staleness"]["violations"],
-    }
+    entry = {"staleness_violations": results["staleness"]["violations"]}
     for protocol in PROTOCOLS:
         r = results[protocol]
         entry[f"{protocol}_quorum_ops_per_sec"] = round(
@@ -304,10 +291,7 @@ def record_trajectory(smoke, results):
         entry[f"{protocol}_reads_local"] = r["leased"]["reads_local"]
         entry[f"{protocol}_lease_fallbacks"] = r["leased"]["lease_fallbacks"]
         entry[f"{protocol}_ordered_frac"] = round(r["leased"]["ordered_frac"], 4)
-    history.append(entry)
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
+    append_trajectory(TRAJECTORY, entry, smoke)
 
 
 def check(results):

@@ -35,7 +35,6 @@ runs the same race on the fast analytic ``evolve_selftest`` landscape
 and appends the measured numbers to ``benchmarks/BENCH_P5.json``.
 """
 
-import json
 import os
 import sys
 import tempfile
@@ -43,7 +42,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.evolve import EvolutionaryCampaign, EvolveConfig  # noqa: E402
 from repro.metrics import Table  # noqa: E402
@@ -120,7 +119,7 @@ def experiment(smoke=False):
         None,
     )
     results = {
-        "mode": "smoke" if smoke else "full",
+        "smoke": smoke,
         "runner": mode["runner"],
         "campaign_seed": mode["campaign_seed"],
         "reference_hv": reference_hv,
@@ -184,16 +183,7 @@ def experiment(smoke=False):
 
 def record_trajectory(results):
     """Append this run's numbers to BENCH_P5.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
-    entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": results["mode"],
+    append_trajectory(TRAJECTORY, {
         "runner": results["runner"],
         "reference_hv": round(results["reference_hv"], 5),
         "baseline_trials": results["baseline_trials"],
@@ -205,11 +195,7 @@ def record_trajectory(results):
         "efficiency": round(results["efficiency"], 3),
         "early_killed": results["evolve_early_killed"],
         "repeat_identical": results["repeat_identical"],
-    }
-    history.append(entry)
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
+    }, results["smoke"])
 
 
 def check(results):

@@ -26,9 +26,8 @@ deterministic discrete-event simulation:
 * a mesoscale workload engine: aggregated client populations (10^5–10^6
   modeled clients per object) with arrival-process demand, admission
   control, and load shedding (:mod:`repro.mesoscale`), and
-* conservative parallel discrete-event simulation: per-shard-region
-  domains in worker processes, synchronized at lookahead barriers,
-  byte-identical to the serial kernel (:mod:`repro.pdes`), and
+* a sweep-scale campaign engine: resumable result stores and trial-level
+  process parallelism, one kernel per trial (:mod:`repro.campaign`), and
 * evolutionary design-space exploration: an NSGA-II loop over the
   protocol/batching/sharding/placement/rejuvenation space with common
   random numbers, trial memoization, and Pareto decision support
@@ -50,6 +49,7 @@ __version__ = "1.0.0"
 __all__ = [
     "analysis",
     "bft",
+    "campaign",
     "core",
     "crypto",
     "evolve",
@@ -60,7 +60,6 @@ __all__ = [
     "mesoscale",
     "metrics",
     "noc",
-    "pdes",
     "recon",
     "shard",
     "sim",

@@ -21,10 +21,6 @@ Three built-ins, graded by size:
 * ``leased-reads`` — the P4 read-path sweep: leases on/off × read ratio
   on PBFT and MinBFT, an aggregated population at a read-heavy mix —
   what single-hop leased reads buy over the f+1 quorum fast path.
-* ``pdes-scaling`` — domain-count sweep of the P3 conservative PDES:
-  the same per-domain workload over 1, 2, then 4 lookahead-synchronized
-  domains, with the serial-vs-parallel byte-identity check folded in as
-  a metric.
 * ``scaling``    — 20 deliberately I/O-bound selftest trials used to
   measure the executor's parallel speedup.  Simulation trials are
   CPU-bound, so their speedup needs as many cores as workers; this
@@ -206,33 +202,6 @@ def _faultspace(n_seeds: int = 12, campaign_seed: int = 0) -> CampaignSpec:
     )
 
 
-def _pdes_scaling(n_seeds: int = 3, campaign_seed: int = 0) -> CampaignSpec:
-    return CampaignSpec(
-        name="pdes-scaling",
-        runner="pdes",
-        mode="grid",
-        axes={"n_domains": [1, 2, 4]},
-        base={
-            "duration": 60_000.0,
-            "warmup": 60_000.0,
-            "shards_per_domain": 1,
-            "rate_per_tick": 1.0,
-            "tick": 100.0,
-            "width": 6,
-            "height": 6,
-            # Trials run serially inside pool workers; the P3 bench owns
-            # the wall-clock story.  verify re-runs each point in
-            # parallel mode and reports byte_identical.
-            "workers": 1,
-            "verify": 1,
-        },
-        n_seeds=n_seeds,
-        campaign_seed=campaign_seed,
-        trial_timeout=600.0,
-        description="P3 conservative PDES: domain-count sweep + identity check",
-    )
-
-
 def _smoke(n_seeds: int = 4, campaign_seed: int = 0) -> CampaignSpec:
     return CampaignSpec(
         name="smoke",
@@ -270,7 +239,6 @@ BUILTIN_CAMPAIGNS: Dict[str, Callable[..., CampaignSpec]] = {
     "mesoscale": _mesoscale,
     "leased-reads": _leased_reads,
     "faultspace": _faultspace,
-    "pdes-scaling": _pdes_scaling,
     "smoke": _smoke,
 }
 

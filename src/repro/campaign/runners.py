@@ -21,9 +21,6 @@ Built-ins:
   or off, reporting local-read share and lease churn counters.
 * ``rejuv_apt`` — the rejuvenation-vs-APT survival race of E4, exposing
   period/diversify/relocate and attacker effort as sweep axes.
-* ``pdes`` — the P3 conservative-PDES trial: a domain fleet advanced
-  through lookahead barriers, optionally verifying that parallel
-  execution reproduces the serial summary byte for byte.
 * ``evolve`` — the P5 design-point evaluation: one genome of the
   evolutionary search (protocol/f/batching/window/shards/mesh/
   rejuvenation/lease) scored on the four Pareto objectives.
@@ -540,76 +537,6 @@ def run_rejuv_apt(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "time_beyond_f": beyond_f[0],
         "compromised_at_end": attacker.compromised_count,
         "variants_known": len(attacker.known_variants),
-    }
-
-
-@register_runner("pdes")
-def run_pdes_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One conservative-PDES trial (the P3 campaign).
-
-    Builds a ``n_domains``-domain fleet and advances it through
-    lookahead barriers.  ``workers`` picks the execution mode (1 =
-    serial reference, N = worker processes); the summary is
-    mode-independent by construction, so sweeping ``workers`` must not
-    change any reported metric.  With ``verify`` set, the trial runs
-    *both* modes and reports whether the canonical summaries were
-    byte-identical — the PDES exactness contract as a campaign metric.
-
-    Wall-clock numbers are deliberately not returned: campaign
-    summaries are byte-stable artifacts (see :mod:`repro.campaign.report`);
-    speed lives in the P3 bench.
-
-    Params: ``n_domains``, ``shards_per_domain``, ``workers``,
-    ``verify``, ``duration``, ``warmup``, ``window``,
-    ``inter_domain_hops``, ``tick``, ``rate_per_tick``, ``key_space``,
-    ``max_inflight``, ``protocol``, ``f``, ``width``, ``height``.
-    """
-    import dataclasses
-
-    from repro.pdes import PdesConfig, run_pdes, summary_bytes
-
-    window = params.get("window")
-    config = PdesConfig(
-        seed=seed,
-        n_domains=int(params.get("n_domains", 4)),
-        shards_per_domain=int(params.get("shards_per_domain", 1)),
-        protocol=params.get("protocol", "minbft"),
-        f=int(params.get("f", 1)),
-        width=int(params.get("width", 6)),
-        height=int(params.get("height", 6)),
-        duration=float(params.get("duration", 120_000.0)),
-        warmup=float(params.get("warmup", 60_000.0)),
-        inter_domain_hops=int(params.get("inter_domain_hops", 100)),
-        window=float(window) if window is not None else None,
-        tick=float(params.get("tick", 100.0)),
-        rate_per_tick=float(params.get("rate_per_tick", 2.0)),
-        key_space=int(params.get("key_space", 256)),
-        max_inflight=int(params.get("max_inflight", 64)),
-        workers=int(params.get("workers", 1)),
-    )
-    summary = run_pdes(config)
-    identical = 1
-    if params.get("verify"):
-        # Re-run in the opposite mode and compare canonical bytes.
-        other_workers = 1 if config.workers > 1 else min(config.n_domains, 2)
-        other = dataclasses.replace(config, workers=other_workers)
-        identical = 1 if summary_bytes(run_pdes(other)) == summary_bytes(summary) else 0
-    totals = summary["totals"]
-    return {
-        "ops": totals["completed_ok"],
-        "ops_per_sec": totals["ops_per_sec"],
-        "failed_ops": totals["completed_failed"],
-        "remote_out": totals["remote_out"],
-        "remote_in": totals["remote_in"],
-        "shed": totals["shed"],
-        "events_fired": totals["events_fired"],
-        "in_flight_at_end": totals["in_flight_at_end"],
-        "n_windows": summary["n_windows"],
-        "p50_latency": summary["latency"]["p50"],
-        "p99_latency": summary["latency"]["p99"],
-        "remote_p99_latency": summary["remote_latency"]["p99"],
-        "byte_identical": identical,
-        "safe": totals["safe"],
     }
 
 

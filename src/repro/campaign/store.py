@@ -120,8 +120,14 @@ class ResultStore:
     def append(self, record: Dict[str, Any]) -> None:
         """Append one attempt record and flush it to disk immediately."""
         if self._handle is None:
-            self._handle = open(self.results_path, "a", encoding="utf-8")
-        self._handle.write(canonical_json(record) + "\n")
+            self._handle = open(self.results_path, "a+b")
+            # A kill mid-append leaves a partial last line with no
+            # newline; end it, or this record is glued onto it and lost.
+            if self._handle.tell():
+                self._handle.seek(-1, os.SEEK_END)
+                if self._handle.read(1) != b"\n":
+                    self._handle.write(b"\n")
+        self._handle.write((canonical_json(record) + "\n").encode("utf-8"))
         self._handle.flush()
         os.fsync(self._handle.fileno())
         if self._completed is not None and record.get("status") == "ok":

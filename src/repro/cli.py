@@ -34,11 +34,6 @@ Commands
     into {masked, SDC, detected-recovered, unavailable}, stop each
     stratum once its confidence interval is tight enough, and write the
     byte-stable dependability summary.
-``pdes``
-    One conservative parallel-simulation trial (:mod:`repro.pdes`):
-    per-shard-region domains advanced in lookahead-barrier windows,
-    inline or across worker processes; ``--verify`` re-runs in the
-    opposite mode and fails unless the summaries are byte-identical.
 ``evolve``
     Evolutionary design-space exploration (:mod:`repro.evolve`): an
     NSGA-II loop over the protocol/batching/sharding/placement/
@@ -76,7 +71,6 @@ EXPERIMENTS = [
     ("C4", "mesoscale traffic: 10^5+ aggregated clients, admission + shedding", "bench_c4_mesoscale.py"),
     ("P1", "perf: NoC express path + kernel hot-path overhaul", "bench_p1_hotpath.py"),
     ("P2", "perf: consensus batching + pipelined agreement", "bench_p2_consensus.py"),
-    ("P3", "perf: conservative PDES, byte-identical parallel domains", "bench_p3_pdes.py"),
     ("P4", "perf: leased local reads with bounded staleness", "bench_p4_leased_reads.py"),
     ("P5", "perf: evolutionary search reaches the Pareto front >=2x cheaper than sweeps", "bench_p5_evolve.py"),
 ]
@@ -466,78 +460,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return 0 if summary["front"] else 1
 
 
-def cmd_pdes(args: argparse.Namespace) -> int:
-    """Run one conservative-PDES trial (P3), optionally cross-checking modes."""
-    from repro.metrics.tables import Table
-    from repro.pdes import PdesConfig, PdesCoordinator, summary_bytes
-
-    try:
-        config = PdesConfig(
-            seed=args.seed,
-            n_domains=args.domains,
-            shards_per_domain=args.shards_per_domain,
-            protocol=args.protocol,
-            f=args.f,
-            width=args.width,
-            height=args.height,
-            duration=args.duration,
-            warmup=args.warmup,
-            inter_domain_hops=args.inter_domain_hops,
-            window=args.window,
-            tick=args.tick,
-            rate_per_tick=args.rate,
-            max_inflight=args.max_inflight,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    coordinator = PdesCoordinator(config)
-    summary = coordinator.run()
-
-    table = Table(
-        "domain",
-        ["domain", "shards", "local", "remote_out", "remote_in", "ok",
-         "failed", "shed"],
-        title=(f"{config.n_domains} domain(s) x {config.shards_per_domain} "
-               f"shard(s), window={config.barrier_window:g} "
-               f"lookahead={config.lookahead:g}, workers={config.workers}"),
-    )
-    for domain_id in sorted(summary["domains"]):
-        d = summary["domains"][domain_id]
-        table.add_row([
-            domain_id, config.shards_per_domain, d["local_submitted"],
-            d["remote_out"], d["remote_in"], d["completed_ok"],
-            d["completed_failed"], d["shed"],
-        ])
-    print(table.render())
-    totals = summary["totals"]
-    latency = summary["latency"]
-    print(f"\n{summary['n_windows']} barrier windows, "
-          f"{totals['completed_ok']} ops "
-          f"({totals['ops_per_sec']:.1f} ops/s sim), "
-          f"p50={latency['p50']:.1f}ms p99={latency['p99']:.1f}ms, "
-          f"{totals['remote_out']} cross-domain ops, "
-          f"safe={bool(totals['safe'])}")
-    print(f"wall: {coordinator.wall_seconds:.2f}s "
-          f"(workers={config.workers}; wall time is not part of the summary)")
-
-    if args.verify:
-        import dataclasses
-
-        other_workers = 1 if config.workers > 1 else min(config.n_domains, 2)
-        other = PdesCoordinator(
-            dataclasses.replace(config, workers=other_workers)
-        )
-        other_summary = other.run()
-        identical = summary_bytes(summary) == summary_bytes(other_summary)
-        print(f"verify: workers={config.workers} vs workers={other_workers} "
-              f"-> {'byte-identical' if identical else 'MISMATCH'}")
-        if not identical:
-            return 1
-    return 0 if totals["safe"] else 1
-
-
 # ----------------------------------------------------------------------
 # campaign subcommands
 # ----------------------------------------------------------------------
@@ -826,44 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--quiet", action="store_true",
                         help="suppress per-trial progress lines")
     evolve.set_defaults(fn=cmd_evolve)
-
-    pdes = sub.add_parser(
-        "pdes",
-        help="run a conservative parallel-simulation trial (P3)",
-    )
-    pdes.add_argument("--seed", type=int, default=42)
-    pdes.add_argument("--domains", type=int, default=4,
-                      help="number of simulation domains (shard regions)")
-    pdes.add_argument("--shards-per-domain", type=int, default=1,
-                      help="replica groups simulated inside each domain")
-    pdes.add_argument("--workers", type=int, default=1,
-                      help="worker processes hosting domain kernels "
-                      "(1 = serial reference)")
-    pdes.add_argument("--protocol",
-                      choices=["minbft", "pbft", "cft", "passive"],
-                      default="minbft")
-    pdes.add_argument("--f", type=int, default=1,
-                      help="fault threshold per replica group")
-    pdes.add_argument("--duration", type=float, default=120_000.0,
-                      help="post-warmup horizon (sim ms)")
-    pdes.add_argument("--warmup", type=float, default=60_000.0)
-    pdes.add_argument("--inter-domain-hops", type=int, default=100,
-                      help="minimum NoC hops between domains; sets lookahead")
-    pdes.add_argument("--window", type=float, default=None,
-                      help="barrier window (sim ms, <= lookahead; "
-                      "default: the lookahead itself)")
-    pdes.add_argument("--tick", type=float, default=100.0,
-                      help="traffic-generation tick (sim ms)")
-    pdes.add_argument("--rate", type=float, default=2.0,
-                      help="mean operations per domain per tick")
-    pdes.add_argument("--max-inflight", type=int, default=64,
-                      help="per-domain concurrent submission cap")
-    pdes.add_argument("--width", type=int, default=6)
-    pdes.add_argument("--height", type=int, default=6)
-    pdes.add_argument("--verify", action="store_true",
-                      help="re-run in the opposite mode (serial vs parallel) "
-                      "and fail unless summaries are byte-identical")
-    pdes.set_defaults(fn=cmd_pdes)
 
     campaign = sub.add_parser(
         "campaign", help="run sweep-scale experiment campaigns"

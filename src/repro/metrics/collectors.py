@@ -24,10 +24,6 @@ class Counter:
         """Zero the counter (used between measurement phases)."""
         self.value = 0
 
-    def merge_from(self, other: "Counter") -> None:
-        """Fold another counter's total into this one (sum; commutative)."""
-        self.value += other.value
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Counter {self.name}={self.value}>"
 
@@ -59,18 +55,6 @@ class Gauge:
         """Zero the reading and its high-water mark."""
         self.value = 0.0
         self.peak = 0.0
-
-    def merge_from(self, other: "Gauge") -> None:
-        """Fold another gauge in: readings sum, high-water marks take max.
-
-        Summing matches how gauges are used here (active replicas,
-        in-flight depth): each domain contributes its own share of a
-        system-wide quantity.  Both operations are commutative and
-        associative, so merge order never matters.
-        """
-        self.value += other.value
-        if other.peak > self.peak:
-            self.peak = other.peak
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Gauge {self.name}={self.value} peak={self.peak}>"
@@ -161,25 +145,6 @@ class Histogram:
             "max": self.max(),
         }
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        The result is the multiset union, so every order-insensitive
-        query (count, total via ``math.fsum``'s correctly-rounded sum,
-        mean, percentiles — which sort first) is identical no matter how
-        many ways the same observations were split across merges.
-        """
-        if not other._values:
-            return
-        if self._values and not (
-            self._sorted and other._sorted and other._values[0] >= self._values[-1]
-        ):
-            self._sorted = False
-        elif not self._values:
-            self._sorted = other._sorted
-        self._values.extend(other._values)
-        self._last = other._last
-
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._values = array("d", sorted(self._values))
@@ -228,17 +193,6 @@ class TimeSeries:
     def last(self) -> Optional[Tuple[float, float]]:
         """The most recent sample, or None."""
         return self._samples[-1] if self._samples else None
-
-    def merge_from(self, other: "TimeSeries") -> None:
-        """Interleave another series' samples in time order.
-
-        Ties on time sort by value so the merged sequence is a pure
-        function of the combined sample multiset, independent of merge
-        order.
-        """
-        if not other._samples:
-            return
-        self._samples = sorted(self._samples + other._samples)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TimeSeries {self.name} n={self.count}>"

@@ -8,14 +8,6 @@ from repro.metrics.collectors import Counter, Gauge, Histogram, TimeSeries
 
 Metric = Union[Counter, Gauge, Histogram, TimeSeries]
 
-_TYPE_TAGS: Dict[type, str] = {
-    Counter: "counter",
-    Gauge: "gauge",
-    Histogram: "histogram",
-    TimeSeries: "timeseries",
-}
-_TAG_TYPES: Dict[str, type] = {tag: cls for cls, tag in _TYPE_TAGS.items()}
-
 
 class MetricsRegistry:
     """Creates and caches named metric collectors.
@@ -78,29 +70,11 @@ class MetricsRegistry:
                 out[f"{name}.count"] = float(metric.count)
         return out
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold every metric of ``other`` into this registry.
-
-        Missing metrics are created; existing ones combine with the
-        collector's own merge rule (counters sum, gauges sum value and
-        take the max high-water mark, histograms take the multiset
-        union, timeseries interleave in time order).  All four rules are
-        commutative and associative, so folding N registries yields the
-        same state regardless of merge order — the property the PDES
-        merge layer's byte-identity contract rests on.  A name bound to
-        a different collector type raises :class:`TypeError` (same rule
-        as :meth:`_get_or_create`).
-        """
-        for name, metric in sorted(other._metrics.items()):
-            mine = self._get_or_create(name, type(metric))
-            mine.merge_from(metric)  # type: ignore[arg-type]
-
     def dump(self) -> Dict[str, Dict[str, Any]]:
-        """Plain-data payload of every metric, for cross-process transport.
+        """Plain-data payload of every metric (dicts, lists, numbers).
 
-        The payload is JSON- and pickle-safe (dicts, lists, numbers) so a
-        worker process can ship its registry back over a pipe without
-        pickling collector objects.  :meth:`load` folds it back in.
+        JSON- and pickle-safe; what the golden and fingerprint tests
+        compare a run's full metric state by.
         """
         out: Dict[str, Dict[str, Any]] = {}
         for name, metric in sorted(self._metrics.items()):
@@ -116,33 +90,6 @@ class MetricsRegistry:
                     "samples": [[t, v] for t, v in metric.samples()],
                 }
         return out
-
-    def load(self, payload: Dict[str, Dict[str, Any]]) -> None:
-        """Fold a :meth:`dump` payload into this registry (merge semantics)."""
-        for name in sorted(payload):
-            entry = payload[name]
-            tag = entry["type"]
-            try:
-                cls = _TAG_TYPES[tag]
-            except KeyError:
-                raise ValueError(f"metric {name!r}: unknown collector type {tag!r}")
-            metric = self._get_or_create(name, cls)
-            if cls is Counter:
-                metric.inc(entry["value"])  # type: ignore[union-attr]
-            elif cls is Gauge:
-                metric.value += entry["value"]  # type: ignore[union-attr]
-                if entry["peak"] > metric.peak:  # type: ignore[union-attr]
-                    metric.peak = entry["peak"]  # type: ignore[union-attr]
-            elif cls is Histogram:
-                incoming = Histogram(name)
-                for v in entry["values"]:
-                    incoming.observe(v)
-                metric.merge_from(incoming)  # type: ignore[arg-type]
-            else:
-                incoming_ts = TimeSeries(name)
-                for t, v in entry["samples"]:
-                    incoming_ts.record(t, v)
-                metric.merge_from(incoming_ts)  # type: ignore[arg-type]
 
     def reset_counters(self) -> None:
         """Reset all counters and histograms (between measurement phases)."""

@@ -108,17 +108,6 @@ class NocConfig:
     drop_corrupted_silently: bool = False
     express_routing: bool = field(default_factory=_express_default)
 
-    @property
-    def min_hop_latency(self) -> float:
-        """Lower bound on one switch+link traversal.
-
-        Contention and serialization only add to this, so ``hops *
-        min_hop_latency`` is a sound lookahead bound for any path of
-        ``hops`` hops — the quantity the conservative PDES layer turns
-        into its synchronization horizon.
-        """
-        return self.switch_latency + self.link_latency
-
 
 class NocNetwork:
     """A mesh NoC carrying opaque payloads between tiles.

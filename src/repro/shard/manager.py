@@ -92,14 +92,9 @@ class ShardConfig:
     health_check_period: float = 10_000.0
     vnodes: int = 64
     functionality: str = "service"
-    #: Explicit shard ids (default ``s0..s{n-1}``).  The PDES layer names
-    #: each domain's shards globally (``d0.s0``, ``d1.s0``, ...) so every
-    #: domain hashes the same global id universe.
-    shard_ids: Optional[List[str]] = None
     #: Fixed consistent-hash salt.  When None the salt is drawn from the
-    #: system's own seeded RNG (the single-system default); PDES domains
-    #: share one externally drawn salt so each domain's directory is the
-    #: restriction of a single global ring.
+    #: system's own seeded RNG (the single-system default); a fixed salt
+    #: keeps key ownership the same across seeds.
     directory_salt: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -110,12 +105,6 @@ class ShardConfig:
                 "pass leases or a full protocol_config, not both "
                 "(protocol_config has its own leases field)"
             )
-        if self.shard_ids is not None:
-            if len(self.shard_ids) != self.n_shards:
-                raise ValueError(
-                    f"shard_ids has {len(self.shard_ids)} entries "
-                    f"but n_shards={self.n_shards}"
-                )
 
 
 @dataclass
@@ -145,7 +134,7 @@ class ShardedSystem:
         )
         self.fabric.register_variants(cfg.functionality, self.library.names())
         self.diversity = DiversityManager(self.library)
-        shard_ids = cfg.shard_ids or [f"s{i}" for i in range(cfg.n_shards)]
+        shard_ids = [f"s{i}" for i in range(cfg.n_shards)]
         if cfg.directory_salt is not None:
             self.directory = ShardDirectory(
                 shard_ids, salt=cfg.directory_salt, vnodes=cfg.vnodes

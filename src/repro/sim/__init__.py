@@ -26,7 +26,6 @@ from repro.sim.process import Condition, Process
 from repro.sim.rng import (
     RngRegistry,
     RngStream,
-    derive_domain_seed,
     derive_generation_seed,
     derive_trial_seed,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "SimTime",
     "Simulator",
     "Timeout",
-    "derive_domain_seed",
     "derive_generation_seed",
     "derive_trial_seed",
     "spawn",

@@ -42,35 +42,17 @@ def derive_trial_seed(campaign_seed: int, trial_id: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def derive_domain_seed(trial_seed: int, domain_id: str) -> int:
-    """Derive an independent 63-bit simulator seed for one PDES domain.
-
-    A parallel run partitions one trial across several simulation
-    domains, each with its own kernel and :class:`RngRegistry`.  Domains
-    must not share randomness with each other *or* with any whole-system
-    trial that happens to use the same master seed, so the derivation is
-    domain-separated from both ``_derive_seed`` and
-    :func:`derive_trial_seed` by its own ``pdes-domain:`` prefix.
-    Truncated to 63 bits for the same JSON round-trip reason as trial
-    seeds.
-    """
-    digest = hashlib.sha256(
-        f"pdes-domain:{trial_seed}:{domain_id}".encode("utf-8")
-    ).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
-
-
 def derive_generation_seed(campaign_seed: int, generation: int) -> int:
     """Derive the genetic-operator seed for one evolutionary generation.
 
     The evolve driver (:mod:`repro.evolve`) draws mutation, crossover,
     and tournament decisions for generation ``g`` from a stream seeded
     here.  The ``evolve-gen:`` prefix keeps the space disjoint from
-    component streams (``_derive_seed``), campaign trial seeds
-    (``campaign-trial:``), and PDES domain seeds (``pdes-domain:``), so
-    the search trajectory never shares randomness with the simulations
-    it steers — and is itself a pure function of ``(campaign_seed, g)``,
-    which is what makes interrupted evolutionary campaigns resumable.
+    component streams (``_derive_seed``) and campaign trial seeds
+    (``campaign-trial:``), so the search trajectory never shares
+    randomness with the simulations it steers — and is itself a pure
+    function of ``(campaign_seed, g)``, which is what makes interrupted
+    evolutionary campaigns resumable.
     Truncated to 63 bits for the same JSON round-trip reason as trial
     seeds.
     """

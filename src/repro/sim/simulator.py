@@ -154,22 +154,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def run_to(self, time: SimTime) -> SimTime:
-        """Advance the clock to absolute ``time``, firing everything due.
-
-        Barrier-stepping primitive for the conservative PDES layer: the
-        coordinator repeatedly calls ``run_to(window_end)`` so every
-        domain kernel observes exactly the same sequence of horizons.
-        Equivalent to ``run(until=time)`` plus the guarantee that the
-        clock never moves backwards — asking for a horizon below ``now``
-        is kernel misuse and raises :class:`SimulationError`.
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot run to the past: {time} < {self.now}"
-            )
-        return self.run(until=time)
-
     def step(self) -> bool:
         """Fire exactly one pending event.  Returns False if the queue is empty.
 

@@ -87,6 +87,13 @@ def test_truncated_tail_is_tolerated(tmp_path):
     reopened = ResultStore(tmp_path, spec).open()
     assert reopened.completed_ids() == {trials[0].trial_id}
     assert reopened.attempt_count() == 1
+    # The resumed run's first record must not be glued onto the partial line.
+    reopened.append(record_for(trials[1]))
+    reopened.close()
+    assert reopened.completed_ids() == {trials[0].trial_id, trials[1].trial_id}
+    assert [r["trial_id"] for r in reopened.ok_records()] == sorted(
+        t.trial_id for t in trials[:2]
+    )
 
 
 def test_spec_mismatch_refused(tmp_path):

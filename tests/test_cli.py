@@ -13,6 +13,15 @@ def test_info_runs(capsys):
     assert "repro" in out and "bft" in out
 
 
+def test_package_inventory_matches_subpackages_on_disk():
+    from pathlib import Path
+
+    import repro
+
+    on_disk = [p.parent.name for p in Path(repro.__file__).parent.glob("*/__init__.py")]
+    assert sorted(repro.__all__) == sorted(on_disk)
+
+
 def test_experiments_lists_all(capsys):
     assert main(["experiments"]) == 0
     out = capsys.readouterr().out

@@ -287,137 +287,6 @@ def test_clopper_pearson_wider_than_wilson():
 
 
 # ----------------------------------------------------------------------
-# Collector merge rules (the PDES merge layer rests on these)
-# ----------------------------------------------------------------------
-def test_counter_merge_sums():
-    a, b = Counter("c"), Counter("c")
-    a.inc(3)
-    b.inc(4)
-    a.merge_from(b)
-    assert a.value == 7
-    assert b.value == 4  # source untouched
-
-
-def test_gauge_merge_sums_values_and_maxes_peaks():
-    a, b = Gauge("g"), Gauge("g")
-    a.set(5.0)
-    a.set(2.0)  # peak 5, value 2
-    b.set(3.0)  # peak 3, value 3
-    a.merge_from(b)
-    assert a.value == 5.0
-    assert a.peak == 5.0
-    b.set(9.0)
-    a.merge_from(b)
-    assert a.peak == 9.0
-
-
-def test_histogram_merge_is_multiset_union():
-    a, b = Histogram("h"), Histogram("h")
-    for v in [5, 1, 9]:
-        a.observe(v)
-    for v in [2, 8]:
-        b.observe(v)
-    a.merge_from(b)
-    assert a.count == 5
-    assert sorted(a.values()) == [1, 2, 5, 8, 9]
-    assert a.percentile(50) == 5
-
-
-def test_histogram_merge_preserves_sortedness_when_cheap():
-    a, b = Histogram("h"), Histogram("h")
-    for v in [1, 2, 3]:
-        a.observe(v)
-    for v in [4, 5]:
-        b.observe(v)
-    a.merge_from(b)
-    assert a._sorted  # appended run starts at/after a's last value
-    c = Histogram("h")
-    c.observe(0)
-    a.merge_from(c)
-    assert not a._sorted  # out-of-order tail detected
-    assert a.percentile(0) == 0  # and queries still sort correctly
-
-
-def test_timeseries_merge_interleaves_in_time_order():
-    a, b = TimeSeries("t"), TimeSeries("t")
-    a.record(1.0, 10.0)
-    a.record(5.0, 50.0)
-    b.record(2.0, 20.0)
-    b.record(5.0, 40.0)
-    a.merge_from(b)
-    assert a.samples() == [(1.0, 10.0), (2.0, 20.0), (5.0, 40.0), (5.0, 50.0)]
-
-
-def test_collector_merges_are_order_independent():
-    import json
-
-    def build(observations):
-        registry = MetricsRegistry()
-        for v in observations:
-            registry.counter("ops").inc()
-            registry.histogram("lat").observe(v)
-            registry.gauge("depth").set(v)
-        registry.timeseries("load").record(float(observations[0]), 1.0)
-        return registry
-
-    def folded(order):
-        merged = MetricsRegistry()
-        for r in order:
-            merged.merge(r)
-        return json.dumps(
-            {
-                "snapshot": merged.snapshot(),
-                "p99": merged.histogram("lat").percentile(99),
-                "peak": merged.gauge("depth").peak,
-                "samples": merged.timeseries("load").samples(),
-            },
-            sort_keys=True,
-        )
-
-    parts = [build([3, 1]), build([7, 2]), build([5])]
-    reference = folded(parts)
-    assert folded(parts[::-1]) == reference
-    assert folded([parts[1], parts[0], parts[2]]) == reference
-
-
-def test_registry_merge_rejects_type_conflicts():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("x").inc()
-    b.gauge("x").set(1.0)
-    with pytest.raises(TypeError):
-        a.merge(b)
-
-
-def test_registry_dump_load_round_trip():
-    import json
-
-    source = MetricsRegistry()
-    source.counter("ops").inc(11)
-    source.gauge("depth").set(4.0)
-    source.gauge("depth").set(2.0)
-    source.histogram("lat").observe(3.0)
-    source.histogram("lat").observe(1.0)
-    source.timeseries("load").record(0.0, 1.0)
-    payload = source.dump()
-    # The payload is pure data: it must survive JSON.
-    payload = json.loads(json.dumps(payload))
-    restored = MetricsRegistry()
-    restored.load(payload)
-    assert restored.snapshot() == source.snapshot()
-    assert restored.gauge("depth").peak == 4.0
-    assert restored.histogram("lat").values() == [3.0, 1.0]
-    # load() has merge semantics: loading twice doubles the counter.
-    restored.load(payload)
-    assert restored.counter("ops").value == 22
-    assert restored.histogram("lat").count == 4
-
-
-def test_registry_load_rejects_unknown_type():
-    with pytest.raises(ValueError):
-        MetricsRegistry().load({"x": {"type": "sketch", "value": 1}})
-
-
-# ----------------------------------------------------------------------
 # Pareto helpers (minimization vectors)
 # ----------------------------------------------------------------------
 

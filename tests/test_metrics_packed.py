@@ -75,17 +75,6 @@ class ListHistogram:
             "p95": self.percentile(95), "p99": self.percentile(99), "max": self.max(),
         }
 
-    def merge_from(self, other):
-        if not other._values:
-            return
-        if self._values and not (
-            self._sorted and other._sorted and other._values[0] >= self._values[-1]
-        ):
-            self._sorted = False
-        elif not self._values:
-            self._sorted = other._sorted
-        self._values.extend(other._values)
-
 
 def assert_same(packed: Histogram, reference: ListHistogram) -> None:
     """Order-insensitive queries first (they must not depend on whether a
@@ -123,41 +112,6 @@ def test_histogram_matches_the_list_backed_reference(script):
             packed.observe(step)
             reference.observe(step)
     assert_same(packed, reference)
-
-
-@given(
-    st.lists(st.lists(latencies, max_size=12), min_size=1, max_size=6),
-    st.randoms(use_true_random=False),
-    st.lists(st.booleans(), min_size=6, max_size=6),
-)
-def test_merge_over_random_splits_and_orders(parts, rng, presort):
-    def fold(order):
-        packed, reference = Histogram("m"), ListHistogram()
-        for i in order:
-            part_packed, part_reference = Histogram("p"), ListHistogram()
-            for v in parts[i]:
-                part_packed.observe(v)
-                part_reference.observe(v)
-            if presort[i]:  # a part that was queried before being shipped
-                part_packed.percentile(50)
-                part_reference.percentile(50)
-            packed.merge_from(part_packed)
-            reference.merge_from(part_reference)
-            assert packed._sorted == reference._sorted
-        assert_same(packed, reference)
-        return packed
-
-    order = list(range(len(parts)))
-    first = fold(order)
-    rng.shuffle(order)
-    second = fold(order)
-    assert first.summary() == second.summary()
-    assert first.total == second.total
-    # Observing after a merge keeps the sortedness bookkeeping honest.
-    first.observe(first.max())
-    assert first._sorted
-    first.observe(first.min() - 1.0)
-    assert first.percentile(0) == first.min()
 
 
 @given(st.lists(latencies, max_size=40), st.lists(latencies, max_size=10))

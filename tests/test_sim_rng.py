@@ -164,21 +164,14 @@ def test_derive_generation_seed_fits_signed_64_bit_json():
 
 
 def test_seed_derivation_namespaces_never_collide():
-    # The three derivation families hash under distinct domain prefixes
-    # ("campaign-trial:", "pdes-domain:", "evolve-gen:"), so a generation
-    # seed can never alias a trial or PDES-domain seed even for equal
-    # string inputs — the seed-hygiene contract the evolve driver
-    # relies on when it mixes generation streams with trial execution.
-    from repro.sim import (
-        derive_domain_seed,
-        derive_generation_seed,
-        derive_trial_seed,
-    )
+    # The two derivation families hash under distinct domain prefixes
+    # ("campaign-trial:", "evolve-gen:"), so a generation seed can never
+    # alias a trial seed even for equal string inputs — the seed-hygiene
+    # contract the evolve driver relies on when it mixes generation
+    # streams with trial execution.
+    from repro.sim import derive_generation_seed, derive_trial_seed
 
     inputs = [str(i) for i in range(300)]
     trial = {derive_trial_seed(0, s) for s in inputs}
-    domain = {derive_domain_seed(0, s) for s in inputs}
     generation = {derive_generation_seed(0, g) for g in range(300)}
-    assert trial.isdisjoint(domain)
     assert trial.isdisjoint(generation)
-    assert domain.isdisjoint(generation)

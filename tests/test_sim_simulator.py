@@ -216,40 +216,8 @@ def test_peek_next_time_all_cancelled_heap_returns_none():
 
 
 # ----------------------------------------------------------------------
-# run_to (the PDES barrier-stepping primitive)
+# Windowed runs
 # ----------------------------------------------------------------------
-def test_run_to_rejects_horizons_in_the_past():
-    sim = Simulator()
-    sim.schedule(10.0, lambda: None)
-    sim.run_to(10.0)
-    with pytest.raises(SimulationError):
-        sim.run_to(9.0)
-
-
-def test_run_to_current_time_is_a_no_op():
-    sim = Simulator()
-    sim.schedule(3.0, lambda: None)
-    sim.run_to(3.0)
-    assert sim.run_to(3.0) == 3.0
-    assert sim.now == 3.0
-
-
-def test_run_to_advances_clock_over_an_empty_queue():
-    sim = Simulator()
-    assert sim.run_to(42.0) == 42.0
-    assert sim.now == 42.0
-
-
-def test_run_to_fires_events_due_exactly_at_the_horizon():
-    sim = Simulator()
-    fired = []
-    sim.schedule(5.0, lambda: fired.append("edge"))
-    sim.schedule(5.000001, lambda: fired.append("past"))
-    sim.run_to(5.0)
-    assert fired == ["edge"]
-    assert sim.pending_count() == 1
-
-
 def test_windowed_run_to_matches_single_run():
     def workload(sim, log):
         def ping(i):
@@ -264,12 +232,15 @@ def test_windowed_run_to_matches_single_run():
     horizon = 0.0
     while horizon < 200.0:
         horizon += 13.0
-        windowed_sim.run_to(horizon)
+        windowed_sim.run(until=horizon)
     straight_sim, straight_log = Simulator(seed=3), []
     workload(straight_sim, straight_log)
     straight_sim.run()
     assert windowed_log == straight_log
     assert windowed_sim.events_fired == straight_sim.events_fired
+    # A horizon already behind the clock fires nothing and moves nothing.
+    assert windowed_sim.run(until=horizon - 50.0) == horizon
+    assert windowed_sim.now == horizon
 
 
 # ----------------------------------------------------------------------
