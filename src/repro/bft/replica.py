@@ -444,10 +444,17 @@ class BaseReplica(Node):
         self.after(self.costs.execute_request, self._send_reply, reply)
 
     def _cache_reply(self, reply: ClientReply) -> None:
+        # Kept in rid order, so the smallest rid is the first key.
         cache = self._last_reply.setdefault(reply.client, {})
-        cache[reply.rid] = reply
+        rid = reply.rid
+        out_of_order = bool(cache) and rid < next(reversed(cache))
+        cache[rid] = reply
+        if out_of_order:  # rare: a retransmit ordered behind its successors
+            replies = sorted(cache.items())
+            cache.clear()
+            cache.update(replies)
         while len(cache) > self.REPLY_CACHE_SIZE:
-            del cache[min(cache)]
+            del cache[next(iter(cache))]
 
     def _send_reply(self, reply: ClientReply) -> None:
         if self.state is NodeState.CRASHED or self.chip is None:

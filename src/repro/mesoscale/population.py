@@ -133,6 +133,7 @@ class ClientPopulation(TrafficSource):
         self._timer: Optional[PeriodicTimer] = None
         self._stream: Optional["RngStream"] = None
         self._counters: Dict[str, Any] = {}  # suffix -> counter, bound on first use
+        self._histograms: Dict[str, Any] = {}  # likewise
 
     # ------------------------------------------------------------------
     # Introspection
@@ -319,4 +320,9 @@ class ClientPopulation(TrafficSource):
         return counter
 
     def _histogram(self, suffix: str):
-        return self.router.chip.metrics.histogram(f"mesoscale.{self.name}.{suffix}")
+        histogram = self._histograms.get(suffix)
+        if histogram is None:
+            histogram = self._histograms[suffix] = self.router.chip.metrics.histogram(
+                f"mesoscale.{self.name}.{suffix}"
+            )
+        return histogram

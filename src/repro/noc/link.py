@@ -57,9 +57,9 @@ class Link:
 
     Links are the hottest objects in the interconnect — the network
     reserves one per packet per hop and inlines the common cases (empty
-    calendar, append after its tail) — hence ``__slots__``.  Fault state
-    must be driven through :class:`~repro.noc.network.NocNetwork`'s fault
-    interface, which also takes back what was reserved ahead.
+    calendar, append after its tail) — hence ``__slots__``.  ``state`` is
+    set by :class:`~repro.noc.network.NocNetwork`'s fault interface only,
+    which bumps the fault epoch and takes back what was reserved ahead.
     """
 
     __slots__ = (
@@ -71,8 +71,6 @@ class Link:
         "state",
         "busy_until",
         "slots",
-        "packets_carried",
-        "flits_carried",
     )
 
     def __init__(
@@ -93,25 +91,11 @@ class Link:
         self.state = LinkState.UP
         self.busy_until = 0.0
         self.slots: List[Slot] = []
-        self.packets_carried = 0
-        self.flits_carried = 0
 
     @property
     def key(self) -> tuple:
         """(src, dst) — the link's identity in the network's link map."""
         return (self.src, self.dst)
-
-    def fail(self) -> None:
-        """Hard-fail the link (packets are dropped on entry)."""
-        self.state = LinkState.DOWN
-
-    def degrade(self) -> None:
-        """Put the link into corrupting mode."""
-        self.state = LinkState.CORRUPTING
-
-    def repair(self) -> None:
-        """Restore the link to normal operation."""
-        self.state = LinkState.UP
 
     def transfer_time(self, flits: int) -> float:
         """Time from entering the link to fully arriving at the far router."""
@@ -158,8 +142,8 @@ class Link:
             self.settle(i + 1, end, displaced)
         return end
 
-    def release(self, packet: "Packet", displaced: List[Slot]) -> bool:
-        """Take back ``packet``'s slot; False if it has none here (any more).
+    def release(self, packet: "Packet", displaced: List[Slot]) -> None:
+        """Take back ``packet``'s slot, if it has one here (still).
 
         Slots behind it that can now start earlier go to ``displaced``.
         """
@@ -170,8 +154,7 @@ class Link:
             if slots[i][4] is packet:
                 del slots[i]
                 self.settle(i, slots[i - 1][3] if i else self.busy_until, displaced)
-                return True
-        return False
+                return
 
     def settle(self, j: int, free_at: float, displaced: List[Slot]) -> None:
         """Re-time ``slots[j:]`` after a change before them.

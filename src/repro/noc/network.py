@@ -24,7 +24,8 @@ Two traversal modes produce the same deliveries, drops and counters:
   from that hop on and resumes there, as one event at its unchanged
   arrival time.  A fault transition takes back everything reserved ahead
   of the clock; those packets, like the ones whose route crosses a fault
-  to begin with, go on one hop per event with the live health checks.
+  to begin with or was compiled in an earlier ``fault_epoch``, go on one
+  hop per event with the live health checks — reserving looks at none.
 
 Routes on the fault-free mesh are memoized in a ``(src, dst)`` cache that
 every fault/repair call empties as it bumps ``fault_epoch``; an entry is
@@ -55,13 +56,15 @@ class CompiledRoute:
     """A route resolved to the objects the forwarding loop touches.
 
     ``coords[i]`` is the i-th tile, ``routers[i]`` its Router, and
-    ``links[i]`` the Link from ``coords[i]`` to ``coords[i+1]``.  Compiling
-    once per ``(src, dst)`` (the entries live in the fault-epoch route
-    cache) keeps per-hop work to list indexing — no dict lookups or
-    Coord hashing on the hot path.
+    ``links[i]`` the Link from ``coords[i]`` to ``coords[i+1]``;
+    ``hops[i]`` is all that reserving that hop reads: ``(links[i],
+    routers[i].switch_latency, links[i].cycle_time, links[i].latency)``.
+    Compiling once per ``(src, dst)`` (the entries live in the
+    fault-epoch route cache) keeps per-hop work to unpacking one tuple —
+    no dict lookups or Coord hashing on the hot path.
     """
 
-    __slots__ = ("coords", "routers", "links", "last", "fault_free", "analytic")
+    __slots__ = ("coords", "routers", "links", "hops", "last", "epoch", "fault_free", "analytic")
 
     def __init__(
         self,
@@ -69,15 +72,21 @@ class CompiledRoute:
         routers: Dict[Coord, Router],
         links: Dict[Tuple[Coord, Coord], Link],
         express: bool,
+        epoch: int,
     ) -> None:
         self.coords = coords
         self.routers = [routers[c] for c in coords]
         self.links = [links[(coords[i], coords[i + 1])] for i in range(len(coords) - 1)]
+        self.hops = tuple([
+            (link, router.switch_latency, link.cycle_time, link.latency)
+            for router, link in zip(self.routers, self.links)
+        ])
         self.last = len(coords) - 1
-        # Health of this route at compile time.  Entries live in the
-        # fault-epoch route cache, so the flag is recomputed whenever any
-        # fault state changes; it gates the analytic traversal per route
-        # rather than de-optimizing the whole mesh for one distant fault.
+        # Health of this route in the ``fault_epoch`` it was compiled in:
+        # every health change bumps the network's, so while the two are
+        # equal the flag holds *now*.  It gates the analytic traversal per
+        # route rather than de-optimizing the whole mesh for one distant fault.
+        self.epoch = epoch
         self.fault_free = not any(r.failed for r in self.routers) and all(
             l.state is LinkState.UP for l in self.links
         )
@@ -316,7 +325,7 @@ class NocNetwork:
                 detour = topology.route_avoiding(src, dst, self.failed_links())
             except ValueError:
                 return None
-            return CompiledRoute(detour, self.routers, self.links, express)
+            return CompiledRoute(detour, self.routers, self.links, express, self.fault_epoch)
         # Deterministic XY route: independent of fault state, so safe to
         # cache.  Every fault transition empties the cache all the same —
         # cheap insurance that adaptive mode never sees a stale detour,
@@ -324,7 +333,9 @@ class NocNetwork:
         key = (src, dst)
         route = self._route_cache.get(key)
         if route is None:
-            route = CompiledRoute(topology.xy_route(src, dst), self.routers, self.links, express)
+            route = CompiledRoute(
+                topology.xy_route(src, dst), self.routers, self.links, express, self.fault_epoch
+            )
             self._route_cache[key] = route
         return route
 
@@ -341,9 +352,7 @@ class NocNetwork:
         enter = self._commit if route.analytic else self._step
         if not route.last:
             # Local loopback: skip the fabric, pay only switch latency.
-            router = route.routers[0]
-            router.packets_switched += 1
-            at += router.switch_latency
+            at += route.routers[0].switch_latency
         packet._event = sim.schedule_at(at, enter, packet, priority=1 + packet.packet_id)
 
     # ------------------------------------------------------------------
@@ -389,6 +398,7 @@ class NocNetwork:
                 if self.config.adaptive_routing:
                     reroute = self._route(coords[index], packet.dst)
                     if reroute is not None and reroute.last > 0:
+                        packet._trail = packet.path[:-1]
                         packet._route = reroute
                         packet._index = 0
                         self._step(packet)
@@ -409,12 +419,8 @@ class NocNetwork:
             if depart > start:
                 start = depart
             link.busy_until = end = start + packet.flits * link.cycle_time
-        router.packets_switched += 1
-        link.packets_carried += 1
-        link.flits_carried += packet.flits
         packet.hops += 1
-        packet._index = index = index + 1
-        packet.path.append(route.coords[index])
+        packet._index = index + 1
         packet._event = sim.schedule_at(
             end + link.latency, self._step, packet, priority=1 + packet.packet_id
         )
@@ -426,24 +432,22 @@ class NocNetwork:
         :meth:`send`, or as the event that injects or resumes it).  Each
         hop takes a slot in its link's calendar at the time the previous
         one ends, so the only event left is the arrival at the
-        destination.  Should a router or link on the way be unhealthy the
-        reservation stops in front of it and that arrival is the event.
+        destination.  No hop looks at health: an analytic route of the
+        current ``fault_epoch`` is healthy by construction.  A packet
+        whose event outlived a fault transition goes on hop by hop, like
+        everything the transition cut back.
         """
+        route = packet._route
+        if route.epoch != self.fault_epoch:
+            self._step(packet)
+            return
         sim = self.sim
         now = arrival = sim.now
-        route = packet._route
-        first = index = packet._index
-        routers = route.routers
-        links = route.links
-        last = route.last
+        index = packet._index
         packet_id = packet.packet_id
         flits = packet.flits
-        while index < last:
-            router = routers[index]
-            link = links[index]
-            if router.failed or link.state is not _UP:
-                break
-            depart = arrival + router.switch_latency
+        for link, switch_latency, cycle_time, latency in route.hops[index:]:
+            depart = arrival + switch_latency
             slots = link.slots
             # Inlined Link.reserve for a packet that goes last: an empty
             # calendar, one wholly behind the clock, or one it extends.
@@ -468,15 +472,11 @@ class NocNetwork:
             else:
                 if depart > start:
                     start = depart
-                end = start + flits * link.cycle_time
+                end = start + flits * cycle_time
                 slots.append((arrival, packet_id, depart, end, packet, index))
-            router.packets_switched += 1
-            link.packets_carried += 1
-            link.flits_carried += flits
             index += 1
-            arrival = end + link.latency
-        packet.hops += index - first
-        packet.path.extend(route.coords[first + 1:index + 1])
+            arrival = end + latency
+        packet.hops += index - packet._index
         packet._index = index
         packet._event = sim.schedule_at(arrival, self._step, packet, priority=1 + packet_id)
 
@@ -484,37 +484,25 @@ class NocNetwork:
         """Re-time the packets whose slots a calendar change displaced.
 
         A displaced slot is already out of its calendar.  Its packet
-        gives up the slots (and counts) of the hops after it — which may
-        displace others in turn — and its pending event, and resumes from
-        that hop at the arrival time the slot had, which no later change
-        can have moved.
+        gives up the slots of the hops after it — which may displace
+        others in turn — and its pending event, and resumes from that hop
+        at the arrival time the slot had, which no later change can have
+        moved.
         """
         while displaced:
             arrival, _, _, _, packet, hop = displaced.pop()
-            self._uncount(packet, hop)
             if hop >= packet._index:
                 continue  # already cut back to an earlier hop
             links = packet._route.links
             for later in range(hop + 1, packet._index):
-                if links[later].release(packet, displaced):
-                    self._uncount(packet, later)
+                links[later].release(packet, displaced)
             self._cut_back(packet, hop, arrival, self._commit)
-
-    def _uncount(self, packet: Packet, hop: int) -> None:
-        """Take hop ``hop`` of ``packet`` back out of the traffic counters."""
-        route = packet._route
-        route.routers[hop].packets_switched -= 1
-        link = route.links[hop]
-        link.packets_carried -= 1
-        link.flits_carried -= packet.flits
 
     def _cut_back(
         self, packet: Packet, hop: int, arrival: float, resume: Callable[[Packet], None]
     ) -> None:
         """Make ``resume`` at router ``hop`` the packet's one pending event."""
-        undone = packet._index - hop
-        packet.hops -= undone
-        del packet.path[-undone:]
+        packet.hops -= packet._index - hop
         packet._index = hop
         packet._event.cancel()
         packet._event = self.sim.schedule_at(
@@ -557,7 +545,6 @@ class NocNetwork:
                 keep -= 1
             for slot in slots[keep:]:
                 packet = slot[4]
-                self._uncount(packet, slot[5])
                 first = cut.get(packet)
                 if first is None or slot[5] < first[5]:
                     cut[packet] = slot

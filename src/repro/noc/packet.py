@@ -38,14 +38,15 @@ class Packet:
     once the packet is delivered or dropped.  ``_route``, ``_index`` and
     ``_event`` are the network's: the compiled route being followed, the
     position on it of the packet's one pending event (every hop before it
-    is reserved), and that event.
+    is reserved), and that event; ``_trail`` is the tiles passed before
+    an adaptive re-route replaced ``_route`` (None otherwise).
     """
 
     __slots__ = (
         "packet_id", "src", "dst", "payload", "size_bytes", "injected_at", "flits",
         "sender", "addressee",
-        "corrupted", "delivered_at", "dropped", "drop_reason", "hops", "path",
-        "_route", "_index", "_event",
+        "corrupted", "delivered_at", "dropped", "drop_reason", "hops",
+        "_route", "_index", "_event", "_trail",
     )
 
     def __init__(
@@ -68,10 +69,17 @@ class Packet:
         self.dropped = False
         self.drop_reason = ""
         self.hops = 0
-        self.path: List[Coord] = [src]
         self._route: Any = None
         self._index = 0
         self._event: Any = None
+        self._trail: Optional[List[Coord]] = None
+
+    @property
+    def path(self) -> List[Coord]:
+        """The tiles visited (reserved, on the analytic path) so far."""
+        route = self._route
+        here = [self.src] if route is None else route.coords[: self._index + 1]
+        return here if self._trail is None else self._trail + here
 
     @property
     def latency(self) -> Optional[float]:

@@ -17,13 +17,12 @@ class Router:
     every packet passing through, and can hard-fail — a failed router
     drops everything addressed through it, modelling a dead tile region.
 
-    Routers sit on the per-hop fast path (the forwarding loop counts
-    one ``packets_switched`` per packet per hop), hence ``__slots__``.
-    Fault state must be driven through
+    One per tile and nothing per packet: what a router switched is read
+    off the packets' paths.  Fault state must be driven through
     :class:`~repro.noc.network.NocNetwork`'s fault interface.
     """
 
-    __slots__ = ("sim", "coord", "switch_latency", "failed", "packets_switched")
+    __slots__ = ("sim", "coord", "switch_latency", "failed")
 
     def __init__(self, sim: "Simulator", coord: Coord, switch_latency: float = 1.0) -> None:
         if switch_latency < 0:
@@ -32,7 +31,6 @@ class Router:
         self.coord = coord
         self.switch_latency = switch_latency
         self.failed = False
-        self.packets_switched = 0
 
     def fail(self) -> None:
         """Hard-fail the router."""

@@ -12,11 +12,14 @@ Covers the P2 machinery end-to-end:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
 from repro.bft.group import protocol_config_for
 from repro.bft.messages import (
+    ClientReply,
     ClientRequest,
     RequestBatch,
     proposal_digest,
@@ -371,6 +374,59 @@ def test_replica_reply_cache_bounded_per_client():
     # The ledger still answers replay checks for every historical rid.
     for rid in (0, 50, 99):
         assert primary.already_executed(ClientRequest("c0", rid, ("get", "k0")))
+
+
+def cache_reply_by_scanning(caches, size, reply):
+    """The eviction ``_cache_reply`` replaced, kept as its reference."""
+    cache = caches.setdefault(reply.client, {})
+    cache[reply.rid] = reply
+    while len(cache) > size:
+        del cache[min(cache)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        # (client, how, n): rid n steps from the client's newest (mostly
+        # ahead, sometimes a duplicate or a little behind), or rid n itself.
+        st.tuples(st.sampled_from("abc"), st.sampled_from(["step", "step", "step", "at"]),
+                  st.integers(-3, 6)),
+        max_size=400,
+    ),
+    st.sampled_from([1, 5, 64]),
+)
+def test_reply_cache_in_rid_order_evicts_what_scanning_for_the_minimum_did(stream, size):
+    _, _, group, _ = build("minbft")
+    replica = group.replicas[group.members[0]]
+    replica.REPLY_CACHE_SIZE = size
+    resent = []
+    replica.send = lambda dst, message, size_bytes: resent.append(message)
+    reference, newest = {}, {}
+    for client, how, n in stream:
+        rid = max(0, n + (newest.get(client, 0) if how == "step" else 3))
+        newest[client] = max(rid, newest.get(client, 0))
+        reply = ClientReply(replica.name, client, rid, ("ok", len(resent)), 0)
+        replica._cache_reply(reply)
+        cache_reply_by_scanning(reference, size, reply)
+        assert replica._last_reply == reference
+        assert all(list(c) == sorted(c) for c in replica._last_reply.values())
+    for client, cache in reference.items():
+        for rid in range(min(cache) - 2, max(cache) + 3):
+            resent.clear()
+            answered = replica.resend_cached_reply(ClientRequest(client, rid, ("get", "k")))
+            assert answered == (rid in cache) and resent == ([cache[rid]] if answered else [])
+    # State transfer keeps the order, so the receiver evicts correctly too.
+    _, _, other_group, _ = build("minbft")
+    receiver = other_group.replicas[other_group.members[1]]
+    receiver.REPLY_CACHE_SIZE = size
+    receiver.import_state(replica.export_state())
+    assert receiver._last_reply == reference
+    assert all(list(c) == sorted(c) for c in receiver._last_reply.values())
+    for client in reference:
+        reply = ClientReply(replica.name, client, max(reference[client]) + 1, "next", 0)
+        receiver._cache_reply(reply)
+        cache_reply_by_scanning(reference, size, reply)
+    assert receiver._last_reply == reference
 
 
 # ----------------------------------------------------------------------

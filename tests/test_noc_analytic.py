@@ -8,7 +8,8 @@ draws a scenario from a seed — mesh, traffic with bursts and hotspots,
 replies sent from inside delivery handlers, faults and repairs in
 flight, at the instant of a send, from inside a handler and between
 ``run(until=...)`` slices — plays it in both modes and compares every
-delivery (in order), every drop, every link and router counter,
+delivery (in order), every drop, every link's and router's load (derived
+from the ``path`` of every packet sent, ``tests/noc_loads.py``),
 ``noc.flit_hops`` and the final clock.
 
 The four cases at the end pin the calendar mechanics by hand on a 1-D
@@ -23,6 +24,7 @@ import pytest
 from repro.noc import Coord, MeshTopology, NocConfig, NocNetwork
 from repro.noc.link import LinkState
 from repro.sim import Simulator
+from tests.noc_loads import derived_loads
 
 SEEDS = range(320)
 
@@ -169,9 +171,8 @@ def play(scenario, express):
             (p.packet_id, p.delivered_at, p.hops, p.corrupted, tuple(p.path))
             for p in delivered
         ],
-        "drops": [(p.packet_id, p.drop_reason, p.hops) for p in sent if p.dropped],
-        "links": {key: (l.packets_carried, l.flits_carried) for key, l in net.links.items()},
-        "routers": {coord: r.packets_switched for coord, r in net.routers.items()},
+        "drops": [(p.packet_id, p.drop_reason, p.hops, tuple(p.path)) for p in sent if p.dropped],
+        **derived_loads(sent),
         "flit_hops": net.metrics.counter("noc.flit_hops").value,
         "now": sim.now,
         "events": sim.events_fired,
@@ -277,7 +278,7 @@ def test_insert_before_with_delay_resumes_at_the_unchanged_arrival():
     packet, delivery = a[0], a[0]._event
     # B is switched at (3,0) by t=17 and serializes over [17, 21): A, there
     # at 18 and switched by 19, now has to wait until 21.
-    send_at(sim, net, 16.0, (3, 0), (4, 0), "B")
+    b = send_at(sim, net, 16.0, (3, 0), (4, 0), "B")
     sim.run(until=16.0)
     assert delivery.cancelled
     assert calendar(net, (3, 0), (4, 0)) == [(16.0, "B", 21.0)]  # A is out of this calendar
@@ -286,15 +287,15 @@ def test_insert_before_with_delay_resumes_at_the_unchanged_arrival():
     assert (packet._index, packet.hops, packet.path[-1]) == (3, 3, Coord(3, 0))
     resumed = packet._event
     assert (resumed.time, resumed.priority) == (18.0, 1 + packet.packet_id)
-    link = net.links[Coord(3, 0), Coord(4, 0)]
-    assert (link.packets_carried, link.flits_carried) == (1, 4)
-    assert net.routers[Coord(3, 0)].packets_switched == 1
+    hop = Coord(3, 0), Coord(4, 0)
+    loads = derived_loads(a + b)  # A gave the hop back, and the switch before it
+    assert loads["links"][hop] == (1, 4) and loads["routers"][Coord(3, 0)] == 1
     sim.run()
     assert got == [("B", 22.0), ("A", 32.0)]
     assert got == reference(6, 1, [(0.0, (0, 0), (5, 0), "A"), (16.0, (3, 0), (4, 0), "B")])
     assert packet.hops == 5 and packet.path == [Coord(x, 0) for x in range(6)]
-    assert (link.packets_carried, link.flits_carried) == (2, 8)
-    assert net.routers[Coord(3, 0)].packets_switched == 2
+    loads = derived_loads(a + b)
+    assert loads["links"][hop] == (2, 8) and loads["routers"][Coord(3, 0)] == 2
     assert sim.events_fired == 2 + 2 + 1  # ...and A's resumed traversal
 
 
@@ -334,7 +335,7 @@ def test_packet_truncated_twice_before_it_resumes():
         (2.0, (2, 0), (3, 0), "B2", 512),  # 32 flits over [3, 35); A is there at 12
     ]
     sim, net, got = mesh(8)
-    a, _, _ = [send_at(sim, net, *send) for send in sends]
+    a, b1, b2 = [send_at(sim, net, *send) for send in sends]
     sim.run(until=1.0)
     packet = a[0]
     first = packet._event
@@ -346,7 +347,8 @@ def test_packet_truncated_twice_before_it_resumes():
     assert (packet._index, packet._event.time, packet.hops) == (2, 12.0, 2)
     assert packet.path == [Coord(0, 0), Coord(1, 0), Coord(2, 0)]
     assert calendar(net, (3, 0), (4, 0)) == calendar(net, (4, 0), (5, 0)) == []
-    assert [r.packets_switched for r in net.routers.values()] == [1, 1, 1, 0, 0, 1, 0, 0]
+    switched = derived_loads(a + b1 + b2)["routers"]
+    assert [switched.get(coord, 0) for coord in net.routers] == [1, 1, 1, 0, 0, 1, 0, 0]
     sim.run()
     assert got == [("B1", 35.0), ("B2", 36.0), ("A", 64.0)]
     assert got == reference(8, 1, sends)
@@ -371,13 +373,14 @@ def test_fault_takes_back_only_what_the_reference_has_not_done():
                     sim.call_soon(net.fail_link, Coord(2, 0), Coord(3, 0))
 
         sim, net, got = mesh(6, on_delivery=fail)
-        _, _, r = [send_at(sim, net, *send) for send in sends]
+        a, q, r = [send_at(sim, net, *send) for send in sends]
         sim.run()
         assert got == [("Q", 12.0), ("A", 30.0)]
         assert got == reference(6, 1, sends, on_delivery=fail)
         assert (r[0].drop_reason, r[0].hops) == ("link (2,0)->(3,0) down", 2)
-        link = net.links[Coord(2, 0), Coord(3, 0)]
-        assert (link.packets_carried, link.state) == (1, LinkState.DOWN)
+        hop = Coord(2, 0), Coord(3, 0)
+        assert derived_loads(a + q + r)["links"][hop] == (1, 4)  # A's; R never made it
+        assert net.links[hop].state is LinkState.DOWN
 
 
 def test_stepping_packets_reserve_in_the_same_calendars():
@@ -397,3 +400,103 @@ def test_stepping_packets_reserve_in_the_same_calendars():
     reference_sim, reference_got, _ = play_line(express=False)
     assert corrupted and got == reference_got
     assert sim.events_fired < reference_sim.events_fired
+
+
+# ----------------------------------------------------------------------
+# Routes that outlive their fault epoch
+# ----------------------------------------------------------------------
+# ``_commit`` checks no health per hop: a route compiled in the current
+# fault epoch is healthy by construction.  These are the packets whose
+# pending ``_commit`` event is *not* of the current epoch when it fires.
+def fate(packet):
+    return (packet.delivered_at, packet.dropped, packet.drop_reason, packet.hops,
+            packet.corrupted, tuple(packet.path))
+
+
+def draw_stale_commit(seed, kind):
+    """A crosses a row; B delays it at router ``h`` (so A waits there on a
+    pending ``_commit``); then a fault hits what A has left to cross."""
+    rng = random.Random(seed)
+    width = rng.randint(5, 8)
+    size = rng.choice([16, 64, 100])
+    per_hop = 2 + -(-size // 16)
+    h = rng.randint(1, width - 3)
+    at_h = float(h * per_hop)  # when A reaches (h,0)
+    target = rng.randint(h, width - 2)  # fail_router(h): A meets it where it waits
+    args = (Coord(target, 0),) if kind == "fail_router" else (Coord(target, 0), Coord(target + 1, 0))
+    sends = [(0.0, (0, 0), (width - 1, 0), "A", size), (at_h - 2.0, (h, 0), (h + 1, 0), "B", 256)]
+    return width, h, at_h, sends, args
+
+
+@pytest.mark.parametrize("kind", ["fail_link", "degrade_link", "fail_router"])
+@pytest.mark.parametrize("seed", range(6))
+def test_displaced_packet_whose_route_goes_stale_before_it_resumes(seed, kind):
+    width, h, at_h, sends, args = draw_stale_commit(seed, kind)
+    fates = {}
+    for express in (True, False):
+        sim, net, got = mesh(width, express=express)
+        a, b = [send_at(sim, net, *send) for send in sends]
+        sim.schedule_at(at_h - 1.0, getattr(net, kind), *args)
+        if express:
+            sim.run(until=at_h - 1.0)
+            # The fault left A's resumption alone (every slot A still holds
+            # is behind the clock): it fires on a route of the old epoch.
+            resume = a[0]._event
+            assert resume.pending and resume.callback == net._commit
+            assert (resume.time, a[0]._index) == (at_h, h)
+            assert a[0]._route.epoch != net.fault_epoch
+            sim.run(until=at_h)
+            assert resume.fired
+        sim.run()
+        fates[express] = ([fate(p[0]) for p in (a, b)], got, derived_loads(a + b))
+    assert fates[True] == fates[False]
+    (a_fate, _), _, _ = fates[True]
+    assert a_fate[1] == (kind != "degrade_link") and a_fate[4] == (kind == "degrade_link")
+
+
+@pytest.mark.parametrize("kind", ["fail_link", "degrade_link", "fail_router"])
+@pytest.mark.parametrize("seed", range(6))
+def test_packet_sent_between_runs_whose_route_goes_stale_before_it_is_injected(seed, kind):
+    width, _, _, _, args = draw_stale_commit(seed, kind)
+    fates = {}
+    for express in (True, False):
+        sim, net, got = mesh(width, express=express)
+        sim.run(until=5.0)
+        packet = net.send(Coord(0, 0), Coord(width - 1, 0), "A", 64)
+        assert packet._event.callback == (net._commit if express else net._step)
+        getattr(net, kind)(*args)  # same clock value, before the injection fires
+        assert packet._event.pending and packet._route.epoch != net.fault_epoch
+        sim.run()
+        fates[express] = (fate(packet), got, derived_loads([packet]))
+    assert fates[True] == fates[False]
+
+
+PINNED_DETOUR = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0), (4, 0)]
+
+
+def test_path_is_kept_across_adaptive_reroutes():
+    # A goes east along y=0.  The link out of (1,0) fails while A is on its
+    # way there, so A detours from (1,0); then a link of the detour fails
+    # too and A detours again.  ``path`` is every tile visited, in order.
+    paths = {}
+    for express in (True, False):
+        sim = Simulator()
+        net = NocNetwork(sim, MeshTopology(5, 3), NocConfig(
+            express_routing=express, adaptive_routing=True))
+        net.attach(Coord(4, 0), lambda packet: None)
+        out = []
+        sim.schedule_at(0.0, lambda: out.append(net.send(Coord(0, 0), Coord(4, 0), "A", 64)))
+        sim.schedule_at(3.0, net.fail_link, Coord(1, 0), Coord(2, 0))
+        sim.run(until=6.0)  # A is at (1,0) and has turned off the row
+        (packet,) = out
+        first_detour = packet._route.coords
+        assert packet._trail == [Coord(0, 0)] and first_detour[0] == Coord(1, 0)
+        assert first_detour[1] != Coord(2, 0)
+        net.fail_link(first_detour[2], first_detour[3])
+        sim.run()
+        assert packet.delivered_at is not None and packet.hops == len(packet.path) - 1
+        assert packet.path[:4] == [Coord(0, 0)] + first_detour[:3]
+        assert packet._trail == [Coord(0, 0)] + first_detour[:2]
+        paths[express] = (packet.delivered_at, packet.path)
+    assert paths[True] == paths[False]
+    assert paths[True][1] == [Coord(*c) for c in PINNED_DETOUR]
