@@ -25,10 +25,8 @@ story, not this one).
 
 from conftest import run_once
 
-from repro.mesoscale import PopulationConfig
+from repro.campaign import scenario
 from repro.metrics import Table
-from repro.shard import ShardConfig, ShardedSystem
-from repro.workloads import FactoryWorkload
 
 SEED = 7
 N_CLIENTS = 8
@@ -38,59 +36,28 @@ DURATION = 240_000.0
 KEY_SPACE = 256
 
 
-def _op_factory(i):
-    key = f"k{i % KEY_SPACE}"
-    return ("put", key, i) if i % 2 == 0 else ("get", key)
-
-
-def build_sharded(n_shards, seed=SEED):
-    system = ShardedSystem(
-        ShardConfig(
-            seed=seed,
-            n_shards=n_shards,
-            width=8,
-            height=8,
-            enable_rejuvenation=False,
-        )
+def run_sharded(n_shards, kill_shard=None, seed=SEED):
+    system = scenario.sharded_system(seed, n_shards, width=8, height=8)
+    drivers = scenario.closed_drivers(
+        system, N_CLIENTS, THINK_TIME, scenario.alternating_kv(KEY_SPACE, "kv-c2")
     )
-    drivers = [
-        system.attach_population(
-            f"c{i}",
-            PopulationConfig(
-                n_clients=1,
-                mode="closed",
-                think_time=THINK_TIME,
-                workload=FactoryWorkload(_op_factory, name="kv-c2"),
-            ),
-        )
-        for i in range(N_CLIENTS)
-    ]
-    return system, drivers
+    return scenario.open_window(system, drivers, WARMUP, DURATION, kill_shard).run()
 
 
 def scaling_run(n_shards):
-    system, drivers = build_sharded(n_shards)
-    system.start(warmup=WARMUP)
-    start = system.sim.now
-    system.run(DURATION)
-    ops = sum(d.completions_in(start, system.sim.now) for d in drivers)
-    latencies = sorted(
-        lat for d in drivers for lat in d.latencies_in(start, system.sim.now)
-    )
-    p95 = latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0
+    window = run_sharded(n_shards)
+    system = window.system
+    stats = scenario.window_stats(window, "p95_latency_ms")
     per_shard = [
         system.chip.metrics.counter(f"shard.{sid}.ops").value
         for sid in system.directory.shard_ids
     ]
-    return ops, p95, per_shard, system
+    return stats["ops"], stats["p95_latency_ms"], per_shard, system
 
 
 def failover_run(n_shards=4, victim="s1"):
-    system, drivers = build_sharded(n_shards)
-    system.start(warmup=WARMUP)
-    start = system.sim.now
-    system.sim.schedule(DURATION / 2, system.kill_shard, victim)
-    system.run(DURATION)
+    window = run_sharded(n_shards, kill_shard=victim)
+    system, drivers, start = window.system, window.sources, window.start
     kill_at = start + DURATION / 2
     pre_window = kill_at - start
     pre_kill = sum(d.completions_in(start, kill_at) for d in drivers)

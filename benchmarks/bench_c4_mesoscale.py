@@ -38,14 +38,19 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import append_trajectory, run_once
 
-from repro.mesoscale import PopulationConfig
+from repro.campaign.scenario import (
+    attach_populations,
+    demand_totals,
+    open_window,
+    sharded_system,
+    window_stats,
+)
 from repro.metrics import Table
 from repro.metrics.traffic import (
     aggregate_completions,
     aggregate_latencies,
     latency_percentiles,
 )
-from repro.shard import ShardConfig, ShardedSystem
 from repro.workloads import PoissonArrivals, kv_workload
 
 TRAJECTORY = os.path.join(
@@ -76,43 +81,23 @@ ATTACH_BYTE_BUDGET = 1_000_000  # bytes for *all* populations + routers
 
 def scenario(per_pop, duration, kill=None, seed=SEED):
     """One mesoscale run; returns a flat, JSON-stable result record."""
-    system = ShardedSystem(
-        ShardConfig(
-            seed=seed,
-            n_shards=N_SHARDS,
-            width=8,
-            height=8,
-            enable_rejuvenation=False,
-        )
-    )
+    system = sharded_system(seed, N_SHARDS, width=8, height=8)
     rate_per_client = RATE_TOTAL / (per_pop * N_POPULATIONS)
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
-    populations = [
-        system.attach_population(
-            f"pop{i}",
-            PopulationConfig(
-                n_clients=per_pop,
-                workload=kv_workload(
-                    keys=256, arrivals=PoissonArrivals(rate_per_client)
-                ),
-                tick=TICK,
-                max_inflight=MAX_INFLIGHT,
-            ),
-        )
-        for i in range(N_POPULATIONS)
-    ]
+    populations = attach_populations(
+        system, [f"pop{i}" for i in range(N_POPULATIONS)],
+        n_clients=per_pop,
+        workload=kv_workload(keys=256, arrivals=PoissonArrivals(rate_per_client)),
+        tick=TICK, max_inflight=MAX_INFLIGHT,
+    )
     after, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     attach_bytes = after - before
 
-    system.start(warmup=WARMUP)
-    start = system.sim.now
+    measured = open_window(system, populations, WARMUP, duration, kill).run()
+    start, end = measured.start, measured.end
     kill_at = start + duration / 2
-    if kill is not None:
-        system.sim.schedule(duration / 2, system.kill_shard, kill)
-    system.run(duration)
-    end = system.sim.now
 
     # Two consecutive pre-kill windows for the p99-stability check.
     window = (kill_at - start) / 2
@@ -123,27 +108,19 @@ def scenario(per_pop, duration, kill=None, seed=SEED):
         aggregate_latencies(populations, start + window, start + 2 * window),
         (99.0,),
     )["p99"]
-    pct = latency_percentiles(
-        aggregate_latencies(populations, start, end), (50.0, 99.0)
-    )
+    stats = window_stats(measured, "p50_latency_ms", "p99_latency_ms")
     record = {
         "modeled_clients": sum(p.modeled_clients for p in populations),
         "attach_bytes": attach_bytes,
-        "ops": aggregate_completions(populations, start, end),
+        "ops": stats["ops"],
         "post_kill_ops": aggregate_completions(
             populations, kill_at + SETTLE, end
         ),
-        "p50": pct["p50"],
-        "p99": pct["p99"],
+        "p50": stats["p50_latency_ms"],
+        "p99": stats["p99_latency_ms"],
         "p99_window1": p99_w1,
         "p99_window2": p99_w2,
-        "offered": sum(p.offered for p in populations),
-        "admitted": sum(p.admitted for p in populations),
-        "shed": sum(p.shed for p in populations),
-        "backlog": sum(p.backlog for p in populations),
-        "shed_degraded": sum(
-            p.shed_by_reason.get("degraded", 0) for p in populations
-        ),
+        **demand_totals(populations),
         "failed_ops": system.failed_operations(),
         "degraded": ",".join(system.directory.degraded_shards()),
         "survivors_safe": all(

@@ -35,9 +35,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
-from repro.mesoscale import PopulationConfig  # noqa: E402
+from repro.campaign import scenario  # noqa: E402
 from repro.metrics import Table  # noqa: E402
-from repro.shard import ShardConfig, ShardedSystem  # noqa: E402
 from repro.workloads import FactoryWorkload, kv_workload  # noqa: E402
 
 DURATION = 250_000.0
@@ -49,33 +48,20 @@ SEED = 83
 
 
 def run_config(protocol, read_ratio, fast_path, duration):
-    system = ShardedSystem(
-        ShardConfig(
-            seed=SEED, n_shards=1, protocol=protocol, f=1,
-            enable_rejuvenation=False,
-        )
-    )
+    system = scenario.sharded_system(SEED, 1, protocol=protocol)
     workload = kv_workload(keys=KEYS, read_ratio=read_ratio)
     if not fast_path:
         # Same op sequence, opaque classification: no is_read, so the
         # router derives no predicate and every op takes the ordered path.
         workload = FactoryWorkload(workload.op, name="kv-opaque")
-    population = system.attach_population(
-        "c0",
-        PopulationConfig(
-            n_clients=1, mode="closed", think_time=THINK_TIME, workload=workload
-        ),
-    )
-    system.start(warmup=20_000)
-    start = system.sim.now
-    system.run(duration)
-    ops = population.completions_in(start, system.sim.now)
-    lats = population.latencies_in(start, system.sim.now)
+    drivers = scenario.closed_drivers(system, 1, THINK_TIME, workload)
+    window = scenario.open_window(system, drivers, 20_000, duration).run()
+    stats = scenario.window_stats(window, "mean_latency_ms")
     group = system.shards["s0"].group
     ordered = max(r.last_executed for r in group.correct_replicas())
     return {
-        "ops": ops,
-        "mean_lat": sum(lats) / len(lats) if lats else float("nan"),
+        "ops": stats["ops"],
+        "mean_lat": stats["mean_latency_ms"] if stats["ops"] else float("nan"),
         "fast_replies": system.chip.metrics.counter("s0.fast_reads").value,
         "ordered": ordered,
         "safe": system.is_safe,

@@ -41,10 +41,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
-from repro.bft.batching import BatchConfig  # noqa: E402
-from repro.bft.client import ClientConfig  # noqa: E402
-from repro.bft.group import protocol_config_for  # noqa: E402
-from repro.core import OrchestratorConfig, ResilientSystem  # noqa: E402
+from repro.campaign import get_runner  # noqa: E402
 from repro.metrics import Table  # noqa: E402
 
 PROTOCOLS = ("pbft", "minbft")
@@ -63,42 +60,19 @@ SEED = 7
 TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P2.json")
 
 
-def service_run(protocol, batching, max_outstanding, duration, warmup):
-    """One service run; returns sim-time committed-throughput metrics."""
-    system = ResilientSystem(
-        OrchestratorConfig(
-            seed=SEED,
-            protocol=protocol,
-            f=1,
-            enable_rejuvenation=False,
-            protocol_config=protocol_config_for(protocol, batching=batching),
-        )
-    )
-    clients = [
-        system.add_client(
-            f"c{i}",
-            ClientConfig(think_time=THINK_TIME, max_outstanding=max_outstanding),
-        )
-        for i in range(N_CLIENTS)
-    ]
-    system.start(warmup=warmup)
-    start = system.sim.now
-    system.run(duration)
-    ops = sum(c.completions_in(start, system.sim.now) for c in clients)
-    latencies = sorted(
-        lat for c in clients for lat in c.latencies_in(start, system.sim.now)
-    )
-    batch_hist = system.chip.metrics.histogram("sys.batch.size")
-    return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "mean_latency": sum(latencies) / len(latencies) if latencies else 0.0,
-        "committed_ops": system.chip.metrics.counter("sys.committed_ops").value,
-        "mean_batch": batch_hist.mean(),
-        "peak_inflight": system.chip.metrics.gauge("sys.inflight").peak,
-        "events": system.sim.events_fired,
-        "safe": system.is_safe,
+def service_run(protocol, batched, duration, warmup):
+    """One ``consensus_batching`` trial: the closed loop at batch=1, or
+    the batched + pipelined + open-loop configuration under test."""
+    params = {
+        "protocol": protocol, "n_clients": N_CLIENTS, "think_time": THINK_TIME,
+        "duration": duration, "warmup": warmup,
     }
+    if batched:
+        params.update(
+            batch_size=BATCH_SIZE, batch_delay=BATCH_DELAY,
+            max_inflight=MAX_INFLIGHT, max_outstanding=MAX_OUTSTANDING,
+        )
+    return get_runner("consensus_batching")(params, SEED)
 
 
 def campaign_summary_bytes(forced, duration):
@@ -132,14 +106,10 @@ def campaign_summary_bytes(forced, duration):
 def experiment(smoke=False):
     duration = SMOKE_DURATION if smoke else DURATION
     warmup = SMOKE_WARMUP if smoke else WARMUP
-    batching = BatchConfig(
-        batch_size=BATCH_SIZE, batch_delay=BATCH_DELAY, max_inflight=MAX_INFLIGHT
-    )
-
     results = {}
     for tag, protocol in (("P2a", "pbft"), ("P2b", "minbft")):
-        baseline = service_run(protocol, None, 1, duration, warmup)
-        batched = service_run(protocol, batching, MAX_OUTSTANDING, duration, warmup)
+        baseline = service_run(protocol, False, duration, warmup)
+        batched = service_run(protocol, True, duration, warmup)
         ratio = batched["ops_per_sec"] / baseline["ops_per_sec"] if baseline["ops_per_sec"] else 0.0
         results[protocol] = {"baseline": baseline, "batched": batched, "ratio": ratio}
         table = Table(
@@ -155,8 +125,8 @@ def experiment(smoke=False):
                 label,
                 r["ops"],
                 round(r["ops_per_sec"], 1),
-                round(r["mean_latency"], 1),
-                round(r["mean_batch"], 2),
+                round(r["mean_latency_ms"], 1),
+                round(r["mean_batch_size"], 2),
                 int(r["peak_inflight"]),
                 "yes" if r["safe"] else "NO",
             ])
@@ -188,7 +158,7 @@ def record_trajectory(smoke, results):
         entry[f"{protocol}_baseline_ops_per_sec"] = round(r["baseline"]["ops_per_sec"], 2)
         entry[f"{protocol}_batched_ops_per_sec"] = round(r["batched"]["ops_per_sec"], 2)
         entry[f"{protocol}_speedup"] = round(r["ratio"], 3)
-        entry[f"{protocol}_mean_batch"] = round(r["batched"]["mean_batch"], 2)
+        entry[f"{protocol}_mean_batch"] = round(r["batched"]["mean_batch_size"], 2)
         entry[f"{protocol}_peak_inflight"] = int(r["batched"]["peak_inflight"])
     append_trajectory(TRAJECTORY, entry, smoke)
 
@@ -200,7 +170,7 @@ def check(results):
         assert r["baseline"]["safe"] and r["batched"]["safe"], f"{protocol}: unsafe run"
         assert r["baseline"]["ops"] > 0, f"{protocol}: baseline made no progress"
         # The batching actually engaged: real batches, real pipelining.
-        assert r["batched"]["mean_batch"] > 1.0, f"{protocol}: batches never filled"
+        assert r["batched"]["mean_batch_size"] > 1.0, f"{protocol}: batches never filled"
         assert r["batched"]["peak_inflight"] > 1, f"{protocol}: window never pipelined"
         # The P2 gate, in deterministic simulated time.
         assert r["ratio"] >= results["ratio_gate"], (

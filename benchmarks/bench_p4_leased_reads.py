@@ -45,9 +45,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig  # noqa: E402
-from repro.bft.batching import BatchConfig  # noqa: E402
 from repro.bft.group import protocol_config_for  # noqa: E402
 from repro.bft.leases import LeaseConfig  # noqa: E402
+from repro.campaign.runners import (  # noqa: E402
+    LEASED_READS_PARAMS,
+    leased_reads_report,
+    leased_reads_window,
+)
 from repro.core import (  # noqa: E402
     DiversityManager,
     RejuvenationPolicy,
@@ -56,25 +60,20 @@ from repro.core import (  # noqa: E402
 )
 from repro.core.replication import ReplicationManager  # noqa: E402
 from repro.fabric import FpgaFabric  # noqa: E402
-from repro.mesoscale import PopulationConfig  # noqa: E402
 from repro.metrics import Table  # noqa: E402
-from repro.shard import ShardConfig, ShardedSystem  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 from repro.soc import Chip, ChipConfig  # noqa: E402
-from repro.workloads import kv_workload  # noqa: E402
 
 PROTOCOLS = ("pbft", "minbft")
 SEED = 5
-N_SHARDS = 2
-READ_RATIO = 0.9
-KEYS = 64
-N_CLIENTS = 1000
-RATE_PER_CLIENT = 0.0002  # ops/ms per modeled client (Poisson)
-MAX_INFLIGHT = 32
-QUEUE_LIMIT = 2048
-BATCHING = BatchConfig(batch_size=8, batch_delay=100.0, max_inflight=4)
+# P4a/b run the ``leased_reads`` runner at its own defaults (2 shards,
+# 1000 modeled clients at 2e-4 ops/ms each, 90% reads over 64 keys,
+# batch 8 x4 inflight); only the horizon is the bench's.
+N_SHARDS = LEASED_READS_PARAMS["n_shards"]
+READ_RATIO = LEASED_READS_PARAMS["read_ratio"]
+N_CLIENTS = LEASED_READS_PARAMS["n_clients"]
+# P4c's staleness oracle needs the lease terms it checks against.
 LEASES = LeaseConfig(n_ranges=64, duration=30_000.0, renew_period=1_000.0)
-WARMUP = 60_000.0
 DURATION = 400_000.0
 SMOKE_DURATION = 150_000.0
 RATIO_GATE = 2.0
@@ -84,59 +83,17 @@ TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P4.
 
 
 def service_run(protocol, leases, duration):
-    """One sharded service run; returns sim-time read-path metrics."""
-    system = ShardedSystem(
-        ShardConfig(
-            seed=SEED,
-            n_shards=N_SHARDS,
-            protocol=protocol,
-            f=1,
-            enable_rejuvenation=False,
-            protocol_config=protocol_config_for(
-                protocol, batching=BATCHING, leases=leases
-            ),
-        )
+    """One ``leased_reads`` trial, plus the router-side fallback count."""
+    window = leased_reads_window(
+        {"protocol": protocol, "leases": leases, "duration": duration}, SEED
     )
-    population = system.attach_population(
-        "pop",
-        PopulationConfig(
-            n_clients=N_CLIENTS,
-            max_inflight=MAX_INFLIGHT,
-            queue_limit=QUEUE_LIMIT,
-            workload=kv_workload(
-                keys=KEYS, read_ratio=READ_RATIO, rate_per_client=RATE_PER_CLIENT
-            ),
-        ),
+    system = window.system
+    report = leased_reads_report(window)
+    report["lease_fallbacks"] = sum(
+        system.chip.metrics.counter(f"shard.{sid}.lease_fallbacks").value
+        for sid in system.shards
     )
-    system.start(warmup=WARMUP)
-    start = system.sim.now
-    system.run(duration)
-    end = system.sim.now
-    ops = population.completions_in(start, end)
-    latencies = population.latencies_in(start, end)
-    metrics = system.chip.metrics
-    shard_sum = lambda suffix: sum(  # noqa: E731
-        metrics.counter(f"{sid}.{suffix}").value for sid in system.shards
-    )
-    n_replicas = sum(len(s.group.members) for s in system.shards.values())
-    # committed_ops counts every op each replica executes, so / replicas
-    # per shard gives ordered ops; all shards are the same size here.
-    ordered_ops = shard_sum("committed_ops") / (n_replicas / N_SHARDS)
-    return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "mean_latency": sum(latencies) / len(latencies) if latencies else 0.0,
-        "reads_local": shard_sum("reads.local"),
-        "reads_quorum": shard_sum("reads.quorum_fallback"),
-        "lease_fallbacks": sum(
-            metrics.counter(f"shard.{sid}.lease_fallbacks").value
-            for sid in system.shards
-        ),
-        "ordered_ops": ordered_ops,
-        "ordered_frac": ordered_ops / ops if ops else 0.0,
-        "shed": population.shed,
-        "safe": system.is_safe,
-    }
+    return report
 
 
 def staleness_run():
@@ -224,8 +181,8 @@ def experiment(smoke=False):
 
     results = {}
     for tag, protocol in (("P4a", "pbft"), ("P4b", "minbft")):
-        baseline = service_run(protocol, None, duration)
-        leased = service_run(protocol, LEASES, duration)
+        baseline = service_run(protocol, False, duration)
+        leased = service_run(protocol, True, duration)
         ratio = (
             leased["ops_per_sec"] / baseline["ops_per_sec"]
             if baseline["ops_per_sec"]
@@ -247,7 +204,7 @@ def experiment(smoke=False):
                 label,
                 r["ops"],
                 round(r["ops_per_sec"], 1),
-                round(r["mean_latency"], 1),
+                round(r["mean_latency_ms"], 1),
                 r["reads_local"],
                 r["lease_fallbacks"],
                 round(r["ordered_frac"], 3),

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.group import ReplicaGroup
+from repro.campaign.scenario import floor_p95
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 
@@ -106,7 +107,7 @@ def measure_window(
     latencies = [lat for c in clients for lat in c.latencies_in(start, sim.now)]
     latencies.sort()
     mean_lat = sum(latencies) / len(latencies) if latencies else float("nan")
-    p95 = latencies[int(0.95 * (len(latencies) - 1))] if latencies else float("nan")
+    p95 = floor_p95(latencies, empty=float("nan"))
     flit_hops = chip.metrics.counter("noc.flit_hops").value - flit_hops_before
     msgs = chip.metrics.counter("noc.delivered").value - delivered_before
     return ops, mean_lat, p95, flit_hops, msgs

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
+from repro.campaign.runners import runner_params
 from repro.campaign.spec import CampaignSpec
 
 
@@ -253,7 +254,13 @@ def build_campaign(
 
     ``base_overrides`` merges into the spec's fixed parameters (e.g.
     ``{"duration": 60000}`` to shorten trials).  Overrides change the
-    spec hash, so an overridden run gets its own trial identities.
+    spec hash, so an overridden run gets its own trial identities — which
+    is why a name the trial would never read is refused (``ValueError``)
+    rather than run as a differently-seeded copy of the default campaign:
+    a key must be a parameter the spec's runner declares or already be
+    one of the spec's ``base`` / ``axes`` keys (label axes such as
+    ``policy``).  A runner registered without a parameter table is not
+    checked.
     """
     try:
         factory = BUILTIN_CAMPAIGNS[name]
@@ -269,5 +276,14 @@ def build_campaign(
         kwargs["campaign_seed"] = campaign_seed
     spec = factory(**kwargs)
     if base_overrides:
+        declared = runner_params(spec.runner)
+        if declared is not None:
+            known = set(declared) | set(spec.base) | set(spec.axes)
+            unknown = sorted(set(base_overrides) - known)
+            if unknown:
+                raise ValueError(
+                    f"campaign {name!r} (runner {spec.runner!r}) has no parameter "
+                    f"{', '.join(map(repr, unknown))}; known: {', '.join(sorted(known))}"
+                )
         spec.base.update(base_overrides)
     return spec

@@ -7,12 +7,22 @@ numbers.  Runners are addressed **by name** so that only a string crosses
 the process boundary to pool workers — fresh (spawned) workers rebuild
 the registry simply by importing this module.
 
+Each built-in declares its parameters once, as a table of names and
+defaults (``*_PARAMS``) that it resolves a trial's ``params`` against; a
+simulating runner is that table, a service assembled through
+:mod:`repro.campaign.scenario`, and the metrics only it reports.  The
+tables are what ``campaign run --set`` checks names against and where the
+CLI reads its flag defaults; ``tests/test_campaign_runners.py`` checks
+every ``Params:`` list below, and this list of built-ins, against them.
+
 Built-ins:
 
 * ``throughput`` — protocol/f sweep over :class:`repro.core.ResilientSystem`:
   completed ops, sim-time throughput, latency, safety.
 * ``consensus_batching`` — the P2 hot-path sweep: request batching and
   pipelining on the primary against open-loop client windows.
+* ``shard_scaling`` — the C2 scaling story: a fixed closed-loop client
+  load over a varying number of independent replica groups.
 * ``mesoscale`` — the C4 aggregated-population sweep: arrival-process
   populations (10^5–10^6 modeled clients) with admission control and
   load shedding over a sharded system.
@@ -21,6 +31,8 @@ Built-ins:
   or off, reporting local-read share and lease churn counters.
 * ``rejuv_apt`` — the rejuvenation-vs-APT survival race of E4, exposing
   period/diversify/relocate and attacker effort as sweep axes.
+* ``faultspace`` — the C3 trial: one sampled fault injected into a
+  resilient or sharded system and classified into an outcome bucket.
 * ``evolve`` — the P5 design-point evaluation: one genome of the
   evolutionary search (protocol/f/batching/window/shards/mesh/
   rejuvenation/lease) scored on the four Pareto objectives.
@@ -33,20 +45,36 @@ Built-ins:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional, Union
+
+from repro.campaign import scenario
+from repro.campaign.scenario import Window, resolve
+from repro.workloads import kv_workload
 
 Runner = Callable[[Dict[str, Any], int], Dict[str, Any]]
+ParamTable = Dict[str, Any]
 
 RUNNERS: Dict[str, Runner] = {}
+_PARAMS: Dict[str, Union[ParamTable, Callable[[], ParamTable]]] = {}
 
 
-def register_runner(name: str) -> Callable[[Runner], Runner]:
-    """Decorator: add a trial function to the registry under ``name``."""
+def register_runner(
+    name: str, params: Union[None, ParamTable, Callable[[], ParamTable]] = None
+) -> Callable[[Runner], Runner]:
+    """Decorator: add a trial function to the registry under ``name``.
+
+    ``params`` declares the runner's parameter table (or a function
+    returning it, for a table in a package this module cannot import at
+    load time); a runner registered without one accepts any parameter
+    name unchecked.
+    """
 
     def decorate(fn: Runner) -> Runner:
         if name in RUNNERS:
             raise ValueError(f"runner {name!r} already registered")
         RUNNERS[name] = fn
+        if params is not None:
+            _PARAMS[name] = params
         return fn
 
     return decorate
@@ -62,57 +90,56 @@ def get_runner(name: str) -> Runner:
         )
 
 
+def runner_params(name: str) -> Optional[ParamTable]:
+    """The parameter table ``name`` declared, or None if it declared none."""
+    table = _PARAMS.get(name)
+    return table() if callable(table) else table
+
+
 # ----------------------------------------------------------------------
 # Built-in runners
 # ----------------------------------------------------------------------
 
-@register_runner("throughput")
+def _chip(p: Dict[str, Any]) -> Dict[str, Any]:
+    """The system-config fields most tables name alike."""
+    return {name: p[name] for name in ("protocol", "f", "width", "height")}
+
+
+THROUGHPUT_PARAMS: ParamTable = {
+    "protocol": "minbft", "f": 1, "width": 6, "height": 6,
+    "n_clients": 1, "think_time": 100.0,
+    "warmup": 50_000.0, "duration": 300_000.0,
+}
+
+
+@register_runner("throughput", THROUGHPUT_PARAMS)
 def run_throughput(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One service-throughput trial on a fully assembled resilient system.
 
     Params: ``protocol``, ``f``, ``duration`` (sim ms), ``n_clients``,
     ``think_time``, ``warmup``, ``width``, ``height``.
     """
-    from repro.bft.client import ClientConfig
-    from repro.core import OrchestratorConfig, ResilientSystem
-
-    duration = float(params.get("duration", 300_000.0))
-    warmup = float(params.get("warmup", 50_000.0))
-    system = ResilientSystem(
-        OrchestratorConfig(
-            seed=seed,
-            protocol=params.get("protocol", "minbft"),
-            f=int(params.get("f", 1)),
-            width=int(params.get("width", 6)),
-            height=int(params.get("height", 6)),
-        )
+    p = resolve(THROUGHPUT_PARAMS, params)
+    system, clients = scenario.resilient_service(
+        seed, p["n_clients"], {"think_time": p["think_time"]}, **_chip(p)
     )
-    clients = [
-        system.add_client(
-            f"c{i}", ClientConfig(think_time=float(params.get("think_time", 100.0)))
-        )
-        for i in range(int(params.get("n_clients", 1)))
-    ]
-    system.start(warmup=warmup)
-    start = system.sim.now
-    system.run(duration)
-    ops = sum(c.completions_in(start, system.sim.now) for c in clients)
-    latencies = sorted(
-        lat for c in clients for lat in c.latencies_in(start, system.sim.now)
-    )
-    mean_lat = sum(latencies) / len(latencies) if latencies else 0.0
-    p95 = latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0
+    window = scenario.open_window(system, clients, p["warmup"], p["duration"]).run()
     return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "mean_latency_ms": mean_lat,
-        "p95_latency_ms": p95,
+        **scenario.window_stats(window, "mean_latency_ms", "p95_latency_ms"),
         "replicas": len(system.group.members),
-        "safe": 1 if system.is_safe else 0,
+        "safe": int(system.is_safe),
     }
 
 
-@register_runner("consensus_batching")
+CONSENSUS_BATCHING_PARAMS: ParamTable = {
+    "protocol": "minbft", "f": 1, "width": 6, "height": 6,
+    "batch_size": 1, "batch_delay": 0.0, "max_inflight": 0,
+    "n_clients": 4, "think_time": 100.0, "max_outstanding": 1,
+    "warmup": 40_000.0, "duration": 240_000.0,
+}
+
+
+@register_runner("consensus_batching", CONSENSUS_BATCHING_PARAMS)
 def run_consensus_batching(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One batching/pipelining throughput trial (the P2 sweep).
 
@@ -125,65 +152,36 @@ def run_consensus_batching(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     ``max_inflight``, ``max_outstanding``, ``duration`` (sim ms),
     ``n_clients``, ``think_time``, ``warmup``, ``width``, ``height``.
     """
-    from repro.bft.batching import BatchConfig
-    from repro.bft.client import ClientConfig
-    from repro.bft.group import protocol_config_for
-    from repro.core import OrchestratorConfig, ResilientSystem
-
-    duration = float(params.get("duration", 240_000.0))
-    warmup = float(params.get("warmup", 40_000.0))
-    protocol = params.get("protocol", "minbft")
-    batch_size = int(params.get("batch_size", 1))
-    max_inflight = int(params.get("max_inflight", 0))
-    batch_delay = float(params.get("batch_delay", 0.0))
-    batching = None
-    if batch_size > 1 or max_inflight > 0 or batch_delay > 0:
-        batching = BatchConfig(
-            batch_size=batch_size, batch_delay=batch_delay, max_inflight=max_inflight
-        )
-    system = ResilientSystem(
-        OrchestratorConfig(
-            seed=seed,
-            protocol=protocol,
-            f=int(params.get("f", 1)),
-            width=int(params.get("width", 6)),
-            height=int(params.get("height", 6)),
-            enable_rejuvenation=False,
-            protocol_config=protocol_config_for(protocol, batching=batching),
-        )
+    p = resolve(CONSENSUS_BATCHING_PARAMS, params)
+    system, clients = scenario.resilient_service(
+        seed, p["n_clients"],
+        {"think_time": p["think_time"], "max_outstanding": p["max_outstanding"]},
+        rejuvenation=False,
+        protocol_config=scenario.protocol_config(
+            p["protocol"], (p["batch_size"], p["batch_delay"], p["max_inflight"])
+        ),
+        **_chip(p),
     )
-    clients = [
-        system.add_client(
-            f"c{i}",
-            ClientConfig(
-                think_time=float(params.get("think_time", 100.0)),
-                max_outstanding=int(params.get("max_outstanding", 1)),
-            ),
-        )
-        for i in range(int(params.get("n_clients", 4)))
-    ]
-    system.start(warmup=warmup)
-    start = system.sim.now
-    system.run(duration)
-    ops = sum(c.completions_in(start, system.sim.now) for c in clients)
-    latencies = sorted(
-        lat for c in clients for lat in c.latencies_in(start, system.sim.now)
-    )
-    batch_hist = system.chip.metrics.histogram("sys.batch.size")
-    inflight_gauge = system.chip.metrics.gauge("sys.inflight")
+    window = scenario.open_window(system, clients, p["warmup"], p["duration"]).run()
+    metrics = system.chip.metrics
     return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "mean_latency_ms": sum(latencies) / len(latencies) if latencies else 0.0,
-        "p95_latency_ms": latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0,
-        "committed_ops": system.chip.metrics.counter("sys.committed_ops").value,
-        "mean_batch_size": batch_hist.mean(),
-        "peak_inflight": inflight_gauge.peak,
-        "safe": 1 if system.is_safe else 0,
+        **scenario.window_stats(window, "mean_latency_ms", "p95_latency_ms"),
+        "committed_ops": metrics.counter("sys.committed_ops").value,
+        "mean_batch_size": metrics.histogram("sys.batch.size").mean(),
+        "peak_inflight": metrics.gauge("sys.inflight").peak,
+        "safe": int(system.is_safe),
     }
 
 
-@register_runner("shard_scaling")
+SHARD_SCALING_PARAMS: ParamTable = {
+    "n_shards": 2, "protocol": "minbft", "f": 1, "width": 8, "height": 8,
+    "rejuvenation": False,
+    "n_clients": 8, "think_time": 50.0, "key_space": 256,
+    "warmup": 60_000.0, "duration": 240_000.0,
+}
+
+
+@register_runner("shard_scaling", SHARD_SCALING_PARAMS)
 def run_shard_scaling(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One shard-count throughput trial on a sharded system.
 
@@ -195,66 +193,57 @@ def run_shard_scaling(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     ``think_time``, ``warmup``, ``width``, ``height``, ``protocol``,
     ``f``, ``key_space``, ``rejuvenation``.
     """
-    from repro.mesoscale import PopulationConfig
-    from repro.shard import ShardConfig, ShardedSystem
-    from repro.workloads import FactoryWorkload
-
-    duration = float(params.get("duration", 240_000.0))
-    warmup = float(params.get("warmup", 60_000.0))
-    key_space = int(params.get("key_space", 256))
-
-    def op_factory(i: int) -> Any:
-        key = f"k{i % key_space}"
-        return ("put", key, i) if i % 2 == 0 else ("get", key)
-
-    system = ShardedSystem(
-        ShardConfig(
-            seed=seed,
-            n_shards=int(params.get("n_shards", 2)),
-            protocol=params.get("protocol", "minbft"),
-            f=int(params.get("f", 1)),
-            width=int(params.get("width", 8)),
-            height=int(params.get("height", 8)),
-            enable_rejuvenation=bool(params.get("rejuvenation", False)),
-        )
+    p = resolve(SHARD_SCALING_PARAMS, params)
+    system = scenario.sharded_system(seed, p["n_shards"], p["rejuvenation"], **_chip(p))
+    drivers = scenario.closed_drivers(
+        system, p["n_clients"], p["think_time"],
+        scenario.alternating_kv(p["key_space"], "kv-scaling"),
     )
-    drivers = [
-        system.attach_population(
-            f"c{i}",
-            PopulationConfig(
-                n_clients=1,
-                mode="closed",
-                think_time=float(params.get("think_time", 50.0)),
-                workload=FactoryWorkload(op_factory, name="kv-scaling"),
-            ),
-        )
-        for i in range(int(params.get("n_clients", 8)))
-    ]
-    system.start(warmup=warmup)
-    start = system.sim.now
-    system.run(duration)
-    ops = sum(d.completions_in(start, system.sim.now) for d in drivers)
-    latencies = sorted(
-        lat for d in drivers for lat in d.latencies_in(start, system.sim.now)
-    )
+    window = scenario.open_window(system, drivers, p["warmup"], p["duration"]).run()
     per_shard = [
         system.chip.metrics.counter(f"shard.{sid}.ops").value
         for sid in system.directory.shard_ids
     ]
     return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "mean_latency_ms": sum(latencies) / len(latencies) if latencies else 0.0,
-        "p95_latency_ms": latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0,
+        **scenario.window_stats(window, "mean_latency_ms", "p95_latency_ms"),
         "failed_ops": system.failed_operations(),
         "shard_ops_min": min(per_shard),
         "shard_ops_max": max(per_shard),
         "degraded_shards": len(system.directory.degraded_shards()),
-        "safe": 1 if system.is_safe else 0,
+        "safe": int(system.is_safe),
     }
 
 
-@register_runner("mesoscale")
+MESOSCALE_PARAMS: ParamTable = {
+    "n_shards": 4, "protocol": "minbft", "f": 1, "width": 8, "height": 8,
+    "n_clients": 100_000, "n_populations": 2, "key_space": 256,
+    "tick": 100.0, "max_inflight": 64, "queue_limit": 4096,
+    "warmup": 60_000.0, "duration": 240_000.0, "kill_shard": "",
+    "process": "poisson", "rate_per_client": 2e-6,
+    # Arrival shape; None derives from the window (scenario.arrival_process).
+    "alpha": 1.7, "amplitude": 0.5, "period": None,
+    "spike_after": None, "spike_duration": None, "multiplier": 10.0, "ramp": None,
+}
+
+
+def mesoscale_window(params: Dict[str, Any], seed: int) -> Window:
+    """Build, load and run one ``mesoscale`` trial (``repro mesoscale`` too)."""
+    p = resolve(MESOSCALE_PARAMS, params)
+    system = scenario.sharded_system(seed, p["n_shards"], **_chip(p))
+    n_populations = max(1, p["n_populations"])
+    populations = scenario.attach_populations(
+        system,
+        [f"pop{i}" for i in range(n_populations)],
+        n_clients=max(1, p["n_clients"] // n_populations),
+        workload=kv_workload(keys=p["key_space"], arrivals=scenario.arrival_process(p)),
+        tick=p["tick"], max_inflight=p["max_inflight"], queue_limit=p["queue_limit"],
+    )
+    return scenario.open_window(
+        system, populations, p["warmup"], p["duration"], p["kill_shard"]
+    ).run()
+
+
+@register_runner("mesoscale", MESOSCALE_PARAMS)
 def run_mesoscale(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One aggregated-population traffic trial (the C4 mesoscale story).
 
@@ -268,114 +257,95 @@ def run_mesoscale(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     (modeled, split across populations), ``n_populations``, ``n_shards``,
     ``tick``, ``max_inflight``, ``queue_limit``, ``duration``,
     ``warmup``, ``kill_shard`` (shard id or empty), ``key_space``,
-    ``width``, ``height``, ``protocol``, ``f``.
+    ``width``, ``height``, ``protocol``, ``f``; arrival shape: ``alpha``
+    (pareto), ``amplitude`` and ``period`` (diurnal), ``spike_after``,
+    ``spike_duration``, ``multiplier`` and ``ramp`` (flash).
     """
-    from repro.metrics.traffic import (
-        aggregate_completions,
-        aggregate_latencies,
-        latency_percentiles,
-    )
-    from repro.mesoscale import PopulationConfig
-    from repro.shard import ShardConfig, ShardedSystem
-    from repro.workloads import (
-        DiurnalArrivals,
-        FlashCrowdArrivals,
-        ParetoArrivals,
-        PoissonArrivals,
-        kv_workload,
-    )
-
-    duration = float(params.get("duration", 240_000.0))
-    warmup = float(params.get("warmup", 60_000.0))
-    rate = float(params.get("rate_per_client", 2e-6))
-    process = str(params.get("process", "poisson"))
-    if process == "poisson":
-        arrivals: Any = PoissonArrivals(rate)
-    elif process == "pareto":
-        arrivals = ParetoArrivals(rate, alpha=float(params.get("alpha", 1.7)))
-    elif process == "diurnal":
-        arrivals = DiurnalArrivals(
-            rate,
-            amplitude=float(params.get("amplitude", 0.5)),
-            period=float(params.get("period", duration)),
-        )
-    elif process == "flash":
-        spike_duration = float(params.get("spike_duration", duration / 4.0))
-        arrivals = FlashCrowdArrivals(
-            rate,
-            spike_start=warmup + float(params.get("spike_after", duration / 4.0)),
-            spike_duration=spike_duration,
-            multiplier=float(params.get("multiplier", 10.0)),
-            ramp=float(params.get("ramp", spike_duration / 8.0)),
-        )
-    else:
-        raise ValueError(f"unknown arrival process {process!r}")
-
-    system = ShardedSystem(
-        ShardConfig(
-            seed=seed,
-            n_shards=int(params.get("n_shards", 4)),
-            protocol=params.get("protocol", "minbft"),
-            f=int(params.get("f", 1)),
-            width=int(params.get("width", 8)),
-            height=int(params.get("height", 8)),
-            enable_rejuvenation=False,
-        )
-    )
-    n_clients = int(params.get("n_clients", 100_000))
-    n_populations = max(1, int(params.get("n_populations", 2)))
-    per_pop = max(1, n_clients // n_populations)
-    populations = [
-        system.attach_population(
-            f"pop{i}",
-            PopulationConfig(
-                n_clients=per_pop,
-                workload=kv_workload(
-                    keys=int(params.get("key_space", 256)), arrivals=arrivals
-                ),
-                tick=float(params.get("tick", 100.0)),
-                max_inflight=int(params.get("max_inflight", 64)),
-                queue_limit=int(params.get("queue_limit", 4096)),
-            ),
-        )
-        for i in range(n_populations)
-    ]
-    system.start(warmup=warmup)
-    start = system.sim.now
-    kill_shard = str(params.get("kill_shard", "") or "")
-    if kill_shard:
-        system.sim.schedule(duration / 2.0, system.kill_shard, kill_shard)
-    system.run(duration)
-    end = system.sim.now
-    ops = aggregate_completions(populations, start, end)
-    pct = latency_percentiles(
-        aggregate_latencies(populations, start, end), (50.0, 99.0)
-    )
-    offered = sum(p.offered for p in populations)
-    admitted = sum(p.admitted for p in populations)
-    shed = sum(p.shed for p in populations)
-    shed_degraded = sum(
-        p.shed_by_reason.get("degraded", 0) for p in populations
-    )
+    window = mesoscale_window(params, seed)
+    system, populations = window.system, window.sources
+    demand = scenario.demand_totals(populations)
     return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "p50_latency_ms": pct["p50"],
-        "p99_latency_ms": pct["p99"],
-        "offered": offered,
-        "admitted": admitted,
-        "shed": shed,
-        "shed_degraded": shed_degraded,
-        "shed_fraction": shed / offered if offered else 0.0,
-        "backlog": sum(p.backlog for p in populations),
+        **scenario.window_stats(window, "p50_latency_ms", "p99_latency_ms"),
+        **demand,
+        "shed_fraction": demand["shed"] / demand["offered"] if demand["offered"] else 0.0,
         "failed_ops": system.failed_operations(),
         "modeled_clients": sum(p.modeled_clients for p in populations),
         "degraded_shards": len(system.directory.degraded_shards()),
-        "safe": 1 if system.is_safe else 0,
+        "safe": int(system.is_safe),
     }
 
 
-@register_runner("leased_reads")
+LEASED_READS_PARAMS: ParamTable = {
+    "n_shards": 2, "protocol": "minbft", "f": 1, "width": 8, "height": 8,
+    "leases": False, "n_ranges": 64, "lease_duration": 30_000.0, "renew_period": 1_000.0,
+    "batch_size": 8, "batch_delay": 100.0, "batch_inflight": 4,
+    "n_clients": 1000, "rate_per_client": 2e-4, "read_ratio": 0.9, "key_space": 64,
+    "max_inflight": 32, "queue_limit": 2048,
+    "warmup": 60_000.0, "duration": 240_000.0,
+}
+
+
+def _batched_leased_config(p: Dict[str, Any], leases: Any) -> Any:
+    """Protocol config of the read-path services: batching when
+    ``batch_size`` > 1, read leases when ``leases``."""
+    batch = (p["batch_size"], p["batch_delay"], p["batch_inflight"])
+    lease = (p["n_ranges"], p["lease_duration"], p["renew_period"])
+    return scenario.protocol_config(
+        p["protocol"], batch if p["batch_size"] > 1 else None, lease if leases else None
+    )
+
+
+def _read_mix_window(system: Any, p: Dict[str, Any], max_inflight: int) -> Window:
+    """Attach one open population ``pop`` on the KV read mix and run the window."""
+    workload = kv_workload(
+        keys=p["key_space"], read_ratio=p["read_ratio"],
+        rate_per_client=p["rate_per_client"],
+    )
+    populations = scenario.attach_populations(
+        system, ["pop"], n_clients=p["n_clients"], workload=workload,
+        max_inflight=max_inflight, queue_limit=p["queue_limit"],
+    )
+    return scenario.open_window(system, populations, p["warmup"], p["duration"]).run()
+
+
+def leased_reads_window(params: Dict[str, Any], seed: int) -> Window:
+    """Build, load and run one ``leased_reads`` trial."""
+    p = resolve(LEASED_READS_PARAMS, params)
+    system = scenario.sharded_system(
+        seed, p["n_shards"], protocol_config=_batched_leased_config(p, p["leases"]),
+        **_chip(p),
+    )
+    return _read_mix_window(system, p, p["max_inflight"])
+
+
+def leased_reads_report(window: Window) -> Dict[str, Any]:
+    """The ``leased_reads`` metrics of a finished window."""
+    system = window.system
+    stats = scenario.window_stats(window, "mean_latency_ms", "p95_latency_ms")
+    metrics = system.chip.metrics
+    shard_sum = lambda suffix: sum(  # noqa: E731
+        metrics.counter(f"{sid}.{suffix}").value for sid in system.shards
+    )
+    # committed_ops counts every op each replica executes, so / replicas
+    # per shard gives ordered ops; all shards are the same size.
+    n_replicas = sum(len(s.group.members) for s in system.shards.values())
+    ordered_ops = shard_sum("committed_ops") / (n_replicas / len(system.shards))
+    return {
+        **stats,
+        "reads_local": shard_sum("reads.local"),
+        "reads_quorum_fallback": shard_sum("reads.quorum_fallback"),
+        "lease_granted": shard_sum("lease.granted"),
+        "lease_renewed": shard_sum("lease.renewed"),
+        "lease_revoked": shard_sum("lease.revoked"),
+        "lease_expired": shard_sum("lease.expired"),
+        "ordered_ops": ordered_ops,
+        "ordered_frac": ordered_ops / stats["ops"] if stats["ops"] else 0.0,
+        "shed": window.sources[0].shed,
+        "safe": int(system.is_safe),
+    }
+
+
+@register_runner("leased_reads", LEASED_READS_PARAMS)
 def run_leased_reads(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One read-path trial: quorum fast path vs leased local reads (P4).
 
@@ -392,116 +362,35 @@ def run_leased_reads(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     ``queue_limit``, ``key_space``, ``batch_size``, ``batch_delay``,
     ``batch_inflight``, ``duration``, ``warmup``, ``width``, ``height``.
     """
-    from repro.bft.batching import BatchConfig
-    from repro.bft.group import protocol_config_for
-    from repro.bft.leases import LeaseConfig
-    from repro.mesoscale import PopulationConfig
-    from repro.shard import ShardConfig, ShardedSystem
-    from repro.workloads import kv_workload
-
-    duration = float(params.get("duration", 240_000.0))
-    warmup = float(params.get("warmup", 60_000.0))
-    protocol = params.get("protocol", "minbft")
-    batching = None
-    batch_size = int(params.get("batch_size", 8))
-    if batch_size > 1:
-        batching = BatchConfig(
-            batch_size=batch_size,
-            batch_delay=float(params.get("batch_delay", 100.0)),
-            max_inflight=int(params.get("batch_inflight", 4)),
-        )
-    leases = None
-    if params.get("leases"):
-        leases = LeaseConfig(
-            n_ranges=int(params.get("n_ranges", 64)),
-            duration=float(params.get("lease_duration", 30_000.0)),
-            renew_period=float(params.get("renew_period", 1_000.0)),
-        )
-    system = ShardedSystem(
-        ShardConfig(
-            seed=seed,
-            n_shards=int(params.get("n_shards", 2)),
-            protocol=protocol,
-            f=int(params.get("f", 1)),
-            width=int(params.get("width", 8)),
-            height=int(params.get("height", 8)),
-            enable_rejuvenation=False,
-            protocol_config=protocol_config_for(
-                protocol, batching=batching, leases=leases
-            ),
-        )
-    )
-    population = system.attach_population(
-        "pop",
-        PopulationConfig(
-            n_clients=int(params.get("n_clients", 1000)),
-            max_inflight=int(params.get("max_inflight", 32)),
-            queue_limit=int(params.get("queue_limit", 2048)),
-            workload=kv_workload(
-                keys=int(params.get("key_space", 64)),
-                read_ratio=float(params.get("read_ratio", 0.9)),
-                rate_per_client=float(params.get("rate_per_client", 2e-4)),
-            ),
-        ),
-    )
-    system.start(warmup=warmup)
-    start = system.sim.now
-    system.run(duration)
-    end = system.sim.now
-    ops = population.completions_in(start, end)
-    latencies = sorted(population.latencies_in(start, end))
-    metrics = system.chip.metrics
-    shard_sum = lambda suffix: sum(  # noqa: E731
-        metrics.counter(f"{sid}.{suffix}").value for sid in system.shards
-    )
-    n_replicas = sum(len(s.group.members) for s in system.shards.values())
-    ordered_ops = shard_sum("committed_ops") / (n_replicas / len(system.shards))
-    return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "mean_latency_ms": sum(latencies) / len(latencies) if latencies else 0.0,
-        "p95_latency_ms": latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0,
-        "reads_local": shard_sum("reads.local"),
-        "reads_quorum_fallback": shard_sum("reads.quorum_fallback"),
-        "lease_granted": shard_sum("lease.granted"),
-        "lease_renewed": shard_sum("lease.renewed"),
-        "lease_revoked": shard_sum("lease.revoked"),
-        "lease_expired": shard_sum("lease.expired"),
-        "ordered_ops": ordered_ops,
-        "ordered_frac": ordered_ops / ops if ops else 0.0,
-        "shed": population.shed,
-        "safe": 1 if system.is_safe else 0,
-    }
+    return leased_reads_report(leased_reads_window(params, seed))
 
 
-@register_runner("rejuv_apt")
+REJUV_APT_PARAMS: ParamTable = {
+    "protocol": "minbft", "f": 1,
+    "period": 20_000.0, "diversify": True, "relocate": True,
+    "mean_effort": 120_000.0, "reuse_factor": 0.25, "parallelism": 1,
+    "horizon": 600_000.0, "sample_interval": 2_500.0,
+}
+
+
+@register_runner("rejuv_apt", REJUV_APT_PARAMS)
 def run_rejuv_apt(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One rejuvenation-vs-APT survival race (the E4 workload as a sweep).
 
     Params: ``period`` (sim ms, None/0 disables rejuvenation),
     ``diversify``, ``relocate``, ``mean_effort``, ``reuse_factor``,
-    ``horizon``, ``f``, ``sample_interval``.
+    ``parallelism``, ``horizon``, ``protocol``, ``f``,
+    ``sample_interval``.
     """
-    from repro.core import OrchestratorConfig, ResilientSystem
-    from repro.core.rejuvenation import RejuvenationPolicy
     from repro.faults import AptAttacker, AptConfig
     from repro.sim.timers import PeriodicTimer
 
-    horizon = float(params.get("horizon", 600_000.0))
-    period = params.get("period", 20_000.0)
-    enabled = bool(period)
-    system = ResilientSystem(
-        OrchestratorConfig(
-            seed=seed,
-            protocol=params.get("protocol", "minbft"),
-            f=int(params.get("f", 1)),
-            enable_rejuvenation=enabled,
-            rejuvenation=RejuvenationPolicy(
-                period=float(period) if enabled else 20_000.0,
-                diversify=bool(params.get("diversify", True)),
-                relocate=bool(params.get("relocate", True)),
-            ),
-        )
+    p = resolve(REJUV_APT_PARAMS, params)
+    system, _ = scenario.resilient_service(
+        seed, protocol=p["protocol"], f=p["f"],
+        rejuvenation=scenario.rejuvenation_policy(
+            p["period"], p["period"], diversify=p["diversify"], relocate=p["relocate"]
+        ),
     )
     attacker = AptAttacker(
         system.sim,
@@ -509,9 +398,9 @@ def run_rejuv_apt(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         variant_of=system.diversity.variant_of,
         compromise=lambda name: system.group.replicas[name].compromise(),
         config=AptConfig(
-            mean_effort=float(params.get("mean_effort", 120_000.0)),
-            reuse_factor=float(params.get("reuse_factor", 0.25)),
-            parallelism=int(params.get("parallelism", 1)),
+            mean_effort=p["mean_effort"],
+            reuse_factor=p["reuse_factor"],
+            parallelism=p["parallelism"],
         ),
     )
     if system.rejuvenation is not None:
@@ -519,7 +408,7 @@ def run_rejuv_apt(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     system.start()
     attacker.start()
 
-    sample_interval = float(params.get("sample_interval", 2_500.0))
+    sample_interval = p["sample_interval"]
     first_failure = [None]
     beyond_f = [0.0]
 
@@ -530,42 +419,65 @@ def run_rejuv_apt(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
                 first_failure[0] = system.sim.now
 
     PeriodicTimer(system.sim, sample_interval, sample)
-    system.run(horizon)
+    system.run(p["horizon"])
     return {
         "survived": 1 if first_failure[0] is None else 0,
-        "time_to_failure": first_failure[0] if first_failure[0] is not None else horizon,
+        "time_to_failure": first_failure[0] if first_failure[0] is not None else p["horizon"],
         "time_beyond_f": beyond_f[0],
         "compromised_at_end": attacker.compromised_count,
         "variants_known": len(attacker.known_variants),
     }
 
 
-@register_runner("faultspace")
+def _faultspace_params() -> ParamTable:
+    from repro.faultspace.driver import TRIAL_PARAMS
+
+    return TRIAL_PARAMS
+
+
+@register_runner("faultspace", _faultspace_params)
 def run_faultspace(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One sampled fault injection, classified (the C3 campaign).
 
-    Params: ``system`` (resilient|sharded), ``stratum`` (a stratum key
-    or ``uniform``), ``protocol``, ``f``, ``width``, ``height``,
-    ``duration``, ``warmup``, ``n_clients``, ``think_time``,
-    ``rejuvenation``, ``rejuvenation_period``, ``n_shards``.  The
-    concrete fault point is drawn inside the trial from its derived
-    seed; see :mod:`repro.faultspace.classify`.
+    Params: ``stratum`` (a stratum key, or "uniform"), ``system``
+    (resilient|sharded), ``protocol``, ``f``, ``width``, ``height``,
+    ``n_shards``, ``duration``, ``warmup``, ``n_clients``,
+    ``think_time``, ``client_timeout``, ``failover_timeout``,
+    ``rejuvenation``, ``rejuvenation_period``.
+
+    All but the stratum are the trial knobs of
+    :class:`~repro.faultspace.driver.FaultspaceConfig`, which states
+    their defaults.  The concrete fault point is drawn inside the trial
+    from its derived seed; see :mod:`repro.faultspace.classify`.
     """
     from repro.faultspace.classify import run_faultspace_trial
 
     return run_faultspace_trial(params, seed)
 
 
-@register_runner("evolve")
+EVOLVE_PARAMS: ParamTable = {
+    # The genome.
+    "protocol": "minbft", "f": 1, "batch_size": 1, "batch_inflight": 1, "window": 32,
+    "n_shards": 2, "mesh": 8, "rejuv_period": 0.0, "lease": False,
+    # Evaluation knobs (they ride in a generation spec's ``base``).
+    "warmup": 30_000.0, "duration": 90_000.0,
+    "n_clients": 1000, "rate_per_client": 2e-4, "read_ratio": 0.8, "key_space": 64,
+    "queue_limit": 4096, "batch_delay": 100.0,
+    "n_ranges": 64, "lease_duration": 30_000.0, "renew_period": 1_000.0,
+}
+
+
+@register_runner("evolve", EVOLVE_PARAMS)
 def run_evolve(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One design-point evaluation for the evolutionary driver (P5).
 
-    The genome genes arrive as params: ``protocol``, ``f``,
-    ``batch_size``, ``batch_inflight``, ``window`` (population ordered-
-    inflight cap), ``n_shards``, ``mesh`` (square chip geometry),
-    ``rejuv_period`` (0 disables rejuvenation), ``lease``.  Evaluation
-    knobs ride in ``base``: ``duration``, ``warmup``, ``n_clients``,
-    ``rate_per_client``, ``key_space``, ``read_ratio``, ``queue_limit``.
+    Params: the genome — ``protocol``, ``f``, ``batch_size``,
+    ``batch_inflight``, ``window`` (population ordered-inflight cap),
+    ``n_shards``, ``mesh`` (square chip geometry), ``rejuv_period`` (0
+    disables rejuvenation), ``lease`` — and the evaluation knobs that
+    ride in a generation spec's base: ``duration``, ``warmup``, ``n_clients``,
+    ``rate_per_client``, ``key_space``, ``read_ratio``, ``queue_limit``,
+    ``batch_delay``, ``n_ranges``, ``lease_duration``, ``renew_period``.
 
     Reports the four Pareto objectives (see :mod:`repro.evolve.fitness`):
     committed throughput, p99 latency, survivable simultaneous Byzantine
@@ -576,28 +488,17 @@ def run_evolve(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     raising, so the executor's retry budget is never burned on points the
     search simply needs to steer away from.
     """
-    from repro.bft.batching import BatchConfig
-    from repro.bft.group import FAMILIES, protocol_config_for
-    from repro.bft.leases import LeaseConfig
-    from repro.core.rejuvenation import RejuvenationPolicy
+    from repro.bft.group import FAMILIES
     from repro.hybrids.complexity import (
         GE_HMAC_CORE,
         softcore_complexity,
         usig_complexity,
     )
-    from repro.mesoscale import PopulationConfig
-    from repro.metrics.stats import percentile
-    from repro.shard import ShardConfig, ShardedSystem
     from repro.shard.placement import PlacementError
-    from repro.workloads import kv_workload
 
-    duration = float(params.get("duration", 90_000.0))
-    warmup = float(params.get("warmup", 30_000.0))
-    protocol = str(params.get("protocol", "minbft"))
-    f = int(params.get("f", 1))
-    n_shards = int(params.get("n_shards", 2))
-    mesh = int(params.get("mesh", 8))
-    rejuv_period = float(params.get("rejuv_period", 0) or 0)
+    p = resolve(EVOLVE_PARAMS, params)
+    protocol, f, n_shards, mesh = p["protocol"], p["f"], p["n_shards"], p["mesh"]
+    rejuv_period = p["rejuv_period"] or 0.0
 
     family = FAMILIES[protocol]
     n_replicas = n_shards * family.replicas_for(f)
@@ -609,101 +510,46 @@ def run_evolve(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     gate_ge = mesh * mesh * tile_ge
     if protocol == "minbft":
         gate_ge += n_replicas * usig_complexity("ecc").total_ge
-    gate_mge = gate_ge / 1e6
-    # The intrusion-resilience objective: simultaneous Byzantine replica
-    # compromises survivable across the whole system.  Crash-only
-    # families score zero — that is the axis that keeps cheap/fast CFT
-    # configurations from dominating the front outright.
-    survivable = n_shards * f if family.byzantine_safe else 0
-
-    infeasible = {
+    report = {
         "ops": 0,
         "ops_per_sec": 0.0,
         "p99_latency_ms": 0.0,
         "mean_latency_ms": 0.0,
-        "survivable_faults": survivable,
-        "gate_mge": gate_mge,
+        # The intrusion-resilience objective: simultaneous Byzantine replica
+        # compromises survivable across the whole system.  Crash-only
+        # families score zero — that is the axis that keeps cheap/fast CFT
+        # configurations from dominating the front outright.
+        "survivable_faults": n_shards * f if family.byzantine_safe else 0,
+        "gate_mge": gate_ge / 1e6,
         "replicas": n_replicas,
         "shed": 0,
         "failed_ops": 0,
         "safe": 0,
         "feasible": 0,
     }
-
-    batch_size = int(params.get("batch_size", 1))
-    batching = None
-    if batch_size > 1:
-        batching = BatchConfig(
-            batch_size=batch_size,
-            batch_delay=float(params.get("batch_delay", 100.0)),
-            max_inflight=int(params.get("batch_inflight", 1)),
-        )
-    leases = None
-    if params.get("lease"):
-        leases = LeaseConfig(
-            n_ranges=int(params.get("n_ranges", 64)),
-            duration=float(params.get("lease_duration", 30_000.0)),
-            renew_period=float(params.get("renew_period", 1_000.0)),
-        )
+    rejuvenation = scenario.rejuvenation_policy(
+        rejuv_period > 0, rejuv_period, diversify=True, relocate=False
+    )
+    config = _batched_leased_config(p, p["lease"])
     try:
-        system = ShardedSystem(
-            ShardConfig(
-                seed=seed,
-                n_shards=n_shards,
-                protocol=protocol,
-                f=f,
-                width=mesh,
-                height=mesh,
-                enable_rejuvenation=rejuv_period > 0,
-                rejuvenation=(
-                    RejuvenationPolicy(
-                        period=rejuv_period, diversify=True, relocate=False
-                    )
-                    if rejuv_period > 0
-                    else None
-                ),
-                protocol_config=protocol_config_for(
-                    protocol, batching=batching, leases=leases
-                ),
-            )
+        system = scenario.sharded_system(
+            seed, n_shards, rejuvenation, protocol=protocol, f=f,
+            width=mesh, height=mesh, protocol_config=config,
         )
     except (PlacementError, ValueError):
-        return infeasible
-    population = system.attach_population(
-        "pop",
-        PopulationConfig(
-            n_clients=int(params.get("n_clients", 1000)),
-            max_inflight=int(params.get("window", 32)),
-            queue_limit=int(params.get("queue_limit", 4096)),
-            workload=kv_workload(
-                keys=int(params.get("key_space", 64)),
-                read_ratio=float(params.get("read_ratio", 0.8)),
-                rate_per_client=float(params.get("rate_per_client", 2e-4)),
-            ),
-        ),
+        return report
+    window = _read_mix_window(system, p, p["window"])
+    report.update(
+        scenario.window_stats(window, "p99_latency_ms", "mean_latency_ms"),
+        shed=window.sources[0].shed,
+        failed_ops=system.failed_operations(),
+        safe=int(system.is_safe),
+        feasible=1,
     )
-    system.start(warmup=warmup)
-    start = system.sim.now
-    system.run(duration)
-    end = system.sim.now
-    ops = population.completions_in(start, end)
-    latencies = sorted(population.latencies_in(start, end))
-    return {
-        "ops": ops,
-        "ops_per_sec": ops / (duration / 1000.0),
-        "p99_latency_ms": percentile(latencies, 99.0) if latencies else 0.0,
-        "mean_latency_ms": sum(latencies) / len(latencies) if latencies else 0.0,
-        "survivable_faults": survivable,
-        "gate_mge": gate_mge,
-        "replicas": n_replicas,
-        "shed": population.shed,
-        "failed_ops": system.failed_operations(),
-        "safe": 1 if system.is_safe else 0,
-        "feasible": 1,
-    }
+    return report
 
 
-@register_runner("evolve_selftest")
+@register_runner("evolve_selftest", EVOLVE_PARAMS)
 def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """A microscopic analytic stand-in for the ``evolve`` runner.
 
@@ -721,15 +567,10 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
     from repro.sim.rng import RngStream
 
-    protocol = str(params.get("protocol", "minbft"))
-    f = int(params.get("f", 1))
-    batch_size = int(params.get("batch_size", 1))
-    batch_inflight = int(params.get("batch_inflight", 1))
-    window = int(params.get("window", 32))
-    n_shards = int(params.get("n_shards", 2))
-    mesh = int(params.get("mesh", 8))
-    rejuv_period = float(params.get("rejuv_period", 0) or 0)
-    lease = bool(params.get("lease", 0))
+    p = resolve(EVOLVE_PARAMS, params)
+    protocol, f, n_shards, mesh = p["protocol"], p["f"], p["n_shards"], p["mesh"]
+    batch_size, batch_inflight, window = p["batch_size"], p["batch_inflight"], p["window"]
+    rejuv_period, lease = p["rejuv_period"] or 0.0, p["lease"]
 
     replicas_for = {
         "pbft": 3 * f + 1,
@@ -804,7 +645,10 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     }
 
 
-@register_runner("selftest")
+SELFTEST_PARAMS: ParamTable = {"draws": 100, "sleep": 0.0, "crash": False, "fail": False}
+
+
+@register_runner("selftest", SELFTEST_PARAMS)
 def run_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """A microscopic trial for engine tests and the CI smoke campaign.
 
@@ -813,24 +657,26 @@ def run_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     ``fail`` raises an exception, ``sleep`` stalls (to trip per-trial
     timeouts), ``crash`` kills the worker process outright (to trip
     BrokenProcessPool recovery).
+
+    Params: ``draws``, ``sleep`` (wall seconds), ``crash``, ``fail``.
     """
     from repro.sim.rng import RngStream
 
-    if params.get("sleep"):
+    p = resolve(SELFTEST_PARAMS, params)
+    if p["sleep"]:
         import time
 
-        time.sleep(float(params["sleep"]))
-    if params.get("crash"):
+        time.sleep(p["sleep"])
+    if p["crash"]:
         import os
 
         os._exit(13)  # simulate a hard worker crash, not an exception
-    if params.get("fail"):
+    if p["fail"]:
         raise RuntimeError(f"selftest: injected failure for {params}")
     stream = RngStream(seed, "campaign.selftest")
-    draws = int(params.get("draws", 100))
-    values = [stream.random() for _ in range(draws)]
+    values = [stream.random() for _ in range(p["draws"])]
     return {
         "mean": sum(values) / len(values),
-        "draws": draws,
+        "draws": p["draws"],
         "first_draw": values[0],
     }

@@ -88,66 +88,43 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """Run a short end-to-end scenario and print the outcome."""
-    from repro.core import OrchestratorConfig, ResilientSystem
+    from repro.campaign import scenario
+    from repro.campaign.runners import THROUGHPUT_PARAMS
     from repro.core.rejuvenation import RejuvenationPolicy
 
-    system = ResilientSystem(
-        OrchestratorConfig(
-            seed=args.seed,
-            protocol=args.protocol,
-            f=1,
-            rejuvenation=RejuvenationPolicy(period=60_000),
-        )
+    system, clients = scenario.resilient_service(
+        args.seed, 1, protocol=args.protocol,
+        rejuvenation=RejuvenationPolicy(period=60_000),
     )
-    system.add_client("c0")
-    system.start()
-    system.run(args.duration)
+    scenario.open_window(
+        system, clients, THROUGHPUT_PARAMS["warmup"], args.duration
+    ).run()
     print(system.summary())
     return 0 if system.is_safe else 1
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
     """Run a sharded-service scenario and print the per-shard report."""
-    from repro.mesoscale import PopulationConfig
+    from repro.campaign import scenario
+    from repro.campaign.runners import SHARD_SCALING_PARAMS as defaults
     from repro.metrics.tables import Table
-    from repro.shard import ShardConfig, ShardedSystem
-    from repro.workloads import FactoryWorkload
 
-    def op_factory(i: int) -> Any:
-        key = f"k{i % 256}"
-        return ("put", key, i) if i % 2 == 0 else ("get", key)
-
-    system = ShardedSystem(
-        ShardConfig(
-            seed=args.seed,
-            n_shards=args.shards,
-            protocol=args.protocol,
-            width=args.width,
-            height=args.height,
-            enable_rejuvenation=not args.no_rejuvenation,
-        )
+    system = scenario.sharded_system(
+        args.seed, args.shards, not args.no_rejuvenation,
+        protocol=args.protocol, width=args.width, height=args.height,
     )
-    drivers = [
-        system.attach_population(
-            f"c{i}",
-            PopulationConfig(
-                n_clients=1,
-                mode="closed",
-                think_time=args.think_time,
-                workload=FactoryWorkload(op_factory, name="kv-shard"),
-            ),
+    drivers = scenario.closed_drivers(
+        system, args.clients, args.think_time,
+        scenario.alternating_kv(defaults["key_space"], "kv-shard"),
+    )
+    try:
+        window = scenario.open_window(
+            system, drivers, defaults["warmup"], args.duration, args.kill_shard
         )
-        for i in range(args.clients)
-    ]
-    system.start()
-    start = system.sim.now
-    if args.kill_shard is not None:
-        if args.kill_shard not in system.shards:
-            print(f"unknown shard {args.kill_shard!r}; have "
-                  f"{', '.join(system.directory.shard_ids)}", file=sys.stderr)
-            return 2
-        system.sim.schedule(args.duration / 2, system.kill_shard, args.kill_shard)
-    system.run(args.duration)
+    except scenario.UnknownShard as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    window.run()
 
     table = Table(
         "shard",
@@ -162,9 +139,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
             round(float(m["p95_latency"]), 1), m["threat"],
         ])
     print(table.render())
-    ops = sum(d.completions_in(start, system.sim.now) for d in drivers)
-    print(f"\nmeasured window: {ops} ops "
-          f"({ops / (args.duration / 1000.0):.1f} ops/s sim), "
+    stats = scenario.window_stats(window)
+    print(f"\nmeasured window: {stats['ops']} ops "
+          f"({stats['ops_per_sec']:.1f} ops/s sim), "
           f"{system.failed_operations()} failed")
     print(system.summary())
     degraded = system.directory.degraded_shards()
@@ -178,76 +155,31 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 def cmd_mesoscale(args: argparse.Namespace) -> int:
     """Run aggregated client populations against the sharded service."""
-    from repro.mesoscale import PopulationConfig
+    from repro.campaign import scenario
+    from repro.campaign.runners import MESOSCALE_PARAMS, mesoscale_window
     from repro.metrics.tables import Table
-    from repro.metrics.traffic import (
-        aggregate_completions,
-        aggregate_latencies,
-        latency_percentiles,
-    )
-    from repro.shard import ShardConfig, ShardedSystem
-    from repro.workloads import (
-        DiurnalArrivals,
-        FlashCrowdArrivals,
-        ParetoArrivals,
-        PoissonArrivals,
-        kv_workload,
-    )
+    from repro.metrics.traffic import latency_percentiles
 
-    if args.process == "poisson":
-        arrivals: Any = PoissonArrivals(args.rate)
-    elif args.process == "pareto":
-        arrivals = ParetoArrivals(args.rate)
-    elif args.process == "diurnal":
-        arrivals = DiurnalArrivals(args.rate, period=args.duration)
-    else:
-        spike = args.duration / 4.0
-        arrivals = FlashCrowdArrivals(
-            args.rate,
-            spike_start=60_000.0 + spike,
-            spike_duration=spike,
-            ramp=spike / 8.0,
-        )
-    system = ShardedSystem(
-        ShardConfig(
-            seed=args.seed,
-            n_shards=args.shards,
-            protocol=args.protocol,
-            width=args.width,
-            height=args.height,
-            enable_rejuvenation=False,
-        )
+    # Flags named like the runner's parameter pass as they are.
+    params = {k: v for k, v in vars(args).items() if k in MESOSCALE_PARAMS}
+    params.update(
+        rate_per_client=args.rate, n_clients=args.clients,
+        n_populations=args.populations, n_shards=args.shards,
     )
-    per_pop = max(1, args.clients // args.populations)
-    populations = [
-        system.attach_population(
-            f"pop{i}",
-            PopulationConfig(
-                n_clients=per_pop,
-                workload=kv_workload(keys=256, arrivals=arrivals),
-                tick=args.tick,
-                max_inflight=args.max_inflight,
-            ),
-        )
-        for i in range(args.populations)
-    ]
-    system.start()
-    start = system.sim.now
-    if args.kill_shard is not None:
-        if args.kill_shard not in system.shards:
-            print(f"unknown shard {args.kill_shard!r}; have "
-                  f"{', '.join(system.directory.shard_ids)}", file=sys.stderr)
-            return 2
-        system.sim.schedule(args.duration / 2, system.kill_shard, args.kill_shard)
-    system.run(args.duration)
-    end = system.sim.now
+    try:
+        window = mesoscale_window(params, args.seed)
+    except scenario.UnknownShard as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    system, populations = window.system, window.sources
+    start, end = window.start, window.end
 
     table = Table(
         "population",
         ["population", "clients", "offered", "admitted", "shed", "ops",
          "p50", "p99"],
-        title=(f"{args.populations} population(s), "
-               f"{per_pop * args.populations} modeled clients, "
+        title=(f"{len(populations)} population(s), "
+               f"{sum(p.modeled_clients for p in populations)} modeled clients, "
                f"{args.process} arrivals"),
     )
     for population in populations:
@@ -261,48 +193,35 @@ def cmd_mesoscale(args: argparse.Namespace) -> int:
             round(pct["p50"], 1), round(pct["p99"], 1),
         ])
     print(table.render())
-    ops = aggregate_completions(populations, start, end)
-    pct = latency_percentiles(aggregate_latencies(populations, start, end),
-                              (50.0, 99.0))
-    shed = sum(p.shed for p in populations)
-    offered = sum(p.offered for p in populations)
-    print(f"\nmeasured window: {ops} ops "
-          f"({ops / (args.duration / 1000.0):.1f} ops/s sim), "
-          f"p50={pct['p50']:.1f}ms p99={pct['p99']:.1f}ms, "
-          f"shed {shed}/{offered} offered")
+    stats = scenario.window_stats(window, "p50_latency_ms", "p99_latency_ms")
+    demand = scenario.demand_totals(populations)
+    print(f"\nmeasured window: {stats['ops']} ops "
+          f"({stats['ops_per_sec']:.1f} ops/s sim), "
+          f"p50={stats['p50_latency_ms']:.1f}ms p99={stats['p99_latency_ms']:.1f}ms, "
+          f"shed {demand['shed']}/{demand['offered']} offered")
     print(system.summary())
     if args.kill_shard is not None:
-        shed_degraded = sum(
-            p.shed_by_reason.get("degraded", 0) for p in populations
-        )
         survivors_ok = all(
             system.shard_safe(s) for s in system.directory.live_shards()
         )
         ok = (system.directory.degraded_shards() == [args.kill_shard]
-              and shed_degraded > 0 and survivors_ok)
+              and demand["shed_degraded"] > 0 and survivors_ok)
         return 0 if ok else 1
-    return 0 if system.is_safe and ops > 0 else 1
+    return 0 if system.is_safe and stats["ops"] > 0 else 1
 
 
 def cmd_leases(args: argparse.Namespace) -> int:
     """Compare the read path with leases off vs on (the P4 story)."""
-    from repro.campaign.runners import get_runner
+    from repro.campaign.runners import LEASED_READS_PARAMS, get_runner
     from repro.metrics.tables import Table
 
     runner = get_runner("leased_reads")
-    base = {
-        "protocol": args.protocol,
-        "n_shards": args.shards,
-        "n_clients": args.clients,
-        "rate_per_client": args.rate,
-        "read_ratio": args.read_ratio,
-        "duration": args.duration,
-        "lease_duration": args.lease_duration,
-        "renew_period": args.renew_period,
-        "n_ranges": args.ranges,
-        "width": args.width,
-        "height": args.height,
-    }
+    # Flags named like the runner's parameter pass as they are.
+    base = {k: v for k, v in vars(args).items() if k in LEASED_READS_PARAMS}
+    base.update(
+        n_shards=args.shards, n_clients=args.clients,
+        rate_per_client=args.rate, n_ranges=args.ranges,
+    )
     off = runner({**base, "leases": 0}, args.seed)
     on = runner({**base, "leases": 1}, args.seed)
     table = Table(
@@ -511,7 +430,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             campaign_seed=args.campaign_seed,
             base_overrides=overrides or None,
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:  # unknown campaign / unknown --set name
         print(exc.args[0], file=sys.stderr)
         return 2
     if args.workers < 1:
@@ -566,7 +485,22 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree for ``python -m repro``."""
+    """The argparse tree for ``python -m repro``.
+
+    A flag that exposes a runner parameter or a campaign-config field
+    reads its default from that runner's table or that dataclass field.
+    """
+    from repro.campaign.runners import (
+        EVOLVE_PARAMS,
+        LEASED_READS_PARAMS,
+        MESOSCALE_PARAMS,
+        SHARD_SCALING_PARAMS,
+        THROUGHPUT_PARAMS,
+    )
+    from repro.evolve import EvolveConfig
+    from repro.faultspace import FaultspaceConfig
+
+    protocols = ["minbft", "pbft", "cft", "passive"]
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Fault- and intrusion-resilient manycore systems on a chip",
@@ -577,23 +511,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run a short end-to-end scenario")
     demo.add_argument("--seed", type=int, default=42)
-    demo.add_argument("--protocol", choices=["minbft", "pbft", "cft", "passive"],
-                      default="minbft")
-    demo.add_argument("--duration", type=float, default=300_000.0)
+    demo.add_argument("--protocol", choices=protocols,
+                      default=THROUGHPUT_PARAMS["protocol"])
+    demo.add_argument("--duration", type=float, default=THROUGHPUT_PARAMS["duration"])
     demo.set_defaults(fn=cmd_demo)
 
     shard = sub.add_parser("shard", help="run a sharded-service scenario")
+    defaults = SHARD_SCALING_PARAMS
     shard.add_argument("--seed", type=int, default=42)
-    shard.add_argument("--shards", type=int, default=2,
+    shard.add_argument("--shards", type=int, default=defaults["n_shards"],
                        help="number of independent replica groups")
     shard.add_argument("--clients", type=int, default=4,
                        help="closed-loop router/driver pairs")
-    shard.add_argument("--protocol", choices=["minbft", "pbft", "cft", "passive"],
-                       default="minbft")
-    shard.add_argument("--duration", type=float, default=240_000.0)
+    shard.add_argument("--protocol", choices=protocols, default=defaults["protocol"])
+    shard.add_argument("--duration", type=float, default=defaults["duration"])
     shard.add_argument("--think-time", type=float, default=100.0)
-    shard.add_argument("--width", type=int, default=8)
-    shard.add_argument("--height", type=int, default=8)
+    shard.add_argument("--width", type=int, default=defaults["width"])
+    shard.add_argument("--height", type=int, default=defaults["height"])
     shard.add_argument("--kill-shard", default=None, metavar="SHARD",
                        help="crash this shard's tiles mid-run (e.g. s1)")
     shard.add_argument("--no-rejuvenation", action="store_true",
@@ -603,28 +537,28 @@ def build_parser() -> argparse.ArgumentParser:
     mesoscale = sub.add_parser(
         "mesoscale", help="drive aggregated client populations (C4)"
     )
+    defaults = MESOSCALE_PARAMS
     mesoscale.add_argument("--seed", type=int, default=42)
-    mesoscale.add_argument("--clients", type=int, default=100_000,
+    mesoscale.add_argument("--clients", type=int, default=defaults["n_clients"],
                            help="total modeled clients across populations")
-    mesoscale.add_argument("--populations", type=int, default=2,
+    mesoscale.add_argument("--populations", type=int, default=defaults["n_populations"],
                            help="number of aggregated population objects")
-    mesoscale.add_argument("--shards", type=int, default=4,
+    mesoscale.add_argument("--shards", type=int, default=defaults["n_shards"],
                            help="number of independent replica groups")
     mesoscale.add_argument("--process",
                            choices=["poisson", "pareto", "diurnal", "flash"],
-                           default="poisson", help="arrival process shape")
-    mesoscale.add_argument("--rate", type=float, default=2e-6,
+                           default=defaults["process"], help="arrival process shape")
+    mesoscale.add_argument("--rate", type=float, default=defaults["rate_per_client"],
                            help="ops per client per sim ms")
-    mesoscale.add_argument("--protocol",
-                           choices=["minbft", "pbft", "cft", "passive"],
-                           default="minbft")
-    mesoscale.add_argument("--duration", type=float, default=240_000.0)
-    mesoscale.add_argument("--tick", type=float, default=100.0,
+    mesoscale.add_argument("--protocol", choices=protocols,
+                           default=defaults["protocol"])
+    mesoscale.add_argument("--duration", type=float, default=defaults["duration"])
+    mesoscale.add_argument("--tick", type=float, default=defaults["tick"],
                            help="demand-sampling tick (sim ms)")
-    mesoscale.add_argument("--max-inflight", type=int, default=64,
+    mesoscale.add_argument("--max-inflight", type=int, default=defaults["max_inflight"],
                            help="per-population concurrent submission cap")
-    mesoscale.add_argument("--width", type=int, default=8)
-    mesoscale.add_argument("--height", type=int, default=8)
+    mesoscale.add_argument("--width", type=int, default=defaults["width"])
+    mesoscale.add_argument("--height", type=int, default=defaults["height"])
     mesoscale.add_argument("--kill-shard", default=None, metavar="SHARD",
                            help="crash this shard mid-run and require "
                            "degraded-shard shedding to engage")
@@ -633,27 +567,27 @@ def build_parser() -> argparse.ArgumentParser:
     leases = sub.add_parser(
         "leases", help="compare quorum vs leased reads (P4)"
     )
+    defaults = LEASED_READS_PARAMS
     leases.add_argument("--seed", type=int, default=42)
-    leases.add_argument("--protocol",
-                        choices=["minbft", "pbft", "cft", "passive"],
-                        default="minbft")
-    leases.add_argument("--shards", type=int, default=2,
+    leases.add_argument("--protocol", choices=protocols,
+                        default=defaults["protocol"])
+    leases.add_argument("--shards", type=int, default=defaults["n_shards"],
                         help="number of independent replica groups")
-    leases.add_argument("--clients", type=int, default=1000,
+    leases.add_argument("--clients", type=int, default=defaults["n_clients"],
                         help="modeled clients in the aggregated population")
-    leases.add_argument("--rate", type=float, default=2e-4,
+    leases.add_argument("--rate", type=float, default=defaults["rate_per_client"],
                         help="ops per client per sim ms")
-    leases.add_argument("--read-ratio", type=float, default=0.9,
+    leases.add_argument("--read-ratio", type=float, default=defaults["read_ratio"],
                         help="read share of the KV mix")
-    leases.add_argument("--duration", type=float, default=240_000.0)
-    leases.add_argument("--lease-duration", type=float, default=30_000.0,
+    leases.add_argument("--duration", type=float, default=defaults["duration"])
+    leases.add_argument("--lease-duration", type=float, default=defaults["lease_duration"],
                         help="lease validity / staleness bound (sim ms)")
-    leases.add_argument("--renew-period", type=float, default=1_000.0,
+    leases.add_argument("--renew-period", type=float, default=defaults["renew_period"],
                         help="primary grant-renewal period (sim ms)")
-    leases.add_argument("--ranges", type=int, default=64,
+    leases.add_argument("--ranges", type=int, default=defaults["n_ranges"],
                         help="number of key ranges leases are granted over")
-    leases.add_argument("--width", type=int, default=8)
-    leases.add_argument("--height", type=int, default=8)
+    leases.add_argument("--width", type=int, default=defaults["width"])
+    leases.add_argument("--height", type=int, default=defaults["height"])
     leases.set_defaults(fn=cmd_leases)
 
     experiments = sub.add_parser("experiments", help="list the experiment index")
@@ -667,38 +601,43 @@ def build_parser() -> argparse.ArgumentParser:
         "faultspace",
         help="run the C3 statistical fault-injection campaign",
     )
-    faultspace.add_argument("--name", default="faultspace",
+    faultspace.add_argument("--name", default=FaultspaceConfig.name,
                             help="campaign name (directory under --out)")
     faultspace.add_argument("--system", choices=["resilient", "sharded"],
-                            default="resilient")
-    faultspace.add_argument("--protocol",
-                            choices=["minbft", "pbft", "cft", "passive"],
-                            default="minbft")
-    faultspace.add_argument("--f", type=int, default=1,
+                            default=FaultspaceConfig.system)
+    faultspace.add_argument("--protocol", choices=protocols,
+                            default=FaultspaceConfig.protocol)
+    faultspace.add_argument("--f", type=int, default=FaultspaceConfig.f,
                             help="fault threshold per replica group")
     faultspace.add_argument("--strata", nargs="*", default=None, metavar="KEY",
                             help="restrict to these strata "
                             "(e.g. node:crash link:link_fail)")
     faultspace.add_argument("--uniform", action="store_true",
                             help="add the population-weighted uniform estimator")
-    faultspace.add_argument("--max-per-stratum", type=int, default=40,
+    faultspace.add_argument("--max-per-stratum", type=int,
+                            default=FaultspaceConfig.max_per_stratum,
                             help="per-stratum injection budget")
-    faultspace.add_argument("--min-per-stratum", type=int, default=8,
+    faultspace.add_argument("--min-per-stratum", type=int,
+                            default=FaultspaceConfig.min_per_stratum,
                             help="floor before a stratum may stop early")
-    faultspace.add_argument("--round-size", type=int, default=4,
+    faultspace.add_argument("--round-size", type=int, default=FaultspaceConfig.round_size,
                             help="trials released per stratum per round")
-    faultspace.add_argument("--target-half-width", type=float, default=0.15,
+    faultspace.add_argument("--target-half-width", type=float,
+                            default=FaultspaceConfig.target_half_width,
                             help="CI half-width at which a stratum closes")
-    faultspace.add_argument("--confidence", type=float, default=0.95)
+    faultspace.add_argument("--confidence", type=float,
+                            default=FaultspaceConfig.confidence)
     faultspace.add_argument("--method", choices=["wilson", "clopper-pearson"],
-                            default="wilson", help="binomial interval method")
+                            default=FaultspaceConfig.ci_method,
+                            help="binomial interval method")
     faultspace.add_argument("--no-early-stop", action="store_true",
                             help="always spend the full per-stratum budget")
-    faultspace.add_argument("--duration", type=float, default=60_000.0,
+    faultspace.add_argument("--duration", type=float, default=FaultspaceConfig.duration,
                             help="post-warmup observation horizon (sim ms)")
-    faultspace.add_argument("--warmup", type=float, default=40_000.0)
-    faultspace.add_argument("--campaign-seed", type=int, default=0)
-    faultspace.add_argument("--workers", type=int, default=1,
+    faultspace.add_argument("--warmup", type=float, default=FaultspaceConfig.warmup)
+    faultspace.add_argument("--campaign-seed", type=int,
+                            default=FaultspaceConfig.campaign_seed)
+    faultspace.add_argument("--workers", type=int, default=FaultspaceConfig.workers,
                             help="parallel worker processes (1 = inline serial)")
     faultspace.add_argument("--out", default="campaigns",
                             help="root directory for campaign results")
@@ -712,35 +651,38 @@ def build_parser() -> argparse.ArgumentParser:
         "evolve",
         help="evolutionary design-space exploration with Pareto decision support",
     )
-    evolve.add_argument("--name", default="evolve",
+    evolve.add_argument("--name", default=EvolveConfig.name,
                         help="campaign name (artifact directory)")
-    evolve.add_argument("--runner", default="evolve",
+    evolve.add_argument("--runner", default=EvolveConfig.runner,
                         choices=["evolve", "evolve_selftest"],
                         help="trial runner: full simulation or the analytic selftest")
-    evolve.add_argument("--strategy", default="nsga2",
+    evolve.add_argument("--strategy", default=EvolveConfig.strategy,
                         choices=["nsga2", "stratified"],
                         help="nsga2 search or the stratified-random baseline")
-    evolve.add_argument("--population", type=int, default=12,
+    evolve.add_argument("--population", type=int, default=EvolveConfig.population,
                         help="individuals per generation")
-    evolve.add_argument("--generations", type=int, default=6)
-    evolve.add_argument("--seeds", type=int, default=2,
+    evolve.add_argument("--generations", type=int, default=EvolveConfig.generations)
+    evolve.add_argument("--seeds", type=int, default=EvolveConfig.seeds_per_eval,
                         help="CRN seed repetitions per individual")
     evolve.add_argument("--min-seeds", type=int, default=None,
                         help="repetitions before the CI-bound early kill "
                              "(default: all, i.e. no racing)")
-    evolve.add_argument("--mutation-rate", type=float, default=0.25)
-    evolve.add_argument("--crossover-rate", type=float, default=0.9)
-    evolve.add_argument("--duration", type=float, default=90_000.0,
+    evolve.add_argument("--mutation-rate", type=float,
+                        default=EvolveConfig.mutation_rate)
+    evolve.add_argument("--crossover-rate", type=float,
+                        default=EvolveConfig.crossover_rate)
+    evolve.add_argument("--duration", type=float, default=EVOLVE_PARAMS["duration"],
                         help="sim ms measured per trial")
-    evolve.add_argument("--warmup", type=float, default=30_000.0)
-    evolve.add_argument("--n-clients", type=int, default=1000,
+    evolve.add_argument("--warmup", type=float, default=EVOLVE_PARAMS["warmup"])
+    evolve.add_argument("--n-clients", type=int, default=EVOLVE_PARAMS["n_clients"],
                         help="modeled open-loop clients per trial")
-    evolve.add_argument("--rate", type=float, default=2e-4,
+    evolve.add_argument("--rate", type=float, default=EVOLVE_PARAMS["rate_per_client"],
                         help="ops per client per sim ms")
-    evolve.add_argument("--campaign-seed", type=int, default=0)
-    evolve.add_argument("--workers", type=int, default=1,
+    evolve.add_argument("--campaign-seed", type=int, default=EvolveConfig.campaign_seed)
+    evolve.add_argument("--workers", type=int, default=EvolveConfig.workers,
                         help="parallel trial workers per generation")
-    evolve.add_argument("--trial-timeout", type=float, default=600.0)
+    evolve.add_argument("--trial-timeout", type=float,
+                        default=EvolveConfig.trial_timeout)
     evolve.add_argument("--out", default="campaigns",
                         help="artifact root directory")
     evolve.add_argument("--fresh", action="store_true",

@@ -151,10 +151,6 @@ class FaultInjector:
                 event.cancel()
         self._events.clear()
 
-    # Backwards-compatible name used by older experiments; ``stop`` is
-    # strictly stronger (it also cancels pending one-shot events).
-    stop_all = stop
-
     def counters(self) -> Dict[str, int]:
         """Injected-fault totals, flat and JSON-ready for trial metrics."""
         return {

@@ -34,7 +34,16 @@ everything else — spare-replica masking and NoC rerouting — to the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+from repro.bft.client import default_op_factory
+from repro.campaign import scenario
+from repro.metrics.traffic import aggregate_completions
+from repro.workloads.workload import FactoryWorkload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faultspace.driver import FaultspaceConfig
 
 #: Outcome buckets in report order.  ``outcome_index`` in the trial
 #: metrics indexes into this tuple.
@@ -59,211 +68,88 @@ AVAILABILITY_WINDOWS = 8
 #: that at least half the horizon observes the aftermath.
 INJECT_WINDOW = (0.05, 0.5)
 
-#: Default failover timeout (ms) injected trials configure on the
-#: protocol.  The stock 40 s view/election timeouts are longer than a
-#: trial's post-injection horizon, so primary-crash recovery would never
-#: be *observable* in-trial; the campaign measures the mechanisms, not
-#: the production timer calibration.
-FAILOVER_TIMEOUT = 8_000.0
+
+@dataclass
+class _Target:
+    """The system under injection: a scenario service plus what the
+    classifier reads off it."""
+
+    system: Any
+    sources: List[Any]  # closed-loop clients or drivers
+    groups: List[Any]
+    detectors: List[Any]
+    counters: List[str]  # metric names whose movement counts as detection
+    degraded_count: Callable[[], int]
+
+    def completions_in(self, start: float, end: float) -> int:
+        return aggregate_completions(self.sources, start, end)
+
+    def quorums_met(self) -> bool:
+        return all(
+            len(g.correct_replicas()) >= len(g.members) - g.f for g in self.groups
+        )
 
 
-def _failover_protocol_config(protocol: str, timeout: float):
-    """Protocol config with its failover timer scaled to the trial.
+def _build_target(cfg: FaultspaceConfig, seed: int) -> _Target:
+    """One replica group behind closed-loop clients (``resilient``) or N
+    independent shards behind closed-loop router drivers (``sharded``).
 
-    Each family names its suspicion timer differently; everything else
-    stays at the family default.
+    Both run ``heal_first`` rejuvenation — the campaign measures the
+    architecture *with* proactive recovery: a crashed victim is restored
+    at the next tick instead of waiting out the round-robin cycle — with
+    the failover timer scaled to the trial (the stock 40 s view/election
+    timeouts are longer than a trial's post-injection horizon, so
+    primary-crash recovery would never be *observable* in-trial; the
+    campaign measures the mechanisms, not the production timer
+    calibration) and a client timeout short enough that a closed-loop
+    client whose request died with the primary retransmits within the
+    horizon instead of sitting out the observation.
     """
-    from repro.bft.group import protocol_config_for
-
-    knob = {
-        "minbft": "view_timeout",
-        "pbft": "view_timeout",
-        "cft": "election_timeout",
-        "passive": "detect_timeout",
-    }.get(protocol)
-    if knob is None:
-        return None
-    return protocol_config_for(protocol, **{knob: timeout})
-
-
-class _ResilientTarget:
-    """Adapter: one replica group behind closed-loop clients."""
-
-    kind = "resilient"
-
-    def __init__(self, params: Dict[str, Any], seed: int) -> None:
-        from repro.bft.client import ClientConfig
-        from repro.core import OrchestratorConfig, ResilientSystem
-        from repro.core.rejuvenation import RejuvenationPolicy
-
-        enable_rejuv = bool(params.get("rejuvenation", True))
-        policy = None
-        if enable_rejuv:
-            # heal_first: the campaign measures the architecture *with*
-            # proactive recovery — a crashed victim is restored at the
-            # next tick instead of waiting out the round-robin cycle.
-            policy = RejuvenationPolicy(
-                period=float(params.get("rejuvenation_period", 20_000.0)),
-                heal_first=True,
-            )
-        protocol = params.get("protocol", "minbft")
-        self.system = ResilientSystem(
-            OrchestratorConfig(
-                seed=seed,
-                protocol=protocol,
-                f=int(params.get("f", 1)),
-                width=int(params.get("width", 6)),
-                height=int(params.get("height", 6)),
-                enable_rejuvenation=enable_rejuv,
-                rejuvenation=policy,
-                protocol_config=_failover_protocol_config(
-                    protocol,
-                    float(params.get("failover_timeout", FAILOVER_TIMEOUT)),
-                ),
-            )
+    config = {
+        "protocol": cfg.protocol,
+        "f": cfg.f,
+        "width": cfg.resolved_width(),
+        "height": cfg.resolved_height(),
+        "protocol_config": scenario.protocol_config(
+            cfg.protocol, failover_timeout=cfg.failover_timeout
+        ),
+    }
+    if cfg.system == "sharded":
+        system = scenario.sharded_system(
+            seed, cfg.n_shards,
+            # relocate=False keeps replicas inside their shard region.
+            scenario.rejuvenation_policy(
+                cfg.rejuvenation, cfg.rejuvenation_period,
+                relocate=False, heal_first=True,
+            ),
+            router_timeout=cfg.client_timeout,
+            **config,
         )
-        self.clients = [
-            self.system.add_client(
-                f"c{i}",
-                ClientConfig(
-                    think_time=float(params.get("think_time", 200.0)),
-                    # Short enough that a closed-loop client whose request
-                    # died with the primary retransmits within the trial
-                    # horizon instead of sitting out the observation.
-                    timeout=float(params.get("client_timeout", 3_000.0)),
-                ),
-            )
-            for i in range(int(params.get("n_clients", 2)))
-        ]
-        self.sim = self.system.sim
-        self.chip = self.system.chip
-        self.groups = [self.system.group]
-        self.detectors = [self.system.detector]
-
-    def start(self, warmup: float) -> None:
-        self.system.start(warmup=warmup)
-
-    def run(self, duration: float) -> None:
-        self.system.run(duration)
-
-    @property
-    def is_safe(self) -> bool:
-        return self.system.is_safe
-
-    def completions_in(self, start: float, end: float) -> int:
-        return sum(c.completions_in(start, end) for c in self.clients)
-
-    def quorums_met(self) -> bool:
-        return all(
-            len(g.correct_replicas()) >= len(g.members) - g.f for g in self.groups
+        sources = scenario.closed_drivers(
+            system, cfg.n_clients, cfg.think_time,
+            # The historical default op stream, byte for byte.
+            FactoryWorkload(default_op_factory, name="kv-default"),
         )
-
-    def degraded_count(self) -> int:
-        return 0
-
-    def counter_names(self) -> List[str]:
-        return [
-            f"{g.config.group_id}.{c}"
-            for g in self.groups
-            for c in DETECTION_COUNTERS
-        ]
-
-
-class _ShardedTarget:
-    """Adapter: N independent shards behind router clients."""
-
-    kind = "sharded"
-
-    def __init__(self, params: Dict[str, Any], seed: int) -> None:
-        from repro.bft.client import default_op_factory
-        from repro.core.rejuvenation import RejuvenationPolicy
-        from repro.mesoscale import PopulationConfig
-        from repro.shard import ShardConfig, ShardedSystem
-        from repro.shard.router import RouterConfig
-        from repro.workloads import FactoryWorkload
-
-        protocol = params.get("protocol", "minbft")
-        self.system = ShardedSystem(
-            ShardConfig(
-                seed=seed,
-                n_shards=int(params.get("n_shards", 2)),
-                protocol=protocol,
-                f=int(params.get("f", 1)),
-                width=int(params.get("width", 8)),
-                height=int(params.get("height", 8)),
-                enable_rejuvenation=bool(params.get("rejuvenation", True)),
-                # relocate=False keeps replicas inside their shard region;
-                # heal_first as in _ResilientTarget.
-                rejuvenation=RejuvenationPolicy(
-                    period=float(params.get("rejuvenation_period", 20_000.0)),
-                    relocate=False,
-                    heal_first=True,
-                ),
-                protocol_config=_failover_protocol_config(
-                    protocol,
-                    float(params.get("failover_timeout", FAILOVER_TIMEOUT)),
-                ),
-                # Retransmit within the trial horizon (see _ResilientTarget).
-                router=RouterConfig(timeout=float(params.get("client_timeout", 3_000.0))),
-            )
+        shards = [system.shards[sid] for sid in sorted(system.shards)]
+        groups = [s.group for s in shards]
+        detectors = [s.detector for s in shards]
+        extra = ["shard.degraded_transitions"]
+        degraded_count = lambda: len(system.directory.degraded_shards())  # noqa: E731
+    else:
+        system, sources = scenario.resilient_service(
+            seed, cfg.n_clients,
+            {"think_time": cfg.think_time, "timeout": cfg.client_timeout},
+            scenario.rejuvenation_policy(
+                cfg.rejuvenation, cfg.rejuvenation_period, heal_first=True
+            ),
+            **config,
         )
-        self.clients = [
-            self.system.attach_population(
-                f"c{i}",
-                PopulationConfig(
-                    n_clients=1,
-                    mode="closed",
-                    think_time=float(params.get("think_time", 200.0)),
-                    # The historical default op stream, byte for byte.
-                    workload=FactoryWorkload(default_op_factory, name="kv-default"),
-                ),
-            )
-            for i in range(int(params.get("n_clients", 2)))
-        ]
-        self.sim = self.system.sim
-        self.chip = self.system.chip
-        shards = [self.system.shards[sid] for sid in sorted(self.system.shards)]
-        self.groups = [s.group for s in shards]
-        self.detectors = [s.detector for s in shards]
-
-    def start(self, warmup: float) -> None:
-        self.system.start(warmup=warmup)
-
-    def run(self, duration: float) -> None:
-        self.system.run(duration)
-
-    @property
-    def is_safe(self) -> bool:
-        return self.system.is_safe
-
-    def completions_in(self, start: float, end: float) -> int:
-        return sum(c.completions_in(start, end) for c in self.clients)
-
-    def quorums_met(self) -> bool:
-        return all(
-            len(g.correct_replicas()) >= len(g.members) - g.f for g in self.groups
-        )
-
-    def degraded_count(self) -> int:
-        return len(self.system.directory.degraded_shards())
-
-    def counter_names(self) -> List[str]:
-        names = [
-            f"{g.config.group_id}.{c}"
-            for g in self.groups
-            for c in DETECTION_COUNTERS
-        ]
-        names.append("shard.degraded_transitions")
-        return names
-
-
-def _build_target(params: Dict[str, Any], seed: int):
-    kind = params.get("system", "resilient")
-    if kind == "resilient":
-        return _ResilientTarget(params, seed)
-    if kind == "sharded":
-        return _ShardedTarget(params, seed)
-    raise ValueError(f"unknown system kind {kind!r}; expected resilient|sharded")
+        groups, detectors, extra = [system.group], [system.detector], []
+        degraded_count = lambda: 0  # noqa: E731
+    counters = [
+        f"{g.config.group_id}.{c}" for g in groups for c in DETECTION_COUNTERS
+    ]
+    return _Target(system, sources, groups, detectors, counters + extra, degraded_count)
 
 
 def _find_replica(target, name: Optional[str]):
@@ -328,7 +214,7 @@ def _victim_recovered(target, point) -> bool:
     if name is None:
         return False
     replica = _find_replica(target, name)
-    if replica is None or not target.chip.has_node(name):
+    if replica is None or not target.system.chip.has_node(name):
         return False
     if not replica.is_correct:
         return False
@@ -349,47 +235,43 @@ def run_faultspace_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     ``params["stratum"]`` names the stratum to draw from (or
     ``"uniform"`` for the population-weighted estimator); the concrete
     fault point is drawn from ``RngStream(seed, "faultspace.sample")``,
-    so the trial is fully reproducible from its derived seed.
+    so the trial is fully reproducible from its derived seed.  Every
+    other parameter is a trial knob of
+    :class:`~repro.faultspace.driver.FaultspaceConfig`, which states the
+    defaults (:data:`~repro.faultspace.driver.TRIAL_PARAMS`).
     """
     from repro.faults.injector import FaultInjector
-    from repro.faultspace.space import (
-        STRATUM_KEYS,
-        UNIFORM,
-        FaultSpace,
-        default_strata,
-    )
+    from repro.faultspace.driver import TRIAL_KNOBS, TRIAL_PARAMS, FaultspaceConfig
+    from repro.faultspace.space import STRATUM_KEYS, UNIFORM, FaultSpace, default_strata
     from repro.sim.rng import RngStream
 
-    duration = float(params.get("duration", 60_000.0))
-    warmup = float(params.get("warmup", 40_000.0))
-    target = _build_target(params, seed)
-    target.start(warmup)
-    t0 = target.sim.now
+    p = scenario.resolve(TRIAL_PARAMS, params)
+    cfg = FaultspaceConfig(**{name: p[name] for name in TRIAL_KNOBS})
+    duration = cfg.duration
+    target = _build_target(cfg, seed)
+    sim, chip = target.system.sim, target.system.chip
+    opened = scenario.open_window(target.system, target.sources, cfg.warmup, duration)
+    t0 = opened.start
 
     window = (t0 + INJECT_WINDOW[0] * duration, t0 + INJECT_WINDOW[1] * duration)
-    space = FaultSpace(target.chip, target.groups, window)
+    space = FaultSpace(chip, target.groups, window)
     rng = RngStream(seed, "faultspace.sample")
-    requested = params.get("stratum", UNIFORM)
-    if requested == UNIFORM:
-        keys = space.valid_strata(default_strata(params.get("protocol", "minbft")))
+    if p["stratum"] == UNIFORM:
+        keys = space.valid_strata(default_strata(cfg.protocol))
         point = space.sample_uniform(keys, rng)
     else:
-        point = space.sample(requested, rng)
+        point = space.sample(p["stratum"], rng)
 
-    injector = FaultInjector(target.sim, target.chip)
-    baseline = {
-        name: target.chip.metrics.counter(name).value
-        for name in target.counter_names()
-    }
+    injector = FaultInjector(sim, chip)
+    baseline = {name: chip.metrics.counter(name).value for name in target.counters}
     escalations0 = sum(d.escalations for d in target.detectors)
-    target.sim.schedule_at(point.time, _fire, target, injector, space, point)
-    target.run(duration)
+    sim.schedule_at(point.time, _fire, target, injector, space, point)
+    opened.run()
     injector.stop()
-    end = target.sim.now
+    end = sim.now
 
     detection_delta = sum(
-        target.chip.metrics.counter(name).value - baseline[name]
-        for name in target.counter_names()
+        chip.metrics.counter(name).value - baseline[name] for name in target.counters
     )
     escalation_delta = sum(d.escalations for d in target.detectors) - escalations0
     recovered = _victim_recovered(target, point)
@@ -397,10 +279,11 @@ def run_faultspace_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     span = end - point.time
     tail_ops = target.completions_in(end - span / 4.0, end)
     healthy = target.quorums_met() and target.degraded_count() == 0
+    safe = target.system.is_safe
 
     # Precedence: sdc > unavailable > detected_recovered > masked.  The
     # if/elif chain is the exactly-one-bucket guarantee.
-    if not target.is_safe:
+    if not safe:
         outcome = "sdc"
     elif tail_ops == 0 or not healthy:
         outcome = "unavailable"
@@ -434,7 +317,7 @@ def run_faultspace_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "recovered": int(recovered),
         "completions_after": target.completions_in(point.time, end),
         "tail_completions": tail_ops,
-        "safe": int(target.is_safe),
+        "safe": int(safe),
         "by_replication": int(by_replication),
         "by_rejuvenation": int(by_rejuvenation),
         "by_hybrid": int(by_hybrid),

@@ -99,6 +99,22 @@ class FaultspaceConfig:
         return 8 if self.system == "sharded" else 6
 
 
+#: The fields of :class:`FaultspaceConfig` that shape a *trial*: what
+#: :func:`build_spec` writes into the spec's ``base``.
+TRIAL_KNOBS = (
+    "system", "protocol", "f", "width", "height", "n_shards",
+    "duration", "warmup", "n_clients", "think_time",
+    "client_timeout", "failover_timeout", "rejuvenation", "rejuvenation_period",
+)
+
+#: The ``faultspace`` runner's parameter table: the sampled stratum plus
+#: the trial knobs, each at its :class:`FaultspaceConfig` default.
+TRIAL_PARAMS: Dict[str, Any] = {
+    "stratum": UNIFORM,
+    **{name: getattr(FaultspaceConfig, name) for name in TRIAL_KNOBS},
+}
+
+
 def build_spec(config: FaultspaceConfig) -> CampaignSpec:
     """The full-budget campaign spec behind a fault-space run.
 
@@ -106,23 +122,10 @@ def build_spec(config: FaultspaceConfig) -> CampaignSpec:
     the seed repetitions the stratum's sample draws, so trial identities
     cover the whole budget whether or not early stopping trims it.
     """
-    base: Dict[str, Any] = {
-        "system": config.system,
-        "protocol": config.protocol,
-        "f": config.f,
-        "width": config.resolved_width(),
-        "height": config.resolved_height(),
-        "duration": config.duration,
-        "warmup": config.warmup,
-        "n_clients": config.n_clients,
-        "think_time": config.think_time,
-        "client_timeout": config.client_timeout,
-        "failover_timeout": config.failover_timeout,
-        "rejuvenation": config.rejuvenation,
-        "rejuvenation_period": config.rejuvenation_period,
-    }
-    if config.system == "sharded":
-        base["n_shards"] = config.n_shards
+    base: Dict[str, Any] = {name: getattr(config, name) for name in TRIAL_KNOBS}
+    base["width"], base["height"] = config.resolved_width(), config.resolved_height()
+    if config.system != "sharded":
+        del base["n_shards"]
     return CampaignSpec(
         name=config.name,
         runner="faultspace",

@@ -1,9 +1,8 @@
 """`ClientPopulation`: 10^5–10^6 modeled clients in one object.
 
-The per-client drivers (:class:`~repro.bft.client.ClientNode`,
-``RouterClient``) cost one Python object plus a timer chain per client —
-fine for tens of clients, hopeless for the population sizes real edge
-services face.  A :class:`ClientPopulation` replaces them with an
+A per-client driver (:class:`~repro.bft.client.ClientNode`) costs one
+Python object plus a timer chain per client — fine for tens of clients,
+hopeless for the population sizes real edge services face.  A :class:`ClientPopulation` replaces them with an
 *aggregated* model: one object, one periodic tick, one arrival-process
 draw answering "how many operations did my N clients generate this
 tick?".  Memory is O(populations + completions), never O(clients).
@@ -18,11 +17,14 @@ Two operating modes share one completion path:
   (which sheds ``degraded``/``throttled`` demand before it touches the
   NoC).  Offered load is conserved exactly:
   ``offered == admitted + shed + backlog`` at every instant.
-* ``mode="closed"`` — the compatibility path: ``n_clients`` independent
-  think-time loops, one operation in flight each, exactly the event
-  pattern of the old per-client ``RouterClient`` (which is now a thin
-  ``n_clients=1`` closed population).  Cost is O(n_clients); use it for
-  small tenant counts and exact back-compat, not for mesoscale runs.
+* ``mode="closed"`` — ``n_clients`` independent think-time loops, one
+  operation in flight each (issue → complete → think → issue); a failed
+  operation is counted and the loop continues, as a real tenant retries
+  other work when part of the keyspace is down.  No arrival process, no
+  admission control; cost is O(n_clients), so it is the mode for a
+  handful of tenants saturating the consensus pipeline (``repro shard``,
+  the ``shard_scaling`` and sharded ``faultspace`` trials, C2, E12), not
+  for mesoscale runs.
 
 Demand sampling draws only from ``sim.rng.stream("mesoscale.<name>")``,
 so populations are deterministic per seed and campaign trials inherit
@@ -38,12 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from repro.mesoscale.admission import AdmissionController
 from repro.metrics.traffic import TrafficSource
 from repro.sim.timers import PeriodicTimer
-from repro.workloads.workload import (
-    KVWorkload,
-    Workload,
-    as_workload,
-    read_only_predicate_of,
-)
+from repro.workloads.workload import KVWorkload, Workload, read_only_predicate_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.shard.router import ShardRouter, TicketResult
@@ -56,12 +53,11 @@ SHED_QUEUE_FULL = "queue_full"
 class PopulationConfig:
     """Shape of one aggregated client population.
 
-    ``workload`` accepts a :class:`~repro.workloads.workload.Workload`,
-    a bare legacy op-factory callable (deprecated — warns via
-    :func:`~repro.workloads.workload.as_workload`), or ``None`` for the
-    standard KV mix.  Open mode requires the workload to carry an
-    arrival process; ``think_time``/``max_requests`` apply to closed
-    mode only.
+    ``workload`` is a :class:`~repro.workloads.workload.Workload` or
+    ``None`` for the standard KV mix (wrap a bare op-factory callable in
+    :class:`~repro.workloads.workload.FactoryWorkload`).  Open mode
+    requires the workload to carry an arrival process; ``think_time``
+    applies to closed mode only.
     """
 
     n_clients: int = 100_000
@@ -71,7 +67,6 @@ class PopulationConfig:
     max_inflight: int = 256
     queue_limit: int = 4096
     think_time: float = 100.0
-    max_requests: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n_clients < 0:
@@ -104,10 +99,12 @@ class ClientPopulation(TrafficSource):
         self.config = config or PopulationConfig()
         self.admission = admission
         cfg = self.config
-        if cfg.workload is None:
-            self.workload: Workload = KVWorkload()
-        else:
-            self.workload = as_workload(cfg.workload)
+        self.workload: Workload = KVWorkload() if cfg.workload is None else cfg.workload
+        if not isinstance(self.workload, Workload):
+            raise TypeError(
+                f"population {name!r}: {cfg.workload!r} is not a Workload (need "
+                f".op(i), .arrivals and .name; wrap an op factory in FactoryWorkload)"
+            )
         if cfg.mode == "open" and self.workload.arrivals is None:
             raise ValueError(
                 f"population {name!r} is open-loop but workload "
@@ -280,17 +277,10 @@ class ClientPopulation(TrafficSource):
         self._counter(f"shed.{reason}").inc(count)
 
     # ------------------------------------------------------------------
-    # Closed mode: per-client think-time loops (the compat path)
+    # Closed mode: per-client think-time loops
     # ------------------------------------------------------------------
     def _issue_closed(self) -> None:
         if not self.running:
-            return
-        cfg = self.config
-        if (
-            cfg.max_requests is not None
-            and self._issued >= cfg.max_requests * max(1, cfg.n_clients)
-        ):
-            self.running = False
             return
         op = self.workload.op(self._issued)
         self._issued += 1

@@ -1,9 +1,9 @@
 """`TrafficSource`: the one measurement API every workload driver speaks.
 
 Before this module existed, ``ClientNode`` (the BFT open-loop client),
-``ShardRouter``, and ``RouterClient`` each carried their own copy of the
-``completions_in``/``latencies_in`` window accounting, and every bench
-re-derived percentiles by hand.  Benches and campaign runners now measure
+``ShardRouter`` and the router's closed-loop driver each carried their
+own copy of the ``completions_in``/``latencies_in`` window accounting,
+and every bench re-derived percentiles by hand.  Benches and campaign runners now measure
 any traffic driver — per-client or aggregated population — through this
 mixin plus the aggregation helpers below.
 

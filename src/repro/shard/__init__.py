@@ -10,8 +10,6 @@ from repro.shard.directory import ShardDirectory
 from repro.shard.manager import Shard, ShardConfig, ShardedSystem
 from repro.shard.placement import PlacementError, PlacementPlanner, ShardRegion
 from repro.shard.router import (
-    RouterClient,
-    RouterClientConfig,
     RouterConfig,
     ShardRouter,
     ShardStats,
@@ -22,8 +20,6 @@ from repro.shard.router import (
 __all__ = [
     "PlacementError",
     "PlacementPlanner",
-    "RouterClient",
-    "RouterClientConfig",
     "RouterConfig",
     "Shard",
     "ShardConfig",

@@ -29,12 +29,9 @@ Notes on the per-shard machinery:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
-
-import warnings
-
-import dataclasses
 
 from repro.bft.app import KeyValueStore, StateMachine
 from repro.bft.group import (
@@ -53,12 +50,7 @@ from repro.mesoscale.admission import AdmissionConfig, AdmissionController
 from repro.mesoscale.population import ClientPopulation, PopulationConfig
 from repro.shard.directory import ShardDirectory
 from repro.shard.placement import PlacementPlanner, ShardRegion
-from repro.shard.router import (
-    RouterClient,
-    RouterClientConfig,
-    RouterConfig,
-    ShardRouter,
-)
+from repro.shard.router import RouterConfig, ShardRouter
 from repro.sim.simulator import Simulator
 from repro.sim.timers import PeriodicTimer
 from repro.soc.chip import Chip, ChipConfig
@@ -190,7 +182,6 @@ class ShardedSystem:
                 adaptation=adaptation,
             )
         self.routers: List[ShardRouter] = []
-        self.clients: List[ClientPopulation] = []
         self.populations: List[ClientPopulation] = []
         self._health_timer: Optional[PeriodicTimer] = None
 
@@ -278,37 +269,8 @@ class ShardedSystem:
                 self.sim.rng.stream(f"mesoscale.{name}.admission"),
             )
         population = ClientPopulation(name, router, cfg, controller)
-        self.clients.append(population)
         self.populations.append(population)
         return population
-
-    def add_client(
-        self,
-        name: str,
-        client_config: Optional[RouterClientConfig] = None,
-        router_config: Optional[RouterConfig] = None,
-    ) -> RouterClient:
-        """Create a router + closed-loop driver pair for one tenant.
-
-        .. deprecated::
-            Per-client drivers are the legacy path; use
-            :meth:`attach_population` (a closed-mode
-            ``PopulationConfig(n_clients=1)`` reproduces this driver's
-            event pattern exactly, and open mode scales to mesoscale
-            client counts).  The old signature keeps working through
-            this shim.
-        """
-        warnings.warn(
-            "ShardedSystem.add_client is deprecated; use "
-            "ShardedSystem.attach_population (closed mode, n_clients=1 "
-            "for the same per-tenant behaviour)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        router = self.place_router(name, router_config)
-        driver = RouterClient(name, router, client_config)
-        self.clients.append(driver)
-        return driver
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -320,8 +282,8 @@ class ShardedSystem:
         ICAP, so configuration time grows with the shard count.
         """
         self.sim.run(until=self.sim.now + warmup)
-        for driver in self.clients:
-            driver.start()
+        for population in self.populations:
+            population.start()
         for shard in self.shards.values():
             shard.detector.start()
             if shard.rejuvenation is not None:
@@ -382,12 +344,12 @@ class ShardedSystem:
         return self.shards[shard_id].group.safety.is_safe
 
     def completed_operations(self) -> int:
-        """Total operations completed across all drivers."""
-        return sum(c.completed for c in self.clients)
+        """Total operations completed across all populations."""
+        return sum(p.completed for p in self.populations)
 
     def failed_operations(self) -> int:
-        """Total operations failed across all drivers."""
-        return sum(c.failures for c in self.clients)
+        """Total operations failed across all populations."""
+        return sum(p.failures for p in self.populations)
 
     def shard_metrics(self, shard_id: str) -> Dict[str, object]:
         """A flat per-shard status/metrics record for reports."""

@@ -20,9 +20,10 @@ under ``shard.<id>.*`` names, and per-shard liveness counters
 the severity detector samples — the router stands in for a population of
 clients, one pseudo-client per shard.
 
-:class:`RouterClient` is the closed-loop workload driver: conceptually a
-tenant application co-located on the router's tile, issuing one operation
-at a time through :meth:`ShardRouter.submit`.
+Traffic reaches a router through :meth:`ShardRouter.submit`; the drivers
+are :class:`~repro.mesoscale.population.ClientPopulation` objects
+(conceptually tenant applications co-located on the router's tile — not
+NoC nodes themselves, so the only on-chip traffic is the router's).
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.bft.client import OpFactory, default_op_factory
 from repro.bft.leases import keys_of, stable_key_hash
 from repro.bft.messages import ClientReply, ClientRequest, ReadNack
-from repro.mesoscale.population import ClientPopulation, PopulationConfig
 from repro.metrics.traffic import TrafficSource
 from repro.shard.directory import ShardDirectory
 from repro.sim.timers import Timeout
 from repro.soc.node import Node
-from repro.workloads.workload import FactoryWorkload
 
 
 def default_key_of(op: Any) -> Union[str, List[str]]:
@@ -533,50 +531,3 @@ class ShardRouter(Node, TrafficSource):
         if view.inflight_gauge is None:
             view.inflight_gauge = self.chip.metrics.gauge(f"shard.{shard_id}.inflight")
         view.inflight_gauge.set(view.inflight)
-
-
-@dataclass
-class RouterClientConfig:
-    """Closed-loop driver parameters (think time, workload, bound)."""
-
-    think_time: float = 100.0
-    max_requests: Optional[int] = None
-    op_factory: OpFactory = default_op_factory
-
-
-class RouterClient(ClientPopulation):
-    """A closed-loop workload driver submitting through a router.
-
-    Not a NoC node itself: it models a tenant application co-located with
-    its router, so the only on-chip traffic is the router's. One
-    operation is in flight at a time; failures (degraded shard, exhausted
-    retries) are counted and the loop continues — a real tenant retries
-    other work even when part of the keyspace is down.
-
-    Since the mesoscale engine landed this is a thin compatibility shell:
-    a closed-mode :class:`~repro.mesoscale.population.ClientPopulation`
-    of exactly one client, sharing the population's submission and
-    measurement path while preserving the historical event pattern
-    (issue → complete → think → issue) operation for operation.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        router: ShardRouter,
-        config: Optional[RouterClientConfig] = None,
-    ) -> None:
-        self.client_config = config or RouterClientConfig()
-        super().__init__(
-            name,
-            router,
-            PopulationConfig(
-                n_clients=1,
-                mode="closed",
-                think_time=self.client_config.think_time,
-                max_requests=self.client_config.max_requests,
-                workload=FactoryWorkload(
-                    self.client_config.op_factory, name=f"{name}-ops"
-                ),
-            ),
-        )

@@ -2,8 +2,8 @@
 
 * :mod:`~repro.workloads.workload` — the unified :class:`Workload` API:
   one object bundling the op mix (``op(i)``), the key distribution, and
-  the arrival process.  Bare ``op_factory`` callables remain accepted
-  everywhere via :func:`as_workload` (deprecated, warns).
+  the arrival process.  A bare ``op_factory`` callable becomes one by
+  wrapping it in :class:`FactoryWorkload`.
 * :mod:`~repro.workloads.arrivals` — aggregated demand models for
   client populations: Poisson, heavy-tailed Pareto bursts, diurnal
   sinusoid, and flash crowds.
@@ -35,7 +35,6 @@ from repro.workloads.workload import (
     UniformKeys,
     Workload,
     ZipfKeys,
-    as_workload,
     kv_workload,
     read_only_predicate_of,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "UniformKeys",
     "Workload",
     "ZipfKeys",
-    "as_workload",
     "control_sensor_ops",
     "counter_ops",
     "kv_skewed_ops",

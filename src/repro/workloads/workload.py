@@ -12,10 +12,8 @@ each admitted slot into ``workload.op(i)``.  This module defines:
   distributions, factored out of the old generator closures;
 * :class:`KVWorkload` — the standard put/get mix over a key
   distribution (the concrete workload every bench uses);
-* :class:`FactoryWorkload` — adapter wrapping a legacy ``OpFactory``;
-* :func:`as_workload` — the deprecation shim: bare callables keep
-  working everywhere a :class:`Workload` is expected, with a
-  ``DeprecationWarning`` pointing at the new API.
+* :class:`FactoryWorkload` — adapter exposing an ``op_factory(i)``
+  callable as a workload (a bare callable is not one: wrap it).
 
 Everything is a pure function of the op index ``i`` (plus explicit
 seeds), so the same workload replays identically against any protocol,
@@ -26,7 +24,6 @@ repo leans on.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Protocol, runtime_checkable
 
@@ -139,11 +136,10 @@ class KVWorkload:
 
 @dataclass
 class FactoryWorkload:
-    """Adapter: a legacy ``op_factory`` exposed through the Workload API.
+    """Adapter: an ``op_factory(i)`` exposed through the Workload API.
 
-    Internal compatibility paths construct this directly (no warning);
-    user code passing a bare callable to a Workload-typed parameter gets
-    here via :func:`as_workload`, which warns.
+    The ops are opaque — no ``is_read`` — so nothing derives a read-only
+    predicate from it and every op takes the ordered path.
     """
 
     factory: OpFactory
@@ -199,46 +195,3 @@ def read_only_predicate_of(workload: Any) -> Optional[Callable[[Any], bool]]:
     """
     is_read = getattr(workload, "is_read", None)
     return is_read if callable(is_read) else None
-
-
-# ----------------------------------------------------------------------
-# The deprecation shim
-# ----------------------------------------------------------------------
-
-def as_workload(
-    obj: Any,
-    arrivals: Optional[ArrivalProcess] = None,
-    warn: bool = True,
-) -> Workload:
-    """Coerce a workload-like object to the :class:`Workload` API.
-
-    A real workload passes through (with ``arrivals`` filled in when it
-    had none); a bare ``op_factory`` callable is wrapped in a
-    :class:`FactoryWorkload` — the supported-but-deprecated path, which
-    emits a ``DeprecationWarning`` unless ``warn=False`` (internal
-    compatibility shims silence it; user code should migrate).
-    """
-    if obj is None:
-        return KVWorkload(arrivals=arrivals)
-    if isinstance(obj, Workload) and not callable(getattr(obj, "factory", None)):
-        if arrivals is not None and obj.arrivals is None:
-            obj.arrivals = arrivals
-        return obj
-    if isinstance(obj, FactoryWorkload):
-        if arrivals is not None and obj.arrivals is None:
-            obj.arrivals = arrivals
-        return obj
-    if callable(obj):
-        if warn:
-            warnings.warn(
-                "bare OpFactory callables are deprecated as workloads; wrap "
-                "the factory in repro.workloads.FactoryWorkload or build a "
-                "repro.workloads.kv_workload(...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return FactoryWorkload(obj, arrivals=arrivals)
-    raise TypeError(
-        f"cannot interpret {obj!r} as a Workload (need .op(i)/.arrivals or "
-        f"a callable op factory)"
-    )

@@ -118,6 +118,15 @@ def test_campaign_run_unknown_name_fails_cleanly(tmp_path, capsys):
     assert "unknown campaign" in capsys.readouterr().err
 
 
+def test_campaign_set_unknown_name_exits_2_naming_the_known_ones(tmp_path, capsys):
+    """A typo'd --set used to run the default campaign under a new hash."""
+    assert main(["campaign", "run", "smoke", "--seeds", "1",
+                 "--set", "duraton=1000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'duraton'" in err and "duration" in err and "warmup" in err
+    assert not (tmp_path / "smoke").exists()
+
+
 def test_campaign_set_override_parses_json():
     from repro.cli import _parse_override
 
@@ -141,10 +150,26 @@ def test_shard_runs_and_reports_safe(capsys):
     assert "s0" in out and "s1" in out
 
 
-def test_shard_kill_unknown_shard_rejected(capsys):
+def _forbid_start(monkeypatch):
+    from repro.shard import ShardedSystem
+
+    def must_not_start(self, warmup=0.0):
+        raise AssertionError("the service was started before --kill-shard was checked")
+
+    monkeypatch.setattr(ShardedSystem, "start", must_not_start)
+
+
+def test_shard_kill_unknown_shard_rejected(capsys, monkeypatch):
+    _forbid_start(monkeypatch)  # rejected before the warm-up is simulated
     assert main(["shard", "--shards", "2", "--duration", "60000",
                  "--kill-shard", "s9"]) == 2
-    assert "unknown shard" in capsys.readouterr().err
+    assert "unknown shard 's9'; have s0, s1" in capsys.readouterr().err
+
+
+def test_mesoscale_kill_unknown_shard_rejected(capsys, monkeypatch):
+    _forbid_start(monkeypatch)
+    assert main(["mesoscale", "--duration", "60000", "--kill-shard", "s9"]) == 2
+    assert "unknown shard 's9'; have s0, s1, s2, s3" in capsys.readouterr().err
 
 
 def test_shard_protocol_choice_validated():

@@ -242,7 +242,7 @@ def test_determinism_via_derive_trial_seed():
 
 def test_closed_population_matches_per_client_drivers():
     # A closed population of K clients must serve like K independent
-    # single-client populations (the old RouterClient fleet) — the same
+    # single-client populations (one router and driver per tenant) — the same
     # engine either way, so throughputs agree closely.
     def run_fleet(grouped):
         system = ShardedSystem(

@@ -1,0 +1,212 @@
+"""Goldens for "flat parameters → running service → measured window".
+
+Every simulating campaign runner, and every CLI command that assembles a
+service by hand, is pinned here by a sha256 of what it returns or prints
+for a short seeded run.  Together the points take every branch of trial
+assembly: all four protocol families, batching on / off / pipelined-only,
+rejuvenation on / off, the four arrival processes, a mid-window shard
+kill, leases on / off with and without batching, the APT race with and
+without rejuvenation, feasible and infeasible ``evolve`` genomes, and the
+two ``faultspace`` targets on node, link, register and tile strata.
+
+**Captured at 39cc10e (the parent of the PR that moved trial assembly
+into ``repro.campaign.scenario``) and not regenerated by it** — the
+``tests/test_bft_ordering_core.py`` pattern: a refactor of how a trial is
+built must leave these alone; a PR that means to change what a runner
+simulates or reports updates them knowingly and says so.  The file uses
+only ``get_runner(name)(params, seed)`` and ``repro.cli.main(argv)``, so
+it runs unchanged on either side of such a refactor.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from repro.campaign.runners import get_runner
+from repro.cli import main
+
+
+def metrics_digest(metrics):
+    canonical = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def cli_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+SHORT = {"duration": 45_000.0}
+MESO = {"duration": 45_000.0, "n_clients": 100_000, "rate_per_client": 1e-7}
+GENOME = {
+    "protocol": "minbft", "f": 1, "batch_size": 4, "batch_inflight": 2,
+    "window": 16, "n_shards": 2, "mesh": 6, "rejuv_period": 0, "lease": 0,
+    "duration": 30_000.0,
+}
+FAULT = {"duration": 45_000.0}
+
+# key -> (runner, params, seed)
+RUNNER_POINTS = {
+    "throughput-minbft": ("throughput", {**SHORT, "protocol": "minbft", "n_clients": 2}, 3),
+    "throughput-pbft": ("throughput", {**SHORT, "protocol": "pbft", "n_clients": 2}, 3),
+    "throughput-cft": ("throughput", {**SHORT, "protocol": "cft", "think_time": 50.0}, 3),
+    "throughput-passive": ("throughput", {**SHORT, "protocol": "passive", "width": 5, "height": 5}, 3),
+    "batching-off": ("consensus_batching", {**SHORT, "protocol": "minbft"}, 5),
+    "batching-on": (
+        "consensus_batching",
+        {**SHORT, "protocol": "pbft", "batch_size": 8, "max_inflight": 4,
+         "batch_delay": 100.0, "max_outstanding": 8},
+        5,
+    ),
+    "batching-pipelined-only": (
+        "consensus_batching",
+        {**SHORT, "protocol": "minbft", "max_inflight": 4, "max_outstanding": 4},
+        5,
+    ),
+    "shard-scaling-plain": ("shard_scaling", {**SHORT, "n_shards": 2, "n_clients": 4}, 7),
+    "shard-scaling-rejuvenation": (
+        "shard_scaling",
+        {"duration": 60_000.0, "n_shards": 2, "n_clients": 4, "rejuvenation": True,
+         "key_space": 32},
+        7,
+    ),
+    "mesoscale-poisson": ("mesoscale", {**MESO, "process": "poisson"}, 11),
+    "mesoscale-pareto": ("mesoscale", {**MESO, "process": "pareto", "alpha": 1.5}, 11),
+    "mesoscale-diurnal": ("mesoscale", {**MESO, "process": "diurnal"}, 11),
+    "mesoscale-flash": (
+        "mesoscale",
+        {"duration": 45_000.0, "process": "flash", "n_populations": 3, "queue_limit": 512},
+        11,
+    ),
+    "mesoscale-kill": ("mesoscale", {**MESO, "duration": 60_000.0, "kill_shard": "s1"}, 11),
+    "leases-off-batch1": ("leased_reads", {**SHORT, "leases": 0, "batch_size": 1}, 13),
+    "leases-off-batch8": ("leased_reads", {**SHORT, "leases": 0}, 13),
+    "leases-on-batch1": ("leased_reads", {**SHORT, "leases": 1, "batch_size": 1}, 13),
+    "leases-on-batch8": (
+        "leased_reads", {**SHORT, "leases": 1, "protocol": "pbft", "read_ratio": 0.5}, 13
+    ),
+    "rejuv-apt-none": (
+        "rejuv_apt", {"period": 0, "horizon": 150_000.0, "mean_effort": 30_000.0}, 17
+    ),
+    "rejuv-apt-periodic": (
+        "rejuv_apt",
+        {"period": 20_000.0, "horizon": 150_000.0, "mean_effort": 40_000.0,
+         "relocate": False},
+        17,
+    ),
+    "evolve-feasible": ("evolve", dict(GENOME), 19),
+    "evolve-infeasible": ("evolve", {**GENOME, "protocol": "pbft", "n_shards": 8, "mesh": 4}, 19),
+    "evolve-rejuv-lease": (
+        "evolve", {**GENOME, "batch_size": 1, "rejuv_period": 20_000, "lease": 1}, 19
+    ),
+    "faultspace-resilient-node": ("faultspace", {**FAULT, "stratum": "node:crash"}, 23),
+    "faultspace-resilient-link": ("faultspace", {**FAULT, "stratum": "link:link_fail"}, 23),
+    "faultspace-resilient-register": ("faultspace", {**FAULT, "stratum": "register:bitflip"}, 23),
+    "faultspace-resilient-uniform-norejuv": (
+        "faultspace", {**FAULT, "protocol": "pbft", "rejuvenation": False}, 23
+    ),
+    "faultspace-resilient-passive-tile": (
+        "faultspace", {**FAULT, "protocol": "passive", "stratum": "tile:crash"}, 23
+    ),
+    "faultspace-sharded-node": (
+        "faultspace", {**FAULT, "system": "sharded", "stratum": "node:crash"}, 29
+    ),
+    "faultspace-sharded-link": (
+        "faultspace", {**FAULT, "system": "sharded", "stratum": "link:link_fail"}, 29
+    ),
+    "faultspace-sharded-register": (
+        "faultspace", {**FAULT, "system": "sharded", "stratum": "register:bitflip"}, 29
+    ),
+    "faultspace-sharded-cft-degrade": (
+        "faultspace",
+        {**FAULT, "system": "sharded", "protocol": "cft", "stratum": "tile:degrade",
+         "n_shards": 3, "rejuvenation_period": 10_000.0},
+        29,
+    ),
+}
+
+CLI_POINTS = {
+    "demo": ["demo", "--duration", "60000"],
+    "demo-pbft": ["demo", "--protocol", "pbft", "--seed", "5", "--duration", "45000"],
+    "shard": ["shard", "--shards", "2", "--clients", "3", "--duration", "45000"],
+    "shard-kill": [
+        "shard", "--shards", "3", "--clients", "3", "--duration", "80000",
+        "--kill-shard", "s1", "--no-rejuvenation",
+    ],
+    "mesoscale-flash-kill": [
+        "mesoscale", "--process", "flash", "--kill-shard", "s1", "--duration", "60000",
+    ],
+    "mesoscale-diurnal": [
+        "mesoscale", "--process", "diurnal", "--duration", "30000", "--rate", "1e-7",
+        "--populations", "3",
+    ],
+    "mesoscale-pareto": [
+        "mesoscale", "--process", "pareto", "--duration", "30000", "--rate", "1e-7",
+        "--shards", "2",
+    ],
+    "leases": ["leases", "--duration", "45000"],
+}
+
+# Captured at 39cc10e; see the module docstring before touching these.
+RUNNER_GOLDENS = {
+    "throughput-minbft": "2ce8d5be2f7fec77cc9668195cca92663cc98e985ca21ce8d2206d35f1175220",
+    "throughput-pbft": "fe7c7d6f59b7f4b9e143be05704fa95c830cc90a3c33a955fcc2a58103bfa83a",
+    "throughput-cft": "ed2cba1d8b3a2b019cdae453a9604a4e0a0806e5c1820e62f13118f97882b006",
+    "throughput-passive": "4f9aba93925a76aaae4ddedebb82e4245676f37ba90ce60528e5e074b7d3cdf6",
+    "batching-off": "f6f290fcea96143647c77b6294865c6de7f44b0f62524a5e2f7d58c4428503ec",
+    "batching-on": "3152e79b3647122040bd47f0c286f83feaf5308ca25403d8ced247a1e91aef48",
+    "batching-pipelined-only": "d4e46a14df7249f861926e1cec839031a86fd113aa396b717778187d8c70c9e2",
+    "shard-scaling-plain": "2965e09350e4ad57fc750917e5a41208a7dc313c087d1d587c423f88a63f25f5",
+    "shard-scaling-rejuvenation": "12ae5375fbcc090c520166a3f3da0dcc803e177ef09482c7d5cda3c522c1373d",
+    "mesoscale-poisson": "7efa37feb622dc5d0e8ae83512381259f7895dba1e48bd904094d9ba17f4da5e",
+    "mesoscale-pareto": "fd0b888edba8388f61c38fe71cb6fa060cd9bba25facc0158a111cf30dca459b",
+    "mesoscale-diurnal": "10d8ed8438f3c801acc5c4aac9a0b0f9acac80c603d1a0a67d5bc50ed3e93add",
+    "mesoscale-flash": "9de06df0400c198078b6d5d219c8e90d7c6d7566942490968ee0f7d51e8eaf51",
+    "mesoscale-kill": "b070d1ae0e66355fb2d098aa2f54ee401ef7d01d0501be3b5c61fd4295565e66",
+    "leases-off-batch1": "b5d0bfe9db046fbd53e58d75dfe000748583406ebe9aa44c7c024066385c5fde",
+    "leases-off-batch8": "3673ee1daf84bbe0c9bc1458549c9b6bd250976138fc10bb8cc6dab4b3147ca7",
+    "leases-on-batch1": "865fff23fd8d27f99dba6e3b3da1cd36d0b39c10d1ee5ced2d0a92689f7d165b",
+    "leases-on-batch8": "36c70bbd8d42993a7699208ecb8124c8ac47fe69571c20053c7ca7e56faeabd1",
+    "rejuv-apt-none": "32f4c8f5b76257291f29a9fbdd195f04fa4f81f1c06c83a36cf8d9cdec41e880",
+    "rejuv-apt-periodic": "59504d6a80e5dbe86a9ac34268789782d672fda7068cc2267dbd8c334eece4ec",
+    "evolve-feasible": "eb1c26b049b1f5eae56a19a32b35dd550b672546b2d0949c2804809d59899f87",
+    "evolve-infeasible": "146df23a4c635babd5e13d039030772a940ddaa2263307566fea00540a09c762",
+    "evolve-rejuv-lease": "6f92f2c0f15f114c541a4a5cad1d9b8746c626addeb7b151b9bbb850f5be1fb0",
+    "faultspace-resilient-node": "e0245acad900800336357c8a358d216f1de110552f4811f7e7ec8169eab18a45",
+    "faultspace-resilient-link": "928da56108dc95edd11125f49915326cde7527413ae1eced3358feb356e1ebeb",
+    "faultspace-resilient-register": "0f3b5f597821381b01e7fea17c0c849bfff09b85b3a03b1bb55a661311fb9a06",
+    "faultspace-resilient-uniform-norejuv": "b0881321cd41332b81780ec3bbee391a4013719471b172ae8986a527ee9dd194",
+    "faultspace-resilient-passive-tile": "8d4a0212907635c0fdb308bff16b188e02664fe0e39702619934867e98e759a6",
+    "faultspace-sharded-node": "54865a412f40e6277af3d63d1baea9edc79d07abd8836f6e8a15a1f2b4ccda71",
+    "faultspace-sharded-link": "0350eeb3256e8d26d6ad51028e5fc25f23ab910d833a25b4bce0835db8d7b238",
+    "faultspace-sharded-register": "c4657c78d0fbc7e79ef6fba9cdb4a88ac514c5d9abcee839d85a313ac6bc2e5b",
+    "faultspace-sharded-cft-degrade": "648d3e5dd076d995a0de40d0043b04aeaaae5ab95e321a591b1349213a1354a5",
+}
+
+# (exit code, sha256 of stdout)
+CLI_GOLDENS = {
+    "demo": (0, "3fb426c34fd0c28be9408b9165f79bfcc98ebd590010ee21901cfa4aee66d5fa"),
+    "demo-pbft": (0, "eaaffbba893e18a8c7209ba26ff594752ea1dac12dd4ae048d4e3870daf2c320"),
+    "shard": (0, "c15548bdbd91fbc32f6c5118f70579b50f24dc0bda59c7107b03188c34c7ecb3"),
+    "shard-kill": (0, "7b239133b378ba8cd425016a9a4aae53071b6d184ea386b90ad31eaf72ef1e86"),
+    "mesoscale-flash-kill": (0, "6f6485e8a6d7e23a2919948d23a3fab18ac3f01581bd7321e6c14bed171b6581"),
+    "mesoscale-diurnal": (0, "3bc47a3c8c771d2face8ab4c7919fbbea4b7fcb800e8eea517912ae329866430"),
+    "mesoscale-pareto": (0, "7b9483e6e290ec16caa3d89533cee80284ea6fb25c876dd150cb8cbd3d685c74"),
+    "leases": (0, "3d393cd7310a8e7c87ca2a6c87f25f394af04c0116b4d4793adaf0c1caf3fbc9"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RUNNER_POINTS))
+def test_runner_metrics_are_pinned(key):
+    runner, params, seed = RUNNER_POINTS[key]
+    assert metrics_digest(get_runner(runner)(dict(params), seed)) == RUNNER_GOLDENS[key]
+
+
+@pytest.mark.parametrize("key", sorted(CLI_POINTS))
+def test_cli_stdout_is_pinned(key):
+    assert cli_digest(CLI_POINTS[key]) == CLI_GOLDENS[key]

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.shard import (
-    RouterClientConfig,
     RouterConfig,
     ShardConfig,
     ShardedSystem,
     default_key_of,
 )
-
-
-IDLE = RouterClientConfig(max_requests=0)  # router only, no driver traffic
+from tests.conftest import closed_driver
 
 
 def build(n_shards=2, seed=11, **overrides):
@@ -51,8 +48,7 @@ def test_default_key_of_rejects_garbage():
 # ----------------------------------------------------------------------
 def test_operations_reach_the_owning_shard():
     system = build()
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=60_000)
 
     results = []
@@ -77,8 +73,7 @@ def test_operations_reach_the_owning_shard():
 
 def test_reads_route_like_writes():
     system = build()
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=60_000)
     results = []
     router.submit(("put", "k3", 42), results.append)
@@ -91,8 +86,7 @@ def test_reads_route_like_writes():
 
 def test_mget_aggregates_across_shards():
     system = build(n_shards=4)
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=80_000)
     keys = [f"k{i}" for i in range(8)]
     owners = {system.directory.shard_for(k) for k in keys}
@@ -111,8 +105,7 @@ def test_mget_aggregates_across_shards():
 
 def test_degraded_shard_fails_fast():
     system = build()
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=60_000)
     victim = system.directory.shard_for("k0")
     system.directory.mark_degraded(victim)
@@ -132,7 +125,7 @@ def test_driver_continues_after_failures():
     """A closed-loop driver keeps issuing ops when part of the keyspace
     is down: failures count, completions continue on live shards."""
     system = build(n_shards=2)
-    driver = system.add_client("c0", RouterClientConfig(think_time=50.0))
+    driver = closed_driver(system, "c0", think_time=50.0)
     system.start(warmup=60_000)
     system.run(30_000)
     completed_before = driver.completed
@@ -147,8 +140,7 @@ def test_protocol_switch_repoints_router():
     """Escalating one shard to PBFT mid-run re-points every router at the
     new membership through the group's client list."""
     system = build(n_shards=2)
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=60_000)
     shard = system.shards["s0"]
     assert len(shard.group.members) == 3  # minbft 2f+1
@@ -170,7 +162,7 @@ def test_protocol_switch_repoints_router():
 
 def test_per_shard_metrics_are_populated():
     system = build(n_shards=2)
-    driver = system.add_client("c0", RouterClientConfig(think_time=50.0))
+    driver = closed_driver(system, "c0", think_time=50.0)
     system.start(warmup=60_000)
     system.run(120_000)
     assert driver.completed > 0
@@ -195,8 +187,7 @@ def test_router_timeout_retransmits_and_recovers():
         n_shards=2,
         router=RouterConfig(timeout=10_000.0),
     )
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=60_000)
     key = next(k for k in (f"k{i}" for i in range(64))
                if system.directory.shard_for(k) == "s0")
@@ -222,8 +213,7 @@ def test_per_shard_inflight_count_equals_a_scan_of_the_subops():
     """Through issue, completion, timeout-failure and degraded fast-fail
     the maintained count, the scan and the published gauge agree."""
     system = build(n_shards=2, router=RouterConfig(timeout=5_000.0, max_attempts=2))
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=60_000)
     shards = system.directory.shard_ids
 
@@ -287,8 +277,7 @@ def test_lease_target_order_is_cached_until_placement_or_membership_changes():
         n_shards=2, protocol="minbft",
         protocol_config=protocol_config_for("minbft", leases=LeaseConfig()),
     )
-    system.add_client("c0", IDLE)
-    router = system.routers[0]
+    router = system.place_router("c0")
     system.start(warmup=60_000)
     chip = system.chip
     reads = [("get", f"k{i}") for i in range(64)]

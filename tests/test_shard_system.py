@@ -3,14 +3,13 @@
 import pytest
 
 from repro.core import AdaptationPolicy, ThreatLevel
-from repro.shard import RouterClientConfig, ShardConfig, ShardedSystem
+from repro.mesoscale import PopulationConfig
+from repro.shard import ShardConfig, ShardedSystem
+from tests.conftest import closed_driver
 
 
 def serve(system, n_clients=2, think_time=100.0, warmup=60_000, duration=180_000):
-    drivers = [
-        system.add_client(f"c{i}", RouterClientConfig(think_time=think_time))
-        for i in range(n_clients)
-    ]
+    drivers = [closed_driver(system, f"c{i}", think_time) for i in range(n_clients)]
     system.start(warmup=warmup)
     system.run(duration)
     return drivers
@@ -76,10 +75,7 @@ def test_kill_shard_degrades_exactly_one_and_survivors_serve():
     system = ShardedSystem(
         ShardConfig(seed=4, n_shards=3, enable_rejuvenation=False)
     )
-    drivers = [
-        system.add_client(f"c{i}", RouterClientConfig(think_time=100.0))
-        for i in range(3)
-    ]
+    drivers = [closed_driver(system, f"c{i}") for i in range(3)]
     system.start(warmup=70_000)
     system.run(60_000)
     system.kill_shard("s2")
@@ -108,10 +104,7 @@ def test_per_shard_adaptation_is_independent():
                     enable_adaptation=True, enable_rejuvenation=False,
                     adaptation=AdaptationPolicy())
     )
-    drivers = [
-        system.add_client(f"c{i}", RouterClientConfig(think_time=100.0))
-        for i in range(2)
-    ]
+    drivers = [closed_driver(system, f"c{i}") for i in range(2)]
     system.start(warmup=60_000)
     victim = system.shards["s0"]
     # Crash the CFT leader of s0 only: its detector escalates.
@@ -177,10 +170,10 @@ def test_single_shard_matches_resilient_system_shape():
 
 
 # ----------------------------------------------------------------------
-# The traffic API redesign: attach_population primary, add_client shim
+# The traffic API: attach_population
 # ----------------------------------------------------------------------
 def test_attach_population_is_primary_api():
-    from repro.mesoscale import ClientPopulation, PopulationConfig
+    from repro.mesoscale import ClientPopulation
     from repro.workloads import kv_workload
 
     system = ShardedSystem(ShardConfig(seed=30, n_shards=2, enable_rejuvenation=False))
@@ -192,18 +185,8 @@ def test_attach_population_is_primary_api():
         ),
     )
     assert isinstance(pop, ClientPopulation)
-    assert pop in system.populations and pop in system.clients
+    assert system.populations == [pop]
     system.start(warmup=60_000)
     system.run(60_000)
     assert pop.completed > 0
-    assert system.is_safe
-
-
-def test_add_client_is_deprecated_but_works():
-    system = ShardedSystem(ShardConfig(seed=31, n_shards=2, enable_rejuvenation=False))
-    with pytest.warns(DeprecationWarning, match="attach_population"):
-        driver = system.add_client("c0", RouterClientConfig(think_time=100.0))
-    system.start(warmup=60_000)
-    system.run(60_000)
-    assert driver.completed > 0
     assert system.is_safe

@@ -190,36 +190,30 @@ def test_kv_workload_rate_sugar_and_exclusivity():
         kv_workload(arrivals=PoissonArrivals(1e-5), rate_per_client=1e-5)
 
 
-def test_as_workload_passthrough_and_default():
-    from repro.workloads import KVWorkload, PoissonArrivals
-    from repro.workloads.workload import as_workload
+def _population(workload):
+    from repro.mesoscale import PopulationConfig
+    from repro.shard import ShardConfig, ShardedSystem
 
-    wl = KVWorkload()
-    assert as_workload(wl) is wl
-    default = as_workload(None, arrivals=PoissonArrivals(1e-5))
-    assert isinstance(default, KVWorkload)
-    assert default.arrivals is not None
-
-
-def test_as_workload_deprecates_bare_callables():
-    from repro.workloads import FactoryWorkload
-    from repro.workloads.workload import as_workload
-
-    factory = counter_ops()
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        wrapped = as_workload(factory)
-    assert isinstance(wrapped, FactoryWorkload)
-    assert wrapped.op(0) == factory(0)
-    # Internal shims silence the warning explicitly.
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        as_workload(factory, warn=False)
+    system = ShardedSystem(ShardConfig(seed=1, n_shards=1, enable_rejuvenation=False))
+    return system.attach_population(
+        "p", PopulationConfig(n_clients=1, mode="closed", workload=workload)
+    )
 
 
-def test_as_workload_rejects_garbage():
-    from repro.workloads.workload import as_workload
+def test_population_takes_a_workload_or_the_default():
+    """A population takes a Workload as it is and the standard KV mix for
+    None (the contract the deleted coercion shim had, where it is now
+    enforced: ``ClientPopulation.__init__``)."""
+    from repro.workloads import FactoryWorkload, KVWorkload
 
-    with pytest.raises(TypeError):
-        as_workload(42)
+    wl = FactoryWorkload(counter_ops())
+    assert _population(wl).workload is wl
+    assert isinstance(_population(None).workload, KVWorkload)
+
+
+def test_population_rejects_what_is_not_a_workload():
+    """Neither a number nor a bare op-factory callable is a Workload."""
+    with pytest.raises(TypeError, match="FactoryWorkload"):
+        _population(42)
+    with pytest.raises(TypeError, match="FactoryWorkload"):
+        _population(counter_ops())
