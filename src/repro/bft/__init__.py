@@ -23,7 +23,7 @@ certificates are real HMACs they cannot forge.
 """
 
 from repro.bft.app import CounterApp, KeyValueStore, StateMachine
-from repro.bft.client import ClientConfig, ClientNode
+from repro.bft.client import ClientConfig, ClientNode, ClientSession
 from repro.bft.group import GroupConfig, ReplicaGroup, build_group
 from repro.bft.messages import ClientReply, ClientRequest
 from repro.bft.safety import SafetyRecorder
@@ -33,6 +33,7 @@ __all__ = [
     "ClientNode",
     "ClientReply",
     "ClientRequest",
+    "ClientSession",
     "CounterApp",
     "GroupConfig",
     "KeyValueStore",

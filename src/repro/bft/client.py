@@ -1,15 +1,21 @@
-"""Clients: the workload driver for every experiment.
+"""Clients: the requester's half of the protocol, and the workload driver.
 
-Closed-loop by default (one request in flight, ``think_time`` between
-completions); ``ClientConfig.max_outstanding > 1`` switches to open-loop
-operation with a window of concurrently outstanding requests — the
-workload shape that keeps a batching primary's batches full (P2 bench).
+:class:`ClientSession` is the one copy of what a requester does towards a
+replica group — dispatch, reply voting, ``ReadNack`` and timeout
+fall-backs, primary-hint adoption — used by :class:`ClientNode` here and
+by every :class:`~repro.shard.router.ShardRouter` (one session per shard).
+
+:class:`ClientNode` drives one group with a window of
+``ClientConfig.max_outstanding`` concurrently outstanding requests; a
+window of one is the classic closed loop, larger windows are the workload
+shape that keeps a batching primary's batches full (P2 bench).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+import dataclasses
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.bft.leases import keys_of, stable_key_hash
 from repro.bft.messages import ClientReply, ClientRequest, ReadNack
@@ -41,12 +47,12 @@ class ClientConfig:
     unordered and complete on ``read_quorum`` matching replies, falling
     back to the ordered path on timeout.
 
-    ``max_outstanding`` switches the client to **open-loop** operation:
-    up to that many requests are kept in flight concurrently, each voted
-    and completed independently (what keeps a batching primary's batches
-    full).  The default of 1 is the classic closed loop, byte for byte.
-    Keep it below the replicas' execution-ledger window (256) or replay
-    detection of very old rids degrades.
+    ``max_outstanding`` is the client's window: up to that many requests
+    are kept in flight concurrently, each voted and completed
+    independently (what keeps a batching primary's batches full).  The
+    default of 1 is the classic closed loop.  Keep it below the replicas'
+    execution-ledger window (256) or replay detection of very old rids
+    degrades.
 
     ``on_result`` (when set) observes every completion as ``(request,
     accepted_reply)`` — the hook the staleness-bound oracle in the lease
@@ -68,12 +74,170 @@ class ClientConfig:
             raise ValueError(f"max_outstanding must be >= 1, got {self.max_outstanding}")
 
 
-class ClientNode(Node, TrafficSource):
-    """A closed-loop client of one replica group.
+@dataclass
+class Exchange:
+    """One request in flight: the request as last sent (a fall-back
+    rewrites it under the same rid), when it was first sent, and who has
+    replied so far, grouped by the replies' match key."""
 
-    Sends each request to the believed primary; collects replies until
+    __slots__ = ("request", "sent_at", "votes")  # one per operation: keep it lean
+    request: ClientRequest
+    sent_at: float
+    votes: Dict[Any, Set[str]]
+
+
+class ClientSession:
+    """One requester's half of the protocol towards one replica group.
+
+    Owns the requester's picture of the group (members, the two quorums,
+    whether reads are leased, the believed primary) and the rules every
+    :class:`Exchange` follows.  ``node`` is the NoC node that sends and
+    is replied to; ``config`` supplies ``read_only_predicate``,
+    ``backoff_factor`` and ``max_timeout``
+    (:class:`ClientConfig` or :class:`~repro.shard.router.RouterConfig`).
+
+    Two policies are the owner's, not the session's: *who owns the timer*
+    (the owner arms it after :meth:`open` and calls :meth:`escalate` when
+    it expires) and *how often an expiry suspects the primary* (the owner
+    calls :meth:`suspect_primary` — once per expired timer, however many
+    exchanges that timer covers).  Which replica serves a leased read is
+    the owner's choice too, passed to :meth:`open`.
+
+    A replica group reconfigures its requesters through
+    :meth:`configure`, so a session is what sits in a group's ``clients``
+    list on behalf of a router.
+    """
+
+    def __init__(self, node: Node, config: Any) -> None:
+        self.node = node
+        self.config = config
+        self.members: List[str] = []
+        self.reply_quorum = 1
+        self.read_quorum = 1
+        self.lease_reads = False
+        self.primary_hint = 0
+
+    def configure(
+        self,
+        replicas: List[str],
+        reply_quorum: int,
+        read_quorum: Optional[int] = None,
+        lease_reads: bool = False,
+    ) -> None:
+        """Point the session at a replica group (callable mid-run when
+        the adaptation layer switches protocols: exchanges in flight are
+        voted and retransmitted against the new membership).
+
+        ``lease_reads=True`` lets read-only ops go out as **leased
+        reads**: one message to one replica, accepting its lone leased
+        reply; a :class:`ReadNack` drops the op to the quorum read path.
+        """
+        if reply_quorum < 1:
+            raise ValueError("reply quorum must be >= 1")
+        self.members = list(replicas)
+        self.reply_quorum = reply_quorum
+        self.read_quorum = read_quorum if read_quorum is not None else reply_quorum
+        self.lease_reads = lease_reads
+        self.primary_hint %= max(1, len(self.members))
+
+    def primary(self) -> str:
+        """The replica currently believed to be primary."""
+        return self.members[self.primary_hint % len(self.members)]
+
+    def is_read(self, op: Any) -> bool:
+        """True when ``op`` may take the unordered read path."""
+        predicate = self.config.read_only_predicate
+        return bool(predicate is not None and predicate(op))
+
+    def open(
+        self, rid: int, op: Any, read_only: bool, lease_target: Optional[str] = None
+    ) -> Exchange:
+        """Send request ``rid`` and return its exchange: a leased read
+        goes to ``lease_target`` alone, any other read to every member
+        (fast path: wait for ``read_quorum`` matching), a write to the
+        believed primary."""
+        request = ClientRequest(
+            self.node.name, rid, op,
+            read_only=read_only, lease_read=lease_target is not None,
+        )
+        if lease_target is not None:
+            self.node.send(lease_target, request, request.wire_size())
+        elif read_only:
+            self.node.broadcast(self.members, request, request.wire_size())
+        else:
+            self.node.send(self.primary(), request, request.wire_size())
+        return Exchange(request, self.node.sim.now, {})
+
+    def accept(self, exchange: Exchange, sender: str, reply: ClientReply) -> bool:
+        """Count ``reply`` towards ``exchange``; True when it completes it
+        (and the replier's view is adopted for primary targeting)."""
+        if sender != reply.replica or sender not in self.members:
+            return False  # transport-authenticated sender must match the claim
+        request = exchange.request
+        if request.lease_read:
+            if not reply.leased:
+                return False  # a lone unleased reply must not complete a read
+            needed = 1  # the leaseholder answers alone; staleness is bounded
+        else:
+            needed = self.read_quorum if request.read_only else self.reply_quorum
+        votes = exchange.votes.setdefault(reply.match_key(), set())
+        votes.add(sender)
+        if len(votes) < needed:
+            return False
+        self.primary_hint = reply.view % len(self.members)
+        return True
+
+    def nacked(self, exchange: Exchange, sender: str, nack: ReadNack) -> bool:
+        """No valid lease at the target.  True when the nack is genuine —
+        from the member it names, addressed to this requester, for a read
+        still on the lease path — and ``exchange`` has been dropped to the
+        quorum read with its votes cleared; the owner then calls
+        :meth:`rebroadcast` (or gives up on the exchange)."""
+        if sender != nack.replica or sender not in self.members:
+            return False
+        if nack.client != self.node.name or not exchange.request.lease_read:
+            return False
+        exchange.request = dataclasses.replace(exchange.request, lease_read=False)
+        exchange.votes = {}
+        return True
+
+    def rebroadcast(self, exchange: Exchange) -> None:
+        """Send the exchange's current request to every member."""
+        request = exchange.request
+        self.node.broadcast(self.members, request, request.wire_size())
+
+    def escalate(self, exchange: Exchange) -> bool:
+        """``exchange`` timed out: retransmit to every member, so each
+        backup sees the request (that is what arms their view-change
+        timers).  A read whose fast path stalled (concurrent writes or
+        faulty replies) first falls back to the ordered path under the
+        same rid, votes cleared — True when that happened."""
+        fell_back = exchange.request.read_only
+        if fell_back:
+            exchange.request = dataclasses.replace(
+                exchange.request, read_only=False, lease_read=False
+            )
+            exchange.votes = {}
+        self.rebroadcast(exchange)
+        return fell_back
+
+    def suspect_primary(self, current_timeout: float) -> float:
+        """A timer expired: aim at the next member, and return the
+        timeout to wait next (backed off, capped at ``max_timeout``)."""
+        self.primary_hint += 1
+        return min(current_timeout * self.config.backoff_factor, self.config.max_timeout)
+
+
+class ClientNode(Node, TrafficSource):
+    """A client of one replica group: the workload loop over a
+    :class:`ClientSession`.
+
+    Keeps up to ``max_outstanding`` requests in flight under one timer,
+    issuing the next ``think_time`` after a completion; the session sends
+    each request to the believed primary, collects replies until
     ``reply_quorum`` *matching* ones arrive (f+1 for BFT — at least one
-    is from a correct replica); retransmits to all replicas on timeout.
+    is from a correct replica) and retransmits to all replicas on
+    timeout.
 
     Windowed measurement (``completions_in``/``latencies_in``/
     ``max_completion_gap``) comes from the shared
@@ -84,21 +248,11 @@ class ClientNode(Node, TrafficSource):
         Node.__init__(self, name)
         TrafficSource.__init__(self)
         self.config = config or ClientConfig()
-        self.replicas: List[str] = []
-        self.reply_quorum = 1
-        self._primary_hint = 0
+        self.session = ClientSession(self, self.config)
         self._rid = 0
-        self._inflight: Optional[ClientRequest] = None
-        self._reply_votes: Dict[Any, set] = {}
-        self._sent_at = 0.0
+        self._outstanding: Dict[int, Exchange] = {}
         self._timeout: Optional[Timeout] = None
         self._current_timeout = 0.0
-        # Open-loop state (max_outstanding > 1): rid-keyed request window.
-        self._outstanding: Dict[int, ClientRequest] = {}
-        self._open_votes: Dict[int, Dict[Any, set]] = {}
-        self._sent_times: Dict[int, float] = {}
-        self.read_quorum = 1
-        self.lease_reads = False
         self.fast_reads_completed = 0
         self.leased_reads_completed = 0
         self.read_fallbacks = 0
@@ -114,35 +268,20 @@ class ClientNode(Node, TrafficSource):
         read_quorum: Optional[int] = None,
         lease_reads: bool = False,
     ) -> None:
-        """Point the client at a replica group (callable mid-run when the
-        adaptation layer switches protocols).
-
-        ``lease_reads=True`` sends read-only ops as **leased reads**: one
-        message to one key-chosen replica, accepting its lone leased
-        reply; a :class:`ReadNack` drops the op to the quorum read path.
-        """
-        if reply_quorum < 1:
-            raise ValueError("reply quorum must be >= 1")
-        self.replicas = list(replicas)
-        self.reply_quorum = reply_quorum
-        self.read_quorum = read_quorum if read_quorum is not None else reply_quorum
-        self.lease_reads = lease_reads
-        self._primary_hint %= max(1, len(self.replicas))
+        """Point the client at a replica group: :meth:`ClientSession.configure`."""
+        self.session.configure(replicas, reply_quorum, read_quorum, lease_reads)
 
     def start(self) -> None:
-        """Begin the closed loop."""
-        if not self.replicas:
+        """Begin (or resume) issuing requests."""
+        if not self.session.members:
             raise ValueError(f"client {self.name} has no replicas configured")
         self.running = True
         self._timeout = Timeout(self.sim, self.config.timeout, self._on_timeout)
         self._current_timeout = self.config.timeout
-        if self._open_loop:
-            self._fill_window()
-        else:
-            self._issue_next()
+        self._fill_window()
 
     def stop(self) -> None:
-        """Stop issuing requests (the in-flight one is abandoned)."""
+        """Stop issuing requests (those in flight are abandoned)."""
         self.running = False
         if self._timeout is not None:
             self._timeout.cancel()
@@ -151,45 +290,20 @@ class ClientNode(Node, TrafficSource):
     @property
     def primary_name(self) -> str:
         """The replica currently believed to be primary."""
-        return self.replicas[self._primary_hint % len(self.replicas)]
-
-    @property
-    def _open_loop(self) -> bool:
-        return self.config.max_outstanding > 1
+        return self.session.primary()
 
     def _lease_target(self, op: Any) -> Optional[str]:
         """The one replica a leased read goes to, chosen by key hash so
-        load spreads across holders; None when keys are underivable."""
-        keys = keys_of(op)
+        load spreads across holders; None when the group runs no leases
+        or keys are underivable."""
+        keys = keys_of(op) if self.session.lease_reads else None
         if not keys:
             return None
-        return self.replicas[stable_key_hash(keys[0]) % len(self.replicas)]
-
-    def _build_request(self, op: Any) -> ClientRequest:
-        predicate = self.config.read_only_predicate
-        read_only = bool(predicate is not None and predicate(op))
-        lease_read = bool(
-            read_only and self.lease_reads and self._lease_target(op) is not None
-        )
-        request = ClientRequest(
-            self.name, self._rid, op, read_only=read_only, lease_read=lease_read
-        )
-        self._rid += 1
-        return request
-
-    def _send_request(self, request: ClientRequest) -> None:
-        if request.lease_read:
-            target = self._lease_target(request.op)
-            assert target is not None
-            self.send(target, request, request.wire_size())
-        elif request.read_only:
-            # Fast path: ask everyone, wait for read_quorum matching.
-            self.broadcast(self.replicas, request, request.wire_size())
-        else:
-            self.send(self.primary_name, request, request.wire_size())
+        members = self.session.members
+        return members[stable_key_hash(keys[0]) % len(members)]
 
     # ------------------------------------------------------------------
-    # Open-loop path (max_outstanding > 1)
+    # The window: one timer over every outstanding request
     # ------------------------------------------------------------------
     def _fill_window(self) -> None:
         if not self.running:
@@ -209,21 +323,23 @@ class ClientNode(Node, TrafficSource):
             self._timeout.cancel()
 
     def _issue_one(self) -> None:
-        request = self._build_request(self.config.op_factory(self._rid))
-        self._outstanding[request.rid] = request
-        self._open_votes[request.rid] = {}
-        self._sent_times[request.rid] = self.sim.now
-        self._send_request(request)
+        op = self.config.op_factory(self._rid)
+        read_only = self.session.is_read(op)
+        self._outstanding[self._rid] = self.session.open(
+            self._rid, op, read_only, self._lease_target(op) if read_only else None
+        )
+        self._rid += 1
 
-    def _complete_one(self, request: ClientRequest, reply: ClientReply) -> None:
+    def _complete_one(self, exchange: Exchange, reply: ClientReply) -> None:
+        request = exchange.request
+        if request.lease_read:
+            self.leased_reads_completed += 1
+        elif request.read_only:
+            self.fast_reads_completed += 1
         if self.config.on_result is not None:
             self.config.on_result(request, reply)
-        self._outstanding.pop(request.rid, None)
-        self._open_votes.pop(request.rid, None)
-        sent = self._sent_times.pop(request.rid, self.sim.now)
-        self.record_completion(self.sim.now, self.sim.now - sent)
-        if self.replicas:
-            self._primary_hint = reply.view % len(self.replicas)
+        del self._outstanding[request.rid]
+        self.record_completion(self.sim.now, self.sim.now - exchange.sent_at)
         # Progress: reset backoff and give the rest a fresh window.
         self._current_timeout = self.config.timeout
         assert self._timeout is not None
@@ -234,74 +350,16 @@ class ClientNode(Node, TrafficSource):
             self._timeout.cancel()
         self.sim.schedule(self.config.think_time, self._fill_window)
 
-    def _issue_next(self) -> None:
-        if not self.running:
-            return
-        if self.config.max_requests is not None and self._rid >= self.config.max_requests:
-            self.running = False
-            return
-        request = self._build_request(self.config.op_factory(self._rid))
-        self._inflight = request
-        self._reply_votes = {}
-        self._sent_at = self.sim.now
-        self._current_timeout = self.config.timeout
-        self._send_request(request)
-        assert self._timeout is not None
-        self._timeout.duration = self._current_timeout
-        self._timeout.start()
-
     def _on_timeout(self) -> None:
-        if not self.running:
-            return
-        if self._open_loop:
-            self._on_open_timeout()
-            return
-        if self._inflight is None:
+        if not self.running or not self._outstanding:
             return
         self.timeouts += 1
-        if self._inflight.read_only:
-            # The fast path stalled (concurrent writes or faulty replies):
-            # fall back to the ordered path with the same rid.
-            import dataclasses
-
-            self.read_fallbacks += 1
-            self._inflight = dataclasses.replace(
-                self._inflight, read_only=False, lease_read=False
-            )
-            self._reply_votes = {}
-        # Suspect the primary; broadcast so every backup sees the request
-        # (that is what arms their view-change timers).
-        self.broadcast(self.replicas, self._inflight, self._inflight.wire_size())
-        self._primary_hint += 1
-        self._current_timeout = min(
-            self._current_timeout * self.config.backoff_factor, self.config.max_timeout
-        )
-        assert self._timeout is not None
-        self._timeout.duration = self._current_timeout
-        self._timeout.start()
-
-    def _on_open_timeout(self) -> None:
-        if not self._outstanding:
-            return
-        self.timeouts += 1
-        import dataclasses
-
-        # Suspect the primary; rebroadcast the whole window so every
-        # backup sees the stalled requests.
-        for rid in sorted(self._outstanding):
-            request = self._outstanding[rid]
-            if request.read_only:
+        # One timer covers the window: escalate everything still open,
+        # then suspect the primary once for the expiry.
+        for exchange in self._outstanding.values():  # in rid order
+            if self.session.escalate(exchange):
                 self.read_fallbacks += 1
-                request = dataclasses.replace(
-                    request, read_only=False, lease_read=False
-                )
-                self._outstanding[rid] = request
-                self._open_votes[rid] = {}
-            self.broadcast(self.replicas, request, request.wire_size())
-        self._primary_hint += 1
-        self._current_timeout = min(
-            self._current_timeout * self.config.backoff_factor, self.config.max_timeout
-        )
+        self._current_timeout = self.session.suspect_primary(self._current_timeout)
         assert self._timeout is not None
         self._timeout.duration = self._current_timeout
         self._timeout.start()
@@ -310,84 +368,11 @@ class ClientNode(Node, TrafficSource):
         if is_corrupted(message):
             return
         if isinstance(message, ReadNack):
-            self._handle_read_nack(sender, message)
-            return
-        if not isinstance(message, ClientReply):
-            return
-        if self._open_loop:
-            request = self._outstanding.get(message.rid)
-            if request is None:
-                return
-            if sender != message.replica or sender not in self.replicas:
-                return
-            if request.lease_read and not message.leased:
-                return  # a lone unleased reply must not complete a read
-            votes = self._open_votes[message.rid].setdefault(message.match_key(), set())
-            votes.add(sender)
-            needed = self._needed_votes(request)
-            if len(votes) >= needed:
-                self._count_read(request)
-                self._complete_one(request, message)
-            return
-        if self._inflight is None or message.rid != self._inflight.rid:
-            return
-        if sender != message.replica or sender not in self.replicas:
-            return  # transport-authenticated sender must match the claim
-        if self._inflight.lease_read and not message.leased:
-            return
-        votes = self._reply_votes.setdefault(message.match_key(), set())
-        votes.add(sender)
-        needed = self._needed_votes(self._inflight)
-        if len(votes) >= needed:
-            self._count_read(self._inflight)
-            self._complete(message)
-
-    def _needed_votes(self, request: ClientRequest) -> int:
-        if request.lease_read:
-            return 1  # the leaseholder answers alone; staleness is bounded
-        return self.read_quorum if request.read_only else self.reply_quorum
-
-    def _count_read(self, request: ClientRequest) -> None:
-        if request.lease_read:
-            self.leased_reads_completed += 1
-        elif request.read_only:
-            self.fast_reads_completed += 1
-
-    def _handle_read_nack(self, sender: str, nack: ReadNack) -> None:
-        """No valid lease at the target: drop to the f+1 quorum read."""
-        if sender != nack.replica or sender not in self.replicas:
-            return
-        if nack.client != self.name:
-            return
-        import dataclasses
-
-        if self._open_loop:
-            request = self._outstanding.get(nack.rid)
-            if request is None or not request.lease_read:
-                return
-            self.lease_fallbacks += 1
-            request = dataclasses.replace(request, lease_read=False)
-            self._outstanding[nack.rid] = request
-            self._open_votes[nack.rid] = {}
-            self.broadcast(self.replicas, request, request.wire_size())
-            return
-        if self._inflight is None or self._inflight.rid != nack.rid:
-            return
-        if not self._inflight.lease_read:
-            return
-        self.lease_fallbacks += 1
-        self._inflight = dataclasses.replace(self._inflight, lease_read=False)
-        self._reply_votes = {}
-        self.broadcast(self.replicas, self._inflight, self._inflight.wire_size())
-
-    def _complete(self, reply: ClientReply) -> None:
-        assert self._timeout is not None
-        if self.config.on_result is not None and self._inflight is not None:
-            self.config.on_result(self._inflight, reply)
-        self._timeout.cancel()
-        self._inflight = None
-        self.record_completion(self.sim.now, self.sim.now - self._sent_at)
-        # Adopt the replier's view for primary targeting.
-        if self.replicas:
-            self._primary_hint = reply.view % len(self.replicas)
-        self.sim.schedule(self.config.think_time, self._issue_next)
+            exchange = self._outstanding.get(message.rid)
+            if exchange is not None and self.session.nacked(exchange, sender, message):
+                self.lease_fallbacks += 1
+                self.session.rebroadcast(exchange)
+        elif isinstance(message, ClientReply):
+            exchange = self._outstanding.get(message.rid)
+            if exchange is not None and self.session.accept(exchange, sender, message):
+                self._complete_one(exchange, message)

@@ -214,12 +214,11 @@ class ShardedSystem:
         coord = min(free, key=lambda c: (c.manhattan(center), c))
         self.chip.place_node(router, coord)
         for shard_id, shard in self.shards.items():
-            router.bind(
+            shard.group.clients.append(router.bind(
                 shard_id, shard.group.members,
                 shard.group.reply_quorum, shard.group.read_quorum,
                 lease_reads=shard.group.leases_enabled,
-            )
-            shard.group.clients.append(router.binding_for(shard_id))
+            ))
             shard.detector.clients.append(router.shard_stats(shard_id))
         self.routers.append(router)
         return router

@@ -3,15 +3,16 @@
 A :class:`ShardRouter` is a placed NoC node (replicas only reply to names
 the chip can route to) that accepts whole-service operations, consults
 the :class:`~repro.shard.directory.ShardDirectory` for ownership, and
-speaks the normal BFT client protocol to the owning group: primary-first
-sends, quorum vote counting over matching replies, broadcast retransmit
-with exponential backoff, primary-hint adoption from reply views.
+speaks the BFT client protocol to the owning group through one
+:class:`~repro.bft.client.ClientSession` per shard — the exchange rules a
+:class:`~repro.bft.client.ClientNode` follows too.
 
-Unlike :class:`~repro.bft.client.ClientNode` it can keep several sub-
-operations in flight at once — a multi-key ``("mget", k1, k2, …)`` fans
-out one sub-operation per key to each owning shard and completes when
-every fragment has its quorum.  Operations against a shard the directory
-has marked degraded fail fast instead of burning retransmit timeouts.
+The router's own part: a multi-key ``("mget", k1, k2, …)`` fans out one
+sub-operation per key to each owning shard and completes when every
+fragment has its quorum; each sub-operation has its own retransmit timer
+and a bounded number of attempts; a leased read goes to a leaseholder
+near the router's tile; operations against a shard the directory has
+marked degraded fail fast instead of burning retransmit timeouts.
 
 Per-shard service metrics (ops, latency histogram, in-flight depth) are
 published through the chip's :class:`~repro.metrics.registry.MetricsRegistry`
@@ -28,12 +29,12 @@ NoC nodes themselves, so the only on-chip traffic is the router's).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.bft.client import ClientSession, Exchange
 from repro.bft.leases import keys_of, stable_key_hash
-from repro.bft.messages import ClientReply, ClientRequest, ReadNack
+from repro.bft.messages import ClientReply, ReadNack
 from repro.metrics.traffic import TrafficSource
 from repro.shard.directory import ShardDirectory
 from repro.sim.timers import Timeout
@@ -61,8 +62,11 @@ def default_key_of(op: Any) -> Union[str, List[str]]:
 
 @dataclass
 class RouterConfig:
-    """Routing behaviour parameters (mirrors :class:`ClientConfig` where
-    the semantics carry over)."""
+    """Routing behaviour parameters.  Each shard's
+    :class:`~repro.bft.client.ClientSession` reads ``read_only_predicate``,
+    ``backoff_factor`` and ``max_timeout`` as it reads a
+    :class:`~repro.bft.client.ClientConfig`'s; ``timeout`` arms a timer per
+    sub-operation, which fails after ``max_attempts`` expiries."""
 
     timeout: float = 30_000.0
     backoff_factor: float = 2.0
@@ -99,26 +103,31 @@ class TicketResult:
     error: Optional[str] = None
 
 
-@dataclass
-class _ShardView:
-    """The router's current picture of one replica group."""
+class _ShardSession(ClientSession):
+    """The router's session with one shard's group, plus the per-shard
+    bookkeeping only a router keeps."""
 
-    members: List[str]
-    reply_quorum: int
-    read_quorum: int
-    primary_hint: int = 0
-    lease_reads: bool = False
-    inflight: int = 0  # sub-operations awaiting a quorum from this shard
-    # (placement epoch, placed members nearest-first); None = recompute.
-    lease_order: Optional[Tuple[int, List[str]]] = None
-    # Metric handles, bound on first use: a zero-valued metric created
-    # ahead of use would change byte-stable summaries.
-    ops: Any = None
-    latency: Any = None
-    inflight_gauge: Any = None
+    def __init__(self, node: Node, config: RouterConfig) -> None:
+        super().__init__(node, config)
+        self.inflight = 0  # sub-operations awaiting a quorum from this shard
+        # (placement epoch, placed members nearest-first); None = recompute.
+        self.lease_order: Optional[Tuple[int, List[str]]] = None
+        # Metric handles, bound on first use: a zero-valued metric created
+        # ahead of use would change byte-stable summaries.
+        self.ops: Any = None
+        self.latency: Any = None
+        self.inflight_gauge: Any = None
 
-    def primary(self) -> str:
-        return self.members[self.primary_hint % len(self.members)]
+    def configure(
+        self,
+        replicas: List[str],
+        reply_quorum: int,
+        read_quorum: Optional[int] = None,
+        lease_reads: bool = False,
+    ) -> None:
+        """Re-point at the group; its members' distances are re-ranked."""
+        super().configure(replicas, reply_quorum, read_quorum, lease_reads)
+        self.lease_order = None
 
 
 @dataclass
@@ -137,45 +146,17 @@ class _Ticket:
 
 @dataclass
 class _SubOp:
-    """One routed fragment: a BFT client exchange with a single shard."""
+    """One routed fragment: a client exchange with a single shard, under
+    its own retransmit timer."""
 
     rid: int
     ticket: _Ticket
     shard_id: str
     key: Any  # result slot for multi-key tickets (None for single ops)
-    request: ClientRequest
+    exchange: Exchange
     timeout: Timeout
-    sent_at: float
     current_timeout: float
     attempts: int = 0
-    votes: Dict[Any, Set[str]] = field(default_factory=dict)
-
-
-class _RouterBinding:
-    """Adapter registered in a group's client list.
-
-    :meth:`ReplicaGroup.switch_protocol` reconfigures every attached
-    client with the new membership and quorums; this shim forwards that
-    call to the router's per-shard view so adaptation in one shard
-    transparently re-points every router.
-    """
-
-    def __init__(self, router: "ShardRouter", shard_id: str) -> None:
-        self.router = router
-        self.shard_id = shard_id
-        self.name = f"{router.name}:{shard_id}"
-
-    def configure(
-        self,
-        replicas: List[str],
-        reply_quorum: int,
-        read_quorum: Optional[int] = None,
-        lease_reads: bool = False,
-    ) -> None:
-        self.router.bind(
-            self.shard_id, replicas, reply_quorum, read_quorum,
-            lease_reads=lease_reads,
-        )
 
 
 class ShardRouter(Node, TrafficSource):
@@ -191,7 +172,7 @@ class ShardRouter(Node, TrafficSource):
         TrafficSource.__init__(self)
         self.directory = directory
         self.config = config or RouterConfig()
-        self._views: Dict[str, _ShardView] = {}
+        self._sessions: Dict[str, _ShardSession] = {}
         self.stats: Dict[str, ShardStats] = {}
         self._rid = 0
         self._ticket_seq = 0
@@ -210,32 +191,22 @@ class ShardRouter(Node, TrafficSource):
         reply_quorum: int,
         read_quorum: Optional[int] = None,
         lease_reads: bool = False,
-    ) -> None:
-        """Attach (or re-point) this router to one shard's replica group."""
+    ) -> ClientSession:
+        """Attach (or re-point) this router to one shard's replica group.
+
+        Returns the shard's session: appended to the group's ``clients``
+        list, it lets adaptation in that shard re-point this router like
+        any other client.
+        """
         if not members:
             raise ValueError(f"shard {shard_id!r} bound with no members")
-        if reply_quorum < 1:
-            raise ValueError("reply quorum must be >= 1")
-        read_q = read_quorum if read_quorum is not None else reply_quorum
-        view = self._views.get(shard_id)
-        if view is None:
-            self._views[shard_id] = _ShardView(
-                list(members), reply_quorum, read_q, lease_reads=lease_reads
-            )
-        else:
-            view.members = list(members)
-            view.reply_quorum = reply_quorum
-            view.read_quorum = read_q
-            view.primary_hint %= len(view.members)
-            view.lease_reads = lease_reads
-            view.lease_order = None
+        session = self._sessions.get(shard_id)
+        if session is None:
+            session = _ShardSession(self, self.config)
+        session.configure(members, reply_quorum, read_quorum, lease_reads)
+        self._sessions[shard_id] = session
         self.stats.setdefault(shard_id, ShardStats(shard_id))
-
-    def binding_for(self, shard_id: str) -> _RouterBinding:
-        """The adapter to append to the shard group's ``clients`` list."""
-        if shard_id not in self._views:
-            raise KeyError(f"router {self.name} has no binding for {shard_id!r}")
-        return _RouterBinding(self, shard_id)
+        return session
 
     def shard_stats(self, shard_id: str) -> ShardStats:
         """Per-shard liveness counters (a detector pseudo-client)."""
@@ -244,7 +215,7 @@ class ShardRouter(Node, TrafficSource):
     @property
     def bound_shards(self) -> List[str]:
         """Shard ids this router can reach."""
-        return sorted(self._views)
+        return sorted(self._sessions)
 
     def serves_leased_reads(self, op: Any) -> bool:
         """True when every shard owning ``op``'s keys runs read leases.
@@ -261,8 +232,8 @@ class ShardRouter(Node, TrafficSource):
             return False
         key_list = keys if isinstance(keys, list) else [keys]
         for k in key_list:
-            view = self._views.get(self.directory.shard_for(k))
-            if view is None or not view.lease_reads:
+            session = self._sessions.get(self.directory.shard_for(k))
+            if session is None or not session.lease_reads:
                 return False
         return True
 
@@ -303,59 +274,42 @@ class ShardRouter(Node, TrafficSource):
         return len(self._subops)
 
     def _issue(self, ticket: _Ticket, shard_id: str, op: Any, key: Any) -> None:
-        stats = self.stats.get(shard_id)
-        view = self._views.get(shard_id)
-        if view is None:
+        session = self._sessions.get(shard_id)
+        if session is None:
             ticket.errors.append(f"shard {shard_id} not bound")
             self._sub_done(ticket)
             return
-        assert stats is not None
-        predicate = self.config.read_only_predicate
-        read_only = bool(predicate is not None and predicate(op))
-        lease_target = self._lease_target(view, op) if read_only else None
+        read_only = session.is_read(op)
+        lease_target = self._lease_target(session, op) if read_only else None
         if self.directory.is_degraded(shard_id) and lease_target is None:
             # Lease-aware degraded handling: a leased replica can still
             # answer reads from local committed state while the group is
             # below its liveness quorum, so only lease-less operations
             # fail fast here.
-            stats.rejected_degraded += 1
+            self.stats[shard_id].rejected_degraded += 1
             self._counter(shard_id, "rejected_degraded").inc()
             ticket.errors.append(f"shard {shard_id} degraded")
             self._sub_done(ticket)
             return
-        request = ClientRequest(
-            self.name, self._rid, op,
-            read_only=read_only,
-            lease_read=lease_target is not None,
-        )
+        rid = self._rid
         self._rid += 1
-        sub = _SubOp(
-            rid=request.rid,
+        session.inflight += 1
+        self._set_inflight_gauge(shard_id, session)
+        # A leased read is one NoC hop to the leaseholder nearest this
+        # router's tile; a ReadNack (no covering lease) falls back to the
+        # quorum path.
+        sub = self._subops[rid] = _SubOp(
+            rid=rid,
             ticket=ticket,
             shard_id=shard_id,
             key=key,
-            request=request,
-            timeout=Timeout(
-                self.sim, self.config.timeout, lambda r=request.rid: self._on_timeout(r)
-            ),
-            sent_at=self.sim.now,
+            exchange=session.open(rid, op, read_only, lease_target),
+            timeout=Timeout(self.sim, self.config.timeout, lambda: self._on_timeout(rid)),
             current_timeout=self.config.timeout,
         )
-        self._subops[sub.rid] = sub
-        view.inflight += 1
-        self._set_inflight_gauge(shard_id, view)
-        if lease_target is not None:
-            # One NoC hop to the leaseholder nearest this router's tile;
-            # a ReadNack (no covering lease) falls back to the quorum path.
-            self.send(lease_target, request, request.wire_size())
-        elif read_only:
-            self.broadcast(view.members, request, request.wire_size())
-        else:
-            self.send(view.primary(), request, request.wire_size())
-        sub.timeout.duration = sub.current_timeout
         sub.timeout.start()
 
-    def _lease_target(self, view: _ShardView, op: Any) -> Optional[str]:
+    def _lease_target(self, session: _ShardSession, op: Any) -> Optional[str]:
         """Pick the lease-read target: a per-key leaseholder, chosen from
         the live members ordered by NoC distance from this tile.
 
@@ -370,7 +324,7 @@ class ShardRouter(Node, TrafficSource):
         whose lease lapsed answers with a ReadNack and the read falls
         back to the quorum path.
         """
-        if not view.lease_reads:
+        if not session.lease_reads:
             return None
         keys = keys_of(op)
         if keys is None:
@@ -378,12 +332,12 @@ class ShardRouter(Node, TrafficSource):
         if self.chip is None:
             return None
         chip = self.chip
-        order = view.lease_order
+        order = session.lease_order
         if order is None or order[0] != chip.placement_epoch:
             here = self.coord
-            candidates = [m for m in view.members if chip.has_node(m)]
+            candidates = [m for m in session.members if chip.has_node(m)]
             candidates.sort(key=lambda m: (chip.coord_of(m).manhattan(here), m))
-            order = view.lease_order = (chip.placement_epoch, candidates)
+            order = session.lease_order = (chip.placement_epoch, candidates)
         candidates = order[1]
         if not candidates:
             return None
@@ -400,42 +354,27 @@ class ShardRouter(Node, TrafficSource):
         if kind is not ClientReply:
             return  # corrupted in transit, or not addressed to a router
         sub = self._subops.get(message.rid)
-        if sub is None:
-            return
-        view = self._views[sub.shard_id]
-        if sender != message.replica or sender not in view.members:
-            return
-        if sub.request.lease_read and not message.leased:
-            return
-        votes = sub.votes.setdefault(message.match_key(), set())
-        votes.add(sender)
-        if sub.request.lease_read:
-            needed = 1
-        elif sub.request.read_only:
-            needed = view.read_quorum
-        else:
-            needed = view.reply_quorum
-        if len(votes) >= needed:
+        if sub is not None and self._sessions[sub.shard_id].accept(
+            sub.exchange, sender, message
+        ):
             self._complete_sub(sub, message)
 
     def _handle_read_nack(self, sender: str, nack: ReadNack) -> None:
         """No covering lease at the target: fall back to the quorum path."""
         sub = self._subops.get(nack.rid)
-        if sub is None or not sub.request.lease_read:
+        if sub is None:
             return
-        view = self._views[sub.shard_id]
-        if sender != nack.replica or sender not in view.members:
+        session = self._sessions[sub.shard_id]
+        if not session.nacked(sub.exchange, sender, nack):
             return
         self._counter(sub.shard_id, "lease_fallbacks").inc()
-        sub.request = dataclasses.replace(sub.request, lease_read=False)
-        sub.votes = {}
         if self.directory.is_degraded(sub.shard_id):
             # The lease attempt was the only path past a degraded shard.
             self.stats[sub.shard_id].rejected_degraded += 1
             self._counter(sub.shard_id, "rejected_degraded").inc()
             self._fail_sub(sub, f"shard {sub.shard_id} degraded")
             return
-        self.broadcast(view.members, sub.request, sub.request.wire_size())
+        session.rebroadcast(sub.exchange)
 
     def _on_timeout(self, rid: int) -> None:
         sub = self._subops.get(rid)
@@ -444,23 +383,16 @@ class ShardRouter(Node, TrafficSource):
         sub.attempts += 1
         self.timeouts += 1
         self.stats[sub.shard_id].timeouts += 1
-        view = self._views[sub.shard_id]
         if self.directory.is_degraded(sub.shard_id) or sub.attempts >= self.config.max_attempts:
             self._fail_sub(sub, f"shard {sub.shard_id} unresponsive after "
                                 f"{sub.attempts} attempt(s)")
             return
-        if sub.request.read_only:
-            # Fast-path stall: fall back to the ordered path, same rid.
-            sub.request = dataclasses.replace(
-                sub.request, read_only=False, lease_read=False
-            )
-            sub.votes = {}
-        # Suspect the primary; broadcast so backups arm view-change timers.
-        self.broadcast(view.members, sub.request, sub.request.wire_size())
-        view.primary_hint += 1
-        sub.current_timeout = min(
-            sub.current_timeout * self.config.backoff_factor, self.config.max_timeout
-        )
+        # One timer per sub-operation, so every expired sub-operation
+        # suspects the primary: k of them expiring together towards one
+        # shard rotate its hint k times (known, kept; ROADMAP item 1 (b)).
+        session = self._sessions[sub.shard_id]
+        session.escalate(sub.exchange)
+        sub.current_timeout = session.suspect_primary(sub.current_timeout)
         sub.timeout.duration = sub.current_timeout
         sub.timeout.start()
 
@@ -468,16 +400,15 @@ class ShardRouter(Node, TrafficSource):
         del self._subops[sub.rid]
         sub.timeout.cancel()
         shard_id = sub.shard_id
-        view = self._views[shard_id]
-        view.inflight -= 1
-        view.primary_hint = reply.view % len(view.members)
+        session = self._sessions[shard_id]
+        session.inflight -= 1
         self.stats[shard_id].completed += 1
-        if view.ops is None:
-            view.ops = self._counter(shard_id, "ops")
-            view.latency = self.chip.metrics.histogram(f"shard.{shard_id}.latency")
-        view.ops.inc()
-        view.latency.observe(self.sim.now - sub.sent_at)
-        self._set_inflight_gauge(shard_id, view)
+        if session.ops is None:
+            session.ops = self._counter(shard_id, "ops")
+            session.latency = self.chip.metrics.histogram(f"shard.{shard_id}.latency")
+        session.ops.inc()
+        session.latency.observe(self.sim.now - sub.exchange.sent_at)
+        self._set_inflight_gauge(shard_id, session)
         ticket = sub.ticket
         if ticket.multi:
             ticket.results[sub.key] = reply.result
@@ -488,11 +419,11 @@ class ShardRouter(Node, TrafficSource):
     def _fail_sub(self, sub: _SubOp, reason: str) -> None:
         del self._subops[sub.rid]
         sub.timeout.cancel()
-        view = self._views[sub.shard_id]
-        view.inflight -= 1
+        session = self._sessions[sub.shard_id]
+        session.inflight -= 1
         self.stats[sub.shard_id].failed += 1
         self._counter(sub.shard_id, "failed_ops").inc()
-        self._set_inflight_gauge(sub.shard_id, view)
+        self._set_inflight_gauge(sub.shard_id, session)
         sub.ticket.errors.append(reason)
         self._sub_done(sub.ticket)
 
@@ -527,7 +458,7 @@ class ShardRouter(Node, TrafficSource):
     def _counter(self, shard_id: str, suffix: str):
         return self.chip.metrics.counter(f"shard.{shard_id}.{suffix}")
 
-    def _set_inflight_gauge(self, shard_id: str, view: _ShardView) -> None:
-        if view.inflight_gauge is None:
-            view.inflight_gauge = self.chip.metrics.gauge(f"shard.{shard_id}.inflight")
-        view.inflight_gauge.set(view.inflight)
+    def _set_inflight_gauge(self, shard_id: str, session: _ShardSession) -> None:
+        if session.inflight_gauge is None:
+            session.inflight_gauge = self.chip.metrics.gauge(f"shard.{shard_id}.inflight")
+        session.inflight_gauge.set(session.inflight)

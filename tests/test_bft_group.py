@@ -54,9 +54,7 @@ def test_switch_protocol_preserves_state(big_chip):
         assert replica.last_executed == executed_before  # state carried
 
     client.config.max_requests = 60
-    client._rid = 30
-    client.running = True
-    client._issue_next()
+    client.start()
     sim.run(until=600_000)
     assert client.completed == 60
     assert group.safety.is_safe
@@ -81,10 +79,10 @@ def test_switch_reconfigures_clients(big_chip):
     group = build_group(big_chip, GroupConfig(protocol="pbft", f=1))
     client = ClientNode("c0")
     group.attach_client(client)
-    assert client.reply_quorum == 2
+    assert client.session.reply_quorum == 2
     group.switch_protocol("cft")
-    assert client.reply_quorum == 1
-    assert client.replicas == group.members
+    assert client.session.reply_quorum == 1
+    assert client.session.members == group.members
 
 
 def test_switch_counts_metric(big_chip):
@@ -175,16 +173,16 @@ def test_scaling_keeps_clients_on_leased_reads():
     sim.run(until=50_000)
     client = ClientNode("c0", ClientConfig(think_time=50))
     group.attach_client(client)
-    assert client.lease_reads is True
+    assert client.session.lease_reads is True
     manager.scale_out()
     sim.run(until=100_000)
-    assert client.replicas == group.members and len(client.replicas) == 4
-    assert client.lease_reads is True
-    assert client.read_quorum == group.read_quorum
+    assert client.session.members == group.members and len(client.session.members) == 4
+    assert client.session.lease_reads is True
+    assert client.session.read_quorum == group.read_quorum
     manager.scale_in()
-    assert client.replicas == group.members and len(client.replicas) == 3
-    assert client.lease_reads is True
-    assert client.read_quorum == group.read_quorum
+    assert client.session.members == group.members and len(client.session.members) == 3
+    assert client.session.lease_reads is True
+    assert client.session.read_quorum == group.read_quorum
     assert group.replicas["m-r0"].lease_manager is not None
 
 

@@ -1,0 +1,352 @@
+"""The client exchange: one table of rules, run against both requesters.
+
+:class:`~repro.bft.client.ClientSession` is the one copy of the
+requester's half of the protocol.  Every rule below is checked through a
+:class:`ClientNode` with a window of one (the closed loop), a
+:class:`ClientNode` with a wider window, and a :class:`ShardRouter`
+sub-operation — the requester's sends are captured instead of delivered,
+replies and nacks are handed to ``on_message`` and timers are expired by
+hand, so each row sees exactly one decision.
+"""
+
+import inspect
+
+import pytest
+
+import repro.shard.router
+from repro.bft import ClientConfig, ClientNode, ClientSession
+from repro.bft.messages import ClientReply, ReadNack
+from repro.noc import Coord
+from repro.shard import RouterConfig, ShardRouter
+from repro.shard.directory import ShardDirectory
+from repro.sim import Simulator
+from repro.soc import Chip, ChipConfig, Node
+
+MEMBERS = ["g-r0", "g-r1", "g-r2"]
+OUTSIDER = "g-r3"  # on the chip, not (yet) in the group
+WRITE = ("put", "k1", 1)
+READ = ("get", "k1")
+TIMEOUT, MAX_TIMEOUT = 1_000.0, 3_000.0
+
+
+def is_get(op):
+    return op[0] == "get"
+
+
+class Requester:
+    """One requester on a 4x4 chip beside four sink nodes, talking to a
+    three-member group with ``reply_quorum = read_quorum = 2``."""
+
+    def __init__(self, kind, lease_reads):
+        self.sim = Simulator(seed=3)
+        self.chip = Chip(self.sim, ChipConfig(width=4, height=4))
+        for i, name in enumerate(MEMBERS + [OUTSIDER]):
+            self.chip.place_node(Node(name), Coord(i, 0))
+        self.results = []
+        knobs = dict(
+            timeout=TIMEOUT, max_timeout=MAX_TIMEOUT, read_only_predicate=is_get
+        )
+        if kind == "router":
+            self.window = 1
+            self.node = ShardRouter("rq", ShardDirectory(["s0"]), RouterConfig(**knobs))
+            self.chip.place_node(self.node, Coord(1, 1))
+            self.session = self.node.bind("s0", MEMBERS, 2, 2, lease_reads=lease_reads)
+        else:
+            self.window = int(kind.rpartition("-w")[2])
+            self.node = ClientNode("rq", ClientConfig(max_outstanding=self.window, **knobs))
+            self.chip.place_node(self.node, Coord(1, 1))
+            self.node.configure(MEMBERS, 2, 2, lease_reads=lease_reads)
+            self.session = self.node.session
+        self.sent = []
+        self.node.add_outbound_filter(self._capture)
+
+    def _capture(self, dst, message):
+        self.sent.append((dst, message))
+        return None  # nothing reaches the NoC
+
+    # -- driving ---------------------------------------------------------
+    def issue(self, op):
+        """Put ``op`` in flight as rid 0 (a window > 1 fills up with it)."""
+        if isinstance(self.node, ShardRouter):
+            self.node.submit(op, self.results.append)
+        else:
+            self.node.config.op_factory = lambda i: op
+            self.node.start()
+        return self.take_sent()
+
+    def take_sent(self):
+        sent, self.sent = self.sent, []
+        return sent
+
+    def reply(self, sender, rid=0, view=0, leased=False, replica=None, result="v"):
+        self.node.on_message(
+            sender, ClientReply(replica or sender, "rq", rid, result, view, leased)
+        )
+
+    def nack(self, sender, rid=0, client="rq", replica=None):
+        self.node.on_message(sender, ReadNack(replica or sender, client, rid))
+
+    def expire(self, rid=0):
+        """Fire the timer that covers ``rid``."""
+        if isinstance(self.node, ShardRouter):
+            self.node._on_timeout(rid)
+        else:
+            self.node._on_timeout()
+        return self.take_sent()
+
+    # -- observing -------------------------------------------------------
+    def exchange(self, rid=0):
+        """The open exchange for ``rid``; None once it completed."""
+        if isinstance(self.node, ShardRouter):
+            sub = self.node._subops.get(rid)
+            return None if sub is None else sub.exchange
+        return self.node._outstanding.get(rid)
+
+    def timeout_of(self, rid=0):
+        if isinstance(self.node, ShardRouter):
+            return self.node._subops[rid].current_timeout
+        return self.node._current_timeout
+
+    def fresh_timeout(self):
+        """The timeout the next request starts from."""
+        if isinstance(self.node, ShardRouter):
+            self.node.submit(WRITE)
+            return self.node._subops[max(self.node._subops)].current_timeout
+        return self.node._current_timeout
+
+    def lease_fallbacks(self):
+        if isinstance(self.node, ShardRouter):
+            return self.chip.metrics.counter("shard.s0.lease_fallbacks").value
+        return self.node.lease_fallbacks
+
+
+KINDS = ["client-w1", "client-w4", "router"]
+
+
+@pytest.fixture(params=KINDS)
+def kind(request):
+    return request.param
+
+
+def dsts(sent, rid=0):
+    return [dst for dst, message in sent if message.rid == rid]
+
+
+# ----------------------------------------------------------------------
+# Dispatch
+# ----------------------------------------------------------------------
+def test_dispatch_write_to_primary_read_to_all_leased_read_to_one(kind):
+    assert dsts(Requester(kind, lease_reads=True).issue(WRITE)) == ["g-r0"]
+    assert dsts(Requester(kind, lease_reads=False).issue(READ)) == MEMBERS
+    rq = Requester(kind, lease_reads=True)
+    (target,) = dsts(rq.issue(READ))
+    assert target in MEMBERS
+    request = rq.exchange().request
+    assert request.read_only and request.lease_read and request.client == "rq"
+
+
+# ----------------------------------------------------------------------
+# Replies
+# ----------------------------------------------------------------------
+def test_spoofed_and_non_member_replies_are_ignored(kind):
+    rq = Requester(kind, lease_reads=False)
+    rq.issue(WRITE)
+    rq.reply("g-r0", replica="g-r1")  # transport sender != claimed replica
+    rq.reply(OUTSIDER)
+    rq.reply(OUTSIDER, replica="g-r1")
+    assert rq.exchange().votes == {}
+    rq.reply("g-r0")
+    rq.reply("g-r0")  # one member, one vote
+    assert rq.exchange() is not None
+    rq.reply("g-r1", result="other")  # does not match
+    assert rq.exchange() is not None
+    rq.reply("g-r2")
+    assert rq.exchange() is None
+
+
+def test_lone_unleased_reply_does_not_complete_a_leased_read(kind):
+    rq = Requester(kind, lease_reads=True)
+    (target,) = dsts(rq.issue(READ))
+    rq.reply(target, leased=False)
+    assert rq.exchange() is not None and rq.exchange().votes == {}
+    rq.reply(target, leased=True)
+    assert rq.exchange() is None
+
+
+def test_unleased_read_completes_on_read_quorum(kind):
+    rq = Requester(kind, lease_reads=False)
+    rq.issue(READ)
+    rq.reply("g-r2")
+    assert rq.exchange() is not None
+    rq.reply("g-r1")
+    assert rq.exchange() is None
+
+
+# ----------------------------------------------------------------------
+# ReadNack
+# ----------------------------------------------------------------------
+def test_read_nack_drops_to_quorum_read_with_votes_cleared(kind):
+    rq = Requester(kind, lease_reads=True)
+    (target,) = dsts(rq.issue(READ))
+    exchange = rq.exchange()
+    exchange.votes["stale"] = {target}
+    rq.nack(target)
+    assert exchange.votes == {} and rq.lease_fallbacks() == 1
+    request = exchange.request
+    assert request.rid == 0 and request.read_only and not request.lease_read
+    assert dsts(rq.take_sent()) == MEMBERS
+    rq.nack(target)  # a second nack finds no lease path to leave
+    assert rq.lease_fallbacks() == 1 and rq.take_sent() == []
+    rq.reply(target)
+    rq.reply("g-r0" if target != "g-r0" else "g-r1")
+    assert rq.exchange() is None
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        dict(sender="g-r1", replica="g-r2"),  # transport sender != claimed replica
+        dict(sender=OUTSIDER),  # not a member
+        dict(sender="g-r1", client="someone-else"),  # addressed to another requester
+    ],
+    ids=["spoofed", "non-member", "other-addressee"],
+)
+def test_read_nack_that_is_not_ours_is_ignored(kind, forged):
+    """The ``other-addressee`` row on the router is the PR 22 bugfix: the
+    router used to check rid, sender and membership but not
+    ``nack.client``, so a nack meant for another requester whose rid
+    collided made it abandon the lease path."""
+    rq = Requester(kind, lease_reads=True)
+    rq.issue(READ)
+    rq.nack(**forged)
+    assert rq.exchange().request.lease_read
+    assert rq.lease_fallbacks() == 0 and rq.take_sent() == []
+
+
+# ----------------------------------------------------------------------
+# Timeouts
+# ----------------------------------------------------------------------
+def test_read_timeout_falls_back_to_the_ordered_path_under_the_same_rid(kind):
+    rq = Requester(kind, lease_reads=False)
+    rq.issue(READ)
+    rq.reply("g-r1")
+    exchange = rq.exchange()
+    assert len(exchange.votes) == 1
+    sent = rq.expire()
+    request = exchange.request
+    assert request.rid == 0 and not request.read_only and not request.lease_read
+    assert exchange.votes == {} and rq.node.timeouts == 1
+    assert dsts(sent) == MEMBERS and all(m is request for d, m in sent if m.rid == 0)
+    # A leased read skips the quorum read and goes straight to ordered.
+    rq = Requester(kind, lease_reads=True)
+    rq.issue(READ)
+    rq.expire()
+    request = rq.exchange().request
+    assert request.rid == 0 and not request.read_only and not request.lease_read
+
+
+def test_write_timeout_rebroadcasts_suspects_and_backs_off(kind):
+    rq = Requester(kind, lease_reads=False)
+    assert dsts(rq.issue(WRITE)) == ["g-r0"]
+    assert rq.timeout_of() == TIMEOUT and rq.session.primary() == "g-r0"
+    sent = rq.expire()
+    for rid in range(rq.window):  # the one timer covers the whole window
+        assert dsts(sent, rid) == MEMBERS
+    assert rq.session.primary_hint == 1 and rq.session.primary() == "g-r1"
+    assert rq.timeout_of() == 2 * TIMEOUT
+    rq.expire()
+    assert rq.timeout_of() == MAX_TIMEOUT  # 4 000 capped
+    rq.expire()
+    assert rq.timeout_of() == MAX_TIMEOUT
+    assert rq.session.primary_hint == 3 and rq.node.timeouts == 3
+
+
+def test_completion_adopts_the_view_and_resets_the_backoff(kind):
+    rq = Requester(kind, lease_reads=False)
+    rq.issue(WRITE)
+    rq.expire()
+    assert rq.timeout_of() == 2 * TIMEOUT
+    rq.reply("g-r1", view=5)
+    assert rq.session.primary_hint == 1  # no quorum yet, nothing adopted
+    rq.reply("g-r2", view=5)
+    assert rq.exchange() is None
+    assert rq.session.primary_hint == 5 % 3 and rq.session.primary() == "g-r2"
+    assert rq.fresh_timeout() == TIMEOUT
+
+
+def test_reconfigure_repoints_exchanges_in_flight(kind):
+    """What ``ReplicaGroup.switch_protocol`` does to every entry of its
+    ``clients`` list, mid-run."""
+    rq = Requester(kind, lease_reads=False)
+    rq.issue(WRITE)
+    rq.expire()
+    rq.expire()
+    assert rq.session.primary_hint == 2
+    grown = ["g-r1", "g-r2", OUTSIDER, "g-r0"]
+    rq.session.configure(grown, 3, 2)
+    assert rq.session.primary_hint == 2 and rq.session.primary() == OUTSIDER
+    rq.session.configure(grown[:3], 3, 2)
+    assert rq.session.members == grown[:3] and rq.session.primary_hint == 2
+    rq.reply("g-r0")  # left the group: no longer counted
+    assert rq.exchange().votes == {}
+    assert dsts(rq.expire()) == grown[:3]  # retransmits follow the new membership
+    assert rq.session.primary() == "g-r1"  # hint 3 wraps over three members
+    for name in grown[:2]:
+        rq.reply(name)
+    assert rq.exchange() is not None  # the new reply quorum is 3
+    rq.reply(OUTSIDER)  # joined after the request was sent
+    assert rq.exchange() is None
+    with pytest.raises(ValueError):
+        rq.session.configure(grown, 0)
+
+
+# ----------------------------------------------------------------------
+# The two policies that stay with the owners
+# ----------------------------------------------------------------------
+def test_who_owns_the_timer_decides_how_often_the_primary_is_suspected():
+    """A client's one timer suspects once per expiry however wide the
+    window; a router has one timer per sub-operation, so k sub-operations
+    to one shard expiring together rotate the hint k times (known and
+    kept — ROADMAP item 1 (b))."""
+    client = Requester("client-w4", lease_reads=False)
+    client.issue(WRITE)
+    client.expire()
+    assert client.session.primary_hint == 1
+    router = Requester("router", lease_reads=False)
+    for _ in range(4):
+        router.issue(WRITE)
+    for rid in range(4):
+        router.expire(rid)
+    assert router.session.primary_hint == 4
+
+
+# ----------------------------------------------------------------------
+# One copy
+# ----------------------------------------------------------------------
+RULES = (
+    "primary", "is_read", "open", "accept", "nacked", "rebroadcast",
+    "escalate", "suspect_primary",
+)
+RULE_TEXT = (
+    ".replica or sender not in", "dataclasses.replace(", "backoff_factor, self",
+    "primary_hint +=", "reply.view %", "match_key()", "ClientRequest(",
+)
+
+
+@pytest.mark.parametrize(
+    "owner", [ClientNode, repro.shard.router], ids=["ClientNode", "shard.router"]
+)
+def test_requesters_do_not_refork_the_exchange(owner):
+    """The rules live on the session only: neither requester defines a
+    method of the same name, and neither's source restates one."""
+    assert all(name in vars(ClientSession) for name in RULES)
+    classes = [owner] if inspect.isclass(owner) else [
+        cls for cls in vars(owner).values()
+        if inspect.isclass(cls) and cls.__module__ == owner.__name__
+    ]
+    for cls in classes:
+        forked = [name for name in RULES if name in vars(cls)]
+        assert not forked, f"{cls.__name__} re-defines exchange rules: {forked}"
+    source = inspect.getsource(owner)
+    restated = [text for text in RULE_TEXT if text in source]
+    assert not restated, f"{owner.__name__} restates exchange rules: {restated}"

@@ -146,11 +146,11 @@ def test_protocol_switch_repoints_router():
     assert len(shard.group.members) == 3  # minbft 2f+1
     shard.group.switch_protocol("pbft")
     assert len(shard.group.members) == 4  # pbft 3f+1
-    view = router._views["s0"]
-    assert view.members == shard.group.members
-    assert view.reply_quorum == shard.group.reply_quorum
+    session = router._sessions["s0"]
+    assert session.members == shard.group.members
+    assert session.reply_quorum == shard.group.reply_quorum
     # The other shard's binding is untouched.
-    assert router._views["s1"].members == system.shards["s1"].group.members
+    assert router._sessions["s1"].members == system.shards["s1"].group.members
     # And the switched shard still serves through the router.
     results = []
     key = next(k for k in (f"k{i}" for i in range(64))
@@ -201,6 +201,33 @@ def test_router_timeout_retransmits_and_recovers():
     assert router.stats["s0"].timeouts > 0
 
 
+def test_read_nack_addressed_to_another_requester_is_ignored():
+    """A nack meant for someone else whose rid collides with a live leased
+    read must not push the router off the lease path (it used to: the
+    router checked rid, sender and membership but not ``nack.client``)."""
+    from repro.bft.group import protocol_config_for
+    from repro.bft.leases import LeaseConfig
+    from repro.bft.messages import ReadNack
+
+    system = build(
+        n_shards=1, protocol="minbft",
+        protocol_config=protocol_config_for("minbft", leases=LeaseConfig()),
+        router=RouterConfig(read_only_predicate=lambda op: op[0] == "get"),
+    )
+    router = system.place_router("c0")
+    system.start(warmup=60_000)
+    results = []
+    before = router.messages_sent
+    router.submit(("get", "k1"), results.append)  # the router's rid 0
+    assert router.messages_sent == before + 1  # leased: one replica asked
+    member = system.shards["s0"].group.members[0]
+    router.on_message(member, ReadNack(member, "someone-else", 0))
+    assert router.messages_sent == before + 1  # no drop to the quorum read
+    assert system.chip.metrics.counter("shard.s0.lease_fallbacks").value == 0
+    system.run(60_000)
+    assert results and results[0].ok
+
+
 # ----------------------------------------------------------------------
 # O(1) per-op bookkeeping: in-flight counts and the lease-target order
 # ----------------------------------------------------------------------
@@ -219,11 +246,11 @@ def test_per_shard_inflight_count_equals_a_scan_of_the_subops():
 
     def check():
         for sid in shards:
-            assert router._views[sid].inflight == _scan_inflight(router, sid), sid
+            assert router._sessions[sid].inflight == _scan_inflight(router, sid), sid
             gauge = system.chip.metrics.gauge(f"shard.{sid}.inflight")
             if sid in seen:
                 assert gauge.value == _scan_inflight(router, sid)
-        assert router.inflight == sum(router._views[sid].inflight for sid in shards)
+        assert router.inflight == sum(router._sessions[sid].inflight for sid in shards)
 
     seen, done = set(), []
     keys = [f"k{i}" for i in range(24)]
@@ -246,24 +273,24 @@ def test_per_shard_inflight_count_equals_a_scan_of_the_subops():
     for key in s0_keys:
         router.submit(("put", key, 0), done.append)
     check()
-    assert router._views["s0"].inflight == len(s0_keys)
+    assert router._sessions["s0"].inflight == len(s0_keys)
     for _ in range(60):
         system.run(500)
         check()
-    assert router._views["s0"].inflight == 0 and router.stats["s0"].failed == len(s0_keys)
+    assert router._sessions["s0"].inflight == 0 and router.stats["s0"].failed == len(s0_keys)
     system.directory.mark_degraded("s0")
     router.submit(("put", s0_keys[0], 1), done.append)  # fails fast, never in flight
     check()
     assert not done[-1].ok
 
 
-def _lease_target_by_sorting(router, view, op):
+def _lease_target_by_sorting(router, session, op):
     """``_lease_target`` as it was: rebuild and re-sort on every read."""
     from repro.bft.leases import keys_of, stable_key_hash
 
     chip, here = router.chip, router.coord
-    candidates = [m for m in view.members if chip.has_node(m)]
-    if not view.lease_reads or keys_of(op) is None or not candidates:
+    candidates = [m for m in session.members if chip.has_node(m)]
+    if not session.lease_reads or keys_of(op) is None or not candidates:
         return None
     candidates.sort(key=lambda m: (chip.coord_of(m).manhattan(here), m))
     return candidates[stable_key_hash(keys_of(op)[0]) % len(candidates)]
@@ -283,33 +310,35 @@ def test_lease_target_order_is_cached_until_placement_or_membership_changes():
     reads = [("get", f"k{i}") for i in range(64)]
 
     def check():
-        for sid, view in router._views.items():
+        for sid, session in router._sessions.items():
             for op in reads:
-                assert router._lease_target(view, op) == _lease_target_by_sorting(router, view, op)
+                expected = _lease_target_by_sorting(router, session, op)
+                assert router._lease_target(session, op) == expected
 
     check()
-    view = router._views["s0"]
-    cached = view.lease_order
+    session = router._sessions["s0"]
+    cached = session.lease_order
     assert cached is not None and cached[0] == chip.placement_epoch
     check()
-    assert view.lease_order is cached  # no re-sort while nothing moved
+    assert session.lease_order is cached  # no re-sort while nothing moved
     # A member moves to the far corner: its distance rank changes.
     mover = cached[1][0]
     corner = max(chip.free_tiles(), key=lambda c: c.manhattan(router.coord))
     chip.relocate_node(mover, corner)
     check()
-    assert view.lease_order is not cached and view.lease_order[1][0] != mover
+    assert session.lease_order is not cached and session.lease_order[1][0] != mover
     # The router itself moves: every distance changes.
     chip.relocate_node(router.name, min(chip.free_tiles(), key=lambda c: c.manhattan(corner)))
     check()
     # A member leaves the chip, then the group is re-bound without it.
-    gone = view.members[1]
+    gone = session.members[1]
     chip.remove_node(gone)
     check()
-    assert gone not in view.lease_order[1]
-    router.bind("s0", [m for m in view.members if m != gone], view.reply_quorum,
-                view.read_quorum, lease_reads=True)
-    assert view.lease_order is None
+    assert gone not in session.lease_order[1]
+    router.bind("s0", [m for m in session.members if m != gone], session.reply_quorum,
+                session.read_quorum, lease_reads=True)
+    assert session.lease_order is None
     check()
-    router.bind("s0", view.members, view.reply_quorum, view.read_quorum, lease_reads=False)
-    assert router._lease_target(view, reads[0]) is None
+    router.bind("s0", session.members, session.reply_quorum, session.read_quorum,
+                lease_reads=False)
+    assert router._lease_target(session, reads[0]) is None
