@@ -10,10 +10,23 @@ into a batch closed by **size** (``batch_size`` requests), **bytes**
 request), and runs *one* agreement round per batch.  Pipelining bounds
 concurrency instead of forbidding it: up to ``max_inflight`` sequence
 numbers may be in flight at once.  Batches are cut at **dispatch** time,
-not at admission: while the window is full, requests pool in the open
-accumulator, so backpressure produces *fuller* batches instead of a
-queue of fragments — the self-reinforcing behaviour that makes batching
-pay off under load.
+not at admission, and the two kinds of batch are cut by different rules:
+
+* a **full** batch (size or byte bound met) goes whenever the in-flight
+  window has room — the window exists for full batches, and while it is
+  full, requests pool, so backpressure produces *fuller* batches instead
+  of a queue of fragments;
+* a **partial** batch goes only when its delay is due **and nothing is in
+  flight** (Nagle's rule applied to agreement rounds).  A round occupies
+  the primary's serialized core from proposal to execution, so a second
+  partial round in flight overlaps with nothing and only queues the
+  primary behind itself; held back, the arrivals of one round pool into
+  the next one.  Below saturation the window is therefore never filled
+  with fragments, and latency is one round's service time, not
+  ``max_inflight`` of them (DESIGN §4, *When a partial batch may go*).
+
+The delay bound is a deadline, not a poll: once it has fired the credit
+stays due until a cut empties the pool, and no timer runs meanwhile.
 
 Exactness contract: with ``batch_size=1`` (and no delay/byte bound) the
 accumulator closes every batch synchronously at admission, unwraps it to
@@ -61,8 +74,10 @@ class BatchConfig:
                        requests than the batch size) stalls, so pair
                        real batching with a delay bound.
     ``max_inflight`` — concurrent uncommitted sequence numbers the primary
-                       may have outstanding (0 = unbounded, the legacy
-                       watermark-only behaviour).
+                       may have outstanding as **full** batches (0 =
+                       unbounded, the legacy watermark-only behaviour).
+                       A partial batch never shares the pipeline: it goes
+                       only when nothing is in flight, whatever this is.
     """
 
     batch_size: int = 1
@@ -82,17 +97,19 @@ class BatchConfig:
         raw = os.environ.get("REPRO_CONSENSUS_BATCH", "").strip()
         if not raw or raw.lower() in ("0", "false", "no"):
             return None
-        delay = 0.0
-        if "@" in raw:
-            raw, delay_part = raw.split("@", 1)
-            delay = float(delay_part)
-        inflight = 0
-        if "x" in raw:
-            raw, inflight_part = raw.split("x", 1)
-            inflight = int(inflight_part)
-        return BatchConfig(
-            batch_size=int(raw), batch_delay=delay, max_inflight=inflight
-        )
+        size, at, delay = raw.partition("@")
+        size, x, inflight = size.partition("x")
+        try:
+            return BatchConfig(
+                batch_size=int(size),
+                batch_delay=float(delay) if at else 0.0,
+                max_inflight=int(inflight) if x else 0,
+            )
+        except ValueError as error:
+            raise ValueError(
+                f"REPRO_CONSENSUS_BATCH={raw!r} is not of the form "
+                f'"<batch_size>[x<max_inflight>][@<batch_delay>]": {error}'
+            ) from None
 
 
 def resolve_batching(configured: Optional[BatchConfig]) -> Optional[BatchConfig]:
@@ -106,12 +123,14 @@ class BatchAccumulator:
     The owning replica feeds deduplicated requests through :meth:`add`;
     the accumulator cuts batches per the config's bounds and calls the
     protocol's propose callback synchronously.  Batches are cut at
-    dispatch time: while the in-flight window is full, requests pool in
-    ``_open`` and later cuts are fuller.  :meth:`on_committed` must be
-    called once per committed sequence number so pooled requests drain
-    into freed window slots.  All bookkeeping is dropped by :meth:`reset`
-    on view change / recovery — pending requests survive in the
-    protocol's ``_pending_requests`` map and re-enter via re-batching.
+    dispatch time: a full batch whenever the in-flight window has room,
+    a partial one only when its delay is due and nothing is in flight;
+    until then requests pool in ``_open`` and later cuts are fuller.
+    :meth:`on_committed` must be called once per committed sequence
+    number so pooled requests drain as the pipeline frees.  All
+    bookkeeping is dropped by :meth:`reset` on view change / recovery —
+    pending requests survive in the protocol's ``_pending_requests`` map
+    and re-enter via re-batching.
     """
 
     def __init__(self, replica: "BaseReplica", config: BatchConfig, propose: ProposeFn) -> None:
@@ -137,7 +156,13 @@ class BatchAccumulator:
         self._open.append(request)
         self._open_bytes += request.wire_size()
         self._pump()
-        self._maybe_arm_timer()
+        # The delay bound is a deadline: one timer from the pool's first
+        # request; once it has fired the credit stays due until a cut
+        # empties the pool, and nothing polls meanwhile.
+        cfg = self.config
+        if self._open and cfg.batch_delay > 0 and not self._timer_armed and not self._delay_due:
+            self._timer_armed = True
+            self.replica.sim.schedule(cfg.batch_delay, self._on_delay, self._timer_gen)
 
     def on_committed(self) -> None:
         """One proposed sequence number committed: free a window slot."""
@@ -145,14 +170,13 @@ class BatchAccumulator:
             self.inflight -= 1
             self._inflight_gauge.set(float(self.inflight))
         self._pump()
-        self._maybe_arm_timer()
 
     def flush(self) -> None:
         """Dispatch everything pooled now, window permitting (view
-        installation / re-batching); any remainder pumps out on commits."""
+        installation / re-batching must not wait on a delay); any
+        remainder pumps out on commits."""
         while self._open and self._window_free():
             self._cut()
-        self._maybe_arm_timer()
 
     def reset(self) -> None:
         """Drop all bookkeeping (view change, recovery, shutdown)."""
@@ -170,23 +194,29 @@ class BatchAccumulator:
         return self.config.max_inflight == 0 or self.inflight < self.config.max_inflight
 
     def _pump(self) -> None:
+        """Cut what may go now: a full batch while the window has room, a
+        partial one only when its delay is due and nothing is in flight —
+        while a round is out, arrivals pool and the next cut is fuller."""
         cfg = self.config
-        while self._open and self._window_free():
+        while self._open:
             full = len(self._open) >= cfg.batch_size or (
                 cfg.batch_bytes > 0 and self._open_bytes >= cfg.batch_bytes
             )
-            if not full and not self._delay_due:
+            if full:
+                may_go = self._window_free()
+            else:
+                may_go = self._delay_due and self.inflight == 0
+            if not may_go:
                 break
-            partial = not full  # a partial cut consumes the delay credit
             self._cut()
-            if partial:
-                self._delay_due = False
 
     def _cut(self) -> None:
         """Dispatch up to one batch_size worth of pooled requests."""
         k = min(len(self._open), self.config.batch_size)
         requests = [self._open.popleft() for _ in range(k)]
         self._open_bytes -= sum(r.wire_size() for r in requests)
+        if not self._open:
+            self._delay_due = False  # the credit does not outlive the pool
         # A single request goes on the wire bare: batch_size=1 traffic is
         # byte-identical to the unbatched protocol.
         proposal = requests[0] if k == 1 else RequestBatch(tuple(requests))
@@ -201,20 +231,10 @@ class BatchAccumulator:
         for request in requests:
             self.pending_keys.discard(request.key())
 
-    def _maybe_arm_timer(self) -> None:
-        if self._open and self.config.batch_delay > 0 and not self._timer_armed:
-            self._timer_armed = True
-            self.replica.sim.schedule(
-                self.config.batch_delay, self._on_delay, self._timer_gen
-            )
-
     def _on_delay(self, gen: int) -> None:
         if gen != self._timer_gen:
             return  # armed before a reset
         self._timer_armed = False
-        if self.replica.state is NodeState.CRASHED:
-            return
-        if self._open:
+        if self._open and self.replica.state is not NodeState.CRASHED:
             self._delay_due = True
             self._pump()
-        self._maybe_arm_timer()

@@ -11,6 +11,8 @@ Covers the P2 machinery end-to-end:
   resurrects truncated slots nor re-executes operations (satellite 3).
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,8 +31,10 @@ from repro.bft.messages import (
 from repro.bft.pbft import PbftConfig
 from repro.bft.replica import ExecutionLedger
 from repro.crypto.mac import digest
+from repro.metrics.registry import MetricsRegistry
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
+from repro.soc.node import NodeState
 
 ALL_PROTOCOLS = ["pbft", "minbft", "cft", "passive"]
 LEADER_PROTOCOLS = ["pbft", "minbft", "cft"]
@@ -95,6 +99,28 @@ def test_env_override_parses_and_disables(monkeypatch):
     explicit = BatchConfig(batch_size=2)
     assert resolve_batching(explicit) is explicit
     assert resolve_batching(None).batch_size == 4
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("8", (8, 0, 0.0)),
+    ("8x16", (8, 16, 0.0)),
+    ("8x16@200", (8, 16, 200.0)),
+    ("8x", None),
+    ("x4", None),
+    ("8@", None),
+    ("4x2@abc", None),
+])
+def test_env_override_accepts_three_shapes_and_names_itself_when_malformed(monkeypatch, raw, expected):
+    monkeypatch.setenv("REPRO_CONSENSUS_BATCH", raw)
+    if expected is not None:
+        cfg = BatchConfig.from_env()
+        assert (cfg.batch_size, cfg.max_inflight, cfg.batch_delay) == expected
+        return
+    with pytest.raises(ValueError) as refused:
+        BatchConfig.from_env()
+    message = str(refused.value)
+    assert "REPRO_CONSENSUS_BATCH" in message and repr(raw) in message
+    assert '"<batch_size>[x<max_inflight>][@<batch_delay>]"' in message
 
 
 def test_batch_config_validation():
@@ -453,3 +479,223 @@ def test_accumulator_pools_under_full_window():
     assert len(requests_of(proposed[1])) == 3
     acc.reset()
     assert acc.inflight == 0 and not acc._open and not acc.pending_keys
+
+
+# ----------------------------------------------------------------------
+# The cut rule: a full batch needs window room, a partial one an empty
+# pipeline (and its delay due)
+# ----------------------------------------------------------------------
+def bare_replica():
+    """What a BatchAccumulator asks of its replica, on a kernel of its own:
+    nothing else schedules, so ``sim.events_fired`` counts the
+    accumulator's events."""
+    return SimpleNamespace(
+        sim=Simulator(seed=1), state=NodeState.OK,
+        group=SimpleNamespace(metrics=MetricsRegistry(), group_id="g"),
+    )
+
+
+def accumulator(config, accept=lambda: True):
+    replica = bare_replica()
+    sim = replica.sim
+    proposed = []
+
+    def propose(proposal):
+        proposed.append((len(requests_of(proposal)), acc.inflight - 1))
+        return accept()
+
+    acc = BatchAccumulator(replica, config, propose)
+    rids = iter(range(10_000))
+    acc.feed = lambda n=1: [acc.add(ClientRequest("cx", next(rids), ("put", "k", 0))) for _ in range(n)]
+    return sim, acc, proposed  # proposed: (batch size, rounds already in flight)
+
+
+def test_partial_batch_waits_for_an_empty_pipeline():
+    sim, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=4))
+    acc.feed(4)
+    acc.feed(4)
+    assert proposed == [(4, 0), (4, 1)]  # full batches: at once, window permitting
+    acc.feed(1)
+    sim.run(until=50)
+    assert len(proposed) == 2  # delay not due, and a round is out
+    sim.run(until=150)
+    acc.feed(1)
+    assert len(proposed) == 2  # delay due: still held behind the rounds in flight
+    acc.on_committed()
+    assert len(proposed) == 2 and acc.inflight == 1
+    acc.on_committed()  # the commit that empties the pipeline
+    assert proposed[2:] == [(2, 0)] and not acc._open
+    # With nothing in flight a lone request waits exactly its delay.
+    acc.on_committed()
+    acc.feed(1)
+    sim.run(until=sim.now + 99)
+    assert len(proposed) == 3
+    sim.run(until=sim.now + 1)
+    assert proposed[3:] == [(1, 0)]
+
+
+def test_full_batches_fill_the_window_and_zero_means_unbounded():
+    _, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=2))
+    acc.feed(13)
+    assert proposed == [(4, 0), (4, 1)] and len(acc._open) == 5  # third full batch: no room
+    acc.on_committed()
+    assert proposed[2:] == [(4, 1)] and len(acc._open) == 1
+    _, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=0))
+    acc.feed(21)
+    assert proposed == [(4, n) for n in range(5)] and len(acc._open) == 1
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+def test_refused_proposal_frees_the_pipeline_for_a_held_partial_batch(refuse):
+    accept = [True]
+    sim, acc, proposed = accumulator(
+        BatchConfig(batch_size=4, batch_delay=100, max_inflight=1), lambda: accept[0]
+    )
+    acc.feed(9)
+    sim.run(until=100)
+    assert proposed == [(4, 0)] and len(acc._open) == 5  # window full, delay due
+    accept[0] = not refuse
+    acc.on_committed()
+    if refuse:  # the full batch was dropped, so nothing is in flight: the rest goes
+        assert proposed[1:] == [(4, 0), (1, 0)] and acc.inflight == 0
+    else:
+        assert proposed[1:] == [(4, 0)] and acc.inflight == 1 and len(acc._open) == 1
+    assert acc.pending_keys == {r.key() for r in acc._open}
+
+
+def test_reset_releases_everything_and_disarms_the_timer():
+    sim, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=4))
+    acc.feed(6)
+    sim.run(until=100)  # delay due, held behind the round in flight
+    acc.reset()
+    assert acc.inflight == 0 and not acc._open and not acc.pending_keys
+    acc.feed(1)  # a new era's first request: its own delay, no inherited credit
+    assert len(proposed) == 1
+    sim.run(until=199)
+    assert len(proposed) == 1
+    sim.run(until=200)
+    assert proposed[1:] == [(1, 0)]
+
+
+def test_flush_dispatches_partial_batches_without_waiting():
+    """View installation re-batches every pending request and must not
+    wait on a delay: flush is bounded by the window only."""
+    sim, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=4))
+    acc.feed(4)
+    acc.feed(2)
+    acc.flush()
+    assert proposed == [(4, 0), (2, 1)] and sim.now == 0
+    _, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=2))
+    acc.feed(11)
+    acc.flush()
+    assert proposed == [(4, 0), (4, 1)] and len(acc._open) == 3  # the remainder pumps out on commits
+
+
+def test_batch_size_one_schedules_no_event_of_its_own():
+    for config in (BatchConfig(batch_size=1), BatchConfig(batch_size=1, max_inflight=2)):
+        sim, acc, proposed = accumulator(config)
+        acc.feed(5)
+        acc.on_committed()
+        acc.on_committed()
+        sim.run()
+        assert sim.events_fired == 0 and sim.now == 0
+        assert all(size == 1 for size, _ in proposed)
+
+
+def test_delay_bound_is_a_deadline_not_a_poll():
+    sim, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=4))
+    acc.feed(5)  # one round out, one request held behind it
+    sim.run(until=1_000)
+    assert sim.events_fired == 1  # the deadline; re-arming every delay made this 10
+    assert proposed == [(4, 0)]
+    acc.on_committed()
+    assert proposed[1:] == [(1, 0)]
+    sim.run(until=2_000)
+    assert sim.events_fired == 1
+
+
+def test_delay_credit_does_not_outlive_the_pool():
+    sim, acc, proposed = accumulator(BatchConfig(batch_size=4, batch_delay=100, max_inflight=1))
+    acc.feed(5)
+    sim.run(until=100)  # the held request's delay is due
+    acc.feed(3)  # ...and now it is part of a full batch, behind a full window
+    acc.on_committed()
+    assert proposed == [(4, 0), (4, 0)] and not acc._open
+    acc.on_committed()
+    acc.feed(1)  # a lone request on an idle pipeline: it still waits its own delay
+    assert len(proposed) == 2
+    sim.run(until=sim.now + 100)
+    assert proposed[2:] == [(1, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 8]),
+    st.sampled_from([0, 1, 2, 4]),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(1, 5)),
+            st.tuples(st.just("commit"), st.integers(1, 2)),
+            st.tuples(st.just("wait"), st.sampled_from([10, 50, 100, 250])),
+            st.tuples(st.just("refuse"), st.integers(1, 2)),
+            st.tuples(st.just("reset"), st.just(0)),
+        ),
+        max_size=60,
+    ),
+)
+def test_every_request_goes_once_and_partial_batches_only_into_an_empty_pipeline(
+    batch_size, max_inflight, script
+):
+    config = BatchConfig(batch_size=batch_size, batch_delay=100, max_inflight=max_inflight)
+    replica = bare_replica()
+    sim = replica.sim
+    sent, dropped, arrived = [], [], {}
+    refusals = [0]
+
+    def propose(proposal):
+        requests = requests_of(proposal)
+        assert max_inflight == 0 or acc.inflight <= max_inflight
+        if len(requests) < batch_size:
+            assert acc.inflight == 1  # itself: a partial batch found the pipeline empty
+        sent.extend(r.key() for r in requests)
+        if refusals[0]:
+            refusals[0] -= 1
+            return False
+        return True
+
+    acc = BatchAccumulator(replica, config, propose)
+
+    def check():
+        assert max_inflight == 0 or acc.inflight <= max_inflight
+        assert acc.pending_keys == {r.key() for r in acc._open}
+        if acc._open and acc.inflight == 0:
+            assert sim.now - arrived[acc._open[0].key()] <= config.batch_delay
+
+    rid = 0
+    for step, n in script + [("drain", 0)]:
+        if step == "add":
+            for _ in range(n):
+                request = ClientRequest("cx", rid, ("put", "k", rid))
+                rid += 1
+                arrived[request.key()] = sim.now
+                acc.add(request)
+                check()
+        elif step == "commit":
+            for _ in range(n):
+                acc.on_committed()
+                check()
+        elif step == "wait":
+            sim.run(until=sim.now + n)
+        elif step == "refuse":
+            refusals[0] = n
+        elif step == "reset":
+            dropped.extend(r.key() for r in acc._open)
+            acc.reset()
+        else:  # drain: commit what is out and let deadlines pass until nothing is pooled
+            refusals[0] = 0
+            while acc._open or acc.inflight:
+                acc.on_committed()
+                sim.run(until=sim.now + config.batch_delay)
+        check()
+    assert sorted(sent + dropped) == sorted(arrived)  # exactly once, or dropped by a reset
+    assert len(set(sent)) == len(sent)

@@ -4,6 +4,7 @@
 CI drives the tool end to end with the parent set to ``HEAD``.)
 """
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -39,3 +40,54 @@ def test_lower_is_better_metrics_and_ties():
     assert not perf_pairs.verdict("peak_rss_mb", before[:5], after[:5])[1]  # under ten pairs
     row, holds = perf_pairs.verdict("lat_p50_ms", [3301.0] * 10, [3301.0] * 10)
     assert not holds and "wins 0/0" in row
+
+
+def canned_runs(monkeypatch, digest_of):
+    """Replace the fresh-interpreter run: record ``(side, seed)`` per call
+    and hand back ``digest_of(side, seed)`` with one metric."""
+    calls = []
+
+    def run_once(checkout, args, workload, seed):
+        side = "change" if checkout == perf_pairs.ROOT else "parent"
+        calls.append((side, seed))
+        return digest_of(side, seed), {"sim_ops_per_wall_s": 2300.0, "lat_p50_ms": 3000.0 + seed}
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    return calls
+
+
+def test_pair_i_runs_seed_i_mod_k_on_both_sides_alternating_who_goes_first(monkeypatch, capsys):
+    calls = canned_runs(monkeypatch, lambda side, seed: f"d{seed}")
+    args = argparse.Namespace(pairs=5, seed=[7, 11, 23], seconds=1.0)
+    assert perf_pairs.compare(args, Path("/parent"), "write-pbft")
+    assert calls == [
+        ("parent", 7), ("change", 7), ("change", 11), ("parent", 11), ("parent", 23),
+        ("change", 23), ("change", 7), ("parent", 7), ("parent", 11), ("change", 11),
+    ]
+    out = capsys.readouterr().out
+    assert "seed 7: sim_digest identical (d7)" in out and "seed 23: sim_digest identical (d23)" in out
+    assert "DIFFERS" not in out
+
+
+def test_digests_are_compared_seed_by_seed(monkeypatch, capsys):
+    # Different seeds have different digests by construction: that alone is not a drift...
+    canned_runs(monkeypatch, lambda side, seed: f"d{seed}")
+    args = argparse.Namespace(pairs=2, seed=[7, 11], seconds=1.0)
+    assert perf_pairs.compare(args, Path("/parent"), "write-pbft")
+    # ...the two sides disagreeing on one seed is.
+    canned_runs(monkeypatch, lambda side, seed: f"d{seed}{side if seed == 11 else ''}")
+    assert not perf_pairs.compare(args, Path("/parent"), "write-pbft")
+    out = capsys.readouterr().out
+    assert "seed 11: sim_digest DIFFERS (d11change, d11parent)" in out
+    assert "seed 7: sim_digest identical (d7)" in out
+
+
+def test_seed_is_repeatable_and_defaults_to_seven(monkeypatch):
+    seen = []
+    monkeypatch.setattr(perf_pairs, "compare", lambda args, parent, workload: seen.append(args.seed) or True)
+    here = str(perf_pairs.ROOT)
+    monkeypatch.setattr("sys.argv", ["perf_pairs.py", "--parent", here, "--seed", "7", "--seed", "11"])
+    assert perf_pairs.main() == 0
+    monkeypatch.setattr("sys.argv", ["perf_pairs.py", "--parent", here])
+    assert perf_pairs.main() == 0
+    assert seen == [[7, 11], [7]]

@@ -16,6 +16,12 @@ built must leave these alone; a PR that means to change what a runner
 simulates or reports updates them knowingly and says so.  The file uses
 only ``get_runner(name)(params, seed)`` and ``repro.cli.main(argv)``, so
 it runs unchanged on either side of such a refactor.
+
+**PR 23 regenerated four of them knowingly** — ``batching-on``,
+``evolve-feasible``, ``leases-on-batch8`` and the CLI ``leases`` point,
+the ones where a partial batch met a round in flight — when it changed
+when a partial batch is cut (only into an empty pipeline: DESIGN §4).  A
+point that configures no batching must not move with that rule.
 """
 
 import contextlib
@@ -152,14 +158,14 @@ CLI_POINTS = {
     "leases": ["leases", "--duration", "45000"],
 }
 
-# Captured at 39cc10e; see the module docstring before touching these.
+# Captured at 39cc10e (four regenerated in PR 23); see the module docstring before touching these.
 RUNNER_GOLDENS = {
     "throughput-minbft": "2ce8d5be2f7fec77cc9668195cca92663cc98e985ca21ce8d2206d35f1175220",
     "throughput-pbft": "fe7c7d6f59b7f4b9e143be05704fa95c830cc90a3c33a955fcc2a58103bfa83a",
     "throughput-cft": "ed2cba1d8b3a2b019cdae453a9604a4e0a0806e5c1820e62f13118f97882b006",
     "throughput-passive": "4f9aba93925a76aaae4ddedebb82e4245676f37ba90ce60528e5e074b7d3cdf6",
     "batching-off": "f6f290fcea96143647c77b6294865c6de7f44b0f62524a5e2f7d58c4428503ec",
-    "batching-on": "3152e79b3647122040bd47f0c286f83feaf5308ca25403d8ced247a1e91aef48",
+    "batching-on": "d59bf0b4599aa83f96536dd16694bc5b2d47cd39d76fbe8610fa141dd486b882",
     "batching-pipelined-only": "d4e46a14df7249f861926e1cec839031a86fd113aa396b717778187d8c70c9e2",
     "shard-scaling-plain": "2965e09350e4ad57fc750917e5a41208a7dc313c087d1d587c423f88a63f25f5",
     "shard-scaling-rejuvenation": "12ae5375fbcc090c520166a3f3da0dcc803e177ef09482c7d5cda3c522c1373d",
@@ -171,10 +177,10 @@ RUNNER_GOLDENS = {
     "leases-off-batch1": "b5d0bfe9db046fbd53e58d75dfe000748583406ebe9aa44c7c024066385c5fde",
     "leases-off-batch8": "3673ee1daf84bbe0c9bc1458549c9b6bd250976138fc10bb8cc6dab4b3147ca7",
     "leases-on-batch1": "865fff23fd8d27f99dba6e3b3da1cd36d0b39c10d1ee5ced2d0a92689f7d165b",
-    "leases-on-batch8": "36c70bbd8d42993a7699208ecb8124c8ac47fe69571c20053c7ca7e56faeabd1",
+    "leases-on-batch8": "6125a233c04c5d00bc5c2607cfdd2e2d94547dff0a2e11567ab72c4b254cbf4d",
     "rejuv-apt-none": "32f4c8f5b76257291f29a9fbdd195f04fa4f81f1c06c83a36cf8d9cdec41e880",
     "rejuv-apt-periodic": "59504d6a80e5dbe86a9ac34268789782d672fda7068cc2267dbd8c334eece4ec",
-    "evolve-feasible": "eb1c26b049b1f5eae56a19a32b35dd550b672546b2d0949c2804809d59899f87",
+    "evolve-feasible": "d7dc3a20975f738cd624cc3f1aa2d0fccf68052764db189f16eecb5a43853311",
     "evolve-infeasible": "146df23a4c635babd5e13d039030772a940ddaa2263307566fea00540a09c762",
     "evolve-rejuv-lease": "6f92f2c0f15f114c541a4a5cad1d9b8746c626addeb7b151b9bbb850f5be1fb0",
     "faultspace-resilient-node": "e0245acad900800336357c8a358d216f1de110552f4811f7e7ec8169eab18a45",
@@ -197,7 +203,7 @@ CLI_GOLDENS = {
     "mesoscale-flash-kill": (0, "6f6485e8a6d7e23a2919948d23a3fab18ac3f01581bd7321e6c14bed171b6581"),
     "mesoscale-diurnal": (0, "3bc47a3c8c771d2face8ab4c7919fbbea4b7fcb800e8eea517912ae329866430"),
     "mesoscale-pareto": (0, "7b9483e6e290ec16caa3d89533cee80284ea6fb25c876dd150cb8cbd3d685c74"),
-    "leases": (0, "3d393cd7310a8e7c87ca2a6c87f25f394af04c0116b4d4793adaf0c1caf3fbc9"),
+    "leases": (0, "66c069da08eef9712ecd8447ac984533a1553dd032ed02b660f02ff19dc98abc"),
 }
 
 
