@@ -17,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.bft.leases import keys_of, stable_key_hash
+from repro.bft.leases import keys_of, lease_holder
 from repro.bft.messages import ClientReply, ClientRequest, ReadNack
 from repro.metrics.traffic import TrafficSource
 from repro.sim.timers import Timeout
@@ -101,7 +101,7 @@ class ClientSession:
     it expires) and *how often an expiry suspects the primary* (the owner
     calls :meth:`suspect_primary` — once per expired timer, however many
     exchanges that timer covers).  Which replica serves a leased read is
-    the owner's choice too, passed to :meth:`open`.
+    nobody's choice: :meth:`lease_target` is the key's one leaseholder.
 
     A replica group reconfigures its requesters through
     :meth:`configure`, so a session is what sits in a group's ``clients``
@@ -149,13 +149,27 @@ class ClientSession:
         predicate = self.config.read_only_predicate
         return bool(predicate is not None and predicate(op))
 
-    def open(
-        self, rid: int, op: Any, read_only: bool, lease_target: Optional[str] = None
-    ) -> Exchange:
+    def lease_target(self, op: Any) -> Optional[str]:
+        """The one replica a leased read of ``op`` goes to: the holder of
+        its (first) key, :func:`~repro.bft.leases.lease_holder` — the
+        member the primary revokes for that key and the only one that will
+        serve it.  None when the group runs no leases, the keys are
+        underivable, or the holder is not placed on this chip.  Grant state
+        is not tracked here: a holder whose lease lapsed answers with a
+        :class:`ReadNack` and the read drops to the quorum path."""
+        keys = keys_of(op) if self.lease_reads else None
+        if not keys:
+            return None
+        holder = lease_holder(self.members, keys[0])
+        chip = self.node.chip
+        return holder if chip is not None and chip.has_node(holder) else None
+
+    def open(self, rid: int, op: Any, read_only: bool) -> Exchange:
         """Send request ``rid`` and return its exchange: a leased read
-        goes to ``lease_target`` alone, any other read to every member
-        (fast path: wait for ``read_quorum`` matching), a write to the
-        believed primary."""
+        goes to its :meth:`lease_target` alone, any other read to every
+        member (fast path: wait for ``read_quorum`` matching), a write to
+        the believed primary."""
+        lease_target = self.lease_target(op) if read_only else None
         request = ClientRequest(
             self.node.name, rid, op,
             read_only=read_only, lease_read=lease_target is not None,
@@ -292,16 +306,6 @@ class ClientNode(Node, TrafficSource):
         """The replica currently believed to be primary."""
         return self.session.primary()
 
-    def _lease_target(self, op: Any) -> Optional[str]:
-        """The one replica a leased read goes to, chosen by key hash so
-        load spreads across holders; None when the group runs no leases
-        or keys are underivable."""
-        keys = keys_of(op) if self.session.lease_reads else None
-        if not keys:
-            return None
-        members = self.session.members
-        return members[stable_key_hash(keys[0]) % len(members)]
-
     # ------------------------------------------------------------------
     # The window: one timer over every outstanding request
     # ------------------------------------------------------------------
@@ -325,9 +329,7 @@ class ClientNode(Node, TrafficSource):
     def _issue_one(self) -> None:
         op = self.config.op_factory(self._rid)
         read_only = self.session.is_read(op)
-        self._outstanding[self._rid] = self.session.open(
-            self._rid, op, read_only, self._lease_target(op) if read_only else None
-        )
+        self._outstanding[self._rid] = self.session.open(self._rid, op, read_only)
         self._rid += 1
 
     def _complete_one(self, exchange: Exchange, reply: ClientReply) -> None:

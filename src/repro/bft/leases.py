@@ -4,12 +4,31 @@ Production traffic is read-dominated, and even the E12 fast path pays an
 f+1 unordered quorum round per read.  This module lets the primary grant
 **per-key-range read leases** to its replicas: a leased replica answers
 ``get`` ops from local committed state in **one NoC hop**, with zero
-ordered-log traffic.  Safety comes from *write-through invalidation*:
+ordered-log traffic.
 
-* the primary holds any write that conflicts with a leased range until
-  every holder acknowledged a :class:`~repro.bft.messages.LeaseRevoke`
-  **or** the lease expired (a crashed holder cannot ack, so the lease
-  ``duration`` is the hard staleness bound);
+**Who holds what.**  Grants travel per range and to every backup, but
+every *key* has exactly one leaseholder, :func:`lease_holder` — the one
+place the mapping is written, and the rule all three parties follow.  The
+requester (:meth:`~repro.bft.client.ClientSession.lease_target`) sends a
+key's leased reads to its holder and to nobody else.  The holder
+(:meth:`LeaseTable.covers`) serves a leased read only for keys it is the
+holder of, whatever ranges it has grants on: a misrouted or
+stale-membership read gets a ``ReadNack``.  The primary
+(:meth:`LeaseManager.intercept`) therefore revokes a write's range from
+the holders of the write's keys only — at most one per key, and none when
+that holder is the primary itself, whose reads come from the state the
+write is about to change.  The holder-side check is the safety half: a
+grant on a range says "nobody has revoked this range *from you*", and
+only the key's holder is ever asked to give it up, so a grant on the
+range in any other member's table promises nothing about the key.
+
+Safety comes from *write-through invalidation*:
+
+* the primary holds any write until the holder of each of its keys
+  acknowledged a :class:`~repro.bft.messages.LeaseRevoke` **or** the lease
+  expired (a crashed holder cannot ack, so the lease ``duration`` is the
+  hard staleness bound — for the keys that holder serves, not for the
+  others);
 * holders tag grants with the granting view — a view change invalidates
   every outstanding lease without any extra message;
 * a new primary *quiesces*: conflicting writes are held for one full
@@ -39,7 +58,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.bft.messages import (
     ClientRequest,
@@ -47,6 +66,7 @@ from repro.bft.messages import (
     LeaseRevoke,
     LeaseRevokeAck,
 )
+from repro.sim.events import ScheduledEvent
 from repro.sim.timers import PeriodicTimer
 from repro.soc.node import NodeState
 
@@ -66,6 +86,11 @@ def stable_key_hash(key: str) -> int:
 def range_of(key: str, n_ranges: int) -> int:
     """The lease range a key belongs to."""
     return stable_key_hash(key) % n_ranges
+
+
+def lease_holder(members: Sequence[str], key: str) -> str:
+    """The one member that may serve leased reads of ``key``."""
+    return members[stable_key_hash(key) % len(members)]
 
 
 def keys_of(op: Any) -> Optional[Tuple[str, ...]]:
@@ -170,13 +195,23 @@ class LeaseTable:
         replica.send(sender, ack, ack.wire_size())
 
     def covers(self, op: Any) -> bool:
-        """True if every key of ``op`` sits in a currently valid lease."""
+        """True if this replica is the leaseholder of every key of ``op``
+        and each sits in a currently valid lease.
+
+        The holder check is not an optimisation: the primary revokes a
+        write's range from the key's holder alone, so a grant on the range
+        in anybody else's table was never going to be revoked for it.
+        """
         keys = keys_of(op)
         if not keys:
             return False
-        now = self.replica.sim.now
-        view = self.replica.view
+        replica = self.replica
+        now = replica.sim.now
+        view = replica.view
+        members = replica.group.members
         for key in keys:
+            if lease_holder(members, key) != replica.name:
+                return False
             entry = self._grants.get(range_of(key, self.config.n_ranges))
             if entry is None or entry[0] != view or now >= entry[2]:
                 return False
@@ -213,6 +248,8 @@ class LeaseManager:
         self._suspended: Set[str] = set()
         self._self_expiry: Optional[float] = None
         self._quiesce_until = 0.0
+        # The one armed expiry backstop (see _arm_backstop).
+        self._backstop: Optional[ScheduledEvent] = None
         self._timer: Optional[PeriodicTimer] = None
         gid = replica.group.group_id
         metrics = replica.group.metrics
@@ -250,6 +287,9 @@ class LeaseManager:
         self._revoking.clear()
         self._parked.clear()
         self._self_expiry = None
+        if self._backstop is not None:
+            self._backstop.cancel()
+            self._backstop = None
 
     def on_view_entered(self, view: int) -> None:
         """View/term change or promotion: invalidate our grant era and
@@ -338,25 +378,37 @@ class LeaseManager:
         key = request.key()
         if any(parked.key() == key for parked, _ in self._parked):
             return True  # a retransmit of an already-parked write
-        now = self.replica.sim.now
+        replica = self.replica
+        now = replica.sim.now
+        n_ranges = self.config.n_ranges
+        # range -> the members whose lease on it this write conflicts with:
+        # the holders of its keys (None = everybody, for an op whose keys
+        # cannot be derived).  A key this primary holds itself contributes
+        # nobody — its leased reads are answered from the state the write
+        # is about to change.
+        needed: Dict[int, Optional[Set[str]]]
         keys = keys_of(request.op)
         if keys is None:
-            needed = set(range(self.config.n_ranges))
+            needed = dict.fromkeys(range(n_ranges))
         else:
-            needed = {range_of(k, self.config.n_ranges) for k in keys}
+            needed = {}
+            members = replica.group.members
+            for k in keys:
+                needed.setdefault(range_of(k, n_ranges), set()).add(lease_holder(members, k))
         blocked: Set[int] = set()
         if now < self._quiesce_until:
+            # Old-era holders (the old primary's self-lease among them) may
+            # serve any key until their leases run out: no exemption here.
             for r in needed:
                 self._begin_revocation(r, {}, self._quiesce_until)
                 blocked.add(r)
-        for r in needed:
-            if r in self._revoking:
-                blocked.add(r)
-                continue
-            holders = self._conflicting_holders(r, now)
+        for r, wanted in needed.items():
+            holders = self._conflicting_holders(r, now, wanted)
             if holders:
                 self._begin_revocation(r, holders, max(holders.values()))
                 self._send_revokes({r: holders})
+            waiting = self._revoking.get(r)
+            if waiting and (wanted is None or not wanted.isdisjoint(waiting)):
                 blocked.add(r)
         if not blocked:
             return False
@@ -364,10 +416,15 @@ class LeaseManager:
         self._parked.append((request, blocked))
         return True
 
-    def _conflicting_holders(self, r: int, now: float) -> Dict[str, float]:
-        """Holders with an unexpired grant on range ``r``; prunes expired."""
+    def _conflicting_holders(
+        self, r: int, now: float, wanted: Optional[Set[str]]
+    ) -> Dict[str, float]:
+        """Those of ``wanted`` (None = anybody) with an unexpired grant on
+        range ``r``; prunes expired."""
         out: Dict[str, float] = {}
         for holder, held in self._granted.items():
+            if wanted is not None and holder not in wanted:
+                continue
             expiry = held.get(r)
             if expiry is None:
                 continue
@@ -385,8 +442,21 @@ class LeaseManager:
         waiting.update(holders)
         for holder in holders:
             self._granted.get(holder, {}).pop(r, None)
-        delay = max(0.0, release_at - self.replica.sim.now)
-        self.replica.sim.schedule(delay + 1.0, self._expire_revocations, self.epoch)
+        self._arm_backstop(release_at)
+
+    def _arm_backstop(self, release_at: float) -> None:
+        """Keep one expiry backstop armed per manager, just past the
+        earliest outstanding release — not one kernel event per revoked
+        range: acks arrive a hundred sim-ms after the revoke, the event
+        would sit in the heap for a lease duration to do nothing."""
+        sim = self.replica.sim
+        at = max(release_at, sim.now) + 1.0
+        armed = self._backstop  # non-None means pending: firing and reset() clear it
+        if armed is not None:
+            if armed.time <= at:
+                return
+            armed.cancel()
+        self._backstop = sim.schedule_at(at, self._expire_revocations)
 
     def _send_revokes(self, per_range: Dict[int, Dict[str, float]]) -> None:
         # Regroup range->holders into holder->ranges: one message each.
@@ -415,19 +485,29 @@ class LeaseManager:
                 if not waiting and self.replica.sim.now >= self._quiesce_until:
                     self._clear_range(r)
 
-    def _expire_revocations(self, epoch: int) -> None:
-        if epoch != self.epoch or self.replica.state is NodeState.CRASHED:
-            return
+    def _expire_revocations(self) -> None:
+        """The backstop fired: lapse what ran out, re-arm for the rest."""
+        self._backstop = None
+        if self.replica.state is NodeState.CRASHED:
+            return  # recovery resets the manager
         now = self.replica.sim.now
-        if now < self._quiesce_until:
-            return  # a later backstop (scheduled at quiesce end) finishes
-        for r in list(self._revoking):
-            waiting = self._revoking[r]
-            for holder in [h for h, exp in waiting.items() if exp <= now]:
-                del waiting[holder]
-                self._c_expired.inc()
-            if not waiting:
-                self._clear_range(r)
+        quiesce = self._quiesce_until
+        if now >= quiesce:
+            for r in list(self._revoking):
+                waiting = self._revoking[r]
+                for holder in [h for h, exp in waiting.items() if exp <= now]:
+                    del waiting[holder]
+                    self._c_expired.inc()
+                if not waiting:
+                    self._clear_range(r)
+        # Whatever is still held (nothing lapses before the quiesce ends).
+        outstanding = [
+            max(expiry, quiesce)
+            for waiting in self._revoking.values()
+            for expiry in (waiting.values() if waiting else (quiesce,))
+        ]
+        if outstanding:
+            self._arm_backstop(min(outstanding))
 
     def _clear_range(self, r: int) -> None:
         self._revoking.pop(r, None)

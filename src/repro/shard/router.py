@@ -10,9 +10,9 @@ speaks the BFT client protocol to the owning group through one
 The router's own part: a multi-key ``("mget", k1, k2, …)`` fans out one
 sub-operation per key to each owning shard and completes when every
 fragment has its quorum; each sub-operation has its own retransmit timer
-and a bounded number of attempts; a leased read goes to a leaseholder
-near the router's tile; operations against a shard the directory has
-marked degraded fail fast instead of burning retransmit timeouts.
+and a bounded number of attempts; operations against a shard the
+directory has marked degraded fail fast instead of burning retransmit
+timeouts (a leased read still tries its key's leaseholder).
 
 Per-shard service metrics (ops, latency histogram, in-flight depth) are
 published through the chip's :class:`~repro.metrics.registry.MetricsRegistry`
@@ -30,10 +30,10 @@ NoC nodes themselves, so the only on-chip traffic is the router's).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.bft.client import ClientSession, Exchange
-from repro.bft.leases import keys_of, stable_key_hash
+from repro.bft.leases import keys_of
 from repro.bft.messages import ClientReply, ReadNack
 from repro.metrics.traffic import TrafficSource
 from repro.shard.directory import ShardDirectory
@@ -110,24 +110,11 @@ class _ShardSession(ClientSession):
     def __init__(self, node: Node, config: RouterConfig) -> None:
         super().__init__(node, config)
         self.inflight = 0  # sub-operations awaiting a quorum from this shard
-        # (placement epoch, placed members nearest-first); None = recompute.
-        self.lease_order: Optional[Tuple[int, List[str]]] = None
         # Metric handles, bound on first use: a zero-valued metric created
         # ahead of use would change byte-stable summaries.
         self.ops: Any = None
         self.latency: Any = None
         self.inflight_gauge: Any = None
-
-    def configure(
-        self,
-        replicas: List[str],
-        reply_quorum: int,
-        read_quorum: Optional[int] = None,
-        lease_reads: bool = False,
-    ) -> None:
-        """Re-point at the group; its members' distances are re-ranked."""
-        super().configure(replicas, reply_quorum, read_quorum, lease_reads)
-        self.lease_order = None
 
 
 @dataclass
@@ -280,8 +267,9 @@ class ShardRouter(Node, TrafficSource):
             self._sub_done(ticket)
             return
         read_only = session.is_read(op)
-        lease_target = self._lease_target(session, op) if read_only else None
-        if self.directory.is_degraded(shard_id) and lease_target is None:
+        if self.directory.is_degraded(shard_id) and not (
+            read_only and session.lease_target(op) is not None
+        ):
             # Lease-aware degraded handling: a leased replica can still
             # answer reads from local committed state while the group is
             # below its liveness quorum, so only lease-less operations
@@ -295,53 +283,18 @@ class ShardRouter(Node, TrafficSource):
         self._rid += 1
         session.inflight += 1
         self._set_inflight_gauge(shard_id, session)
-        # A leased read is one NoC hop to the leaseholder nearest this
-        # router's tile; a ReadNack (no covering lease) falls back to the
-        # quorum path.
+        # A leased read is one NoC hop to the key's leaseholder; a ReadNack
+        # (no covering lease) falls back to the quorum path.
         sub = self._subops[rid] = _SubOp(
             rid=rid,
             ticket=ticket,
             shard_id=shard_id,
             key=key,
-            exchange=session.open(rid, op, read_only, lease_target),
+            exchange=session.open(rid, op, read_only),
             timeout=Timeout(self.sim, self.config.timeout, lambda: self._on_timeout(rid)),
             current_timeout=self.config.timeout,
         )
         sub.timeout.start()
-
-    def _lease_target(self, session: _ShardSession, op: Any) -> Optional[str]:
-        """Pick the lease-read target: a per-key leaseholder, chosen from
-        the live members ordered by NoC distance from this tile.
-
-        Every member holds leases for every range (the primary grants
-        uniformly), so the router keys the choice on the routing key's
-        stable hash over the distance-sorted candidate list.  Sending all
-        leased reads to the single nearest member measures *worse* than
-        the quorum fast path at saturation — one serialized replica core
-        becomes the group's read bottleneck — so the hash spread, not
-        pure proximity, is what the P4 speedup rides on.  The router does
-        not track grant state (it is primary-local soft state); a target
-        whose lease lapsed answers with a ReadNack and the read falls
-        back to the quorum path.
-        """
-        if not session.lease_reads:
-            return None
-        keys = keys_of(op)
-        if keys is None:
-            return None
-        if self.chip is None:
-            return None
-        chip = self.chip
-        order = session.lease_order
-        if order is None or order[0] != chip.placement_epoch:
-            here = self.coord
-            candidates = [m for m in session.members if chip.has_node(m)]
-            candidates.sort(key=lambda m: (chip.coord_of(m).manhattan(here), m))
-            order = session.lease_order = (chip.placement_epoch, candidates)
-        candidates = order[1]
-        if not candidates:
-            return None
-        return candidates[stable_key_hash(keys[0]) % len(candidates)]
 
     # ------------------------------------------------------------------
     # Reply and timeout handling

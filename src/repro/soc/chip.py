@@ -49,9 +49,6 @@ class Chip:
         self.tiles: Dict[Coord, Tile] = {c: Tile(c) for c in self.topology.coords()}
         self._nodes: Dict[str, Node] = {}
         self._placement: Dict[str, Coord] = {}
-        #: Bumped whenever a node is placed, moved or removed, so callers
-        #: can cache what they derive from the placement (NoC distances).
-        self.placement_epoch = 0
         # Hooks for the systems-of-SoCs layer (repro.sos): outbound
         # traffic for names not placed here, and inbound tunnelled
         # payloads arriving at this chip's gateway tile.
@@ -70,7 +67,6 @@ class Chip:
         self.tiles[coord].host(node)
         self._nodes[node.name] = node
         self._placement[node.name] = coord
-        self.placement_epoch += 1
         node.attach_to(self)
 
     def remove_node(self, name: str) -> Node:
@@ -79,7 +75,6 @@ class Chip:
         if node is None:
             raise KeyError(f"no node named {name!r}")
         coord = self._placement.pop(name)
-        self.placement_epoch += 1
         self.tiles[coord].evict()
         return node
 
@@ -96,7 +91,6 @@ class Chip:
         self.tiles[new_coord].host(node)  # raises if occupied/crashed
         self.tiles[old].evict()
         self._placement[name] = new_coord
-        self.placement_epoch += 1
 
     def node(self, name: str) -> Node:
         """Look up a node by name."""

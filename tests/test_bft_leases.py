@@ -5,25 +5,44 @@ Covers the lease subsystem end-to-end:
 * ``leases=off`` (None or ``enabled=False``) is *exactly* the pre-lease
   protocol — event-identical runs per family;
 * leased reads complete locally with zero ordered-log growth;
+* one leaseholder per key (``lease_holder``): the requester's target, the
+  only member that serves the key and the only member a write revokes are
+  the same member — as a property, on the wire, and under a zero-slack
+  freshness oracle;
 * write-through invalidation: conflicting writes are held until the
-  holders acked (or the lease expired — the crashed-holder backstop);
+  key's holder acked (or the lease expired — the crashed-holder backstop,
+  one armed event per manager);
 * the staleness bound holds, including across a primary kill;
 * view changes and ``heal_first`` rejuvenation revoke outstanding
   leases before the replica serves (or is re-granted) again.
 """
 
-import pytest
+from types import SimpleNamespace
 
-from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bft import ClientConfig, ClientNode, ClientSession, GroupConfig, build_group
+from repro.bft.app import KeyValueStore
 from repro.bft.group import protocol_config_for
 from repro.bft.leases import (
     LeaseConfig,
+    LeaseManager,
+    LeaseTable,
     keys_of,
+    lease_holder,
     range_of,
     resolve_leases,
     stable_key_hash,
 )
-from repro.bft.messages import LeaseGrant
+from repro.bft.messages import (
+    ClientReply,
+    ClientRequest,
+    LeaseGrant,
+    LeaseRevoke,
+    ReadNack,
+)
+from repro.metrics.registry import MetricsRegistry
 from repro.core import (
     DiversityManager,
     RejuvenationPolicy,
@@ -33,7 +52,8 @@ from repro.core import (
 from repro.core.replication import ReplicationManager
 from repro.fabric import FpgaFabric
 from repro.sim import Simulator
-from repro.soc import Chip, ChipConfig
+from repro.soc import Chip, ChipConfig, Node
+from repro.soc.node import NodeState
 
 ALL_PROTOCOLS = ["pbft", "minbft", "cft", "passive"]
 QUORUM_PROTOCOLS = ["pbft", "minbft"]
@@ -57,6 +77,14 @@ def lease_config(**kwargs):
     kwargs.setdefault("duration", DURATION)
     kwargs.setdefault("renew_period", RENEW)
     return LeaseConfig(**kwargs)
+
+
+def key_held_by(members, holder, avoid_ranges=()):
+    """A key whose one leaseholder is ``holder`` (outside ``avoid_ranges``)."""
+    return next(
+        k for k in (f"k{i}" for i in range(512))
+        if lease_holder(members, k) == holder and range_of(k, 16) not in avoid_ranges
+    )
 
 
 def build(protocol, leases=None, f=1, seed=1, client_cfg=None):
@@ -137,24 +165,178 @@ def test_lease_table_rejects_wrong_era_grants():
     sim, chip, group, _ = build("minbft", leases=lease_config())
     primary = group.members[0]
     holder = group.replicas[group.members[1]]
+    read = ("get", key_held_by(group.members, holder.name))
     all_ranges = tuple(range(16))
     # A grant from a *future* view is not ours yet: rejected.
     stale = LeaseGrant(primary, 5, 0, all_ranges, sim.now + 10_000)
     holder.lease_table.on_grant(primary, stale)
-    assert not holder.lease_table.covers(("get", "k0"))
+    assert not holder.lease_table.covers(read)
     # A grant claiming the right view but sent by a non-primary: rejected.
     imposter = group.members[2]
     forged = LeaseGrant(imposter, 0, 0, all_ranges, sim.now + 10_000)
     holder.lease_table.on_grant(imposter, forged)
-    assert not holder.lease_table.covers(("get", "k0"))
+    assert not holder.lease_table.covers(read)
     # The genuine article is accepted — and expires (advance less than a
     # renew period so the live primary cannot re-grant underneath us).
     good = LeaseGrant(primary, 0, 0, all_ranges, sim.now + 50)
     holder.lease_table.on_grant(primary, good)
-    assert holder.lease_table.covers(("get", "k0"))
+    assert holder.lease_table.covers(read)
     assert not holder.lease_table.covers(("add", 1))  # keyless: never leased
     sim.run(until=sim.now + 100)
-    assert not holder.lease_table.covers(("get", "k0"))
+    assert not holder.lease_table.covers(read)
+
+
+# ----------------------------------------------------------------------
+# One leaseholder per key: the rule as a property, and on the wire
+# ----------------------------------------------------------------------
+class StubReplica:
+    """Just enough replica for a LeaseTable / LeaseManager: a name, a view,
+    a clock, the group's member list and a ``send`` that records."""
+
+    state = NodeState.OK
+
+    def __init__(self, sim, name, members, view):
+        self.sim, self.name, self.view = sim, name, view
+        self.group = SimpleNamespace(
+            members=members, group_id="g", metrics=MetricsRegistry(),
+            primary_of=lambda v: members[v % len(members)],
+        )
+        self.app = KeyValueStore()
+        self.sent = []
+
+    @property
+    def is_primary(self):
+        return self.group.primary_of(self.view) == self.name
+
+    def other_members(self):
+        return [m for m in self.group.members if m != self.name]
+
+    def send(self, dst, message, size):
+        self.sent.append((dst, message))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    members=st.lists(
+        st.text(alphabet="abcdefgh", min_size=1, max_size=4),
+        min_size=2, max_size=7, unique=True,
+    ),
+    key=st.text(min_size=1, max_size=12),
+    view=st.integers(min_value=0, max_value=20),
+)
+def test_target_server_and_revoked_member_are_the_keys_one_holder(members, key, view):
+    sim = Simulator(seed=1)
+    holder = lease_holder(members, key)
+    primary = members[view % len(members)]
+    # The requester aims the key's leased reads at the holder.
+    node = SimpleNamespace(name="c", chip=SimpleNamespace(has_node=lambda name: True))
+    session = ClientSession(node, ClientConfig())
+    session.configure(members, 1, lease_reads=True)
+    assert session.lease_target(("get", key)) == holder
+    # Every backup is granted every range; only the holder serves the key
+    # (the primary answers from its self-lease, not from a table).
+    grant = LeaseGrant(primary, view, 0, tuple(range(16)), sim.now + 1_000)
+    serving = []
+    for name in members:
+        table = LeaseTable(StubReplica(sim, name, members, view), LeaseConfig())
+        table.on_grant(primary, grant)
+        if table.covers(("get", key)):
+            serving.append(name)
+    assert serving == ([holder] if holder != primary else [])
+    # The primary revokes the holder and nobody else — nobody when that is itself.
+    replica = StubReplica(sim, primary, members, view)
+    manager = LeaseManager(replica, LeaseConfig())
+    manager.start()
+    manager._on_renew()
+    assert sorted(dst for dst, _ in replica.sent) == sorted(replica.other_members())
+    del replica.sent[:]
+    parked = manager.intercept(ClientRequest("c", 0, ("put", key, 1)))
+    revoked = [dst for dst, m in replica.sent if isinstance(m, LeaseRevoke)]
+    assert revoked == ([holder] if holder != primary else [])
+    assert parked == (holder != primary)
+    manager.stop()
+
+
+class Probe(Node):
+    """A client-side node that records what it is sent."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.received = []
+
+    def on_message(self, sender, message):
+        self.received.append((sender, message))
+
+
+def granted_group(protocol="minbft", seed=1):
+    """A leased group two renewals in (every backup holds every range),
+    with a probe node placed beside it."""
+    sim, chip, group, client = build(protocol, leases=lease_config(), seed=seed)
+    probe = Probe("probe")
+    chip.place_node(probe, chip.free_tiles()[0])
+    sim.run(until=2 * RENEW + 100)
+    return sim, group, client, probe
+
+
+def test_non_holder_with_a_valid_grant_nacks_a_misrouted_leased_read():
+    """The holder-side check: a grant on the key's range in the wrong
+    member's table is not a lease on the key — no write would revoke it."""
+    sim, group, _, probe = granted_group()
+    _, holder, other = group.members
+    key = key_held_by(group.members, holder)
+    table = group.replicas[other].lease_table
+    entry = table._grants[range_of(key, 16)]
+    assert entry[0] == group.replicas[other].view and entry[2] > sim.now + 1_000
+    probe.send(other, ClientRequest("probe", 0, ("get", key), True, True), 64)
+    probe.send(holder, ClientRequest("probe", 1, ("get", key), True, True), 64)
+    sim.run(until=sim.now + 1_000)
+    answers = {message.rid: (sender, message) for sender, message in probe.received}
+    assert answers[0] == (other, ReadNack(other, "probe", 0))
+    sender, reply = answers[1]
+    assert sender == holder and isinstance(reply, ClientReply) and reply.leased
+
+
+def test_a_write_revokes_its_keys_holders_and_nobody_else():
+    sim, group, _, _ = granted_group()
+    primary, b1, b2 = (group.replicas[m] for m in group.members)
+    manager = primary.lease_manager
+    revoked = group.chip.metrics.counter("g.lease.revoked")
+    sent = []
+    primary.add_outbound_filter(
+        lambda dst, m: sent.append((dst, m)) if isinstance(m, LeaseRevoke) else None
+    )
+
+    def write(rid, op):
+        del sent[:]
+        parked = manager.intercept(ClientRequest("cx", rid, op))
+        return parked, [(dst, m.ranges) for dst, m in sent]
+
+    mine = key_held_by(group.members, primary.name)
+    taken = {range_of(mine, 16)}
+    theirs = key_held_by(group.members, b1.name, taken)
+    taken.add(range_of(theirs, 16))
+    # The primary holds the key: nobody to revoke, nothing to wait for.
+    assert write(0, ("put", mine, 1)) == (False, [])
+    assert manager.parked_writes == 0 and revoked.value == 0
+    # A backup holds it: exactly one revoke, to that backup, for that range.
+    assert write(1, ("put", theirs, 1)) == (True, [(b1.name, (range_of(theirs, 16),))])
+    assert manager.parked_writes == 1 and revoked.value == 1
+    # The other backup keeps its grant on the range and is not asked.
+    assert range_of(theirs, 16) in manager._granted[b2.name]
+    # Several keys: each key's holder, on each key's range.
+    k1 = key_held_by(group.members, b1.name, taken)
+    k2 = key_held_by(group.members, b2.name, taken | {range_of(k1, 16)})
+    parked, revokes = write(2, ("mget", mine, k1, k2))  # not a KV read: a conflict
+    assert parked and sorted(revokes) == sorted(
+        [(b1.name, (range_of(k1, 16),)), (b2.name, (range_of(k2, 16),))]
+    )
+    # Underivable keys conflict with everything anybody still holds.
+    parked, revokes = write(3, ("add", 1))
+    asked = {name: {r for dst, ranges in revokes if dst == name for r in ranges}
+             for name in (b1.name, b2.name)}
+    assert parked and {dst for dst, _ in revokes} == set(asked)
+    assert asked[b1.name] == set(range(16)) - {range_of(theirs, 16), range_of(k1, 16)}
+    assert asked[b2.name] == set(range(16)) - {range_of(k2, 16)}
 
 
 # ----------------------------------------------------------------------
@@ -315,25 +497,204 @@ def test_staleness_bound_holds_across_primary_kill():
     assert reader.leased_reads_completed > 0
 
 
-def test_crashed_holder_cannot_wedge_writes_past_expiry():
-    """A holder that crashes without acking its revocation holds writes
-    at most one lease duration (the expiry backstop)."""
-    cfg = ClientConfig(
-        think_time=100, timeout=60_000, max_requests=3,
-        op_factory=lambda i: ("put", "k0", i),
+def run_freshness_scenario(protocol, seed=5):
+    """Two read-your-writes clients and three readers over six keys — two
+    per member, the primary included — under a zero-slack oracle
+    (``staleness_oracle`` only flags a read a whole lease ``duration``
+    behind; revoking the wrong holder would pass it):
+
+    * values: once a write has completed at its client, no read *issued
+      afterwards*, by any client, returns an older value — the writers
+      re-read their key one sim-ms after each put;
+    * the gate: the instant a primary lets a write through to ordering, no
+      other member would still serve any of its keys.  Fault-free a holder
+      executes a write about when the client learns of it, so the values
+      alone rarely show a lease that was never revoked; this does, at once.
+    """
+    sim = Simulator(seed=seed)
+    chip = Chip(sim, ChipConfig(width=5, height=5))
+    cfg = protocol_config_for(protocol, leases=lease_config())
+    group = build_group(
+        chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=cfg)
     )
-    sim, chip, group, client = build("minbft", leases=lease_config(), client_cfg=cfg)
+    keys = []
+    for member in group.members * 2:
+        keys.append(key_held_by(group.members, member, {range_of(k, 16) for k in keys}))
+    completed = {}  # key -> newest value whose write completed at its client
+    floors = {}  # (client, rid) -> completed[key] when the read was issued
+    violations = []
+
+    def issue_read(name, rid, key):
+        floors[(name, rid)] = completed.get(key, -1)
+        return ("get", key)
+
+    def on_result(request, reply):
+        if request.op[0] == "put":
+            _, key, value = request.op
+            completed[key] = max(completed.get(key, -1), value)
+            return
+        floor = floors.pop((request.client, request.rid))
+        got = -1 if reply.result is None else reply.result
+        if got < floor:
+            violations.append(("stale", sim.now, request.client, request.op[1], got, floor))
+
+    for replica in group.replicas.values():
+        def gate(request, replica=replica, intercept=replica.lease_manager.intercept):
+            parked = intercept(request)
+            if not parked and request.op[0] == "put":
+                read = ("get", request.op[1])
+                violations.extend(
+                    ("served elsewhere", sim.now, other.name, request.op[1])
+                    for other in group.replicas.values()
+                    if other is not replica and other.lease_table.covers(read)
+                )
+            return parked
+        replica.lease_manager.intercept = gate
+
+    # One writer per key, so a key's values rise in commit order.
+    def put_then_get(name, own):
+        def next_op(i):
+            key = own[(i // 2) % len(own)]
+            return ("put", key, i // 2) if i % 2 == 0 else issue_read(name, i, key)
+        return next_op
+
+    writers = [
+        ClientNode(
+            name,
+            ClientConfig(
+                think_time=1, timeout=30_000, max_requests=120,
+                op_factory=put_then_get(name, own),
+                read_only_predicate=is_read, on_result=on_result,
+            ),
+        )
+        for name, own in (("w0", keys[0::2]), ("w1", keys[1::2]))
+    ]
+    readers = [
+        ClientNode(
+            name,
+            ClientConfig(
+                think_time=think, timeout=30_000, max_requests=300,
+                max_outstanding=window,
+                op_factory=lambda i, name=name, stride=stride: issue_read(
+                    name, i, keys[(i * stride) % len(keys)]
+                ),
+                read_only_predicate=is_read, on_result=on_result,
+            ),
+        )
+        for name, think, window, stride in (
+            ("r0", 40, 1, 1), ("r1", 70, 1, 5), ("r2", 90, 4, 1),
+        )
+    ]
+    clients = writers + readers
+    for client in clients:
+        group.attach_client(client)
+    sim.run(until=2 * RENEW + 100)  # grants are out before the first op
+    for client in clients:
+        client.start()
+    sim.run(until=3_000_000)
+    return group, clients, violations
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_no_read_issued_after_a_completed_write_returns_an_older_value(protocol):
+    group, clients, violations = run_freshness_scenario(protocol)
+    assert [c.completed for c in clients] == [120, 120, 300, 300, 300]
+    # The lease path did the work, at every member: each holds two of the keys.
+    assert sum(c.leased_reads_completed for c in clients) > 500
+    assert group.chip.metrics.counter("g.lease.revoked").value > 0
+    assert violations == []
+    assert group.safety.is_safe
+
+
+def test_crashed_holder_cannot_wedge_writes_past_expiry():
+    """A holder that crashes without acking its revocation holds writes to
+    *its* keys at most one lease duration (the expiry backstop) — and
+    writes to anybody else's keys not at all."""
+    sim, chip, group, client = build(
+        "minbft", leases=lease_config(),
+        client_cfg=ClientConfig(think_time=100, timeout=60_000, max_requests=3),
+    )
+    primary, live, victim = (group.replicas[m] for m in group.members)
+    stuck_key = key_held_by(group.members, victim.name)
+    free_key = key_held_by(group.members, live.name)
+    client.config.op_factory = lambda i: ("put", stuck_key, i)
+    bystander = ClientNode(
+        "c1",
+        ClientConfig(
+            think_time=100, timeout=60_000, max_requests=3,
+            op_factory=lambda i: ("put", free_key, i),
+        ),
+    )
+    group.attach_client(bystander)
     # Let grants land, then crash a backup holder silently.
     sim.run(until=2 * RENEW + 100)
-    victim = group.replicas[group.members[2]]
     assert len(victim.lease_table) > 0
     victim.crash()
     client.start()
+    bystander.start()
+    sim.run(until=sim.now + DURATION / 3)
+    # The live holder acked within the round; the dead one's key still waits.
+    assert bystander.completed == 3 and max(bystander.latencies) < 1_000
+    assert client.completed == 0 and primary.lease_manager.parked_writes == 1
     sim.run(until=sim.now + 10 * DURATION)
     assert client.completed == 3
     # Every write waited at most ~one duration for the dead holder.
     assert all(lat <= DURATION + 2_000 for lat in client.latencies)
     assert group.safety.is_safe
+
+
+def test_each_held_write_is_released_just_past_its_own_expiry():
+    """Two writes behind one dead holder, on ranges whose grants run out a
+    renewal apart: the single backstop fires for the first and re-arms."""
+    sim, group, _, _ = granted_group()
+    primary, _, victim = (group.replicas[m] for m in group.members)
+    manager = primary.lease_manager
+    first = key_held_by(group.members, victim.name)
+    second = key_held_by(group.members, victim.name, {range_of(first, 16)})
+    victim.crash()
+    first_expiry = manager._granted[victim.name][range_of(first, 16)]
+    assert manager.intercept(ClientRequest("cx", 0, ("put", first, 1)))
+    # The primary cannot know: the next renewal extends the other range.
+    sim.run(until=sim.now + RENEW)
+    second_expiry = manager._granted[victim.name][range_of(second, 16)]
+    assert second_expiry == first_expiry + RENEW
+    assert manager.intercept(ClientRequest("cx", 1, ("put", second, 1)))
+    released = []
+    primary._admit_ordered = lambda request: released.append((sim.now, request.rid))
+    sim.run(until=first_expiry + 0.5)
+    assert manager.parked_writes == 2 and released == []
+    sim.run(until=second_expiry + 0.5)
+    assert manager.parked_writes == 1 and released == [(first_expiry + 1.0, 0)]
+    sim.run(until=second_expiry + 1.5)
+    assert manager.parked_writes == 0 and released[1:] == [(second_expiry + 1.0, 1)]
+    assert manager._backstop is None  # nothing outstanding, nothing armed
+
+
+def test_acked_revocations_leave_one_backstop_not_one_each():
+    """Acks arrive within a round; the expiry backstop must not cost a
+    kernel event per revoked range that sits in the heap for a lease
+    duration and fires to do nothing."""
+    sim, chip, group, client = build(
+        "minbft", leases=lease_config(),
+        client_cfg=ClientConfig(think_time=50, timeout=60_000, max_requests=100),
+    )
+    manager = group.replicas[group.members[0]].lease_manager
+    keys = []  # eight backup-held keys, a range each
+    for i in range(8):
+        taken = {range_of(k, 16) for k in keys}
+        keys.append(key_held_by(group.members, group.members[1 + i % 2], taken))
+    client.config.op_factory = lambda i: ("put", keys[i % 8], i)
+    fired = []
+    expire = manager._expire_revocations
+    manager._expire_revocations = lambda: (fired.append(sim.events_fired), expire())[1]
+    sim.run(until=2 * RENEW + 100)
+    client.start()
+    sim.run(until=sim.now + 40 * DURATION)
+    assert client.completed == 100
+    assert chip.metrics.counter("g.lease.revoked").value >= 90  # nearly every write revoked
+    assert chip.metrics.counter("g.lease.expired").value == 0  # ...and was acked
+    assert len(fired) <= 6  # one per revoked range, 100, before
+    assert manager._backstop is None and not manager._revoking
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,11 @@ timer, the batch/lease install and the era change for every protocol:
   event per hop, an analytic one ≈ one event).  **PR 23 regenerated the
   three ``batch+lease`` entries of the leader protocols**, having changed
   when a partial batch is cut on purpose (only into an empty pipeline:
-  DESIGN §4); the plain entries and ``passive`` did not move.
+  DESIGN §4); the plain entries and ``passive`` did not move.  **PR 24
+  regenerated all four ``batch+lease`` entries**, having given every key
+  one leaseholder on purpose (a write revokes at most that one: DESIGN §4
+  *Who holds a lease*); the four plain entries configure no leases and
+  did not move.
 * **No re-forking** — the plumbing names live in ``replica.py`` only.
 """
 
@@ -48,13 +52,13 @@ RUN_UNTIL = 400_000.0
 # sha256 of chip.metrics.dump() in both); see the module docstring.
 GOLDENS = {
     ("pbft", False): (83394, 49381, "fb42ee2c1972b7b89822318c468b2ed559c9fa5fcab44a768b4e79a82ed5d018"),
-    ("pbft", True): (49720, 28393, "a49a2661406d793cf01d1bb7670238383dc3f7a0eead3f77266a30292fd230ae"),
+    ("pbft", True): (57084, 32728, "15e2a8dfa8048494a87f9ebda0e7ceb5ca89277165a5459ffce05c02ace3be78"),
     ("minbft", False): (88418, 50319, "2f9f136ceba860c64b0707cba3117cc11049fa27c29e534968ce387b49386870"),
-    ("minbft", True): (52868, 29123, "59eab06e6b0d2c7590f24e26900290ccf7b1968a440069ee8571b0e80cca8b70"),
+    ("minbft", True): (50872, 28311, "6e7b7a40500b0600898cca230bd56aa1e5aad7bf67ea7d14468b961ed0b36daa"),
     ("cft", False): (182496, 98807, "6524073198b22399161cb832d8ffcd9f8315ef146ea5ab7055bbcfd7fa5b5b8f"),
-    ("cft", True): (70711, 37936, "159ada7ffe3e51d16d2b631390536d17ebe2ed80d92a598dff1b2a70debcd274"),
+    ("cft", True): (69882, 37640, "36009fc69831d87e84779f16e6c6c555200361b78e9934afbece76dcf8e04930"),
     ("passive", False): (108096, 62635, "9d0b71c1c3bd440bc17222979e80d1fd68fe16b328e3d2ab020a219214e531d6"),
-    ("passive", True): (44994, 26802, "606240dd9c4dd7220aee0b2e5329eae80fd905a11a3aeb5ec0ec61d1f3336875"),
+    ("passive", True): (45478, 26785, "cbb45bf9d4cb36893b2f41999de5efc3834de2646b88d078850da51c96850a93"),
 }
 
 

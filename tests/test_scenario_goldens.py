@@ -22,6 +22,12 @@ it runs unchanged on either side of such a refactor.
 the ones where a partial batch met a round in flight — when it changed
 when a partial batch is cut (only into an empty pipeline: DESIGN §4).  A
 point that configures no batching must not move with that rule.
+
+**PR 24 regenerated four knowingly** — ``evolve-rejuv-lease``,
+``leases-on-batch1``, ``leases-on-batch8`` and the CLI ``leases`` point,
+every point that configures leases — when it gave each key one
+leaseholder (DESIGN §4 *Who holds a lease*).  A point that configures no
+leases must not move with that rule.
 """
 
 import contextlib
@@ -158,7 +164,7 @@ CLI_POINTS = {
     "leases": ["leases", "--duration", "45000"],
 }
 
-# Captured at 39cc10e (four regenerated in PR 23); see the module docstring before touching these.
+# Captured at 39cc10e (four regenerated in PR 23, the four lease points in PR 24); see the module docstring before touching these.
 RUNNER_GOLDENS = {
     "throughput-minbft": "2ce8d5be2f7fec77cc9668195cca92663cc98e985ca21ce8d2206d35f1175220",
     "throughput-pbft": "fe7c7d6f59b7f4b9e143be05704fa95c830cc90a3c33a955fcc2a58103bfa83a",
@@ -176,13 +182,13 @@ RUNNER_GOLDENS = {
     "mesoscale-kill": "b070d1ae0e66355fb2d098aa2f54ee401ef7d01d0501be3b5c61fd4295565e66",
     "leases-off-batch1": "b5d0bfe9db046fbd53e58d75dfe000748583406ebe9aa44c7c024066385c5fde",
     "leases-off-batch8": "3673ee1daf84bbe0c9bc1458549c9b6bd250976138fc10bb8cc6dab4b3147ca7",
-    "leases-on-batch1": "865fff23fd8d27f99dba6e3b3da1cd36d0b39c10d1ee5ced2d0a92689f7d165b",
-    "leases-on-batch8": "6125a233c04c5d00bc5c2607cfdd2e2d94547dff0a2e11567ab72c4b254cbf4d",
+    "leases-on-batch1": "8a751482186e0349a0f238e3ef74ccebef207020db677d22c45445a48dba67f7",
+    "leases-on-batch8": "891a3261a563a1c33155af9cfa432ce5278807368e35e98bb9f14c2f203886b4",
     "rejuv-apt-none": "32f4c8f5b76257291f29a9fbdd195f04fa4f81f1c06c83a36cf8d9cdec41e880",
     "rejuv-apt-periodic": "59504d6a80e5dbe86a9ac34268789782d672fda7068cc2267dbd8c334eece4ec",
     "evolve-feasible": "d7dc3a20975f738cd624cc3f1aa2d0fccf68052764db189f16eecb5a43853311",
     "evolve-infeasible": "146df23a4c635babd5e13d039030772a940ddaa2263307566fea00540a09c762",
-    "evolve-rejuv-lease": "6f92f2c0f15f114c541a4a5cad1d9b8746c626addeb7b151b9bbb850f5be1fb0",
+    "evolve-rejuv-lease": "7cfc6cd1bd93d332aa102b44882e4204943044644e5ac96e0c3842bb6e6d5d6d",
     "faultspace-resilient-node": "e0245acad900800336357c8a358d216f1de110552f4811f7e7ec8169eab18a45",
     "faultspace-resilient-link": "928da56108dc95edd11125f49915326cde7527413ae1eced3358feb356e1ebeb",
     "faultspace-resilient-register": "0f3b5f597821381b01e7fea17c0c849bfff09b85b3a03b1bb55a661311fb9a06",
@@ -203,7 +209,7 @@ CLI_GOLDENS = {
     "mesoscale-flash-kill": (0, "6f6485e8a6d7e23a2919948d23a3fab18ac3f01581bd7321e6c14bed171b6581"),
     "mesoscale-diurnal": (0, "3bc47a3c8c771d2face8ab4c7919fbbea4b7fcb800e8eea517912ae329866430"),
     "mesoscale-pareto": (0, "7b9483e6e290ec16caa3d89533cee80284ea6fb25c876dd150cb8cbd3d685c74"),
-    "leases": (0, "66c069da08eef9712ecd8447ac984533a1553dd032ed02b660f02ff19dc98abc"),
+    "leases": (0, "28948bb8153f169f5a2a15986b595fb02a961be53327bbf0f65c6e508847037a"),
 }
 
 

@@ -284,21 +284,9 @@ def test_per_shard_inflight_count_equals_a_scan_of_the_subops():
     assert not done[-1].ok
 
 
-def _lease_target_by_sorting(router, session, op):
-    """``_lease_target`` as it was: rebuild and re-sort on every read."""
-    from repro.bft.leases import keys_of, stable_key_hash
-
-    chip, here = router.chip, router.coord
-    candidates = [m for m in session.members if chip.has_node(m)]
-    if not session.lease_reads or keys_of(op) is None or not candidates:
-        return None
-    candidates.sort(key=lambda m: (chip.coord_of(m).manhattan(here), m))
-    return candidates[stable_key_hash(keys_of(op)[0]) % len(candidates)]
-
-
-def test_lease_target_order_is_cached_until_placement_or_membership_changes():
+def test_lease_target_is_the_keys_holder_whatever_the_placement():
     from repro.bft.group import protocol_config_for
-    from repro.bft.leases import LeaseConfig
+    from repro.bft.leases import LeaseConfig, lease_holder
 
     system = build(
         n_shards=2, protocol="minbft",
@@ -308,37 +296,26 @@ def test_lease_target_order_is_cached_until_placement_or_membership_changes():
     system.start(warmup=60_000)
     chip = system.chip
     reads = [("get", f"k{i}") for i in range(64)]
-
-    def check():
-        for sid, session in router._sessions.items():
-            for op in reads:
-                expected = _lease_target_by_sorting(router, session, op)
-                assert router._lease_target(session, op) == expected
-
-    check()
     session = router._sessions["s0"]
-    cached = session.lease_order
-    assert cached is not None and cached[0] == chip.placement_epoch
-    check()
-    assert session.lease_order is cached  # no re-sort while nothing moved
-    # A member moves to the far corner: its distance rank changes.
-    mover = cached[1][0]
+
+    def targets():
+        return [session.lease_target(op) for op in reads]
+
+    before = targets()
+    assert before == [lease_holder(session.members, op[1]) for op in reads]
+    assert set(before) == set(session.members)  # every member holds some key
+    # Where a member — or the router — sits is no part of the rule.
     corner = max(chip.free_tiles(), key=lambda c: c.manhattan(router.coord))
-    chip.relocate_node(mover, corner)
-    check()
-    assert session.lease_order is not cached and session.lease_order[1][0] != mover
-    # The router itself moves: every distance changes.
+    chip.relocate_node(session.members[0], corner)
     chip.relocate_node(router.name, min(chip.free_tiles(), key=lambda c: c.manhattan(corner)))
-    check()
-    # A member leaves the chip, then the group is re-bound without it.
+    assert targets() == before
+    # A holder that left the chip has no target: its keys take the quorum read.
     gone = session.members[1]
     chip.remove_node(gone)
-    check()
-    assert gone not in session.lease_order[1]
-    router.bind("s0", [m for m in session.members if m != gone], session.reply_quorum,
-                session.read_quorum, lease_reads=True)
-    assert session.lease_order is None
-    check()
-    router.bind("s0", session.members, session.reply_quorum, session.read_quorum,
-                lease_reads=False)
-    assert router._lease_target(session, reads[0]) is None
+    assert targets() == [None if t == gone else t for t in before]
+    # The rule follows the member list the session is bound with.
+    rest = [m for m in session.members if m != gone]
+    router.bind("s0", rest, session.reply_quorum, session.read_quorum, lease_reads=True)
+    assert targets() == [lease_holder(rest, op[1]) for op in reads]
+    router.bind("s0", rest, session.reply_quorum, session.read_quorum, lease_reads=False)
+    assert targets() == [None] * len(reads)
