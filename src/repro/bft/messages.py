@@ -348,10 +348,9 @@ class PrePrepare:
     seq: int
     digest: bytes
     request: Proposal
-    auth_size: int = 0  # MAC-vector bytes, set by the sender for accounting
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + 8 + DIGEST_BYTES + self.request.wire_size() + self.auth_size
+        return HEADER_BYTES + 8 + DIGEST_BYTES + self.request.wire_size()
 
 
 @dataclass(frozen=True)
@@ -362,10 +361,9 @@ class Prepare:
     seq: int
     digest: bytes
     replica: str
-    auth_size: int = 0
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + 8 + DIGEST_BYTES + self.auth_size
+        return HEADER_BYTES + 8 + DIGEST_BYTES
 
 
 @dataclass(frozen=True)
@@ -376,10 +374,9 @@ class Commit:
     seq: int
     digest: bytes
     replica: str
-    auth_size: int = 0
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + 8 + DIGEST_BYTES + self.auth_size
+        return HEADER_BYTES + 8 + DIGEST_BYTES
 
 
 @dataclass(frozen=True)

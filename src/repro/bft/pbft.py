@@ -133,7 +133,7 @@ class PbftReplica(BaseReplica):
     # ------------------------------------------------------------------
     def _auth_multicast(self, message: Any, extra_bytes: int = 0) -> None:
         """Multicast with a MAC vector: charge one MAC per recipient, then
-        send.  ``auth_size`` rides on the message for wire accounting."""
+        send."""
         recipients = self.other_members()
         self.after(
             self.costs.mac_compute * len(recipients), self._do_multicast, recipients, message
