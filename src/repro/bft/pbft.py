@@ -12,7 +12,9 @@ Implemented here with:
   tampering primary is caught by the digest check;
 * transport-authenticated channels standing in for pairwise MACs, with
   MAC compute/verify *time* charged per the cost model (one MAC per
-  recipient on multicasts — the message-cost asymmetry E2 measures);
+  recipient on multicasts — the message-cost asymmetry E2 measures); a
+  PREPARE or COMMIT whose quorum is already met by verified and queued
+  votes is dropped on its header, before its MAC is paid for;
 * periodic checkpointing with log truncation at 2f+1 matching
   checkpoints;
 * a view-change subprotocol: backups time-out on pending requests,
@@ -73,11 +75,18 @@ class PbftConfig:
 
 @dataclass
 class _SlotState:
-    """Per-(view, seq) agreement state."""
+    """Per-(view, seq) agreement state.
+
+    ``prepares`` / ``commits`` hold verified votes; ``*_queued`` hold the
+    senders of votes matching the bound pre-prepare that are waiting on
+    this core for their MAC check (see :meth:`PbftReplica._vote_is_moot`).
+    """
 
     pre_prepare: Optional[PrePrepare] = None
     prepares: Set[str] = field(default_factory=set)
     commits: Set[str] = field(default_factory=set)
+    prepares_queued: Set[str] = field(default_factory=set)
+    commits_queued: Set[str] = field(default_factory=set)
     prepare_sent: bool = False
     commit_sent: bool = False
     committed: bool = False
@@ -105,7 +114,7 @@ class PbftReplica(BaseReplica):
         self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
         # Inter-replica traffic by exact type; all of it pays MAC
-        # verification before its handler runs.
+        # verification before its handler runs (a moot vote never runs).
         self._verified_handlers = {
             PrePrepare: self._handle_pre_prepare,
             Prepare: self._handle_prepare,
@@ -131,7 +140,7 @@ class PbftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Cost-charged authenticated send
     # ------------------------------------------------------------------
-    def _auth_multicast(self, message: Any, extra_bytes: int = 0) -> None:
+    def _auth_multicast(self, message: Any) -> None:
         """Multicast with a MAC vector: charge one MAC per recipient, then
         send."""
         recipients = self.other_members()
@@ -160,10 +169,48 @@ class PbftReplica(BaseReplica):
                 self._handle_request(sender, message)
                 return
         # All inter-replica traffic (and anything unrecognised) pays MAC
-        # verification first.
+        # verification first — except a vote whose quorum is already met.
         if sender not in self.group.members:
             return
+        if (kind is Prepare or kind is Commit) and self._vote_is_moot(sender, message):
+            return
         self.after(self.costs.mac_verify, self._dispatch_verified, sender, message)
+
+    def _vote_is_moot(self, sender: str, vote: Any) -> bool:
+        """Read a PREPARE / COMMIT's header before paying for its MAC.
+
+        True when the quorum the vote would count toward is already met
+        by the slot's verified votes plus the matching votes queued for
+        verification on this core: it is dropped unverified and its
+        content never used.  Otherwise a vote that matches the slot's
+        pre-prepare is recorded as queued and takes the verify path.
+
+        Counting queued votes is exact: channels are transport-
+        authenticated and a corrupted packet never gets this far, so a
+        queued member vote for the current view with the bound digest is
+        counted when its check completes — before this one's would, since
+        charges on the core are served in the order they were reserved —
+        unless the view changes first, and then the slot no longer matters.
+        """
+        if vote.view != self.view or self._in_view_change or sender != vote.replica:
+            return False
+        slot = self._slots.get((vote.view, vote.seq))
+        if slot is None or slot.pre_prepare is None or slot.pre_prepare.digest != vote.digest:
+            return False
+        if type(vote) is Prepare:
+            if slot.commit_sent:
+                return True
+            if self._prepared(vote.view, slot.prepares | slot.prepares_queued):
+                return True
+            slot.prepares_queued.add(sender)
+            return False
+        if slot.committed or (
+            slot.commit_sent
+            and len(slot.commits | slot.commits_queued) >= self.commit_quorum
+        ):
+            return True
+        slot.commits_queued.add(sender)
+        return False
 
     def _dispatch_verified(self, sender: str, message: Any) -> None:
         if self.state is NodeState.CRASHED:
@@ -249,12 +296,15 @@ class PbftReplica(BaseReplica):
         slot.prepares.add(sender)
         self._maybe_prepared(message.view, message.seq, slot)
 
+    def _prepared(self, view: int, voters: Set[str]) -> bool:
+        """2f distinct prepares besides the primary's: its pre-prepare
+        stands in for its prepare."""
+        return len(voters) + (self.group.primary_of(view) not in voters) > self.prepare_quorum
+
     def _maybe_prepared(self, view: int, seq: int, slot: _SlotState) -> None:
         if slot.pre_prepare is None or slot.commit_sent:
             return
-        # The primary's pre-prepare stands in for its prepare.
-        votes = len(slot.prepares) + (self.group.primary_of(view) not in slot.prepares)
-        if votes >= self.prepare_quorum + 1:  # 2f distinct + primary
+        if self._prepared(view, slot.prepares):
             slot.commit_sent = True
             commit = Commit(view, seq, slot.pre_prepare.digest, self.name)
             slot.commits.add(self.name)
@@ -328,12 +378,14 @@ class PbftReplica(BaseReplica):
         if new_view <= self.view and self._in_view_change:
             return
         self._in_view_change = True
+        # Every prepared slot not yet executed — a committed one too: it may
+        # wait behind a gap, and the new view must not re-assign its seq.
         prepared = tuple(
             (seq, slot.pre_prepare.digest)
             for (view, seq), slot in sorted(self._slots.items())
             if slot.pre_prepare is not None
             and slot.commit_sent
-            and not slot.committed
+            and (not slot.committed or seq > self.last_executed)
         )
         message = ViewChange(new_view, self.last_executed, prepared, self.name)
         self._record_view_change_vote(self.name, message)

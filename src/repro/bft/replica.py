@@ -417,31 +417,43 @@ class BaseReplica(Node):
             self.request_state_sync()
 
     def _execute(self, seq: int, digest: bytes, proposal: Proposal) -> None:
+        """Apply a committed proposal, then pay for it — the next round first.
+
+        State is applied at once, before anything else runs, so it stays
+        in sequence order even where a proposal commits synchronously
+        (passive, PBFT with f = 0).  Then, before the k execution charges
+        are reserved on the core, the batcher frees the window slot and
+        may cut and propose the next batch: its MAC vector or UI queues
+        ahead of work whose only product is this replica's reply — one of
+        n, where f+1 suffice (DESIGN §4, *What the primary does first*).
+        """
         self.group.safety.record_commit(self.name, seq, digest, self.is_correct)
         self.commits += 1
         self.last_executed = seq
         requests = requests_of(proposal)
         self._committed_ops.inc(len(requests))
-        for request in requests:
-            self._apply_request(request)
+        replies = [reply for reply in map(self._apply_request, requests) if reply is not None]
         if self.batcher is not None:
             self.batcher.on_committed()
+        for reply in replies:
+            self.after(self.costs.execute_request, self._send_reply, reply)
         if self.lease_manager is not None:
             self.lease_manager.on_committed()
 
-    def _apply_request(self, request: ClientRequest) -> None:
+    def _apply_request(self, request: ClientRequest) -> Optional[ClientReply]:
+        """Execute one request against the app state now, so snapshots
+        taken at any instant are consistent with ``last_executed``; the
+        caller charges the execution cost before the reply goes out.
+        None for a replayed request re-ordered at a later seq."""
         client, rid = request.client, request.rid
         if self._executed.contains(client, rid):
-            return  # replayed request re-ordered at a later seq: no-op
+            return None
         self._executed.add(client, rid)
-        # Apply to the app state *now* so snapshots taken at any instant
-        # are consistent with last_executed; only the reply is delayed by
-        # the execution cost.
         result = self.app.execute(request.op)
         reply = ClientReply(self.name, client, rid, result, self.view)
         self._cache_reply(reply)
         self._executions.inc()
-        self.after(self.costs.execute_request, self._send_reply, reply)
+        return reply
 
     def _cache_reply(self, reply: ClientReply) -> None:
         # Kept in rid order, so the smallest rid is the first key.

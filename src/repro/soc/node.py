@@ -37,9 +37,19 @@ class Node:
     """A named endpoint on the chip: the base class for replicas/clients.
 
     Subclasses override :meth:`on_message`.  The node charges processing
-    time for every handled message on a serialized virtual core (one
-    message handled at a time), so protocol latency reflects compute as
-    well as NoC transfer.
+    time on a serialized virtual core, so protocol latency reflects
+    compute as well as NoC transfer.  The core serves *charges*, not
+    messages: each charge (:meth:`charge`, :meth:`after`) is reserved
+    behind every charge requested before it, first come first served.  A
+    message delivered while another is being handled therefore gets its
+    receive charge (``handle_message``) ahead of the first one's later
+    steps — its MAC or UI check, the continuations that check schedules —
+    and the steps of several messages interleave on the core in the order
+    they were requested.  Two protocol rules depend on exactly this
+    (DESIGN §4, *What the primary does first*): a committed batch's next
+    proposal is requested before its executions, so it is served first;
+    and a PBFT vote queued for verification completes before any vote
+    delivered after it, so counting queued votes toward a quorum is exact.
     """
 
     def __init__(self, name: str) -> None:
