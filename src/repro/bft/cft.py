@@ -7,8 +7,9 @@ Byzantine defences.  Under crash faults it is safe and fast; under a
 threat-adaptive controller (E5) must detect and escape by switching to a
 BFT protocol.
 
-Leader failover: followers time out on pending requests, broadcast
-ELECT(term+1) votes carrying their log tails; the new term's leader
+Leader failover: followers time out on pending requests (the stall rule
+in :mod:`repro.bft.replica`), broadcast ELECT for the next term and
+forward their log tails; the new term's leader
 (round-robin) merges tails from f+1 voters — majority intersection under
 crash faults guarantees every committed entry reaches the new leader —
 and re-replicates before serving new requests.
@@ -16,7 +17,7 @@ and re-replicates before serving new requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.bft.batching import BatchConfig
@@ -45,7 +46,7 @@ class CftConfig:
     one-request-per-APPEND behaviour, byte for byte.
     """
 
-    election_timeout: float = 40_000.0
+    view_timeout: float = 40_000.0
     batching: Optional[BatchConfig] = None
     leases: Optional[LeaseConfig] = None
 
@@ -82,7 +83,6 @@ class CftReplica(BaseReplica):
         self._next_seq = 0
         self._committed_seq = 0
         self._elect_votes: Dict[int, Dict[str, LeaderElectAck]] = {}
-        self._elect_sent: set = set()
         self._peer_handlers = {  # inter-replica traffic by exact type
             Append: self._handle_append,
             AppendAck: self._handle_ack,
@@ -195,22 +195,14 @@ class CftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Leader failover
     # ------------------------------------------------------------------
-    def _progress_timeout(self) -> float:
-        return self.config.election_timeout
-
-    def _on_progress_timeout(self) -> None:
-        if not self._pending_requests:
-            return
-        target = self.view + 1
-        if target in self._elect_sent:
-            target = max(self._elect_sent) + 1
-        self._elect_sent.add(target)
+    def _suspect(self, target: int) -> None:
+        """Send ELECT for term ``target`` and vote for its candidate."""
+        self._asked_view = target
         message = LeaderElect(target, self.group.primary_of(target), self.last_executed)
         self.broadcast(self.other_members(), message, message.wire_size())
         self._record_elect_ack(
             self.name, LeaderElectAck(target, self.group.primary_of(target), self.name)
         )
-        self._ensure_timer().start()
         self.group.metrics.counter(f"{self.group.group_id}.elections").inc()
 
     def _handle_elect(self, sender: str, message: LeaderElect) -> None:
@@ -283,6 +275,7 @@ class CftReplica(BaseReplica):
         }
         self._acks.clear()
         self._elect_votes.clear()
-        self._elect_sent.clear()
         self._committed_seq = max(self._committed_seq, self.last_executed)
-        self._next_seq = max(self._next_seq, self._committed_seq)
+        # The uncommitted tail is gone: a leader that kept numbering past it
+        # would leave a hole no follower can commit across.
+        self._next_seq = self._committed_seq

@@ -304,6 +304,11 @@ class LeaseManager:
             # Installing a view required a vote quorum: fresh evidence.
             self._self_expiry = now + self.config.duration
 
+    @property
+    def quiesce_until(self) -> float:
+        """When the last era's write quiesce ends (0.0 before any)."""
+        return self._quiesce_until
+
     # ------------------------------------------------------------------
     # Grant authority
     # ------------------------------------------------------------------

@@ -394,17 +394,11 @@ class MinBftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # View change (REQ-VIEW-CHANGE → VIEW-CHANGE → NEW-VIEW)
     # ------------------------------------------------------------------
-    def _progress_timeout(self) -> float:
-        return self.config.view_timeout
-
-    def _on_progress_timeout(self) -> None:
-        if not self._pending_requests:
-            return
-        target = self.view + 1
+    def _suspect(self, target: int) -> None:
+        """Send REQ-VIEW-CHANGE for ``target``; f+1 of them start it."""
         message = MbReqViewChange(target, self.name)
         self._record_req_vote(self.name, target)
         self.broadcast(self.other_members(), message, message.wire_size())
-        self._ensure_timer().start()
 
     def _handle_req_view_change(self, sender: str, message: MbReqViewChange) -> None:
         if sender != message.replica or message.new_view <= self.view:
@@ -414,11 +408,12 @@ class MinBftReplica(BaseReplica):
     def _record_req_vote(self, sender: str, new_view: int) -> None:
         votes = self._req_view_change_votes.setdefault(new_view, set())
         votes.add(sender)
-        if len(votes) >= self.group.f + 1 and not self._in_view_change and new_view > self.view:
+        if len(votes) >= self.group.f + 1 and new_view > max(self.view, self._asked_view):
             self._send_view_change(new_view)
 
     def _send_view_change(self, new_view: int) -> None:
         self._in_view_change = True
+        self._asked_view = new_view
         ui = self._create_ui(b"vc|" + new_view.to_bytes(8, "big"))
         if ui is None:
             return
@@ -461,8 +456,7 @@ class MinBftReplica(BaseReplica):
             # The new primary executed further than we did; catch up by
             # state transfer before processing the new view's prepares.
             self.request_state_sync()
-        for request in list(self._pending_requests.values()):
-            self.send(self.primary, request, request.wire_size())
+        self._repropose_pending()
 
     def _enter_view(self, new_view: int) -> None:
         # Committed-but-unexecuted slots go too: with _ready cleared and

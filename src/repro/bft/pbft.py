@@ -366,18 +366,10 @@ class PbftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # View change
     # ------------------------------------------------------------------
-    def _progress_timeout(self) -> float:
-        return self.config.view_timeout
-
-    def _on_progress_timeout(self) -> None:
-        if not self._pending_requests:
-            return
-        self._start_view_change(self.view + 1)
-
-    def _start_view_change(self, new_view: int) -> None:
-        if new_view <= self.view and self._in_view_change:
-            return
+    def _suspect(self, new_view: int) -> None:
+        """Send VIEW-CHANGE for ``new_view`` (on a stall, or joining f+1)."""
         self._in_view_change = True
+        self._asked_view = new_view
         # Every prepared slot not yet executed — a committed one too: it may
         # wait behind a gap, and the new view must not re-assign its seq.
         prepared = tuple(
@@ -390,8 +382,6 @@ class PbftReplica(BaseReplica):
         message = ViewChange(new_view, self.last_executed, prepared, self.name)
         self._record_view_change_vote(self.name, message)
         self._auth_multicast(message)
-        # If this view change stalls too, escalate further.
-        self._ensure_timer().start()
         self.group.metrics.counter(f"{self.group.group_id}.view_changes").inc()
 
     def _handle_view_change(self, sender: str, message: ViewChange) -> None:
@@ -403,12 +393,8 @@ class PbftReplica(BaseReplica):
         votes = self._view_change_votes.setdefault(message.new_view, {})
         votes[sender] = message
         # A backup that sees f+1 view changes joins (Castro-Liskov rule).
-        if (
-            len(votes) >= self.group.f + 1
-            and not self._in_view_change
-            and message.new_view > self.view
-        ):
-            self._start_view_change(message.new_view)
+        if len(votes) >= self.group.f + 1 and message.new_view > max(self.view, self._asked_view):
+            self._suspect(message.new_view)
         if (
             len(votes) >= self.commit_quorum
             and self.group.primary_of(message.new_view) == self.name
@@ -448,9 +434,7 @@ class PbftReplica(BaseReplica):
         self._enter_view(message.view)
         for reproposal in message.reproposals:
             self._handle_pre_prepare(sender, reproposal)
-        # Re-introduce still-pending client requests into the new view.
-        for request in list(self._pending_requests.values()):
-            self.send(self.primary, request, request.wire_size())
+        self._repropose_pending()
 
     def _enter_view(self, new_view: int) -> None:
         self._next_seq = max(self._next_seq, self.last_executed)

@@ -2,15 +2,15 @@
 
 :class:`BaseReplica` owns everything about ordering client requests that
 is *not* agreement: primary admission (dedup, lease intercept, batch or
-order), the pending-request map and its progress timer, the batcher and
-lease install, re-proposal after an era change, in-order execution,
-replies and state transfer.  A protocol module supplies only the hooks
-the core calls —
+order), the pending-request map, its progress timer and the stall rule,
+the batcher and lease install, re-proposal after an era change, in-order
+execution, replies and state transfer.  A protocol module supplies only
+the hooks the core calls —
 
 * ``_order_proposal(proposal) -> bool``: start agreement on one proposal;
 * ``_already_ordering(request) -> bool``: is it in an uncommitted slot;
-* ``_progress_timeout()`` / ``_on_progress_timeout()``: how long pending
-  requests may stall, and what to do then (view change, election);
+* ``_suspect(target)``: pending requests stalled — ask the group to move
+  to view ``target`` (VIEW-CHANGE, REQ-VIEW-CHANGE, ELECT);
 
 — plus what genuinely differs between families: slots, phases, quorum
 sizes, USIG sequencing, checkpoints and the view-change/election votes.
@@ -206,6 +206,9 @@ class BaseReplica(Node):
         # watches, and what a new primary re-proposes.
         self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
         self._in_view_change = False
+        # The highest view this replica voted to move to (VIEW-CHANGE, ELECT):
+        # both a stalled change and an f+1 join go past it.
+        self._asked_view = 0
         self._progress_timer: Optional[Timeout] = None  # lazy: needs sim, i.e. placement
         # Primary-side batching (config.batching or the env override);
         # None keeps one proposal per request (exactness contract).
@@ -270,23 +273,35 @@ class BaseReplica(Node):
         """True if the request sits in a proposed, uncommitted slot."""
         raise NotImplementedError
 
-    def _progress_timeout(self) -> float:
-        """How long pending requests may go without progress."""
-        raise NotImplementedError
-
-    def _on_progress_timeout(self) -> None:
-        """Pending requests stalled: suspect the primary."""
+    def _suspect(self, target: int) -> None:
+        """Pending requests stalled: ask the group to move to view ``target``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Progress timer
+    # Progress timer and the stall rule
     # ------------------------------------------------------------------
     def _ensure_timer(self) -> Timeout:
         if self._progress_timer is None:
             self._progress_timer = Timeout(
-                self.sim, self._progress_timeout(), self._on_progress_timeout
+                self.sim, self.config.view_timeout, self._on_progress_timeout
             )
         return self._progress_timer
+
+    def _on_progress_timeout(self) -> None:
+        """The one stall rule (DESIGN §4, *When a replica suspects the
+        primary*).  It also runs during a pending change, so a change that
+        stalls too is escalated past every view already asked for.  A new
+        primary's lease quiesce is not a stall: the window restarts where
+        it ends (every member set that end on entering the view)."""
+        if not self._pending_requests:
+            return
+        timer = self._progress_timer
+        quiesce_end = 0.0 if self.lease_manager is None else self.lease_manager.quiesce_until
+        if self.sim.now < quiesce_end:
+            timer.start(quiesce_end - self.sim.now + timer.duration)
+            return
+        self._suspect(max(self.view, self._asked_view) + 1)
+        timer.start()
 
     def _rearm_timer(self) -> None:
         """Give the remaining pending requests a fresh window, or stand
@@ -352,8 +367,11 @@ class BaseReplica(Node):
             self.batcher.add(request)
 
     def _repropose_pending(self) -> None:
-        """New primary: re-admit every still-pending request."""
+        """New era: the primary re-admits every still-pending request, a
+        backup hands each one to the new primary."""
         if not self.is_primary:
+            for request in list(self._pending_requests.values()):
+                self.send(self.primary, request, request.wire_size())
             return
         for request in list(self._pending_requests.values()):
             if self.already_executed(request):
@@ -583,10 +601,11 @@ class BaseReplica(Node):
             self.sim.call_soon(self.request_state_sync)
 
     def _drop_pending(self) -> None:
-        """Forget pending requests and stand the progress timer down
-        (clients retransmit whatever still matters)."""
+        """Forget pending requests and any view change, and stand the
+        progress timer down (clients retransmit whatever still matters)."""
         self._pending_requests.clear()
         self._in_view_change = False
+        self._asked_view = 0
         if self._progress_timer is not None:
             self._progress_timer.cancel()
 

@@ -52,7 +52,7 @@ from repro.workloads.workload import FactoryWorkload, Workload
 FAILOVER_KNOB = {
     "minbft": "view_timeout",
     "pbft": "view_timeout",
-    "cft": "election_timeout",
+    "cft": "view_timeout",
     "passive": "detect_timeout",
 }
 

@@ -90,10 +90,11 @@ class Timeout:
         self._event: Optional[ScheduledEvent] = None
         self.expired_count = 0
 
-    def start(self) -> None:
-        """Arm (or re-arm) the timeout."""
+    def start(self, delay: Optional[float] = None) -> None:
+        """Arm (or re-arm) the timeout to fire after ``delay`` (default:
+        ``duration``)."""
         self.cancel()
-        self._event = self.sim.schedule(self.duration, self._expire)
+        self._event = self.sim.schedule(self.duration if delay is None else delay, self._expire)
 
     # reset is an alias that reads better at call sites ("I heard from the
     # primary, push the deadline out").

@@ -256,7 +256,7 @@ def test_every_byzantine_backup_keeps_pbft_safe_and_committing(strategy, seed):
 
 _BODYLESS_REPROPOSAL = pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 4: a new primary that never received a reported slot's body re-assigns its number",
+    reason="ROADMAP item 1: a new primary that never received a reported slot's body re-assigns its number",
 )
 
 
@@ -295,7 +295,7 @@ def test_a_view_change_reports_a_slot_committed_behind_a_gap(backup):
         slot.prepare_sent = slot.commit_sent = True
         slot.committed = committed
         reported.append((seq, proposal_digest(request)))
-    replica._start_view_change(1)
+    replica._suspect(1)
     assert replica._view_change_votes[1][backup.me].prepared == tuple(reported)
 
 

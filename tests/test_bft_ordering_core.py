@@ -27,7 +27,8 @@ timer, the batch/lease install and the era change for every protocol:
   committed batch proposes the next one before its executions are
   charged, and a PBFT vote whose quorum is met is dropped unverified.
   CFT and passive charge no core time to propose and did not move.
-* **No re-forking** — the plumbing names live in ``replica.py`` only.
+* **No re-forking** — the plumbing names live in ``replica.py`` only,
+  the stall rule (``_on_progress_timeout``) among them.
 """
 
 import hashlib
@@ -117,6 +118,7 @@ def test_golden_run_through_primary_crash(protocol, tuned, monkeypatch):
 
 PLUMBING = (
     "_ensure_timer",
+    "_on_progress_timeout",
     "_note_pending",
     "_note_executed",
     "_handle_request",

@@ -1,11 +1,32 @@
 """Liveness corpus: fault schedules after which the service must serve again.
 
-"Pin, then fix" (ROADMAP item 2, slice 1): each entry is a small
-(config, fault schedule, seed) run whose *liveness* expectation is a
-strict xfail until the ROADMAP item named beside it turns it green —
-``SafetyRecorder`` checks agreement and order only, so nothing else in
-tier-1 notices a group that is safe and serves nothing.
+Each entry is a small (config, fault schedule, seed) run with a *liveness*
+expectation — ``SafetyRecorder`` checks agreement and order only, so
+nothing else in tier-1 notices a group that is safe and serves nothing.
+An entry is pinned before the fix that turns it green (ROADMAP item 4
+grows this into a file-backed corpus).
+
+* **One crash** — MinBFT, PBFT and CFT, f = 1 with batching and leases,
+  one windowed client; the view-0 primary crashes at 20 s and stays down
+  (faults = 1 <= f).  Before the stall rule was written once in
+  ``BaseReplica._on_progress_timeout``, a view change that itself stalled
+  was never escalated: MinBFT's survivors sat in view 2 and PBFT's in
+  view 3, each asking for a view led by the dead member, serving nothing.
+  The view bound is the second half: a new primary's lease quiesce
+  (15 s) outlasts the 8 s view timeout, and unless the timer counts from
+  the quiesce's end every new primary is suspected before it may order a
+  write — views climb past 40 and nothing is served.
+* **Two crashes** — the same with f = 2, the primaries of views 0 and 1
+  crashed together: the change to view 1 stalls from its start and must
+  be escalated (MinBFT and PBFT used to sit in view 0 asking for view 1).
+* **E5's recovering leader** — the E5 schedule (CFT under the adaptive
+  controller, a split-brain leader from 250 s to 550 s, seed 77).  The
+  leader recovers holding a ``_next_seq`` past the tail it dropped, and
+  numbered its next entry across a hole nothing filled until an
+  election; the detector read that stall as a second attack.
 """
+
+import dataclasses
 
 import pytest
 
@@ -13,22 +34,27 @@ from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.batching import BatchConfig
 from repro.bft.group import protocol_config_for
 from repro.bft.leases import LeaseConfig
+from repro.bft.messages import Append
+from repro.core import AdaptationController, AdaptationPolicy, SeverityDetector
+from repro.core.severity import SeverityConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 
 CRASH_AT, SETTLED_BY, HORIZON = 20_000.0, 130_000.0, 400_000.0
 
 
-@pytest.fixture(scope="module")
-def one_crash():
-    """MinBFT f=1 with batching + leases under one windowed client; the
-    view-0 primary crashes at 20 s and stays down (faults = 1 <= f)."""
+PROTOCOLS = ["minbft", "pbft", "cft"]
+
+
+def run_crashes(protocol, f, crashed):
+    """Members ``0 .. crashed - 1`` (the primaries of the first views)
+    crash together at CRASH_AT and stay down."""
     sim = Simulator(seed=1)
     chip = Chip(sim, ChipConfig(width=5, height=5))
     group = build_group(chip, GroupConfig(
-        protocol="minbft", f=1,
+        protocol=protocol, f=f,
         protocol_config=protocol_config_for(
-            "minbft",
+            protocol,
             batching=BatchConfig(8, batch_delay=100.0, max_inflight=4),
             leases=LeaseConfig(),
             view_timeout=8_000.0,
@@ -40,9 +66,21 @@ def one_crash():
     ))
     group.attach_client(client)
     client.start()
-    sim.schedule_at(CRASH_AT, group.crash, group.members[0])
+    for name in group.members[:crashed]:
+        sim.schedule_at(CRASH_AT, group.crash, name)
     sim.run(until=HORIZON)
     return group, client
+
+
+def serves_again_in_few_views(group, client):
+    return client.completions_in(SETTLED_BY, HORIZON) > 0 and all(
+        replica.view <= len(group.members) for replica in group.correct_replicas()
+    )
+
+
+@pytest.fixture(scope="module", params=PROTOCOLS)
+def one_crash(request):
+    return run_crashes(request.param, f=1, crashed=1)
 
 
 def test_one_primary_crash_keeps_safety(one_crash):
@@ -51,12 +89,57 @@ def test_one_primary_crash_keeps_safety(one_crash):
     assert group.safety.is_safe
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 1 (b): a view change that cannot time out — the two "
-           "survivors sit in view 2 with _in_view_change=True and no event "
-           "left to escalate",
-)
 def test_one_primary_crash_recovers_liveness(one_crash):
-    group, client = one_crash
-    assert client.completions_in(SETTLED_BY, HORIZON) > 0
+    assert serves_again_in_few_views(*one_crash)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_view_change_onto_a_dead_primary_escalates(protocol):
+    """f = 2 and the primaries of views 0 and 1 crash together, so the
+    change to view 1 stalls too.  MinBFT and PBFT used to re-ask for
+    view 1 forever."""
+    group, client = run_crashes(protocol, f=2, crashed=2)
+    assert group.safety.is_safe
+    assert serves_again_in_few_views(group, client)
+
+
+# ----------------------------------------------------------------------
+# E5's schedule: a split-brain CFT leader, recovered when the attack ends
+# ----------------------------------------------------------------------
+ATTACK_START, ATTACK_END, E5_HORIZON = 250_000.0, 550_000.0, 850_000.0
+
+
+def _split_brain(group):
+    leader = group.replicas[group.members[0]]
+    leader.compromise()
+
+    def split(dst, message):
+        if isinstance(message, Append):
+            forged = dataclasses.replace(message.request, op=("put", f"evil-{dst}", dst))
+            return dataclasses.replace(message, request=forged)
+        return message
+
+    leader.add_outbound_filter(split)
+
+
+def calm_after_attack(adaptive):
+    """Completions after the attack ends (E5's calm-2 phase)."""
+    sim = Simulator(seed=77)
+    chip = Chip(sim, ChipConfig(width=6, height=6))
+    group = build_group(chip, GroupConfig(protocol="cft", f=1, group_id="g"))
+    client = ClientNode("c0", ClientConfig(think_time=100, timeout=10_000))
+    group.attach_client(client)
+    if adaptive:
+        detector = SeverityDetector(group, [client], SeverityConfig(window=20_000, hysteresis_windows=3))
+        AdaptationController(group, detector, AdaptationPolicy(cooldown=20_000))
+        detector.start()
+    leader = group.members[0]
+    sim.schedule_at(ATTACK_START, _split_brain, group)
+    sim.schedule_at(ATTACK_END, lambda: group.replicas[leader].recover())
+    client.start()
+    sim.run(until=E5_HORIZON)
+    return client.completions_in(ATTACK_END, E5_HORIZON)
+
+
+def test_a_recovered_cft_leader_serves_as_fast_as_static_cft():
+    assert calm_after_attack(adaptive=True) >= 0.9 * calm_after_attack(adaptive=False)

@@ -251,7 +251,7 @@ def test_pbft_slot_lookup_is_get_or_create(big_chip):
     assert replica._slots[(0, 7)] is slot is replica._slot(0, 7)
     assert slot.pre_prepare is None and not slot.prepares and not slot.commits
     # The empty slot is what the view-change scan and truncation iterate.
-    replica._start_view_change(1)
+    replica._suspect(1)
     assert replica._view_change_votes[1][replica.name].prepared == ()
     replica._truncate_log(7)
     assert (0, 7) not in replica._slots
