@@ -393,20 +393,15 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class ViewChange:
-    """Vote to move to ``new_view``; carries the prepared-set summary."""
+    """Vote to move to ``new_view``; carries the reporter's PRE-PREPARE,
+    body included, for every prepared slot still in its log."""
 
     new_view: int
-    last_executed: int
-    prepared: Tuple[Tuple[int, bytes], ...]  # (seq, digest) pairs
+    prepared: Tuple[PrePrepare, ...]
     replica: str
 
     def wire_size(self) -> int:
-        return (
-            HEADER_BYTES
-            + 8
-            + len(self.prepared) * (8 + DIGEST_BYTES)
-            + MAC_BYTES
-        )
+        return HEADER_BYTES + 8 + sum(p.wire_size() for p in self.prepared) + MAC_BYTES
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ Implemented here with:
   votes is dropped on its header, before its MAC is paid for;
 * periodic checkpointing with log truncation at 2f+1 matching
   checkpoints;
-* a view-change subprotocol: backups time-out on pending requests,
-  broadcast VIEW-CHANGE, and the next primary installs NEW-VIEW with
-  re-proposals of prepared-but-unexecuted operations;
+* a view-change subprotocol: backups time-out on pending requests and
+  broadcast VIEW-CHANGE with the PRE-PREPARE of every prepared slot in
+  their log; the next primary installs NEW-VIEW re-proposing, per seq it
+  has not executed, the highest-view binding reported (no prepared
+  certificates, so not against a lying reporter: DESIGN §4);
 * optional request batching + pipelined agreement
   (``PbftConfig.batching``, a :class:`~repro.bft.batching.BatchConfig`):
   the primary orders a whole batch under one digest and one MAC vector
@@ -358,7 +360,7 @@ class PbftReplica(BaseReplica):
     def _truncate_log(self, stable_seq: int) -> None:
         for key in [k for k in self._slots if k[1] <= stable_seq]:
             slot = self._slots.pop(key)
-            if slot.pre_prepare is not None and not slot.committed:
+            if key[0] == self.view and slot.pre_prepare is not None and not slot.committed:
                 self._ordering.discard(slot.pre_prepare.request)
         for key in [k for k in self._checkpoint_votes if k[0] < stable_seq]:
             del self._checkpoint_votes[key]
@@ -370,16 +372,14 @@ class PbftReplica(BaseReplica):
         """Send VIEW-CHANGE for ``new_view`` (on a stall, or joining f+1)."""
         self._in_view_change = True
         self._asked_view = new_view
-        # Every prepared slot not yet executed — a committed one too: it may
-        # wait behind a gap, and the new view must not re-assign its seq.
+        # Every prepared slot still in the log, executed ones too: the new
+        # primary may be behind us, and it re-proposes from these bodies alone.
         prepared = tuple(
-            (seq, slot.pre_prepare.digest)
-            for (view, seq), slot in sorted(self._slots.items())
-            if slot.pre_prepare is not None
-            and slot.commit_sent
-            and (not slot.committed or seq > self.last_executed)
+            slot.pre_prepare
+            for _, slot in sorted(self._slots.items())
+            if slot.pre_prepare is not None and slot.commit_sent
         )
-        message = ViewChange(new_view, self.last_executed, prepared, self.name)
+        message = ViewChange(new_view, prepared, self.name)
         self._record_view_change_vote(self.name, message)
         self._auth_multicast(message)
         self.group.metrics.counter(f"{self.group.group_id}.view_changes").inc()
@@ -403,22 +403,24 @@ class PbftReplica(BaseReplica):
             self._install_view(message.new_view, votes)
 
     def _install_view(self, new_view: int, votes: Dict[str, ViewChange]) -> None:
-        # Gather re-proposals for prepared-but-unexecuted operations we
-        # still hold the request body for.
-        reproposals = []
-        seen: Set[int] = set()
+        # Re-propose every reported seq not yet executed here, with the
+        # binding prepared in the highest view; a body that does not match
+        # its digest is no report.
+        chosen: Dict[int, PrePrepare] = {}
         for vc in votes.values():
-            for seq, dig in vc.prepared:
-                if seq in seen or seq <= self.last_executed:
+            for reported in vc.prepared:
+                seq = reported.seq
+                if seq <= self.last_executed or proposal_digest(reported.request) != reported.digest:
                     continue
-                body = self._find_request(dig)
-                if body is not None:
-                    seen.add(seq)
-                    reproposals.append(PrePrepare(new_view, seq, dig, body))
-        message = NewView(new_view, tuple(sorted(reproposals, key=lambda p: p.seq)), self.name)
+                if seq not in chosen or reported.view > chosen[seq].view:
+                    chosen[seq] = reported
+        reproposals = tuple(
+            PrePrepare(new_view, seq, p.digest, p.request) for seq, p in sorted(chosen.items())
+        )
+        message = NewView(new_view, reproposals, self.name)
         self._enter_view(new_view)
-        if seen:
-            self._next_seq = max(self._next_seq, max(seen))
+        if chosen:
+            self._next_seq = max(self._next_seq, max(chosen))
         self._auth_multicast(message)
         for reproposal in message.reproposals:
             slot = self._slot(new_view, reproposal.seq)
@@ -437,16 +439,12 @@ class PbftReplica(BaseReplica):
         self._repropose_pending()
 
     def _enter_view(self, new_view: int) -> None:
+        # Old-view slots stay for the next report, but nothing orders in them.
+        self._ordering.clear()
         self._next_seq = max(self._next_seq, self.last_executed)
         for stale in [v for v in self._view_change_votes if v <= new_view]:
             del self._view_change_votes[stale]
         self._enter_era(new_view)
-
-    def _find_request(self, dig: bytes) -> Optional[Proposal]:
-        for slot in self._slots.values():
-            if slot.pre_prepare is not None and slot.pre_prepare.digest == dig:
-                return slot.pre_prepare.request
-        return None
 
     # ------------------------------------------------------------------
     def on_state_imported(self) -> None:

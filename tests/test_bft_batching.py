@@ -286,12 +286,16 @@ def _scan_under_agreement(replica, key):
             e.seq > replica._committed_seq and key in proposal_keys(e.request)
             for e in replica._log.values()
         )
-    bound = "pre_prepare" if isinstance(replica.config, PbftConfig) else "prepare"
+    slots, bound = replica._slots.values(), "prepare"
+    if isinstance(replica.config, PbftConfig):
+        # PBFT keeps old-view slots for its VIEW-CHANGE, but orders nothing in them.
+        slots = [slot for (view, _), slot in replica._slots.items() if view == replica.view]
+        bound = "pre_prepare"
     return any(
         getattr(slot, bound) is not None
         and not slot.committed
         and key in proposal_keys(getattr(slot, bound).request)
-        for slot in replica._slots.values()
+        for slot in slots
     )
 
 

@@ -14,6 +14,11 @@ read and dropped*):
 The unit tests drive one backup of a 4-replica PBFT group by hand and
 read the core's reservations (``Node._busy_until``): a dropped vote costs
 ``handle_message``, a verified one ``handle_message + mac_verify``.
+
+The Byzantine sweeps run whole groups (``run_group``) with one strategy
+on the primary or a backup.  They found the PBFT view-change holes that
+the last section pins: what a VIEW-CHANGE reports and what NEW-VIEW
+re-proposes (DESIGN §4, *Simplified view changes*).
 """
 
 import pytest
@@ -28,6 +33,7 @@ from repro.bft.messages import (
     MbPrepare,
     PrePrepare,
     Prepare,
+    ViewChange,
     proposal_digest,
     proposal_keys,
 )
@@ -189,20 +195,21 @@ FAULT_AT = 30_000.0
 RUN_UNTIL = 300_000.0
 
 
-def run_pbft(seed, strategy=None, target=2):
-    """A batched PBFT group under two open-loop clients; ``strategy`` is
-    activated on member ``target`` at FAULT_AT.  Every vote the triage
-    reads is checked as it is read: only a vote matching its slot's
-    pre-prepare may be recorded as queued or dropped."""
+def run_group(seed, strategy=None, target=2, protocol="pbft"):
+    """A batched group (f = 1) under two open-loop clients; ``strategy`` is
+    activated on member ``target`` at FAULT_AT (0 is the primary).  On
+    PBFT every vote the triage reads is checked as it is read: only a vote
+    matching its slot's pre-prepare may be recorded as queued or dropped."""
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=5, height=5))
     config = protocol_config_for(
-        "pbft", batching=BatchConfig(batch_size=4, batch_delay=100.0, max_inflight=4)
+        protocol, batching=BatchConfig(batch_size=4, batch_delay=100.0, max_inflight=4)
     )
-    group = build_group(chip, GroupConfig(protocol="pbft", f=1, group_id="g", protocol_config=config))
+    group = build_group(chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=config))
     dropped = []
-    for replica in group.replicas.values():
-        replica._vote_is_moot = _checked_triage(replica, dropped)
+    if protocol == "pbft":
+        for replica in group.replicas.values():
+            replica._vote_is_moot = _checked_triage(replica, dropped)
     for i in range(2):
         client = ClientNode(f"c{i}", ClientConfig(think_time=50, timeout=20_000, max_outstanding=6))
         group.attach_client(client)
@@ -237,7 +244,7 @@ def _checked_triage(replica, dropped):
 
 
 def test_fault_free_runs_drop_votes_and_stay_safe():
-    group, dropped = run_pbft(seed=1)
+    group, dropped = run_group(seed=1)
     assert group.safety.is_safe
     assert all(client.completed > 200 for client in group.clients)
     kinds = {kind for _, kind in dropped}
@@ -249,54 +256,112 @@ def test_fault_free_runs_drop_votes_and_stay_safe():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_every_byzantine_backup_keeps_pbft_safe_and_committing(strategy, seed):
     """A Byzantine voter: the triage reads its lies, drops, and delays."""
-    group, _ = run_pbft(seed, strategy, target=2)
+    group, _ = run_group(seed, strategy, target=2)
     assert group.safety.is_safe
     assert all(client.completions_in(FAULT_AT, RUN_UNTIL) > 0 for client in group.clients)
-
-
-_BODYLESS_REPROPOSAL = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a new primary that never received a reported slot's body re-assigns its number",
-)
 
 
 @pytest.mark.parametrize(
     "strategy, seed",
-    [
-        pytest.param(
-            strategy, seed, marks=_BODYLESS_REPROPOSAL if (strategy, seed) == ("drop", 5) else ()
-        )
-        for strategy in STRATEGIES
-        for seed in (1, 2, 3, 4, 5)
-    ],
+    [(strategy, seed) for strategy in STRATEGIES for seed in (1, 2, 3, 4, 5)]
+    + [("drop", 9), ("drop", 344)],
 )
 def test_every_byzantine_primary_keeps_pbft_safe_and_committing(strategy, seed):
     """A Byzantine proposer: under ``equivocate`` each backup binds another
     digest, so the other backups' votes never match it.  Under ``drop``,
-    seed 5 is a strict xfail: the view change's remaining hole, not the
-    triage's (DESIGN §4, *What the primary does first*, safety)."""
-    group, _ = run_pbft(seed, strategy, target=0)
+    seeds 5 and 9 broke agreement while a new primary re-assigned the
+    number of a reported slot whose body it lacked, and seed 344 does
+    when a VIEW-CHANGE leaves out executed slots (DESIGN §4, *Simplified
+    view changes*)."""
+    group, _ = run_group(seed, strategy, target=0)
     assert group.safety.is_safe
     assert all(client.completions_in(FAULT_AT, RUN_UNTIL) > 0 for client in group.clients)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a MinBFT primary installs a view from f+1 VIEW-CHANGEs "
+    "that never tell it how far the others executed, and re-numbers their slots",
+)
+@pytest.mark.parametrize("seed", [2, 4])
+def test_a_dropping_minbft_primary_keeps_agreement(seed):
+    group, _ = run_group(seed, "drop", target=0, protocol="minbft")
+    assert group.safety.is_safe
+
+
+# ----------------------------------------------------------------------
+# The view change: what VIEW-CHANGE reports, what NEW-VIEW re-proposes
+# ----------------------------------------------------------------------
 def test_a_view_change_reports_a_slot_committed_behind_a_gap(backup):
     """Seq 1 executed, seq 2 never seen, seq 3 committed and waiting on 2,
-    seq 4 prepared.  The VIEW-CHANGE must report 3 as well as 4, or the
-    new primary re-assigns 3 while correct replicas hold its commit."""
+    seq 4 prepared.  The VIEW-CHANGE carries the PRE-PREPARE of all three:
+    3 as well as 4, or the new primary re-assigns 3 while correct replicas
+    hold its commit, and 1 too, since the new primary may be behind."""
     replica = backup.replica
     backup.slot.commit_sent = backup.slot.committed = True
     replica.last_executed = 1
-    reported = []
+    reported = [backup.slot.pre_prepare]
     for seq, committed in ((3, True), (4, False)):
         request = ClientRequest("c0", seq, ("put", "k", seq))
         slot = replica._slot(0, seq)
         replica._bind(slot, PrePrepare(0, seq, proposal_digest(request), request))
         slot.prepare_sent = slot.commit_sent = True
         slot.committed = committed
-        reported.append((seq, proposal_digest(request)))
+        reported.append(slot.pre_prepare)
     replica._suspect(1)
     assert replica._view_change_votes[1][backup.me].prepared == tuple(reported)
+
+
+def install_view_2(backup, reports):
+    """Deliver to the view-2 primary one VIEW-CHANGE per ``(sender,
+    reported PRE-PREPARE)``, in order; with the second it joins, and its
+    own vote completes the 2f+1 that installs the view.  Returns what it
+    re-proposed at seq 1."""
+    new_primary = backup.group.replicas[backup.r2]
+    for sender, reported in reports:
+        new_primary._record_view_change_vote(sender, ViewChange(2, (reported,), sender))
+    assert new_primary.view == 2
+    return new_primary._slots[(2, 1)].pre_prepare
+
+
+def test_a_new_view_re_proposes_the_binding_prepared_in_the_highest_view(backup):
+    """Seq 1 was prepared for one request in view 0 and for another in
+    view 1; the view-0 report arrives first.  Only the view-1 binding can
+    have committed, so that is the one NEW-VIEW carries."""
+    old, new = (ClientRequest("c0", rid, ("put", "k", rid)) for rid in (1, 2))
+    chosen = install_view_2(
+        backup,
+        [
+            (backup.primary, PrePrepare(0, 1, proposal_digest(old), old)),
+            (backup.me, PrePrepare(1, 1, proposal_digest(new), new)),
+        ],
+    )
+    assert chosen == PrePrepare(2, 1, proposal_digest(new), new)
+
+
+def test_a_reported_body_that_does_not_match_its_digest_is_no_report(backup):
+    honest, forged = (ClientRequest("c0", rid, ("put", "k", rid)) for rid in (1, 2))
+    chosen = install_view_2(
+        backup,
+        [
+            (backup.primary, PrePrepare(0, 1, proposal_digest(honest), honest)),
+            (backup.me, PrePrepare(1, 1, proposal_digest(honest), forged)),
+        ],
+    )
+    assert chosen.request is honest
+
+
+def test_a_new_primary_re_proposes_a_request_it_bound_in_the_old_view(backup):
+    """r1, the view-1 primary, bound c0's request in view 0, where it never
+    prepared: no VIEW-CHANGE reports it.  Entering view 1, r1 must order it
+    again, not skip it as already being ordered in the dead view."""
+    request = backup.slot.pre_prepare.request
+    backup.replica._note_pending(request)
+    for name in (backup.me, backup.r2, backup.r3):
+        backup.group.replicas[name]._suspect(1)
+    backup.settle()
+    assert backup.replica._slots[(1, 1)].pre_prepare.request is request
+    assert all(replica.last_executed == 1 for replica in backup.group.replicas.values())
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ def all_messages():
         Prepare(0, 1, b"\x00" * 32, "r1"),
         Commit(0, 1, b"\x00" * 32, "r1"),
         Checkpoint(64, b"\x00" * 32, "r1"),
-        ViewChange(1, 10, ((11, b"\x00" * 32),), "r1"),
+        ViewChange(1, (PrePrepare(0, 11, b"\x00" * 32, request),), "r1"),
         NewView(1, (PrePrepare(1, 11, b"\x00" * 32, request),), "r1"),
         MbPrepare(0, request, b"\x00" * 32, ui, 1),
         MbCommit(0, "r1", ui, b"\x00" * 32, ui),
@@ -111,6 +111,13 @@ def test_newview_size_sums_reproposals():
         "r0",
     )
     assert two.wire_size() > one.wire_size()
+
+
+def test_viewchange_size_carries_the_reported_bodies():
+    request = sample_request()
+    reported = PrePrepare(0, 1, b"\x00" * 32, request)
+    empty, one = ViewChange(1, (), "r1"), ViewChange(1, (reported,), "r1")
+    assert one.wire_size() == empty.wire_size() + reported.wire_size()
 
 
 # ----------------------------------------------------------------------
