@@ -5,17 +5,17 @@ is bounded by protocol latency: every operation pays a full three-phase
 exchange (PBFT) or UI-signed round (MinBFT) plus one MAC vector / USIG
 certificate of its own.  Batching amortizes that per-round cost — the
 primary accumulates incoming :class:`~repro.bft.messages.ClientRequest`\\ s
-into a batch closed by **size** (``batch_size`` requests), **bytes**
-(``batch_bytes`` of payload), or **time** (``batch_delay`` after the first
-request), and runs *one* agreement round per batch.  Pipelining bounds
-concurrency instead of forbidding it: up to ``max_inflight`` sequence
-numbers may be in flight at once.  Batches are cut at **dispatch** time,
-not at admission, and the two kinds of batch are cut by different rules:
+into a batch closed by **size** (``batch_size`` requests) or **time**
+(``batch_delay`` after the first request), and runs *one* agreement round
+per batch.  Pipelining bounds concurrency instead of forbidding it: up to
+``max_inflight`` sequence numbers may be in flight at once.  Batches are
+cut at **dispatch** time, not at admission, and the two kinds of batch are
+cut by different rules:
 
-* a **full** batch (size or byte bound met) goes whenever the in-flight
-  window has room — the window exists for full batches, and while it is
-  full, requests pool, so backpressure produces *fuller* batches instead
-  of a queue of fragments;
+* a **full** batch (``batch_size`` requests pooled) goes whenever the
+  in-flight window has room — the window exists for full batches, and
+  while it is full, requests pool, so backpressure produces *fuller*
+  batches instead of a queue of fragments;
 * a **partial** batch goes only when its delay is due **and nothing is in
   flight** (Nagle's rule applied to agreement rounds).  A round occupies
   the primary's serialized core from proposal to execution, so a second
@@ -28,25 +28,20 @@ not at admission, and the two kinds of batch are cut by different rules:
 The delay bound is a deadline, not a poll: once it has fired the credit
 stays due until a cut empties the pool, and no timer runs meanwhile.
 
-Exactness contract: with ``batch_size=1`` (and no delay/byte bound) the
+Exactness contract: with ``batch_size=1`` (and no delay bound) the
 accumulator closes every batch synchronously at admission, unwraps it to
 the bare request, and schedules **no events of its own** — the message
 stream, event order, and results are byte-identical to the unbatched
-protocol.  ``REPRO_CONSENSUS_BATCH=1`` forces this degenerate mode through
-the batching machinery, which is how the P2 bench proves the equivalence.
-
-Environment override (mirrors ``REPRO_NOC_EXPRESS``): when a protocol
-config leaves ``batching`` unset, ``REPRO_CONSENSUS_BATCH`` supplies one —
-``"<batch_size>[x<max_inflight>][@<batch_delay>]"``, e.g. ``8x16@200``.
-Unset/empty/``0`` means no batching (the legacy path).
+protocol (``batching=None``), which ``tests/test_bft_batching.py``
+asserts per family.  The protocol config's ``batching`` field is the one
+switch.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Deque, Set, Tuple, TYPE_CHECKING
 
 from repro.bft.messages import ClientRequest, RequestBatch
 from repro.soc.node import NodeState
@@ -66,10 +61,9 @@ class BatchConfig:
     """Batching/pipelining knobs shared by every protocol family.
 
     ``batch_size``   — close a batch once it holds this many requests.
-    ``batch_bytes``  — also close once payload bytes reach this (0 = off).
     ``batch_delay``  — close a partial batch this long after its first
-                       request arrived.  0 means only size/byte bounds
-                       close batches: with ``batch_size > 1`` a workload
+                       request arrived.  0 means only the size bound
+                       closes batches: with ``batch_size > 1`` a workload
                        that never pools a full batch (fewer outstanding
                        requests than the batch size) stalls, so pair
                        real batching with a delay bound.
@@ -81,40 +75,14 @@ class BatchConfig:
     """
 
     batch_size: int = 1
-    batch_bytes: int = 0
     batch_delay: float = 0.0
     max_inflight: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.batch_bytes < 0 or self.batch_delay < 0 or self.max_inflight < 0:
+        if self.batch_delay < 0 or self.max_inflight < 0:
             raise ValueError("batching bounds must be non-negative")
-
-    @staticmethod
-    def from_env() -> Optional["BatchConfig"]:
-        """Parse ``REPRO_CONSENSUS_BATCH``; None when unset/disabled."""
-        raw = os.environ.get("REPRO_CONSENSUS_BATCH", "").strip()
-        if not raw or raw.lower() in ("0", "false", "no"):
-            return None
-        size, at, delay = raw.partition("@")
-        size, x, inflight = size.partition("x")
-        try:
-            return BatchConfig(
-                batch_size=int(size),
-                batch_delay=float(delay) if at else 0.0,
-                max_inflight=int(inflight) if x else 0,
-            )
-        except ValueError as error:
-            raise ValueError(
-                f"REPRO_CONSENSUS_BATCH={raw!r} is not of the form "
-                f'"<batch_size>[x<max_inflight>][@<batch_delay>]": {error}'
-            ) from None
-
-
-def resolve_batching(configured: Optional[BatchConfig]) -> Optional[BatchConfig]:
-    """A protocol config's ``batching`` field, or the env override."""
-    return configured if configured is not None else BatchConfig.from_env()
 
 
 class BatchAccumulator:
@@ -138,7 +106,6 @@ class BatchAccumulator:
         self.config = config
         self._propose = propose
         self._open: Deque[ClientRequest] = deque()
-        self._open_bytes = 0
         self.inflight = 0
         self.pending_keys: Set[Tuple[str, int]] = set()
         self._delay_due = False  # the delay timer fired with requests pooled
@@ -154,7 +121,6 @@ class BatchAccumulator:
         """Admit one request; may cut and propose a batch synchronously."""
         self.pending_keys.add(request.key())
         self._open.append(request)
-        self._open_bytes += request.wire_size()
         self._pump()
         # The delay bound is a deadline: one timer from the pool's first
         # request; once it has fired the credit stays due until a cut
@@ -184,7 +150,6 @@ class BatchAccumulator:
         self._timer_armed = False
         self._delay_due = False
         self._open.clear()
-        self._open_bytes = 0
         self.pending_keys.clear()
         self.inflight = 0
         self._inflight_gauge.set(0.0)
@@ -199,10 +164,7 @@ class BatchAccumulator:
         while a round is out, arrivals pool and the next cut is fuller."""
         cfg = self.config
         while self._open:
-            full = len(self._open) >= cfg.batch_size or (
-                cfg.batch_bytes > 0 and self._open_bytes >= cfg.batch_bytes
-            )
-            if full:
+            if len(self._open) >= cfg.batch_size:
                 may_go = self._window_free()
             else:
                 may_go = self._delay_due and self.inflight == 0
@@ -214,7 +176,6 @@ class BatchAccumulator:
         """Dispatch up to one batch_size worth of pooled requests."""
         k = min(len(self._open), self.config.batch_size)
         requests = [self._open.popleft() for _ in range(k)]
-        self._open_bytes -= sum(r.wire_size() for r in requests)
         if not self._open:
             self._delay_due = False  # the credit does not outlive the pool
         # A single request goes on the wire bare: batch_size=1 traffic is

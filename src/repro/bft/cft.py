@@ -198,7 +198,7 @@ class CftReplica(BaseReplica):
     def _suspect(self, target: int) -> None:
         """Send ELECT for term ``target`` and vote for its candidate."""
         self._asked_view = target
-        message = LeaderElect(target, self.group.primary_of(target), self.last_executed)
+        message = LeaderElect(target, self.group.primary_of(target))
         self.broadcast(self.other_members(), message, message.wire_size())
         self._record_elect_ack(
             self.name, LeaderElectAck(target, self.group.primary_of(target), self.name)

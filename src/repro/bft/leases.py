@@ -42,20 +42,13 @@ Safety comes from *write-through invalidation*:
   (:meth:`LeaseManager.revoke_holder`) before the replica is healed and
   re-granted (:meth:`LeaseManager.readmit_holder`).
 
-Exactness contract (the repo discipline): ``leases=None`` — or a config
-with ``enabled=False`` — creates **no** manager, table, timer, or
-message; runs are event-identical to the pre-lease protocols, which
-``tests/test_bft_leases.py`` asserts per family.
-
-Environment override (mirrors ``REPRO_CONSENSUS_BATCH``): when a
-protocol config leaves ``leases`` unset, ``REPRO_BFT_LEASES=1`` supplies
-the default :class:`LeaseConfig`; ``REPRO_BFT_LEASES=<duration>`` sets
-the staleness bound too.  Unset/empty/``0`` means no leases.
+Exactness contract (the repo discipline): ``leases=None`` on the
+protocol config — the one switch — creates **no** manager, table, timer,
+or message; the replica's lease-message handlers are no-ops.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
@@ -119,7 +112,6 @@ class LeaseConfig:
     revocation precision against grant-message size.
     """
 
-    enabled: bool = True
     n_ranges: int = DEFAULT_N_RANGES
     duration: float = DEFAULT_DURATION
     renew_period: float = DEFAULT_RENEW_PERIOD
@@ -133,28 +125,6 @@ class LeaseConfig:
             raise ValueError(
                 f"renew_period must be in (0, duration], got {self.renew_period}"
             )
-
-    @staticmethod
-    def from_env() -> Optional["LeaseConfig"]:
-        """Parse ``REPRO_BFT_LEASES``; None when unset/disabled."""
-        raw = os.environ.get("REPRO_BFT_LEASES", "").strip()
-        if not raw or raw.lower() in ("0", "false", "no"):
-            return None
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return LeaseConfig()
-        duration = float(raw)
-        return LeaseConfig(duration=duration, renew_period=duration / 3.0)
-
-
-def resolve_leases(configured: Optional[LeaseConfig]) -> Optional[LeaseConfig]:
-    """A protocol config's ``leases`` field, or the env override.
-
-    A config with ``enabled=False`` resolves to None — byte-identical to
-    never configuring leases at all (the identity tests rely on it).
-    """
-    if configured is not None:
-        return configured if configured.enabled else None
-    return LeaseConfig.from_env()
 
 
 class LeaseTable:

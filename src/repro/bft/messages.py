@@ -92,8 +92,8 @@ class ClientRequest:
 
     @_once
     def _wire_size(self) -> int:
-        # Sized by the router, a forwarding backup, the batcher (twice)
-        # and the carrying proposal; the payload is walked for the first.
+        # Sized by the router, a forwarding backup and the carrying
+        # proposal; the payload is walked for the first.
         return HEADER_BYTES + 8 + _op_size(self.op) + MAC_BYTES
 
     def wire_size(self) -> int:
@@ -551,7 +551,6 @@ class LeaderElect:
 
     term: int
     candidate: str
-    last_seq: int
 
     def wire_size(self) -> int:
         return HEADER_BYTES + 8

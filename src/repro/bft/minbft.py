@@ -18,6 +18,12 @@ liveness problems that the view change resolves, never into safety
 problems.  The sequence number of an operation *is* the primary's USIG
 counter for its PREPARE.
 
+The view change carries no log: f+1 UI-certified VIEW-CHANGEs, each
+reporting its sender's ``last_executed``, install a view, and the new
+primary starts it at the highest of those reports.  Whoever executed
+less, the new primary included, catches up by state transfer before it
+executes the view's PREPAREs (DESIGN §4, *Simplified view changes*).
+
 Experiment E6 injects bitflips into the USIG counter register to show why
 the hybrid's storage must be ECC-protected: a plain register lets the
 counter jump, which the sequential check converts into a stall (and the
@@ -441,8 +447,13 @@ class MinBftReplica(BaseReplica):
         ui = self._create_ui(b"nv|" + new_view.to_bytes(8, "big"))
         if ui is None:
             return
-        message = MbNewView(new_view, self.last_executed, self.name, ui)
-        self._enter_view(new_view)
+        # The view starts where the furthest reporter executed: of the f+1,
+        # one is correct, and numbering below its point would re-assign
+        # sequence numbers it executed.
+        votes = self._view_change_votes[new_view].values()
+        start = max([self.last_executed] + [vote.last_executed for vote in votes])
+        message = MbNewView(new_view, start, self.name, ui)
+        self._enter_view(new_view, start)
         self.broadcast(self.other_members(), message, message.wire_size())
         self._repropose_pending()
 
@@ -451,27 +462,30 @@ class MinBftReplica(BaseReplica):
             return
         if sender != self.group.primary_of(message.view):
             return
-        self._enter_view(message.view)
-        if message.start_seq > self.last_executed:
-            # The new primary executed further than we did; catch up by
-            # state transfer before processing the new view's prepares.
-            self.request_state_sync()
+        self._enter_view(message.view, message.start_seq)
         self._repropose_pending()
 
-    def _enter_view(self, new_view: int) -> None:
-        # Committed-but-unexecuted slots go too: with _ready cleared and
-        # the cursor re-anchored they could never execute or be dropped;
-        # their requests are still pending and get re-proposed.
+    def _enter_view(self, new_view: int, start: int) -> None:
+        """Enter ``new_view``, whose fresh sequence numbers follow ``start``.
+
+        Every slot goes, committed-but-unexecuted ones too: with _ready
+        cleared and the cursor re-anchored they could never execute or be
+        dropped; their requests are still pending and get re-proposed.
+        """
         self._slots.clear()
         self._ordering.clear()
         self._exec_cursor = None  # next accepted prepare re-anchors it
         self._ready.clear()
-        self._next_exec_seq = max(self._next_exec_seq, self.last_executed)
+        self._next_exec_seq = max(self._next_exec_seq, self.last_executed, start)
         for stale in [v for v in self._req_view_change_votes if v <= new_view]:
             del self._req_view_change_votes[stale]
         for stale in [v for v in self._view_change_votes if v <= new_view]:
             del self._view_change_votes[stale]
         self._enter_era(new_view)
+        if start > self.last_executed:
+            # The view starts past what we executed: catch up by state
+            # transfer before executing its prepares.
+            self.request_state_sync()
 
     # ------------------------------------------------------------------
     def reset_protocol_state(self) -> None:

@@ -23,8 +23,8 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bft.app import StateMachine
-from repro.bft.batching import BatchAccumulator, resolve_batching
-from repro.bft.leases import LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchAccumulator
+from repro.bft.leases import LeaseManager, LeaseTable
 from repro.bft.messages import (
     ClientReply,
     ClientRequest,
@@ -210,18 +210,17 @@ class BaseReplica(Node):
         # both a stalled change and an f+1 join go past it.
         self._asked_view = 0
         self._progress_timer: Optional[Timeout] = None  # lazy: needs sim, i.e. placement
-        # Primary-side batching (config.batching or the env override);
-        # None keeps one proposal per request (exactness contract).
+        # Primary-side batching; None keeps one proposal per request
+        # (exactness contract).
         self.batcher = None
-        batching = resolve_batching(config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._order_proposal)
+        if config.batching is not None:
+            self.batcher = BatchAccumulator(self, config.batching, self._order_proposal)
         # Read leases (repro.bft.leases): every replica gets both — any
         # member can hold leases or become primary.  None when leases are
         # off (exactness contract).
         self.lease_table = None
         self.lease_manager = None
-        leases = resolve_leases(config.leases)
+        leases = config.leases
         if leases is not None:
             self.lease_table = LeaseTable(self, leases)
             self.lease_manager = LeaseManager(self, leases)

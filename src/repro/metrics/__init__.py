@@ -35,7 +35,6 @@ from repro.metrics.stats import (
     wilson_interval,
 )
 from repro.metrics.tables import Table
-from repro.metrics.tracing import ProtocolTracer, TraceRecord
 from repro.metrics.traffic import (
     TrafficSource,
     aggregate_completions,
@@ -48,10 +47,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ProtocolTracer",
     "Table",
     "TimeSeries",
-    "TraceRecord",
     "TrafficSource",
     "aggregate_completions",
     "aggregate_latencies",

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
+from repro.bft.batching import BatchAccumulator, BatchConfig
 from repro.bft.group import protocol_config_for
 from repro.bft.messages import (
     ClientReply,
@@ -84,43 +84,6 @@ def test_batch_size_one_is_event_identical(protocol):
     digests_a = [r.app.state_digest() for r in group_a.correct_replicas()]
     digests_b = [r.app.state_digest() for r in group_b.correct_replicas()]
     assert digests_a == digests_b
-
-
-def test_env_override_parses_and_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_CONSENSUS_BATCH", "8x16@200")
-    cfg = BatchConfig.from_env()
-    assert (cfg.batch_size, cfg.max_inflight, cfg.batch_delay) == (8, 16, 200.0)
-    monkeypatch.setenv("REPRO_CONSENSUS_BATCH", "0")
-    assert BatchConfig.from_env() is None
-    monkeypatch.delenv("REPRO_CONSENSUS_BATCH")
-    assert BatchConfig.from_env() is None
-    # An explicit protocol config wins over the environment.
-    monkeypatch.setenv("REPRO_CONSENSUS_BATCH", "4")
-    explicit = BatchConfig(batch_size=2)
-    assert resolve_batching(explicit) is explicit
-    assert resolve_batching(None).batch_size == 4
-
-
-@pytest.mark.parametrize("raw, expected", [
-    ("8", (8, 0, 0.0)),
-    ("8x16", (8, 16, 0.0)),
-    ("8x16@200", (8, 16, 200.0)),
-    ("8x", None),
-    ("x4", None),
-    ("8@", None),
-    ("4x2@abc", None),
-])
-def test_env_override_accepts_three_shapes_and_names_itself_when_malformed(monkeypatch, raw, expected):
-    monkeypatch.setenv("REPRO_CONSENSUS_BATCH", raw)
-    if expected is not None:
-        cfg = BatchConfig.from_env()
-        assert (cfg.batch_size, cfg.max_inflight, cfg.batch_delay) == expected
-        return
-    with pytest.raises(ValueError) as refused:
-        BatchConfig.from_env()
-    message = str(refused.value)
-    assert "REPRO_CONSENSUS_BATCH" in message and repr(raw) in message
-    assert '"<batch_size>[x<max_inflight>][@<batch_delay>]"' in message
 
 
 def test_batch_config_validation():

@@ -16,9 +16,10 @@ read the core's reservations (``Node._busy_until``): a dropped vote costs
 ``handle_message``, a verified one ``handle_message + mac_verify``.
 
 The Byzantine sweeps run whole groups (``run_group``) with one strategy
-on the primary or a backup.  They found the PBFT view-change holes that
-the last section pins: what a VIEW-CHANGE reports and what NEW-VIEW
-re-proposes (DESIGN §4, *Simplified view changes*).
+on the primary or a backup.  They found the view-change holes that the
+last section pins: what a PBFT VIEW-CHANGE reports and what NEW-VIEW
+re-proposes, and where a MinBFT NEW-VIEW starts (DESIGN §4, *Simplified
+view changes*).
 """
 
 import pytest
@@ -30,7 +31,9 @@ from repro.bft.messages import (
     ClientReply,
     ClientRequest,
     Commit,
+    MbNewView,
     MbPrepare,
+    MbViewChange,
     PrePrepare,
     Prepare,
     ViewChange,
@@ -266,27 +269,19 @@ def test_every_byzantine_backup_keeps_pbft_safe_and_committing(strategy, seed):
     [(strategy, seed) for strategy in STRATEGIES for seed in (1, 2, 3, 4, 5)]
     + [("drop", 9), ("drop", 344)],
 )
-def test_every_byzantine_primary_keeps_pbft_safe_and_committing(strategy, seed):
-    """A Byzantine proposer: under ``equivocate`` each backup binds another
-    digest, so the other backups' votes never match it.  Under ``drop``,
-    seeds 5 and 9 broke agreement while a new primary re-assigned the
-    number of a reported slot whose body it lacked, and seed 344 does
-    when a VIEW-CHANGE leaves out executed slots (DESIGN §4, *Simplified
-    view changes*)."""
-    group, _ = run_group(seed, strategy, target=0)
+@pytest.mark.parametrize("protocol", ["pbft", "minbft"])
+def test_the_group_survives_every_byzantine_primary(protocol, strategy, seed):
+    """Safe and committing under a Byzantine proposer.  Under
+    ``equivocate`` each backup binds another digest, so the other backups'
+    votes never match it.  Under ``drop``, PBFT seeds 5 and 9 broke
+    agreement while a new primary re-assigned the number of a reported
+    slot whose body it lacked, and seed 344 does when a VIEW-CHANGE leaves
+    out executed slots; MinBFT seeds 2 and 4 did while a new primary
+    numbered from its own execution point (DESIGN §4, *Simplified view
+    changes*)."""
+    group, _ = run_group(seed, strategy, target=0, protocol=protocol)
     assert group.safety.is_safe
     assert all(client.completions_in(FAULT_AT, RUN_UNTIL) > 0 for client in group.clients)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a MinBFT primary installs a view from f+1 VIEW-CHANGEs "
-    "that never tell it how far the others executed, and re-numbers their slots",
-)
-@pytest.mark.parametrize("seed", [2, 4])
-def test_a_dropping_minbft_primary_keeps_agreement(seed):
-    group, _ = run_group(seed, "drop", target=0, protocol="minbft")
-    assert group.safety.is_safe
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +357,29 @@ def test_a_new_primary_re_proposes_a_request_it_bound_in_the_old_view(backup):
     backup.settle()
     assert backup.replica._slots[(1, 1)].pre_prepare.request is request
     assert all(replica.last_executed == 1 for replica in backup.group.replicas.values())
+
+
+def test_a_new_minbft_primary_starts_the_view_where_its_quorum_executed():
+    """Seed 2's view change by hand: r1, the view-1 primary, executed to
+    67, and the VIEW-CHANGEs that install the view report 67 and 71.
+    NEW-VIEW starts at 71, r1 catches up by state transfer, and its first
+    fresh PREPARE takes 72, not 68."""
+    sim = Simulator(seed=3)
+    chip = Chip(sim, ChipConfig(width=5, height=5))
+    group = build_group(chip, GroupConfig(protocol="minbft", f=1, group_id="g"))
+    r0, r1, r2 = group.members
+    primary = group.replicas[r1]
+    primary.last_executed = 67
+    sent = []
+    primary.broadcast = lambda dsts, message, size_bytes=64: sent.append(message)
+    for sender, executed in ((r0, 67), (r2, 71)):
+        # Recorded as if received: the UI was checked on the way in.
+        primary._record_view_change_vote(sender, MbViewChange(1, executed, sender, None))
+    assert primary.view == 1 and primary.syncing
+    assert [m.start_seq for m in sent if type(m) is MbNewView] == [71]
+    primary._admit_ordered(ClientRequest("c0", 1, ("put", "k", 1)))
+    sim.run(until=sim.now + 1_000)
+    assert [m.exec_seq for m in sent if type(m) is MbPrepare] == [72]
 
 
 # ----------------------------------------------------------------------

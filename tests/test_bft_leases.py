@@ -2,8 +2,6 @@
 
 Covers the lease subsystem end-to-end:
 
-* ``leases=off`` (None or ``enabled=False``) is *exactly* the pre-lease
-  protocol — event-identical runs per family;
 * leased reads complete locally with zero ordered-log growth;
 * one leaseholder per key (``lease_holder``): the requester's target, the
   only member that serves the key and the only member a write revokes are
@@ -32,7 +30,6 @@ from repro.bft.leases import (
     keys_of,
     lease_holder,
     range_of,
-    resolve_leases,
     stable_key_hash,
 )
 from repro.bft.messages import (
@@ -109,7 +106,7 @@ def build(protocol, leases=None, f=1, seed=1, client_cfg=None):
 
 
 # ----------------------------------------------------------------------
-# Unit behaviour: hashing, config, env override
+# Unit behaviour: hashing, config
 # ----------------------------------------------------------------------
 def test_keys_of_recognises_kv_shapes():
     assert keys_of(("put", "k", 1)) == ("k",)
@@ -139,26 +136,6 @@ def test_lease_config_validation():
         LeaseConfig(renew_period=0)
     with pytest.raises(ValueError):
         LeaseConfig(duration=10.0, renew_period=20.0)  # would flap
-
-
-def test_env_override_parses_and_disables(monkeypatch):
-    monkeypatch.setenv("REPRO_BFT_LEASES", "1")
-    assert LeaseConfig.from_env() == LeaseConfig()
-    monkeypatch.setenv("REPRO_BFT_LEASES", "30000")
-    cfg = LeaseConfig.from_env()
-    assert cfg.duration == 30_000.0
-    assert cfg.renew_period == 10_000.0
-    monkeypatch.setenv("REPRO_BFT_LEASES", "0")
-    assert LeaseConfig.from_env() is None
-    monkeypatch.delenv("REPRO_BFT_LEASES")
-    assert LeaseConfig.from_env() is None
-    # An explicit protocol config wins over the environment.
-    monkeypatch.setenv("REPRO_BFT_LEASES", "1")
-    explicit = LeaseConfig(duration=5_000.0, renew_period=1_000.0)
-    assert resolve_leases(explicit) is explicit
-    assert resolve_leases(None) == LeaseConfig()
-    # enabled=False resolves to None: identical to never configuring.
-    assert resolve_leases(LeaseConfig(enabled=False)) is None
 
 
 def test_lease_table_rejects_wrong_era_grants():
@@ -337,35 +314,6 @@ def test_a_write_revokes_its_keys_holders_and_nobody_else():
     assert parked and {dst for dst, _ in revokes} == set(asked)
     assert asked[b1.name] == set(range(16)) - {range_of(theirs, 16), range_of(k1, 16)}
     assert asked[b2.name] == set(range(16)) - {range_of(k2, 16)}
-
-
-# ----------------------------------------------------------------------
-# Exactness: leases=off is the pre-lease protocol, event for event
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-def test_leases_off_is_event_identical(protocol):
-    def run(leases):
-        cfg = ClientConfig(
-            think_time=50, timeout=20_000, max_requests=30,
-            op_factory=mixed_ops, read_only_predicate=is_read,
-        )
-        sim, chip, group, client = build(
-            protocol, leases=leases, client_cfg=cfg
-        )
-        client.start()
-        sim.run(until=1_500_000)
-        return sim, group, client
-
-    sim_a, group_a, client_a = run(None)
-    sim_b, group_b, client_b = run(LeaseConfig(enabled=False))
-    assert client_a.completed == client_b.completed == 30
-    assert sim_a.now == sim_b.now
-    assert sim_a.events_fired == sim_b.events_fired
-    assert client_a.latencies == client_b.latencies
-    digests_a = [r.app.state_digest() for r in group_a.correct_replicas()]
-    digests_b = [r.app.state_digest() for r in group_b.correct_replicas()]
-    assert digests_a == digests_b
-    assert not group_b.leases_enabled
 
 
 # ----------------------------------------------------------------------

@@ -103,9 +103,7 @@ def run_through_primary_crash(protocol, tuned, express):
 
 @pytest.mark.parametrize("tuned", [False, True], ids=["plain", "batch+lease"])
 @pytest.mark.parametrize("protocol", ["pbft", "minbft", "cft", "passive"])
-def test_golden_run_through_primary_crash(protocol, tuned, monkeypatch):
-    monkeypatch.delenv("REPRO_CONSENSUS_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BFT_LEASES", raising=False)
+def test_golden_run_through_primary_crash(protocol, tuned):
     hop_by_hop, analytic, metrics_hash = GOLDENS[(protocol, tuned)]
     for express, events in ((False, hop_by_hop), (True, analytic)):
         sim, chip, group = run_through_primary_crash(protocol, tuned, express)

@@ -59,7 +59,7 @@ def every_message():
         messages.LeaseRevoke("r0", 0, 1, (1,)),
         messages.LeaseRevokeAck("r1", 0, 1, (1,)),
         messages.ReadNack("r1", "c0", 7),
-        messages.LeaderElect(1, "r1", 10),
+        messages.LeaderElect(1, "r1"),
         messages.LeaderElectAck(1, "r1", "r2"),
     ]
 
@@ -181,8 +181,6 @@ class Calls:
 
 
 def run_batched_round(protocol, monkeypatch, n_requests=4):
-    monkeypatch.delenv("REPRO_CONSENSUS_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BFT_LEASES", raising=False)
     sized = Calls(monkeypatch, messages, "_op_size")
     digested = Calls(monkeypatch, messages, "_digest")
     serialized = Calls(monkeypatch, mac, "canonical_bytes")
@@ -292,13 +290,11 @@ def never_moved(metrics):
 
 
 @pytest.mark.parametrize("protocol", sorted(THROUGHPUT_NAMES))
-def test_throughput_smoke_registers_the_same_metric_names(protocol, monkeypatch):
+def test_throughput_smoke_registers_the_same_metric_names(protocol):
     """The `throughput` campaign's trial (campaign/runners.py), shortened."""
     from repro.bft.client import ClientConfig as Cfg
     from repro.core import OrchestratorConfig, ResilientSystem
 
-    monkeypatch.delenv("REPRO_CONSENSUS_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BFT_LEASES", raising=False)
     system = ResilientSystem(OrchestratorConfig(seed=3, protocol=protocol, f=1, width=6, height=6))
     system.add_client("c0", Cfg(think_time=100.0))
     system.start(warmup=50_000.0)
@@ -310,7 +306,7 @@ def test_throughput_smoke_registers_the_same_metric_names(protocol, monkeypatch)
     assert never_moved(system.chip.metrics) == ZERO_BY_DESIGN
 
 
-def test_sharded_smoke_registers_the_same_metric_names(monkeypatch):
+def test_sharded_smoke_registers_the_same_metric_names():
     """Router, population and lease handles: a two-shard leased service in
     which one shard is killed, so some handles are never reached."""
     from repro.bft.leases import LeaseConfig
@@ -318,8 +314,6 @@ def test_sharded_smoke_registers_the_same_metric_names(monkeypatch):
     from repro.shard import ShardConfig, ShardedSystem
     from repro.workloads import kv_workload
 
-    monkeypatch.delenv("REPRO_CONSENSUS_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BFT_LEASES", raising=False)
     system = ShardedSystem(ShardConfig(
         seed=3, width=8, height=8, n_shards=2, protocol="minbft", f=1,
         enable_rejuvenation=False, directory_salt=2,

@@ -482,9 +482,7 @@ def count_repro_calls(fn):
     return calls[0]
 
 
-def test_one_pbft_batch_round_stays_under_its_call_ceiling(monkeypatch):
-    monkeypatch.delenv("REPRO_CONSENSUS_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BFT_LEASES", raising=False)
+def test_one_pbft_batch_round_stays_under_its_call_ceiling():
     sim, chip = make_chip(width=5, height=5, seed=5)
     config = protocol_config_for(
         "pbft", batching=BatchConfig(batch_size=4, batch_delay=500.0, max_inflight=2)
