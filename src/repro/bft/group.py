@@ -4,6 +4,14 @@
 protocol family and a fault bound f, and get a placed, running replica
 group plus the client-side parameters (member list, reply quorum).
 
+:class:`ReplicaGroup`'s constructor is the one place that names members,
+builds their :class:`~repro.bft.replica.GroupContext`, constructs them
+and assigns their tiles.  How the members then come up is its one hook,
+a :class:`Launcher`: the base class (what :func:`build_group` uses) puts
+them on the chip at once;
+:class:`~repro.core.replication.ReplicationManager` passes one that
+spawns each member through the fabric's ICAP.
+
 :meth:`ReplicaGroup.switch_protocol` implements the adaptation mechanism
 of §II.D: quiesce, snapshot the most advanced correct replica, rebuild the
 replicas in the new family on the *same tiles with the same names* (so
@@ -99,6 +107,27 @@ class GroupConfig:
             raise ValueError("f must be non-negative")
 
 
+class Launcher:
+    """How a :class:`ReplicaGroup`'s members come up.
+
+    It answers two questions: which tiles members land on when
+    ``config.placement`` is None (:meth:`free_tiles`), and how the
+    constructed, tile-assigned members come up (:meth:`launch`).  This
+    base class places them on the chip's free tiles and starts them, all
+    at once.
+    """
+
+    def free_tiles(self, chip: Chip) -> List[Coord]:
+        """Candidate tiles, in the order members take them."""
+        return chip.free_tiles()
+
+    def launch(self, group: "ReplicaGroup") -> None:
+        """Place every member on its tile, then start them all."""
+        for name, replica in group.replicas.items():
+            group.chip.place_node(replica, group.placement[name])
+        group._start_replicas()
+
+
 class ReplicaGroup:
     """A placed, running group of replicas plus its shared context."""
 
@@ -108,18 +137,22 @@ class ReplicaGroup:
         config: GroupConfig,
         keystore: Optional[KeyStore] = None,
         safety: Optional[SafetyRecorder] = None,
+        launcher: Optional[Launcher] = None,
     ) -> None:
         self.chip = chip
         self.config = config
         self.keystore = keystore or KeyStore()
         self.safety = safety or SafetyRecorder()
         self.protocol = config.protocol
+        launcher = launcher or Launcher()
         family = FAMILIES[config.protocol]
         n = family.replicas_for(config.f)
         member_names = [f"{config.group_id}-r{i}" for i in range(n)]
-        placement = config.placement or chip.free_tiles()[:n]
+        placement = config.placement or launcher.free_tiles(chip)
         if len(placement) < n:
-            raise ValueError(f"need {n} tiles for {config.protocol} f={config.f}")
+            raise ValueError(
+                f"need {n} tiles for {config.protocol} f={config.f}, have {len(placement)}"
+            )
         self.placement: Dict[str, Coord] = dict(zip(member_names, placement))
         self.context = GroupContext(
             group_id=config.group_id,
@@ -130,13 +163,11 @@ class ReplicaGroup:
             safety=self.safety,
             metrics=chip.metrics,
         )
-        self.replicas: Dict[str, BaseReplica] = {}
+        self.replicas: Dict[str, BaseReplica] = {
+            name: self.make_replica(name) for name in member_names
+        }
         self.clients: List[ClientNode] = []
-        for name in member_names:
-            replica = self.make_replica(name)
-            self.chip.place_node(replica, self.placement[name])
-            self.replicas[name] = replica
-        self._start_replicas()
+        launcher.launch(self)
 
     # ------------------------------------------------------------------
     def make_replica(self, name: str) -> BaseReplica:

@@ -5,12 +5,21 @@
 diversified replica group spawned as softcores, the rejuvenation
 schedule, the severity detector, and the adaptation controller — the
 complete architecture of the paper in one call.
+
+What it shares with :class:`~repro.shard.manager.ShardedSystem` is
+written once, here.  :class:`Substrate` is the bottom of both facades: a
+seeded simulator, the chip, its fabric and the variant pool registered
+with it.  :meth:`Substrate.deploy` stands one replica group up on it, in
+this order: replication manager → group (spawned through the ICAP) →
+severity detector → rejuvenation scheduler → adaptation controller, the
+last two only when the config enables them.  ``ResilientSystem`` deploys
+one group; ``ShardedSystem`` deploys one per shard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.bft.app import KeyValueStore, StateMachine
 from repro.bft.client import ClientConfig, ClientNode
@@ -20,7 +29,8 @@ from repro.core.diversity import DiversityManager, VariantLibrary
 from repro.core.rejuvenation import RejuvenationPolicy, RejuvenationScheduler
 from repro.core.replication import ReplicationManager
 from repro.core.severity import SeverityConfig, SeverityDetector
-from repro.fabric.fabric import FabricConfig, FpgaFabric
+from repro.fabric.fabric import FpgaFabric
+from repro.noc.topology import Coord
 from repro.sim.simulator import Simulator
 from repro.soc.chip import Chip, ChipConfig
 
@@ -48,12 +58,26 @@ class OrchestratorConfig:
     protocol_config: Optional[Any] = None
 
 
-class ResilientSystem:
-    """A fully assembled fault- and intrusion-resilient manycore SoC."""
+@dataclass
+class DeployedGroup:
+    """One replica group and the resilience machinery that is its own."""
 
-    def __init__(self, config: Optional[OrchestratorConfig] = None) -> None:
-        self.config = config or OrchestratorConfig()
-        cfg = self.config
+    replication: ReplicationManager
+    group: ReplicaGroup
+    detector: SeverityDetector
+    rejuvenation: Optional[RejuvenationScheduler]
+    adaptation: Optional[AdaptationController]
+
+
+class Substrate:
+    """What both facades stand their groups on, and the one deploy.
+
+    Builds a seeded simulator, the chip, its fabric, and the variant pool
+    registered with the fabric's golden store.
+    """
+
+    def __init__(self, config: OrchestratorConfig) -> None:
+        self.config = cfg = config
         self.sim = Simulator(seed=cfg.seed)
         self.chip = Chip(self.sim, ChipConfig(width=cfg.width, height=cfg.height))
         self.fabric = FpgaFabric(self.sim, self.chip)
@@ -61,30 +85,73 @@ class ResilientSystem:
             cfg.functionality, cfg.n_variants, cfg.n_vendors
         )
         self.fabric.register_variants(cfg.functionality, self.library.names())
-        self.diversity = DiversityManager(self.library)
-        self.replication = ReplicationManager(self.chip, self.fabric, self.diversity)
-        self.group: ReplicaGroup = self.replication.deploy_group(
+
+    def deploy(
+        self,
+        diversity: DiversityManager,
+        group_id: str,
+        clients: List[Any],
+        policy: Optional[RejuvenationPolicy],
+        placement: Optional[List[Coord]] = None,
+        principals: Tuple[str, str] = ("replication-manager", "rejuvenation"),
+    ) -> DeployedGroup:
+        """Stand one replica group up, with its own machinery, from
+        ``self.config``.
+
+        ``clients`` is the detector's client list (the caller appends to
+        it later); ``policy`` the rejuvenation policy; ``placement`` the
+        group's tiles (None: free fabric regions); ``principals`` the
+        ICAP principals of its replication manager and rejuvenation
+        scheduler.
+        """
+        cfg = self.config
+        replication = ReplicationManager(
+            self.chip, self.fabric, diversity, principal=principals[0]
+        )
+        group = replication.deploy_group(
             GroupConfig(
                 protocol=cfg.protocol,
                 f=cfg.f,
-                group_id="sys",
+                group_id=group_id,
                 app_factory=cfg.app_factory,
+                placement=placement,
                 protocol_config=cfg.protocol_config,
             )
         )
-        self.clients: List[ClientNode] = []
-        self.detector = SeverityDetector(self.group, self.clients, cfg.severity)
-        self.rejuvenation: Optional[RejuvenationScheduler] = None
+        detector = SeverityDetector(group, clients, cfg.severity)
+        rejuvenation: Optional[RejuvenationScheduler] = None
         if cfg.enable_rejuvenation:
             # The detector is masked around planned maintenance so that
             # rejuvenation downtime is not read as an attack.
-            self.rejuvenation = RejuvenationScheduler(
-                self.group, self.fabric, self.diversity, cfg.rejuvenation,
-                detector=self.detector,
+            rejuvenation = RejuvenationScheduler(
+                group, self.fabric, diversity, policy,
+                principal=principals[1], detector=detector,
             )
-        self.adaptation: Optional[AdaptationController] = None
+        adaptation: Optional[AdaptationController] = None
         if cfg.enable_adaptation:
-            self.adaptation = AdaptationController(self.group, self.detector, cfg.adaptation)
+            adaptation = AdaptationController(group, detector, cfg.adaptation)
+        return DeployedGroup(replication, group, detector, rejuvenation, adaptation)
+
+    def run(self, duration: float) -> None:
+        """Advance the simulation."""
+        self.sim.run(until=self.sim.now + duration)
+
+
+class ResilientSystem(Substrate):
+    """A fully assembled fault- and intrusion-resilient manycore SoC."""
+
+    def __init__(self, config: Optional[OrchestratorConfig] = None) -> None:
+        super().__init__(config or OrchestratorConfig())
+        self.diversity = DiversityManager(self.library)
+        self.clients: List[ClientNode] = []
+        deployed = self.deploy(
+            self.diversity, "sys", self.clients, self.config.rejuvenation
+        )
+        self.replication = deployed.replication
+        self.group = deployed.group
+        self.detector = deployed.detector
+        self.rejuvenation = deployed.rejuvenation
+        self.adaptation = deployed.adaptation
 
     # ------------------------------------------------------------------
     def add_client(self, name: str, client_config: Optional[ClientConfig] = None) -> ClientNode:
@@ -106,10 +173,6 @@ class ResilientSystem:
         if self.rejuvenation is not None:
             self.rejuvenation.start()
         self.detector.start()
-
-    def run(self, duration: float) -> None:
-        """Advance the simulation."""
-        self.sim.run(until=self.sim.now + duration)
 
     # ------------------------------------------------------------------
     # Convenience queries for examples and tests

@@ -8,13 +8,19 @@ level."  The :class:`ReplicationManager` does exactly that: it spawns a
 :class:`~repro.bft.group.ReplicaGroup`'s members through the fabric's
 ICAP (E9 measures the elasticity curve), tracks which variant each
 replica runs, and scales the group out/in.
+
+The group itself is built by :class:`~repro.bft.group.ReplicaGroup`'s
+constructor, the one construction path; the manager is the launcher it
+is handed, so all it adds is where members land (free fabric regions)
+and how they come up (one ICAP spawn each, on the variant its
+:class:`~repro.core.diversity.DiversityManager` assigns).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.bft.group import FAMILIES, GroupConfig, ReplicaGroup
+from repro.bft.group import FAMILIES, GroupConfig, Launcher, ReplicaGroup
 from repro.bft.replica import BaseReplica
 from repro.bft.safety import SafetyRecorder
 from repro.core.diversity import DiversityManager
@@ -25,14 +31,16 @@ from repro.noc.topology import Coord
 from repro.soc.chip import Chip
 
 
-class ReplicationManager:
+class ReplicationManager(Launcher):
     """Spawns and scales a replica group as softcores on the fabric.
 
     Unlike :func:`repro.bft.build_group` (which places replicas
     instantly — fine for protocol experiments), the manager performs each
     spawn through the ICAP, so replicas come online one partial
     reconfiguration at a time and experiments see real elasticity
-    latency.
+    latency.  It is the :class:`~repro.bft.group.Launcher` of the group
+    it deploys: :class:`~repro.bft.group.ReplicaGroup` names, builds and
+    assigns tiles to the members, the manager brings them up.
     """
 
     def __init__(
@@ -49,6 +57,7 @@ class ReplicationManager:
         fabric.icap.grant(principal)
         self.group: Optional[ReplicaGroup] = None
         self.spawn_completions: Dict[str, float] = {}
+        self._on_all_ready: Optional[Callable[[ReplicaGroup], None]] = None
 
     # ------------------------------------------------------------------
     def deploy_group(
@@ -64,15 +73,20 @@ class ReplicationManager:
         bitstreams commit.  ``on_all_ready`` fires when the last replica
         is up.
         """
-        placement = config.placement or self.fabric.free_regions()
-        family = FAMILIES[config.protocol]
-        n = family.replicas_for(config.f)
-        if len(placement) < n:
-            raise ValueError(f"need {n} free regions, have {len(placement)}")
-        group = ReplicaGroup.__new__(ReplicaGroup)  # defer normal placement
-        self._init_group_shell(group, config, placement[:n], keystore, safety)
-        assignment = self.diversity.assign(group.context.members)
-        remaining = set(group.context.members)
+        self._on_all_ready = on_all_ready
+        self.group = ReplicaGroup(self.chip, config, keystore, safety, launcher=self)
+        return self.group
+
+    def free_tiles(self, chip: Chip) -> List[Coord]:
+        """Launcher hook: members land on free, empty fabric regions."""
+        return self.fabric.free_regions()
+
+    def launch(self, group: ReplicaGroup) -> None:
+        """Launcher hook: spawn each member through the ICAP with its
+        variant; each starts as its bitstream commits."""
+        assignment = self.diversity.assign(group.members)
+        remaining = set(group.members)
+        on_all_ready = self._on_all_ready
 
         def make_ready_callback(name: str):
             def ready(node) -> None:
@@ -84,9 +98,7 @@ class ReplicationManager:
 
             return ready
 
-        for name in group.context.members:
-            replica = group.make_replica(name)
-            group.replicas[name] = replica
+        for name, replica in group.replicas.items():
             result = self.fabric.spawn(
                 self.principal,
                 replica,
@@ -96,39 +108,6 @@ class ReplicationManager:
             )
             if result != IcapResult.OK:
                 raise RuntimeError(f"spawn of {name} rejected: {result}")
-        self.group = group
-        return group
-
-    def _init_group_shell(
-        self,
-        group: ReplicaGroup,
-        config: GroupConfig,
-        placement: List[Coord],
-        keystore: Optional[KeyStore],
-        safety: Optional[SafetyRecorder],
-    ) -> None:
-        from repro.bft.replica import GroupContext
-
-        family = FAMILIES[config.protocol]
-        n = family.replicas_for(config.f)
-        member_names = [f"{config.group_id}-r{i}" for i in range(n)]
-        group.chip = self.chip
-        group.config = config
-        group.keystore = keystore or KeyStore()
-        group.safety = safety or SafetyRecorder()
-        group.protocol = config.protocol
-        group.placement = dict(zip(member_names, placement))
-        group.context = GroupContext(
-            group_id=config.group_id,
-            members=member_names,
-            f=config.f,
-            app_factory=config.app_factory,
-            keystore=group.keystore,
-            safety=group.safety,
-            metrics=self.chip.metrics,
-        )
-        group.replicas = {}
-        group.clients = []
 
     # ------------------------------------------------------------------
     # Elastic scaling (§II.D: "scaling out/in the system when f may change")

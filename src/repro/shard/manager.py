@@ -31,59 +31,34 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.bft.app import KeyValueStore, StateMachine
-from repro.bft.group import (
-    FAMILIES,
-    GroupConfig,
-    ReplicaGroup,
-    protocol_config_for,
-)
-from repro.core.adaptation import AdaptationController, AdaptationPolicy
-from repro.core.diversity import DiversityManager, VariantLibrary
-from repro.core.rejuvenation import RejuvenationPolicy, RejuvenationScheduler
-from repro.core.replication import ReplicationManager
-from repro.core.severity import SeverityConfig, SeverityDetector, ThreatLevel
-from repro.fabric.fabric import FpgaFabric
+from repro.bft.group import FAMILIES
+from repro.core.diversity import DiversityManager
+from repro.core.orchestrator import DeployedGroup, OrchestratorConfig, Substrate
+from repro.core.rejuvenation import RejuvenationPolicy
+from repro.core.severity import ThreatLevel
 from repro.mesoscale.admission import AdmissionConfig, AdmissionController
 from repro.mesoscale.population import ClientPopulation, PopulationConfig
 from repro.shard.directory import ShardDirectory
 from repro.shard.placement import PlacementPlanner, ShardRegion
 from repro.shard.router import RouterConfig, ShardRouter
-from repro.sim.simulator import Simulator
 from repro.sim.timers import PeriodicTimer
-from repro.soc.chip import Chip, ChipConfig
 from repro.workloads.workload import KVWorkload, read_only_predicate_of
 
 
 @dataclass
-class ShardConfig:
-    """Everything needed to stand up a sharded resilient system."""
+class ShardConfig(OrchestratorConfig):
+    """Everything needed to stand up a sharded resilient system: the
+    single system's fields (on an 8x8 mesh by default), applied to every
+    shard's group, plus the sharding ones."""
 
-    seed: int = 0
     width: int = 8
     height: int = 8
     n_shards: int = 2
-    protocol: str = "minbft"
-    f: int = 1
-    protocol_config: Optional[Any] = None
-    #: Convenience knob: a :class:`~repro.bft.leases.LeaseConfig` applied
-    #: to every shard's group (mutually exclusive with an explicit
-    #: ``protocol_config``, which carries its own ``leases`` field).
-    leases: Optional[Any] = None
-    n_variants: int = 6
-    n_vendors: int = 3
-    app_factory: Callable[[], StateMachine] = KeyValueStore
-    rejuvenation: Optional[RejuvenationPolicy] = None
-    severity: Optional[SeverityConfig] = None
-    adaptation: Optional[AdaptationPolicy] = None
-    enable_rejuvenation: bool = True
-    enable_adaptation: bool = False
     router: Optional[RouterConfig] = None
     health_check_period: float = 10_000.0
     vnodes: int = 64
-    functionality: str = "service"
     #: Fixed consistent-hash salt.  When None the salt is drawn from the
     #: system's own seeded RNG (the single-system default); a fixed salt
     #: keeps key ownership the same across seeds.
@@ -92,39 +67,22 @@ class ShardConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if self.leases is not None and self.protocol_config is not None:
-            raise ValueError(
-                "pass leases or a full protocol_config, not both "
-                "(protocol_config has its own leases field)"
-            )
 
 
 @dataclass
-class Shard:
-    """One shard: a replica group plus its private resilience machinery."""
+class Shard(DeployedGroup):
+    """One shard: a deployed replica group on its own tile region."""
 
     shard_id: str
     region: ShardRegion
-    replication: ReplicationManager
-    group: ReplicaGroup
-    detector: SeverityDetector
-    rejuvenation: Optional[RejuvenationScheduler]
-    adaptation: Optional[AdaptationController]
 
 
-class ShardedSystem:
+class ShardedSystem(Substrate):
     """N independent replica groups serving one partitioned keyspace."""
 
     def __init__(self, config: Optional[ShardConfig] = None) -> None:
-        self.config = config or ShardConfig()
+        super().__init__(config or ShardConfig())
         cfg = self.config
-        self.sim = Simulator(seed=cfg.seed)
-        self.chip = Chip(self.sim, ChipConfig(width=cfg.width, height=cfg.height))
-        self.fabric = FpgaFabric(self.sim, self.chip)
-        self.library = VariantLibrary.generate(
-            cfg.functionality, cfg.n_variants, cfg.n_vendors
-        )
-        self.fabric.register_variants(cfg.functionality, self.library.names())
         self.diversity = DiversityManager(self.library)
         shard_ids = [f"s{i}" for i in range(cfg.n_shards)]
         if cfg.directory_salt is not None:
@@ -136,51 +94,19 @@ class ShardedSystem:
                 shard_ids, self.sim.rng.stream("shard.directory"), vnodes=cfg.vnodes
             )
         self.planner = PlacementPlanner(self.chip, self.fabric)
-        family = FAMILIES[cfg.protocol]
-        group_size = family.replicas_for(cfg.f)
-        protocol_config = cfg.protocol_config
-        if cfg.leases is not None:
-            protocol_config = protocol_config_for(cfg.protocol, leases=cfg.leases)
+        group_size = FAMILIES[cfg.protocol].replicas_for(cfg.f)
         self.shards: Dict[str, Shard] = {}
         for shard_id in shard_ids:
             region = self.planner.allocate(shard_id, group_size)
-            replication = ReplicationManager(
-                self.chip, self.fabric, self.diversity,
-                principal=f"replication-{shard_id}",
+            # Relocation is off by default: the chip-wide scheduler
+            # would move replicas out of the shard's region.
+            deployed = self.deploy(
+                self.diversity, shard_id, [],
+                cfg.rejuvenation or RejuvenationPolicy(relocate=False),
+                placement=list(region.tiles),
+                principals=(f"replication-{shard_id}", f"rejuvenation-{shard_id}"),
             )
-            group = replication.deploy_group(
-                GroupConfig(
-                    protocol=cfg.protocol,
-                    f=cfg.f,
-                    group_id=shard_id,
-                    app_factory=cfg.app_factory,
-                    placement=list(region.tiles),
-                    protocol_config=protocol_config,
-                )
-            )
-            detector = SeverityDetector(group, [], cfg.severity)
-            rejuvenation: Optional[RejuvenationScheduler] = None
-            if cfg.enable_rejuvenation:
-                # Relocation is off by default: the chip-wide scheduler
-                # would move replicas out of the shard's region.
-                policy = cfg.rejuvenation or RejuvenationPolicy(relocate=False)
-                rejuvenation = RejuvenationScheduler(
-                    group, self.fabric, self.diversity, policy,
-                    principal=f"rejuvenation-{shard_id}",
-                    detector=detector,
-                )
-            adaptation: Optional[AdaptationController] = None
-            if cfg.enable_adaptation:
-                adaptation = AdaptationController(group, detector, cfg.adaptation)
-            self.shards[shard_id] = Shard(
-                shard_id=shard_id,
-                region=region,
-                replication=replication,
-                group=group,
-                detector=detector,
-                rejuvenation=rejuvenation,
-                adaptation=adaptation,
-            )
+            self.shards[shard_id] = Shard(shard_id=shard_id, region=region, **vars(deployed))
         self.routers: List[ShardRouter] = []
         self.populations: List[ClientPopulation] = []
         self._health_timer: Optional[PeriodicTimer] = None
@@ -290,10 +216,6 @@ class ShardedSystem:
         self._health_timer = PeriodicTimer(
             self.sim, self.config.health_check_period, self._check_health
         )
-
-    def run(self, duration: float) -> None:
-        """Advance the simulation."""
-        self.sim.run(until=self.sim.now + duration)
 
     # ------------------------------------------------------------------
     # Shard-level failover
