@@ -70,8 +70,3 @@ class NodeKeys:
                 f"node {self.owner!r} requested key for foreign pair ({a!r}, {b!r})"
             )
         return self._store.pair_key(a, b)
-
-    @property
-    def own_secret(self) -> bytes:
-        """The owner's private secret (keys its trusted hybrid)."""
-        return self._store.secret_for(self.owner)

@@ -139,8 +139,3 @@ class IcapPort:
         self.stats.writes_ok += 1
         if on_done:
             on_done(IcapResult.OK)
-
-    @property
-    def queue_delay(self) -> float:
-        """Current queueing delay a new write would see."""
-        return max(0.0, self._busy_until - self.sim.now)

@@ -60,12 +60,6 @@ class ReconfigurableRegion:
         self.configured_at = now
         self.reconfigure_count += 1
 
-    def abort_reconfiguration(self) -> None:
-        """Roll back a rejected write: previous image (if any) resumes."""
-        if self.state != RegionState.RECONFIGURING:
-            raise ValueError(f"region {self.region_id} is not mid-reconfiguration")
-        self.state = RegionState.CONFIGURED if self.bitstream else RegionState.EMPTY
-
     def clear(self) -> None:
         """Blank the region (full-device restart path)."""
         self.state = RegionState.EMPTY

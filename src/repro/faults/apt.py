@@ -150,17 +150,6 @@ class AptAttacker:
         if self._started:
             self._fill_pipeline()
 
-    def notify_scaled(self) -> None:
-        """Defence hook: replica-set membership changed."""
-        stale = [name for name in self._active if name not in self.targets()]
-        for name in stale:
-            item = self._active.pop(name)
-            if item.event is not None:
-                item.event.cancel()
-        self.compromised = {c for c in self.compromised if c in self.targets()}
-        if self._started:
-            self._fill_pipeline()
-
     @property
     def compromised_count(self) -> int:
         """Number of currently compromised replicas."""

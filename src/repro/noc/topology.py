@@ -110,14 +110,6 @@ class MeshTopology:
             path.append(current)
         return path
 
-    def route_links(self, route: List[Coord]) -> List[Tuple[Coord, Coord]]:
-        """The directed link keys a route traverses, in hop order.
-
-        Convenience for code that walks a route's links (the express
-        path, tests asserting reservation state).
-        """
-        return [(route[i], route[i + 1]) for i in range(len(route) - 1)]
-
     def route_avoiding(
         self, src: Coord, dst: Coord, blocked: "frozenset[Tuple[Coord, Coord]]"
     ) -> List[Coord]:

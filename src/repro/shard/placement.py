@@ -46,10 +46,6 @@ class ShardRegion:
             default=0,
         )
 
-    def centroid_distance(self, coord: Coord) -> float:
-        """Mean hop distance from ``coord`` to the region's tiles."""
-        return sum(coord.manhattan(t) for t in self.tiles) / len(self.tiles)
-
 
 @dataclass
 class PlacementPlanner:

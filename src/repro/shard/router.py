@@ -199,11 +199,6 @@ class ShardRouter(Node, TrafficSource):
         """Per-shard liveness counters (a detector pseudo-client)."""
         return self.stats[shard_id]
 
-    @property
-    def bound_shards(self) -> List[str]:
-        """Shard ids this router can reach."""
-        return sorted(self._sessions)
-
     def serves_leased_reads(self, op: Any) -> bool:
         """True when every shard owning ``op``'s keys runs read leases.
 
