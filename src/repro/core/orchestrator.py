@@ -62,6 +62,7 @@ class OrchestratorConfig:
 class DeployedGroup:
     """One replica group and the resilience machinery that is its own."""
 
+    diversity: DiversityManager
     replication: ReplicationManager
     group: ReplicaGroup
     detector: SeverityDetector
@@ -88,7 +89,6 @@ class Substrate:
 
     def deploy(
         self,
-        diversity: DiversityManager,
         group_id: str,
         clients: List[Any],
         policy: Optional[RejuvenationPolicy],
@@ -102,9 +102,12 @@ class Substrate:
         it later); ``policy`` the rejuvenation policy; ``placement`` the
         group's tiles (None: free fabric regions); ``principals`` the
         ICAP principals of its replication manager and rejuvenation
-        scheduler.
+        scheduler.  The group gets its own diversity manager too: the
+        variants it assigns and rejuvenates to are spread over this
+        group's members only.
         """
         cfg = self.config
+        diversity = DiversityManager(self.library)
         replication = ReplicationManager(
             self.chip, self.fabric, diversity, principal=principals[0]
         )
@@ -130,7 +133,7 @@ class Substrate:
         adaptation: Optional[AdaptationController] = None
         if cfg.enable_adaptation:
             adaptation = AdaptationController(group, detector, cfg.adaptation)
-        return DeployedGroup(replication, group, detector, rejuvenation, adaptation)
+        return DeployedGroup(diversity, replication, group, detector, rejuvenation, adaptation)
 
     def run(self, duration: float) -> None:
         """Advance the simulation."""
@@ -142,11 +145,9 @@ class ResilientSystem(Substrate):
 
     def __init__(self, config: Optional[OrchestratorConfig] = None) -> None:
         super().__init__(config or OrchestratorConfig())
-        self.diversity = DiversityManager(self.library)
         self.clients: List[ClientNode] = []
-        deployed = self.deploy(
-            self.diversity, "sys", self.clients, self.config.rejuvenation
-        )
+        deployed = self.deploy("sys", self.clients, self.config.rejuvenation)
+        self.diversity = deployed.diversity
         self.replication = deployed.replication
         self.group = deployed.group
         self.detector = deployed.detector

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.bft.group import FAMILIES
-from repro.core.diversity import DiversityManager
 from repro.core.orchestrator import DeployedGroup, OrchestratorConfig, Substrate
 from repro.core.rejuvenation import RejuvenationPolicy
 from repro.core.severity import ThreatLevel
@@ -83,7 +82,6 @@ class ShardedSystem(Substrate):
     def __init__(self, config: Optional[ShardConfig] = None) -> None:
         super().__init__(config or ShardConfig())
         cfg = self.config
-        self.diversity = DiversityManager(self.library)
         shard_ids = [f"s{i}" for i in range(cfg.n_shards)]
         if cfg.directory_salt is not None:
             self.directory = ShardDirectory(
@@ -101,7 +99,7 @@ class ShardedSystem(Substrate):
             # Relocation is off by default: the chip-wide scheduler
             # would move replicas out of the shard's region.
             deployed = self.deploy(
-                self.diversity, shard_id, [],
+                shard_id, [],
                 cfg.rejuvenation or RejuvenationPolicy(relocate=False),
                 placement=list(region.tiles),
                 principals=(f"replication-{shard_id}", f"rejuvenation-{shard_id}"),

@@ -71,6 +71,28 @@ def test_per_shard_rejuvenation_stays_inside_region():
     assert system.is_safe
 
 
+def test_each_shard_keeps_its_own_variant_assignment():
+    """Rejuvenation diversifies each shard against its own members only.
+
+    Every shard owns its diversity manager: with one manager shared by
+    all shards, each shard's ``assign`` overwrote the previous shard's
+    entries, and a rejuvenation pass could move a replica onto a variant
+    another live member of its shard runs (on this seed ``s1`` first
+    shows such a pair at 130 000 sim-ms)."""
+    system = ShardedSystem(ShardConfig(seed=3, n_shards=2, width=6, height=6))
+    system.start()
+    while system.sim.now < 260_000:
+        system.run(5_000)
+        for shard in system.shards.values():
+            live = [m for m in shard.group.members if system.chip.has_node(m)]
+            variants = [system.fabric.variant_at(system.chip.coord_of(m)) for m in live]
+            assert len(set(variants)) == len(variants), (system.sim.now, shard.shard_id)
+            diversity = shard.replication.diversity
+            assert diversity is shard.rejuvenation.diversity
+            assert set(diversity.assignment) == set(shard.group.members)
+    assert all(shard.rejuvenation.passes > 0 for shard in system.shards.values())
+
+
 def test_kill_shard_degrades_exactly_one_and_survivors_serve():
     system = ShardedSystem(
         ShardConfig(seed=4, n_shards=3, enable_rejuvenation=False)
