@@ -4,13 +4,10 @@
 protocol family and a fault bound f, and get a placed, running replica
 group plus the client-side parameters (member list, reply quorum).
 
-:class:`ReplicaGroup`'s constructor is the one place that names members,
-builds their :class:`~repro.bft.replica.GroupContext`, constructs them
-and assigns their tiles.  How the members then come up is its one hook,
-a :class:`Launcher`: the base class (what :func:`build_group` uses) puts
-them on the chip at once;
-:class:`~repro.core.replication.ReplicationManager` passes one that
-spawns each member through the fabric's ICAP.
+:class:`ReplicaGroup`'s constructor is the one place that names, builds
+and assigns tiles to members; its :class:`Launcher` hook says how they
+come up (at once here, through the ICAP for a
+:class:`~repro.core.replication.ReplicationManager`).
 
 :meth:`ReplicaGroup.switch_protocol` implements the adaptation mechanism
 of §II.D: quiesce, snapshot the most advanced correct replica, rebuild the
@@ -108,24 +105,19 @@ class GroupConfig:
 
 
 class Launcher:
-    """How a :class:`ReplicaGroup`'s members come up.
-
-    It answers two questions: which tiles members land on when
-    ``config.placement`` is None (:meth:`free_tiles`), and how the
-    constructed, tile-assigned members come up (:meth:`launch`).  This
-    base class places them on the chip's free tiles and starts them, all
-    at once.
-    """
+    """How a :class:`ReplicaGroup`'s members come up: this base places
+    them on the chip's free tiles and starts them, all at once."""
 
     def free_tiles(self, chip: Chip) -> List[Coord]:
-        """Candidate tiles, in the order members take them."""
+        """The tiles members land on when ``config.placement`` is None."""
         return chip.free_tiles()
 
     def launch(self, group: "ReplicaGroup") -> None:
-        """Place every member on its tile, then start them all."""
+        """Bring up the group's constructed, tile-assigned members."""
         for name, replica in group.replicas.items():
             group.chip.place_node(replica, group.placement[name])
-        group._start_replicas()
+        for replica in group.replicas.values():
+            replica.start()
 
 
 class ReplicaGroup:
@@ -150,9 +142,7 @@ class ReplicaGroup:
         member_names = [f"{config.group_id}-r{i}" for i in range(n)]
         placement = config.placement or launcher.free_tiles(chip)
         if len(placement) < n:
-            raise ValueError(
-                f"need {n} tiles for {config.protocol} f={config.f}, have {len(placement)}"
-            )
+            raise ValueError(f"need {n} tiles for {config.protocol} f={config.f}")
         self.placement: Dict[str, Coord] = dict(zip(member_names, placement))
         self.context = GroupContext(
             group_id=config.group_id,
@@ -176,10 +166,6 @@ class ReplicaGroup:
         family's defaults."""
         family = FAMILIES[self.protocol]
         return family.replica_cls(name, self.context, self.config.protocol_config)
-
-    def _start_replicas(self) -> None:
-        for replica in self.replicas.values():
-            replica.start()
 
     # ------------------------------------------------------------------
     @property
@@ -319,9 +305,8 @@ class ReplicaGroup:
             replica = self.make_replica(name)
             if donor is not None:
                 replica.import_state(donor)
-            self.chip.place_node(replica, self.placement[name])
             self.replicas[name] = replica
-        self._start_replicas()
+        Launcher().launch(self)
         self.configure_clients()
 
         # Charge switch time: a state-transfer round plus restart slack,

@@ -7,21 +7,16 @@ similar way to creating virtual machines or containers at software
 level."  The :class:`ReplicationManager` does exactly that: it spawns a
 :class:`~repro.bft.group.ReplicaGroup`'s members through the fabric's
 ICAP (E9 measures the elasticity curve), tracks which variant each
-replica runs, and scales the group out/in.
-
-The group itself is built by :class:`~repro.bft.group.ReplicaGroup`'s
-constructor, the one construction path; the manager is the launcher it
-is handed, so all it adds is where members land (free fabric regions)
-and how they come up (one ICAP spawn each, on the variant its
-:class:`~repro.core.diversity.DiversityManager` assigns).
+replica runs, and scales the group out/in.  The group's own constructor
+builds it; the manager is only its launcher (where members land, how
+they come up).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.bft.group import FAMILIES, GroupConfig, Launcher, ReplicaGroup
-from repro.bft.replica import BaseReplica
 from repro.bft.safety import SafetyRecorder
 from repro.core.diversity import DiversityManager
 from repro.crypto.keys import KeyStore
@@ -39,8 +34,7 @@ class ReplicationManager(Launcher):
     spawn through the ICAP, so replicas come online one partial
     reconfiguration at a time and experiments see real elasticity
     latency.  It is the :class:`~repro.bft.group.Launcher` of the group
-    it deploys: :class:`~repro.bft.group.ReplicaGroup` names, builds and
-    assigns tiles to the members, the manager brings them up.
+    it deploys.
     """
 
     def __init__(
@@ -57,7 +51,6 @@ class ReplicationManager(Launcher):
         fabric.icap.grant(principal)
         self.group: Optional[ReplicaGroup] = None
         self.spawn_completions: Dict[str, float] = {}
-        self._on_all_ready: Optional[Callable[[ReplicaGroup], None]] = None
 
     # ------------------------------------------------------------------
     def deploy_group(
@@ -65,15 +58,12 @@ class ReplicationManager(Launcher):
         config: GroupConfig,
         keystore: Optional[KeyStore] = None,
         safety: Optional[SafetyRecorder] = None,
-        on_all_ready: Optional[Callable[[ReplicaGroup], None]] = None,
     ) -> ReplicaGroup:
         """Build a group whose replicas come online via fabric spawns.
 
         Returns the group immediately; replicas join the chip as their
-        bitstreams commit.  ``on_all_ready`` fires when the last replica
-        is up.
+        bitstreams commit.
         """
-        self._on_all_ready = on_all_ready
         self.group = ReplicaGroup(self.chip, config, keystore, safety, launcher=self)
         return self.group
 
@@ -85,16 +75,11 @@ class ReplicationManager(Launcher):
         """Launcher hook: spawn each member through the ICAP with its
         variant; each starts as its bitstream commits."""
         assignment = self.diversity.assign(group.members)
-        remaining = set(group.members)
-        on_all_ready = self._on_all_ready
 
         def make_ready_callback(name: str):
             def ready(node) -> None:
                 self.spawn_completions[name] = self.chip.sim.now
-                remaining.discard(name)
                 node.start()
-                if not remaining and on_all_ready is not None:
-                    on_all_ready(group)
 
             return ready
 
@@ -112,9 +97,7 @@ class ReplicationManager(Launcher):
     # ------------------------------------------------------------------
     # Elastic scaling (§II.D: "scaling out/in the system when f may change")
     # ------------------------------------------------------------------
-    def scale_out(
-        self, on_ready: Optional[Callable[[BaseReplica], None]] = None
-    ) -> Optional[str]:
+    def scale_out(self) -> Optional[str]:
         """Add one replica to the group (raises effective f when the
         protocol's size function allows it).  Returns the new name."""
         group = self._require_group()
@@ -134,8 +117,6 @@ class ReplicationManager(Launcher):
             if donor is not None:
                 node.import_state(donor)
             self.spawn_completions[name] = self.chip.sim.now
-            if on_ready is not None:
-                on_ready(node)
 
         self.fabric.spawn(self.principal, replica, variant, free[0], on_ready=ready)
         group.configure_clients()
