@@ -7,13 +7,9 @@ schedule, the severity detector, and the adaptation controller — the
 complete architecture of the paper in one call.
 
 What it shares with :class:`~repro.shard.manager.ShardedSystem` is
-written once, here.  :class:`Substrate` is the bottom of both facades: a
-seeded simulator, the chip, its fabric and the variant pool registered
-with it.  :meth:`Substrate.deploy` stands one replica group up on it, in
-this order: replication manager → group (spawned through the ICAP) →
-severity detector → rejuvenation scheduler → adaptation controller, the
-last two only when the config enables them.  ``ResilientSystem`` deploys
-one group; ``ShardedSystem`` deploys one per shard.
+written once: :class:`Substrate`, and :meth:`Substrate.deploy`, which
+stands one group up with machinery of its own.  ``ResilientSystem``
+deploys once, ``ShardedSystem`` once per shard.
 """
 
 from __future__ import annotations
@@ -71,11 +67,8 @@ class DeployedGroup:
 
 
 class Substrate:
-    """What both facades stand their groups on, and the one deploy.
-
-    Builds a seeded simulator, the chip, its fabric, and the variant pool
-    registered with the fabric's golden store.
-    """
+    """What both facades stand on: a seeded simulator, the chip, its
+    fabric and the variant pool registered with it."""
 
     def __init__(self, config: OrchestratorConfig) -> None:
         self.config = cfg = config
@@ -95,17 +88,10 @@ class Substrate:
         placement: Optional[List[Coord]] = None,
         principals: Tuple[str, str] = ("replication-manager", "rejuvenation"),
     ) -> DeployedGroup:
-        """Stand one replica group up, with its own machinery, from
-        ``self.config``.
-
-        ``clients`` is the detector's client list (the caller appends to
-        it later); ``policy`` the rejuvenation policy; ``placement`` the
-        group's tiles (None: free fabric regions); ``principals`` the
-        ICAP principals of its replication manager and rejuvenation
-        scheduler.  The group gets its own diversity manager too: the
-        variants it assigns and rejuvenates to are spread over this
-        group's members only.
-        """
+        """Stand one group up from ``self.config``: diversity manager →
+        replication manager → group → detector (watching ``clients``) →
+        rejuvenation under ``policy`` and adaptation, when enabled.
+        ``principals`` name its two ICAP writers."""
         cfg = self.config
         diversity = DiversityManager(self.library)
         replication = ReplicationManager(

@@ -2,8 +2,10 @@
 
 The facade mirrors :class:`~repro.core.orchestrator.ResilientSystem` but
 deploys N replica groups on disjoint, compact tile regions, each with its
-*own* resilience machinery — severity detector, rejuvenation scheduler,
-and (optionally) adaptation controller.  Independence is the point: one
+*own* resilience machinery — diversity manager, severity detector,
+rejuvenation scheduler, and (optionally) adaptation controller — each
+deployed through :meth:`~repro.core.orchestrator.Substrate.deploy`.
+Independence is the point: one
 shard can escalate to PBFT or cycle through rejuvenation while the other
 shards keep serving at full speed, and losing an entire shard's tiles
 degrades 1/N of the keyspace instead of the whole service.
