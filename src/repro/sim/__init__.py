@@ -8,8 +8,8 @@ kernel.  The kernel is deliberately small:
   scheduling API.
 * :class:`~repro.sim.events.ScheduledEvent` — a cancellable handle for a
   scheduled callback.
-* :class:`~repro.sim.process.Process` — generator-based coroutines that
-  ``yield`` delays or waitable conditions.
+* :class:`~repro.sim.timers.Timeout` / :class:`~repro.sim.timers.PeriodicTimer`
+  — restartable one-shot and periodic timers over that handle.
 * :class:`~repro.sim.rng.RngRegistry` / :class:`~repro.sim.rng.RngStream` —
   named, independently seeded random streams so that simulations are
   bit-reproducible regardless of the order in which components draw
@@ -21,8 +21,7 @@ results.  Ties in event time are broken by scheduling priority and then by
 insertion order.
 """
 
-from repro.sim.events import EventCancelled, ScheduledEvent
-from repro.sim.process import Condition, Process
+from repro.sim.events import ScheduledEvent
 from repro.sim.rng import (
     RngRegistry,
     RngStream,
@@ -30,14 +29,10 @@ from repro.sim.rng import (
     derive_trial_seed,
 )
 from repro.sim.simulator import SimTime, Simulator
-from repro.sim.process import spawn
 from repro.sim.timers import PeriodicTimer, Timeout
 
 __all__ = [
-    "Condition",
-    "EventCancelled",
     "PeriodicTimer",
-    "Process",
     "RngRegistry",
     "RngStream",
     "ScheduledEvent",
@@ -46,5 +41,4 @@ __all__ = [
     "Timeout",
     "derive_generation_seed",
     "derive_trial_seed",
-    "spawn",
 ]

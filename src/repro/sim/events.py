@@ -15,10 +15,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Tuple
 
 
-class EventCancelled(Exception):
-    """Raised when waiting on an event that was cancelled."""
-
-
 class ScheduledEvent:
     """A cancellable handle for a callback scheduled on the simulator.
 
