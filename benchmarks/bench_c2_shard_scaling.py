@@ -27,6 +27,7 @@ from conftest import run_once
 
 from repro.campaign import scenario
 from repro.metrics import Table
+from repro.workloads import AlternatingKV, UniformKeys
 
 SEED = 7
 N_CLIENTS = 8
@@ -39,7 +40,7 @@ KEY_SPACE = 256
 def run_sharded(n_shards, kill_shard=None, seed=SEED):
     system = scenario.sharded_system(seed, n_shards, width=8, height=8)
     drivers = scenario.closed_drivers(
-        system, N_CLIENTS, THINK_TIME, scenario.alternating_kv(KEY_SPACE, "kv-c2")
+        system, N_CLIENTS, THINK_TIME, AlternatingKV(UniformKeys(KEY_SPACE))
     )
     return scenario.open_window(system, drivers, WARMUP, DURATION, kill_shard).run()
 

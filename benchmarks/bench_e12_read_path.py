@@ -8,12 +8,12 @@ off, reporting throughput, latency, and ordered-log growth.
 
 The driver stack is the current API end to end: a
 :func:`~repro.workloads.kv_workload` carries the read ratio and
-classifies its own ops (``is_read``), a closed-mode population replays
-it through :meth:`ShardedSystem.attach_population`, and the router
-derives its ``read_only_predicate`` from the workload automatically.
-"Fast path off" is expressed the same way production code would hit it:
-an opaque :class:`~repro.workloads.FactoryWorkload` (same op sequence,
-no ``is_read``), so nothing classifies reads and every op is ordered.
+classifies its own ops (``is_read``), and a closed-mode population
+replays it through :meth:`ShardedSystem.attach_population`, telling the
+router per op whether it is a read.  "Fast path off" is expressed the
+same way production code would hit it: an opaque
+:class:`~repro.workloads.FactoryWorkload` (same op sequence, no
+``reads``), so nothing classifies reads and every op is ordered.
 
 Shape assertions:
 * with the fast path, throughput rises with the read ratio (reads are
@@ -51,8 +51,8 @@ def run_config(protocol, read_ratio, fast_path, duration):
     system = scenario.sharded_system(SEED, 1, protocol=protocol)
     workload = kv_workload(keys=KEYS, read_ratio=read_ratio)
     if not fast_path:
-        # Same op sequence, opaque classification: no is_read, so the
-        # router derives no predicate and every op takes the ordered path.
+        # Same op sequence, opaque classification: no reads predicate,
+        # so every op takes the ordered path.
         workload = FactoryWorkload(workload.op, name="kv-opaque")
     drivers = scenario.closed_drivers(system, 1, THINK_TIME, workload)
     window = scenario.open_window(system, drivers, 20_000, duration).run()

@@ -63,6 +63,7 @@ from repro.fabric import FpgaFabric  # noqa: E402
 from repro.metrics import Table  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 from repro.soc import Chip, ChipConfig  # noqa: E402
+from repro.workloads import FactoryWorkload  # noqa: E402
 
 PROTOCOLS = ("pbft", "minbft")
 SEED = 5
@@ -136,15 +137,17 @@ def staleness_run():
         "cw",
         ClientConfig(
             think_time=2_000, timeout=30_000, max_requests=60,
-            op_factory=lambda i: ("put", "hot", i), on_result=on_write,
+            workload=FactoryWorkload(lambda i: ("put", "hot", i)), on_result=on_write,
         ),
     )
     reader = ClientNode(
         "cr",
         ClientConfig(
             think_time=300, timeout=30_000, max_requests=500,
-            op_factory=lambda i: ("get", "hot"),
-            read_only_predicate=lambda op: op[0] == "get", on_result=on_read,
+            workload=FactoryWorkload(
+                lambda i: ("get", "hot"), reads=lambda op: op[0] == "get"
+            ),
+            on_result=on_read,
         ),
     )
     group.attach_client(writer)

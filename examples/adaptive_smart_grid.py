@@ -15,7 +15,7 @@ from repro.core import AdaptationController, AdaptationPolicy, SeverityDetector
 from repro.core.severity import SeverityConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
-from repro.workloads import kv_skewed_ops
+from repro.workloads import AlternatingKV, ZipfKeys
 from repro.workloads.scenarios import AttackPhase, ThreatScenario
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     scada = ClientNode(
         "scada",
         ClientConfig(think_time=120.0, timeout=10_000.0,
-                     op_factory=kv_skewed_ops(keys=32, seed=33)),
+                     workload=AlternatingKV(ZipfKeys(keys=32, seed=33))),
     )
     group.attach_client(scada)
 

@@ -16,12 +16,32 @@ Timeline:
 Run:  python examples/software_defined_vehicle.py
 """
 
+import math
+import random
+
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.app import ControlLoopApp
 from repro.faults import make_strategy
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
-from repro.workloads import control_sensor_ops
+from repro.workloads import FactoryWorkload
+
+
+def wheel_speed_readings(
+    period_ops: int, amplitude: float, noise: float, seed: int
+) -> FactoryWorkload:
+    """The sensor stream: sinusoidal plant output plus seeded noise, as
+    ``("sense", value)`` ops for the replicated control law.  The noise
+    is pre-drawn, so reading ``i`` is a pure function of ``i``."""
+    rng = random.Random(seed)
+    noise_table = [rng.gauss(0.0, noise) for _ in range(8192)]
+
+    def reading(i: int):
+        value = amplitude * math.sin(2 * math.pi * i / period_ops)
+        value += noise_table[i % len(noise_table)]
+        return ("sense", round(value, 6))
+
+    return FactoryWorkload(reading, name="wheel-speed")
 
 
 def main() -> None:
@@ -44,7 +64,7 @@ def main() -> None:
         ClientConfig(
             think_time=200.0,  # one reading every 200 cycles
             timeout=15_000.0,
-            op_factory=control_sensor_ops(period_ops=100, amplitude=20.0,
+            workload=wheel_speed_readings(period_ops=100, amplitude=20.0,
                                           noise=1.0, seed=7),
         ),
     )

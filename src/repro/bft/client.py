@@ -5,7 +5,8 @@ replica group — dispatch, reply voting, ``ReadNack`` and timeout
 fall-backs, primary-hint adoption — used by :class:`ClientNode` here and
 by every :class:`~repro.shard.router.ShardRouter` (one session per shard).
 
-:class:`ClientNode` drives one group with a window of
+:class:`ClientNode` drives one group with ``ClientConfig.workload`` — the
+ops it sends and which of them are reads — and a window of
 ``ClientConfig.max_outstanding`` concurrently outstanding requests; a
 window of one is the classic closed loop, larger windows are the workload
 shape that keeps a batching primary's batches full (P2 bench).
@@ -14,7 +15,7 @@ shape that keeps a batching primary's batches full (P2 bench).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.bft.leases import keys_of, lease_holder
@@ -23,29 +24,22 @@ from repro.metrics.traffic import TrafficSource
 from repro.sim.timers import Timeout
 from repro.soc.chip import is_corrupted
 from repro.soc.node import Node
-
-OpFactory = Callable[[int], Any]
-
-
-def default_op_factory(i: int) -> Any:
-    """A small KV workload: alternate puts and gets over 64 keys."""
-    key = f"k{i % 64}"
-    if i % 2 == 0:
-        return ("put", key, i)
-    return ("get", key)
+from repro.workloads.workload import AlternatingKV, Workload
 
 
 @dataclass
 class ClientConfig:
     """Client behaviour parameters.
 
-    ``think_time`` is the gap between a completed operation and the next
-    request; ``timeout`` triggers retransmission-to-all (which is also
-    what lets backups detect a mute primary); ``max_requests`` bounds the
-    run (None = until stopped).  ``read_only_predicate`` classifies
-    operations for the read fast path: matching ops are broadcast
-    unordered and complete on ``read_quorum`` matching replies, falling
-    back to the ordered path on timeout.
+    ``workload`` is what the client sends: op ``i`` of its
+    :class:`~repro.workloads.workload.Workload` is request ``i``, and an
+    op its ``is_read`` accepts is broadcast unordered and completes on
+    ``read_quorum`` matching replies, falling back to the ordered path on
+    timeout.  The default alternates puts and gets over 64 keys, every op
+    ordered.  ``think_time`` is the gap between a completed operation and
+    the next request; ``timeout`` triggers retransmission-to-all (which
+    is also what lets backups detect a mute primary); ``max_requests``
+    bounds the run (None = until stopped).
 
     ``max_outstanding`` is the client's window: up to that many requests
     are kept in flight concurrently, each voted and completed
@@ -62,10 +56,8 @@ class ClientConfig:
     think_time: float = 100.0
     timeout: float = 30_000.0
     max_requests: Optional[int] = None
-    op_factory: OpFactory = default_op_factory
-    backoff_factor: float = 2.0
+    workload: Workload = field(default_factory=AlternatingKV)
     max_timeout: float = 480_000.0
-    read_only_predicate: Optional[Callable[[Any], bool]] = None
     max_outstanding: int = 1
     on_result: Optional[Callable[[ClientRequest, ClientReply], None]] = None
 
@@ -92,9 +84,10 @@ class ClientSession:
     Owns the requester's picture of the group (members, the two quorums,
     whether reads are leased, the believed primary) and the rules every
     :class:`Exchange` follows.  ``node`` is the NoC node that sends and
-    is replied to; ``config`` supplies ``read_only_predicate``,
-    ``backoff_factor`` and ``max_timeout``
+    is replied to; ``config`` supplies ``max_timeout``
     (:class:`ClientConfig` or :class:`~repro.shard.router.RouterConfig`).
+    Whether an op is a read is not the session's to decide: the owner
+    passes it to :meth:`open`.
 
     Two policies are the owner's, not the session's: *who owns the timer*
     (the owner arms it after :meth:`open` and calls :meth:`escalate` when
@@ -107,6 +100,9 @@ class ClientSession:
     :meth:`configure`, so a session is what sits in a group's ``clients``
     list on behalf of a router.
     """
+
+    #: Each expiry without progress multiplies the timeout by this much.
+    BACKOFF_FACTOR = 2.0
 
     def __init__(self, node: Node, config: Any) -> None:
         self.node = node
@@ -143,11 +139,6 @@ class ClientSession:
     def primary(self) -> str:
         """The replica currently believed to be primary."""
         return self.members[self.primary_hint % len(self.members)]
-
-    def is_read(self, op: Any) -> bool:
-        """True when ``op`` may take the unordered read path."""
-        predicate = self.config.read_only_predicate
-        return bool(predicate is not None and predicate(op))
 
     def lease_target(self, op: Any) -> Optional[str]:
         """The one replica a leased read of ``op`` goes to: the holder of
@@ -239,7 +230,7 @@ class ClientSession:
         """A timer expired: aim at the next member, and return the
         timeout to wait next (backed off, capped at ``max_timeout``)."""
         self.primary_hint += 1
-        return min(current_timeout * self.config.backoff_factor, self.config.max_timeout)
+        return min(current_timeout * self.BACKOFF_FACTOR, self.config.max_timeout)
 
 
 class ClientNode(Node, TrafficSource):
@@ -327,9 +318,9 @@ class ClientNode(Node, TrafficSource):
             self._timeout.cancel()
 
     def _issue_one(self) -> None:
-        op = self.config.op_factory(self._rid)
-        read_only = self.session.is_read(op)
-        self._outstanding[self._rid] = self.session.open(self._rid, op, read_only)
+        workload = self.config.workload
+        op = workload.op(self._rid)
+        self._outstanding[self._rid] = self.session.open(self._rid, op, workload.is_read(op))
         self._rid += 1
 
     def _complete_one(self, exchange: Exchange, reply: ClientReply) -> None:

@@ -49,7 +49,7 @@ from typing import Any, Callable, Dict, Optional, Union
 
 from repro.campaign import scenario
 from repro.campaign.scenario import Window, resolve
-from repro.workloads import kv_workload
+from repro.workloads import AlternatingKV, UniformKeys, kv_workload
 
 Runner = Callable[[Dict[str, Any], int], Dict[str, Any]]
 ParamTable = Dict[str, Any]
@@ -196,8 +196,7 @@ def run_shard_scaling(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     p = resolve(SHARD_SCALING_PARAMS, params)
     system = scenario.sharded_system(seed, p["n_shards"], p["rejuvenation"], **_chip(p))
     drivers = scenario.closed_drivers(
-        system, p["n_clients"], p["think_time"],
-        scenario.alternating_kv(p["key_space"], "kv-scaling"),
+        system, p["n_clients"], p["think_time"], AlternatingKV(UniformKeys(p["key_space"]))
     )
     window = scenario.open_window(system, drivers, p["warmup"], p["duration"]).run()
     per_shard = [

@@ -5,9 +5,8 @@ module is the one place each is written down:
 
 1. **parameters to config objects** — :func:`resolve` merges a trial's
    flat parameters over a runner's table of names and defaults;
-   :func:`protocol_config`, :func:`rejuvenation_policy`,
-   :func:`arrival_process` and :func:`alternating_kv` turn them into
-   what the subsystems take;
+   :func:`protocol_config`, :func:`rejuvenation_policy` and
+   :func:`arrival_process` turn them into what the subsystems take;
 2. **build and attach** — :func:`sharded_system` with
    :func:`attach_populations` or :func:`closed_drivers`, or
    :func:`resilient_service` with its clients;
@@ -46,7 +45,7 @@ from repro.workloads.arrivals import (
     ParetoArrivals,
     PoissonArrivals,
 )
-from repro.workloads.workload import FactoryWorkload, Workload
+from repro.workloads.workload import Workload
 
 #: The suspicion timer each protocol family fails over on.
 FAILOVER_KNOB = {
@@ -159,21 +158,6 @@ def arrival_process(p: Mapping[str, Any]) -> ArrivalProcess:
     raise ValueError(f"unknown arrival process {process!r}")
 
 
-def alternating_kv(key_space: int, name: str) -> FactoryWorkload:
-    """Put on even indices, get on odd ones, round-robin over the keys.
-
-    An opaque workload on purpose: it classifies nothing as a read, so
-    every op is ordered — the closed-loop drivers measure the consensus
-    pipeline, not the read fast path.
-    """
-
-    def op(i: int) -> Any:
-        key = f"k{i % key_space}"
-        return ("put", key, i) if i % 2 == 0 else ("get", key)
-
-    return FactoryWorkload(op, name=name)
-
-
 # ----------------------------------------------------------------------
 # 2. Build and attach
 # ----------------------------------------------------------------------
@@ -219,7 +203,8 @@ def attach_populations(
 def closed_drivers(
     system: ShardedSystem, n_drivers: int, think_time: float, workload: Workload
 ) -> List[ClientPopulation]:
-    """``c0`` … ``c{n-1}``: single-client closed loops, a router each."""
+    """``c0`` … ``c{n-1}``: single-client closed loops on ``workload``,
+    a router each."""
     return attach_populations(
         system, [f"c{i}" for i in range(n_drivers)],
         n_clients=1, mode="closed", think_time=think_time, workload=workload,

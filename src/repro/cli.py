@@ -108,14 +108,14 @@ def cmd_shard(args: argparse.Namespace) -> int:
     from repro.campaign import scenario
     from repro.campaign.runners import SHARD_SCALING_PARAMS as defaults
     from repro.metrics.tables import Table
+    from repro.workloads import AlternatingKV, UniformKeys
 
     system = scenario.sharded_system(
         args.seed, args.shards, not args.no_rejuvenation,
         protocol=args.protocol, width=args.width, height=args.height,
     )
     drivers = scenario.closed_drivers(
-        system, args.clients, args.think_time,
-        scenario.alternating_kv(defaults["key_space"], "kv-shard"),
+        system, args.clients, args.think_time, AlternatingKV(UniformKeys(defaults["key_space"]))
     )
     try:
         window = scenario.open_window(

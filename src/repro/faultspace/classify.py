@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.bft.client import default_op_factory
 from repro.campaign import scenario
 from repro.metrics.traffic import aggregate_completions
-from repro.workloads.workload import FactoryWorkload
+from repro.workloads.workload import AlternatingKV
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faultspace.driver import FaultspaceConfig
@@ -126,9 +125,7 @@ def _build_target(cfg: FaultspaceConfig, seed: int) -> _Target:
             **config,
         )
         sources = scenario.closed_drivers(
-            system, cfg.n_clients, cfg.think_time,
-            # The historical default op stream, byte for byte.
-            FactoryWorkload(default_op_factory, name="kv-default"),
+            system, cfg.n_clients, cfg.think_time, AlternatingKV()
         )
         shards = [system.shards[sid] for sid in sorted(system.shards)]
         groups = [s.group for s in shards]

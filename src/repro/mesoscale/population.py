@@ -26,6 +26,11 @@ Two operating modes share one completion path:
   the ``shard_scaling`` and sharded ``faultspace`` trials, C2, E12), not
   for mesoscale runs.
 
+In both modes the workload is all of the population's traffic: op ``i``
+is ``workload.op(i)``, and ``workload.is_read(op)``, asked once per op,
+decides whether it may bypass the ordered-inflight cap as a leased local
+read and is passed to :meth:`~repro.shard.router.ShardRouter.submit`.
+
 Demand sampling draws only from ``sim.rng.stream("mesoscale.<name>")``,
 so populations are deterministic per seed and campaign trials inherit
 byte-stability through
@@ -35,12 +40,12 @@ byte-stability through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.mesoscale.admission import AdmissionController
 from repro.metrics.traffic import TrafficSource
 from repro.sim.timers import PeriodicTimer
-from repro.workloads.workload import KVWorkload, Workload, read_only_predicate_of
+from repro.workloads.workload import KVWorkload, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.shard.router import ShardRouter, TicketResult
@@ -103,7 +108,8 @@ class ClientPopulation(TrafficSource):
         if not isinstance(self.workload, Workload):
             raise TypeError(
                 f"population {name!r}: {cfg.workload!r} is not a Workload (need "
-                f".op(i), .arrivals and .name; wrap an op factory in FactoryWorkload)"
+                f".op(i), .is_read(op), .arrivals and .name; wrap an op factory "
+                f"in FactoryWorkload)"
             )
         if cfg.mode == "open" and self.workload.arrivals is None:
             raise ValueError(
@@ -124,7 +130,6 @@ class ClientPopulation(TrafficSource):
         #: reads never enter the ordered log, so they are admitted past
         #: ``max_inflight`` (which exists to bound ordered-log pressure).
         self.ordered_inflight = 0
-        self._read_predicate = read_only_predicate_of(self.workload)
         self._issued = 0
         self._draining = False
         self._timer: Optional[PeriodicTimer] = None
@@ -216,13 +221,14 @@ class ClientPopulation(TrafficSource):
                 # subject to it.  A capped write at the queue head blocks
                 # the reads behind it — admission stays FIFO.
                 op = self.workload.op(self._issued)
-                local_read = self._is_local_read(op)
+                read = self.workload.is_read(op)
+                local_read = read and self.router.serves_leased_reads(op)
                 if not local_read and self.ordered_inflight >= cfg.max_inflight:
                     break
                 self.backlog -= 1
                 self._issued += 1
                 if self.admission is not None:
-                    reason = self.admission.decide(self._shards_for(op))
+                    reason = self.admission.decide(self.router.shards_of(op))
                     if reason is not None:
                         self._record_shed(1, reason)
                         continue
@@ -238,15 +244,10 @@ class ClientPopulation(TrafficSource):
                     lambda result, ordered=not local_read: self._on_done(
                         result, ordered
                     ),
+                    read,
                 )
         finally:
             self._draining = False
-
-    def _is_local_read(self, op: Any) -> bool:
-        """True when ``op`` is a read the router can serve from a lease."""
-        if self._read_predicate is None or not self._read_predicate(op):
-            return False
-        return self.router.serves_leased_reads(op)
 
     def _on_done(self, result: "TicketResult", ordered: bool = True) -> None:
         self.inflight -= 1
@@ -261,12 +262,6 @@ class ClientPopulation(TrafficSource):
             self._counter("failed").inc()
         if self.running:
             self._drain()
-
-    def _shards_for(self, op: Any) -> List[str]:
-        keys = self.router.config.key_of(op)
-        if isinstance(keys, list):
-            return sorted({self.router.directory.shard_for(k) for k in keys})
-        return [self.router.directory.shard_for(keys)]
 
     def _record_shed(self, count: int, reason: str) -> None:
         if count <= 0:
@@ -287,7 +282,7 @@ class ClientPopulation(TrafficSource):
         self.offered += 1
         self.admitted += 1
         self.inflight += 1
-        self.router.submit(op, self._on_closed_done)
+        self.router.submit(op, self._on_closed_done, self.workload.is_read(op))
 
     def _on_closed_done(self, result: "TicketResult") -> None:
         self.inflight -= 1

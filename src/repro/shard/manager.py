@@ -31,7 +31,6 @@ Notes on the per-shard machinery:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -45,7 +44,6 @@ from repro.shard.directory import ShardDirectory
 from repro.shard.placement import PlacementPlanner, ShardRegion
 from repro.shard.router import RouterConfig, ShardRouter
 from repro.sim.timers import PeriodicTimer
-from repro.workloads.workload import KVWorkload, read_only_predicate_of
 
 
 @dataclass
@@ -166,25 +164,11 @@ class ShardedSystem(Substrate):
         the shard directory and every shard's severity detector, so
         demand for degraded or threatened shards is shed at the source;
         pass ``admission`` to tune the policy.  The population starts
-        with the system (see :meth:`start`).
-
-        When the workload classifies its own ops (``is_read``, as
-        :class:`~repro.workloads.workload.KVWorkload` does) and the
-        router config carries no explicit ``read_only_predicate``, the
-        predicate is derived automatically — reads take the fast path
-        (and the lease path, when leases are on) without per-bench
-        plumbing.
+        with the system (see :meth:`start`).  Which ops are reads is the
+        workload's ``is_read``, told to the router op by op.
         """
         cfg = config or PopulationConfig()
-        rcfg = router_config or self.config.router
-        if rcfg is None:
-            rcfg = RouterConfig()
-        if rcfg.read_only_predicate is None:
-            workload = cfg.workload if cfg.workload is not None else KVWorkload()
-            predicate = read_only_predicate_of(workload)
-            if predicate is not None:
-                rcfg = dataclasses.replace(rcfg, read_only_predicate=predicate)
-        router = self.place_router(name, rcfg)
+        router = self.place_router(name, router_config)
         controller: Optional[AdmissionController] = None
         if cfg.mode == "open":
             controller = AdmissionController(

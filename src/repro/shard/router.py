@@ -21,8 +21,10 @@ under ``shard.<id>.*`` names, and per-shard liveness counters
 the severity detector samples — the router stands in for a population of
 clients, one pseudo-client per shard.
 
-Traffic reaches a router through :meth:`ShardRouter.submit`; the drivers
-are :class:`~repro.mesoscale.population.ClientPopulation` objects
+Traffic reaches a router through :meth:`ShardRouter.submit`, whose
+caller says per operation whether it is a read (the router holds no
+classifier of its own); the callers are
+:class:`~repro.mesoscale.population.ClientPopulation` objects
 (conceptually tenant applications co-located on the router's tile — not
 NoC nodes themselves, so the only on-chip traffic is the router's).
 """
@@ -63,17 +65,13 @@ def default_key_of(op: Any) -> Union[str, List[str]]:
 @dataclass
 class RouterConfig:
     """Routing behaviour parameters.  Each shard's
-    :class:`~repro.bft.client.ClientSession` reads ``read_only_predicate``,
-    ``backoff_factor`` and ``max_timeout`` as it reads a
-    :class:`~repro.bft.client.ClientConfig`'s; ``timeout`` arms a timer per
-    sub-operation, which fails after ``max_attempts`` expiries."""
+    :class:`~repro.bft.client.ClientSession` reads ``max_timeout`` as it
+    reads a :class:`~repro.bft.client.ClientConfig`'s; ``timeout`` arms a
+    timer per sub-operation, which fails after ``max_attempts`` expiries."""
 
     timeout: float = 30_000.0
-    backoff_factor: float = 2.0
     max_timeout: float = 480_000.0
     max_attempts: int = 8
-    key_of: Callable[[Any], Union[str, List[str]]] = default_key_of
-    read_only_predicate: Optional[Callable[[Any], bool]] = None
 
 
 @dataclass
@@ -199,6 +197,13 @@ class ShardRouter(Node, TrafficSource):
         """Per-shard liveness counters (a detector pseudo-client)."""
         return self.stats[shard_id]
 
+    def shards_of(self, op: Any) -> List[str]:
+        """The shards owning ``op``'s keys, sorted, each once."""
+        keys = default_key_of(op)
+        if isinstance(keys, list):
+            return sorted({self.directory.shard_for(k) for k in keys})
+        return [self.directory.shard_for(keys)]
+
     def serves_leased_reads(self, op: Any) -> bool:
         """True when every shard owning ``op``'s keys runs read leases.
 
@@ -207,14 +212,9 @@ class ShardRouter(Node, TrafficSource):
         ordered log, so it may bypass ordered-inflight caps.
         """
         if keys_of(op) is None:
-            return False
-        try:
-            keys = self.config.key_of(op)
-        except ValueError:
-            return False
-        key_list = keys if isinstance(keys, list) else [keys]
-        for k in key_list:
-            session = self._sessions.get(self.directory.shard_for(k))
+            return False  # underivable keys are never served from a lease
+        for shard_id in self.shards_of(op):
+            session = self._sessions.get(shard_id)
             if session is None or not session.lease_reads:
                 return False
         return True
@@ -223,15 +223,22 @@ class ShardRouter(Node, TrafficSource):
     # Submitting operations
     # ------------------------------------------------------------------
     def submit(
-        self, op: Any, on_complete: Optional[Callable[[TicketResult], None]] = None
+        self,
+        op: Any,
+        on_complete: Optional[Callable[[TicketResult], None]] = None,
+        read_only: bool = False,
     ) -> int:
         """Route one operation; ``on_complete`` fires with its outcome.
 
-        Multi-key operations fan out one ordered sub-operation per key to
-        each owning shard; the ticket completes when every fragment does.
-        May complete synchronously (degraded-shard fast failure).
+        ``read_only`` is the submitter's classification: a read takes the
+        unordered read path (a leased read where the shard runs leases),
+        anything else is ordered.  Multi-key operations fan out one
+        ``get`` per key to each owning shard, each carrying the whole
+        operation's ``read_only``; the ticket completes when every
+        fragment does.  May complete synchronously (degraded-shard fast
+        failure).
         """
-        keys = self.config.key_of(op)
+        keys = default_key_of(op)
         ticket = _Ticket(
             ticket_id=self._ticket_seq,
             op=op,
@@ -247,7 +254,7 @@ class ShardRouter(Node, TrafficSource):
             plan = [(self.directory.shard_for(keys), op, None)]
         ticket.remaining = len(plan)
         for shard_id, sub_op, key in plan:
-            self._issue(ticket, shard_id, sub_op, key)
+            self._issue(ticket, shard_id, sub_op, key, read_only)
         return ticket.ticket_id
 
     @property
@@ -255,13 +262,14 @@ class ShardRouter(Node, TrafficSource):
         """Sub-operations currently awaiting a quorum."""
         return len(self._subops)
 
-    def _issue(self, ticket: _Ticket, shard_id: str, op: Any, key: Any) -> None:
+    def _issue(
+        self, ticket: _Ticket, shard_id: str, op: Any, key: Any, read_only: bool
+    ) -> None:
         session = self._sessions.get(shard_id)
         if session is None:
             ticket.errors.append(f"shard {shard_id} not bound")
             self._sub_done(ticket)
             return
-        read_only = session.is_read(op)
         if self.directory.is_degraded(shard_id) and not (
             read_only and session.lease_target(op) is not None
         ):

@@ -1,15 +1,14 @@
-"""Workload generators, arrival processes, and threat scenarios.
+"""Workloads, arrival processes, and threat scenarios.
 
-* :mod:`~repro.workloads.workload` — the unified :class:`Workload` API:
-  one object bundling the op mix (``op(i)``), the key distribution, and
-  the arrival process.  A bare ``op_factory`` callable becomes one by
-  wrapping it in :class:`FactoryWorkload`.
+* :mod:`~repro.workloads.workload` — the :class:`Workload` API: one
+  object is all of a requester's traffic — the op stream (``op(i)``),
+  which of it is a read (``is_read(op)``) and the arrival process.
+  :class:`KVWorkload` classifies its gets as reads, :class:`AlternatingKV`
+  orders everything, and :class:`FactoryWorkload` wraps any ``factory(i)``
+  callable with an optional ``reads`` predicate.
 * :mod:`~repro.workloads.arrivals` — aggregated demand models for
   client populations: Poisson, heavy-tailed Pareto bursts, diurnal
   sinusoid, and flash crowds.
-* :mod:`~repro.workloads.generators` — legacy operation factories for
-  the closed-loop clients: uniform/skewed KV mixes, counter increments,
-  and a deterministic CPS sensor stream.
 * :mod:`~repro.workloads.scenarios` — phased threat scenarios (calm →
   attack → calm) used by the adaptation experiment (E5).
 """
@@ -22,24 +21,19 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
     sample_poisson,
 )
-from repro.workloads.generators import (
-    control_sensor_ops,
-    counter_ops,
-    kv_skewed_ops,
-    kv_uniform_ops,
-)
 from repro.workloads.scenarios import AttackPhase, ThreatScenario
 from repro.workloads.workload import (
+    AlternatingKV,
     FactoryWorkload,
     KVWorkload,
     UniformKeys,
     Workload,
     ZipfKeys,
     kv_workload,
-    read_only_predicate_of,
 )
 
 __all__ = [
+    "AlternatingKV",
     "ArrivalProcess",
     "AttackPhase",
     "DiurnalArrivals",
@@ -52,11 +46,6 @@ __all__ = [
     "UniformKeys",
     "Workload",
     "ZipfKeys",
-    "control_sensor_ops",
-    "counter_ops",
-    "kv_skewed_ops",
-    "kv_uniform_ops",
     "kv_workload",
-    "read_only_predicate_of",
     "sample_poisson",
 ]

@@ -1,19 +1,24 @@
-"""The unified `Workload` API: op mix + key distribution + arrival process.
+"""The `Workload` API: all of a requester's traffic in one object.
 
-Historically a workload was a bare ``op_factory(i) -> op`` callable and
-the *demand side* (who issues how fast) lived in whichever driver you
-wired it to.  The mesoscale engine needs both halves in one object — a
-population samples demand from the workload's arrival process and turns
-each admitted slot into ``workload.op(i)``.  This module defines:
+A workload answers every question a requester asks about what it sends:
+``op(i)`` (the ``i``-th operation), ``is_read(op)`` (may it take the read
+fast path?), ``arrivals`` (how fast an open population issues; None for
+closed loops) and ``name``.  :class:`~repro.bft.client.ClientNode` takes
+one in ``ClientConfig.workload``,
+:class:`~repro.mesoscale.population.ClientPopulation` in
+``PopulationConfig.workload``; each classifies an op once, when it issues
+it, and tells whoever sends it.  This module defines:
 
-* :class:`Workload` — the protocol every traffic consumer accepts:
-  ``op(i)``, an ``arrivals`` process, and a ``name``;
+* :class:`Workload` — the protocol;
 * :class:`UniformKeys` / :class:`ZipfKeys` — deterministic key
-  distributions, factored out of the old generator closures;
-* :class:`KVWorkload` — the standard put/get mix over a key
-  distribution (the concrete workload every bench uses);
-* :class:`FactoryWorkload` — adapter exposing an ``op_factory(i)``
-  callable as a workload (a bare callable is not one: wrap it).
+  distributions;
+* :class:`KVWorkload` — the put/get mix at a write ratio over a key
+  distribution, its gets classified as reads (every read-path bench);
+* :class:`AlternatingKV` — put on even indices, get on odd ones, every
+  op ordered (the default client and the closed-loop populations);
+* :class:`FactoryWorkload` — any ``factory(i)`` callable, with an
+  optional ``reads`` predicate (a bare callable is not a workload: wrap
+  it).
 
 Everything is a pure function of the op index ``i`` (plus explicit
 seeds), so the same workload replays identically against any protocol,
@@ -25,22 +30,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, ClassVar, List, Optional, Protocol, runtime_checkable
 
 from repro.workloads.arrivals import ArrivalProcess, PoissonArrivals
-
-OpFactory = Callable[[int], Any]
 
 
 @runtime_checkable
 class Workload(Protocol):
-    """One object answering both "what ops?" and "how fast?"."""
+    """One object answering "what ops?", "which are reads?" and "how fast?"."""
 
     name: str
     arrivals: Optional[ArrivalProcess]
 
     def op(self, i: int) -> Any:
         """The ``i``-th operation of the workload (pure in ``i``)."""
+        ...
+
+    def is_read(self, op: Any) -> bool:
+        """True for ops the read fast path may serve without ordering."""
         ...
 
 
@@ -96,15 +103,12 @@ class ZipfKeys:
 class KVWorkload:
     """The standard KV mix: deterministic put/get interleave over keys.
 
-    ``write_ratio`` is honored with the same stride trick as the old
-    ``kv_uniform_ops`` (``(i * 37) % 100``), so a migrated bench sees the
-    identical op sequence for the identical index stream.  ``read_ratio``
-    is the complementary spelling (read-path benches think in reads):
-    setting it overrides ``write_ratio`` with ``1 - read_ratio``.
-
-    The workload also *classifies* its own ops: :meth:`is_read` is the
-    ``read_only_predicate`` drivers derive automatically via
-    :func:`read_only_predicate_of` — no more per-bench lambdas.
+    ``write_ratio`` is honored with a stride (``(i * 37) % 100`` below
+    ``write_ratio * 100`` is a put), so the mix is exact over every 100
+    consecutive indices.  ``read_ratio`` is the complementary spelling
+    (read-path benches think in reads): setting it overrides
+    ``write_ratio`` with ``1 - read_ratio``.  Its ``get`` and ``mget``
+    ops are reads (:meth:`is_read`).
     """
 
     name: str = "kv"
@@ -134,20 +138,48 @@ class KVWorkload:
         return isinstance(op, tuple) and len(op) > 0 and op[0] in ("get", "mget")
 
 
-@dataclass
-class FactoryWorkload:
-    """Adapter: an ``op_factory(i)`` exposed through the Workload API.
+@dataclass(frozen=True)
+class AlternatingKV:
+    """Put on even indices, get on odd ones, keys drawn from ``keys``.
 
-    The ops are opaque — no ``is_read`` — so nothing derives a read-only
-    predicate from it and every op takes the ordered path.
+    Classifies nothing as a read, so every op is ordered: the closed
+    loops measure the consensus pipeline, not the read fast path.  Not
+    a :class:`KVWorkload` mode: the default client, C2, ``shard-scaling``,
+    ``faultspace`` and ``repro shard`` results were captured on this
+    stream, whose puts and gets alternate rather than follow the stride.
     """
 
-    factory: OpFactory
+    keys: Any = UniformKeys(64)
+    name: ClassVar[str] = "alternating-kv"
+    arrivals: ClassVar[Optional[ArrivalProcess]] = None
+
+    def op(self, i: int) -> Any:
+        key = self.keys.key(i)
+        return ("put", key, i) if i % 2 == 0 else ("get", key)
+
+    @staticmethod
+    def is_read(op: Any) -> bool:
+        return False
+
+
+@dataclass
+class FactoryWorkload:
+    """Any ``factory(i)`` callable exposed through the Workload API.
+
+    ``reads`` classifies its ops for the read fast path; None means the
+    ops are opaque and every one takes the ordered path.
+    """
+
+    factory: Callable[[int], Any]
     name: str = "factory"
     arrivals: Optional[ArrivalProcess] = None
+    reads: Optional[Callable[[Any], bool]] = None
 
     def op(self, i: int) -> Any:
         return self.factory(i)
+
+    def is_read(self, op: Any) -> bool:
+        return self.reads is not None and bool(self.reads(op))
 
 
 def kv_workload(
@@ -181,17 +213,3 @@ def kv_workload(
         read_ratio=read_ratio,
         arrivals=arrivals,
     )
-
-
-def read_only_predicate_of(workload: Any) -> Optional[Callable[[Any], bool]]:
-    """Derive the read-only classifier from a workload, if it has one.
-
-    Workloads that know their own op shapes expose ``is_read(op)``
-    (:class:`KVWorkload` does); drivers call this helper instead of
-    requiring callers to hand-write per-bench predicate lambdas.  Legacy
-    :class:`FactoryWorkload` wrappers return None — their ops are opaque,
-    so every op stays on the ordered path unless a predicate is passed
-    explicitly.
-    """
-    is_read = getattr(workload, "is_read", None)
-    return is_read if callable(is_read) else None

@@ -10,18 +10,17 @@ from repro.soc import Chip, ChipConfig
 
 def closed_driver(system, name, think_time=100.0):
     """One closed-loop tenant of a ShardedSystem on the alternating
-    put/get stream.  The opaque FactoryWorkload matters: the default
-    KVWorkload would install a read-only predicate and send the gets down
-    the read fast path."""
-    from repro.bft.client import default_op_factory
+    put/get stream.  AlternatingKV matters: the default KVWorkload
+    classifies its gets as reads and would send them down the read fast
+    path."""
     from repro.mesoscale import PopulationConfig
-    from repro.workloads import FactoryWorkload
+    from repro.workloads import AlternatingKV
 
     return system.attach_population(
         name,
         PopulationConfig(
             n_clients=1, mode="closed", think_time=think_time,
-            workload=FactoryWorkload(default_op_factory),
+            workload=AlternatingKV(),
         ),
     )
 

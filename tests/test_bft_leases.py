@@ -51,6 +51,7 @@ from repro.fabric import FpgaFabric
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig, Node
 from repro.soc.node import NodeState
+from repro.workloads import FactoryWorkload
 
 ALL_PROTOCOLS = ["pbft", "minbft", "cft", "passive"]
 QUORUM_PROTOCOLS = ["pbft", "minbft"]
@@ -97,8 +98,7 @@ def build(protocol, leases=None, f=1, seed=1, client_cfg=None):
         or ClientConfig(
             think_time=50,
             timeout=10_000,
-            op_factory=mixed_ops,
-            read_only_predicate=is_read,
+            workload=FactoryWorkload(mixed_ops, reads=is_read),
         ),
     )
     group.attach_client(client)
@@ -323,7 +323,7 @@ def test_a_write_revokes_its_keys_holders_and_nobody_else():
 def test_leased_reads_are_local_and_never_ordered(protocol):
     cfg = ClientConfig(
         think_time=50, timeout=10_000, max_requests=200,
-        op_factory=mixed_ops, read_only_predicate=is_read,
+        workload=FactoryWorkload(mixed_ops, reads=is_read),
     )
     sim, chip, group, client = build(
         protocol, leases=lease_config(), client_cfg=cfg, seed=3
@@ -352,8 +352,10 @@ def test_mutations_marked_as_reads_are_refused_by_lease_path():
     """A malicious client marking a write leased gets no local answer."""
     cfg = ClientConfig(
         think_time=50, timeout=10_000, max_requests=5,
-        op_factory=lambda i: ("put", "k", i),
-        read_only_predicate=lambda op: True,  # claims everything is a read
+        workload=FactoryWorkload(
+            lambda i: ("put", "k", i),
+            reads=lambda op: True,  # claims everything is a read
+        ),
     )
     sim, chip, group, client = build("minbft", leases=lease_config(), client_cfg=cfg)
     client.start()
@@ -398,15 +400,15 @@ def run_staleness_scenario(protocol, kill_primary=False, seed=9):
         "cw",
         ClientConfig(
             think_time=2_000, timeout=30_000, max_requests=60,
-            op_factory=lambda i: ("put", "hot", i), on_result=on_write,
+            workload=FactoryWorkload(lambda i: ("put", "hot", i)), on_result=on_write,
         ),
     )
     reader = ClientNode(
         "cr",
         ClientConfig(
             think_time=300, timeout=30_000, max_requests=400,
-            op_factory=lambda i: ("get", "hot"),
-            read_only_predicate=is_read, on_result=on_read,
+            workload=FactoryWorkload(lambda i: ("get", "hot"), reads=is_read),
+            on_result=on_read,
         ),
     )
     group.attach_client(writer)
@@ -511,8 +513,8 @@ def run_freshness_scenario(protocol, seed=5):
             name,
             ClientConfig(
                 think_time=1, timeout=30_000, max_requests=120,
-                op_factory=put_then_get(name, own),
-                read_only_predicate=is_read, on_result=on_result,
+                workload=FactoryWorkload(put_then_get(name, own), reads=is_read),
+                on_result=on_result,
             ),
         )
         for name, own in (("w0", keys[0::2]), ("w1", keys[1::2]))
@@ -523,10 +525,13 @@ def run_freshness_scenario(protocol, seed=5):
             ClientConfig(
                 think_time=think, timeout=30_000, max_requests=300,
                 max_outstanding=window,
-                op_factory=lambda i, name=name, stride=stride: issue_read(
-                    name, i, keys[(i * stride) % len(keys)]
+                workload=FactoryWorkload(
+                    lambda i, name=name, stride=stride: issue_read(
+                        name, i, keys[(i * stride) % len(keys)]
+                    ),
+                    reads=is_read,
                 ),
-                read_only_predicate=is_read, on_result=on_result,
+                on_result=on_result,
             ),
         )
         for name, think, window, stride in (
@@ -565,12 +570,12 @@ def test_crashed_holder_cannot_wedge_writes_past_expiry():
     primary, live, victim = (group.replicas[m] for m in group.members)
     stuck_key = key_held_by(group.members, victim.name)
     free_key = key_held_by(group.members, live.name)
-    client.config.op_factory = lambda i: ("put", stuck_key, i)
+    client.config.workload = FactoryWorkload(lambda i: ("put", stuck_key, i))
     bystander = ClientNode(
         "c1",
         ClientConfig(
             think_time=100, timeout=60_000, max_requests=3,
-            op_factory=lambda i: ("put", free_key, i),
+            workload=FactoryWorkload(lambda i: ("put", free_key, i)),
         ),
     )
     group.attach_client(bystander)
@@ -631,7 +636,7 @@ def test_acked_revocations_leave_one_backstop_not_one_each():
     for i in range(8):
         taken = {range_of(k, 16) for k in keys}
         keys.append(key_held_by(group.members, group.members[1 + i % 2], taken))
-    client.config.op_factory = lambda i: ("put", keys[i % 8], i)
+    client.config.workload = FactoryWorkload(lambda i: ("put", keys[i % 8], i))
     fired = []
     expire = manager._expire_revocations
     manager._expire_revocations = lambda: (fired.append(sim.events_fired), expire())[1]
@@ -689,7 +694,7 @@ def test_heal_first_rejuvenation_revokes_before_regrant():
         "c0",
         ClientConfig(
             think_time=50, timeout=10_000,
-            op_factory=mixed_ops, read_only_predicate=is_read,
+            workload=FactoryWorkload(mixed_ops, reads=is_read),
         ),
     )
     group.attach_client(client)

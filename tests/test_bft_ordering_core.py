@@ -53,6 +53,7 @@ from repro.bft.replica import BaseReplica
 from repro.noc import NocConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
+from repro.workloads import AlternatingKV, FactoryWorkload
 
 CRASH_AT = 120_000.0
 RUN_UNTIL = 400_000.0
@@ -91,7 +92,7 @@ def run_through_primary_crash(protocol, tuned, express):
                 think_time=50,
                 timeout=20_000,
                 max_outstanding=6,
-                read_only_predicate=lambda op: op[0] == "get",
+                workload=FactoryWorkload(AlternatingKV().op, reads=lambda op: op[0] == "get"),
             ),
         )
         group.attach_client(client)

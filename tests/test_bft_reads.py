@@ -7,6 +7,7 @@ from repro.bft.app import CounterApp, KeyValueStore
 from repro.faults import make_strategy
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
+from repro.workloads import FactoryWorkload
 
 
 def is_read(op):
@@ -19,7 +20,7 @@ def mixed_ops(i):
     return ("get", f"k{(i - 1) % 8}")
 
 
-def build(protocol="minbft", f=1, seed=1, predicate=is_read, op_factory=mixed_ops):
+def build(protocol="minbft", f=1, seed=1, predicate=is_read, ops=mixed_ops):
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=5, height=5))
     group = build_group(chip, GroupConfig(protocol=protocol, f=f, group_id="g"))
@@ -28,8 +29,7 @@ def build(protocol="minbft", f=1, seed=1, predicate=is_read, op_factory=mixed_op
         ClientConfig(
             think_time=50,
             timeout=10_000,
-            op_factory=op_factory,
-            read_only_predicate=predicate,
+            workload=FactoryWorkload(ops, reads=predicate),
         ),
     )
     group.attach_client(client)
@@ -130,7 +130,7 @@ def test_read_falls_back_to_ordered_path_when_stalled():
 
 def test_pure_read_workload_needs_no_ordering():
     sim, chip, group, client = build(
-        protocol="minbft", op_factory=lambda i: ("get", "missing")
+        protocol="minbft", ops=lambda i: ("get", "missing")
     )
     client.config.max_requests = 25
     client.start()
@@ -146,7 +146,7 @@ def test_non_read_marked_read_only_is_refused():
     sim, chip, group, client = build(
         protocol="minbft",
         predicate=lambda op: True,  # claims EVERYTHING is a read
-        op_factory=lambda i: ("put", "k", i),
+        ops=lambda i: ("put", "k", i),
     )
     client.config.max_requests = 5
     client.start()

@@ -21,6 +21,7 @@ from repro.shard import RouterConfig, ShardRouter
 from repro.shard.directory import ShardDirectory
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig, Node
+from repro.workloads import FactoryWorkload
 
 MEMBERS = ["g-r0", "g-r1", "g-r2"]
 OUTSIDER = "g-r3"  # on the chip, not (yet) in the group
@@ -43,9 +44,7 @@ class Requester:
         for i, name in enumerate(MEMBERS + [OUTSIDER]):
             self.chip.place_node(Node(name), Coord(i, 0))
         self.results = []
-        knobs = dict(
-            timeout=TIMEOUT, max_timeout=MAX_TIMEOUT, read_only_predicate=is_get
-        )
+        knobs = dict(timeout=TIMEOUT, max_timeout=MAX_TIMEOUT)
         if kind == "router":
             self.window = 1
             self.node = ShardRouter("rq", ShardDirectory(["s0"]), RouterConfig(**knobs))
@@ -68,9 +67,9 @@ class Requester:
     def issue(self, op):
         """Put ``op`` in flight as rid 0 (a window > 1 fills up with it)."""
         if isinstance(self.node, ShardRouter):
-            self.node.submit(op, self.results.append)
+            self.node.submit(op, self.results.append, is_get(op))
         else:
-            self.node.config.op_factory = lambda i: op
+            self.node.config.workload = FactoryWorkload(lambda i: op, reads=is_get)
             self.node.start()
         return self.take_sent()
 
@@ -324,11 +323,11 @@ def test_who_owns_the_timer_decides_how_often_the_primary_is_suspected():
 # One copy
 # ----------------------------------------------------------------------
 RULES = (
-    "primary", "is_read", "open", "accept", "nacked", "rebroadcast",
-    "escalate", "suspect_primary",
+    "primary", "open", "accept", "nacked", "rebroadcast", "escalate",
+    "suspect_primary",
 )
 RULE_TEXT = (
-    ".replica or sender not in", "dataclasses.replace(", "backoff_factor, self",
+    ".replica or sender not in", "dataclasses.replace(", "BACKOFF_FACTOR",
     "primary_hint +=", "reply.view %", "match_key()", "ClientRequest(",
 )
 

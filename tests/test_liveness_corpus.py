@@ -39,6 +39,7 @@ from repro.core import AdaptationController, AdaptationPolicy, SeverityDetector
 from repro.core.severity import SeverityConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
+from repro.workloads import AlternatingKV, FactoryWorkload
 
 CRASH_AT, SETTLED_BY, HORIZON = 20_000.0, 130_000.0, 400_000.0
 
@@ -62,7 +63,7 @@ def run_crashes(protocol, f, crashed):
     ))
     client = ClientNode("c0", ClientConfig(
         think_time=50, timeout=3_000, max_outstanding=8,
-        read_only_predicate=lambda op: op[0] == "get",
+        workload=FactoryWorkload(AlternatingKV().op, reads=lambda op: op[0] == "get"),
     ))
     group.attach_client(client)
     client.start()

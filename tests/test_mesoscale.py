@@ -272,6 +272,41 @@ def test_closed_population_matches_per_client_drivers():
     assert grouped == pytest.approx(split, rel=0.3)
 
 
+def test_each_populations_reads_are_its_own_workloads():
+    """Two populations on one leased system: each router sends reads
+    exactly as its own population's workload classifies them."""
+    from repro.bft.group import protocol_config_for
+    from repro.bft.leases import LeaseConfig
+    from repro.bft.messages import ClientRequest
+    from repro.workloads import AlternatingKV, UniformKeys
+
+    system = ShardedSystem(ShardConfig(
+        seed=5, n_shards=1, protocol="minbft", enable_rejuvenation=False,
+        protocol_config=protocol_config_for("minbft", leases=LeaseConfig()),
+    ))
+    workloads = {
+        "kv": kv_workload(keys=8, read_ratio=0.9),
+        "alt": AlternatingKV(UniformKeys(8)),
+    }
+    sent = {name: [] for name in workloads}
+    for name, workload in workloads.items():
+        population = system.attach_population(name, PopulationConfig(
+            n_clients=1, mode="closed", think_time=100.0, workload=workload,
+        ))
+
+        def record(dst, message, requests=sent[name]):
+            if isinstance(message, ClientRequest):
+                requests.append(message)
+            return message  # pass it on: the service runs as usual
+
+        population.router.add_outbound_filter(record)
+    system.start(warmup=60_000.0)
+    system.run(20_000.0)
+    assert sent["alt"] and not any(request.read_only for request in sent["alt"])
+    assert any(request.lease_read for request in sent["kv"])
+    assert system.is_safe
+
+
 def test_open_mode_requires_arrivals():
     system = ShardedSystem(
         ShardConfig(seed=1, n_shards=2, enable_rejuvenation=False)

@@ -212,13 +212,12 @@ def test_read_nack_addressed_to_another_requester_is_ignored():
     system = build(
         n_shards=1, protocol="minbft",
         protocol_config=protocol_config_for("minbft", leases=LeaseConfig()),
-        router=RouterConfig(read_only_predicate=lambda op: op[0] == "get"),
     )
     router = system.place_router("c0")
     system.start(warmup=60_000)
     results = []
     before = router.messages_sent
-    router.submit(("get", "k1"), results.append)  # the router's rid 0
+    router.submit(("get", "k1"), results.append, read_only=True)  # the router's rid 0
     assert router.messages_sent == before + 1  # leased: one replica asked
     member = system.shards["s0"].group.members[0]
     router.on_message(member, ReadNack(member, "someone-else", 0))
@@ -226,6 +225,31 @@ def test_read_nack_addressed_to_another_requester_is_ignored():
     assert system.chip.metrics.counter("shard.s0.lease_fallbacks").value == 0
     system.run(60_000)
     assert results and results[0].ok
+
+
+def test_a_get_submitted_without_read_only_is_ordered():
+    """The router holds no classifier of its own: a ``get`` is a read only
+    when its submitter says so, even on a shard that runs leases."""
+    from repro.bft.group import protocol_config_for
+    from repro.bft.leases import LeaseConfig
+
+    system = build(
+        n_shards=1, protocol="minbft",
+        protocol_config=protocol_config_for("minbft", leases=LeaseConfig()),
+    )
+    router = system.place_router("c0")
+    system.start(warmup=60_000)
+    sent = []
+    router.add_outbound_filter(lambda dst, message: sent.append((dst, message)) or message)
+    results = []
+    router.submit(("get", "k1"), results.append)
+    ((dst, request),) = sent
+    assert dst == router._sessions["s0"].primary()
+    assert not request.read_only and not request.lease_read
+    system.run(60_000)
+    assert results and results[0].ok
+    group = system.shards["s0"].group
+    assert max(r.last_executed for r in group.correct_replicas()) == 1  # it was ordered
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Tests for workload generators and threat scenarios."""
+"""Tests for workloads and threat scenarios."""
 
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, KeyValueStore, build_group
-from repro.bft.app import ControlLoopApp
 from repro.workloads import (
+    AlternatingKV,
     AttackPhase,
+    FactoryWorkload,
+    KVWorkload,
     ThreatScenario,
-    control_sensor_ops,
-    counter_ops,
-    kv_skewed_ops,
-    kv_uniform_ops,
+    UniformKeys,
+    ZipfKeys,
+    kv_workload,
 )
 from repro.workloads.scenarios import calm_attack_calm
 from repro.sim import Simulator
@@ -18,72 +19,72 @@ from repro.soc import Chip, ChipConfig
 
 
 # ----------------------------------------------------------------------
-# Generators
+# Op streams
 # ----------------------------------------------------------------------
 def test_kv_uniform_valid_ops():
-    factory = kv_uniform_ops(keys=8, write_ratio=0.5)
+    workload = kv_workload(keys=8, write_ratio=0.5)
     kv = KeyValueStore()
     for i in range(100):
-        kv.execute(factory(i))  # raises on malformed ops
+        kv.execute(workload.op(i))  # raises on malformed ops
 
 
 def test_kv_uniform_write_ratio_respected():
-    factory = kv_uniform_ops(keys=8, write_ratio=0.25)
-    ops = [factory(i) for i in range(1000)]
+    workload = kv_workload(keys=8, write_ratio=0.25)
+    ops = [workload.op(i) for i in range(1000)]
     writes = sum(1 for op in ops if op[0] == "put")
     assert 200 <= writes <= 300
 
 
 def test_kv_uniform_deterministic():
-    a = kv_uniform_ops(keys=8)
-    b = kv_uniform_ops(keys=8)
-    assert [a(i) for i in range(50)] == [b(i) for i in range(50)]
+    a = kv_workload(keys=8)
+    b = kv_workload(keys=8)
+    assert [a.op(i) for i in range(50)] == [b.op(i) for i in range(50)]
 
 
 def test_kv_uniform_validation():
     with pytest.raises(ValueError):
-        kv_uniform_ops(keys=0)
+        kv_workload(keys=0)
     with pytest.raises(ValueError):
-        kv_uniform_ops(write_ratio=2.0)
+        kv_workload(write_ratio=2.0)
 
 
 def test_kv_skewed_prefers_hot_keys():
-    factory = kv_skewed_ops(keys=64, zipf_s=1.5, seed=3)
+    workload = AlternatingKV(ZipfKeys(keys=64, s=1.5, seed=3))
     from collections import Counter
 
-    keys = Counter(factory(i)[1] for i in range(5000))
+    keys = Counter(workload.op(i)[1] for i in range(5000))
     hottest = keys.most_common(1)[0][1]
     assert hottest > 5000 / 64 * 3  # far above uniform share
 
 
 def test_kv_skewed_deterministic_per_seed():
-    a = kv_skewed_ops(seed=7)
-    b = kv_skewed_ops(seed=7)
-    assert [a(i) for i in range(50)] == [b(i) for i in range(50)]
+    a = AlternatingKV(ZipfKeys(seed=7))
+    b = AlternatingKV(ZipfKeys(seed=7))
+    assert [a.op(i) for i in range(50)] == [b.op(i) for i in range(50)]
 
 
-def test_counter_ops():
-    factory = counter_ops(step=3)
-    assert factory(0) == ("add", 3)
+def test_the_alternating_stream_is_the_default_client_stream():
+    """Put on even indices, get on odd ones, round-robin over 64 keys by
+    default — the stream every closed-loop result was captured on."""
+    expected = [
+        ("put", f"k{i % 64}", i) if i % 2 == 0 else ("get", f"k{i % 64}")
+        for i in range(300)
+    ]
+    assert [AlternatingKV().op(i) for i in range(300)] == expected
+    assert [ClientConfig().workload.op(i) for i in range(300)] == expected
+    small = AlternatingKV(UniformKeys(8))
+    assert {small.op(i)[1] for i in range(100)} == {f"k{i}" for i in range(8)}
 
 
-def test_control_sensor_ops_drive_control_app():
-    factory = control_sensor_ops(period_ops=20, seed=1)
-    app = ControlLoopApp()
-    for i in range(100):
-        app.execute(factory(i))
-    assert app.ops_executed == 100
-
-
-def test_control_sensor_deterministic():
-    a = control_sensor_ops(seed=5)
-    b = control_sensor_ops(seed=5)
-    assert [a(i) for i in range(40)] == [b(i) for i in range(40)]
-
-
-def test_control_sensor_validation():
-    with pytest.raises(ValueError):
-        control_sensor_ops(period_ops=0)
+def test_each_workload_classifies_its_own_reads():
+    get, mget, put = ("get", "k1"), ("mget", "k1", "k2"), ("put", "k1", 1)
+    kv = kv_workload()
+    assert kv.is_read(get) and kv.is_read(mget) and not kv.is_read(put)
+    assert not any(AlternatingKV().is_read(op) for op in (get, mget, put))
+    opaque = FactoryWorkload(lambda i: get)
+    assert not opaque.is_read(get)
+    classified = FactoryWorkload(lambda i: get, reads=lambda op: op[0] == "get")
+    assert classified.is_read(get) and not classified.is_read(put)
 
 
 # ----------------------------------------------------------------------
@@ -149,21 +150,16 @@ def test_scenario_service_survives_attack_window():
 # ----------------------------------------------------------------------
 # The unified Workload API (mesoscale traffic redesign)
 # ----------------------------------------------------------------------
-def test_kv_workload_matches_legacy_generator():
-    """KVWorkload reproduces kv_uniform_ops op-for-op — migrated callers
-    see the identical operation stream."""
-    from repro.workloads import kv_workload
-
-    legacy = kv_uniform_ops(keys=8, write_ratio=0.25)
-    unified = kv_workload(keys=8, write_ratio=0.25)
-    assert [legacy(i) for i in range(500)] == [unified.op(i) for i in range(500)]
+def add_one(i):
+    return ("add", 1)
 
 
 def test_workload_protocol_satisfied():
-    from repro.workloads import FactoryWorkload, Workload, kv_workload
+    from repro.workloads import Workload
 
     assert isinstance(kv_workload(), Workload)
-    assert isinstance(FactoryWorkload(counter_ops()), Workload)
+    assert isinstance(AlternatingKV(), Workload)
+    assert isinstance(FactoryWorkload(add_one), Workload)
 
 
 def test_zipf_keys_skewed_and_deterministic():
@@ -204,16 +200,20 @@ def test_population_takes_a_workload_or_the_default():
     """A population takes a Workload as it is and the standard KV mix for
     None (the contract the deleted coercion shim had, where it is now
     enforced: ``ClientPopulation.__init__``)."""
-    from repro.workloads import FactoryWorkload, KVWorkload
-
-    wl = FactoryWorkload(counter_ops())
+    wl = FactoryWorkload(add_one)
     assert _population(wl).workload is wl
     assert isinstance(_population(None).workload, KVWorkload)
 
 
 def test_population_rejects_what_is_not_a_workload():
-    """Neither a number nor a bare op-factory callable is a Workload."""
+    """Neither a number, a bare op-factory callable nor an op stream that
+    does not classify its reads is a Workload."""
+    from types import SimpleNamespace
+
     with pytest.raises(TypeError, match="FactoryWorkload"):
         _population(42)
     with pytest.raises(TypeError, match="FactoryWorkload"):
-        _population(counter_ops())
+        _population(add_one)
+    unclassified = SimpleNamespace(name="n", arrivals=None, op=add_one)
+    with pytest.raises(TypeError, match="is_read"):
+        _population(unclassified)
