@@ -24,7 +24,6 @@ Shape assertions:
 
 Full mode drives >= 10^3 injections (6 strata x 200 budget in the
 fixed-size arm); ``--smoke`` is the CI-sized version of the same story.
-Each run appends its numbers to ``benchmarks/BENCH_C3.json``.
 
 Standalone (CI smoke): ``python benchmarks/bench_c3_faultspace.py --smoke``
 """
@@ -35,13 +34,9 @@ import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import append_trajectory, run_once
+from conftest import run_once
 
 from repro.faultspace import FaultspaceConfig, SequentialCampaign, render_report
-
-TRAJECTORY = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_C3.json"
-)
 
 SMOKE_STRATA = ["node:crash", "link:link_fail", "tile:degrade"]
 SMOKE_BUDGET, SMOKE_MIN, SMOKE_ROUND, SMOKE_HW = 6, 2, 2, 0.35
@@ -92,34 +87,12 @@ def experiment(smoke=False):
         f"sequential {seq_trials} trials vs fixed-size {fixed_trials} "
         f"(saved {1.0 - seq_trials / fixed_trials:.1%})"
     )
-    results = {
+    return {
         "smoke": smoke,
         "sequential": sequential,
         "fixed": fixed,
         "identical": seq_bytes == repeat_bytes,
     }
-    record_trajectory(results)
-    return results
-
-
-def record_trajectory(results):
-    """Append this run's numbers to BENCH_C3.json (the C3 trajectory)."""
-    seq, fix = results["sequential"], results["fixed"]
-    append_trajectory(
-        TRAJECTORY,
-        {
-            "sequential_trials": seq["early_stopping"]["trials_executed"],
-            "fixed_trials": fix["early_stopping"]["trials_executed"],
-            "savings_fraction": seq["early_stopping"]["savings_fraction"],
-            "availability": seq["dependability"]["availability"],
-            "fatal_proportion_upper": seq["dependability"][
-                "fatal_proportion_upper"
-            ],
-            "effective_mttf_lower": seq["dependability"]["effective_mttf_lower"],
-            "byte_identical": results["identical"],
-        },
-        results["smoke"],
-    )
 
 
 def check(results):

@@ -24,8 +24,6 @@ Shape assertions:
   demand with reason ``degraded`` (it never reaches the NoC), and the
   survivors keep serving after the kill.
 
-Each run appends its numbers to ``benchmarks/BENCH_C4.json``.
-
 Standalone (CI smoke): ``python benchmarks/bench_c4_mesoscale.py --smoke``
 """
 
@@ -36,7 +34,7 @@ import tracemalloc
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import append_trajectory, run_once
+from conftest import run_once
 
 from repro.campaign.scenario import (
     attach_populations,
@@ -52,10 +50,6 @@ from repro.metrics.traffic import (
     latency_percentiles,
 )
 from repro.workloads import PoissonArrivals, kv_workload
-
-TRAJECTORY = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_C4.json"
-)
 
 SEED = 11
 N_POPULATIONS = 2
@@ -173,30 +167,7 @@ def experiment(smoke=False):
     ])
     table.print()
 
-    results = {"smoke": smoke, "main": main, "identical": identical,
-               "det": det_a}
-    record_trajectory(results)
-    return results
-
-
-def record_trajectory(results):
-    """Append this run's numbers to BENCH_C4.json (the C4 trajectory)."""
-    main = results["main"]
-    append_trajectory(
-        TRAJECTORY,
-        {
-            "modeled_clients": main["modeled_clients"],
-            "attach_bytes": main["attach_bytes"],
-            "ops": main["ops"],
-            "ops_per_sec": main["ops"] / (main["duration"] / 1000.0),
-            "p50": main["p50"],
-            "p99": main["p99"],
-            "shed": main["shed"],
-            "shed_degraded": main["shed_degraded"],
-            "byte_identical": results["identical"],
-        },
-        results["smoke"],
-    )
+    return {"main": main, "identical": identical, "det": det_a}
 
 
 def check(results):

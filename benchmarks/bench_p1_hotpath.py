@@ -49,8 +49,7 @@ Shape assertions:
 
 Standalone (CI smoke): ``python benchmarks/bench_p1_hotpath.py --smoke``
 runs reduced sizes with a relaxed wall-clock gate (shared runners are
-noisy) but the full deterministic assertions, and appends the measured
-numbers to ``benchmarks/BENCH_P1.json``.
+noisy) but the full deterministic assertions.
 """
 
 import os
@@ -60,7 +59,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.metrics import Table  # noqa: E402
 from repro.noc.network import NocConfig, NocNetwork  # noqa: E402
@@ -81,7 +80,6 @@ SMOKE_CONTENDED_PACKETS = 4_000
 CONTENDED_EVENT_FACTOR = 2  # contended: re-timed packets cost an event each
 CONTENDED_RATIO_GATE = 1.0  # express must not be slower where packets are re-timed
 SMOKE_CONTENDED_RATIO_GATE = 0.8  # sanity floor only, as above
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P1.json")
 
 
 def measured(sim, delivered, wall):
@@ -277,9 +275,6 @@ def experiment(smoke=False):
     ic.add_row(["smoke", len(summary_on), "yes" if identical else "NO"])
     ic.print()
 
-    record_trajectory(smoke, express, baseline, faulty_express, faulty_baseline,
-                      elsewhere_express, contended_express, contended_baseline,
-                      ratio, identical)
     return {
         "express": express,
         "baseline": baseline,
@@ -294,27 +289,6 @@ def experiment(smoke=False):
         "contended_ratio_gate": SMOKE_CONTENDED_RATIO_GATE if smoke else CONTENDED_RATIO_GATE,
         "identical": identical,
     }
-
-
-def record_trajectory(smoke, express, baseline, faulty_express, faulty_baseline,
-                      elsewhere_express, contended_express, contended_baseline,
-                      ratio, identical):
-    """Append this run's numbers to BENCH_P1.json (the perf trajectory)."""
-    append_trajectory(TRAJECTORY, {
-        "express_pkt_per_s": round(express["pkt_per_s"], 1),
-        "baseline_pkt_per_s": round(baseline["pkt_per_s"], 1),
-        "express_events_per_s": round(express["events_per_s"], 1),
-        "baseline_events_per_s": round(baseline["events_per_s"], 1),
-        "faulty_pkt_per_s": round(faulty_express["pkt_per_s"], 1),
-        "faulty_baseline_pkt_per_s": round(faulty_baseline["pkt_per_s"], 1),
-        "contended_express_pkt_per_s": round(contended_express["pkt_per_s"], 1),
-        "contended_baseline_pkt_per_s": round(contended_baseline["pkt_per_s"], 1),
-        "contended_express_events": contended_express["events"],
-        "contended_baseline_events": contended_baseline["events"],
-        "elsewhere_pkt_per_s": round(elsewhere_express["pkt_per_s"], 1),
-        "speedup": round(ratio, 3),
-        "byte_identical": identical,
-    }, smoke)
 
 
 def check(results):

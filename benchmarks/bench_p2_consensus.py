@@ -28,8 +28,7 @@ Shape assertions:
 * every run stays safe (no safety-recorder violation).
 
 Standalone (CI smoke): ``python benchmarks/bench_p2_consensus.py --smoke``
-runs shorter horizons with the same deterministic gates and appends the
-measured numbers to ``benchmarks/BENCH_P2.json``.
+runs shorter horizons with the same deterministic gates.
 """
 
 import os
@@ -37,7 +36,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.campaign import get_runner  # noqa: E402
 from repro.metrics import Table  # noqa: E402
@@ -55,7 +54,6 @@ SMOKE_DURATION = 40_000.0
 SMOKE_WARMUP = 10_000.0
 RATIO_GATE = 2.0
 SEED = 7
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P2.json")
 
 
 def service_run(protocol, batched, duration, warmup):
@@ -103,21 +101,7 @@ def experiment(smoke=False):
         table.print()
 
     results["ratio_gate"] = RATIO_GATE
-    record_trajectory(smoke, results)
     return results
-
-
-def record_trajectory(smoke, results):
-    """Append this run's numbers to BENCH_P2.json (the perf trajectory)."""
-    entry = {}
-    for protocol in PROTOCOLS:
-        r = results[protocol]
-        entry[f"{protocol}_baseline_ops_per_sec"] = round(r["baseline"]["ops_per_sec"], 2)
-        entry[f"{protocol}_batched_ops_per_sec"] = round(r["batched"]["ops_per_sec"], 2)
-        entry[f"{protocol}_speedup"] = round(r["ratio"], 3)
-        entry[f"{protocol}_mean_batch"] = round(r["batched"]["mean_batch_size"], 2)
-        entry[f"{protocol}_peak_inflight"] = int(r["batched"]["peak_inflight"])
-    append_trajectory(TRAJECTORY, entry, smoke)
 
 
 def check(results):

@@ -33,8 +33,7 @@ Shape assertions:
 * P4c records zero staleness violations across kill + rejuvenation.
 
 Standalone (CI smoke): ``python benchmarks/bench_p4_leased_reads.py
---smoke`` runs a shorter horizon with the same deterministic gates and
-appends the measured numbers to ``benchmarks/BENCH_P4.json``.
+--smoke`` runs a shorter horizon with the same deterministic gates.
 """
 
 import os
@@ -42,7 +41,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig  # noqa: E402
 from repro.bft.group import protocol_config_for  # noqa: E402
@@ -80,7 +79,6 @@ SMOKE_DURATION = 150_000.0
 RATIO_GATE = 2.0
 ORDERED_FRAC_GATE = 0.15  # ordered commits per completed op, 90% reads
 LOCAL_FRAC_GATE = 0.6  # leased-read share of all completions
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P4.json")
 
 
 def service_run(protocol, leases, duration):
@@ -234,24 +232,7 @@ def experiment(smoke=False):
     st.print()
 
     results["ratio_gate"] = RATIO_GATE
-    record_trajectory(smoke, results)
     return results
-
-
-def record_trajectory(smoke, results):
-    """Append this run's numbers to BENCH_P4.json (the perf trajectory)."""
-    entry = {"staleness_violations": results["staleness"]["violations"]}
-    for protocol in PROTOCOLS:
-        r = results[protocol]
-        entry[f"{protocol}_quorum_ops_per_sec"] = round(
-            r["baseline"]["ops_per_sec"], 2
-        )
-        entry[f"{protocol}_leased_ops_per_sec"] = round(r["leased"]["ops_per_sec"], 2)
-        entry[f"{protocol}_speedup"] = round(r["ratio"], 3)
-        entry[f"{protocol}_reads_local"] = r["leased"]["reads_local"]
-        entry[f"{protocol}_lease_fallbacks"] = r["leased"]["lease_fallbacks"]
-        entry[f"{protocol}_ordered_frac"] = round(r["leased"]["ordered_frac"], 4)
-    append_trajectory(TRAJECTORY, entry, smoke)
 
 
 def check(results):

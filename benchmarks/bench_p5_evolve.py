@@ -31,8 +31,7 @@ Shape assertions:
 * a same-seed fresh re-run reproduces ``pareto.json`` byte-for-byte.
 
 Standalone (CI smoke): ``python benchmarks/bench_p5_evolve.py --smoke``
-runs the same race on the fast analytic ``evolve_selftest`` landscape
-and appends the measured numbers to ``benchmarks/BENCH_P5.json``.
+runs the same race on the fast analytic ``evolve_selftest`` landscape.
 """
 
 import os
@@ -42,7 +41,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from conftest import append_trajectory, run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
 
 from repro.evolve import EvolutionaryCampaign, EvolveConfig  # noqa: E402
 from repro.metrics import Table  # noqa: E402
@@ -65,7 +64,6 @@ FULL = dict(
 )
 # Smoke mode: the analytic selftest landscape (sub-second trials).
 SMOKE = dict(runner="evolve_selftest", campaign_seed=13, generations=4)
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P5.json")
 
 
 def arm_config(name, strategy, mode):
@@ -119,17 +117,12 @@ def experiment(smoke=False):
         None,
     )
     results = {
-        "smoke": smoke,
-        "runner": mode["runner"],
-        "campaign_seed": mode["campaign_seed"],
         "reference_hv": reference_hv,
         "baseline_trials": baseline["trials_executed"],
         "baseline_hv": baseline["hypervolume"],
         "baseline_wall_s": baseline["wall_s"],
-        "evolve_trials": evolved["trials_executed"],
         "evolve_hv": evolved["hypervolume"],
         "evolve_wall_s": evolved["wall_s"],
-        "evolve_early_killed": evolved["early_killed"],
         "evolve_cache_hits": evolved["cache_hits"],
         "trials_to_reference": trials_to_reference,
         "efficiency": (
@@ -176,26 +169,7 @@ def experiment(smoke=False):
         "yes" if identical else "NO",
     ])
     gate.print()
-
-    record_trajectory(results)
     return results
-
-
-def record_trajectory(results):
-    """Append this run's numbers to BENCH_P5.json (the perf trajectory)."""
-    append_trajectory(TRAJECTORY, {
-        "runner": results["runner"],
-        "reference_hv": round(results["reference_hv"], 5),
-        "baseline_trials": results["baseline_trials"],
-        "baseline_wall_s": round(results["baseline_wall_s"], 2),
-        "evolve_hv": round(results["evolve_hv"], 5),
-        "evolve_trials": results["evolve_trials"],
-        "evolve_wall_s": round(results["evolve_wall_s"], 2),
-        "trials_to_reference": results["trials_to_reference"],
-        "efficiency": round(results["efficiency"], 3),
-        "early_killed": results["evolve_early_killed"],
-        "repeat_identical": results["repeat_identical"],
-    }, results["smoke"])
 
 
 def check(results):

@@ -10,11 +10,8 @@ Run with:  pytest benchmarks/ --benchmark-only
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import time
-from typing import Any, Dict, List, Optional
+from typing import List
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.group import ReplicaGroup
@@ -28,39 +25,6 @@ _TABLE_LOG = os.path.join(os.path.dirname(__file__), "results_latest.txt")
 os.environ.setdefault("REPRO_TABLE_LOG", _TABLE_LOG)
 if os.environ["REPRO_TABLE_LOG"] == _TABLE_LOG:
     open(_TABLE_LOG, "w", encoding="utf-8").close()
-
-
-def append_trajectory(path: str, record: Dict[str, Any], smoke: bool) -> None:
-    """Append one run's record to a ``BENCH_*.json`` trajectory.
-
-    The one place trajectory files are read and written: every record is
-    stamped with when, on what host and in which mode it was made, and
-    the bench's own keys follow.  An existing file that is not a JSON
-    list is an error naming the path — rewriting it would silently erase
-    the trajectory.
-    """
-    history = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                history = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(
-                    f"trajectory {path} is not valid JSON ({exc}); "
-                    f"repair or remove it — not overwriting"
-                ) from exc
-        if not isinstance(history, list):
-            raise ValueError(f"trajectory {path} is not a JSON list; not overwriting")
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "cores": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "smoke": bool(smoke),
-        **record,
-    })
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
 
 
 def build_protocol_stack(

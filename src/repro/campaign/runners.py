@@ -554,7 +554,8 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
     Same genome params and same metric keys, but the objectives come
     from a closed-form performance model (plus a small seeded noise
-    multiplier) instead of a simulation — milliseconds per trial.  The
+    multiplier) instead of a simulation — milliseconds per trial.  Group
+    sizes and Byzantine safety are the real families' (``FAMILIES``).  The
     landscape keeps the real trade-offs: crash-only protocols are fast
     and cheap but score zero survivable faults, sharding buys throughput
     sublinearly, batching trades tail latency for throughput, and bigger
@@ -564,6 +565,7 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """
     import math
 
+    from repro.bft.group import FAMILIES
     from repro.sim.rng import RngStream
 
     p = resolve(EVOLVE_PARAMS, params)
@@ -571,14 +573,9 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     batch_size, batch_inflight, window = p["batch_size"], p["batch_inflight"], p["window"]
     rejuv_period, lease = p["rejuv_period"] or 0.0, p["lease"]
 
-    replicas_for = {
-        "pbft": 3 * f + 1,
-        "minbft": 2 * f + 1,
-        "cft": f + 1,
-        "passive": f + 1,
-    }
-    byzantine_safe = protocol in ("pbft", "minbft")
-    n_replicas = n_shards * replicas_for[protocol]
+    family = FAMILIES[protocol]
+    group_size = family.replicas_for(f)
+    n_replicas = n_shards * group_size
     if n_replicas > mesh * mesh:
         # The analytic analogue of a placement failure.
         feasible = False
@@ -615,7 +612,7 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     # queued ahead of you) and batch size, shrinks with leases; scaled
     # to the tens-of-sim-seconds overload regime the real runner sees.
     p99 = (
-        (300.0 * replicas_for[protocol] / 4.0)
+        (300.0 * group_size / 4.0)
         * (1.0 + window / 16.0)
         * (1.0 + batch_size / 12.0)
         / congestion
@@ -626,7 +623,7 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     gate_mge = mesh * mesh * tile_mge + (
         n_replicas * 0.0206 if protocol == "minbft" else 0.0
     )
-    survivable = n_shards * f if byzantine_safe else 0
+    survivable = n_shards * f if family.byzantine_safe else 0
     if not feasible:
         ops_per_sec, p99 = 0.0, 0.0
     return {

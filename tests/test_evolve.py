@@ -248,6 +248,19 @@ def test_evolve_selftest_crash_only_scores_zero_survivable():
     ] == 8
 
 
+def test_evolve_selftest_sizes_groups_as_the_protocol_families_do():
+    from repro.bft.group import FAMILIES
+    from repro.campaign.runners import get_runner
+
+    genome = random_genome(stream(23))
+    for protocol, family in FAMILIES.items():
+        for f in (1, 2):
+            genome.update(protocol=protocol, f=f)
+            metrics = get_runner("evolve_selftest")(dict(genome), seed=1)
+            expected = genome["n_shards"] * family.replicas_for(f)
+            assert metrics["replicas"] == expected, (protocol, f)
+
+
 # ----------------------------------------------------------------------
 # The generation driver
 # ----------------------------------------------------------------------
