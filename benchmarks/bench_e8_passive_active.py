@@ -35,7 +35,7 @@ def run_config(protocol, detect_timeout=None, seed=23, crash_index=0):
     protocol_config = None
     if protocol == "passive":
         protocol_config = PassiveConfig(
-            heartbeat_period=max(500.0, detect_timeout / 5), detect_timeout=detect_timeout
+            heartbeat_period=max(500.0, detect_timeout / 5), view_timeout=detect_timeout
         )
     sim, chip, group, clients = build_protocol_stack(
         protocol, f=1, seed=seed, think_time=100.0, timeout=5_000.0,

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.bft.batching import BatchConfig
-from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     Append,
     AppendAck,
@@ -33,22 +31,8 @@ from repro.bft.messages import (
     proposal_digest,
     proposal_keys,
 )
-from repro.bft.replica import BaseReplica, GroupContext
+from repro.bft.replica import BaseReplica, GroupContext, ProtocolConfig
 from repro.soc.chip import is_corrupted
-
-
-@dataclass
-class CftConfig:
-    """Protocol knobs.
-
-    ``batching`` enables request batching + a bounded in-flight window on
-    the leader (see :mod:`repro.bft.batching`); None keeps the classic
-    one-request-per-APPEND behaviour, byte for byte.
-    """
-
-    view_timeout: float = 40_000.0
-    batching: Optional[BatchConfig] = None
-    leases: Optional[LeaseConfig] = None
 
 
 @dataclass(frozen=True)
@@ -73,8 +57,10 @@ def required_replicas(f: int) -> int:
 class CftReplica(BaseReplica):
     """One CFT replica.  ``term`` plays the role PBFT's view does."""
 
-    def __init__(self, name: str, group: GroupContext, config: Optional[CftConfig] = None) -> None:
-        super().__init__(name, group, config or CftConfig())
+    def __init__(
+        self, name: str, group: GroupContext, config: Optional[ProtocolConfig] = None
+    ) -> None:
+        super().__init__(name, group, config or ProtocolConfig())
         expected = required_replicas(group.f)
         if group.n < expected:
             raise ValueError(f"CFT with f={group.f} needs n>={expected}, got {group.n}")

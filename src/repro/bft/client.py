@@ -57,7 +57,6 @@ class ClientConfig:
     timeout: float = 30_000.0
     max_requests: Optional[int] = None
     workload: Workload = field(default_factory=AlternatingKV)
-    max_timeout: float = 480_000.0
     max_outstanding: int = 1
     on_result: Optional[Callable[[ClientRequest, ClientReply], None]] = None
 
@@ -84,10 +83,8 @@ class ClientSession:
     Owns the requester's picture of the group (members, the two quorums,
     whether reads are leased, the believed primary) and the rules every
     :class:`Exchange` follows.  ``node`` is the NoC node that sends and
-    is replied to; ``config`` supplies ``max_timeout``
-    (:class:`ClientConfig` or :class:`~repro.shard.router.RouterConfig`).
-    Whether an op is a read is not the session's to decide: the owner
-    passes it to :meth:`open`.
+    is replied to.  Whether an op is a read is not the session's to
+    decide: the owner passes it to :meth:`open`.
 
     Two policies are the owner's, not the session's: *who owns the timer*
     (the owner arms it after :meth:`open` and calls :meth:`escalate` when
@@ -103,10 +100,11 @@ class ClientSession:
 
     #: Each expiry without progress multiplies the timeout by this much.
     BACKOFF_FACTOR = 2.0
+    #: The backed-off timeout never exceeds this.
+    MAX_TIMEOUT = 480_000.0
 
-    def __init__(self, node: Node, config: Any) -> None:
+    def __init__(self, node: Node) -> None:
         self.node = node
-        self.config = config
         self.members: List[str] = []
         self.reply_quorum = 1
         self.read_quorum = 1
@@ -228,9 +226,9 @@ class ClientSession:
 
     def suspect_primary(self, current_timeout: float) -> float:
         """A timer expired: aim at the next member, and return the
-        timeout to wait next (backed off, capped at ``max_timeout``)."""
+        timeout to wait next (backed off, capped at :attr:`MAX_TIMEOUT`)."""
         self.primary_hint += 1
-        return min(current_timeout * self.BACKOFF_FACTOR, self.config.max_timeout)
+        return min(current_timeout * self.BACKOFF_FACTOR, self.MAX_TIMEOUT)
 
 
 class ClientNode(Node, TrafficSource):
@@ -253,7 +251,7 @@ class ClientNode(Node, TrafficSource):
         Node.__init__(self, name)
         TrafficSource.__init__(self)
         self.config = config or ClientConfig()
-        self.session = ClientSession(self, self.config)
+        self.session = ClientSession(self)
         self._rid = 0
         self._outstanding: Dict[int, Exchange] = {}
         self._timeout: Optional[Timeout] = None

@@ -24,16 +24,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.bft.app import KeyValueStore, StateMachine
-from repro.bft.cft import CftConfig, CftReplica
+from repro.bft.cft import CftReplica
 from repro.bft.cft import required_replicas as cft_n
 from repro.bft.client import ClientNode
 from repro.bft.minbft import MinBftConfig, MinBftReplica
 from repro.bft.minbft import required_replicas as minbft_n
 from repro.bft.passive import PassiveConfig, PassiveReplica
 from repro.bft.passive import required_replicas as passive_n
-from repro.bft.pbft import PbftConfig, PbftReplica
+from repro.bft.pbft import PbftReplica
 from repro.bft.pbft import required_replicas as pbft_n
-from repro.bft.replica import BaseReplica, GroupContext
+from repro.bft.replica import BaseReplica, GroupContext, ProtocolConfig
 from repro.bft.safety import SafetyRecorder
 from repro.crypto.keys import KeyStore
 from repro.noc.topology import Coord
@@ -48,13 +48,13 @@ class _Family:
     replicas_for: Callable[[int], int]
     reply_quorum_for: Callable[[int], int]
     byzantine_safe: bool
-    config_cls: Type[Any]
+    config_cls: Type[ProtocolConfig]
 
 
 FAMILIES: Dict[str, _Family] = {
-    "pbft": _Family(PbftReplica, pbft_n, lambda f: f + 1, True, PbftConfig),
+    "pbft": _Family(PbftReplica, pbft_n, lambda f: f + 1, True, ProtocolConfig),
     "minbft": _Family(MinBftReplica, minbft_n, lambda f: f + 1, True, MinBftConfig),
-    "cft": _Family(CftReplica, cft_n, lambda f: 1, False, CftConfig),
+    "cft": _Family(CftReplica, cft_n, lambda f: 1, False, ProtocolConfig),
     "passive": _Family(PassiveReplica, passive_n, lambda f: 1, False, PassiveConfig),
 }
 
@@ -64,12 +64,12 @@ def protocol_config_for(
     batching: Optional[Any] = None,
     leases: Optional[Any] = None,
     **kwargs: Any,
-):
+) -> ProtocolConfig:
     """Build the protocol family's config object, with optional batching
     and leases.
 
     A convenience for experiments/campaigns that sweep batching or lease
-    knobs without caring which concrete config class each family uses::
+    knobs without caring which config class each family uses::
 
         cfg = protocol_config_for("minbft", batching=BatchConfig(batch_size=8))
         cfg = protocol_config_for("pbft", leases=LeaseConfig(duration=20_000.0))
@@ -77,11 +77,7 @@ def protocol_config_for(
     family = FAMILIES.get(protocol)
     if family is None:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {sorted(FAMILIES)}")
-    if batching is not None:
-        kwargs["batching"] = batching
-    if leases is not None:
-        kwargs["leases"] = leases
-    return family.config_cls(**kwargs)
+    return family.config_cls(batching=batching, leases=leases, **kwargs)
 
 
 @dataclass
@@ -93,7 +89,7 @@ class GroupConfig:
     group_id: str = "g0"
     app_factory: Callable[[], StateMachine] = KeyValueStore
     placement: Optional[List[Coord]] = None
-    protocol_config: Optional[Any] = None
+    protocol_config: Optional[ProtocolConfig] = None
 
     def __post_init__(self) -> None:
         if self.protocol not in FAMILIES:
@@ -262,12 +258,17 @@ class ReplicaGroup:
     # Protocol switching (adaptation, §II.D)
     # ------------------------------------------------------------------
     def switch_protocol(
-        self, protocol: str, f: Optional[int] = None, protocol_config: Any = None
+        self,
+        protocol: str,
+        f: Optional[int] = None,
+        protocol_config: Optional[ProtocolConfig] = None,
     ) -> float:
         """Swap the group to a different protocol family in place.
 
         Returns the simulated time charged for the switch (state transfer
-        and restart).  The group keeps its id; replica *names* change only
+        and restart).  Without a ``protocol_config`` the new family keeps
+        the group's batching and leases, its other fields at the family's
+        defaults.  The group keeps its id; replica *names* change only
         if the new family needs a different group size (extras are spawned
         on free tiles / surplus members are despawned).
         """
@@ -293,6 +294,12 @@ class ReplicaGroup:
         if len(coords) < n:
             raise ValueError(f"not enough tiles to switch to {protocol} f={new_f}")
 
+        old_config = self.config.protocol_config
+        if protocol_config is None and old_config is not None:
+            # Batching and leases are the group's, not the family's.
+            protocol_config = protocol_config_for(
+                protocol, batching=old_config.batching, leases=old_config.leases
+            )
         self.protocol = protocol
         self.config.protocol = protocol
         self.config.protocol_config = protocol_config
@@ -301,12 +308,19 @@ class ReplicaGroup:
         self.context.members[:] = member_names
         self.context.f = new_f
 
+        # Placed before the import: a leased replica's era change reads
+        # the clock.  Started once all are placed, as Launcher does.
         for name in member_names:
             replica = self.make_replica(name)
+            self.chip.place_node(replica, self.placement[name])
             if donor is not None:
                 replica.import_state(donor)
+            if replica.lease_manager is not None:
+                # A grant the old primary sent may reach its successor.
+                replica.lease_manager.quiesce()
             self.replicas[name] = replica
-        Launcher().launch(self)
+        for replica in self.replicas.values():
+            replica.start()
         self.configure_clients()
 
         # Charge switch time: a state-transfer round plus restart slack,

@@ -269,10 +269,15 @@ class LeaseManager:
         had_grants = any(self._granted.values()) or bool(self._revoking)
         self.reset()
         if view > 0 or had_grants:
-            self._quiesce_until = max(self._quiesce_until, now + self.config.duration)
+            self.quiesce()
         if self.replica.is_primary:
             # Installing a view required a vote quorum: fresh evidence.
             self._self_expiry = now + self.config.duration
+
+    def quiesce(self) -> None:
+        """Hold conflicting writes for one lease duration from now: a
+        grant this manager never issued may still be live that long."""
+        self._quiesce_until = max(self._quiesce_until, self.replica.sim.now + self.config.duration)
 
     @property
     def quiesce_until(self) -> float:

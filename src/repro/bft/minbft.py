@@ -42,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from repro.bft.batching import BatchConfig
-from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     ClientRequest,
     MbCommit,
@@ -55,26 +53,20 @@ from repro.bft.messages import (
     Proposal,
     proposal_digest,
 )
-from repro.bft.replica import BaseReplica, GroupContext
+from repro.bft.replica import BaseReplica, GroupContext, ProtocolConfig
 from repro.hybrids.usig import UI, Usig, UsigError, UsigVerifier
 from repro.soc.chip import is_corrupted
 from repro.soc.node import NodeState
 
 
 @dataclass
-class MinBftConfig:
-    """Protocol knobs.
+class MinBftConfig(ProtocolConfig):
+    """The ordering core's config plus the USIG counter's storage:
+    ``register_kind`` is "plain", "ecc" or "tmr", the E6 axis (see
+    :class:`~repro.hybrids.usig.Usig`).  Batching is where the USIG pays
+    off most: one usig_create certifies a whole batch."""
 
-    ``batching`` enables request batching + a bounded in-flight window on
-    the primary (see :mod:`repro.bft.batching`); None keeps the classic
-    one-request-per-UI-round behaviour, byte for byte.  Batching is where
-    the USIG pays off most: one usig_create certifies a whole batch.
-    """
-
-    view_timeout: float = 40_000.0
     register_kind: str = "ecc"
-    batching: Optional[BatchConfig] = None
-    leases: Optional[LeaseConfig] = None
 
 
 @dataclass

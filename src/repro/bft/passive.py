@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.bft.batching import BatchConfig
-from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     ClientRequest,
     Heartbeat,
@@ -29,27 +27,25 @@ from repro.bft.messages import (
     proposal_digest,
     proposal_keys,
 )
-from repro.bft.replica import BaseReplica, GroupContext
+from repro.bft.replica import BaseReplica, GroupContext, ProtocolConfig
 from repro.sim.timers import PeriodicTimer, Timeout
 from repro.soc.chip import is_corrupted
 from repro.soc.node import NodeState
 
 
 @dataclass
-class PassiveConfig:
-    """Protocol knobs.
+class PassiveConfig(ProtocolConfig):
+    """The ordering core's config plus the primary's heartbeat cadence.
 
-    The failure detector fires after ``detect_timeout`` without a
-    heartbeat; detection accuracy vs speed is the E8 sweep axis.
+    The backup's failure detector promotes it after ``view_timeout``
+    without a heartbeat — the failover timeout every family has, shorter
+    here by default; detection accuracy vs speed is the E8 sweep axis.
     ``batching`` amortizes one StateUpdate over a batch of executed
-    requests (see :mod:`repro.bft.batching`); None keeps the classic
-    one-update-per-operation behaviour, byte for byte.
+    requests.
     """
 
+    view_timeout: float = 10_000.0
     heartbeat_period: float = 2_000.0
-    detect_timeout: float = 10_000.0
-    batching: Optional[BatchConfig] = None
-    leases: Optional[LeaseConfig] = None
 
 
 def required_replicas(f: int) -> int:
@@ -84,7 +80,7 @@ class PassiveReplica(BaseReplica):
                 self.sim, self.config.heartbeat_period, self._send_heartbeat
             )
         else:
-            self._detector = Timeout(self.sim, self.config.detect_timeout, self._on_suspect)
+            self._detector = Timeout(self.sim, self.config.view_timeout, self._on_suspect)
             self._detector.start()
 
     def _send_heartbeat(self) -> None:

@@ -23,7 +23,7 @@ Implemented here with:
   has not executed, the highest-view binding reported (no prepared
   certificates, so not against a lying reporter: DESIGN §4);
 * optional request batching + pipelined agreement
-  (``PbftConfig.batching``, a :class:`~repro.bft.batching.BatchConfig`):
+  (``ProtocolConfig.batching``, a :class:`~repro.bft.batching.BatchConfig`):
   the primary orders a whole batch under one digest and one MAC vector
   per phase, with a bounded in-flight window.  ``batch_size=1``
   reproduces the unbatched protocol event-for-event.
@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.bft.batching import BatchConfig
-from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     Checkpoint,
     ClientReply,
@@ -49,30 +47,10 @@ from repro.bft.messages import (
     ViewChange,
     proposal_digest,
 )
-from repro.bft.replica import BaseReplica, GroupContext
+from repro.bft.replica import BaseReplica, GroupContext, ProtocolConfig
 from repro.crypto.mac import MAC_LENGTH
 from repro.soc.chip import is_corrupted
 from repro.soc.node import NodeState
-
-
-@dataclass
-class PbftConfig:
-    """Protocol knobs.
-
-    ``batching`` enables request batching + a bounded in-flight window on
-    the primary (see :mod:`repro.bft.batching`); None (the default) keeps
-    the classic one-request-per-round behaviour, byte for byte.
-
-    ``leases`` enables primary-granted read leases (see
-    :mod:`repro.bft.leases`); None keeps the quorum-read behaviour,
-    event for event.
-    """
-
-    checkpoint_interval: int = 64
-    watermark_window: int = 256
-    view_timeout: float = 40_000.0
-    batching: Optional[BatchConfig] = None
-    leases: Optional[LeaseConfig] = None
 
 
 @dataclass
@@ -102,10 +80,17 @@ def required_replicas(f: int) -> int:
 class PbftReplica(BaseReplica):
     """One PBFT replica."""
 
+    #: Every this many sequence numbers a replica broadcasts a CHECKPOINT;
+    #: 2f+1 matching ones make it stable and truncate the log below it.
+    CHECKPOINT_INTERVAL = 64
+    #: The primary assigns no sequence number this far past the last
+    #: stable checkpoint, and backups accept none.
+    WATERMARK_WINDOW = 256
+
     def __init__(
-        self, name: str, group: GroupContext, config: Optional[PbftConfig] = None
+        self, name: str, group: GroupContext, config: Optional[ProtocolConfig] = None
     ) -> None:
-        super().__init__(name, group, config or PbftConfig())
+        super().__init__(name, group, config or ProtocolConfig())
         expected = required_replicas(group.f)
         if group.n < expected:
             raise ValueError(f"PBFT with f={group.f} needs n>={expected}, got {group.n}")
@@ -240,7 +225,7 @@ class PbftReplica(BaseReplica):
         """PRE-PREPARE one proposal (a bare request, or a RequestBatch)."""
         if self._in_view_change or not self.is_primary:
             return False  # demoted while the batch was queued
-        if self._next_seq - self._stable_seq >= self.config.watermark_window:
+        if self._next_seq - self._stable_seq >= self.WATERMARK_WINDOW:
             return False  # window full; clients will retry
         self._next_seq += 1
         seq = self._next_seq
@@ -270,7 +255,7 @@ class PbftReplica(BaseReplica):
             return  # only the view's primary may order
         if message.seq <= self._stable_seq:
             return
-        if message.seq > self._stable_seq + self.config.watermark_window:
+        if message.seq > self._stable_seq + self.WATERMARK_WINDOW:
             return
         if proposal_digest(message.request) != message.digest:
             self.group.metrics.counter(f"{self.group.group_id}.bad_digest").inc()
@@ -333,7 +318,7 @@ class PbftReplica(BaseReplica):
             self._ordering.discard(proposal)
             self.commit_operation(seq, slot.pre_prepare.digest, proposal)
             self._note_executed(proposal)
-            if seq % self.config.checkpoint_interval == 0:
+            if seq % self.CHECKPOINT_INTERVAL == 0:
                 self._emit_checkpoint(seq)
 
     # ------------------------------------------------------------------

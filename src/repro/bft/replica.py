@@ -23,8 +23,8 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bft.app import StateMachine
-from repro.bft.batching import BatchAccumulator
-from repro.bft.leases import LeaseManager, LeaseTable
+from repro.bft.batching import BatchAccumulator, BatchConfig
+from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable
 from repro.bft.messages import (
     ClientReply,
     ClientRequest,
@@ -124,6 +124,23 @@ class ExecutionLedger:
 
 
 @dataclass
+class ProtocolConfig:
+    """What the ordering core reads; PBFT and CFT take it as is.
+
+    ``view_timeout``: how long a request may stay pending before a replica
+    suspects the primary (passive: how long its backup waits for a
+    heartbeat).  ``batching`` / ``leases``: request batching on the
+    primary (:mod:`repro.bft.batching`) and read leases
+    (:mod:`repro.bft.leases`); None keeps the protocol without them,
+    event for event.
+    """
+
+    view_timeout: float = 40_000.0
+    batching: Optional[BatchConfig] = None
+    leases: Optional[LeaseConfig] = None
+
+
+@dataclass
 class GroupContext:
     """Everything a replica needs to know about its group.
 
@@ -187,7 +204,7 @@ class BaseReplica(Node):
     _reads_local = _group_counter("reads.local")
     _reads_quorum_fallback = _group_counter("reads.quorum_fallback")
 
-    def __init__(self, name: str, group: GroupContext, config: Any) -> None:
+    def __init__(self, name: str, group: GroupContext, config: ProtocolConfig) -> None:
         super().__init__(name)
         self.group = group
         self.config = config
@@ -485,11 +502,15 @@ class BaseReplica(Node):
         while len(cache) > self.REPLY_CACHE_SIZE:
             del cache[next(iter(cache))]
 
+    def _reaches(self, client: str) -> bool:
+        """True when a message to ``client`` can leave this replica: the
+        client is on this chip, or on another one behind the chip's
+        off-chip handler (repro.sos tunnelling)."""
+        chip = self.chip
+        return chip is not None and (chip.has_node(client) or chip.off_chip_handler is not None)
+
     def _send_reply(self, reply: ClientReply) -> None:
-        if self.state is NodeState.CRASHED or self.chip is None:
-            return
-        if self.chip.has_node(reply.client) or self.chip.off_chip_handler is not None:
-            # The client may live on another chip (repro.sos tunnelling).
+        if self.state is not NodeState.CRASHED and self._reaches(reply.client):
             self.send(reply.client, reply, reply.wire_size())
 
     def resend_cached_reply(self, request: ClientRequest) -> bool:
@@ -675,9 +696,7 @@ class BaseReplica(Node):
             return  # not actually read-only: only the ordered path may run it
         self._fast_reads.inc()
         reply = ClientReply(self.name, request.client, request.rid, result, self.view)
-        if self.chip is not None and (
-            self.chip.has_node(request.client) or self.chip.off_chip_handler is not None
-        ):
+        if self._reaches(request.client):
             self.send(request.client, reply, reply.wire_size())
 
     def _serve_lease_read(self, sender: str, request: ClientRequest) -> None:
@@ -703,21 +722,17 @@ class BaseReplica(Node):
                 result = self.app.read(request.op)
             except ValueError:
                 serveable = False  # not actually read-only: refuse
-        reachable = self.chip is not None and (
-            self.chip.has_node(request.client) or self.chip.off_chip_handler is not None
-        )
+        answer: Any
         if serveable:
             self._reads_local.inc()
-            reply = ClientReply(
+            answer = ClientReply(
                 self.name, request.client, request.rid, result, self.view, leased=True
             )
-            if reachable:
-                self.send(request.client, reply, reply.wire_size())
         else:
             self._reads_quorum_fallback.inc()
-            nack = ReadNack(self.name, request.client, request.rid)
-            if reachable:
-                self.send(request.client, nack, nack.wire_size())
+            answer = ReadNack(self.name, request.client, request.rid)
+        if self._reaches(request.client):
+            self.send(request.client, answer, answer.wire_size())
 
     def _handle_state_request(self, sender: str, message: StateRequest) -> None:
         if sender != message.replica or sender not in self.group.members:

@@ -31,6 +31,7 @@ from repro.bft.batching import BatchConfig
 from repro.bft.client import ClientConfig, ClientNode
 from repro.bft.group import protocol_config_for
 from repro.bft.leases import LeaseConfig
+from repro.bft.replica import ProtocolConfig
 from repro.core.orchestrator import OrchestratorConfig, ResilientSystem
 from repro.core.rejuvenation import RejuvenationPolicy
 from repro.mesoscale.population import ClientPopulation, PopulationConfig
@@ -46,14 +47,6 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
 )
 from repro.workloads.workload import Workload
-
-#: The suspicion timer each protocol family fails over on.
-FAILOVER_KNOB = {
-    "minbft": "view_timeout",
-    "pbft": "view_timeout",
-    "cft": "view_timeout",
-    "passive": "detect_timeout",
-}
 
 
 class UnknownShard(ValueError):
@@ -88,14 +81,14 @@ def protocol_config(
     batch: Optional[Tuple[int, float, int]] = None,
     lease: Optional[Tuple[int, float, float]] = None,
     failover_timeout: Optional[float] = None,
-) -> Any:
+) -> ProtocolConfig:
     """The family's config object, from flat values.
 
     ``batch`` is ``(batch_size, batch_delay, max_inflight)`` — primary-
     side batching, unless every knob is degenerate; ``lease`` is
     ``(n_ranges, duration, renew_period)`` — primary-granted read leases;
-    ``failover_timeout`` sets whichever suspicion timer the family fails
-    over on (:data:`FAILOVER_KNOB`).  Whatever is None stays at the
+    ``failover_timeout`` is the family's ``view_timeout``, the time after
+    which a replica suspects the primary.  Whatever is None stays at the
     family default.
     """
     knobs: Dict[str, Any] = {}
@@ -107,8 +100,8 @@ def protocol_config(
         knobs["leases"] = LeaseConfig(
             n_ranges=lease[0], duration=lease[1], renew_period=lease[2]
         )
-    if failover_timeout is not None and protocol in FAILOVER_KNOB:
-        knobs[FAILOVER_KNOB[protocol]] = failover_timeout
+    if failover_timeout is not None:
+        knobs["view_timeout"] = failover_timeout
     return protocol_config_for(protocol, **knobs)
 
 

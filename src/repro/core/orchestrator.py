@@ -15,20 +15,23 @@ deploys once, ``ShardedSystem`` once per shard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.bft.app import KeyValueStore, StateMachine
 from repro.bft.client import ClientConfig, ClientNode
 from repro.bft.group import GroupConfig, ReplicaGroup
+from repro.bft.replica import ProtocolConfig
 from repro.core.adaptation import AdaptationController, AdaptationPolicy
 from repro.core.diversity import DiversityManager, VariantLibrary
 from repro.core.rejuvenation import RejuvenationPolicy, RejuvenationScheduler
 from repro.core.replication import ReplicationManager
-from repro.core.severity import SeverityConfig, SeverityDetector
+from repro.core.severity import SeverityDetector
 from repro.fabric.fabric import FpgaFabric
 from repro.noc.topology import Coord
 from repro.sim.simulator import Simulator
 from repro.soc.chip import Chip, ChipConfig
+
+#: The functionality every group implements; its variants register under it.
+SERVICE = "service"
 
 
 @dataclass
@@ -42,16 +45,12 @@ class OrchestratorConfig:
     f: int = 1
     n_variants: int = 6
     n_vendors: int = 3
-    app_factory: Callable[[], StateMachine] = KeyValueStore
     rejuvenation: Optional[RejuvenationPolicy] = None
-    severity: Optional[SeverityConfig] = None
     adaptation: Optional[AdaptationPolicy] = None
     enable_rejuvenation: bool = True
     enable_adaptation: bool = False
-    functionality: str = "service"
-    # Family-specific protocol config (e.g. PbftConfig/MinBftConfig with
-    # a BatchConfig); None uses the family defaults.
-    protocol_config: Optional[Any] = None
+    # The family's config (see protocol_config_for); None uses its defaults.
+    protocol_config: Optional[ProtocolConfig] = None
 
 
 @dataclass
@@ -75,10 +74,8 @@ class Substrate:
         self.sim = Simulator(seed=cfg.seed)
         self.chip = Chip(self.sim, ChipConfig(width=cfg.width, height=cfg.height))
         self.fabric = FpgaFabric(self.sim, self.chip)
-        self.library = VariantLibrary.generate(
-            cfg.functionality, cfg.n_variants, cfg.n_vendors
-        )
-        self.fabric.register_variants(cfg.functionality, self.library.names())
+        self.library = VariantLibrary.generate(SERVICE, cfg.n_variants, cfg.n_vendors)
+        self.fabric.register_variants(SERVICE, self.library.names())
 
     def deploy(
         self,
@@ -102,12 +99,11 @@ class Substrate:
                 protocol=cfg.protocol,
                 f=cfg.f,
                 group_id=group_id,
-                app_factory=cfg.app_factory,
                 placement=placement,
                 protocol_config=cfg.protocol_config,
             )
         )
-        detector = SeverityDetector(group, clients, cfg.severity)
+        detector = SeverityDetector(group, clients)
         rejuvenation: Optional[RejuvenationScheduler] = None
         if cfg.enable_rejuvenation:
             # The detector is masked around planned maintenance so that

@@ -34,15 +34,12 @@ class RejuvenationPolicy:
 
     ``period`` is the interval between *individual replica* rejuvenations
     (the group cycle time is ``period * n``).  The period-vs-APT-speed
-    race is the E4 sweep.  ``detector_mask`` is how long the severity
-    detector is suppressed around each pass so planned maintenance is not
-    read as an attack (0 disables masking).
+    race is the E4 sweep.
     """
 
     period: float = 20_000.0
     diversify: bool = True
     relocate: bool = True
-    detector_mask: float = 50_000.0
     #: Proactive recovery: when a group member is crashed or compromised,
     #: the next tick rejuvenates *it* instead of the round-robin target —
     #: taking a correct replica down while another is already faulty
@@ -56,12 +53,14 @@ class RejuvenationPolicy:
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ValueError("rejuvenation period must be positive")
-        if self.detector_mask < 0:
-            raise ValueError("detector mask must be non-negative")
 
 
 class RejuvenationScheduler:
     """Round-robin proactive rejuvenation of a replica group."""
+
+    #: How long the severity detector is suppressed around each pass, so
+    #: planned maintenance is not read as an attack.
+    DETECTOR_MASK = 50_000.0
 
     def __init__(
         self,
@@ -142,8 +141,8 @@ class RejuvenationScheduler:
     def _rejuvenate(self, name: str) -> bool:
         if not self.group.chip.has_node(name):
             return False
-        if self.detector is not None and self.policy.detector_mask > 0:
-            self.detector.suppress(self.policy.detector_mask)
+        if self.detector is not None:
+            self.detector.suppress(self.DETECTOR_MASK)
         # Read-lease safety: the victim must not serve leased reads while
         # it reconfigures, and the primary must not re-grant to it until
         # the pass lands.  No-op when leases are off.

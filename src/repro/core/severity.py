@@ -37,20 +37,23 @@ class ThreatLevel(enum.IntEnum):
 
 @dataclass
 class SeverityConfig:
-    """Detector thresholds (the E5 sensitivity sweep)."""
+    """How the detector samples (the A2 sensitivity sweep): one
+    assessment per ``window``, and ``hysteresis_windows`` consecutive
+    calm windows to de-escalate one level."""
 
     window: float = 20_000.0
-    timeout_rate_elevated: float = 0.05   # timeouts per completed op
-    timeout_rate_critical: float = 0.25
-    view_changes_elevated: int = 1
-    view_changes_critical: int = 4
-    evidence_elevated: int = 1            # rejected certificates
-    evidence_critical: int = 10
-    hysteresis_windows: int = 2           # consecutive calm windows to de-escalate
+    hysteresis_windows: int = 2
 
 
 class SeverityDetector:
     """Sliding-window threat assessment over a replica group."""
+
+    TIMEOUT_RATE_ELEVATED = 0.05  # timeouts per completed op
+    TIMEOUT_RATE_CRITICAL = 0.25
+    VIEW_CHANGES_ELEVATED = 1     # view changes + elections per window
+    VIEW_CHANGES_CRITICAL = 4
+    EVIDENCE_ELEVATED = 1         # rejected certificates
+    EVIDENCE_CRITICAL = 10
 
     def __init__(
         self,
@@ -130,20 +133,19 @@ class SeverityDetector:
         self._apply(assessed)
 
     def _classify(self, delta: "_Snapshot") -> ThreatLevel:
-        cfg = self.config
         if delta.violations > 0:
             return ThreatLevel.CRITICAL
         rate = delta.timeouts / max(1, delta.completed)
         if (
-            rate >= cfg.timeout_rate_critical
-            or delta.view_changes >= cfg.view_changes_critical
-            or delta.evidence >= cfg.evidence_critical
+            rate >= self.TIMEOUT_RATE_CRITICAL
+            or delta.view_changes >= self.VIEW_CHANGES_CRITICAL
+            or delta.evidence >= self.EVIDENCE_CRITICAL
         ):
             return ThreatLevel.CRITICAL
         if (
-            rate >= cfg.timeout_rate_elevated
-            or delta.view_changes >= cfg.view_changes_elevated
-            or delta.evidence >= cfg.evidence_elevated
+            rate >= self.TIMEOUT_RATE_ELEVATED
+            or delta.view_changes >= self.VIEW_CHANGES_ELEVATED
+            or delta.evidence >= self.EVIDENCE_ELEVATED
         ):
             return ThreatLevel.ELEVATED
         return ThreatLevel.LOW

@@ -16,18 +16,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.soc.node import Node
 
 
+#: The size of a variant's image unless the caller registers another.
+BITSTREAM_BYTES = 262_144
+
+
 @dataclass
 class FabricConfig:
     """Fabric-level parameters.
 
-    ``full_restart_time`` is the cost of a whole-device reload (all
-    regions blank, then every configured image re-written): the slow path
-    partial rejuvenation avoids (E10).
+    ``full_restart_fixed_cost`` is the fixed part of a whole-device reload
+    (all regions blank, then every configured image re-written through the
+    ICAP): the slow path partial rejuvenation avoids (E10).
     """
 
-    icap_bandwidth: float = 100.0
     full_restart_fixed_cost: float = 50_000.0
-    default_bitstream_bytes: int = 262_144
 
 
 class FpgaFabric:
@@ -56,7 +58,7 @@ class FpgaFabric:
         self.chip = chip
         self.config = config or FabricConfig()
         self.store = store or BitstreamStore()
-        self.icap = IcapPort(sim, self.store, self.config.icap_bandwidth)
+        self.icap = IcapPort(sim, self.store)
         self.regions: Dict[Coord, ReconfigurableRegion] = {
             coord: ReconfigurableRegion(f"pr{chip.topology.index_of(coord)}", coord)
             for coord in chip.topology.coords()
@@ -235,11 +237,10 @@ class FpgaFabric:
 
     # ------------------------------------------------------------------
     def register_variants(
-        self, functionality: str, variants: List[str], size_bytes: Optional[int] = None
+        self, functionality: str, variants: List[str], size_bytes: int = BITSTREAM_BYTES
     ) -> None:
         """Convenience: register golden images for a variant pool."""
-        size = size_bytes or self.config.default_bitstream_bytes
         for i, variant in enumerate(variants):
             self.store.register(
-                make_bitstream(variant, functionality, vendor=f"vendor{i}", size_bytes=size)
+                make_bitstream(variant, functionality, vendor=f"vendor{i}", size_bytes=size_bytes)
             )

@@ -18,7 +18,6 @@ campaign runner are the reference drivers.
 from repro.mesoscale.admission import (
     SHED_DEGRADED,
     SHED_THROTTLED,
-    AdmissionConfig,
     AdmissionController,
 )
 from repro.mesoscale.population import (
@@ -28,7 +27,6 @@ from repro.mesoscale.population import (
 )
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "ClientPopulation",
     "PopulationConfig",

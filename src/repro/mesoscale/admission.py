@@ -14,13 +14,12 @@ the system already maintains (nothing here probes replicas directly):
 * the :class:`~repro.shard.directory.ShardDirectory` degraded flag — a
   failed-over shard sheds deterministically (``shed_degraded``);
 * the shard's :class:`~repro.core.severity.SeverityDetector` threat
-  level — ELEVATED and CRITICAL shards admit only a configured fraction
+  level — ELEVATED and CRITICAL shards admit only a fixed fraction
   of demand, sampled from a seeded stream so runs stay byte-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.severity import ThreatLevel
@@ -36,52 +35,27 @@ SHED_DEGRADED = "degraded"
 SHED_THROTTLED = "throttled"
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Admit-fraction policy keyed by shard health.
+class AdmissionController:
+    """Per-population gate over the shards an operation would touch.
 
-    ``elevated_admit`` / ``critical_admit`` are the probabilities that an
-    operation touching a shard at that threat level is admitted; 1.0
-    disables throttling for the level.  ``shed_degraded`` sheds (rather
-    than fast-fails) traffic for shards the directory marked degraded —
-    shed demand never reaches the router, so it shows up in shed
-    counters instead of failure counters.
+    Traffic for a shard the directory marked degraded is shed, not
+    fast-failed: shed demand never reaches the router, so it shows up in
+    shed counters instead of failure counters.
     """
 
-    shed_degraded: bool = True
-    elevated_admit: float = 1.0
-    critical_admit: float = 0.5
-
-    def __post_init__(self) -> None:
-        for label, frac in (
-            ("elevated_admit", self.elevated_admit),
-            ("critical_admit", self.critical_admit),
-        ):
-            if not 0.0 <= frac <= 1.0:
-                raise ValueError(f"{label} must be in [0, 1], got {frac}")
-
-    def admit_fraction(self, level: ThreatLevel) -> float:
-        """The admitted fraction of demand at a given threat level."""
-        if level >= ThreatLevel.CRITICAL:
-            return self.critical_admit
-        if level >= ThreatLevel.ELEVATED:
-            return self.elevated_admit
-        return 1.0
-
-
-class AdmissionController:
-    """Per-population gate over the shards an operation would touch."""
+    #: The probability that an operation touching a shard at that threat
+    #: level is admitted; 1.0 does not throttle.
+    ELEVATED_ADMIT = 1.0
+    CRITICAL_ADMIT = 0.5
 
     def __init__(
         self,
         directory: "ShardDirectory",
         detectors: Dict[str, "SeverityDetector"],
-        config: Optional[AdmissionConfig] = None,
         rng: Optional["RngStream"] = None,
     ) -> None:
         self.directory = directory
         self.detectors = detectors
-        self.config = config or AdmissionConfig()
         self.rng = rng
         self.admitted = 0
         self.shed_by_reason: Dict[str, int] = {}
@@ -95,12 +69,12 @@ class AdmissionController:
         """
         level = ThreatLevel.LOW
         for shard_id in shard_ids:
-            if self.config.shed_degraded and self.directory.is_degraded(shard_id):
+            if self.directory.is_degraded(shard_id):
                 return self._shed(SHED_DEGRADED)
             detector = self.detectors.get(shard_id)
             if detector is not None and detector.level > level:
                 level = ThreatLevel(detector.level)
-        fraction = self.config.admit_fraction(level)
+        fraction = self.admit_fraction(level)
         if fraction < 1.0:
             if self.rng is None:
                 raise ValueError(
@@ -110,6 +84,14 @@ class AdmissionController:
                 return self._shed(SHED_THROTTLED)
         self.admitted += 1
         return None
+
+    def admit_fraction(self, level: ThreatLevel) -> float:
+        """The admitted fraction of demand at a given threat level."""
+        if level >= ThreatLevel.CRITICAL:
+            return self.CRITICAL_ADMIT
+        if level >= ThreatLevel.ELEVATED:
+            return self.ELEVATED_ADMIT
+        return 1.0
 
     def _shed(self, reason: str) -> str:
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1

@@ -69,11 +69,9 @@ class ShardDirectory:
         self._degraded: Set[str] = set()
 
     @classmethod
-    def from_rng(
-        cls, shard_ids: Sequence[str], rng: "RngStream", vnodes: int = 64
-    ) -> "ShardDirectory":
+    def from_rng(cls, shard_ids: Sequence[str], rng: "RngStream") -> "ShardDirectory":
         """Build a directory whose ring layout derives from a seeded stream."""
-        return cls(shard_ids, salt=rng.getrandbits(64), vnodes=vnodes)
+        return cls(shard_ids, salt=rng.getrandbits(64))
 
     # ------------------------------------------------------------------
     # Lookup

@@ -38,7 +38,7 @@ from repro.bft.group import FAMILIES
 from repro.core.orchestrator import DeployedGroup, OrchestratorConfig, Substrate
 from repro.core.rejuvenation import RejuvenationPolicy
 from repro.core.severity import ThreatLevel
-from repro.mesoscale.admission import AdmissionConfig, AdmissionController
+from repro.mesoscale.admission import AdmissionController
 from repro.mesoscale.population import ClientPopulation, PopulationConfig
 from repro.shard.directory import ShardDirectory
 from repro.shard.placement import PlacementPlanner, ShardRegion
@@ -56,8 +56,6 @@ class ShardConfig(OrchestratorConfig):
     height: int = 8
     n_shards: int = 2
     router: Optional[RouterConfig] = None
-    health_check_period: float = 10_000.0
-    vnodes: int = 64
     #: Fixed consistent-hash salt.  When None the salt is drawn from the
     #: system's own seeded RNG (the single-system default); a fixed salt
     #: keeps key ownership the same across seeds.
@@ -79,18 +77,18 @@ class Shard(DeployedGroup):
 class ShardedSystem(Substrate):
     """N independent replica groups serving one partitioned keyspace."""
 
+    #: How often the health monitor re-reads every shard's correct replicas.
+    HEALTH_CHECK_PERIOD = 10_000.0
+
     def __init__(self, config: Optional[ShardConfig] = None) -> None:
         super().__init__(config or ShardConfig())
         cfg = self.config
         shard_ids = [f"s{i}" for i in range(cfg.n_shards)]
         if cfg.directory_salt is not None:
-            self.directory = ShardDirectory(
-                shard_ids, salt=cfg.directory_salt, vnodes=cfg.vnodes
-            )
+            self.directory = ShardDirectory(shard_ids, salt=cfg.directory_salt)
         else:
-            self.directory = ShardDirectory.from_rng(
-                shard_ids, self.sim.rng.stream("shard.directory"), vnodes=cfg.vnodes
-            )
+            rng = self.sim.rng.stream("shard.directory")
+            self.directory = ShardDirectory.from_rng(shard_ids, rng)
         self.planner = PlacementPlanner(self.chip, self.fabric)
         group_size = FAMILIES[cfg.protocol].replicas_for(cfg.f)
         self.shards: Dict[str, Shard] = {}
@@ -152,7 +150,6 @@ class ShardedSystem(Substrate):
         name: str,
         config: Optional[PopulationConfig] = None,
         router_config: Optional[RouterConfig] = None,
-        admission: Optional[AdmissionConfig] = None,
     ) -> ClientPopulation:
         """Attach an aggregated client population behind its own router.
 
@@ -162,8 +159,8 @@ class ShardedSystem(Substrate):
         Open-mode populations get an
         :class:`~repro.mesoscale.admission.AdmissionController` wired to
         the shard directory and every shard's severity detector, so
-        demand for degraded or threatened shards is shed at the source;
-        pass ``admission`` to tune the policy.  The population starts
+        demand for degraded or threatened shards is shed at the source.
+        The population starts
         with the system (see :meth:`start`).  Which ops are reads is the
         workload's ``is_read``, told to the router op by op.
         """
@@ -174,7 +171,6 @@ class ShardedSystem(Substrate):
             controller = AdmissionController(
                 self.directory,
                 {sid: shard.detector for sid, shard in self.shards.items()},
-                admission or AdmissionConfig(),
                 self.sim.rng.stream(f"mesoscale.{name}.admission"),
             )
         population = ClientPopulation(name, router, cfg, controller)
@@ -198,7 +194,7 @@ class ShardedSystem(Substrate):
             if shard.rejuvenation is not None:
                 shard.rejuvenation.start()
         self._health_timer = PeriodicTimer(
-            self.sim, self.config.health_check_period, self._check_health
+            self.sim, self.HEALTH_CHECK_PERIOD, self._check_health
         )
 
     # ------------------------------------------------------------------

@@ -64,14 +64,12 @@ def default_key_of(op: Any) -> Union[str, List[str]]:
 
 @dataclass
 class RouterConfig:
-    """Routing behaviour parameters.  Each shard's
-    :class:`~repro.bft.client.ClientSession` reads ``max_timeout`` as it
-    reads a :class:`~repro.bft.client.ClientConfig`'s; ``timeout`` arms a
-    timer per sub-operation, which fails after ``max_attempts`` expiries."""
+    """Routing behaviour parameters: ``timeout`` arms a timer per
+    sub-operation, backed off by the shard's
+    :class:`~repro.bft.client.ClientSession` on each expiry; the
+    sub-operation fails after :attr:`ShardRouter.MAX_ATTEMPTS` of them."""
 
     timeout: float = 30_000.0
-    max_timeout: float = 480_000.0
-    max_attempts: int = 8
 
 
 @dataclass
@@ -105,8 +103,8 @@ class _ShardSession(ClientSession):
     """The router's session with one shard's group, plus the per-shard
     bookkeeping only a router keeps."""
 
-    def __init__(self, node: Node, config: RouterConfig) -> None:
-        super().__init__(node, config)
+    def __init__(self, node: Node) -> None:
+        super().__init__(node)
         self.inflight = 0  # sub-operations awaiting a quorum from this shard
         # Metric handles, bound on first use: a zero-valued metric created
         # ahead of use would change byte-stable summaries.
@@ -146,6 +144,9 @@ class _SubOp:
 
 class ShardRouter(Node, TrafficSource):
     """Routes operations to their owning replica group over the NoC."""
+
+    #: Timer expiries after which a sub-operation fails.
+    MAX_ATTEMPTS = 8
 
     def __init__(
         self,
@@ -187,7 +188,7 @@ class ShardRouter(Node, TrafficSource):
             raise ValueError(f"shard {shard_id!r} bound with no members")
         session = self._sessions.get(shard_id)
         if session is None:
-            session = _ShardSession(self, self.config)
+            session = _ShardSession(self)
         session.configure(members, reply_quorum, read_quorum, lease_reads)
         self._sessions[shard_id] = session
         self.stats.setdefault(shard_id, ShardStats(shard_id))
@@ -339,7 +340,7 @@ class ShardRouter(Node, TrafficSource):
         sub.attempts += 1
         self.timeouts += 1
         self.stats[sub.shard_id].timeouts += 1
-        if self.directory.is_degraded(sub.shard_id) or sub.attempts >= self.config.max_attempts:
+        if self.directory.is_degraded(sub.shard_id) or sub.attempts >= self.MAX_ATTEMPTS:
             self._fail_sub(sub, f"shard {sub.shard_id} unresponsive after "
                                 f"{sub.attempts} attempt(s)")
             return

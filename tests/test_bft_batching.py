@@ -28,7 +28,7 @@ from repro.bft.messages import (
     proposal_keys,
     requests_of,
 )
-from repro.bft.pbft import PbftConfig
+from repro.bft.pbft import PbftReplica
 from repro.bft.replica import ExecutionLedger
 from repro.crypto.mac import digest
 from repro.metrics.registry import MetricsRegistry
@@ -201,10 +201,10 @@ def test_batched_backup_recovery_catches_up():
 # ----------------------------------------------------------------------
 # Satellite 3: checkpoint log truncation x view change
 # ----------------------------------------------------------------------
-def test_pbft_truncated_slots_stay_dead_across_view_change():
-    config = PbftConfig(checkpoint_interval=8)
+def test_pbft_truncated_slots_stay_dead_across_view_change(monkeypatch):
+    monkeypatch.setattr(PbftReplica, "CHECKPOINT_INTERVAL", 8)
     cfg = ClientConfig(think_time=50, timeout=20_000)
-    sim, chip, group, client = build("pbft", client_cfg=cfg, protocol_config=config)
+    sim, chip, group, client = build("pbft", client_cfg=cfg)
     client.start()
     sim.schedule_at(120_000, group.crash, group.members[0])  # force a view change
     sim.run(until=2_000_000)
@@ -221,10 +221,10 @@ def test_pbft_truncated_slots_stay_dead_across_view_change():
     assert executions <= client.completed * len(group.members)
 
 
-def test_pbft_batched_checkpoint_view_change_consistent():
-    config = PbftConfig(
-        checkpoint_interval=8,
-        batching=BatchConfig(batch_size=4, batch_delay=100, max_inflight=4),
+def test_pbft_batched_checkpoint_view_change_consistent(monkeypatch):
+    monkeypatch.setattr(PbftReplica, "CHECKPOINT_INTERVAL", 8)
+    config = protocol_config_for(
+        "pbft", BatchConfig(batch_size=4, batch_delay=100, max_inflight=4)
     )
     cfg = ClientConfig(think_time=50, timeout=20_000, max_outstanding=8)
     sim, chip, group, client = build("pbft", client_cfg=cfg, protocol_config=config)
@@ -250,7 +250,7 @@ def _scan_under_agreement(replica, key):
             for e in replica._log.values()
         )
     slots, bound = replica._slots.values(), "prepare"
-    if isinstance(replica.config, PbftConfig):
+    if isinstance(replica, PbftReplica):
         # PBFT keeps old-view slots for its VIEW-CHANGE, but orders nothing in them.
         slots = [slot for (view, _), slot in replica._slots.items() if view == replica.view]
         bound = "pre_prepare"
@@ -263,10 +263,10 @@ def _scan_under_agreement(replica, key):
 
 
 @pytest.mark.parametrize("protocol", LEADER_PROTOCOLS)
-def test_admission_check_equals_slot_scan(protocol):
-    options = {"checkpoint_interval": 8} if protocol == "pbft" else {}
+def test_admission_check_equals_slot_scan(protocol, monkeypatch):
+    monkeypatch.setattr(PbftReplica, "CHECKPOINT_INTERVAL", 8)
     config = protocol_config_for(
-        protocol, BatchConfig(batch_size=4, batch_delay=100, max_inflight=4), **options
+        protocol, BatchConfig(batch_size=4, batch_delay=100, max_inflight=4)
     )
     cfg = ClientConfig(think_time=50, timeout=20_000, max_outstanding=8)
     sim, chip, group, client = build(protocol, client_cfg=cfg, protocol_config=config)

@@ -4,11 +4,13 @@ import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.group import FAMILIES, protocol_config_for
+from repro.bft.batching import BatchConfig
 from repro.bft.leases import LeaseConfig
 from repro.core import DiversityManager, ReplicationManager, VariantLibrary
 from repro.fabric import FpgaFabric
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
+from repro.workloads import kv_workload
 
 
 def test_build_group_places_replicas(big_chip):
@@ -188,14 +190,79 @@ def test_scaling_keeps_clients_on_leased_reads():
 
 def test_switch_protocol_config_governs_later_spawns():
     """``make_replica`` builds from the group's *current* protocol config:
-    a switch replaces it, so a later scale-out cannot hand the new family
+    a switch rebuilds it in the new family, so a later scale-out hands the
+    new member that family's config — with the group's leases — and never
     the old family's config object."""
+    leases = LeaseConfig()
     sim, chip, fabric, manager, group = make_managed(
-        protocol_config=protocol_config_for("minbft", leases=LeaseConfig())
+        protocol_config=protocol_config_for("minbft", leases=leases)
     )
     sim.run(until=50_000)
     group.switch_protocol("pbft")
-    assert group.config.protocol_config is None
     manager.scale_out()
     sim.run(until=100_000)
-    assert isinstance(group.replicas["m-r4"].config, FAMILIES["pbft"].config_cls)
+    spawned = group.replicas["m-r4"]
+    assert type(spawned.config) is FAMILIES["pbft"].config_cls
+    assert spawned.config.leases is leases and spawned.lease_manager is not None
+
+
+def test_switch_keeps_batching_and_leases():
+    """The adaptation controller switches with no explicit config: the new
+    family keeps the group's batching and leases, and its clients keep
+    leased reads; every other field is the new family's default."""
+    batching, leases = BatchConfig(batch_size=4, batch_delay=100.0), LeaseConfig()
+    sim, chip, fabric, manager, group = make_managed(
+        protocol_config=protocol_config_for(
+            "minbft", batching=batching, leases=leases, view_timeout=8_000.0
+        )
+    )
+    sim.run(until=50_000)
+    client = ClientNode(
+        "c0", ClientConfig(think_time=50, max_outstanding=4, workload=kv_workload(read_ratio=0.5))
+    )
+    group.attach_client(client)
+    client.start()
+    sim.run(until=150_000)
+    group.switch_protocol("pbft")
+    config = group.config.protocol_config
+    assert type(config) is FAMILIES["pbft"].config_cls
+    assert config.batching is batching and config.leases is leases
+    assert config.view_timeout == FAMILIES["pbft"].config_cls().view_timeout
+    for replica in group.replicas.values():
+        assert replica.batcher is not None
+        assert replica.lease_table is not None and replica.lease_manager is not None
+    assert client.session.lease_reads is True
+    done, leased = client.completed, client.leased_reads_completed
+    sim.run(until=400_000)
+    assert client.completed > done and client.leased_reads_completed > leased
+    assert group.safety.is_safe
+
+
+def test_switch_holds_writes_while_an_old_grant_may_be_live():
+    """The old primary's last LeaseGrant is still in flight when the group
+    switches, and the rebuilt member of the same name accepts it.  The new
+    primary never issued that grant, so it cannot revoke it: it holds
+    conflicting writes for one lease duration instead."""
+    leases = LeaseConfig()
+    sim = Simulator(seed=3)
+    chip = Chip(sim, ChipConfig(width=6, height=6))
+    group = build_group(
+        chip,
+        GroupConfig(protocol="minbft", group_id="g",
+                    protocol_config=protocol_config_for("minbft", leases=leases)),
+    )
+    client = ClientNode("c0", ClientConfig(think_time=50, workload=kv_workload(read_ratio=0.5)))
+    group.attach_client(client)
+    client.start()
+    switch_at = 20 * leases.renew_period  # members started at 0: a renewal fires now
+    sim.run(until=switch_at)
+    group.switch_protocol("pbft")
+    sim.run(until=switch_at + leases.renew_period / 2)  # before the new primary renews
+    stale = [
+        expiry
+        for replica in group.replicas.values() if replica.lease_table is not None
+        for _, _, expiry in replica.lease_table._grants.values()
+    ]
+    assert stale and max(stale) <= switch_at + leases.duration
+    primary = group.replicas[group.members[0]].lease_manager
+    assert primary.quiesce_until >= max(stale)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
+from repro.bft import ClientConfig, ClientNode, ClientSession, GroupConfig, build_group
 from repro.faults import make_strategy
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
@@ -104,12 +104,12 @@ def test_different_seeds_diverge():
 # ----------------------------------------------------------------------
 # Client behaviour under adversity
 # ----------------------------------------------------------------------
-def test_client_backoff_caps():
+def test_client_backoff_caps(monkeypatch):
     """With all replicas dead the client backs off exponentially but
-    never beyond max_timeout, and resumes when replicas recover."""
+    never beyond MAX_TIMEOUT, and resumes when replicas recover."""
+    monkeypatch.setattr(ClientSession, "MAX_TIMEOUT", 8_000)
     sim, chip, group, client = build("minbft", f=1, width=5, height=5)
     client.config.timeout = 1_000
-    client.config.max_timeout = 8_000
     client.start()
     sim.run(until=30_000)
     for member in group.members:

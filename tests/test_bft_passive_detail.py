@@ -8,7 +8,7 @@ from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 
 
-def build(detect_timeout=10_000.0, heartbeat=2_000.0, seed=29):
+def build(view_timeout=10_000.0, heartbeat=2_000.0, seed=29):
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=4, height=4))
     group = build_group(
@@ -18,7 +18,7 @@ def build(detect_timeout=10_000.0, heartbeat=2_000.0, seed=29):
             f=1,
             group_id="p",
             protocol_config=PassiveConfig(
-                heartbeat_period=heartbeat, detect_timeout=detect_timeout
+                heartbeat_period=heartbeat, view_timeout=view_timeout
             ),
         ),
     )
@@ -61,7 +61,7 @@ def test_backup_applies_state_updates_in_order():
 
 
 def test_promotion_happens_after_detect_timeout():
-    sim, chip, group, client = build(detect_timeout=10_000)
+    sim, chip, group, client = build(view_timeout=10_000)
     client.start()
     sim.run(until=100_000)
     group.crash(group.members[0])
@@ -75,7 +75,7 @@ def test_promotion_happens_after_detect_timeout():
 
 
 def test_promoted_backup_serves_buffered_requests():
-    sim, chip, group, client = build(detect_timeout=8_000)
+    sim, chip, group, client = build(view_timeout=8_000)
     client.start()
     sim.run(until=100_000)
     done_before = client.completed
@@ -88,7 +88,7 @@ def test_promoted_backup_serves_buffered_requests():
 def test_slow_detector_means_long_outage():
     gaps = {}
     for timeout in [5_000.0, 40_000.0]:
-        sim, chip, group, client = build(detect_timeout=timeout)
+        sim, chip, group, client = build(view_timeout=timeout)
         client.start()
         sim.run(until=100_000)
         group.crash(group.members[0])
@@ -106,7 +106,7 @@ def test_passive_pair_is_two_tiles():
 def test_updates_after_promotion_continue_sequence():
     """The promoted backup's sequence numbers continue where the primary
     stopped — no gap, no replay (safety recorder validates order)."""
-    sim, chip, group, client = build(detect_timeout=8_000)
+    sim, chip, group, client = build(view_timeout=8_000)
     client.start()
     sim.run(until=100_000)
     primary_executed = group.replicas[group.members[0]].last_executed

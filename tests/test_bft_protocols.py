@@ -8,7 +8,7 @@ Byzantine behaviour, state sync, dedup, checkpoints).
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
-from repro.bft.pbft import PbftConfig, required_replicas as pbft_n
+from repro.bft.pbft import PbftReplica, required_replicas as pbft_n
 from repro.bft.minbft import MinBftConfig, required_replicas as minbft_n
 from repro.bft.cft import required_replicas as cft_n
 from repro.bft.passive import PassiveConfig, required_replicas as passive_n
@@ -43,7 +43,6 @@ def test_wrong_group_size_rejected():
     sim = Simulator(seed=1)
     chip = Chip(sim, ChipConfig(width=5, height=5))
     from repro.bft.replica import GroupContext
-    from repro.bft.pbft import PbftReplica
     from repro.bft import KeyValueStore, SafetyRecorder
     from repro.crypto import KeyStore
 
@@ -205,10 +204,9 @@ def test_retransmitted_requests_execute_once():
 # ----------------------------------------------------------------------
 # PBFT checkpoints
 # ----------------------------------------------------------------------
-def test_pbft_checkpoint_truncates_log():
-    sim, chip, group, client = build(
-        "pbft", protocol_config=PbftConfig(checkpoint_interval=10)
-    )
+def test_pbft_checkpoint_truncates_log(monkeypatch):
+    monkeypatch.setattr(PbftReplica, "CHECKPOINT_INTERVAL", 10)
+    sim, chip, group, client = build("pbft")
     client.config.max_requests = 40
     client.start()
     sim.run(until=2_000_000)

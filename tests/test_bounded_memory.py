@@ -25,7 +25,7 @@ from repro.bft.messages import (
     MbPrepare,
 )
 from repro.bft.minbft import _MbSlot
-from repro.bft.pbft import PbftConfig
+from repro.bft.pbft import PbftReplica
 from repro.crypto import mac
 from repro.faults import make_strategy
 from repro.hybrids.usig import UI
@@ -97,7 +97,7 @@ def test_agreement_state_is_bounded_by_the_window_not_the_run(protocol, batched)
     # unbatched); PBFT additionally keeps up to two checkpoint intervals.
     window = (OUTSTANDING if batched else 1) + SLACK
     if protocol == "pbft":
-        window += 2 * PbftConfig().checkpoint_interval
+        window += 2 * PbftReplica.CHECKPOINT_INTERVAL
     short = peak_agreement_state(protocol, batched, n)
     long = peak_agreement_state(protocol, batched, 4 * n)
     assert short.keys() == long.keys()

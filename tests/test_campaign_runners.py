@@ -11,11 +11,14 @@ import re
 import pytest
 
 import repro.campaign.runners as runners
+from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.campaign import build_campaign, get_runner, scenario
 from repro.campaign.builtin import BUILTIN_CAMPAIGNS
 from repro.campaign.runners import RUNNERS, runner_params
 from repro.campaign.spec import CampaignSpec
 from repro.shard import ShardedSystem
+from repro.sim import Simulator
+from repro.soc import Chip, ChipConfig
 
 
 def _backticked(text):
@@ -126,3 +129,27 @@ def test_unknown_kill_shard_fails_before_any_event_runs(monkeypatch):
     monkeypatch.setattr(ShardedSystem, "start", must_not_start)
     with pytest.raises(ValueError, match=r"unknown shard 's9'; have s0, s1, s2, s3"):
         get_runner("mesoscale")({"kill_shard": "s9", "duration": 10_000.0}, 1)
+
+
+# ----------------------------------------------------------------------
+# One failover timeout for every family
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("protocol", ["pbft", "minbft", "cft", "passive"])
+def test_failover_timeout_arms_the_timer_that_suspects_the_primary(protocol):
+    """``failover_timeout`` is every family's ``view_timeout``: the
+    progress timer a pending request arms (PBFT, MinBFT, CFT), or the
+    passive backup's heartbeat detector."""
+    sim = Simulator(seed=1)
+    chip = Chip(sim, ChipConfig(width=5, height=5))
+    config = scenario.protocol_config(protocol, failover_timeout=8_000.0)
+    group = build_group(chip, GroupConfig(protocol=protocol, protocol_config=config))
+    backup = group.replicas[group.members[1]]
+    if protocol == "passive":
+        timer = backup._detector
+    else:
+        client = ClientNode("c0", ClientConfig(think_time=100))
+        group.attach_client(client)
+        client.start()
+        sim.run(until=2_000)
+        timer = backup._progress_timer
+    assert timer is not None and timer.duration == 8_000.0

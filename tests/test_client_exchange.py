@@ -44,15 +44,14 @@ class Requester:
         for i, name in enumerate(MEMBERS + [OUTSIDER]):
             self.chip.place_node(Node(name), Coord(i, 0))
         self.results = []
-        knobs = dict(timeout=TIMEOUT, max_timeout=MAX_TIMEOUT)
         if kind == "router":
             self.window = 1
-            self.node = ShardRouter("rq", ShardDirectory(["s0"]), RouterConfig(**knobs))
+            self.node = ShardRouter("rq", ShardDirectory(["s0"]), RouterConfig(timeout=TIMEOUT))
             self.chip.place_node(self.node, Coord(1, 1))
             self.session = self.node.bind("s0", MEMBERS, 2, 2, lease_reads=lease_reads)
         else:
             self.window = int(kind.rpartition("-w")[2])
-            self.node = ClientNode("rq", ClientConfig(max_outstanding=self.window, **knobs))
+            self.node = ClientNode("rq", ClientConfig(max_outstanding=self.window, timeout=TIMEOUT))
             self.chip.place_node(self.node, Coord(1, 1))
             self.node.configure(MEMBERS, 2, 2, lease_reads=lease_reads)
             self.session = self.node.session
@@ -244,7 +243,8 @@ def test_read_timeout_falls_back_to_the_ordered_path_under_the_same_rid(kind):
     assert request.rid == 0 and not request.read_only and not request.lease_read
 
 
-def test_write_timeout_rebroadcasts_suspects_and_backs_off(kind):
+def test_write_timeout_rebroadcasts_suspects_and_backs_off(kind, monkeypatch):
+    monkeypatch.setattr(ClientSession, "MAX_TIMEOUT", MAX_TIMEOUT)
     rq = Requester(kind, lease_reads=False)
     assert dsts(rq.issue(WRITE)) == ["g-r0"]
     assert rq.timeout_of() == TIMEOUT and rq.session.primary() == "g-r0"

@@ -166,7 +166,7 @@ def test_suppress_rejects_negative():
         detector.suppress(-1)
 
 
-def test_rejuvenation_with_detector_mask_stays_low():
+def test_rejuvenation_with_detector_mask_stays_low(monkeypatch):
     from repro.core import (
         DiversityManager,
         RejuvenationPolicy,
@@ -190,9 +190,10 @@ def test_rejuvenation_with_detector_mask_stays_low():
     client = ClientNode("c0", ClientConfig(think_time=100, timeout=10_000))
     group.attach_client(client)
     detector = SeverityDetector(group, [client], SeverityConfig(window=20_000))
+    monkeypatch.setattr(RejuvenationScheduler, "DETECTOR_MASK", 60_000)
     scheduler = RejuvenationScheduler(
         group, fabric, diversity,
-        RejuvenationPolicy(period=30_000, detector_mask=60_000),
+        RejuvenationPolicy(period=30_000),
         detector=detector,
     )
     client.start()

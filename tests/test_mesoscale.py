@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import ThreatLevel
 from repro.mesoscale import (
-    AdmissionConfig,
     AdmissionController,
     ClientPopulation,
     PopulationConfig,
@@ -135,20 +134,11 @@ def test_admission_throttles_on_threat_level():
     directory = _FakeDirectory()
     detectors = {"s0": _FakeDetector(ThreatLevel.CRITICAL)}
     rng = Simulator(seed=5).rng.stream("admission")
-    ctrl = AdmissionController(
-        directory, detectors, AdmissionConfig(critical_admit=0.5), rng
-    )
+    ctrl = AdmissionController(directory, detectors, rng)
     decisions = [ctrl.decide(["s0"]) for _ in range(1000)]
     throttled = sum(1 for d in decisions if d == SHED_THROTTLED)
     assert 400 <= throttled <= 600  # ~50% admit under CRITICAL
     assert ctrl.admitted + ctrl.shed == 1000
-
-
-def test_admission_config_validation():
-    with pytest.raises(ValueError):
-        AdmissionConfig(critical_admit=1.5)
-    with pytest.raises(ValueError):
-        AdmissionConfig(elevated_admit=-0.1)
 
 
 # ----------------------------------------------------------------------

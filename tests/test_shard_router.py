@@ -6,6 +6,7 @@ from repro.shard import (
     RouterConfig,
     ShardConfig,
     ShardedSystem,
+    ShardRouter,
     default_key_of,
 )
 from tests.conftest import closed_driver
@@ -260,10 +261,11 @@ def _scan_inflight(router, shard_id):
     return sum(1 for sub in router._subops.values() if sub.shard_id == shard_id)
 
 
-def test_per_shard_inflight_count_equals_a_scan_of_the_subops():
+def test_per_shard_inflight_count_equals_a_scan_of_the_subops(monkeypatch):
     """Through issue, completion, timeout-failure and degraded fast-fail
     the maintained count, the scan and the published gauge agree."""
-    system = build(n_shards=2, router=RouterConfig(timeout=5_000.0, max_attempts=2))
+    monkeypatch.setattr(ShardRouter, "MAX_ATTEMPTS", 2)
+    system = build(n_shards=2, router=RouterConfig(timeout=5_000.0))
     router = system.place_router("c0")
     system.start(warmup=60_000)
     shards = system.directory.shard_ids

@@ -164,13 +164,11 @@ def test_shard_metrics_report():
     )
 
 
-def test_health_monitor_restores_recovered_shard():
+def test_health_monitor_restores_recovered_shard(monkeypatch):
     """Degradation is reversible: recover the crashed replicas and the
     health monitor flips the shard back to live."""
-    system = ShardedSystem(
-        ShardConfig(seed=7, n_shards=2, enable_rejuvenation=False,
-                    health_check_period=5_000.0)
-    )
+    monkeypatch.setattr(ShardedSystem, "HEALTH_CHECK_PERIOD", 5_000.0)
+    system = ShardedSystem(ShardConfig(seed=7, n_shards=2, enable_rejuvenation=False))
     serve(system, n_clients=1, duration=30_000)
     shard = system.shards["s0"]
     for name in shard.group.members[:2]:
