@@ -20,7 +20,7 @@ Shape assertions:
 from conftest import run_once
 
 from repro.core import DiversityManager, VariantLibrary
-from repro.faults.exploits import worst_case_exploit
+from repro.faults.exploits import compromise_set, worst_case_exploit
 from repro.metrics import Table
 from repro.sim import RngStream
 
@@ -44,7 +44,7 @@ def compromise_stats(n_replicas, f, pool_size, managed, spec_classes, rng, n_ven
             manager.assignment = {r: rng.choice(pool) for r in replicas}
         assignment = manager.vuln_assignment()
         exploit = worst_case_exploit(assignment)
-        felled = sum(1 for v in assignment.values() if exploit.compromises(v))
+        felled = len(compromise_set(exploit, assignment))
         felled_total += felled
         if felled > f:
             failures += 1

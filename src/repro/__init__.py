@@ -9,7 +9,7 @@ deterministic discrete-event simulation:
   :mod:`repro.noc`),
 * an FPGA fabric with internal, partial, dynamic reconfiguration
   (:mod:`repro.fabric`),
-* trusted hybrids — USIG, TrInc, A2M — with ECC/TMR/plain register
+* the USIG trusted hybrid with ECC/TMR/plain register
   storage and a gate-complexity model (:mod:`repro.hybrids`),
 * a replication protocol suite — PBFT, MinBFT, CFT, passive
   (:mod:`repro.bft`),

@@ -13,8 +13,6 @@ min(i, repair_crews) * mu.  The system is up while failed <= n - k.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 
@@ -85,20 +83,3 @@ class RepairableSystem:
         # E[time to absorption] from each up state: Q_up t = -1.
         times = np.linalg.solve(q_up, -np.ones(up))
         return float(times[0])
-
-    def availability_over_time(self, horizon: float, steps: int = 200) -> List[float]:
-        """Transient availability A(t) from the all-working state."""
-        if horizon <= 0 or steps < 1:
-            raise ValueError("horizon must be positive and steps >= 1")
-        from scipy.linalg import expm
-
-        q = self.generator_matrix()
-        p0 = np.zeros(self.n + 1)
-        p0[0] = 1.0
-        up_states = self.n - self.k + 1
-        out = []
-        for step in range(1, steps + 1):
-            t = horizon * step / steps
-            pt = p0 @ expm(q * t)
-            out.append(float(pt[:up_states].sum()))
-        return out

@@ -78,29 +78,3 @@ def standby(r_primary: float, r_backup: float, detector_coverage: float = 1.0) -
     _check_prob(r_backup, "backup reliability")
     _check_prob(detector_coverage, "detector coverage")
     return r_primary + (1.0 - r_primary) * detector_coverage * r_backup
-
-
-def mission_reliability_exponential(failure_rate: float, mission_time: float) -> float:
-    """R(t) = exp(-lambda t) for a constant-hazard component."""
-    if failure_rate < 0 or mission_time < 0:
-        raise ValueError("failure rate and mission time must be non-negative")
-    return math.exp(-failure_rate * mission_time)
-
-
-def crossover_reliability(n: int, voter_reliability: float = 1.0) -> float:
-    """The component reliability where NMR stops helping.
-
-    Below some r*, redundancy with an imperfect voter is *worse* than a
-    single module (the classic TMR crossover near r = 0.5 for a perfect
-    voter).  Found by bisection on ``nmr(n, r) - r``.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("crossover defined for odd n >= 3")
-    lo, hi = 1e-9, 1.0 - 1e-9
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if nmr(n, mid, voter_reliability) >= mid:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2

@@ -22,7 +22,7 @@ equivocate per destination, but cannot impersonate others — and USIG
 certificates are real HMACs they cannot forge.
 """
 
-from repro.bft.app import CounterApp, KeyValueStore, StateMachine
+from repro.bft.app import KeyValueStore, StateMachine
 from repro.bft.client import ClientConfig, ClientNode, ClientSession
 from repro.bft.group import GroupConfig, ReplicaGroup, build_group
 from repro.bft.messages import ClientReply, ClientRequest
@@ -34,7 +34,6 @@ __all__ = [
     "ClientReply",
     "ClientRequest",
     "ClientSession",
-    "CounterApp",
     "GroupConfig",
     "KeyValueStore",
     "ReplicaGroup",

@@ -9,7 +9,7 @@ cheaply (checkpoints, passive state transfer, divergence tests).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.crypto.mac import digest as payload_digest
 
@@ -101,41 +101,6 @@ class KeyValueStore(StateMachine):
 
 
 _MISSING = object()
-
-
-class CounterApp(StateMachine):
-    """A replicated counter — the smallest useful deterministic app.
-
-    Operations: ``("add", k)``, ``("read",)``.  Used by control-loop
-    examples where the actuator setpoint is a shared counter.
-    """
-
-    def __init__(self) -> None:
-        self.value = 0
-        self.ops_executed = 0
-
-    def execute(self, op: Any) -> Any:
-        self.ops_executed += 1
-        if isinstance(op, tuple) and op and op[0] == "add":
-            self.value += op[1]
-            return self.value
-        if isinstance(op, tuple) and op and op[0] == "read":
-            return self.value
-        raise ValueError(f"unknown counter operation {op!r}")
-
-    def read(self, op: Any) -> Any:
-        if isinstance(op, tuple) and op and op[0] == "read":
-            return self.value
-        raise ValueError(f"operation {op!r} is not read-only")
-
-    def state_digest(self) -> bytes:
-        return payload_digest(self.value)
-
-    def snapshot(self) -> int:
-        return self.value
-
-    def restore(self, snapshot: Any) -> None:
-        self.value = int(snapshot)
 
 
 class ControlLoopApp(StateMachine):

@@ -150,22 +150,8 @@ class ResultStore:
                     continue
 
     def _scan_completed(self) -> Set[str]:
-        """One streaming pass over the results file for successful IDs."""
-        seen: Set[str] = set()
-        if not self.results_path.exists():
-            return seen
-        with open(self.results_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated tail from a kill mid-append
-                if record.get("status") == "ok":
-                    seen.add(record["trial_id"])
-        return seen
+        """One streaming pass over :meth:`records` for successful IDs."""
+        return {r["trial_id"] for r in self.records() if r.get("status") == "ok"}
 
     def completed_ids(self) -> Set[str]:
         """Trial IDs that already have a successful record.

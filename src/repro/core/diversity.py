@@ -12,8 +12,8 @@ mode even perfect implementation diversity cannot remove.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.sim.rng import RngStream
 
@@ -26,10 +26,6 @@ class Variant:
     functionality: str
     vendor: str
     vuln_classes: FrozenSet[str]
-
-    def shares_vulnerability_with(self, other: "Variant") -> bool:
-        """True if one exploit could fell both variants."""
-        return bool(self.vuln_classes & other.vuln_classes)
 
 
 class VariantLibrary:
@@ -193,15 +189,3 @@ class DiversityManager:
             replica: self.library.get(variant).vuln_classes
             for replica, variant in self.assignment.items()
         }
-
-    def max_common_mode(self) -> int:
-        """Replicas felled by the adversary's best single exploit."""
-        counts: Dict[str, int] = {}
-        for vulns in self.vuln_assignment().values():
-            for vuln_class in vulns:
-                counts[vuln_class] = counts.get(vuln_class, 0) + 1
-        return max(counts.values(), default=0)
-
-    def tolerates_worst_exploit(self, f: int) -> bool:
-        """True if the best single exploit fells at most f replicas."""
-        return self.max_common_mode() <= f

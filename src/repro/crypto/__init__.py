@@ -14,7 +14,6 @@ correctness substrate, not production cryptography.
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import (
     Authenticator,
-    MacError,
     canonical_bytes,
     compute_mac,
     compute_mac_bytes,
@@ -25,7 +24,6 @@ from repro.crypto.mac import (
 __all__ = [
     "Authenticator",
     "KeyStore",
-    "MacError",
     "canonical_bytes",
     "compute_mac",
     "compute_mac_bytes",

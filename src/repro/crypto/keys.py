@@ -15,10 +15,13 @@ class KeyStore:
     ``SHA256(domain_secret || min(a,b) || max(a,b))`` so both sides derive
     the same key without message exchange.
 
-    Byzantine behaviour is modelled by *withholding* the store: a
-    compromised replica gets access only to the pairwise keys it
-    legitimately owns (its own :class:`NodeKeys` view), so it can lie in
-    message *fields* but cannot forge another replica's MACs.
+    No node is handed the store.  The replicas compute no pairwise MACs:
+    the chip stamps the true sender on every NoC envelope and only the
+    MAC's compute time is charged, so a compromised replica can lie in
+    the fields of its own messages but cannot speak as another.  The
+    per-principal secrets (:meth:`secret_for`) key the USIG hybrids and
+    the reconfiguration votes, inside the trusted perimeter;
+    :meth:`pair_key` keys :class:`~repro.crypto.mac.Authenticator`.
     """
 
     def __init__(self, domain_secret: bytes = b"repro-domain-secret") -> None:
@@ -42,31 +45,3 @@ class KeyStore:
         return hashlib.sha256(
             self._domain_secret + b"|usig|" + principal.encode("utf-8")
         ).digest()
-
-    def view_for(self, principal: str) -> "NodeKeys":
-        """The restricted key view handed to one node."""
-        return NodeKeys(self, principal)
-
-
-class NodeKeys:
-    """One node's view of the key store: only keys this node may hold.
-
-    Requests for a pair key not involving ``owner`` raise ``PermissionError``
-    — this is what stops a simulated Byzantine node from forging MACs.
-    """
-
-    def __init__(self, store: KeyStore, owner: str) -> None:
-        self._store = store
-        self.owner = owner
-
-    def key_with(self, other: str) -> bytes:
-        """The pairwise key between the owner and ``other``."""
-        return self._store.pair_key(self.owner, other)
-
-    def pair_key(self, a: str, b: str) -> bytes:
-        """Pair key lookup restricted to pairs involving the owner."""
-        if self.owner not in (a, b):
-            raise PermissionError(
-                f"node {self.owner!r} requested key for foreign pair ({a!r}, {b!r})"
-            )
-        return self._store.pair_key(a, b)

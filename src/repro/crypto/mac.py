@@ -7,16 +7,11 @@ import hmac
 from typing import Any, Callable, Dict, Iterable, Mapping
 
 PairKeyFn = Callable[[str, str], bytes]
-"""A function ``(a, b) -> key``; both ``KeyStore.pair_key`` and the
-restricted ``NodeKeys.pair_key`` satisfy this signature."""
+"""A function ``(a, b) -> key``, such as ``KeyStore.pair_key``."""
 
 MAC_LENGTH = 16
 """We truncate HMAC-SHA256 to 16 bytes, as BFT implementations commonly do;
 the simulation only needs unforgeability, not 256-bit margins."""
-
-
-class MacError(ValueError):
-    """Raised when a MAC fails verification in a context that must not proceed."""
 
 
 def canonical_bytes(payload: Any) -> bytes:
@@ -151,7 +146,10 @@ class Authenticator:
     recipients; each recipient verifies only its own entry.  A Byzantine
     sender *can* produce an inconsistent authenticator (valid for some
     recipients, garbage for others) — exactly the attack PBFT's view
-    change must cope with, and one of our fault strategies exercises it.
+    change must cope with.  The protocols here build none: the chip
+    stamps the sender and only the MAC cost is charged (see
+    :class:`~repro.crypto.keys.KeyStore`).  This class is the MAC-vector
+    primitive the benchmark's crypto probe times on its own.
     """
 
     def __init__(self, sender: str, macs: Dict[str, bytes]) -> None:
@@ -168,8 +166,7 @@ class Authenticator:
     ) -> "Authenticator":
         """Compute the full MAC vector for ``payload``.
 
-        ``pair_key(a, b)`` returns the symmetric key for the pair; senders
-        use their restricted :class:`~repro.crypto.keys.NodeKeys` view.
+        ``pair_key(a, b)`` returns the symmetric key for the pair.
         One-pass: the payload is serialized once and HMACed per key
         (PBFT's MAC-vector optimization), not re-serialized per recipient.
         """

@@ -83,8 +83,3 @@ class BitstreamStore:
         """All registered variant names, sorted."""
         return sorted(self._golden)
 
-    def variants_for(self, functionality: str) -> List[str]:
-        """Variants implementing one functionality (the diversity pool)."""
-        return sorted(
-            v for v, b in self._golden.items() if b.functionality == functionality
-        )

@@ -3,8 +3,8 @@
 The paper's threat landscape (§I) spans accidental faults — fabrication
 defects, dust, aging, overheating, design glitches — and malicious ones —
 stealthy logic, backdoors, trojans, kill switches, post-fab editing, and
-Advanced Persistent Threats.  This package turns each class into an
-executable injector:
+Advanced Persistent Threats.  This package turns the classes the
+experiments exercise into executable injectors:
 
 * :mod:`~repro.faults.injector` — campaign driver: crashes, transient
   register bitflips, link failures, scheduled or stochastic.
@@ -12,8 +12,8 @@ executable injector:
   compromised nodes (equivocate, corrupt, drop, delay, silent).
 * :mod:`~repro.faults.aging` — Weibull wear-out of tiles (increasing
   hazard rate, the hardware analogue of software aging).
-* :mod:`~repro.faults.trojan` — dormant, spatially bound trojans and
-  timed kill switches tied to fabric locations (escaped by relocation).
+* :mod:`~repro.faults.trojan` — dormant, spatially bound trojans tied to
+  fabric locations (escaped by relocation).
 * :mod:`~repro.faults.apt` — an Advanced Persistent Threat that invests
   time per replica, reuses knowledge across identical variants, and is
   reset by rejuvenation.
@@ -35,7 +35,7 @@ from repro.faults.byzantine import (
 )
 from repro.faults.exploits import Exploit, compromise_set
 from repro.faults.injector import FaultInjector
-from repro.faults.trojan import DormantTrojan, KillSwitch
+from repro.faults.trojan import DormantTrojan
 
 __all__ = [
     "AgingModel",
@@ -49,7 +49,6 @@ __all__ = [
     "EquivocateStrategy",
     "Exploit",
     "FaultInjector",
-    "KillSwitch",
     "SilentStrategy",
     "WeibullParams",
     "compromise_set",

@@ -109,27 +109,6 @@ class FaultInjector:
         self._timers.append(timer)
         return timer
 
-    def random_link_failures(
-        self, rate: float, check_period: float = 5000.0, repair_after: Optional[float] = None
-    ) -> PeriodicTimer:
-        """Stochastic link failures at ``rate`` per link per time unit."""
-        links = sorted(self.chip.noc.links)
-
-        def fail_round() -> None:
-            for (a, b) in links:
-                if self._rng.bernoulli(rate * check_period):
-                    self.fail_link_now(a, b)
-                    if repair_after is not None:
-                        self._events.append(
-                            self.sim.schedule(
-                                repair_after, self.chip.noc.repair_link, a, b
-                            )
-                        )
-
-        timer = PeriodicTimer(self.sim, check_period, fail_round)
-        self._timers.append(timer)
-        return timer
-
     # ------------------------------------------------------------------
     # Lifecycle and accounting
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dormant hardware trojans and kill switches bound to fabric locations.
+"""Dormant hardware trojans bound to fabric locations.
 
 Paper §I/§II.C: "stealthy logic, backdoors, trojans, kill switches" may
 lurk in fabricated silicon or FPGA grid regions; "rejuvenate to diverse
@@ -74,31 +74,3 @@ class DormantTrojan:
     def __repr__(self) -> str:  # pragma: no cover
         state = "armed" if self.armed else "dormant"
         return f"<DormantTrojan @{self.coord} {state} victims={len(self.victims)}>"
-
-
-class KillSwitch:
-    """A remotely triggered hard-fail of a tile (paper §I: kill switches).
-
-    Unlike a trojan it destroys rather than subverts: the tile crashes and
-    stays crashed until repaired.  Used in supply-chain attack scenarios
-    where all tiles from one vendor share the switch.
-    """
-
-    def __init__(self, sim: "Simulator", chip: "Chip", coords: list, trigger_time: float) -> None:
-        if trigger_time < 0:
-            raise ValueError("trigger time must be non-negative")
-        self.sim = sim
-        self.chip = chip
-        self.coords = list(coords)
-        self.triggered = False
-        sim.schedule_at(max(trigger_time, sim.now), self._trigger)
-
-    def _trigger(self) -> None:
-        self.triggered = True
-        for coord in self.coords:
-            tile = self.chip.tiles[coord]
-            if tile.state.value != "crashed":
-                tile.crash()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<KillSwitch tiles={len(self.coords)} triggered={self.triggered}>"

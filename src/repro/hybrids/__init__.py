@@ -12,18 +12,11 @@ fetch-decode-execute core.  This package provides:
 * :mod:`~repro.hybrids.usig` — the USIG from MinBFT (Veronese et al.):
   a monotonic counter bound to message digests by HMAC, providing the
   non-equivocation guarantee that cuts BFT replica cost to 2f+1.
-* :mod:`~repro.hybrids.trinc` — TrInc-style trusted incrementer.
-* :mod:`~repro.hybrids.a2m` — Attested Append-only Memory (Chun et al.).
 * :mod:`~repro.hybrids.complexity` — gate-equivalent complexity estimates
   for each design point, the x-axis of the E6 trade-off.
-* :mod:`~repro.hybrids.razor` — Razor-style timing-error detection
-  (shadow latch + re-execution), the circuit-level passive-replication
-  mechanism the paper discusses in §II.A.
 """
 
-from repro.hybrids.a2m import A2M, A2MAttestation
 from repro.hybrids.complexity import GateComplexity, estimate_complexity
-from repro.hybrids.razor import RazorConfig, RazorStage, sweep_voltage
 from repro.hybrids.registers import (
     EccRegister,
     PlainRegister,
@@ -32,26 +25,18 @@ from repro.hybrids.registers import (
     TmrRegister,
     make_register,
 )
-from repro.hybrids.trinc import TrInc, TrIncAttestation
 from repro.hybrids.usig import UI, Usig, UsigVerifier
 
 __all__ = [
-    "A2M",
-    "A2MAttestation",
     "EccRegister",
     "GateComplexity",
     "PlainRegister",
-    "RazorConfig",
-    "RazorStage",
     "Register",
     "RegisterError",
     "TmrRegister",
-    "TrInc",
-    "TrIncAttestation",
     "UI",
     "Usig",
     "UsigVerifier",
     "estimate_complexity",
     "make_register",
-    "sweep_voltage",
 ]

@@ -24,7 +24,6 @@ measure the effect on consensus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import compute_mac, verify_mac
@@ -117,42 +116,17 @@ class Usig:
 class UsigVerifier:
     """The verification half of the USIG, inside each node's perimeter.
 
-    Tracks the highest counter seen per issuer so that protocol layers can
-    enforce the FIFO/no-gap rule MinBFT requires (``expect_sequential``).
+    It checks a certificate's HMAC binding only.  The order a receiver
+    accepts one sender's counters in is the protocol's rule:
+    ``MinBftReplica._sequence_ui_message`` holds a gap back until it
+    closes, drops a replay, and adopts the sender's counter on first
+    contact.
     """
 
     def __init__(self, keystore: KeyStore) -> None:
         self._keystore = keystore
-        self._highest_seen: dict = {}
 
     def verify_ui(self, ui: UI, digest: bytes) -> bool:
         """Check the HMAC binding of (issuer, counter, digest)."""
         secret = self._keystore.secret_for(ui.replica_id)
         return verify_mac(secret, (ui.replica_id, ui.counter, digest), ui.mac)
-
-    def accept_sequential(self, ui: UI, digest: bytes) -> bool:
-        """Verify *and* enforce the counter is exactly highest_seen + 1.
-
-        Returns False (without advancing state) for invalid MACs, gaps,
-        duplicates, or regressions.  This is the check that turns a
-        bitflipped plain-register counter into a *detected* consensus
-        stall rather than silent divergence.
-        """
-        if not self.verify_ui(ui, digest):
-            return False
-        expected = self._highest_seen.get(ui.replica_id, 0) + 1
-        if ui.counter != expected:
-            return False
-        self._highest_seen[ui.replica_id] = ui.counter
-        return True
-
-    def highest_seen(self, replica_id: str) -> int:
-        """Highest counter accepted from an issuer (0 if none)."""
-        return self._highest_seen.get(replica_id, 0)
-
-    def reset_issuer(self, replica_id: str, counter: Optional[int] = None) -> None:
-        """Re-align an issuer's expected counter after rejuvenation."""
-        if counter is None:
-            self._highest_seen.pop(replica_id, None)
-        else:
-            self._highest_seen[replica_id] = counter

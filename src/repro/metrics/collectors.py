@@ -20,10 +20,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
         self.value += amount
 
-    def reset(self) -> None:
-        """Zero the counter (used between measurement phases)."""
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Counter {self.name}={self.value}>"
 
@@ -50,11 +46,6 @@ class Gauge:
     def add(self, delta: float) -> None:
         """Adjust the value by ``delta`` (e.g. active-replica count)."""
         self.set(self.value + delta)
-
-    def reset(self) -> None:
-        """Zero the reading and its high-water mark."""
-        self.value = 0.0
-        self.peak = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Gauge {self.name}={self.value} peak={self.peak}>"
@@ -123,12 +114,6 @@ class Histogram:
         """Largest observation; 0.0 when empty."""
         return max(self._values) if self._values else 0.0
 
-    def reset(self) -> None:
-        """Drop all observations."""
-        del self._values[:]
-        self._last = -math.inf
-        self._sorted = True
-
     def values(self) -> List[float]:
         """A copy of the raw observations (unsorted insertion order is lost
         after any percentile query)."""
@@ -182,13 +167,6 @@ class TimeSeries:
     def window(self, start: float, end: float) -> List[Tuple[float, float]]:
         """Samples with start <= time < end."""
         return [(t, v) for t, v in self._samples if start <= t < end]
-
-    def mean_over(self, start: float, end: float) -> Optional[float]:
-        """Mean value over a window, or None if the window is empty."""
-        window = self.window(start, end)
-        if not window:
-            return None
-        return math.fsum(v for _, v in window) / len(window)
 
     def last(self) -> Optional[Tuple[float, float]]:
         """The most recent sample, or None."""

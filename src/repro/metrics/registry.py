@@ -90,9 +90,3 @@ class MetricsRegistry:
                     "samples": [[t, v] for t, v in metric.samples()],
                 }
         return out
-
-    def reset_counters(self) -> None:
-        """Reset all counters and histograms (between measurement phases)."""
-        for metric in self._metrics.values():
-            if isinstance(metric, (Counter, Histogram)):
-                metric.reset()

@@ -6,7 +6,7 @@ output format is uniform and easy to diff against EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 def _format_cell(value: Any) -> str:
@@ -87,17 +87,3 @@ class Table:
         if log_path:
             with open(log_path, "a", encoding="utf-8") as log:
                 log.write(text + "\n")
-
-
-def format_rate(numerator: float, denominator: float, default: float = 0.0) -> float:
-    """numerator/denominator with a default for empty denominators."""
-    return numerator / denominator if denominator else default
-
-
-def geometric_mean(values: Sequence[float]) -> Optional[float]:
-    """Geometric mean of positive values; None if empty or any value <= 0."""
-    if not values or any(v <= 0 for v in values):
-        return None
-    import math
-
-    return math.exp(sum(math.log(v) for v in values) / len(values))

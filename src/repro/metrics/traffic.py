@@ -76,12 +76,6 @@ class TrafficSource:
         events = [start] + self._completion_times[lo:hi].tolist() + [end]
         return max(b - a for a, b in zip(events, events[1:]))
 
-    def throughput_in(self, start: float, end: float) -> float:
-        """Completed operations per simulated *second* over a window."""
-        if end <= start:
-            return 0.0
-        return self.completions_in(start, end) / ((end - start) / 1000.0)
-
 
 # ----------------------------------------------------------------------
 # Aggregation helpers (benches and campaign runners)

@@ -183,10 +183,6 @@ class NocNetwork:
         self.topology.require(coord)
         self._handlers[coord] = handler
 
-    def detach(self, coord: Coord) -> None:
-        """Remove a tile's handler; packets for it will be dropped."""
-        self._handlers.pop(coord, None)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Sequence, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import RngStream
@@ -102,20 +102,6 @@ class ShardDirectory:
         h = _hash64(f"{self.salt}:key:{key}")
         index = bisect_right(self._points, h) % len(self._ring)
         return self._ring[index][1]
-
-    def shards_for(self, keys: Iterable[Any]) -> Dict[str, List[Any]]:
-        """Group keys by owning shard (for multi-key fan-out)."""
-        grouped: Dict[str, List[Any]] = {}
-        for key in keys:
-            grouped.setdefault(self.shard_for(key), []).append(key)
-        return grouped
-
-    def balance(self, keys: Iterable[Any]) -> Dict[str, int]:
-        """Key count per shard over a sample — a skew diagnostic."""
-        counts = {shard_id: 0 for shard_id in self._shard_ids}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts
 
     # ------------------------------------------------------------------
     # Degradation bookkeeping

@@ -8,15 +8,13 @@ too — XY-routed mesh hops cost latency per hop, so a group scattered
 across the chip pays more for every prepare/commit round.
 
 :class:`PlacementPlanner` is the allocator: it tracks every tile it has
-handed out and refuses overlapping spawns, both for its own greedy
-allocations (disjoint by construction) and for caller-chosen layouts via
-:meth:`PlacementPlanner.allocate_exact`.
+handed out, so its greedy allocations are disjoint by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.noc.topology import Coord
 
@@ -123,28 +121,6 @@ class PlacementPlanner:
             chosen.append(best)
             pool.remove(best)
         return self._commit(shard_id, chosen)
-
-    def allocate_exact(self, shard_id: str, tiles: Sequence[Coord]) -> ShardRegion:
-        """Allocate a caller-chosen layout, refusing overlapping spawns."""
-        if shard_id in self._regions:
-            raise PlacementError(f"shard {shard_id!r} already has a region")
-        if not tiles:
-            raise PlacementError("region must contain at least one tile")
-        if len(set(tiles)) != len(tiles):
-            raise PlacementError(f"duplicate tiles in region for {shard_id!r}")
-        available = set(self.free_candidates())
-        for coord in tiles:
-            owner = self._allocated.get(coord)
-            if owner is not None:
-                raise PlacementError(
-                    f"tile {coord} requested for shard {shard_id!r} already "
-                    f"belongs to shard {owner!r}"
-                )
-            if coord not in available:
-                raise PlacementError(
-                    f"tile {coord} requested for shard {shard_id!r} is not free"
-                )
-        return self._commit(shard_id, list(tiles))
 
     def release(self, shard_id: str) -> None:
         """Return a shard's tiles to the pool (e.g. after decommissioning)."""

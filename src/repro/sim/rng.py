@@ -94,10 +94,6 @@ class RngStream:
         """Sample k distinct elements."""
         return self._rng.sample(seq, k)
 
-    def shuffle(self, items: List[T]) -> None:
-        """Shuffle a list in place."""
-        self._rng.shuffle(items)
-
     def getrandbits(self, k: int) -> int:
         """k random bits as an int."""
         return self._rng.getrandbits(k)

@@ -14,8 +14,7 @@ class PeriodicTimer:
     """Fires a callback every ``period`` time units until stopped.
 
     Used for heartbeats, rejuvenation schedules, severity-detector sampling
-    windows, and metric flushes.  The first firing happens after
-    ``initial_delay`` (default: one full period).
+    windows, and metric flushes.  The first firing is one full period out.
     """
 
     def __init__(
@@ -24,9 +23,6 @@ class PeriodicTimer:
         period: float,
         callback: Callable[..., Any],
         *args: Any,
-        initial_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng_name: str = "timers.jitter",
     ) -> None:
         if period <= 0:
             raise ValueError(f"timer period must be positive, got {period}")
@@ -34,18 +30,9 @@ class PeriodicTimer:
         self.period = period
         self.callback = callback
         self.args = args
-        self.jitter = jitter
-        self._rng = sim.rng.stream(rng_name) if jitter > 0 else None
-        self._event: Optional[ScheduledEvent] = None
         self._running = True
         self.fire_count = 0
-        first = period if initial_delay is None else initial_delay
-        self._event = sim.schedule(self._jittered(first), self._fire)
-
-    def _jittered(self, delay: float) -> float:
-        if self._rng is None:
-            return delay
-        return max(0.0, delay + self._rng.uniform(-self.jitter, self.jitter))
+        self._event: Optional[ScheduledEvent] = sim.schedule(period, self._fire)
 
     def _fire(self) -> None:
         if not self._running:
@@ -53,7 +40,7 @@ class PeriodicTimer:
         self.fire_count += 1
         self.callback(*self.args)
         if self._running:  # the callback may have stopped us
-            self._event = self.sim.schedule(self._jittered(self.period), self._fire)
+            self._event = self.sim.schedule(self.period, self._fire)
 
     def stop(self) -> None:
         """Stop the timer; no further firings occur."""
@@ -61,12 +48,6 @@ class PeriodicTimer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    def reschedule(self, period: float) -> None:
-        """Change the period; takes effect from the next firing onward."""
-        if period <= 0:
-            raise ValueError(f"timer period must be positive, got {period}")
-        self.period = period
 
     @property
     def running(self) -> bool:

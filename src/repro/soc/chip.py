@@ -107,10 +107,6 @@ class Chip:
         """Current tile coordinate of a named node."""
         return self._placement[name]
 
-    def nodes(self) -> List[Node]:
-        """All placed nodes (sorted by name for determinism)."""
-        return [self._nodes[n] for n in sorted(self._nodes)]
-
     def free_tiles(self) -> List[Coord]:
         """Healthy, unoccupied, unreserved tiles (sorted for determinism)."""
         return sorted(c for c, t in self.tiles.items() if t.available)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.faults.byzantine import make_strategy
 
@@ -85,20 +85,3 @@ class ThreatScenario:
         replica = group.replicas[victim]
         if not replica.is_correct:
             replica.recover()
-
-
-def calm_attack_calm(
-    attack_start: float,
-    attack_end: float,
-    horizon: float,
-    strategy: str = "equivocate",
-    target_index: int = 0,
-) -> ThreatScenario:
-    """The canonical E5 timeline: calm, then an attack window, then calm."""
-    if not 0 < attack_start < attack_end < horizon:
-        raise ValueError("need 0 < attack_start < attack_end < horizon")
-    return ThreatScenario(
-        phases=[
-            AttackPhase(attack_start, attack_end, strategy, target_index, "attack"),
-        ]
-    )

@@ -14,10 +14,6 @@ from repro.analysis import (
     tmr,
 )
 from repro.analysis.layers import default_stack
-from repro.analysis.reliability import (
-    crossover_reliability,
-    mission_reliability_exponential,
-)
 
 
 # ----------------------------------------------------------------------
@@ -72,12 +68,6 @@ def test_imperfect_voter_caps_reliability():
     assert nmr(3, 0.999, voter_reliability=0.99) < 0.991
 
 
-def test_crossover_near_half_for_perfect_voter():
-    assert crossover_reliability(3) == pytest.approx(0.5, abs=1e-6)
-    # Imperfect voter pushes the crossover up.
-    assert crossover_reliability(3, voter_reliability=0.99) > 0.5
-
-
 def test_standby_with_perfect_detection():
     assert standby(0.9, 0.9) == pytest.approx(0.99)
 
@@ -87,11 +77,6 @@ def test_standby_detection_coverage_matters():
     half = standby(0.9, 0.9, detector_coverage=0.5)
     none = standby(0.9, 0.9, detector_coverage=0.0)
     assert full > half > none == pytest.approx(0.9)
-
-
-def test_exponential_mission_reliability():
-    assert mission_reliability_exponential(0.0, 100) == 1.0
-    assert mission_reliability_exponential(1e-3, 1000) == pytest.approx(0.3678794, rel=1e-4)
 
 
 # ----------------------------------------------------------------------
@@ -123,13 +108,6 @@ def test_mttf_with_repair_exceeds_without():
     without = RepairableSystem(3, 2, 1e-3, 0.0).mttf()
     with_repair = RepairableSystem(3, 2, 1e-3, 1e-1).mttf()
     assert with_repair > 10 * without
-
-
-def test_transient_availability_starts_high_decays():
-    system = RepairableSystem(3, 2, 1e-3, 0.0)
-    curve = system.availability_over_time(3000, steps=30)
-    assert curve[0] > curve[-1]
-    assert all(0 <= a <= 1 for a in curve)
 
 
 def test_repairable_validation():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bft import CounterApp, KeyValueStore, SafetyRecorder
+from repro.bft import KeyValueStore, SafetyRecorder
 from repro.bft.app import ControlLoopApp
 
 
@@ -71,30 +71,6 @@ def test_kv_determinism_across_instances():
     results_b = [b.execute(op) for op in ops]
     assert results_a == results_b
     assert a.state_digest() == b.state_digest()
-
-
-# ----------------------------------------------------------------------
-# CounterApp
-# ----------------------------------------------------------------------
-def test_counter_add_and_read():
-    app = CounterApp()
-    assert app.execute(("add", 5)) == 5
-    assert app.execute(("add", -2)) == 3
-    assert app.execute(("read",)) == 3
-
-
-def test_counter_snapshot_restore():
-    app = CounterApp()
-    app.execute(("add", 7))
-    other = CounterApp()
-    other.restore(app.snapshot())
-    assert other.value == 7
-    assert other.state_digest() == app.state_digest()
-
-
-def test_counter_rejects_unknown():
-    with pytest.raises(ValueError):
-        CounterApp().execute(("mul", 3))
 
 
 # ----------------------------------------------------------------------

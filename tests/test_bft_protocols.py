@@ -5,11 +5,14 @@ exercises a protocol property end-to-end (normal case, crash failover,
 Byzantine behaviour, state sync, dedup, checkpoints).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.pbft import PbftReplica, required_replicas as pbft_n
-from repro.bft.minbft import MinBftConfig, required_replicas as minbft_n
+from repro.bft.messages import MbViewChange
+from repro.bft.minbft import MinBftConfig, _ui_payload, required_replicas as minbft_n
 from repro.bft.cft import required_replicas as cft_n
 from repro.bft.passive import PassiveConfig, required_replicas as passive_n
 from repro.faults import make_strategy
@@ -184,6 +187,32 @@ def test_minbft_equivocation_detected_by_usig():
     sim.schedule_at(30_000, strategy.activate, group.replicas[group.members[0]])
     sim.run(until=2_000_000)
     assert group.safety.is_safe
+
+
+def test_minbft_runs_one_senders_ui_messages_in_counter_order():
+    """A backup holds a gap back until it closes, drops a replay, and
+    takes the first counter it hears from a sender as that sender's
+    stream head (here 3, not 1)."""
+    sim = Simulator(seed=3)
+    chip = Chip(sim, ChipConfig(width=5, height=5))
+    group = build_group(chip, GroupConfig(protocol="minbft", f=1, group_id="g"))
+    _, me, sender = group.members
+    backup = group.replicas[me]
+    ran = []
+    backup._ui_handlers[MbViewChange] = lambda s, m: ran.append((s, m.ui.counter))
+    usig = group.replicas[sender].usig
+    usig.create_ui(b"spent")
+    usig.create_ui(b"spent")
+    messages = []
+    for view in (1, 2, 3):
+        unsigned = MbViewChange(view, 0, sender, None)
+        messages.append(dataclasses.replace(unsigned, ui=usig.create_ui(_ui_payload(unsigned))))
+    c = messages[0].ui.counter
+    assert c == 3
+    for message in (messages[0], messages[2], messages[0], messages[1]):
+        backup.deliver(sender, message)
+    sim.run(until=sim.now + 1_000)
+    assert ran == [(sender, c), (sender, c + 1), (sender, c + 2)]
 
 
 # ----------------------------------------------------------------------

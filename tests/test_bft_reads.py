@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
-from repro.bft.app import CounterApp, KeyValueStore
+from repro.bft.app import KeyValueStore
 from repro.faults import make_strategy
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
@@ -39,8 +39,6 @@ def build(protocol="minbft", f=1, seed=1, predicate=is_read, ops=mixed_ops):
 def test_state_machines_reject_non_reads():
     with pytest.raises(ValueError):
         KeyValueStore().read(("put", "k", 1))
-    with pytest.raises(ValueError):
-        CounterApp().read(("add", 1))
 
 
 def test_state_machine_reads_answer_without_mutation():

@@ -57,14 +57,6 @@ def test_store_duplicate_registration_rejected():
         store.register(make_bitstream("v0", "svc"))
 
 
-def test_store_variants_for_functionality():
-    store = BitstreamStore()
-    store.register(make_bitstream("a1", "alpha"))
-    store.register(make_bitstream("a2", "alpha"))
-    store.register(make_bitstream("b1", "beta"))
-    assert store.variants_for("alpha") == ["a1", "a2"]
-
-
 def test_bitstream_size_validation():
     with pytest.raises(ValueError):
         Bitstream("v", "f", "x", 0, b"d")

@@ -53,27 +53,6 @@ def test_forged_counter_fails_verification(keystore):
     assert not verifier.verify_ui(forged, b"d")
 
 
-def test_accept_sequential_enforces_no_gaps(keystore):
-    usig = Usig("r0", keystore)
-    verifier = UsigVerifier(keystore)
-    ui1 = usig.create_ui(b"a")
-    ui2 = usig.create_ui(b"b")
-    ui3 = usig.create_ui(b"c")
-    assert verifier.accept_sequential(ui1, b"a")
-    # Gap: ui3 before ui2 is refused and does NOT advance state.
-    assert not verifier.accept_sequential(ui3, b"c")
-    assert verifier.accept_sequential(ui2, b"b")
-    assert verifier.accept_sequential(ui3, b"c")
-
-
-def test_accept_sequential_rejects_duplicates(keystore):
-    usig = Usig("r0", keystore)
-    verifier = UsigVerifier(keystore)
-    ui = usig.create_ui(b"a")
-    assert verifier.accept_sequential(ui, b"a")
-    assert not verifier.accept_sequential(ui, b"a")
-
-
 def test_no_equivocation_possible(keystore):
     """Two creates never share a counter — the non-equivocation core."""
     usig = Usig("r0", keystore)
@@ -85,19 +64,21 @@ def test_no_equivocation_possible(keystore):
 def test_plain_register_bitflip_breaks_sequence(keystore):
     usig = Usig("r0", keystore, register_kind="plain")
     verifier = UsigVerifier(keystore)
-    assert verifier.accept_sequential(usig.create_ui(b"a"), b"a")
+    previous = usig.create_ui(b"a")
     usig.inject_bitflip(5)  # counter jumps by 32
     ui = usig.create_ui(b"b")
     assert verifier.verify_ui(ui, b"b")  # MAC is fine...
-    assert not verifier.accept_sequential(ui, b"b")  # ...but the gap is caught
+    assert ui.counter != previous.counter + 1  # ...but the sequence is broken
 
 
 def test_ecc_register_bitflip_transparent(keystore):
     usig = Usig("r0", keystore, register_kind="ecc")
     verifier = UsigVerifier(keystore)
-    assert verifier.accept_sequential(usig.create_ui(b"a"), b"a")
+    previous = usig.create_ui(b"a")
     usig.inject_bitflip(5)
-    assert verifier.accept_sequential(usig.create_ui(b"b"), b"b")
+    ui = usig.create_ui(b"b")
+    assert verifier.verify_ui(ui, b"b")
+    assert ui.counter == previous.counter + 1
 
 
 def test_ecc_double_flip_halts_usig(keystore):
@@ -110,25 +91,6 @@ def test_ecc_double_flip_halts_usig(keystore):
     assert usig.halted
     with pytest.raises(UsigError):
         usig.create_ui(b"c")  # stays halted (fail-safe)
-
-
-def test_reset_issuer_resyncs(keystore):
-    usig = Usig("r0", keystore)
-    verifier = UsigVerifier(keystore)
-    for i in range(5):
-        verifier.accept_sequential(usig.create_ui(b"%d" % i), b"%d" % i)
-    verifier.reset_issuer("r0", 10)
-    usig.counter_register.write(10)
-    ui = usig.create_ui(b"next")
-    assert verifier.accept_sequential(ui, b"next")
-
-
-def test_highest_seen_tracking(keystore):
-    usig = Usig("r0", keystore)
-    verifier = UsigVerifier(keystore)
-    assert verifier.highest_seen("r0") == 0
-    verifier.accept_sequential(usig.create_ui(b"a"), b"a")
-    assert verifier.highest_seen("r0") == 1
 
 
 def test_ui_size_bytes(keystore):

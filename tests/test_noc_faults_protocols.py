@@ -30,7 +30,12 @@ def build(adaptive_routing, seed=17, protocol="minbft"):
 def test_protocol_survives_transient_link_failures_with_adaptive_routing():
     sim, chip, group, client = build(adaptive_routing=True)
     injector = FaultInjector(sim, chip)
-    injector.random_link_failures(rate=2e-7, check_period=5_000, repair_after=20_000)
+    links = sorted(chip.noc.links)
+    draw = sim.rng.stream("test.links")
+    for i in range(12):
+        a, b = links[draw.randint(0, len(links) - 1)]
+        injector.fail_link_at(a, b, 50_000 * (i + 1))
+        injector.repair_link_at(a, b, 50_000 * (i + 1) + 20_000)
     client.start()
     sim.run(until=800_000)
     assert injector.injected_link_faults > 0

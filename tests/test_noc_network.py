@@ -170,15 +170,6 @@ def test_flit_hop_accounting():
     assert net.metrics.counter("noc.flit_hops").value == 8
 
 
-def test_detach_endpoint_drops():
-    sim, net = make_net()
-    net.attach(Coord(1, 0), lambda p: None)
-    net.detach(Coord(1, 0))
-    packet = net.send(Coord(0, 0), Coord(1, 0), "x")
-    sim.run()
-    assert packet.dropped
-
-
 def test_send_off_mesh_rejected():
     sim, net = make_net()
     with pytest.raises(ValueError):

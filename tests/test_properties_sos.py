@@ -1,9 +1,8 @@
-"""Property-based tests for the systems-of-SoCs layer and Razor model."""
+"""Property-based tests for the systems-of-SoCs layer."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hybrids.razor import stage_delay, timing_fault_probability
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 from repro.sos import MultiChipSystem
@@ -55,32 +54,3 @@ def test_chip_route_none_without_links(n_chips):
         system.add_chip(name, Chip(sim, ChipConfig(width=2, height=2)))
     assert system.chip_route(names[0], names[-1]) is None
     assert system.chip_route(names[0], names[0]) == [names[0]]
-
-
-# ----------------------------------------------------------------------
-# Razor physics invariants
-# ----------------------------------------------------------------------
-voltages = st.floats(min_value=0.4, max_value=1.5, allow_nan=False)
-
-
-@given(voltages)
-def test_stage_delay_positive(vdd):
-    assert stage_delay(vdd) > 0
-
-
-@given(voltages, voltages)
-def test_stage_delay_monotone(v1, v2):
-    lo, hi = sorted([v1, v2])
-    assert stage_delay(lo) >= stage_delay(hi) - 1e-12
-
-
-@given(voltages)
-def test_fault_probability_is_probability(vdd):
-    p = timing_fault_probability(vdd)
-    assert 0.0 <= p <= 1.0
-
-
-@given(voltages, voltages)
-def test_fault_probability_monotone(v1, v2):
-    lo, hi = sorted([v1, v2])
-    assert timing_fault_probability(lo) >= timing_fault_probability(hi) - 1e-12

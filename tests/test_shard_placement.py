@@ -50,23 +50,6 @@ def test_occupied_tiles_are_not_candidates(big_chip):
     assert Coord(0, 0) not in region.tiles
 
 
-def test_exact_allocation_refuses_overlap(big_chip):
-    planner = PlacementPlanner(big_chip)
-    first = planner.allocate_exact("s0", [Coord(0, 0), Coord(1, 0)])
-    assert first.tiles == (Coord(0, 0), Coord(1, 0))
-    with pytest.raises(PlacementError, match="belongs to shard 's0'"):
-        planner.allocate_exact("s1", [Coord(1, 0), Coord(2, 0)])
-    # The failed attempt must not leak a partial allocation.
-    assert planner.owner_of(Coord(2, 0)) is None
-
-
-def test_exact_allocation_refuses_unfree_tiles(big_chip):
-    planner = PlacementPlanner(big_chip)
-    big_chip.tiles[Coord(3, 3)].crash()
-    with pytest.raises(PlacementError, match="not free"):
-        planner.allocate_exact("s0", [Coord(3, 3)])
-
-
 def test_greedy_allocation_avoids_prior_regions(big_chip):
     planner = PlacementPlanner(big_chip)
     a = planner.allocate("s0", 6)
@@ -86,8 +69,6 @@ def test_duplicate_shard_id_rejected(big_chip):
     planner.allocate("s0", 2)
     with pytest.raises(PlacementError, match="already has a region"):
         planner.allocate("s0", 2)
-    with pytest.raises(PlacementError, match="already has a region"):
-        planner.allocate_exact("s0", [Coord(5, 5)])
 
 
 def test_release_returns_tiles(big_chip):

@@ -93,14 +93,6 @@ def test_sample_and_choice_are_deterministic():
     assert a.choice(seq) == b.choice(seq)
 
 
-def test_shuffle_is_permutation():
-    stream = RngStream(17, "shuffle")
-    items = list(range(50))
-    stream.shuffle(items)
-    assert sorted(items) == list(range(50))
-    assert items != list(range(50))
-
-
 # ----------------------------------------------------------------------
 # Campaign seed hygiene: derive_trial_seed
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.workloads import (
     ZipfKeys,
     kv_workload,
 )
-from repro.workloads.scenarios import calm_attack_calm
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 
@@ -97,14 +96,6 @@ def test_attack_phase_validation():
         AttackPhase(start=-1, end=10)
 
 
-def test_calm_attack_calm_shape():
-    scenario = calm_attack_calm(100, 200, 300)
-    assert scenario.horizon() == 200
-    assert len(scenario.phases) == 1
-    with pytest.raises(ValueError):
-        calm_attack_calm(200, 100, 300)
-
-
 def test_scenario_applies_and_ends_attack():
     sim = Simulator(seed=4)
     chip = Chip(sim, ChipConfig(width=5, height=5))
@@ -140,7 +131,7 @@ def test_scenario_service_survives_attack_window():
     client = ClientNode("c0", ClientConfig(think_time=100, timeout=15_000))
     group.attach_client(client)
     client.start()
-    scenario = calm_attack_calm(50_000, 150_000, 400_000, strategy="equivocate")
+    scenario = ThreatScenario(phases=[AttackPhase(50_000, 150_000, "equivocate", label="attack")])
     scenario.apply(sim, group)
     sim.run(until=400_000)
     assert group.safety.is_safe
