@@ -42,7 +42,7 @@ def run_deployment(n_chips, fail_chip, seed=55):
             system.connect(a, b, InterChipLinkConfig(latency=200, bytes_per_cycle=2))
     group = build_spanning_group(system, protocol="minbft", f=1, chips=names)
     client = ClientNode("c0", ClientConfig(think_time=100, timeout=20_000))
-    group.attach_client(client, names[0])
+    group.attach_client(client)  # on names[0], the group's first chip
     client.start()
     sim.run(until=100_000)
     calm_lats = client.latencies_in(20_000, 100_000)
@@ -63,7 +63,7 @@ def run_deployment(n_chips, fail_chip, seed=55):
         "ops_after_failure": after_ops,
         "carried": carried,
         "safe": group.safety.is_safe,
-        "placement": dict(group.home_chip),
+        "placement": {m: system.owner_chip(m) for m in group.members},
     }
 
 

@@ -27,11 +27,12 @@ def main() -> None:
 
     group = build_spanning_group(system, protocol="minbft", f=1, group_id="fms")
     client = ClientNode("fms-client", ClientConfig(think_time=150, timeout=20_000))
-    group.attach_client(client, "flight-ctrl")
+    group.attach_client(client)  # on "flight-ctrl", the group's first chip
     client.start()
 
     print("== networked systems of SoCs ==")
-    print(f"replica placement: {group.home_chip}")
+    placement = {m: system.owner_chip(m) for m in group.members}
+    print(f"replica placement: {placement}")
 
     sim.run(until=250_000)
     calm_ops = client.completed

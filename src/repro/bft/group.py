@@ -4,23 +4,24 @@
 protocol family and a fault bound f, and get a placed, running replica
 group plus the client-side parameters (member list, reply quorum).
 
-:class:`ReplicaGroup`'s constructor is the one place that names, builds
-and assigns tiles to members; its :class:`Launcher` hook says how they
-come up (at once here, through the ICAP for a
-:class:`~repro.core.replication.ReplicationManager`).
+:class:`ReplicaGroup` is the one code that names, places, rebuilds, adds
+and drops members; its :class:`Launcher` says how a member comes up and
+goes away (at once here, through the ICAP for a
+:class:`~repro.core.replication.ReplicationManager`, one chip per member
+for :func:`~repro.sos.builder.build_spanning_group`).
 
 :meth:`ReplicaGroup.switch_protocol` implements the adaptation mechanism
-of §II.D: quiesce, snapshot the most advanced correct replica, rebuild the
+of §II.D: snapshot the most advanced correct replica, rebuild the
 replicas in the new family on the *same tiles with the same names* (so
 clients and key material survive), import the snapshot everywhere, and
-re-point the clients.  The switch costs real simulated time (state
-transfer + protocol restart), which E5 accounts against the adaptation
-strategy.
+re-point the clients.  Kept members restart in software at no simulated
+cost; a member the new family adds comes up like any other newcomer (an
+ICAP spawn on the fabric).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.bft.app import KeyValueStore, StateMachine
@@ -101,19 +102,44 @@ class GroupConfig:
 
 
 class Launcher:
-    """How a :class:`ReplicaGroup`'s members come up: this base places
-    them on the chip's free tiles and starts them, all at once."""
+    """How a :class:`ReplicaGroup`'s members come up and go away: this
+    base places them on the group's chip and starts them, all at once."""
 
-    def free_tiles(self, chip: Chip) -> List[Coord]:
-        """The tiles members land on when ``config.placement`` is None."""
-        return chip.free_tiles()
+    def free_tiles(self, group: "ReplicaGroup") -> List[Coord]:
+        """Tiles for the next members, in member order (at deploy,
+        ``config.placement`` overrides them)."""
+        return group.chip.free_tiles()
 
-    def launch(self, group: "ReplicaGroup") -> None:
-        """Bring up the group's constructed, tile-assigned members."""
-        for name, replica in group.replicas.items():
-            group.chip.place_node(replica, group.placement[name])
-        for replica in group.replicas.values():
-            replica.start()
+    def chip_for(self, group: "ReplicaGroup", name: str) -> Chip:
+        """The chip a member lives on."""
+        return group.chip
+
+    def launch(
+        self, group: "ReplicaGroup", names: List[str], donor: Optional[Dict[str, Any]]
+    ) -> None:
+        """Bring up constructed, tile-assigned members: place each and
+        hand it the donor state, then start them all."""
+        for name in names:
+            replica = group.replicas[name]
+            self.chip_for(group, name).place_node(replica, group.placement[name])
+            self.hand_over(replica, donor)
+        for name in names:
+            group.replicas[name].start()
+
+    def retire(self, group: "ReplicaGroup", name: str) -> None:
+        """Take a dropped (already shut down) member off its tile."""
+        self.chip_for(group, name).remove_node(name)
+
+    @staticmethod
+    def hand_over(replica: BaseReplica, donor: Optional[Dict[str, Any]]) -> None:
+        """Give a placed member the group's state.  A leased member then
+        holds conflicting writes for one lease duration: a grant its
+        predecessor of the same name accepted may still be live."""
+        if donor is None:
+            return
+        replica.import_state(donor)
+        if replica.lease_manager is not None:
+            replica.lease_manager.quiesce()
 
 
 class ReplicaGroup:
@@ -123,45 +149,26 @@ class ReplicaGroup:
         self,
         chip: Chip,
         config: GroupConfig,
-        keystore: Optional[KeyStore] = None,
-        safety: Optional[SafetyRecorder] = None,
         launcher: Optional[Launcher] = None,
     ) -> None:
         self.chip = chip
         self.config = config
-        self.keystore = keystore or KeyStore()
-        self.safety = safety or SafetyRecorder()
+        self.safety = SafetyRecorder()
         self.protocol = config.protocol
-        launcher = launcher or Launcher()
-        family = FAMILIES[config.protocol]
-        n = family.replicas_for(config.f)
-        member_names = [f"{config.group_id}-r{i}" for i in range(n)]
-        placement = config.placement or launcher.free_tiles(chip)
-        if len(placement) < n:
-            raise ValueError(f"need {n} tiles for {config.protocol} f={config.f}")
-        self.placement: Dict[str, Coord] = dict(zip(member_names, placement))
+        self.launcher = launcher or Launcher()
+        self.placement: Dict[str, Coord] = {}
         self.context = GroupContext(
             group_id=config.group_id,
-            members=member_names,
+            members=[],
             f=config.f,
             app_factory=config.app_factory,
-            keystore=self.keystore,
+            keystore=KeyStore(),
             safety=self.safety,
             metrics=chip.metrics,
         )
-        self.replicas: Dict[str, BaseReplica] = {
-            name: self.make_replica(name) for name in member_names
-        }
+        self.replicas: Dict[str, BaseReplica] = {}
         self.clients: List[ClientNode] = []
-        launcher.launch(self)
-
-    # ------------------------------------------------------------------
-    def make_replica(self, name: str) -> BaseReplica:
-        """Construct (not place) one member in the group's current
-        protocol family; ``config.protocol_config=None`` means the
-        family's defaults."""
-        family = FAMILIES[self.protocol]
-        return family.replica_cls(name, self.context, self.config.protocol_config)
+        self._reshape(FAMILIES[config.protocol].replicas_for(config.f), restart=False)
 
     # ------------------------------------------------------------------
     @property
@@ -178,10 +185,6 @@ class ReplicaGroup:
     def reply_quorum(self) -> int:
         """Matching replies a client needs with the current protocol."""
         return FAMILIES[self.protocol].reply_quorum_for(self.context.f)
-
-    def replica(self, name: str) -> BaseReplica:
-        """Look up a replica by name."""
-        return self.replicas[name]
 
     def correct_replicas(self) -> List[BaseReplica]:
         """Replicas that are neither crashed nor compromised."""
@@ -201,7 +204,8 @@ class ReplicaGroup:
         return any(r.lease_manager is not None for r in self.replicas.values())
 
     def attach_client(self, client: ClientNode, coord: Optional[Coord] = None) -> None:
-        """Place (if needed) and configure a client for this group."""
+        """Place (unless the caller already did) and configure a client
+        for this group; a client on another chip is placed by its caller."""
         if client.chip is None:
             target = coord or self.chip.free_tiles()[0]
             self.chip.place_node(client, target)
@@ -255,45 +259,24 @@ class ReplicaGroup:
             self.replicas[name].compromise()
 
     # ------------------------------------------------------------------
-    # Protocol switching (adaptation, §II.D)
+    # Membership: protocol switching (§II.D) and scale events
     # ------------------------------------------------------------------
     def switch_protocol(
         self,
         protocol: str,
         f: Optional[int] = None,
         protocol_config: Optional[ProtocolConfig] = None,
-    ) -> float:
+    ) -> None:
         """Swap the group to a different protocol family in place.
 
-        Returns the simulated time charged for the switch (state transfer
-        and restart).  Without a ``protocol_config`` the new family keeps
-        the group's batching and leases, its other fields at the family's
-        defaults.  The group keeps its id; replica *names* change only
-        if the new family needs a different group size (extras are spawned
-        on free tiles / surplus members are despawned).
+        Without a ``protocol_config`` the new family keeps the group's
+        batching and leases, its other fields at the family's defaults.
+        The group keeps its id and its members' names and tiles: each
+        kept member restarts in place on the most advanced correct
+        member's state; if the new family needs more members the tail is
+        launched, if fewer the tail is retired.
         """
-        family = FAMILIES[protocol]
         new_f = self.config.f if f is None else f
-        n = family.replicas_for(new_f)
-        donor = self._most_advanced_state()
-
-        # Tear down the old replicas (keep their tiles reserved in order).
-        # shutdown() deactivates the old instances so no zombie timers or
-        # in-flight callbacks keep acting under the reused names.
-        old_coords = [self.placement[name] for name in self.context.members]
-        for name in list(self.replicas):
-            self.replicas[name].shutdown()
-            self.chip.remove_node(name)
-        self.replicas.clear()
-
-        member_names = [f"{self.config.group_id}-r{i}" for i in range(n)]
-        coords = list(old_coords[:n])
-        if len(coords) < n:
-            extra = [c for c in self.chip.free_tiles() if c not in coords]
-            coords.extend(extra[: n - len(coords)])
-        if len(coords) < n:
-            raise ValueError(f"not enough tiles to switch to {protocol} f={new_f}")
-
         old_config = self.config.protocol_config
         if protocol_config is None and old_config is not None:
             # Batching and leases are the group's, not the family's.
@@ -304,47 +287,51 @@ class ReplicaGroup:
         self.config.protocol = protocol
         self.config.protocol_config = protocol_config
         self.config.f = new_f
-        self.placement = dict(zip(member_names, coords))
-        self.context.members[:] = member_names
         self.context.f = new_f
+        self._reshape(FAMILIES[protocol].replicas_for(new_f), restart=True)
+        self.chip.metrics.counter(f"{self.config.group_id}.protocol_switches").inc()
 
-        # Placed before the import: a leased replica's era change reads
-        # the clock.  Started once all are placed, as Launcher does.
-        for name in member_names:
-            replica = self.make_replica(name)
-            self.chip.place_node(replica, self.placement[name])
-            if donor is not None:
-                replica.import_state(donor)
-            if replica.lease_manager is not None:
-                # A grant the old primary sent may reach its successor.
-                replica.lease_manager.quiesce()
-            self.replicas[name] = replica
-        for replica in self.replicas.values():
-            replica.start()
+    def resize(self, n: int) -> None:
+        """Grow or shrink the group to ``n`` members (a scale event): the
+        tail is launched or retired, the other members run on."""
+        self._reshape(n, restart=False)
+
+    def _reshape(self, n: int, restart: bool) -> None:
+        """The one membership path: retire the members past ``n``,
+        rebuild the kept ones when ``restart``, name and place the added
+        tail, launch what is new and re-point the clients."""
+        donor = self._most_advanced_state()
+        names = self.context.members
+        for name in names[n:]:
+            self.replicas[name].shutdown()
+            self.launcher.retire(self, name)
+            del self.replicas[name], self.placement[name]
+        del names[n:]
+        added = [f"{self.config.group_id}-r{i}" for i in range(len(names), n)]
+        if added:
+            tiles = (not names and self.config.placement) or self.launcher.free_tiles(self)
+            if len(tiles) < len(added):
+                raise ValueError(f"need {n} tiles for {self.protocol} f={self.f}")
+            self.placement.update(zip(added, tiles))
+        kept = list(names) if restart else []
+        for name in kept:
+            self.replicas[name].shutdown()  # for good: see BaseReplica.recover
+            self.replicas[name].chip.remove_node(name)
+        names.extend(added)
+        # Built in the current family; protocol_config=None is its defaults.
+        family = FAMILIES[self.protocol]
+        for name in kept + added:
+            self.replicas[name] = family.replica_cls(name, self.context, self.config.protocol_config)
+        self.launcher.launch(self, kept + added, donor)
         self.configure_clients()
 
-        # Charge switch time: a state-transfer round plus restart slack,
-        # scaled by history length (executed sequence numbers — the
-        # executed-request ledger itself is bounded per client).
-        switch_cost = 2_000.0 + 50.0 * (donor["last_executed"] if donor else 0)
-        self.chip.metrics.counter(f"{self.config.group_id}.protocol_switches").inc()
-        return switch_cost
-
     def _most_advanced_state(self) -> Optional[Dict[str, Any]]:
-        best: Optional[BaseReplica] = None
-        for replica in self.replicas.values():
-            if not replica.is_correct:
-                continue
-            if best is None or replica.last_executed > best.last_executed:
-                best = replica
-        return best.export_state() if best is not None else None
+        correct = self.correct_replicas()
+        if not correct:
+            return None
+        return max(correct, key=lambda r: r.last_executed).export_state()
 
 
-def build_group(
-    chip: Chip,
-    config: Optional[GroupConfig] = None,
-    keystore: Optional[KeyStore] = None,
-    safety: Optional[SafetyRecorder] = None,
-) -> ReplicaGroup:
+def build_group(chip: Chip, config: Optional[GroupConfig] = None) -> ReplicaGroup:
     """Build, place, and start a replica group on a chip."""
-    return ReplicaGroup(chip, config or GroupConfig(), keystore=keystore, safety=safety)
+    return ReplicaGroup(chip, config or GroupConfig())

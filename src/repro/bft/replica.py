@@ -198,6 +198,9 @@ class BaseReplica(Node):
     # pipeline so retransmits of any incomplete rid can be answered.
     REPLY_CACHE_SIZE = 64
 
+    #: Set by :meth:`shutdown`; a retired instance never comes back.
+    retired = False
+
     _committed_ops = _group_counter("committed_ops")
     _executions = _group_counter("executions")
     _fast_reads = _group_counter("fast_reads")
@@ -584,8 +587,11 @@ class BaseReplica(Node):
         Called when the group rebuilds its replicas (protocol switch,
         scale-in): the old object must stop acting — a live "zombie"
         holding the same name would keep firing timers and committing
-        stale operations attributed to its successor.
+        stale operations attributed to its successor.  A retired
+        instance ignores :meth:`recover`: a rejuvenation pass begun
+        before the rebuild must not revive it when its write commits.
         """
+        self.retired = True
         self.state = NodeState.CRASHED
         self.syncing = False
         self._drop_pending()
@@ -596,6 +602,11 @@ class BaseReplica(Node):
             self.lease_manager.stop()
         if self.lease_table is not None:
             self.lease_table.clear()
+
+    def recover(self) -> None:
+        """Restart the node, unless :meth:`shutdown` retired it."""
+        if not self.retired:
+            super().recover()
 
     def on_recover(self) -> None:
         """After rejuvenation the replica rejoins with its durable state.

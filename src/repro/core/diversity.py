@@ -122,7 +122,8 @@ class DiversityManager:
     # Assignment
     # ------------------------------------------------------------------
     def assign(self, replicas: Sequence[str], limit_variants: Optional[int] = None) -> Dict[str, str]:
-        """Assign variants to replicas, vendor-spread round-robin.
+        """Assign variants to a whole set of replicas afresh, vendor-spread
+        round-robin (a deployed group admits its members one by one).
 
         ``limit_variants`` restricts the usable pool (the E3 sweep axis:
         how much diversity money can buy).
@@ -136,6 +137,20 @@ class DiversityManager:
             replica: pool[i % len(pool)] for i, replica in enumerate(replicas)
         }
         return dict(self.assignment)
+
+    def admit(self, replica: str) -> str:
+        """Give one newcomer a variant; no other member's entry moves.
+
+        It gets the first variant, in vendor-spread order, that no member
+        holds, or its round-robin position when all are held — so
+        admitting a group member by member reproduces :meth:`assign`.
+        """
+        pool = self._vendor_spread_order()
+        held = set(self.assignment.values())
+        unheld = [name for name in pool if name not in held]
+        variant = unheld[0] if unheld else pool[len(self.assignment) % len(pool)]
+        self.assignment[replica] = variant
+        return variant
 
     def next_variant_for(self, replica: str, rng: Optional[RngStream] = None) -> str:
         """Pick a *different* variant for a rejuvenating replica.

@@ -7,21 +7,20 @@ similar way to creating virtual machines or containers at software
 level."  The :class:`ReplicationManager` does exactly that: it spawns a
 :class:`~repro.bft.group.ReplicaGroup`'s members through the fabric's
 ICAP (E9 measures the elasticity curve), tracks which variant each
-replica runs, and scales the group out/in.  The group's own constructor
-builds it; the manager is only its launcher (where members land, how
-they come up).
+replica runs, and scales the group out/in.  The group names, adds and
+drops its members; the manager is only its launcher (where members land,
+how they come up and go away).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.bft.group import FAMILIES, GroupConfig, Launcher, ReplicaGroup
-from repro.bft.safety import SafetyRecorder
 from repro.core.diversity import DiversityManager
-from repro.crypto.keys import KeyStore
 from repro.fabric.fabric import FpgaFabric
 from repro.fabric.icap import IcapResult
+from repro.fabric.region import RegionState
 from repro.noc.topology import Coord
 from repro.soc.chip import Chip
 
@@ -53,46 +52,54 @@ class ReplicationManager(Launcher):
         self.spawn_completions: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    def deploy_group(
-        self,
-        config: GroupConfig,
-        keystore: Optional[KeyStore] = None,
-        safety: Optional[SafetyRecorder] = None,
-    ) -> ReplicaGroup:
+    def deploy_group(self, config: GroupConfig) -> ReplicaGroup:
         """Build a group whose replicas come online via fabric spawns.
 
         Returns the group immediately; replicas join the chip as their
         bitstreams commit.
         """
-        self.group = ReplicaGroup(self.chip, config, keystore, safety, launcher=self)
+        self.group = ReplicaGroup(self.chip, config, launcher=self)
         return self.group
 
-    def free_tiles(self, chip: Chip) -> List[Coord]:
+    def free_tiles(self, group: ReplicaGroup) -> List[Coord]:
         """Launcher hook: members land on free, empty fabric regions."""
         return self.fabric.free_regions()
 
-    def launch(self, group: ReplicaGroup) -> None:
-        """Launcher hook: spawn each member through the ICAP with its
-        variant; each starts as its bitstream commits."""
-        assignment = self.diversity.assign(group.members)
+    def launch(
+        self, group: ReplicaGroup, names: List[str], donor: Optional[Dict[str, Any]]
+    ) -> None:
+        """Launcher hook: a member whose region already holds an image
+        (a protocol switch restarts software, not the bitstream) is placed
+        at once; one on a blank region is spawned through the ICAP with
+        the variant diversity admits it to, and starts as its bitstream
+        commits."""
+        blank = [
+            name for name in names
+            if self.fabric.region_at(group.placement[name]).state is RegionState.EMPTY
+        ]
+        super().launch(group, [name for name in names if name not in blank], donor)
 
-        def make_ready_callback(name: str):
-            def ready(node) -> None:
-                self.spawn_completions[name] = self.chip.sim.now
-                node.start()
+        def ready(node) -> None:
+            self.spawn_completions[node.name] = self.chip.sim.now
+            self.hand_over(node, donor)
+            node.start()
 
-            return ready
-
-        for name, replica in group.replicas.items():
+        for name in blank:
             result = self.fabric.spawn(
                 self.principal,
-                replica,
-                assignment[name],
+                group.replicas[name],
+                self.diversity.admit(name),
                 group.placement[name],
-                on_ready=make_ready_callback(name),
+                on_ready=ready,
             )
             if result != IcapResult.OK:
                 raise RuntimeError(f"spawn of {name} rejected: {result}")
+
+    def retire(self, group: ReplicaGroup, name: str) -> None:
+        """Launcher hook: blank the member's region and forget its variant."""
+        if self.chip.has_node(name):
+            self.fabric.despawn(group.placement[name])
+        self.diversity.assignment.pop(name, None)
 
     # ------------------------------------------------------------------
     # Elastic scaling (§II.D: "scaling out/in the system when f may change")
@@ -101,43 +108,18 @@ class ReplicationManager(Launcher):
         """Add one replica to the group (raises effective f when the
         protocol's size function allows it).  Returns the new name."""
         group = self._require_group()
-        free = self.fabric.free_regions()
-        if not free:
+        if not self.free_tiles(group):
             return None
-        index = len(group.context.members)
-        name = f"{group.config.group_id}-r{index}"
-        group.context.members.append(name)
-        group.placement[name] = free[0]
-        replica = group.make_replica(name)
-        group.replicas[name] = replica
-        donor = group._most_advanced_state()
-        variant = self.diversity.assign(group.context.members)[name]
-
-        def ready(node) -> None:
-            if donor is not None:
-                node.import_state(donor)
-            self.spawn_completions[name] = self.chip.sim.now
-
-        self.fabric.spawn(self.principal, replica, variant, free[0], on_ready=ready)
-        group.configure_clients()
-        return name
+        group.resize(len(group.members) + 1)
+        return group.members[-1]
 
     def scale_in(self) -> Optional[str]:
         """Remove the highest-index replica.  Returns its name."""
         group = self._require_group()
-        family = FAMILIES[group.protocol]
-        minimum = family.replicas_for(group.config.f)
-        if len(group.context.members) <= minimum:
+        if len(group.members) <= FAMILIES[group.protocol].replicas_for(group.f):
             return None
-        name = group.context.members.pop()
-        coord = group.placement.pop(name)
-        removed = group.replicas.pop(name, None)
-        if removed is not None:
-            removed.shutdown()
-        if self.chip.has_node(name):
-            self.fabric.despawn(coord)
-        self.diversity.assignment.pop(name, None)
-        group.configure_clients()
+        name = group.members[-1]
+        group.resize(len(group.members) - 1)
         return name
 
     def _require_group(self) -> ReplicaGroup:

@@ -21,9 +21,10 @@ Notes on the per-shard machinery:
 * The default rejuvenation policy uses ``relocate=False`` — chip-wide
   relocation would walk replicas out of their shard's region.  Pass an
   explicit policy to override.
-* Protocol escalation (e.g. minbft→pbft) grows the group by pulling
-  extra free tiles from the chip, so leave headroom when sizing the mesh
-  for adaptive shards.
+* Protocol escalation (e.g. minbft→pbft) grows the group by spawning
+  its new members on tiles from the launcher's ``free_tiles`` (the
+  chip's free, empty fabric regions), so leave headroom when sizing the
+  mesh for adaptive shards.
 * ``kill_shard`` stops the victim's maintenance machinery before
   crashing its tiles: a rejuvenation pass against a dead region would
   otherwise "resurrect" replicas on crashed tiles.

@@ -18,8 +18,10 @@ latency cost vs chip-failure survival.
   channel between two chips' gateways.
 * :class:`~repro.sos.system.MultiChipSystem` — the fabric of chips:
   global name registry, off-chip tunnelling, chip-level fault injection.
-* :func:`~repro.sos.builder.build_spanning_group` — place one replica
-  group across several chips.
+* :func:`~repro.sos.builder.build_spanning_group` — one
+  :class:`~repro.bft.group.ReplicaGroup` across several chips: its
+  launcher puts member i on chip i mod k; the chip a member is on is
+  :meth:`MultiChipSystem.owner_chip` of its name.
 """
 
 from repro.sos.builder import build_spanning_group

@@ -6,7 +6,13 @@ from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.group import FAMILIES, protocol_config_for
 from repro.bft.batching import BatchConfig
 from repro.bft.leases import LeaseConfig
-from repro.core import DiversityManager, ReplicationManager, VariantLibrary
+from repro.core import (
+    DiversityManager,
+    RejuvenationPolicy,
+    RejuvenationScheduler,
+    ReplicationManager,
+    VariantLibrary,
+)
 from repro.fabric import FpgaFabric
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
@@ -189,8 +195,8 @@ def test_scaling_keeps_clients_on_leased_reads():
 
 
 def test_switch_protocol_config_governs_later_spawns():
-    """``make_replica`` builds from the group's *current* protocol config:
-    a switch rebuilds it in the new family, so a later scale-out hands the
+    """The group builds members from its *current* protocol config: a
+    switch rebuilds it in the new family, so a later scale-out hands the
     new member that family's config — with the group's leases — and never
     the old family's config object."""
     leases = LeaseConfig()
@@ -266,3 +272,61 @@ def test_switch_holds_writes_while_an_old_grant_may_be_live():
     assert stale and max(stale) <= switch_at + leases.duration
     primary = group.replicas[group.members[0]].lease_manager
     assert primary.quiesce_until >= max(stale)
+
+
+# ----------------------------------------------------------------------
+# One membership path: what every step keeps true on the fabric
+# ----------------------------------------------------------------------
+def assert_membership_invariants(chip, fabric, manager, group):
+    record = manager.diversity.assignment
+    assert set(record) == set(group.members)
+    for name in group.members:
+        assert chip.coord_of(name) == group.placement[name]
+        assert fabric.variant_at(group.placement[name]) == record[name]
+    member_tiles = set(group.placement.values())
+    assert all(
+        region.variant is None
+        for coord, region in fabric.regions.items() if coord not in member_tiles
+    )
+    assert len(set(record.values())) == len(group.members)
+
+
+def test_membership_steps_keep_regions_records_and_members_in_step():
+    """Deploy, scale out, switch to PBFT and back, scale out and in again,
+    under diversifying, relocating rejuvenation.  After each step (no
+    pass in flight) every member's region holds the variant diversity
+    records for it, the record names exactly the members, no other
+    region holds an image and no two members share one.  A scale-out
+    used to re-assign every member over what rejuvenation recorded, and
+    a shrinking switch left the dropped member's image configured."""
+    sim, chip, fabric, manager, group = make_managed(n_variants=6)
+    client = ClientNode("c0", ClientConfig(think_time=100))
+    scheduler = RejuvenationScheduler(
+        group, fabric, manager.diversity,
+        RejuvenationPolicy(period=5_000, diversify=True, relocate=True),
+    )
+    sim.run(until=30_000)
+    group.attach_client(client)
+    client.start()
+    scheduler.start()
+    steps = [
+        ("deploy", lambda: None),
+        ("scale_out", manager.scale_out),
+        ("pbft", lambda: group.switch_protocol("pbft")),
+        ("minbft", lambda: group.switch_protocol("minbft")),
+        ("scale_out again", manager.scale_out),
+        ("scale_in", manager.scale_in),
+    ]
+    sizes = []
+    for _, step in steps:
+        sim.run(until=sim.now + 40_000)  # several passes land
+        scheduler.stop()
+        sim.run(until=sim.now + 10_000)  # the last pass (and any spawn) commits
+        step()
+        sim.run(until=sim.now + 10_000)
+        assert_membership_invariants(chip, fabric, manager, group)
+        sizes.append(len(group.members))
+        scheduler.start()
+    assert sizes == [3, 4, 4, 3, 4, 3]
+    assert scheduler.passes > 10 and scheduler.failures == 0
+    assert group.safety.is_safe and client.completed > 100

@@ -91,6 +91,29 @@ def test_limit_variants_restricts_pool():
         manager.assign(["r0"], limit_variants=0)
 
 
+@pytest.mark.parametrize("n_variants,n_vendors,n", [(6, 3, 4), (6, 2, 6), (2, 1, 5)])
+def test_admitting_members_one_by_one_reproduces_assign(n_variants, n_vendors, n):
+    library = VariantLibrary.generate("svc", n_variants, n_vendors)
+    one_by_one, at_once = DiversityManager(library), DiversityManager(library)
+    for i in range(n):
+        one_by_one.admit(f"r{i}")
+    assert one_by_one.assignment == at_once.assign([f"r{i}" for i in range(n)])
+
+
+def test_admit_takes_an_unheld_variant_and_moves_no_one():
+    library = VariantLibrary.generate("svc", 6, 3)
+    manager = DiversityManager(library)
+    for i in range(3):
+        manager.admit(f"r{i}")
+    manager.next_variant_for("r0")  # rejuvenation re-images r0
+    manager.next_variant_for("r1")
+    before = dict(manager.assignment)
+    newcomer = manager.admit("r3")
+    assert newcomer not in before.values()
+    assert {k: v for k, v in manager.assignment.items() if k != "r3"} == before
+    assert manager.distinct_variants() == 4
+
+
 def test_next_variant_changes_and_balances():
     library = VariantLibrary.generate("svc", 3, 3)
     manager = DiversityManager(library)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import OrchestratorConfig, ResilientSystem
 from repro.core.rejuvenation import RejuvenationPolicy
+from repro.soc.node import NodeState
 
 
 def test_system_boots_and_serves():
@@ -152,4 +153,49 @@ def test_adaptation_respects_cooldown_end_to_end():
     times = [t for t, _, _, _ in (system.adaptation.switches or [])]
     for earlier, later in zip(times, times[1:]):
         assert later - earlier >= 60_000
+    assert system.is_safe
+
+
+def test_member_added_by_a_switch_is_spawned_and_can_be_healed():
+    """A minbft -> pbft switch adds ``sys-r3``: it is spawned through the
+    ICAP on the variant diversity admits it to, so heal-first
+    rejuvenation can restart it when it crashes (a region the switch
+    left empty failed every pass, and heal-first starved the rest)."""
+    system = ResilientSystem(OrchestratorConfig(
+        seed=1,
+        rejuvenation=RejuvenationPolicy(diversify=False, relocate=False, heal_first=True),
+    ))
+    system.add_client("c0")
+    system.start()
+    system.group.switch_protocol("pbft")
+    system.run(30_000)
+    coord = system.group.placement["sys-r3"]
+    assert system.fabric.variant_at(coord) == system.diversity.variant_of("sys-r3")
+    system.group.crash("sys-r3")
+    passes = system.rejuvenation.passes
+    system.run(3 * system.rejuvenation.policy.period)
+    assert system.group.replicas["sys-r3"].is_correct
+    assert system.rejuvenation.passes > passes and system.rejuvenation.failures == 0
+    assert system.is_safe
+
+
+def test_switch_during_a_rejuvenation_pass_does_not_revive_the_old_replica():
+    """The pass's commit calls ``recover()`` on the replica object it
+    began with; the switch has retired that object, so it stays crashed
+    and silent while its rebuilt successor serves under the same name."""
+    system = ResilientSystem(OrchestratorConfig(seed=2))
+    system.add_client("c0")
+    system.start()
+    system.run(60_000)
+    system.rejuvenation.stop()
+    system.run(10_000)  # let any pass in flight land
+    old = system.group.replicas["sys-r1"]
+    assert system.rejuvenation.rejuvenate_now("sys-r1")
+    system.group.switch_protocol("pbft")
+    sent = old.messages_sent
+    done = system.completed_operations()
+    system.run(200_000)
+    assert old.state is NodeState.CRASHED and old.messages_sent == sent
+    assert system.group.replicas["sys-r1"].is_correct
+    assert system.completed_operations() > done
     assert system.is_safe

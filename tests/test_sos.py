@@ -165,16 +165,39 @@ def spanning_setup(n_chips=3, protocol="minbft", f=1, seed=9):
             system.connect(a, b)
     group = build_spanning_group(system, protocol=protocol, f=f)
     client = ClientNode("c0", ClientConfig(think_time=100, timeout=30_000))
-    group.attach_client(client, names[0])
+    group.attach_client(client)  # on chip0, the group's first chip
     return sim, system, group, client
 
 
 def test_spanning_group_round_robin_placement():
     sim, system, group, client = spanning_setup()
-    assert group.home_chip == {
+    assert {m: system.owner_chip(m) for m in group.members} == {
         "span-r0": "chip0", "span-r1": "chip1", "span-r2": "chip2"
     }
-    assert group.replicas_on("chip1") == ["span-r1"]
+    # Each lands on its chip's first free tile; the group lives on chip0.
+    assert all(system.chips[f"chip{i}"].coord_of(f"span-r{i}") == Coord(0, 0)
+               for i in range(3))
+    assert group.chip is system.chips["chip0"]
+
+
+def test_spanning_group_wraps_round_the_chips_and_grows_on_a_switch():
+    """Member i lives on chip i mod k, at that chip's next free tile —
+    also when a protocol switch adds a member to a running group."""
+    sim, system, group, client = spanning_setup(protocol="pbft")
+    owners = {m: system.owner_chip(m) for m in group.members}
+    assert owners == {"span-r0": "chip0", "span-r1": "chip1", "span-r2": "chip2",
+                      "span-r3": "chip0"}
+    assert system.chips["chip0"].coord_of("span-r3") == sorted(system.chips["chip0"].tiles)[1]
+    client.start()
+    sim.run(until=150_000)
+    group.switch_protocol("minbft")  # drops span-r3 from chip0
+    assert system.owner_chip("span-r3") is None
+    group.switch_protocol("pbft")  # and adds it back there
+    assert system.owner_chip("span-r3") == "chip0"
+    done = client.completed
+    sim.run(until=400_000)
+    assert client.completed > done + 50
+    assert group.safety.is_safe
 
 
 def test_spanning_group_serves_clients():
@@ -263,7 +286,9 @@ def test_express_on_off_identical_on_a_two_chip_system():
         clients = []
         for i, chip_name in enumerate(("A", "B", "A")):
             client = ClientNode(f"c{i}", ClientConfig(think_time=40, timeout=30_000))
-            group.attach_client(client, chip_name)
+            chip = system.chips[chip_name]
+            chip.place_node(client, chip.free_tiles()[0])
+            group.attach_client(client)
             client.start()
             clients.append(client)
         sim.run(until=120_000)
@@ -272,7 +297,6 @@ def test_express_on_off_identical_on_a_two_chip_system():
             [client.completed for client in clients],
             [client.latencies_in(0, sim.now) for client in clients],
             {name: chip.metrics.dump() for name, chip in system.chips.items()},
-            group.metrics.dump(),
         ), sim.events_fired
 
     (fast, fast_events), (slow, slow_events) = spanning_run(True), spanning_run(False)
