@@ -147,18 +147,23 @@ class ClientSession:
         is not tracked here: a holder whose lease lapsed answers with a
         :class:`ReadNack` and the read drops to the quorum path."""
         keys = keys_of(op) if self.lease_reads else None
-        if not keys:
-            return None
-        holder = lease_holder(self.members, keys[0])
+        return self.holder_target(keys[0]) if keys else None
+
+    def holder_target(self, key: str) -> Optional[str]:
+        """:meth:`lease_target` for an op already known to lease ``key``
+        first: its holder, or None when not placed on this chip."""
+        holder = lease_holder(self.members, key)
         chip = self.node.chip
         return holder if chip is not None and chip.has_node(holder) else None
 
-    def open(self, rid: int, op: Any, read_only: bool) -> Exchange:
+    def open(
+        self, rid: int, op: Any, read_only: bool, lease_target: Optional[str]
+    ) -> Exchange:
         """Send request ``rid`` and return its exchange: a leased read
-        goes to its :meth:`lease_target` alone, any other read to every
-        member (fast path: wait for ``read_quorum`` matching), a write to
-        the believed primary."""
-        lease_target = self.lease_target(op) if read_only else None
+        goes to ``lease_target`` alone — the op's :meth:`lease_target`,
+        which the owner worked out, None for anything but a leased read —
+        any other read to every member (fast path: wait for
+        ``read_quorum`` matching), a write to the believed primary."""
         request = ClientRequest(
             self.node.name, rid, op,
             read_only=read_only, lease_read=lease_target is not None,
@@ -318,7 +323,11 @@ class ClientNode(Node, TrafficSource):
     def _issue_one(self) -> None:
         workload = self.config.workload
         op = workload.op(self._rid)
-        self._outstanding[self._rid] = self.session.open(self._rid, op, workload.is_read(op))
+        read = workload.is_read(op)
+        session = self.session
+        self._outstanding[self._rid] = session.open(
+            self._rid, op, read, session.lease_target(op) if read else None
+        )
         self._rid += 1
 
     def _complete_one(self, exchange: Exchange, reply: ClientReply) -> None:

@@ -151,8 +151,7 @@ class LeaseTable:
             return
         if grant.view != replica.view or replica.group.primary_of(grant.view) != sender:
             return  # stale era: the grant's view is not ours
-        for r in grant.ranges:
-            self._grants[r] = (grant.view, grant.epoch, grant.expiry)
+        self._grants.update(dict.fromkeys(grant.ranges, (grant.view, grant.epoch, grant.expiry)))
 
     def on_revoke(self, sender: str, revoke: LeaseRevoke) -> None:
         """Drop the revoked ranges and confirm; always honored."""
@@ -179,10 +178,14 @@ class LeaseTable:
         now = replica.sim.now
         view = replica.view
         members = replica.group.members
+        n_members = len(members)
+        n_ranges = self.config.n_ranges
         for key in keys:
-            if lease_holder(members, key) != replica.name:
+            # lease_holder and range_of, from one hash of the key.
+            h = stable_key_hash(key)
+            if members[h % n_members] != replica.name:
                 return False
-            entry = self._grants.get(range_of(key, self.config.n_ranges))
+            entry = self._grants.get(h % n_ranges)
             if entry is None or entry[0] != view or now >= entry[2]:
                 return False
         return True
@@ -312,11 +315,12 @@ class LeaseManager:
             return  # no commit evidence: a partitioned primary must not renew
         now = replica.sim.now
         expiry = now + self.config.duration
-        grantable = [
+        grantable = tuple(
             r for r in range(self.config.n_ranges) if r not in self._revoking
-        ]
+        )
         if not grantable:
             return
+        renewal = dict.fromkeys(grantable, expiry)
         for holder in replica.other_members():
             if holder in self._suspended:
                 continue
@@ -331,13 +335,11 @@ class LeaseManager:
                     fresh += 1
                 else:
                     renewed += 1
-                held[r] = expiry
+            held.update(renewal)
             self._c_granted.inc(fresh)
             self._c_renewed.inc(renewed)
             self._c_expired.inc(expired)
-            grant = LeaseGrant(
-                replica.name, replica.view, self.epoch, tuple(grantable), expiry
-            )
+            grant = LeaseGrant(replica.name, replica.view, self.epoch, grantable, expiry)
             replica.send(holder, grant, grant.wire_size())
 
     # ------------------------------------------------------------------

@@ -215,20 +215,26 @@ class ClientPopulation(TrafficSource):
         self._draining = True
         try:
             cfg = self.config
+            router = self.router
+            workload = self.workload
             while self.running and self.backlog > 0:
                 # Peek (op() is pure in the index): a leased local read
                 # bypasses the ordered-inflight cap, everything else is
                 # subject to it.  A capped write at the queue head blocks
                 # the reads behind it — admission stays FIFO.
-                op = self.workload.op(self._issued)
-                read = self.workload.is_read(op)
-                local_read = read and self.router.serves_leased_reads(op)
-                if not local_read and self.ordered_inflight >= cfg.max_inflight:
+                op = workload.op(self._issued)
+                read = workload.is_read(op)
+                capped = self.ordered_inflight >= cfg.max_inflight
+                if capped and not read:
+                    break  # a write is routed when it can go
+                route = router.route(op, read)
+                local_read = route.local
+                if capped and not local_read:
                     break
                 self.backlog -= 1
                 self._issued += 1
                 if self.admission is not None:
-                    reason = self.admission.decide(self.router.shards_of(op))
+                    reason = self.admission.decide(route.shards)
                     if reason is not None:
                         self._record_shed(1, reason)
                         continue
@@ -237,22 +243,19 @@ class ClientPopulation(TrafficSource):
                 self.inflight += 1
                 if local_read:
                     self._counter("admitted_local_read").inc()
+                    router.submit(op, self._on_done, read, route)
                 else:
                     self.ordered_inflight += 1
-                self.router.submit(
-                    op,
-                    lambda result, ordered=not local_read: self._on_done(
-                        result, ordered
-                    ),
-                    read,
-                )
+                    router.submit(op, self._on_ordered_done, read, route)
         finally:
             self._draining = False
 
-    def _on_done(self, result: "TicketResult", ordered: bool = True) -> None:
+    def _on_ordered_done(self, result: "TicketResult") -> None:
+        self.ordered_inflight -= 1
+        self._on_done(result)
+
+    def _on_done(self, result: "TicketResult") -> None:
         self.inflight -= 1
-        if ordered:
-            self.ordered_inflight -= 1
         if result.ok:
             self.record_completion(self.sim.now, result.latency)
             self._counter("completed").inc()
@@ -260,7 +263,7 @@ class ClientPopulation(TrafficSource):
         else:
             self.failures += 1
             self._counter("failed").inc()
-        if self.running:
+        if self.running and self.backlog > 0:
             self._drain()
 
     def _record_shed(self, count: int, reason: str) -> None:

@@ -17,7 +17,7 @@ benches print uniform tables.  The design follows the usual triad:
   by the benchmark harness to print the rows each experiment defines,
 * :class:`~repro.metrics.traffic.TrafficSource` — the shared
   completions/latencies measurement mixin every workload driver
-  (clients, routers, aggregated populations) exposes to benches.
+  (clients and aggregated populations) exposes to benches.
 """
 
 from repro.metrics.collectors import Counter, Gauge, Histogram, TimeSeries

@@ -19,7 +19,8 @@ published through the chip's :class:`~repro.metrics.registry.MetricsRegistry`
 under ``shard.<id>.*`` names, and per-shard liveness counters
 (:class:`ShardStats`) expose the ``completed``/``timeouts`` attributes
 the severity detector samples — the router stands in for a population of
-clients, one pseudo-client per shard.
+clients, one pseudo-client per shard.  Completions themselves are
+recorded by whoever submitted the operation, not here.
 
 Traffic reaches a router through :meth:`ShardRouter.submit`, whose
 caller says per operation whether it is a read (the router holds no
@@ -27,19 +28,21 @@ classifier of its own); the callers are
 :class:`~repro.mesoscale.population.ClientPopulation` objects
 (conceptually tenant applications co-located on the router's tile — not
 NoC nodes themselves, so the only on-chip traffic is the router's).
+Where an operation goes is worked out once, by :meth:`ShardRouter.route`:
+a population asks for the :class:`Route` before it admits the operation
+and hands the same route to ``submit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bft.client import ClientSession, Exchange
 from repro.bft.leases import keys_of
 from repro.bft.messages import ClientReply, ReadNack
-from repro.metrics.traffic import TrafficSource
 from repro.shard.directory import ShardDirectory
-from repro.sim.timers import Timeout
+from repro.sim.events import ScheduledEvent
 from repro.soc.node import Node
 
 
@@ -91,20 +94,23 @@ class ShardStats:
 
 @dataclass
 class TicketResult:
-    """Outcome of one submitted operation."""
+    """Outcome of one submitted operation (``error`` is None when ok)."""
 
+    __slots__ = ("ok", "value", "latency", "error")  # one per operation
     ok: bool
     value: Any
     latency: float
-    error: Optional[str] = None
+    error: Optional[str]
 
 
 class _ShardSession(ClientSession):
     """The router's session with one shard's group, plus the per-shard
     bookkeeping only a router keeps."""
 
-    def __init__(self, node: Node) -> None:
+    def __init__(self, node: Node, shard_id: str, stats: ShardStats) -> None:
         super().__init__(node)
+        self.shard_id = shard_id
+        self.stats = stats
         self.inflight = 0  # sub-operations awaiting a quorum from this shard
         # Metric handles, bound on first use: a zero-valued metric created
         # ahead of use would change byte-stable summaries.
@@ -113,36 +119,69 @@ class _ShardSession(ClientSession):
         self.inflight_gauge: Any = None
 
 
+#: One sub-operation of a route: owning shard, that shard's session (None
+#: when unbound), the op it sends, its result slot in a fan-out (None for
+#: a single op) and the replica a leased read goes to (None: no lease).
+_Leg = Tuple[str, Optional[_ShardSession], Any, Any, Optional[str]]
+
+
+@dataclass
+class Route:
+    """Where one operation goes, worked out once (:meth:`ShardRouter.route`).
+
+    ``plan`` holds one leg per sub-operation: a single-key op is one leg
+    carrying the op itself; an ``mget`` is one ``("get", k)`` leg per key.
+    ``local`` is True for a read every owning shard serves from a lease —
+    it never enters the ordered log.
+    """
+
+    __slots__ = ("multi", "plan", "local")
+    multi: bool
+    plan: List[_Leg]
+    local: bool
+
+    @property
+    def shards(self) -> Sequence[str]:
+        """The shards owning the op's keys, sorted, each once."""
+        if self.multi:
+            return sorted({leg[0] for leg in self.plan})
+        return (self.plan[0][0],)
+
+
 @dataclass
 class _Ticket:
-    """One submitted operation, possibly fanned out into sub-operations."""
+    """One submitted operation, possibly fanned out into sub-operations:
+    ``value`` is the result (a fan-out's, by key), ``errors`` None until a
+    fragment fails."""
 
-    ticket_id: int
-    op: Any
+    __slots__ = ("started_at", "on_complete", "multi", "remaining", "value", "errors")
     started_at: float
     on_complete: Optional[Callable[[TicketResult], None]]
     multi: bool
-    remaining: int = 0
-    results: Dict[Any, Any] = field(default_factory=dict)
-    errors: List[str] = field(default_factory=list)
+    remaining: int
+    value: Any
+    errors: Optional[List[str]]
 
 
 @dataclass
 class _SubOp:
     """One routed fragment: a client exchange with a single shard, under
-    its own retransmit timer."""
+    its own retransmit timer (the kernel event itself).  ``key`` is its
+    result slot in a fan-out (None for a single op)."""
 
+    __slots__ = ("rid", "ticket", "session", "key", "exchange", "current_timeout",
+                 "timer", "attempts")
     rid: int
     ticket: _Ticket
-    shard_id: str
-    key: Any  # result slot for multi-key tickets (None for single ops)
+    session: _ShardSession
+    key: Any
     exchange: Exchange
-    timeout: Timeout
     current_timeout: float
-    attempts: int = 0
+    timer: ScheduledEvent
+    attempts: int
 
 
-class ShardRouter(Node, TrafficSource):
+class ShardRouter(Node):
     """Routes operations to their owning replica group over the NoC."""
 
     #: Timer expiries after which a sub-operation fails.
@@ -155,16 +194,12 @@ class ShardRouter(Node, TrafficSource):
         config: Optional[RouterConfig] = None,
     ) -> None:
         Node.__init__(self, name)
-        TrafficSource.__init__(self)
         self.directory = directory
         self.config = config or RouterConfig()
         self._sessions: Dict[str, _ShardSession] = {}
         self.stats: Dict[str, ShardStats] = {}
         self._rid = 0
-        self._ticket_seq = 0
         self._subops: Dict[int, _SubOp] = {}
-        self._tickets: Dict[int, _Ticket] = {}
-        self.failed = 0
         self.timeouts = 0
 
     # ------------------------------------------------------------------
@@ -188,37 +223,46 @@ class ShardRouter(Node, TrafficSource):
             raise ValueError(f"shard {shard_id!r} bound with no members")
         session = self._sessions.get(shard_id)
         if session is None:
-            session = _ShardSession(self)
+            stats = self.stats.setdefault(shard_id, ShardStats(shard_id))
+            session = self._sessions[shard_id] = _ShardSession(self, shard_id, stats)
         session.configure(members, reply_quorum, read_quorum, lease_reads)
-        self._sessions[shard_id] = session
-        self.stats.setdefault(shard_id, ShardStats(shard_id))
         return session
 
     def shard_stats(self, shard_id: str) -> ShardStats:
         """Per-shard liveness counters (a detector pseudo-client)."""
         return self.stats[shard_id]
 
-    def shards_of(self, op: Any) -> List[str]:
-        """The shards owning ``op``'s keys, sorted, each once."""
-        keys = default_key_of(op)
-        if isinstance(keys, list):
-            return sorted({self.directory.shard_for(k) for k in keys})
-        return [self.directory.shard_for(keys)]
+    def route(self, op: Any, read_only: bool = False) -> Route:
+        """Where ``op`` goes: its owning shards, its sub-operations and,
+        for a read, each one's lease target — worked out once per op.
 
-    def serves_leased_reads(self, op: Any) -> bool:
-        """True when every shard owning ``op``'s keys runs read leases.
-
-        Admission layers use this to classify an operation *before*
-        submitting it: a read the lease path can serve never enters the
-        ordered log, so it may bypass ordered-inflight caps.
+        Two rules meet here and stay distinct: the router routes any
+        ``(kind, key, …)`` (:func:`default_key_of`), but a read is served
+        from a lease only for the KV kinds with ``str`` keys
+        (:func:`~repro.bft.leases.keys_of`).  The route is ``local`` when
+        ``op`` is such a read and every owning shard runs leases.
         """
-        if keys_of(op) is None:
-            return False  # underivable keys are never served from a lease
-        for shard_id in self.shards_of(op):
-            session = self._sessions.get(shard_id)
+        keys = default_key_of(op)
+        multi = isinstance(keys, list)
+        leasable = read_only and keys_of(op) is not None
+        local = leasable
+        shard_for = self.directory.shard_for
+        sessions = self._sessions
+        plan: List[_Leg] = []
+        for key in keys if multi else (keys,):
+            shard_id = shard_for(key)
+            session = sessions.get(shard_id)
+            sub_op = ("get", key) if multi else op
+            target = None
             if session is None or not session.lease_reads:
-                return False
-        return True
+                local = False
+            elif multi:
+                # Each fragment is a get, leased by its own key's rule.
+                target = session.lease_target(sub_op) if read_only else None
+            elif leasable:
+                target = session.holder_target(key)
+            plan.append((shard_id, session, sub_op, key if multi else None, target))
+        return Route(multi, plan, local)
 
     # ------------------------------------------------------------------
     # Submitting operations
@@ -228,7 +272,8 @@ class ShardRouter(Node, TrafficSource):
         op: Any,
         on_complete: Optional[Callable[[TicketResult], None]] = None,
         read_only: bool = False,
-    ) -> int:
+        route: Optional[Route] = None,
+    ) -> None:
         """Route one operation; ``on_complete`` fires with its outcome.
 
         ``read_only`` is the submitter's classification: a read takes the
@@ -236,27 +281,17 @@ class ShardRouter(Node, TrafficSource):
         anything else is ordered.  Multi-key operations fan out one
         ``get`` per key to each owning shard, each carrying the whole
         operation's ``read_only``; the ticket completes when every
-        fragment does.  May complete synchronously (degraded-shard fast
-        failure).
+        fragment does.  ``route`` is :meth:`route`'s answer for the same
+        ``op`` and ``read_only`` when the caller already asked for it.
+        May complete synchronously (degraded-shard fast failure).
         """
-        keys = default_key_of(op)
-        ticket = _Ticket(
-            ticket_id=self._ticket_seq,
-            op=op,
-            started_at=self.sim.now,
-            on_complete=on_complete,
-            multi=isinstance(keys, list),
-        )
-        self._ticket_seq += 1
-        self._tickets[ticket.ticket_id] = ticket
-        if ticket.multi:
-            plan = [(self.directory.shard_for(k), ("get", k), k) for k in keys]
-        else:
-            plan = [(self.directory.shard_for(keys), op, None)]
-        ticket.remaining = len(plan)
-        for shard_id, sub_op, key in plan:
-            self._issue(ticket, shard_id, sub_op, key, read_only)
-        return ticket.ticket_id
+        if route is None:
+            route = self.route(op, read_only)
+        plan = route.plan
+        multi = route.multi
+        ticket = _Ticket(self.sim.now, on_complete, multi, len(plan), {} if multi else None, None)
+        for shard_id, session, sub_op, key, target in plan:
+            self._issue(ticket, shard_id, session, sub_op, key, read_only, target)
 
     @property
     def inflight(self) -> int:
@@ -264,41 +299,40 @@ class ShardRouter(Node, TrafficSource):
         return len(self._subops)
 
     def _issue(
-        self, ticket: _Ticket, shard_id: str, op: Any, key: Any, read_only: bool
+        self,
+        ticket: _Ticket,
+        shard_id: str,
+        session: Optional[_ShardSession],
+        op: Any,
+        key: Any,
+        read_only: bool,
+        target: Optional[str],
     ) -> None:
-        session = self._sessions.get(shard_id)
         if session is None:
-            ticket.errors.append(f"shard {shard_id} not bound")
-            self._sub_done(ticket)
+            self._reject(ticket, f"shard {shard_id} not bound")
             return
-        if self.directory.is_degraded(shard_id) and not (
-            read_only and session.lease_target(op) is not None
-        ):
+        if target is None and self.directory.is_degraded(shard_id):
             # Lease-aware degraded handling: a leased replica can still
             # answer reads from local committed state while the group is
             # below its liveness quorum, so only lease-less operations
             # fail fast here.
-            self.stats[shard_id].rejected_degraded += 1
+            session.stats.rejected_degraded += 1
             self._counter(shard_id, "rejected_degraded").inc()
-            ticket.errors.append(f"shard {shard_id} degraded")
-            self._sub_done(ticket)
+            self._reject(ticket, f"shard {shard_id} degraded")
             return
         rid = self._rid
-        self._rid += 1
+        self._rid = rid + 1
         session.inflight += 1
-        self._set_inflight_gauge(shard_id, session)
+        self._set_inflight_gauge(session)
         # A leased read is one NoC hop to the key's leaseholder; a ReadNack
         # (no covering lease) falls back to the quorum path.
-        sub = self._subops[rid] = _SubOp(
-            rid=rid,
-            ticket=ticket,
-            shard_id=shard_id,
-            key=key,
-            exchange=session.open(rid, op, read_only),
-            timeout=Timeout(self.sim, self.config.timeout, lambda: self._on_timeout(rid)),
-            current_timeout=self.config.timeout,
+        exchange = session.open(rid, op, read_only, target)
+        timeout = self.config.timeout
+        sim = self.sim
+        self._subops[rid] = _SubOp(
+            rid, ticket, session, key, exchange, timeout,
+            sim.schedule_at(sim.now + timeout, self._on_timeout, rid), 0,
         )
-        sub.timeout.start()
 
     # ------------------------------------------------------------------
     # Reply and timeout handling
@@ -311,9 +345,7 @@ class ShardRouter(Node, TrafficSource):
         if kind is not ClientReply:
             return  # corrupted in transit, or not addressed to a router
         sub = self._subops.get(message.rid)
-        if sub is not None and self._sessions[sub.shard_id].accept(
-            sub.exchange, sender, message
-        ):
+        if sub is not None and sub.session.accept(sub.exchange, sender, message):
             self._complete_sub(sub, message)
 
     def _handle_read_nack(self, sender: str, nack: ReadNack) -> None:
@@ -321,15 +353,16 @@ class ShardRouter(Node, TrafficSource):
         sub = self._subops.get(nack.rid)
         if sub is None:
             return
-        session = self._sessions[sub.shard_id]
+        session = sub.session
         if not session.nacked(sub.exchange, sender, nack):
             return
-        self._counter(sub.shard_id, "lease_fallbacks").inc()
-        if self.directory.is_degraded(sub.shard_id):
+        shard_id = session.shard_id
+        self._counter(shard_id, "lease_fallbacks").inc()
+        if self.directory.is_degraded(shard_id):
             # The lease attempt was the only path past a degraded shard.
-            self.stats[sub.shard_id].rejected_degraded += 1
-            self._counter(sub.shard_id, "rejected_degraded").inc()
-            self._fail_sub(sub, f"shard {sub.shard_id} degraded")
+            session.stats.rejected_degraded += 1
+            self._counter(shard_id, "rejected_degraded").inc()
+            self._fail_sub(sub, f"shard {shard_id} degraded")
             return
         session.rebroadcast(sub.exchange)
 
@@ -337,77 +370,68 @@ class ShardRouter(Node, TrafficSource):
         sub = self._subops.get(rid)
         if sub is None:
             return
+        session = sub.session
         sub.attempts += 1
         self.timeouts += 1
-        self.stats[sub.shard_id].timeouts += 1
-        if self.directory.is_degraded(sub.shard_id) or sub.attempts >= self.MAX_ATTEMPTS:
-            self._fail_sub(sub, f"shard {sub.shard_id} unresponsive after "
+        session.stats.timeouts += 1
+        if self.directory.is_degraded(session.shard_id) or sub.attempts >= self.MAX_ATTEMPTS:
+            self._fail_sub(sub, f"shard {session.shard_id} unresponsive after "
                                 f"{sub.attempts} attempt(s)")
             return
         # One timer per sub-operation, so every expired sub-operation
         # suspects the primary: k of them expiring together towards one
         # shard rotate its hint k times (known, kept; ROADMAP item 1 (b)).
-        session = self._sessions[sub.shard_id]
         session.escalate(sub.exchange)
         sub.current_timeout = session.suspect_primary(sub.current_timeout)
-        sub.timeout.duration = sub.current_timeout
-        sub.timeout.start()
+        sim = self.sim
+        sub.timer = sim.schedule_at(sim.now + sub.current_timeout, self._on_timeout, rid)
 
     def _complete_sub(self, sub: _SubOp, reply: ClientReply) -> None:
         del self._subops[sub.rid]
-        sub.timeout.cancel()
-        shard_id = sub.shard_id
-        session = self._sessions[shard_id]
+        sub.timer.cancel()
+        session = sub.session
         session.inflight -= 1
-        self.stats[shard_id].completed += 1
+        session.stats.completed += 1
         if session.ops is None:
-            session.ops = self._counter(shard_id, "ops")
-            session.latency = self.chip.metrics.histogram(f"shard.{shard_id}.latency")
+            session.ops = self._counter(session.shard_id, "ops")
+            session.latency = self.chip.metrics.histogram(f"shard.{session.shard_id}.latency")
         session.ops.inc()
         session.latency.observe(self.sim.now - sub.exchange.sent_at)
-        self._set_inflight_gauge(shard_id, session)
+        self._set_inflight_gauge(session)
         ticket = sub.ticket
         if ticket.multi:
-            ticket.results[sub.key] = reply.result
+            ticket.value[sub.key] = reply.result
         else:
-            ticket.results[None] = reply.result
+            ticket.value = reply.result
         self._sub_done(ticket)
 
     def _fail_sub(self, sub: _SubOp, reason: str) -> None:
         del self._subops[sub.rid]
-        sub.timeout.cancel()
-        session = self._sessions[sub.shard_id]
+        sub.timer.cancel()
+        session = sub.session
         session.inflight -= 1
-        self.stats[sub.shard_id].failed += 1
-        self._counter(sub.shard_id, "failed_ops").inc()
-        self._set_inflight_gauge(sub.shard_id, session)
-        sub.ticket.errors.append(reason)
-        self._sub_done(sub.ticket)
+        session.stats.failed += 1
+        self._counter(session.shard_id, "failed_ops").inc()
+        self._set_inflight_gauge(session)
+        self._reject(sub.ticket, reason)
+
+    def _reject(self, ticket: _Ticket, reason: str) -> None:
+        if ticket.errors is None:
+            ticket.errors = []
+        ticket.errors.append(reason)
+        self._sub_done(ticket)
 
     def _sub_done(self, ticket: _Ticket) -> None:
         ticket.remaining -= 1
-        if ticket.remaining > 0:
+        if ticket.remaining > 0 or ticket.on_complete is None:
             return
-        del self._tickets[ticket.ticket_id]
         latency = self.sim.now - ticket.started_at
-        ok = not ticket.errors
-        if ok:
-            self.record_completion(self.sim.now, latency)
-            if ticket.multi:
-                value: Any = dict(ticket.results)
-            else:
-                value = ticket.results.get(None)
+        errors = ticket.errors
+        if errors is None:
+            result = TicketResult(True, ticket.value, latency, None)
         else:
-            self.failed += 1
-            value = None
-        result = TicketResult(
-            ok=ok,
-            value=value,
-            latency=latency,
-            error="; ".join(ticket.errors) if ticket.errors else None,
-        )
-        if ticket.on_complete is not None:
-            ticket.on_complete(result)
+            result = TicketResult(False, None, latency, "; ".join(errors))
+        ticket.on_complete(result)
 
     # ------------------------------------------------------------------
     # Metrics plumbing
@@ -415,7 +439,10 @@ class ShardRouter(Node, TrafficSource):
     def _counter(self, shard_id: str, suffix: str):
         return self.chip.metrics.counter(f"shard.{shard_id}.{suffix}")
 
-    def _set_inflight_gauge(self, shard_id: str, session: _ShardSession) -> None:
-        if session.inflight_gauge is None:
-            session.inflight_gauge = self.chip.metrics.gauge(f"shard.{shard_id}.inflight")
-        session.inflight_gauge.set(session.inflight)
+    def _set_inflight_gauge(self, session: _ShardSession) -> None:
+        gauge = session.inflight_gauge
+        if gauge is None:
+            gauge = session.inflight_gauge = self.chip.metrics.gauge(
+                f"shard.{session.shard_id}.inflight"
+            )
+        gauge.set(session.inflight)

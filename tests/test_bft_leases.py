@@ -37,6 +37,7 @@ from repro.bft.messages import (
     ClientRequest,
     LeaseGrant,
     LeaseRevoke,
+    LeaseRevokeAck,
     ReadNack,
 )
 from repro.metrics.registry import MetricsRegistry
@@ -232,6 +233,118 @@ def test_target_server_and_revoked_member_are_the_keys_one_holder(members, key, 
     assert revoked == ([holder] if holder != primary else [])
     assert parked == (holder != primary)
     manager.stop()
+
+
+def test_renewal_bookkeeping_fresh_renewed_lapsed_revoking_and_suspended():
+    """What one renewal writes and counts, on both sides: the primary's
+    ``_granted``, its granted / renewed / expired counters (the
+    ``leased-reads`` summaries report them) and each holder's table."""
+    sim = Simulator(seed=1)
+    members = ["p", "b1", "b2"]
+    config = LeaseConfig(n_ranges=4, duration=100.0, renew_period=50.0)
+    primary = StubReplica(sim, "p", members, 0)
+    primary.already_executed = lambda request: True  # a released write goes nowhere
+    manager = LeaseManager(primary, config)
+    tables = {
+        name: LeaseTable(StubReplica(sim, name, members, 0), config)
+        for name in ("b1", "b2")
+    }
+    counters = [
+        primary.group.metrics.counter(f"g.lease.{name}")
+        for name in ("granted", "renewed", "expired")
+    ]
+
+    def deliver():
+        """Hand what the primary sent to the holders' tables; the grants."""
+        sent, primary.sent[:] = list(primary.sent), []
+        grants = []
+        for dst, message in sent:
+            if isinstance(message, LeaseGrant):
+                tables[dst].on_grant("p", message)
+                grants.append((dst, message.ranges, message.expiry))
+            else:
+                tables[dst].on_revoke("p", message)
+        return grants
+
+    def renew(at):
+        sim.run(until=at)
+        manager.on_committed()  # commit evidence: the primary may grant
+        manager._on_renew()
+        return deliver()
+
+    def state():
+        return (
+            [c.value for c in counters],
+            {h: dict(held) for h, held in manager._granted.items()},
+            {h: dict(t._grants) for h, t in tables.items()},
+        )
+
+    def ack(holder, ranges):
+        manager.on_revoke_ack(holder, LeaseRevokeAck(holder, 0, 0, tuple(ranges)))
+
+    every = (0, 1, 2, 3)
+    key = key_held_by(members, "b1")
+    r = range_of(key, 4)
+    rest = tuple(x for x in every if x != r)
+
+    # A fresh grant: every range to every backup.
+    assert renew(0.0) == [("b1", every, 100.0), ("b2", every, 100.0)]
+    assert state() == (
+        [8, 0, 0],
+        {"b1": dict.fromkeys(every, 100.0), "b2": dict.fromkeys(every, 100.0)},
+        {h: dict.fromkeys(every, (0, 0, 100.0)) for h in ("b1", "b2")},
+    )
+    # A renewal before expiry.
+    assert renew(50.0) == [("b1", every, 150.0), ("b2", every, 150.0)]
+    assert state()[0] == [8, 8, 0]
+    assert state()[2] == {h: dict.fromkeys(every, (0, 0, 150.0)) for h in ("b1", "b2")}
+    # Every grant lapsed: each counts as expired and granted afresh.
+    assert renew(300.0) == [("b1", every, 400.0), ("b2", every, 400.0)]
+    assert state()[:2] == (
+        [16, 8, 8],
+        {"b1": dict.fromkeys(every, 400.0), "b2": dict.fromkeys(every, 400.0)},
+    )
+    # A write on b1's key puts its range under revocation: not renewed.
+    sim.run(until=310.0)
+    assert manager.intercept(ClientRequest("cx", 0, ("put", key, 1)))
+    assert deliver() == []  # the revoke reached b1's table
+    assert renew(350.0) == [("b1", rest, 450.0), ("b2", rest, 450.0)]
+    assert state() == (
+        [16, 14, 8],
+        {"b1": dict.fromkeys(rest, 450.0),
+         "b2": {**dict.fromkeys(rest, 450.0), r: 400.0}},
+        {"b1": dict.fromkeys(rest, (0, 0, 450.0)),
+         "b2": {**dict.fromkeys(rest, (0, 0, 450.0)), r: (0, 0, 400.0)}},
+    )
+    # b1 acks: the range is grantable again — fresh for b1, lapsed for b2.
+    sim.run(until=360.0)
+    ack("b1", (r,))
+    assert manager.parked_writes == 0
+    assert renew(420.0) == [("b1", every, 520.0), ("b2", every, 520.0)]
+    assert state() == (
+        [18, 20, 9],
+        {"b1": dict.fromkeys(every, 520.0), "b2": dict.fromkeys(every, 520.0)},
+        {h: dict.fromkeys(every, (0, 0, 520.0)) for h in ("b1", "b2")},
+    )
+    # A suspended holder is revoked and skipped until readmitted.
+    sim.run(until=430.0)
+    manager.revoke_holder("b2")
+    assert deliver() == []
+    sim.run(until=440.0)
+    ack("b2", every)
+    assert renew(470.0) == [("b1", every, 570.0)]
+    assert state() == (
+        [18, 24, 9],
+        {"b1": dict.fromkeys(every, 570.0), "b2": {}},
+        {"b1": dict.fromkeys(every, (0, 0, 570.0)), "b2": {}},
+    )
+    manager.readmit_holder("b2")
+    assert renew(480.0) == [("b1", every, 580.0), ("b2", every, 580.0)]
+    assert state() == (
+        [22, 28, 9],
+        {"b1": dict.fromkeys(every, 580.0), "b2": dict.fromkeys(every, 580.0)},
+        {h: dict.fromkeys(every, (0, 0, 580.0)) for h in ("b1", "b2")},
+    )
 
 
 class Probe(Node):

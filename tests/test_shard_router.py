@@ -45,6 +45,82 @@ def test_default_key_of_rejects_garbage():
 
 
 # ----------------------------------------------------------------------
+# One routing decision per op, and the two rules it keeps apart
+# ----------------------------------------------------------------------
+#: op -> (the router's plan for it as a read: (shard, sub-op, result slot,
+#: lease target) per leg, whether it is a local leased read, its shards;
+#: ValueError when it cannot be routed), ClientSession.lease_target(op)
+#: per shard, the members whose LeaseTable.covers(op).  Captured on the
+#: code before routes were worked out once: the router routes any
+#: (kind, key, ...), the lease path serves only KV kinds with str keys.
+ROUTE_TABLE = [
+    (("put", "k1", 5),
+     ([("s0", ("put", "k1", 5), None, "s0-r1")], True, ["s0"]),
+     {"s0": "s0-r1", "s1": "s1-r1"}, ["s0-r1", "s1-r1"]),
+    (("get", "k1"),
+     ([("s0", ("get", "k1"), None, "s0-r1")], True, ["s0"]),
+     {"s0": "s0-r1", "s1": "s1-r1"}, ["s0-r1", "s1-r1"]),
+    (("del", "k1"),
+     ([("s0", ("del", "k1"), None, "s0-r1")], True, ["s0"]),
+     {"s0": "s0-r1", "s1": "s1-r1"}, ["s0-r1", "s1-r1"]),
+    (("cas", "k1", 1, 2),
+     ([("s0", ("cas", "k1", 1, 2), None, "s0-r1")], True, ["s0"]),
+     {"s0": "s0-r1", "s1": "s1-r1"}, ["s0-r1", "s1-r1"]),
+    (("mget", "k0", "k5", "k1"),  # fans out over both shards
+     ([("s0", ("get", "k0"), "k0", "s0-r0"), ("s1", ("get", "k5"), "k5", "s1-r1"),
+       ("s0", ("get", "k1"), "k1", "s0-r1")], True, ["s0", "s1"]),
+     {"s0": "s0-r0", "s1": "s1-r0"}, []),
+    (("mget", "k1", "k1"),  # a duplicated key: two legs, one result slot
+     ([("s0", ("get", "k1"), "k1", "s0-r1"), ("s0", ("get", "k1"), "k1", "s0-r1")],
+      True, ["s0"]),
+     {"s0": "s0-r1", "s1": "s1-r1"}, ["s0-r1", "s1-r1"]),
+    (("mget",), ValueError, {"s0": None, "s1": None}, []),
+    (("get", 7),  # a non-str key routes, but is never leased
+     ([("s0", ("get", 7), None, None)], False, ["s0"]),
+     {"s0": None, "s1": None}, []),
+    (("mget", "k1", 7),  # ...while an mget's str-keyed fragments still are
+     ([("s0", ("get", "k1"), "k1", "s0-r1"), ("s0", ("get", 7), 7, None)], False, ["s0"]),
+     {"s0": None, "s1": None}, []),
+    (("incr", "k1"),  # not a KV kind: routed on its key, never leased
+     ([("s0", ("incr", "k1"), None, None)], False, ["s0"]),
+     {"s0": None, "s1": None}, []),
+    ("opaque", ValueError, {"s0": None, "s1": None}, []),
+]
+
+
+def test_one_route_per_op_keeps_the_routing_and_the_lease_rules_apart():
+    from repro.bft.group import protocol_config_for
+    from repro.bft.leases import LeaseConfig
+
+    system = build(
+        n_shards=2, protocol="minbft",
+        protocol_config=protocol_config_for("minbft", leases=LeaseConfig()),
+    )
+    router = system.place_router("c0")
+    system.start(warmup=60_000)
+    for i, key in enumerate(["k0", "k5"]):  # commit evidence: primaries keep granting
+        router.submit(("put", key, i))
+    system.run(20_000)
+    assert [system.directory.shard_for(k) for k in ("k0", "k1", "k5")] == ["s0", "s0", "s1"]
+    members = [m for shard in system.shards.values() for m in shard.group.members]
+    replicas = {m: s.group.replicas[m] for s in system.shards.values() for m in s.group.members}
+    for op, routed, targets, covering in ROUTE_TABLE:
+        if routed is ValueError:
+            with pytest.raises(ValueError):
+                router.route(op, read_only=True)
+        else:
+            read = router.route(op, read_only=True)
+            plan = [(sid, sub_op, key, target) for sid, _, sub_op, key, target in read.plan]
+            assert (plan, read.local, list(read.shards)) == routed, op
+            # An op sent as a write has the same legs, and no lease at all.
+            write = router.route(op)
+            assert [leg[:4] for leg in write.plan] == [leg[:4] for leg in read.plan]
+            assert all(leg[4] is None for leg in write.plan) and not write.local
+        assert {sid: s.lease_target(op) for sid, s in router._sessions.items()} == targets, op
+        assert [m for m in members if replicas[m].lease_table.covers(op)] == covering, op
+
+
+# ----------------------------------------------------------------------
 # Routing
 # ----------------------------------------------------------------------
 def test_operations_reach_the_owning_shard():
@@ -258,7 +334,7 @@ def test_a_get_submitted_without_read_only_is_ordered():
 # ----------------------------------------------------------------------
 def _scan_inflight(router, shard_id):
     """The per-shard in-flight depth as the router used to compute it."""
-    return sum(1 for sub in router._subops.values() if sub.shard_id == shard_id)
+    return sum(1 for sub in router._subops.values() if sub.session.shard_id == shard_id)
 
 
 def test_per_shard_inflight_count_equals_a_scan_of_the_subops(monkeypatch):
@@ -345,3 +421,73 @@ def test_lease_target_is_the_keys_holder_whatever_the_placement():
     assert targets() == [lease_holder(rest, op[1]) for op in reads]
     router.bind("s0", rest, session.reply_quorum, session.read_quorum, lease_reads=False)
     assert targets() == [None] * len(reads)
+
+
+# ----------------------------------------------------------------------
+# A sub-operation's life: its timer is one kernel event
+# ----------------------------------------------------------------------
+def _pending_router_events(system, router):
+    """Kernel events still due that would call back into ``router``."""
+    return [
+        event for *_, event in system.sim._heap
+        if event.pending and getattr(event.callback, "__self__", None) is router
+    ]
+
+
+def test_a_completed_sub_op_leaves_nothing_armed_in_the_kernel():
+    system = build(n_shards=2)
+    driver = closed_driver(system, "c0", think_time=50.0)
+    router = system.routers[0]
+    system.start(warmup=60_000)
+    system.run(30_000)
+    assert driver.completed > 50
+    while router.inflight == 0:
+        system.sim.step()
+    # An op in flight: its sub-operation's timer is armed, and only it.
+    armed = _pending_router_events(system, router)
+    assert router.inflight == 1 and len(armed) == 1
+    assert armed[0].time == router._subops[max(router._subops)].exchange.sent_at + 30_000.0
+    driver.stop()
+    system.run(30_000)
+    assert router.inflight == 0
+    assert _pending_router_events(system, router) == []
+
+
+def test_an_unanswered_sub_op_backs_off_then_fails_after_max_attempts():
+    """The crashed primary's backups never get a reply through: the
+    sub-operation retransmits at timeout, 2x, 4x ... of it, and fails at
+    the MAX_ATTEMPTS-th expiry, counted once per expiry and once failed."""
+    timeout = 1_000.0
+    system = build(n_shards=2, router=RouterConfig(timeout=timeout))
+    router = system.place_router("c0")
+    system.start(warmup=60_000)
+    group = system.shards["s0"].group
+    group.crash(group.members[0])  # the view-0 primary
+    router.add_inbound_filter(lambda sender, message: None)  # no reply gets through
+    sends = []
+    router.add_outbound_filter(
+        lambda dst, message: sends.append((system.sim.now, dst)) or message
+    )
+    expiries = []
+    on_timeout = router._on_timeout
+    router._on_timeout = lambda rid: (expiries.append(system.sim.now), on_timeout(rid))
+    key = next(k for k in (f"k{i}" for i in range(64))
+               if system.directory.shard_for(k) == "s0")
+    results = []
+    start = system.sim.now
+    router.submit(("put", key, 1), results.append)
+    system.run(300_000)
+    n = ShardRouter.MAX_ATTEMPTS
+    assert expiries == [start + timeout * (2 ** i - 1) for i in range(1, n + 1)]
+    # The request, then a retransmission to every member at each expiry
+    # but the last, which fails the sub-operation instead.
+    assert sends == [(start, group.members[0])] + [
+        (at, member) for at in expiries[:-1] for member in group.members
+    ]
+    assert len(results) == 1 and not results[0].ok
+    assert results[0].error == f"shard s0 unresponsive after {n} attempt(s)"
+    assert results[0].latency == expiries[-1] - start
+    assert router.timeouts == router.stats["s0"].timeouts == n
+    assert router.stats["s0"].failed == 1 and router.stats["s0"].completed == 0
+    assert system.chip.metrics.counter("shard.s0.failed_ops").value == 1
+    assert router.inflight == 0 and _pending_router_events(system, router) == []
