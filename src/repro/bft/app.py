@@ -120,10 +120,8 @@ class ControlLoopApp(StateMachine):
         self.setpoint = setpoint
         self._readings: Tuple[float, ...] = ()
         self.command = 0.0
-        self.ops_executed = 0
 
     def execute(self, op: Any) -> Any:
-        self.ops_executed += 1
         if isinstance(op, tuple) and op and op[0] == "sense":
             reading = float(op[1])
             self._readings = (self._readings + (reading,))[-self.window:]

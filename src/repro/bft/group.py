@@ -299,9 +299,11 @@ class ReplicaGroup:
     def _reshape(self, n: int, restart: bool) -> None:
         """The one membership path: retire the members past ``n``,
         rebuild the kept ones when ``restart``, name and place the added
-        tail, launch what is new and re-point the clients."""
-        donor = self._most_advanced_state()
+        tail, launch what is new and re-point the clients.  The donor
+        state is taken only when a member is launched: a bare shrink
+        imports nothing."""
         names = self.context.members
+        donor = self._most_advanced_state() if restart or n > len(names) else None
         for name in names[n:]:
             self.replicas[name].shutdown()
             self.launcher.retire(self, name)

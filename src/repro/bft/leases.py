@@ -230,7 +230,6 @@ class LeaseManager:
         self._c_renewed = metrics.counter(f"{gid}.lease.renewed")
         self._c_revoked = metrics.counter(f"{gid}.lease.revoked")
         self._c_expired = metrics.counter(f"{gid}.lease.expired")
-        self._c_held = metrics.counter(f"{gid}.lease.writes_held")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -394,7 +393,6 @@ class LeaseManager:
                 blocked.add(r)
         if not blocked:
             return False
-        self._c_held.inc()
         self._parked.append((request, blocked))
         return True
 

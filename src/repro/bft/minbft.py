@@ -132,7 +132,6 @@ class MinBftReplica(BaseReplica):
         self._next_exec_seq = 0
         self._req_view_change_votes: Dict[int, set] = {}
         self._view_change_votes: Dict[int, Dict[str, MbViewChange]] = {}
-        self.usig_failures = 0
         # UI-carrying traffic by exact type: verified and sequenced per
         # sender before its handler runs.
         self._ui_handlers = {
@@ -153,7 +152,6 @@ class MinBftReplica(BaseReplica):
         try:
             return self.usig.create_ui(payload)
         except UsigError:
-            self.usig_failures += 1
             self.group.metrics.counter(f"{self.group.group_id}.usig_halted").inc()
             return None
 

@@ -202,7 +202,6 @@ class BaseReplica(Node):
     retired = False
 
     _committed_ops = _group_counter("committed_ops")
-    _executions = _group_counter("executions")
     _fast_reads = _group_counter("fast_reads")
     _reads_local = _group_counter("reads.local")
     _reads_quorum_fallback = _group_counter("reads.quorum_fallback")
@@ -489,7 +488,6 @@ class BaseReplica(Node):
         result = self.app.execute(request.op)
         reply = ClientReply(self.name, client, rid, result, self.view)
         self._cache_reply(reply)
-        self._executions.inc()
         return reply
 
     def _cache_reply(self, reply: ClientReply) -> None:
@@ -539,8 +537,6 @@ class BaseReplica(Node):
             "executed_requests": self._executed.export(),
             "last_reply": {c: dict(replies) for c, replies in self._last_reply.items()},
             "view": self.view,
-            "protocol_tag": type(self).__name__,
-            "protocol_extra": self.export_protocol_state(),
         }
 
     def import_state(self, state: Dict[str, Any]) -> None:
@@ -548,8 +544,7 @@ class BaseReplica(Node):
 
         Protocol-internal queues are *kept* (messages that raced the
         transfer stay valid); subclasses re-align their counters in
-        :meth:`on_state_imported`, and same-family stream positions
-        transfer through :meth:`import_protocol_state`.
+        :meth:`on_state_imported`.
         """
         self.app.restore(state["snapshot"])
         self.last_executed = state["last_executed"]
@@ -567,16 +562,7 @@ class BaseReplica(Node):
         # grants from before the transfer are untrustworthy.  (Not
         # _enter_era: the progress timer keeps watching what is pending.)
         self._void_era_state()
-        if state.get("protocol_tag") == type(self).__name__:
-            self.import_protocol_state(state.get("protocol_extra", {}))
         self.on_state_imported()
-
-    def export_protocol_state(self) -> Dict[str, Any]:
-        """Subclass hook: protocol stream positions worth transferring."""
-        return {}
-
-    def import_protocol_state(self, extra: Dict[str, Any]) -> None:
-        """Subclass hook: adopt same-family stream positions."""
 
     def on_state_imported(self) -> None:
         """Subclass hook: re-align internal counters with last_executed."""

@@ -64,7 +64,6 @@ class FpgaFabric:
             for coord in chip.topology.coords()
         }
         self.spawn_count = 0
-        self.rejuvenation_count = 0
         self.full_restart_count = 0
 
     # ------------------------------------------------------------------
@@ -186,7 +185,6 @@ class FpgaFabric:
                 self.chip.relocate_node(name, target_coord)
                 old_region.clear()
             node.recover()
-            self.rejuvenation_count += 1
             if on_done:
                 on_done(result)
 
@@ -225,9 +223,7 @@ class FpgaFabric:
     def _complete_full_restart(
         self, configured: List, on_done: Optional[Callable[[], None]]
     ) -> None:
-        for coord, bitstream in configured:
-            region = self.regions[coord]
-            region.configured_at = self.sim.now
+        for coord, _ in configured:
             node = self.chip.tiles[coord].node
             if node is not None:
                 node.recover()

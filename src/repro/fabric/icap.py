@@ -135,7 +135,7 @@ class IcapPort:
         bitstream: Bitstream,
         on_done: Optional[Callable[[IcapResult], None]],
     ) -> None:
-        region.complete_reconfiguration(bitstream, self.sim.now)
+        region.complete_reconfiguration(bitstream)
         self.stats.writes_ok += 1
         if on_done:
             on_done(IcapResult.OK)

@@ -37,8 +37,6 @@ class ReconfigurableRegion:
         self.coord = coord
         self.state = RegionState.EMPTY
         self.bitstream: Optional[Bitstream] = None
-        self.configured_at: Optional[float] = None
-        self.reconfigure_count = 0
 
     @property
     def variant(self) -> Optional[str]:
@@ -51,20 +49,17 @@ class ReconfigurableRegion:
             raise ValueError(f"region {self.region_id} is already reconfiguring")
         self.state = RegionState.RECONFIGURING
 
-    def complete_reconfiguration(self, bitstream: Bitstream, now: float) -> None:
+    def complete_reconfiguration(self, bitstream: Bitstream) -> None:
         """Commit the written image; the region's logic (re)starts."""
         if self.state != RegionState.RECONFIGURING:
             raise ValueError(f"region {self.region_id} is not mid-reconfiguration")
         self.bitstream = bitstream
         self.state = RegionState.CONFIGURED
-        self.configured_at = now
-        self.reconfigure_count += 1
 
     def clear(self) -> None:
         """Blank the region (full-device restart path)."""
         self.state = RegionState.EMPTY
         self.bitstream = None
-        self.configured_at = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Region {self.region_id}@{self.coord} {self.state.value} {self.variant}>"

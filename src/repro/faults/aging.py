@@ -77,7 +77,6 @@ class AgingModel:
         for event in self._events.get(coord, []):
             event.cancel()
         tile = self.chip.tiles[coord]
-        tile.wear = 0.0
         if tile.state.value == "degraded":
             tile.repair()
         self._schedule_for(coord)

@@ -76,7 +76,6 @@ class Usig:
         self._secret = keystore.secret_for(replica_id)
         self.register_kind = register_kind
         self.counter_register: Register = make_register(register_kind, COUNTER_WIDTH, 0)
-        self.create_count = 0
         self.halted = False
 
     def create_ui(self, digest: bytes) -> UI:
@@ -95,7 +94,6 @@ class Usig:
             raise UsigError(f"USIG {self.replica_id} counter uncorrectable: {exc}") from exc
         next_counter = current + 1
         self.counter_register.write(next_counter)
-        self.create_count += 1
         mac = compute_mac(self._secret, (self.replica_id, next_counter, digest))
         return UI(self.replica_id, next_counter, mac)
 

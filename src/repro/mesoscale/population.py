@@ -134,8 +134,6 @@ class ClientPopulation(TrafficSource):
         self._draining = False
         self._timer: Optional[PeriodicTimer] = None
         self._stream: Optional["RngStream"] = None
-        self._counters: Dict[str, Any] = {}  # suffix -> counter, bound on first use
-        self._histograms: Dict[str, Any] = {}  # likewise
 
     # ------------------------------------------------------------------
     # Introspection
@@ -198,7 +196,6 @@ class ClientPopulation(TrafficSource):
             self._drain()
             return
         self.offered += demand
-        self._counter("offered").inc(demand)
         room = cfg.queue_limit - self.backlog
         if demand > room:
             self._record_shed(demand - room, SHED_QUEUE_FULL)
@@ -239,10 +236,8 @@ class ClientPopulation(TrafficSource):
                         self._record_shed(1, reason)
                         continue
                 self.admitted += 1
-                self._counter("admitted").inc()
                 self.inflight += 1
                 if local_read:
-                    self._counter("admitted_local_read").inc()
                     router.submit(op, self._on_done, read, route)
                 else:
                     self.ordered_inflight += 1
@@ -258,11 +253,8 @@ class ClientPopulation(TrafficSource):
         self.inflight -= 1
         if result.ok:
             self.record_completion(self.sim.now, result.latency)
-            self._counter("completed").inc()
-            self._histogram("latency").observe(result.latency)
         else:
             self.failures += 1
-            self._counter("failed").inc()
         if self.running and self.backlog > 0:
             self._drain()
 
@@ -271,8 +263,6 @@ class ClientPopulation(TrafficSource):
             return
         self.shed += count
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + count
-        self._counter("shed").inc(count)
-        self._counter(f"shed.{reason}").inc(count)
 
     # ------------------------------------------------------------------
     # Closed mode: per-client think-time loops
@@ -295,22 +285,3 @@ class ClientPopulation(TrafficSource):
             self.failures += 1
         if self.running:
             self.sim.schedule(self.config.think_time, self._issue_closed)
-
-    # ------------------------------------------------------------------
-    # Metrics plumbing (open mode publishes under mesoscale.<name>.*)
-    # ------------------------------------------------------------------
-    def _counter(self, suffix: str):
-        counter = self._counters.get(suffix)
-        if counter is None:
-            counter = self._counters[suffix] = self.router.chip.metrics.counter(
-                f"mesoscale.{self.name}.{suffix}"
-            )
-        return counter
-
-    def _histogram(self, suffix: str):
-        histogram = self._histograms.get(suffix)
-        if histogram is None:
-            histogram = self._histograms[suffix] = self.router.chip.metrics.histogram(
-                f"mesoscale.{self.name}.{suffix}"
-            )
-        return histogram

@@ -9,8 +9,6 @@ benches print uniform tables.  The design follows the usual triad:
   readings,
 * :class:`~repro.metrics.collectors.Histogram` — latency-style
   distributions with percentile queries,
-* :class:`~repro.metrics.collectors.TimeSeries` — (time, value) samples for
-  plotting phase behaviour,
 * :class:`~repro.metrics.registry.MetricsRegistry` — a namespace of the
   above, one per simulation,
 * :class:`~repro.metrics.tables.Table` — fixed-width table rendering used
@@ -18,9 +16,16 @@ benches print uniform tables.  The design follows the usual triad:
 * :class:`~repro.metrics.traffic.TrafficSource` — the shared
   completions/latencies measurement mixin every workload driver
   (clients and aggregated populations) exposes to benches.
+
+A metric name, a counter attribute bumped per event, or a hook exists
+only if code in ``src/repro``, ``benchmarks/``, ``examples/`` or
+``tools/`` reads it, or a test reads it to observe a behaviour nothing
+else shows (DESIGN §4 *What a record must earn*).  Where an object
+already keeps a count as an attribute (a population's ``offered``, a
+packet's ``drop_reason``), no registry copy of it is kept.
 """
 
-from repro.metrics.collectors import Counter, Gauge, Histogram, TimeSeries
+from repro.metrics.collectors import Counter, Gauge, Histogram
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.stats import (
     binomial_half_width,
@@ -48,7 +53,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Table",
-    "TimeSeries",
     "TrafficSource",
     "aggregate_completions",
     "aggregate_latencies",

@@ -1,10 +1,10 @@
-"""Metric collector primitives: Counter, Gauge, Histogram, TimeSeries."""
+"""Metric collector primitives: Counter, Gauge, Histogram."""
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 
 class Counter:
@@ -88,14 +88,6 @@ class Histogram:
             return 0.0
         return self.total / len(self._values)
 
-    def stddev(self) -> float:
-        """Population standard deviation; 0.0 when fewer than 2 samples."""
-        n = len(self._values)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(math.fsum((v - mu) ** 2 for v in self._values) / n)
-
     def percentile(self, p: float) -> float:
         """The p-th percentile (0 <= p <= 100), nearest-rank; 0.0 when empty."""
         if not 0 <= p <= 100:
@@ -106,29 +98,10 @@ class Histogram:
         rank = max(0, min(len(self._values) - 1, math.ceil(p / 100 * len(self._values)) - 1))
         return self._values[rank]
 
-    def min(self) -> float:
-        """Smallest observation; 0.0 when empty."""
-        return min(self._values) if self._values else 0.0
-
-    def max(self) -> float:
-        """Largest observation; 0.0 when empty."""
-        return max(self._values) if self._values else 0.0
-
     def values(self) -> List[float]:
         """A copy of the raw observations (unsorted insertion order is lost
         after any percentile query)."""
         return self._values.tolist()
-
-    def summary(self) -> Dict[str, float]:
-        """Dict of count/mean/p50/p95/p99/max — the row most benches print."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean(),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.max(),
-        }
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -139,38 +112,3 @@ class Histogram:
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Histogram {self.name} n={self.count} mean={self.mean():.3g}>"
 
-
-class TimeSeries:
-    """(time, value) samples, e.g. instantaneous threat level or throughput."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._samples: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append one sample.  Times must be non-decreasing."""
-        if self._samples and time < self._samples[-1][0]:
-            raise ValueError(
-                f"timeseries {self.name!r}: non-monotonic time {time} < {self._samples[-1][0]}"
-            )
-        self._samples.append((time, value))
-
-    @property
-    def count(self) -> int:
-        """Number of samples."""
-        return len(self._samples)
-
-    def samples(self) -> List[Tuple[float, float]]:
-        """A copy of all samples."""
-        return list(self._samples)
-
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Samples with start <= time < end."""
-        return [(t, v) for t, v in self._samples if start <= t < end]
-
-    def last(self) -> Optional[Tuple[float, float]]:
-        """The most recent sample, or None."""
-        return self._samples[-1] if self._samples else None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<TimeSeries {self.name} n={self.count}>"

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Tuple, Union
 
-from repro.metrics.collectors import Counter, Gauge, Histogram, TimeSeries
+from repro.metrics.collectors import Counter, Gauge, Histogram
 
-Metric = Union[Counter, Gauge, Histogram, TimeSeries]
+Metric = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
@@ -45,10 +45,6 @@ class MetricsRegistry:
         """Get or create a :class:`Histogram`."""
         return self._get_or_create(name, Histogram)  # type: ignore[return-value]
 
-    def timeseries(self, name: str) -> TimeSeries:
-        """Get or create a :class:`TimeSeries`."""
-        return self._get_or_create(name, TimeSeries)  # type: ignore[return-value]
-
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
@@ -58,17 +54,6 @@ class MetricsRegistry:
     def items(self) -> Iterator[Tuple[str, Metric]]:
         """Iterate (name, metric) pairs sorted by name."""
         return iter(sorted(self._metrics.items()))
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dict of scalar metric values (counters, gauges, histogram means)."""
-        out: Dict[str, float] = {}
-        for name, metric in self._metrics.items():
-            if isinstance(metric, (Counter, Gauge)):
-                out[name] = float(metric.value)
-            elif isinstance(metric, Histogram):
-                out[f"{name}.mean"] = metric.mean()
-                out[f"{name}.count"] = float(metric.count)
-        return out
 
     def dump(self) -> Dict[str, Dict[str, Any]]:
         """Plain-data payload of every metric (dicts, lists, numbers).
@@ -82,11 +67,6 @@ class MetricsRegistry:
                 out[name] = {"type": "counter", "value": metric.value}
             elif isinstance(metric, Gauge):
                 out[name] = {"type": "gauge", "value": metric.value, "peak": metric.peak}
-            elif isinstance(metric, Histogram):
-                out[name] = {"type": "histogram", "values": metric.values()}
             else:
-                out[name] = {
-                    "type": "timeseries",
-                    "samples": [[t, v] for t, v in metric.samples()],
-                }
+                out[name] = {"type": "histogram", "values": metric.values()}
         return out

@@ -40,7 +40,6 @@ from itertools import count, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics import MetricsRegistry
-from repro.metrics.collectors import Counter
 from repro.noc.link import Link, LinkState, Slot
 from repro.noc.packet import Packet
 from repro.noc.router import Router
@@ -161,8 +160,6 @@ class NocNetwork:
         self._delivered = self.metrics.counter("noc.delivered")
         self._dropped = self.metrics.counter("noc.dropped")
         self._flit_hops = self.metrics.counter("noc.flit_hops")
-        self._latency = self.metrics.histogram("noc.latency")
-        self._drop_reason_counters: Dict[str, Counter] = {}
         # (time, packet id) of the latest delivery: how far into the
         # current instant's NoC events the kernel has got (_take_back).
         self._fired_at = -1.0
@@ -341,7 +338,7 @@ class NocNetwork:
         across a fault, or a send between runs."""
         route = packet._route
         if route is None:
-            self._drop(packet, "no route (failed links)", "no_route")
+            self._drop(packet, "no route (failed links)")
             return
         sim = self.sim
         at = sim.now
@@ -369,21 +366,20 @@ class NocNetwork:
         index = packet._index
         router = route.routers[index]
         if router.failed and route.last:  # a loopback never meets its router
-            self._drop(packet, f"router {route.coords[index]} failed", "router_failed")
+            self._drop(packet, f"router {route.coords[index]} failed")
             return
         if index == route.last:
             if packet.corrupted and self.config.drop_corrupted_silently:
-                self._drop(packet, "corrupted (end-to-end check)", "corrupted")
+                self._drop(packet, "corrupted (end-to-end check)")
                 return
             handler = self._handlers.get(packet.dst)
             if handler is None:
-                self._drop(packet, f"no endpoint at {packet.dst}", "no_endpoint")
+                self._drop(packet, f"no endpoint at {packet.dst}")
                 return
-            packet.delivered_at = self._fired_at = now = self.sim.now
+            packet.delivered_at = self._fired_at = self.sim.now
             self._fired_id = packet.packet_id
             self._delivered.value += 1  # Counter.inc, without the call: one per packet
             self._flit_hops.value += packet.flits * packet.hops
-            self._latency.observe(now - packet.injected_at)
             handler(packet)
             return
         link = route.links[index]
@@ -399,7 +395,7 @@ class NocNetwork:
                         packet._index = 0
                         self._step(packet)
                         return
-                self._drop(packet, f"link {coords[index]}->{coords[index + 1]} down", "link_down")
+                self._drop(packet, f"link {coords[index]}->{coords[index + 1]} down")
                 return
             packet.corrupted = True  # CORRUPTING link
         sim = self.sim
@@ -548,15 +544,10 @@ class NocNetwork:
         for packet, slot in cut.items():
             self._cut_back(packet, slot[5], slot[0], self._step)
 
-    def _drop(self, packet: Packet, reason: str, label: str) -> None:
+    def _drop(self, packet: Packet, reason: str) -> None:
         packet.dropped = True
         packet.drop_reason = reason
         self._dropped.inc()
-        counter = self._drop_reason_counters.get(label)
-        if counter is None:
-            counter = self.metrics.counter(f"noc.drop_reason.{label}")
-            self._drop_reason_counters[label] = counter
-        counter.inc()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<NocNetwork {self.topology.width}x{self.topology.height}>"

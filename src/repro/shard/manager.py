@@ -216,7 +216,6 @@ class ShardedSystem(Substrate):
                     self.chip.metrics.counter("shard.degraded_transitions").inc()
             elif degraded:
                 self.directory.restore(shard_id)
-                self.chip.metrics.counter("shard.restored_transitions").inc()
 
     def kill_shard(self, shard_id: str) -> None:
         """Crash every tile of one shard (the shard-failover scenario).

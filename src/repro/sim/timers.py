@@ -31,13 +31,11 @@ class PeriodicTimer:
         self.callback = callback
         self.args = args
         self._running = True
-        self.fire_count = 0
         self._event: Optional[ScheduledEvent] = sim.schedule(period, self._fire)
 
     def _fire(self) -> None:
         if not self._running:
             return
-        self.fire_count += 1
         self.callback(*self.args)
         if self._running:  # the callback may have stopped us
             self._event = self.sim.schedule(self.period, self._fire)

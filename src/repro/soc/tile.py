@@ -39,8 +39,6 @@ class Tile:
         self.state = TileState.OK
         self.node: Optional["Node"] = None
         self.reserved = False  # a pending fabric spawn holds this tile
-        self.wear = 0.0  # accumulated aging stress, grows with uptime
-        self.crash_count = 0
 
     @property
     def occupied(self) -> bool:
@@ -79,7 +77,6 @@ class Tile:
     def crash(self) -> None:
         """Physically fail the tile; crashes the hosted node too."""
         self.state = TileState.CRASHED
-        self.crash_count += 1
         if self.node is not None:
             self.node.crash()
 
@@ -91,7 +88,6 @@ class Tile:
     def repair(self) -> None:
         """Restore the tile to full health (post-rejuvenation)."""
         self.state = TileState.OK
-        self.wear = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
         hosted = self.node.name if self.node else "-"

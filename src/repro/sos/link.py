@@ -44,7 +44,6 @@ class InterChipLink:
         self.busy_until = 0.0
         self.up = True
         self.messages_carried = 0
-        self.bytes_carried = 0
 
     def fail(self) -> None:
         """Hard-fail the link (board damage / connector loss)."""
@@ -66,7 +65,6 @@ class InterChipLink:
         start = max(now, self.busy_until)
         self.busy_until = start + size_bytes / self.config.bytes_per_cycle
         self.messages_carried += 1
-        self.bytes_carried += size_bytes
         return start + self.transfer_time(size_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover

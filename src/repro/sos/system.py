@@ -40,7 +40,6 @@ class MultiChipSystem:
         self._links: Dict[Tuple[str, str], InterChipLink] = {}
         self._packet_ids: Optional[Iterator[int]] = None
         self.dropped_no_owner = 0
-        self.dropped_no_route = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -174,11 +173,9 @@ class MultiChipSystem:
             return
         route = self.chip_route(here, tunnel.dst_chip)
         if route is None or len(route) < 2:
-            self.dropped_no_route += 1
             return
         link = self._links[(here, route[1])]
         if not link.up:
-            self.dropped_no_route += 1
             return
         arrival = link.reserve(tunnel.size_bytes, self.sim.now)
         self.sim.schedule_at(arrival, self._forward, route[1], tunnel)

@@ -3,7 +3,9 @@
 The NoC keeps no per-hop traffic counters (DESIGN §4, *what a hop
 costs*): what a link carried and a router switched is a function of the
 ``path`` and ``flits`` of every packet sent, and the tests that compare
-loads derive them here.
+loads derive them here.  Nor does it keep a per-packet latency sample:
+tests that compare delivery times across traversal modes tap the
+endpoints with :func:`delivery_log`.
 """
 
 from collections import Counter
@@ -28,3 +30,19 @@ def derived_loads(packets):
         "links": {hop: (carried[hop], flits[hop]) for hop in carried},
         "routers": dict(switched),
     }
+
+
+def delivery_log(chip):
+    """Tap every endpoint of ``chip``'s NoC.  The returned list gets one
+    ``(packet_id, src, dst, injected_at, delivered_at)`` per packet
+    delivered from then on, in delivery order: what a run's NoC did, to
+    compare across traversal modes.  The tap schedules nothing."""
+    log = []
+    noc = chip.noc
+    for coord, handler in list(noc._handlers.items()):
+        def tap(packet, handler=handler):
+            log.append((packet.packet_id, packet.src, packet.dst,
+                        packet.injected_at, packet.delivered_at))
+            handler(packet)
+        noc.attach(coord, tap)
+    return log

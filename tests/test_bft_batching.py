@@ -125,12 +125,12 @@ def test_batched_open_loop_executes_everything(protocol):
     # The batch histogram saw real batches on the primary.
     hist = chip.metrics.histogram("g.batch.size")
     assert hist.count > 0
-    assert hist.max() > 1
+    assert max(hist.values()) > 1
     # committed_ops counts operations, not rounds: every replica applied
     # each of the 60 ops exactly once.
     n_correct = len(group.correct_replicas())
     assert chip.metrics.counter("g.committed_ops").value == 60 * n_correct
-    assert chip.metrics.counter("g.executions").value == 60 * n_correct
+    assert sum(r.app.ops_executed for r in group.replicas.values()) == 60 * n_correct
 
 
 def test_batching_fewer_rounds_than_ops():
@@ -217,7 +217,7 @@ def test_pbft_truncated_slots_stay_dead_across_view_change(monkeypatch):
         # the new view's re-proposals.
         assert all(seq > replica._stable_seq for (_, seq) in replica._slots)
     # No re-execution: each op applied once per live correct replica.
-    executions = chip.metrics.counter("g.executions").value
+    executions = sum(r.app.ops_executed for r in group.replicas.values())
     assert executions <= client.completed * len(group.members)
 
 

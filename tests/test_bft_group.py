@@ -6,6 +6,7 @@ from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.group import FAMILIES, protocol_config_for
 from repro.bft.batching import BatchConfig
 from repro.bft.leases import LeaseConfig
+from repro.bft.replica import BaseReplica
 from repro.core import (
     DiversityManager,
     RejuvenationPolicy,
@@ -163,6 +164,24 @@ def test_scale_in_removes_surplus():
     removed = manager.scale_in()
     assert removed == "m-r3"
     assert not chip.has_node("m-r3")
+
+
+def test_only_a_launch_exports_the_donor_state(monkeypatch):
+    """A scale-out hands its new member the most advanced member's state;
+    a scale-in launches nobody, so it exports nothing."""
+    sim, chip, fabric, manager, group = make_managed()
+    sim.run(until=50_000)
+    exports = []
+    export_state = BaseReplica.export_state
+    monkeypatch.setattr(
+        BaseReplica, "export_state", lambda self: exports.append(self.name) or export_state(self)
+    )
+    manager.scale_out()
+    assert len(exports) == 1
+    sim.run(until=100_000)
+    before = len(exports)  # state requests answered while the sim ran
+    assert manager.scale_in() == "m-r3"
+    assert len(exports) == before
 
 
 def test_scale_in_respects_protocol_minimum():

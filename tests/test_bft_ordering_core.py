@@ -30,6 +30,15 @@ timer, the batch/lease install and the era change for every protocol:
   **The two ``pbft`` entries were regenerated again** when a VIEW-CHANGE
   came to carry the PRE-PREPARE of every prepared slot in its log, bodies
   included (DESIGN §4 *Simplified view changes*); nothing else moved.
+  **All eight metrics hashes were re-derived once** when the registry
+  stopped recording what nothing read (DESIGN §4 *What a record must
+  earn*): each new dump is the old one with ``noc.latency``,
+  ``g.executions`` and ``g.lease.writes_held`` filtered out, and no
+  ``events_fired`` moved.  ``noc.latency`` held one sample per delivered
+  packet, which is what made the shared hash a cross-mode check of every
+  delivery time; a test-side tap (``tests/noc_loads.py::delivery_log``)
+  now records each delivery's packet id, ends and times, and its hash is
+  pinned, one for both modes, beside the metrics hash.
 * **No re-forking** — the plumbing names live in ``replica.py`` only,
   the stall rule (``_on_progress_timeout``) among them.
 """
@@ -54,21 +63,23 @@ from repro.noc import NocConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 from repro.workloads import AlternatingKV, FactoryWorkload
+from tests.noc_loads import delivery_log
 
 CRASH_AT = 120_000.0
 RUN_UNTIL = 400_000.0
 
 # (protocol, tuned) -> (events_fired hop by hop, events_fired analytic,
-# sha256 of chip.metrics.dump() in both); see the module docstring.
+# sha256 of chip.metrics.dump() in both, sha256[:16] of the delivery log
+# in both); see the module docstring.
 GOLDENS = {
-    ("pbft", False): (84776, 49704, "0a58d05975c881f6175f22a6a32310e37793435580b3b39c43646193f49b36bc"),
-    ("pbft", True): (60597, 34398, "13649294fb5bce79006314eb48370038900a02f92c8cdb0e97ae1b0d19d71d04"),
-    ("minbft", False): (88418, 50319, "2f9f136ceba860c64b0707cba3117cc11049fa27c29e534968ce387b49386870"),
-    ("minbft", True): (51070, 28392, "f406ff84136b65b2dfa5ee4f5866e691095e98e7a40a5817c7d3b95b117920ab"),
-    ("cft", False): (182496, 98807, "6524073198b22399161cb832d8ffcd9f8315ef146ea5ab7055bbcfd7fa5b5b8f"),
-    ("cft", True): (69882, 37640, "36009fc69831d87e84779f16e6c6c555200361b78e9934afbece76dcf8e04930"),
-    ("passive", False): (108096, 62635, "9d0b71c1c3bd440bc17222979e80d1fd68fe16b328e3d2ab020a219214e531d6"),
-    ("passive", True): (45478, 26785, "cbb45bf9d4cb36893b2f41999de5efc3834de2646b88d078850da51c96850a93"),
+    ("pbft", False): (84776, 49704, "3a49f458c6df13e9b248352f11ac341ea0cccd72913f57bf3e79e2345056b401", "9afc6cecf591976b"),
+    ("pbft", True): (60597, 34398, "1ab47ab3ffa4a45e70f04c041eaacca7fec7bc0886b07a3a58e2675439d8bb42", "55b64751b8946a8a"),
+    ("minbft", False): (88418, 50319, "ceb8a2ca9c215a3ed3a1325062270eb5a1d355c824464cd394b66724b613b520", "858ead85bbb1b392"),
+    ("minbft", True): (51070, 28392, "4474d0ae7e8e20dd902a63e48659d6c5c7c043805d19dddf227532dda3dfa70a", "2669c2025204a254"),
+    ("cft", False): (182496, 98807, "d72a3324013322e44a7ac63ba06c5a10c0c9c816128750e0c767b5e88a8808b7", "b316ecdc11af5caf"),
+    ("cft", True): (69882, 37640, "7992d258c26b988e22b744db85901847855125b3cfdff1b43bab5afb68898853", "e6244871ead4f675"),
+    ("passive", False): (108096, 62635, "863f3ac83e9baf8b1613f342ba47af63a7857f651367fa4acb36d3ccb1d5ea72", "5888d48bccdac6d2"),
+    ("passive", True): (45478, 26785, "6daf591910f2f4e2bdee96f76fc08c740d48bdb7c70fab428a482f33c71e505f", "c2ddee70b28dc90b"),
 }
 
 
@@ -82,6 +93,7 @@ def run_through_primary_crash(protocol, tuned, express):
         )
     sim = Simulator(seed=14)
     chip = Chip(sim, ChipConfig(width=5, height=5, noc=NocConfig(express_routing=express)))
+    deliveries = delivery_log(chip)
     group = build_group(
         chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=config)
     )
@@ -99,23 +111,27 @@ def run_through_primary_crash(protocol, tuned, express):
         client.start()
     sim.schedule(CRASH_AT, group.crash, group.members[0])
     sim.run(until=RUN_UNTIL)
-    return sim, chip, group
+    return sim, chip, group, deliveries
 
 
 @pytest.mark.parametrize("tuned", [False, True], ids=["plain", "batch+lease"])
 @pytest.mark.parametrize("protocol", ["pbft", "minbft", "cft", "passive"])
 def test_golden_run_through_primary_crash(protocol, tuned):
-    hop_by_hop, analytic, metrics_hash = GOLDENS[(protocol, tuned)]
+    hop_by_hop, analytic, metrics_hash, deliveries_hash = GOLDENS[(protocol, tuned)]
     for express, events in ((False, hop_by_hop), (True, analytic)):
-        sim, chip, group = run_through_primary_crash(protocol, tuned, express)
+        sim, chip, group, deliveries = run_through_primary_crash(protocol, tuned, express)
         dump = json.dumps(chip.metrics.dump(), sort_keys=True)
-        observed = (sim.events_fired, hashlib.sha256(dump.encode()).hexdigest())
+        observed = (
+            sim.events_fired,
+            hashlib.sha256(dump.encode()).hexdigest(),
+            hashlib.sha256(repr(deliveries).encode()).hexdigest()[:16],
+        )
         # The scenario must exercise what it pins: service before and after
         # the failover, safely.
         assert group.safety.is_safe
         assert all(client.completions_in(CRASH_AT, RUN_UNTIL) > 0 for client in group.clients)
         assert any(replica.view > 0 for replica in group.correct_replicas())
-        assert observed == (events, metrics_hash), f"express_routing={express}"
+        assert observed == (events, metrics_hash, deliveries_hash), f"express_routing={express}"
 
 
 PLUMBING = (

@@ -253,7 +253,7 @@ def test_router_failure_gates_express():
 
 
 # ----------------------------------------------------------------------
-# Drop-reason counters
+# Drop reasons: on the packet, one counter for all
 # ----------------------------------------------------------------------
 def test_drop_reason_counters():
     sim, net = make_net()
@@ -265,10 +265,11 @@ def test_drop_reason_counters():
     no_endpoint = net.send(Coord(0, 1), Coord(3, 1), "z")
     sim.run()
     assert dropped_link.dropped and dropped_router.dropped and no_endpoint.dropped
-    assert net.metrics.counter("noc.drop_reason.link_down").value == 1
-    assert net.metrics.counter("noc.drop_reason.router_failed").value == 1
-    assert net.metrics.counter("noc.drop_reason.no_endpoint").value == 1
+    assert dropped_link.drop_reason == "link (0,0)->(1,0) down"
+    assert dropped_router.drop_reason == "router (2,2) failed"
+    assert no_endpoint.drop_reason == "no endpoint at (3,1)"
     assert net.metrics.counter("noc.dropped").value == 3
+    assert net.metrics.counter("noc.delivered").value == 0
 
 
 # ----------------------------------------------------------------------

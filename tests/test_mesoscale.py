@@ -326,14 +326,6 @@ def test_population_stop_halts_demand():
     assert pop.offered == offered_at_stop
 
 
-def test_population_metrics_published():
-    system, pop = _run_open(duration=60_000.0)
-    metrics = system.chip.metrics
-    assert metrics.counter("mesoscale.pop.offered").value == pop.offered
-    assert metrics.counter("mesoscale.pop.admitted").value == pop.admitted
-    assert metrics.counter("mesoscale.pop.completed").value == pop.completed
-
-
 # ----------------------------------------------------------------------
 # Campaign runner
 # ----------------------------------------------------------------------

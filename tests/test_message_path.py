@@ -213,11 +213,14 @@ def test_lean_path_equals_general_path_in_both_noc_modes(seed):
 
 
 def test_the_seeded_scenarios_reach_every_drop_counter():
-    seen = set()
+    seen, reasons = set(), set()
     for seed in range(12):
-        seen.update(run_plan(seed, True, general=False)[0]["metrics"])
+        run = run_plan(seed, True, general=False)[0]
+        seen.update(run["metrics"])
+        reasons.update(packet[10] for packet in run["packets"])  # drop_reason
     assert {"chip.dropped_unplaced", "chip.dropped_stale_addr", "chip.dropped_dead_tile",
-            "noc.drop_reason.link_down", "noc.delivered", "noc.latency"} <= seen
+            "noc.dropped", "noc.delivered"} <= seen
+    assert any(reason.endswith(" down") for reason in reasons)  # a link-down drop
 
 
 # ----------------------------------------------------------------------

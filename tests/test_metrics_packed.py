@@ -40,13 +40,6 @@ class ListHistogram:
     def mean(self):
         return self.total / len(self._values) if self._values else 0.0
 
-    def stddev(self):
-        n = len(self._values)
-        if n < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(math.fsum((v - mu) ** 2 for v in self._values) / n)
-
     def percentile(self, p):
         if not self._values:
             return 0.0
@@ -56,20 +49,8 @@ class ListHistogram:
         n = len(self._values)
         return self._values[max(0, min(n - 1, math.ceil(p / 100 * n) - 1))]
 
-    def min(self):
-        return min(self._values) if self._values else 0.0
-
-    def max(self):
-        return max(self._values) if self._values else 0.0
-
     def values(self):
         return list(self._values)
-
-    def summary(self):
-        return {
-            "count": float(self.count), "mean": self.mean(), "p50": self.percentile(50),
-            "p95": self.percentile(95), "p99": self.percentile(99), "max": self.max(),
-        }
 
 
 def assert_same(packed: Histogram, reference: ListHistogram) -> None:
@@ -78,14 +59,10 @@ def assert_same(packed: Histogram, reference: ListHistogram) -> None:
     assert packed.count == reference.count
     assert packed.total == reference.total
     assert packed.mean() == reference.mean()
-    assert packed.stddev() == reference.stddev()
-    assert packed.min() == reference.min()
-    assert packed.max() == reference.max()
     assert packed.values() == reference.values()
     assert packed._sorted == reference._sorted
     for p in (0, 1, 50, 95, 99, 99.9, 100):
         assert packed.percentile(p) == reference.percentile(p)
-    assert packed.summary() == reference.summary()
     assert packed.values() == reference.values()  # now sorted, both
     assert isinstance(packed.values(), list)
 

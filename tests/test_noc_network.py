@@ -176,10 +176,10 @@ def test_send_off_mesh_rejected():
         net.send(Coord(0, 0), Coord(9, 9), "x")
 
 
-def test_latency_histogram_populated():
+def test_every_delivery_is_counted_and_timed():
     sim, net = make_net()
     net.attach(Coord(1, 0), lambda p: None)
-    for _ in range(5):
-        net.send(Coord(0, 0), Coord(1, 0), "x")
+    packets = [net.send(Coord(0, 0), Coord(1, 0), "x") for _ in range(5)]
     sim.run()
-    assert net.metrics.histogram("noc.latency").count == 5
+    assert net.metrics.counter("noc.delivered").value == 5
+    assert all(p.delivered_at > p.injected_at for p in packets)

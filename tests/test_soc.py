@@ -44,7 +44,6 @@ def test_tile_crash_propagates_to_node():
     tile.crash()
     assert tile.state == TileState.CRASHED
     assert node.state == NodeState.CRASHED
-    assert tile.crash_count == 1
 
 
 def test_crashed_tile_rejects_hosting():

@@ -12,6 +12,7 @@ from repro.sos import (
     MultiChipSystem,
     build_spanning_group,
 )
+from tests.noc_loads import delivery_log
 
 
 class Echo(Node):
@@ -278,9 +279,12 @@ def test_express_on_off_identical_on_a_two_chip_system():
     def spanning_run(express):
         sim = Simulator(seed=5)
         system = MultiChipSystem(sim)
+        deliveries = {}
         for name in ("A", "B"):
             config = ChipConfig(width=4, height=4, noc=NocConfig(express_routing=express))
-            system.add_chip(name, Chip(sim, config))
+            chip = Chip(sim, config)
+            deliveries[name] = delivery_log(chip)
+            system.add_chip(name, chip)
         system.connect("A", "B")
         group = build_spanning_group(system, protocol="minbft", f=1)
         clients = []
@@ -297,6 +301,7 @@ def test_express_on_off_identical_on_a_two_chip_system():
             [client.completed for client in clients],
             [client.latencies_in(0, sim.now) for client in clients],
             {name: chip.metrics.dump() for name, chip in system.chips.items()},
+            deliveries,
         ), sim.events_fired
 
     (fast, fast_events), (slow, slow_events) = spanning_run(True), spanning_run(False)
