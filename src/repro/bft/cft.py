@@ -9,10 +9,10 @@ BFT protocol.
 
 Leader failover: followers time out on pending requests (the stall rule
 in :mod:`repro.bft.replica`), broadcast ELECT for the next term and
-forward their log tails; the new term's leader
-(round-robin) merges tails from f+1 voters — majority intersection under
-crash faults guarantees every committed entry reaches the new leader —
-and re-replicates before serving new requests.
+forward their log tails; the new term's leader (round-robin) merges
+tails from a majority of voters — majority intersection under crash
+faults guarantees every committed entry reaches the new leader — and
+re-replicates before serving new requests.
 """
 
 from __future__ import annotations
@@ -49,21 +49,16 @@ class _LogEntry:
     request: Proposal
 
 
-def required_replicas(f: int) -> int:
-    """The CFT protocol needs 2f+1 replicas to tolerate f crash faults."""
-    return 2 * f + 1
-
-
 class CftReplica(BaseReplica):
     """One CFT replica.  ``term`` plays the role PBFT's view does."""
+
+    REPLICAS_PER_F = 2
+    byzantine_safe = False
 
     def __init__(
         self, name: str, group: GroupContext, config: Optional[ProtocolConfig] = None
     ) -> None:
-        super().__init__(name, group, config or ProtocolConfig())
-        expected = required_replicas(group.f)
-        if group.n < expected:
-            raise ValueError(f"CFT with f={group.f} needs n>={expected}, got {group.n}")
+        super().__init__(name, group, config)
         self._log: Dict[int, _LogEntry] = {}
         self._acks: Dict[int, set] = {}
         self._next_seq = 0
@@ -81,8 +76,9 @@ class CftReplica(BaseReplica):
 
     @property
     def majority(self) -> int:
-        """Majority quorum: f+1."""
-        return self.group.f + 1
+        """A majority of the members: f+1 at n = 2f+1, more once a scale-out
+        grows the group (two f+1 sets of four need not intersect)."""
+        return self.group.n // 2 + 1
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -243,11 +239,6 @@ class CftReplica(BaseReplica):
         self._enter_era(term)
 
     # ------------------------------------------------------------------
-    @property
-    def state_sync_quorum(self) -> int:
-        """Crash-only model: a single responder's state is trusted."""
-        return 1
-
     def on_state_imported(self) -> None:
         self._committed_seq = max(self._committed_seq, self.last_executed)
         self._next_seq = max(self._next_seq, self._committed_seq)

@@ -34,9 +34,9 @@ class ClientConfig:
     ``workload`` is what the client sends: op ``i`` of its
     :class:`~repro.workloads.workload.Workload` is request ``i``, and an
     op its ``is_read`` accepts is broadcast unordered and completes on
-    ``read_quorum`` matching replies, falling back to the ordered path on
-    timeout.  The default alternates puts and gets over 64 keys, every op
-    ordered.  ``think_time`` is the gap between a completed operation and
+    ``reply_quorum`` matching replies, falling back to the ordered path
+    on timeout.  The default alternates puts and gets over 64 keys, every
+    op ordered.  ``think_time`` is the gap between a completed operation and
     the next request; ``timeout`` triggers retransmission-to-all (which
     is also what lets backups detect a mute primary); ``max_requests``
     bounds the run (None = until stopped).
@@ -80,7 +80,7 @@ class Exchange:
 class ClientSession:
     """One requester's half of the protocol towards one replica group.
 
-    Owns the requester's picture of the group (members, the two quorums,
+    Owns the requester's picture of the group (members, the reply quorum,
     whether reads are leased, the believed primary) and the rules every
     :class:`Exchange` follows.  ``node`` is the NoC node that sends and
     is replied to.  Whether an op is a read is not the session's to
@@ -107,16 +107,11 @@ class ClientSession:
         self.node = node
         self.members: List[str] = []
         self.reply_quorum = 1
-        self.read_quorum = 1
         self.lease_reads = False
         self.primary_hint = 0
 
     def configure(
-        self,
-        replicas: List[str],
-        reply_quorum: int,
-        read_quorum: Optional[int] = None,
-        lease_reads: bool = False,
+        self, replicas: List[str], reply_quorum: int, lease_reads: bool = False
     ) -> None:
         """Point the session at a replica group (callable mid-run when
         the adaptation layer switches protocols: exchanges in flight are
@@ -130,7 +125,6 @@ class ClientSession:
             raise ValueError("reply quorum must be >= 1")
         self.members = list(replicas)
         self.reply_quorum = reply_quorum
-        self.read_quorum = read_quorum if read_quorum is not None else reply_quorum
         self.lease_reads = lease_reads
         self.primary_hint %= max(1, len(self.members))
 
@@ -163,7 +157,7 @@ class ClientSession:
         goes to ``lease_target`` alone — the op's :meth:`lease_target`,
         which the owner worked out, None for anything but a leased read —
         any other read to every member (fast path: wait for
-        ``read_quorum`` matching), a write to the believed primary."""
+        ``reply_quorum`` matching), a write to the believed primary."""
         request = ClientRequest(
             self.node.name, rid, op,
             read_only=read_only, lease_read=lease_target is not None,
@@ -181,13 +175,11 @@ class ClientSession:
         (and the replier's view is adopted for primary targeting)."""
         if sender != reply.replica or sender not in self.members:
             return False  # transport-authenticated sender must match the claim
-        request = exchange.request
-        if request.lease_read:
-            if not reply.leased:
-                return False  # a lone unleased reply must not complete a read
-            needed = 1  # the leaseholder answers alone; staleness is bounded
-        else:
-            needed = self.read_quorum if request.read_only else self.reply_quorum
+        lease_read = exchange.request.lease_read
+        if lease_read and not reply.leased:
+            return False  # a lone unleased reply must not complete a read
+        # The leaseholder answers alone; its staleness is bounded.
+        needed = 1 if lease_read else self.reply_quorum
         votes = exchange.votes.setdefault(reply.match_key(), set())
         votes.add(sender)
         if len(votes) < needed:
@@ -270,14 +262,10 @@ class ClientNode(Node, TrafficSource):
 
     # ------------------------------------------------------------------
     def configure(
-        self,
-        replicas: List[str],
-        reply_quorum: int,
-        read_quorum: Optional[int] = None,
-        lease_reads: bool = False,
+        self, replicas: List[str], reply_quorum: int, lease_reads: bool = False
     ) -> None:
         """Point the client at a replica group: :meth:`ClientSession.configure`."""
-        self.session.configure(replicas, reply_quorum, read_quorum, lease_reads)
+        self.session.configure(replicas, reply_quorum, lease_reads)
 
     def start(self) -> None:
         """Begin (or resume) issuing requests."""

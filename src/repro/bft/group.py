@@ -4,6 +4,11 @@
 protocol family and a fault bound f, and get a placed, running replica
 group plus the client-side parameters (member list, reply quorum).
 
+A family is its replica class (:data:`FAMILIES`), which states its size
+rule, fault model and config class.  A group holds only the family, in
+``config.protocol``, and f, in ``context.f``; its size and reply quorum
+derive from those two.
+
 :class:`ReplicaGroup` is the one code that names, places, rebuilds, adds
 and drops members; its :class:`Launcher` says how a member comes up and
 goes away (at once here, through the ICAP for a
@@ -26,37 +31,19 @@ from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.bft.app import KeyValueStore, StateMachine
 from repro.bft.cft import CftReplica
-from repro.bft.cft import required_replicas as cft_n
 from repro.bft.client import ClientNode
-from repro.bft.minbft import MinBftConfig, MinBftReplica
-from repro.bft.minbft import required_replicas as minbft_n
-from repro.bft.passive import PassiveConfig, PassiveReplica
-from repro.bft.passive import required_replicas as passive_n
+from repro.bft.minbft import MinBftReplica
+from repro.bft.passive import PassiveReplica
 from repro.bft.pbft import PbftReplica
-from repro.bft.pbft import required_replicas as pbft_n
 from repro.bft.replica import BaseReplica, GroupContext, ProtocolConfig
 from repro.bft.safety import SafetyRecorder
 from repro.crypto.keys import KeyStore
 from repro.noc.topology import Coord
 from repro.soc.chip import Chip
 
-
-@dataclass(frozen=True)
-class _Family:
-    """Static description of one protocol family."""
-
-    replica_cls: Type[BaseReplica]
-    replicas_for: Callable[[int], int]
-    reply_quorum_for: Callable[[int], int]
-    byzantine_safe: bool
-    config_cls: Type[ProtocolConfig]
-
-
-FAMILIES: Dict[str, _Family] = {
-    "pbft": _Family(PbftReplica, pbft_n, lambda f: f + 1, True, ProtocolConfig),
-    "minbft": _Family(MinBftReplica, minbft_n, lambda f: f + 1, True, MinBftConfig),
-    "cft": _Family(CftReplica, cft_n, lambda f: 1, False, ProtocolConfig),
-    "passive": _Family(PassiveReplica, passive_n, lambda f: 1, False, PassiveConfig),
+#: Each family's name and its replica class, which states the rest.
+FAMILIES: Dict[str, Type[BaseReplica]] = {
+    "pbft": PbftReplica, "minbft": MinBftReplica, "cft": CftReplica, "passive": PassiveReplica,
 }
 
 
@@ -154,7 +141,6 @@ class ReplicaGroup:
         self.chip = chip
         self.config = config
         self.safety = SafetyRecorder()
-        self.protocol = config.protocol
         self.launcher = launcher or Launcher()
         self.placement: Dict[str, Coord] = {}
         self.context = GroupContext(
@@ -168,7 +154,7 @@ class ReplicaGroup:
         )
         self.replicas: Dict[str, BaseReplica] = {}
         self.clients: List[ClientNode] = []
-        self._reshape(FAMILIES[config.protocol].replicas_for(config.f), restart=False)
+        self._reshape(FAMILIES[self.protocol].replicas_for(self.f), restart=False)
 
     # ------------------------------------------------------------------
     @property
@@ -177,14 +163,19 @@ class ReplicaGroup:
         return list(self.context.members)
 
     @property
+    def protocol(self) -> str:
+        """The current protocol family."""
+        return self.config.protocol
+
+    @property
     def f(self) -> int:
         """Current fault bound."""
         return self.context.f
 
     @property
     def reply_quorum(self) -> int:
-        """Matching replies a client needs with the current protocol."""
-        return FAMILIES[self.protocol].reply_quorum_for(self.context.f)
+        """Matching replies a client needs, read or write."""
+        return FAMILIES[self.protocol].vouch_quorum(self.context.f)
 
     def correct_replicas(self) -> List[BaseReplica]:
         """Replicas that are neither crashed nor compromised."""
@@ -193,11 +184,6 @@ class ReplicaGroup:
     # ------------------------------------------------------------------
     # Clients
     # ------------------------------------------------------------------
-    @property
-    def read_quorum(self) -> int:
-        """Matching replies a fast-path read needs: f+1 (>= 1 correct)."""
-        return self.context.f + 1 if FAMILIES[self.protocol].byzantine_safe else 1
-
     @property
     def leases_enabled(self) -> bool:
         """True when the current replicas run with read leases."""
@@ -217,12 +203,7 @@ class ReplicaGroup:
         membership, quorums and read mode — the one place that does, so a
         protocol switch or a scale event cannot drop a parameter."""
         for client in self.clients if clients is None else clients:
-            client.configure(
-                self.members,
-                self.reply_quorum,
-                self.read_quorum,
-                lease_reads=self.leases_enabled,
-            )
+            client.configure(self.members, self.reply_quorum, lease_reads=self.leases_enabled)
 
     # ------------------------------------------------------------------
     # Leases (detector / rejuvenation integration)
@@ -276,19 +257,17 @@ class ReplicaGroup:
         member's state; if the new family needs more members the tail is
         launched, if fewer the tail is retired.
         """
-        new_f = self.config.f if f is None else f
         old_config = self.config.protocol_config
         if protocol_config is None and old_config is not None:
             # Batching and leases are the group's, not the family's.
             protocol_config = protocol_config_for(
                 protocol, batching=old_config.batching, leases=old_config.leases
             )
-        self.protocol = protocol
         self.config.protocol = protocol
         self.config.protocol_config = protocol_config
-        self.config.f = new_f
-        self.context.f = new_f
-        self._reshape(FAMILIES[protocol].replicas_for(new_f), restart=True)
+        if f is not None:
+            self.context.f = f
+        self._reshape(FAMILIES[protocol].replicas_for(self.f), restart=True)
         self.chip.metrics.counter(f"{self.config.group_id}.protocol_switches").inc()
 
     def resize(self, n: int) -> None:
@@ -321,9 +300,9 @@ class ReplicaGroup:
             self.replicas[name].chip.remove_node(name)
         names.extend(added)
         # Built in the current family; protocol_config=None is its defaults.
-        family = FAMILIES[self.protocol]
+        replica_cls = FAMILIES[self.protocol]
         for name in kept + added:
-            self.replicas[name] = family.replica_cls(name, self.context, self.config.protocol_config)
+            self.replicas[name] = replica_cls(name, self.context, self.config.protocol_config)
         self.launcher.launch(self, kept + added, donor)
         self.configure_clients()
 

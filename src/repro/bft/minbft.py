@@ -79,11 +79,6 @@ class _MbSlot:
     commit_sent: bool = False
 
 
-def required_replicas(f: int) -> int:
-    """MinBFT needs 2f+1 replicas to tolerate f Byzantine faults."""
-    return 2 * f + 1
-
-
 def _ui_payload(message: Any) -> bytes:
     """The byte string a message's UI must certify."""
     kind = type(message)
@@ -111,13 +106,14 @@ def _ui_payload(message: Any) -> bytes:
 class MinBftReplica(BaseReplica):
     """One MinBFT replica with its USIG hybrid."""
 
+    REPLICAS_PER_F = 2
+    byzantine_safe = True
+    config_cls = MinBftConfig
+
     def __init__(
         self, name: str, group: GroupContext, config: Optional[MinBftConfig] = None
     ) -> None:
-        super().__init__(name, group, config or MinBftConfig())
-        expected = required_replicas(group.f)
-        if group.n < expected:
-            raise ValueError(f"MinBFT with f={group.f} needs n>={expected}, got {group.n}")
+        super().__init__(name, group, config)
         self.usig = Usig(name, group.keystore, self.config.register_kind)
         self.verifier = UsigVerifier(group.keystore)
         self._slots: Dict[int, _MbSlot] = {}

@@ -48,18 +48,17 @@ class PassiveConfig(ProtocolConfig):
     heartbeat_period: float = 2_000.0
 
 
-def required_replicas(f: int) -> int:
-    """Primary-backup needs f+1 replicas to survive f crash faults."""
-    return f + 1
-
-
 class PassiveReplica(BaseReplica):
     """Primary or backup of a passive pair (role decided by member order)."""
+
+    REPLICAS_PER_F = 1
+    byzantine_safe = False
+    config_cls = PassiveConfig
 
     def __init__(
         self, name: str, group: GroupContext, config: Optional[PassiveConfig] = None
     ) -> None:
-        super().__init__(name, group, config or PassiveConfig())
+        super().__init__(name, group, config)
         self.role = "primary" if group.members[0] == name else "backup"
         self._next_seq = 0
         self._applied_seq = 0
@@ -180,11 +179,6 @@ class PassiveReplica(BaseReplica):
         self._buffered.clear()
 
     # ------------------------------------------------------------------
-    @property
-    def state_sync_quorum(self) -> int:
-        """Crash-only model: a single responder's state is trusted."""
-        return 1
-
     def on_state_imported(self) -> None:
         self._applied_seq = max(self._applied_seq, self.last_executed)
         self._next_seq = max(self._next_seq, self._applied_seq)

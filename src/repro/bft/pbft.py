@@ -72,14 +72,11 @@ class _SlotState:
     committed: bool = False
 
 
-def required_replicas(f: int) -> int:
-    """PBFT needs 3f+1 replicas to tolerate f Byzantine faults."""
-    return 3 * f + 1
-
-
 class PbftReplica(BaseReplica):
     """One PBFT replica."""
 
+    REPLICAS_PER_F = 3
+    byzantine_safe = True
     #: Every this many sequence numbers a replica broadcasts a CHECKPOINT;
     #: 2f+1 matching ones make it stable and truncate the log below it.
     CHECKPOINT_INTERVAL = 64
@@ -90,10 +87,7 @@ class PbftReplica(BaseReplica):
     def __init__(
         self, name: str, group: GroupContext, config: Optional[ProtocolConfig] = None
     ) -> None:
-        super().__init__(name, group, config or ProtocolConfig())
-        expected = required_replicas(group.f)
-        if group.n < expected:
-            raise ValueError(f"PBFT with f={group.f} needs n>={expected}, got {group.n}")
+        super().__init__(name, group, config)
         self._slots: Dict[Tuple[int, int], _SlotState] = {}
         self._ordering = OrderingIndex()  # keys in pre-prepared, uncommitted slots
         self._next_seq = 0
@@ -318,12 +312,18 @@ class PbftReplica(BaseReplica):
             self._ordering.discard(proposal)
             self.commit_operation(seq, slot.pre_prepare.digest, proposal)
             self._note_executed(proposal)
-            if seq % self.CHECKPOINT_INTERVAL == 0:
-                self._emit_checkpoint(seq)
 
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
+    def _execute(self, seq: int, digest: bytes, proposal: Proposal) -> None:
+        """Execute, then checkpoint: a CHECKPOINT names the state right
+        after its seq, whether that seq committed in order or waited for
+        a gap to close."""
+        super()._execute(seq, digest, proposal)
+        if seq % self.CHECKPOINT_INTERVAL == 0:
+            self._emit_checkpoint(seq)
+
     def _emit_checkpoint(self, seq: int) -> None:
         message = Checkpoint(seq, self.app.state_digest(), self.name)
         self._record_checkpoint_vote(self.name, message)

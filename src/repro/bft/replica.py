@@ -198,6 +198,12 @@ class BaseReplica(Node):
     # pipeline so retransmits of any incomplete rid can be answered.
     REPLY_CACHE_SIZE = 64
 
+    # The family, stated once per subclass (DESIGN §4, *What a protocol
+    # family declares*): REPLICAS_PER_F·f + 1 members tolerate f faults.
+    REPLICAS_PER_F: int
+    byzantine_safe: bool
+    config_cls: type = ProtocolConfig
+
     #: Set by :meth:`shutdown`; a retired instance never comes back.
     retired = False
 
@@ -206,10 +212,17 @@ class BaseReplica(Node):
     _reads_local = _group_counter("reads.local")
     _reads_quorum_fallback = _group_counter("reads.quorum_fallback")
 
-    def __init__(self, name: str, group: GroupContext, config: ProtocolConfig) -> None:
+    def __init__(
+        self, name: str, group: GroupContext, config: Optional[ProtocolConfig] = None
+    ) -> None:
+        expected = self.replicas_for(group.f)
+        if group.n < expected:
+            raise ValueError(
+                f"{type(self).__name__} with f={group.f} needs n>={expected}, got {group.n}"
+            )
         super().__init__(name)
         self.group = group
-        self.config = config
+        self.config = config = config or self.config_cls()
         self.app: StateMachine = group.app_factory()
         self.view = 0
         self.last_executed = 0
@@ -253,6 +266,17 @@ class BaseReplica(Node):
             LeaseRevoke: _ignore if leases is None else self.lease_table.on_revoke,
             LeaseRevokeAck: _ignore if leases is None else self.lease_manager.on_revoke_ack,
         }
+
+    @classmethod
+    def replicas_for(cls, f: int) -> int:
+        """Members the family needs to tolerate ``f`` faults."""
+        return cls.REPLICAS_PER_F * f + 1
+
+    @classmethod
+    def vouch_quorum(cls, f: int) -> int:
+        """Matching answers that vouch for a value (client replies, state
+        offers): f+1 when members may lie, 1 when they only crash."""
+        return f + 1 if cls.byzantine_safe else 1
 
     # ------------------------------------------------------------------
     @property
@@ -634,9 +658,8 @@ class BaseReplica(Node):
     # ------------------------------------------------------------------
     @property
     def state_sync_quorum(self) -> int:
-        """Matching state offers needed before adopting one: f+1 (BFT);
-        crash-only protocols override to 1."""
-        return self.group.f + 1
+        """Matching state offers needed before adopting one."""
+        return self.vouch_quorum(self.group.f)
 
     def request_state_sync(self, retry_after: float = 20_000.0) -> None:
         """Ask all peers for state newer than what we executed.

@@ -138,8 +138,7 @@ class ShardedSystem(Substrate):
         self.chip.place_node(router, coord)
         for shard_id, shard in self.shards.items():
             shard.group.clients.append(router.bind(
-                shard_id, shard.group.members,
-                shard.group.reply_quorum, shard.group.read_quorum,
+                shard_id, shard.group.members, shard.group.reply_quorum,
                 lease_reads=shard.group.leases_enabled,
             ))
             shard.detector.clients.append(router.shard_stats(shard_id))

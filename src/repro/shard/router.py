@@ -206,12 +206,7 @@ class ShardRouter(Node):
     # Shard bindings
     # ------------------------------------------------------------------
     def bind(
-        self,
-        shard_id: str,
-        members: List[str],
-        reply_quorum: int,
-        read_quorum: Optional[int] = None,
-        lease_reads: bool = False,
+        self, shard_id: str, members: List[str], reply_quorum: int, lease_reads: bool = False
     ) -> ClientSession:
         """Attach (or re-point) this router to one shard's replica group.
 
@@ -225,7 +220,7 @@ class ShardRouter(Node):
         if session is None:
             stats = self.stats.setdefault(shard_id, ShardStats(shard_id))
             session = self._sessions[shard_id] = _ShardSession(self, shard_id, stats)
-        session.configure(members, reply_quorum, read_quorum, lease_reads)
+        session.configure(members, reply_quorum, lease_reads)
         return session
 
     def shard_stats(self, shard_id: str) -> ShardStats:

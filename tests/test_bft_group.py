@@ -39,13 +39,6 @@ def test_insufficient_tiles_rejected():
         build_group(chip, GroupConfig(protocol="pbft", f=1))
 
 
-def test_reply_quorums_per_family():
-    assert FAMILIES["pbft"].reply_quorum_for(2) == 3
-    assert FAMILIES["minbft"].reply_quorum_for(2) == 3
-    assert FAMILIES["cft"].reply_quorum_for(2) == 1
-    assert FAMILIES["passive"].reply_quorum_for(2) == 1
-
-
 def test_switch_protocol_preserves_state(big_chip):
     sim = big_chip.sim
     group = build_group(big_chip, GroupConfig(protocol="cft", f=1))
@@ -205,11 +198,11 @@ def test_scaling_keeps_clients_on_leased_reads():
     sim.run(until=100_000)
     assert client.session.members == group.members and len(client.session.members) == 4
     assert client.session.lease_reads is True
-    assert client.session.read_quorum == group.read_quorum
+    assert client.session.reply_quorum == group.reply_quorum
     manager.scale_in()
     assert client.session.members == group.members and len(client.session.members) == 3
     assert client.session.lease_reads is True
-    assert client.session.read_quorum == group.read_quorum
+    assert client.session.reply_quorum == group.reply_quorum
     assert group.replicas["m-r0"].lease_manager is not None
 
 

@@ -9,12 +9,15 @@ import dataclasses
 
 import pytest
 
-from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
-from repro.bft.pbft import PbftReplica, required_replicas as pbft_n
-from repro.bft.messages import MbViewChange
-from repro.bft.minbft import MinBftConfig, _ui_payload, required_replicas as minbft_n
-from repro.bft.cft import required_replicas as cft_n
-from repro.bft.passive import PassiveConfig, required_replicas as passive_n
+from repro.bft import (
+    ClientConfig, ClientNode, GroupConfig, KeyValueStore, SafetyRecorder, build_group,
+)
+from repro.bft.group import FAMILIES
+from repro.bft.pbft import PbftReplica
+from repro.bft.messages import ClientRequest, MbViewChange, PrePrepare, proposal_digest
+from repro.bft.minbft import _ui_payload
+from repro.bft.replica import GroupContext
+from repro.crypto import KeyStore
 from repro.faults import make_strategy
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
@@ -35,20 +38,40 @@ def build(protocol, f=1, seed=1, width=5, height=5, client_cfg=None, protocol_co
 # ----------------------------------------------------------------------
 # Replica-count arithmetic (the paper's §III headline)
 # ----------------------------------------------------------------------
-def test_replica_requirements():
-    assert [pbft_n(f) for f in (1, 2, 3)] == [4, 7, 10]
-    assert [minbft_n(f) for f in (1, 2, 3)] == [3, 5, 7]
-    assert [cft_n(f) for f in (1, 2, 3)] == [3, 5, 7]
-    assert [passive_n(f) for f in (1, 2, 3)] == [2, 3, 4]
+# family: (n at f = 0, 1, 2, 3; whether members may lie)
+FAMILY_FACTS = {
+    "pbft": ([1, 4, 7, 10], True),
+    "minbft": ([1, 3, 5, 7], True),
+    "cft": ([1, 3, 5, 7], False),
+    "passive": ([1, 2, 3, 4], False),
+}
+
+
+@pytest.mark.parametrize("f", range(4))
+@pytest.mark.parametrize("protocol", sorted(FAMILIES))
+def test_family_facts(protocol, f):
+    """Each family's size rule and fault model, and the one count of
+    matching answers that vouch for a value: a client's reply quorum and
+    a replica's state-sync quorum are both it."""
+    sizes, may_lie = FAMILY_FACTS[protocol]
+    replica_cls = FAMILIES[protocol]
+    n = replica_cls.replicas_for(f)
+    assert n == sizes[f]
+    assert replica_cls.vouch_quorum(f) == (f + 1 if may_lie else 1)
+    _, chip, group, _ = build(protocol, f=f)
+    assert len(group.members) == n and group.reply_quorum == replica_cls.vouch_quorum(f)
+    assert {r.state_sync_quorum for r in group.replicas.values()} == {group.reply_quorum}
+    members = [f"r{i}" for i in range(n - 1)]
+    context = GroupContext(
+        "g", members, f, KeyValueStore, KeyStore(), SafetyRecorder(), chip.metrics
+    )
+    with pytest.raises(ValueError, match=f"needs n>={n}"):
+        replica_cls("r0", context)
 
 
 def test_wrong_group_size_rejected():
     sim = Simulator(seed=1)
     chip = Chip(sim, ChipConfig(width=5, height=5))
-    from repro.bft.replica import GroupContext
-    from repro.bft import KeyValueStore, SafetyRecorder
-    from repro.crypto import KeyStore
-
     context = GroupContext(
         "g", ["a", "b", "c"], 1, KeyValueStore, KeyStore(), SafetyRecorder(), chip.metrics
     )
@@ -243,6 +266,26 @@ def test_pbft_checkpoint_truncates_log(monkeypatch):
     for replica in group.replicas.values():
         assert replica._stable_seq >= 30
         assert all(seq > replica._stable_seq for _, seq in replica._slots)
+
+
+def test_a_checkpoint_names_the_state_right_after_its_seq(monkeypatch):
+    """Checkpoint seq 2 commits ahead of seq 1: its CHECKPOINT waits for
+    2 to execute and carries the digest of the state right after it."""
+    monkeypatch.setattr(PbftReplica, "CHECKPOINT_INTERVAL", 2)
+    _, _, group, _ = build("pbft")
+    replica = group.replicas[group.members[1]]
+    for seq in (2, 1):
+        request = ClientRequest("c0", seq, ("put", f"k{seq}", seq))
+        slot = replica._slot(0, seq)
+        replica._bind(slot, PrePrepare(0, seq, proposal_digest(request), request))
+        slot.commit_sent = True
+        slot.commits.update(group.members[:3])
+        replica._maybe_committed(0, seq, slot)
+    assert replica.last_executed == 2
+    expected = KeyValueStore()
+    for seq in (1, 2):
+        expected.execute(("put", f"k{seq}", seq))
+    assert replica._checkpoint_votes == {(2, expected.state_digest()): {replica.name}}
 
 
 # ----------------------------------------------------------------------

@@ -23,14 +23,27 @@ sweep, with identical results):
   with an ``equivocate`` primary; no agreement violation;
 * scale-out: 31 stalls, all with an ``equivocate`` primary; **two
   agreement violations**, both with a ``drop`` primary (seeds 28 and 35,
-  ``UNSAFE``, pinned below as strict xfails).  Suspected cause, not yet
-  shown: ``scale_out`` grows the group to n = 4 at f = 1, and MinBFT's
-  f + 1 = 2 quorums of 4 need not intersect in a correct member;
+  ``UNSAFE``, pinned below as strict xfails).  Quorums that are too small
+  for n = 4 are not the whole cause: with MinBFT's commit and NEW-VIEW
+  quorums sized ⌊n/2⌋ + 1, seed 28 kept agreement but seed 35 did not.
+  There a correct member reported ``last_executed`` 0 in its VIEW-CHANGE
+  while it was state-syncing, then executed seq 4 in the view it had
+  voted to leave; the new primary started the view at 3 and re-assigned
+  seq 4.  A stale report from a correct member is ROADMAP item 5's
+  MinBFT half;
 * every run with no strategy or a backup strategy made progress in both
   variants (at least 191 completions in the window).
 
-Tier-1 runs seed 1 and the pinned seeds.  CI runs seeds 1–40 through
-:func:`sweep`.
+A third scenario has no Byzantine member: a **CFT** group scaled out at
+t1 (n = 4 at f = 1) loses its leader at t1 + 5 000 or t1 + 20 000
+(``CRASH_AFTER``).  While CFT's majority was f + 1 = 2, two disjoint
+pairs of the four could each commit: 29 of those 80 runs on seeds 1–40
+broke agreement, and none without the scale-out.  With a majority of n
+every one keeps agreement and makes progress (at least 962 completions
+in the window).
+
+Tier-1 runs seed 1, the pinned seeds and the CFT leader crash on seed 3
+at t1 + 5 000.  CI runs seeds 1–40 through :func:`sweep`.
 """
 
 import pytest
@@ -54,15 +67,16 @@ STRATEGIES = sorted(_STRATEGIES)
 CASES = [(None, 1)] + [(s, target) for s in STRATEGIES for target in (0, 1)]
 # (variant, seed, strategy, target) that break agreement today: findings.
 UNSAFE = {("scale-out", 28, "drop", 0), ("scale-out", 35, "drop", 0)}
+CRASH_AFTER = (5_000.0, 20_000.0)  # the CFT leader crash, from t1
 
 
 def switch_at(seed):
     return 40_000.0 + (137 * seed) % 3_000
 
 
-def _config():
+def _config(protocol="minbft"):
     return protocol_config_for(
-        "minbft", batching=BatchConfig(batch_size=4, batch_delay=100.0, max_inflight=4)
+        protocol, batching=BatchConfig(batch_size=4, batch_delay=100.0, max_inflight=4)
     )
 
 
@@ -109,9 +123,8 @@ def run_round_trip(seed, strategy=None, target=1):
     return group, _drive(sim, group, seed, strategy, target, steps)
 
 
-def run_scale_out(seed, strategy=None, target=1):
-    """One scale-out of a fabric-spawned group; returns (group, completions
-    in the window)."""
+def _deploy(seed, protocol):
+    """A fabric-spawned f = 1 group: (simulator, its manager, the group)."""
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=6, height=6))
     fabric = FpgaFabric(sim, chip)
@@ -119,10 +132,31 @@ def run_scale_out(seed, strategy=None, target=1):
     fabric.register_variants("svc", library.names())
     manager = ReplicationManager(chip, fabric, DiversityManager(library))
     group = manager.deploy_group(
-        GroupConfig(protocol="minbft", f=1, group_id="g", protocol_config=_config())
+        GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=_config(protocol))
     )
+    return sim, manager, group
+
+
+def run_scale_out(seed, strategy=None, target=1):
+    """One scale-out of a fabric-spawned group; returns (group, completions
+    in the window)."""
+    sim, manager, group = _deploy(seed, "minbft")
     steps = [(switch_at(seed), manager.scale_out, False)]
     return group, _drive(sim, group, seed, strategy, target, steps)
+
+
+def crash_leader(group):
+    """Crash the primary of the most advanced view a correct member is in."""
+    group.crash(max(group.correct_replicas(), key=lambda r: r.view).primary)
+
+
+def run_cft_scale_out(seed, crash_after):
+    """A CFT group scaled out at t1 (n = 4 at f = 1) loses its leader at
+    t1 + ``crash_after``; returns (group, completions in the window)."""
+    sim, manager, group = _deploy(seed, "cft")
+    t1 = switch_at(seed)
+    steps = [(t1, manager.scale_out, False), (t1 + crash_after, lambda: crash_leader(group), False)]
+    return group, _drive(sim, group, seed, None, 1, steps)
 
 
 def must_progress(strategy, target):
@@ -133,8 +167,9 @@ VARIANTS = {"round-trip": run_round_trip, "scale-out": run_scale_out}
 
 
 def sweep(seeds):
-    """Every case of both variants on ``seeds``: the failures as
-    ``(variant, seed, strategy, target, safe, served)``.  A pinned case
+    """Every case of both variants, and the CFT leader crash at each
+    ``CRASH_AFTER``, on ``seeds``: the failures as ``(variant, seed,
+    strategy or crash offset, target, safe, served)``.  A pinned case
     fails when it is safe (strict)."""
     failures = []
     for variant, run in VARIANTS.items():
@@ -145,6 +180,11 @@ def sweep(seeds):
                 stalled = must_progress(strategy, target) and served < PROGRESS
                 if safe == ((variant, seed, strategy, target) in UNSAFE) or stalled:
                     failures.append((variant, seed, strategy, target, safe, served))
+    for seed in seeds:
+        for crash_after in CRASH_AFTER:
+            group, served = run_cft_scale_out(seed, crash_after)
+            if not group.safety.is_safe or served < PROGRESS:
+                failures.append(("cft-scale-out", seed, crash_after, None, group.safety.is_safe, served))
     return failures
 
 
@@ -162,3 +202,10 @@ def test_a_byzantine_member_across_a_membership_change(variant, strategy, target
 def test_a_pinned_unsafe_case_still_breaks_agreement(variant, seed, strategy, target):
     group, _ = VARIANTS[variant](seed, strategy, target)
     assert group.safety.is_safe
+
+
+def test_a_scaled_out_cft_group_survives_a_leader_crash():
+    group, served = run_cft_scale_out(3, CRASH_AFTER[0])
+    assert len(group.members) == 4
+    assert group.safety.is_safe
+    assert served >= PROGRESS

@@ -36,7 +36,7 @@ def is_get(op):
 
 class Requester:
     """One requester on a 4x4 chip beside four sink nodes, talking to a
-    three-member group with ``reply_quorum = read_quorum = 2``."""
+    three-member group with ``reply_quorum = 2``."""
 
     def __init__(self, kind, lease_reads):
         self.sim = Simulator(seed=3)
@@ -48,12 +48,12 @@ class Requester:
             self.window = 1
             self.node = ShardRouter("rq", ShardDirectory(["s0"]), RouterConfig(timeout=TIMEOUT))
             self.chip.place_node(self.node, Coord(1, 1))
-            self.session = self.node.bind("s0", MEMBERS, 2, 2, lease_reads=lease_reads)
+            self.session = self.node.bind("s0", MEMBERS, 2, lease_reads=lease_reads)
         else:
             self.window = int(kind.rpartition("-w")[2])
             self.node = ClientNode("rq", ClientConfig(max_outstanding=self.window, timeout=TIMEOUT))
             self.chip.place_node(self.node, Coord(1, 1))
-            self.node.configure(MEMBERS, 2, 2, lease_reads=lease_reads)
+            self.node.configure(MEMBERS, 2, lease_reads=lease_reads)
             self.session = self.node.session
         self.sent = []
         self.node.add_outbound_filter(self._capture)
@@ -282,9 +282,9 @@ def test_reconfigure_repoints_exchanges_in_flight(kind):
     rq.expire()
     assert rq.session.primary_hint == 2
     grown = ["g-r1", "g-r2", OUTSIDER, "g-r0"]
-    rq.session.configure(grown, 3, 2)
+    rq.session.configure(grown, 3)
     assert rq.session.primary_hint == 2 and rq.session.primary() == OUTSIDER
-    rq.session.configure(grown[:3], 3, 2)
+    rq.session.configure(grown[:3], 3)
     assert rq.session.members == grown[:3] and rq.session.primary_hint == 2
     rq.reply("g-r0")  # left the group: no longer counted
     assert rq.exchange().votes == {}

@@ -417,9 +417,9 @@ def test_lease_target_is_the_keys_holder_whatever_the_placement():
     assert targets() == [None if t == gone else t for t in before]
     # The rule follows the member list the session is bound with.
     rest = [m for m in session.members if m != gone]
-    router.bind("s0", rest, session.reply_quorum, session.read_quorum, lease_reads=True)
+    router.bind("s0", rest, session.reply_quorum, lease_reads=True)
     assert targets() == [lease_holder(rest, op[1]) for op in reads]
-    router.bind("s0", rest, session.reply_quorum, session.read_quorum, lease_reads=False)
+    router.bind("s0", rest, session.reply_quorum, lease_reads=False)
     assert targets() == [None] * len(reads)
 
 
