@@ -13,6 +13,9 @@ forward their log tails; the new term's leader (round-robin) merges
 tails from a majority of voters — majority intersection under crash
 faults guarantees every committed entry reaches the new leader — and
 re-replicates before serving new requests.
+
+A committed entry executes at once, in order: the commit point is
+``last_executed``, and the log holds only the uncommitted tail above it.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ class CftReplica(BaseReplica):
         super().__init__(name, group, config)
         self._log: Dict[int, _LogEntry] = {}
         self._acks: Dict[int, set] = {}
-        self._next_seq = 0
-        self._committed_seq = 0
         self._elect_votes: Dict[int, Dict[str, LeaderElectAck]] = {}
         self._peer_handlers = {  # inter-replica traffic by exact type
             Append: self._handle_append,
@@ -103,7 +104,7 @@ class CftReplica(BaseReplica):
         key, log = request.key(), self._log
         return any(
             seq in log and key in proposal_keys(log[seq].request)
-            for seq in range(self._committed_seq + 1, self._next_seq + 1)
+            for seq in range(self.last_executed + 1, self._next_seq + 1)
         )
 
     def _order_proposal(self, proposal: Proposal) -> bool:
@@ -128,7 +129,7 @@ class CftReplica(BaseReplica):
             self._adopt_term(message.term)
         if sender != self.primary:
             return
-        if message.seq > min(self._committed_seq, self.last_executed):
+        if message.seq > self.last_executed:
             # Else a new leader re-replicates what we already executed:
             # acked below, but there is nothing left to keep it for.
             dig = proposal_digest(message.request)
@@ -142,7 +143,7 @@ class CftReplica(BaseReplica):
         if message.term != self.view or not self.is_primary:
             return
         seq = message.seq
-        if seq > self._committed_seq:
+        if seq > self.last_executed:
             acks = self._acks.setdefault(seq, {self.name})
             acks.add(sender)
             if len(acks) < self.majority or seq not in self._log:
@@ -150,7 +151,7 @@ class CftReplica(BaseReplica):
             self._commit_up_to(seq)
         # else a late ack for a committed seq: its ack set went with the
         # log entry, and (as ever) it re-announces the commit point.
-        notice = CommitNotice(self.view, self._committed_seq, self.name)
+        notice = CommitNotice(self.view, self.last_executed, self.name)
         self.broadcast(self.other_members(), notice, notice.wire_size())
 
     def _handle_commit_notice(self, sender: str, message: CommitNotice) -> None:
@@ -159,20 +160,17 @@ class CftReplica(BaseReplica):
         self._commit_up_to(message.seq)
 
     def _commit_up_to(self, seq: int) -> None:
-        while self._committed_seq < seq:
-            next_seq = self._committed_seq + 1
-            entry = self._log.get(next_seq)
+        """Commit, and so execute, every entry up to ``seq``: the commit
+        point is last_executed.  An executed entry has no reader left —
+        elections forward and re-replicate only above it, and catch-up is
+        a snapshot — so it goes from the log."""
+        while self.last_executed < seq:
+            entry = self._log.pop(self.last_executed + 1, None)
             if entry is None:
                 break  # hole: wait for the missing append
-            self._committed_seq = next_seq
+            self._acks.pop(entry.seq, None)
             self.commit_operation(entry.seq, entry.digest, entry.request)
             self._note_executed(entry.request)
-            if next_seq <= self.last_executed:
-                # Executed: no reader is left — elections forward and
-                # re-replicate only above min(committed, executed), and
-                # catch-up is a snapshot.
-                del self._log[next_seq]
-                self._acks.pop(next_seq, None)
 
     # ------------------------------------------------------------------
     # Leader failover
@@ -199,7 +197,7 @@ class CftReplica(BaseReplica):
         # Also push our uncommitted tail to the candidate so committed
         # entries survive the failover (majority intersection).
         for seq in sorted(self._log):
-            if seq > self._committed_seq or seq > self.last_executed:
+            if seq > self.last_executed:
                 entry = self._log[seq]
                 fwd = Append(message.term, entry.seq, entry.request, candidate)
                 if candidate != self.name:
@@ -226,7 +224,7 @@ class CftReplica(BaseReplica):
         self._adopt_term(term)
         # Re-replicate everything above the committed point, then pending.
         for seq in sorted(self._log):
-            if seq > self._committed_seq:
+            if seq > self.last_executed:
                 entry = self._log[seq]
                 self._acks[seq] = {self.name}
                 message = Append(term, seq, entry.request, self.name)
@@ -240,19 +238,15 @@ class CftReplica(BaseReplica):
 
     # ------------------------------------------------------------------
     def on_state_imported(self) -> None:
-        self._committed_seq = max(self._committed_seq, self.last_executed)
-        self._next_seq = max(self._next_seq, self._committed_seq)
         # The snapshot covers everything up to last_executed.
         self._log = {s: e for s, e in self._log.items() if s > self.last_executed}
         self._acks = {s: a for s, a in self._acks.items() if s > self.last_executed}
 
     def reset_protocol_state(self) -> None:
-        self._log = {
-            s: e for s, e in self._log.items() if self.last_executed < s <= self._committed_seq
-        }
+        # Every entry left in the log is uncommitted (see _commit_up_to).
+        self._log.clear()
         self._acks.clear()
         self._elect_votes.clear()
-        self._committed_seq = max(self._committed_seq, self.last_executed)
         # The uncommitted tail is gone: a leader that kept numbering past it
         # would leave a hole no follower can commit across.
-        self._next_seq = self._committed_seq
+        self._next_seq = self.last_executed

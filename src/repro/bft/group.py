@@ -173,6 +173,11 @@ class ReplicaGroup:
         return self.context.f
 
     @property
+    def liveness_quorum(self) -> int:
+        """Correct members the group needs to make progress: all but f."""
+        return len(self.context.members) - self.context.f
+
+    @property
     def reply_quorum(self) -> int:
         """Matching replies a client needs, read or write."""
         return FAMILIES[self.protocol].vouch_quorum(self.context.f)

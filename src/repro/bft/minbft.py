@@ -125,7 +125,6 @@ class MinBftReplica(BaseReplica):
         # reaches them; the global execution sequence is last_executed + 1.
         self._exec_cursor: Optional[int] = None
         self._ready: Dict[int, MbPrepare] = {}
-        self._next_exec_seq = 0
         self._req_view_change_votes: Dict[int, set] = {}
         self._view_change_votes: Dict[int, Dict[str, MbViewChange]] = {}
         # UI-carrying traffic by exact type: verified and sequenced per
@@ -254,8 +253,8 @@ class MinBftReplica(BaseReplica):
     def _send_prepare(self, proposal: Proposal, dig: bytes) -> None:
         if self.state is NodeState.CRASHED or not self.is_primary or self._in_view_change:
             return
-        self._next_exec_seq = max(self._next_exec_seq, self.last_executed) + 1
-        exec_seq = self._next_exec_seq
+        self._next_seq += 1
+        exec_seq = self._next_seq
         ui = self._create_ui(
             b"prep|"
             + self.view.to_bytes(8, "big")
@@ -377,13 +376,6 @@ class MinBftReplica(BaseReplica):
         self._drain_ready()
 
     # ------------------------------------------------------------------
-    # State transfer alignment
-    # ------------------------------------------------------------------
-    def on_state_imported(self) -> None:
-        self._next_exec_seq = max(self._next_exec_seq, self.last_executed)
-        self._drain_ready()
-
-    # ------------------------------------------------------------------
     # View change (REQ-VIEW-CHANGE → VIEW-CHANGE → NEW-VIEW)
     # ------------------------------------------------------------------
     def _suspect(self, target: int) -> None:
@@ -462,7 +454,7 @@ class MinBftReplica(BaseReplica):
         self._ordering.clear()
         self._exec_cursor = None  # next accepted prepare re-anchors it
         self._ready.clear()
-        self._next_exec_seq = max(self._next_exec_seq, self.last_executed, start)
+        self._next_seq = max(self._next_seq, start)
         for stale in [v for v in self._req_view_change_votes if v <= new_view]:
             del self._req_view_change_votes[stale]
         for stale in [v for v in self._view_change_votes if v <= new_view]:

@@ -8,6 +8,15 @@ the steady-state cost is one backup and one state-update message per
 operation, but a primary crash opens a service gap of roughly the
 detection timeout plus promotion, during which client requests stall.
 
+The role is the view, as in every family: the view's primary
+(``view % n``) executes, ships one StateUpdate per proposal and
+heartbeats; every other member is a backup that applies StateUpdates
+from that primary alone and runs the failure detector on it.  A detector
+timeout moves a backup to ``view + 1``, and it promotes only if it leads
+that view — one promotion per primary crash, whatever f is.  A primary
+that returns after its backup took over learns the newer view from the
+state it syncs on recovery and is a backup from then on.
+
 Crash-only fault model: a Byzantine primary trivially corrupts the backup
 (it ships state updates unchecked) — another reason the adaptation layer
 exists.
@@ -37,9 +46,9 @@ from repro.soc.node import NodeState
 class PassiveConfig(ProtocolConfig):
     """The ordering core's config plus the primary's heartbeat cadence.
 
-    The backup's failure detector promotes it after ``view_timeout``
-    without a heartbeat — the failover timeout every family has, shorter
-    here by default; detection accuracy vs speed is the E8 sweep axis.
+    A backup's failure detector fires after ``view_timeout`` without a
+    heartbeat — the failover timeout every family has, shorter here by
+    default; detection accuracy vs speed is the E8 sweep axis.
     ``batching`` amortizes one StateUpdate over a batch of executed
     requests.
     """
@@ -49,7 +58,7 @@ class PassiveConfig(ProtocolConfig):
 
 
 class PassiveReplica(BaseReplica):
-    """Primary or backup of a passive pair (role decided by member order)."""
+    """One member of a passive group: its view's primary, or a backup."""
 
     REPLICAS_PER_F = 1
     byzantine_safe = False
@@ -59,13 +68,10 @@ class PassiveReplica(BaseReplica):
         self, name: str, group: GroupContext, config: Optional[PassiveConfig] = None
     ) -> None:
         super().__init__(name, group, config)
-        self.role = "primary" if group.members[0] == name else "backup"
-        self._next_seq = 0
-        self._applied_seq = 0
+        # Requests retried at this member while a backup: served if promoted.
         self._buffered: Dict[Tuple[str, int], ClientRequest] = {}
         self._heartbeat_timer: Optional[PeriodicTimer] = None
         self._detector: Optional[Timeout] = None
-        self.promotions = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -74,18 +80,28 @@ class PassiveReplica(BaseReplica):
         Must be called once the replica is placed on the chip.
         """
         super().start()  # lease renewal cadence, when enabled
-        if self.role == "primary":
+        if self.is_primary:
+            self._start_heartbeats()
+        else:
+            self._watch_primary()
+
+    def _start_heartbeats(self) -> None:
+        """Beat while this member leads its view (the timer outlives a demotion)."""
+        if self._heartbeat_timer is None:
             self._heartbeat_timer = PeriodicTimer(
                 self.sim, self.config.heartbeat_period, self._send_heartbeat
             )
-        else:
+
+    def _watch_primary(self) -> None:
+        """(Re)start the failure detector on the current view's primary."""
+        if self._detector is None:
             self._detector = Timeout(self.sim, self.config.view_timeout, self._on_suspect)
-            self._detector.start()
+        self._detector.start()
 
     def _send_heartbeat(self) -> None:
-        if self.state is NodeState.CRASHED or self.role != "primary":
+        if self.state is NodeState.CRASHED or not self.is_primary:
             return
-        message = Heartbeat(self.name, self._next_seq)
+        message = Heartbeat(self.name, self.last_executed)
         self.broadcast(self.other_members(), message, message.wire_size())
 
     # ------------------------------------------------------------------
@@ -109,7 +125,7 @@ class PassiveReplica(BaseReplica):
         if self.already_executed(request):
             self.resend_cached_reply(request)
             return
-        if self.role != "primary":
+        if not self.is_primary:
             # Buffer: if we are promoted later, these get served.
             self._buffered[request.key()] = request
             return
@@ -122,10 +138,9 @@ class PassiveReplica(BaseReplica):
 
     def _order_proposal(self, proposal: Proposal) -> bool:
         """Execute one proposal and ship one StateUpdate covering it."""
-        if self.role != "primary":
+        if not self.is_primary:
             return False  # demoted/never promoted while the batch waited
-        self._next_seq += 1
-        seq = self._next_seq
+        seq = self.last_executed + 1
         self.commit_operation(seq, proposal_digest(proposal), proposal)
         # Ship the executed operation(s) to the backups.
         update = StateUpdate(seq, proposal, None, self.app.state_digest())
@@ -136,52 +151,47 @@ class PassiveReplica(BaseReplica):
     # Backup path
     # ------------------------------------------------------------------
     def _handle_state_update(self, sender: str, message: StateUpdate) -> None:
-        if self.role != "backup":
+        if self.is_primary or sender != self.primary:
             return
-        if sender != self.group.members[0] and sender not in self.group.members:
+        self._watch_primary()  # any primary traffic proves liveness
+        if message.seq <= self.last_executed:
             return
-        if self._detector is not None:
-            self._detector.start()  # any primary traffic proves liveness
-        if message.seq <= self._applied_seq:
-            return
-        dig = proposal_digest(message.request)
-        self._applied_seq = message.seq
-        self._next_seq = max(self._next_seq, message.seq)
-        self.commit_operation(message.seq, dig, message.request)
+        self.commit_operation(message.seq, proposal_digest(message.request), message.request)
         for key in proposal_keys(message.request):
             self._buffered.pop(key, None)
         ack = StateAck(message.seq, self.name)
         self.send(sender, ack, ack.wire_size())
 
     def _handle_heartbeat(self, sender: str, message: Heartbeat) -> None:
-        if self.role == "backup" and self._detector is not None:
-            self._detector.start()
+        if sender == self.primary and not self.is_primary:
+            self._watch_primary()
 
     def _on_suspect(self) -> None:
-        """Failure detector fired: promote to primary."""
-        if self.role != "backup" or self.state is NodeState.CRASHED:
+        """Failure detector fired: move to the next view and promote if
+        this member leads it (one promotion per primary crash, whatever f
+        is).  The view steers replies, and so clients, to its primary; the
+        era change drops held grants and quiesces writes until any lease
+        the old primary issued has expired."""
+        if self.is_primary or self.state is NodeState.CRASHED:
             return
-        self.role = "primary"
-        self.promotions += 1
+        self._enter_era(self.view + 1)
+        if not self.is_primary:
+            self._watch_primary()
+            return
         self.group.metrics.counter(f"{self.group.group_id}.promotions").inc()
-        # Advance the view so replies steer clients to us: view % n must
-        # select this replica's member index (otherwise every request
-        # keeps timing out against the dead primary first).  Promotion is
-        # an era change: the core drops our held grants and quiesces
-        # writes until any lease the old primary issued has expired.
-        self._enter_era(self.group.members.index(self.name))
-        self._heartbeat_timer = PeriodicTimer(
-            self.sim, self.config.heartbeat_period, self._send_heartbeat
-        )
+        self._start_heartbeats()
         # Serve everything clients retried at us while we were backup.
         for request in list(self._buffered.values()):
             self._handle_request(request.client, request)
         self._buffered.clear()
 
     # ------------------------------------------------------------------
-    def on_state_imported(self) -> None:
-        self._applied_seq = max(self._applied_seq, self.last_executed)
-        self._next_seq = max(self._next_seq, self._applied_seq)
+    def on_state_synced(self) -> None:
+        """A primary that returns after its backup took over learns the
+        view from the state it adopted: from then on it is a backup, and
+        watches the new primary."""
+        if not self.is_primary and (self._detector is None or not self._detector.armed):
+            self._watch_primary()
 
     def shutdown(self) -> None:
         if self._heartbeat_timer is not None:
@@ -194,6 +204,5 @@ class PassiveReplica(BaseReplica):
 
     def reset_protocol_state(self) -> None:
         self._buffered.clear()
-        self._next_seq = max(self._next_seq, self._applied_seq, self.last_executed)
-        if self.role == "backup" and self._detector is not None:
+        if not self.is_primary and self._detector is not None:
             self._detector.start()

@@ -90,7 +90,6 @@ class PbftReplica(BaseReplica):
         super().__init__(name, group, config)
         self._slots: Dict[Tuple[int, int], _SlotState] = {}
         self._ordering = OrderingIndex()  # keys in pre-prepared, uncommitted slots
-        self._next_seq = 0
         self._stable_seq = 0
         self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
@@ -426,14 +425,12 @@ class PbftReplica(BaseReplica):
     def _enter_view(self, new_view: int) -> None:
         # Old-view slots stay for the next report, but nothing orders in them.
         self._ordering.clear()
-        self._next_seq = max(self._next_seq, self.last_executed)
         for stale in [v for v in self._view_change_votes if v <= new_view]:
             del self._view_change_votes[stale]
         self._enter_era(new_view)
 
     # ------------------------------------------------------------------
     def on_state_imported(self) -> None:
-        self._next_seq = max(self._next_seq, self.last_executed)
         # Imported state is as good as a stable checkpoint: anchor the
         # watermark window there or the window check rejects every seq.
         self._stable_seq = max(self._stable_seq, self.last_executed)
@@ -443,4 +440,3 @@ class PbftReplica(BaseReplica):
         self._ordering.clear()
         self._checkpoint_votes.clear()
         self._view_change_votes.clear()
-        self._next_seq = max(self._next_seq, self.last_executed)

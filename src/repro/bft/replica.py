@@ -232,8 +232,10 @@ class BaseReplica(Node):
         self._state_offers: Dict[Tuple[int, bytes], Dict[str, Any]] = {}
         self._sync_current_votes: set = set()
         self.syncing = False
-        self.commits = 0
         self.state_syncs = 0
+        # The last sequence number a primary assigned (CFT: seen assigned);
+        # its next proposal takes the one after (see _anchor_next_seq).
+        self._next_seq = 0
         # Requests seen but not yet executed: what the progress timer
         # watches, and what a new primary re-proposes.
         self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
@@ -449,8 +451,16 @@ class BaseReplica(Node):
         """
         self.view = view
         self._in_view_change = False
+        self._anchor_next_seq()
         self._void_era_state()
         self._rearm_timer()
+
+    def _anchor_next_seq(self) -> None:
+        """Number nothing at or below what this replica executed.  The
+        one re-anchor of ``_next_seq``, run where a replica may start
+        numbering after executing what others numbered: on state import,
+        on era entry and on reset."""
+        self._next_seq = max(self._next_seq, self.last_executed)
 
     # ------------------------------------------------------------------
     # Execution pipeline
@@ -488,7 +498,6 @@ class BaseReplica(Node):
         n, where f+1 suffice (DESIGN §4, *What the primary does first*).
         """
         self.group.safety.record_commit(self.name, seq, digest, self.is_correct)
-        self.commits += 1
         self.last_executed = seq
         requests = requests_of(proposal)
         self._committed_ops.inc(len(requests))
@@ -567,8 +576,8 @@ class BaseReplica(Node):
         """Adopt a transferred snapshot (the inverse of export_state).
 
         Protocol-internal queues are *kept* (messages that raced the
-        transfer stay valid); subclasses re-align their counters in
-        :meth:`on_state_imported`.
+        transfer stay valid); :meth:`on_state_imported` prunes or
+        re-aligns what a family keeps beside them.
         """
         self.app.restore(state["snapshot"])
         self.last_executed = state["last_executed"]
@@ -581,6 +590,7 @@ class BaseReplica(Node):
             s: v for s, v in self._pending_execution.items() if s > self.last_executed
         }
         self.group.safety.reset_replica(self.name, self.last_executed)
+        self._anchor_next_seq()
         # The adopted state may carry a newer view, and in-flight
         # accounting is stale relative to it: treat it as an era change —
         # grants from before the transfer are untrustworthy.  (Not
@@ -589,7 +599,8 @@ class BaseReplica(Node):
         self.on_state_imported()
 
     def on_state_imported(self) -> None:
-        """Subclass hook: re-align internal counters with last_executed."""
+        """Subclass hook: what the snapshot now covers (state up to
+        last_executed) is dropped or re-anchored on."""
 
     def shutdown(self) -> None:
         """Permanently deactivate this replica *instance*.
@@ -630,6 +641,7 @@ class BaseReplica(Node):
         self.group.safety.reset_replica(self.name, self.last_executed)
         self._drop_pending()
         self.reset_protocol_state()
+        self._anchor_next_seq()
         if self.batcher is not None:
             self.batcher.reset()
         if self.lease_manager is not None:

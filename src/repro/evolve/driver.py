@@ -470,12 +470,12 @@ class EvolutionaryCampaign:
 
     def _archive_front(self) -> Tuple[int, float]:
         """Size and hypervolume of the archive's current Pareto front."""
-        from repro.evolve.fitness import REFERENCE_POINT
-        from repro.metrics.stats import hypervolume, pareto_front
+        from repro.evolve.fitness import REFERENCE_POINT, non_dominated_sort
+        from repro.metrics.stats import hypervolume
 
         entries = [self.archive[key] for key in sorted(self.archive)]
         vectors = [fit.vector for _, fit in entries]
-        front = pareto_front(vectors)
+        front = non_dominated_sort(vectors)[0]
         hv = hypervolume([vectors[i] for i in front], REFERENCE_POINT)
         return len(front), hv
 

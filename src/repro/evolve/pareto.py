@@ -18,9 +18,9 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-from repro.evolve.fitness import OBJECTIVES, REFERENCE_POINT, SCALES, Fitness
+from repro.evolve.fitness import OBJECTIVES, REFERENCE_POINT, SCALES, Fitness, non_dominated_sort
 from repro.evolve.genome import GENE_NAMES, Genome, genome_key, space_size
-from repro.metrics.stats import hypervolume, pareto_front
+from repro.metrics.stats import hypervolume
 
 PARETO_FILE = "pareto.json"
 FRONT_FILE = "front.txt"
@@ -32,7 +32,7 @@ def _front_entries(
     """Pareto-front members of the archive (sorted) and their hypervolume."""
     keys = sorted(archive)
     vectors = [archive[k][1].vector for k in keys]
-    front_idx = pareto_front(vectors)
+    front_idx = non_dominated_sort(vectors)[0]
     hv = hypervolume([vectors[i] for i in front_idx], REFERENCE_POINT)
     entries = []
     for i in front_idx:

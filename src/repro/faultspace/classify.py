@@ -18,7 +18,11 @@ observation horizon, and bucket the result:
   switches, shard degradations), the severity detector escalated, or the
   victim component was restored by rejuvenation.
 * **masked** — the fault had no visible effect: redundancy absorbed it
-  silently (spare replicas, NoC rerouting, ECC correction).
+  silently (spare replicas and quorums, ECC correction), or it touched
+  nothing the service used.  No trial turns on the NoC's adaptive
+  routing, so a failed link drops every packet routed over it; and
+  ``Tile.degrade`` only marks the tile, so wear-out stays masked unless
+  rejuvenation walks the replica off it.
 
 Precedence is sdc > unavailable > detected_recovered > masked, evaluated
 as an if/elif chain — every trial lands in exactly one bucket, which is
@@ -28,8 +32,8 @@ injector's counters.
 Masked/recovered outcomes are additionally attributed to the resilience
 ingredient that plausibly handled them: register faults to the
 **hybrid** (ECC/TMR gating), restored victims to **rejuvenation**, and
-everything else — spare-replica masking and NoC rerouting — to the
-**replication** umbrella.
+everything else — spare replicas, quorums, client retransmission — to
+the **replication** umbrella.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ class _Target:
 
     def quorums_met(self) -> bool:
         return all(
-            len(g.correct_replicas()) >= len(g.members) - g.f for g in self.groups
+            len(g.correct_replicas()) >= g.liveness_quorum for g in self.groups
         )
 
 

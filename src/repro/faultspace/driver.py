@@ -6,8 +6,8 @@ trials are released in rounds of ``round_size`` per stratum, and a
 stratum **closes** once its masked/SDC confidence interval is narrower
 than ``target_half_width`` (after a ``min_per_stratum`` floor so two
 lucky draws can't close a stratum) or its ``max_per_stratum`` budget is
-exhausted.  Strata that converge fast (e.g. link faults that the NoC
-always reroutes) stop early; only the genuinely noisy strata spend the
+exhausted.  Strata that converge fast (e.g. link faults, which the
+quorums almost always mask) stop early; only the genuinely noisy strata spend the
 full budget — the whole point of sequential over fixed-size sampling.
 
 Determinism: the underlying spec enumerates the *full* budget up front

@@ -13,8 +13,8 @@ report dict:
   fatal-outcome (SDC or unavailable) proportion, so the bound is honest
   (and finite) even when zero fatal outcomes were observed;
 * **coverage per resilience ingredient**: how much of the handled fault
-  mass each mechanism absorbed (replication/NoC rerouting, rejuvenation,
-  hybrid register gating).
+  mass each mechanism absorbed (replication, rejuvenation, hybrid
+  register gating).
 
 The dict is emitted via :func:`write_outputs` as a **byte-stable**
 ``summary.json`` (sorted keys, fixed rounding, no wall-clock fields):

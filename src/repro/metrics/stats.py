@@ -13,10 +13,11 @@ small n and extreme p), Clopper-Pearson is the conservative exact
 interval used for one-sided dependability bounds (e.g. the MTTF lower
 bound from an observed-zero-SDC stratum).
 
-The multi-objective helpers (:func:`dominates`, :func:`pareto_front`,
-:func:`hypervolume`) back the evolutionary design-space explorer
-(:mod:`repro.evolve`): all three use the **minimization** convention, so
-callers negate maximization objectives before handing vectors in.
+The multi-objective helpers (:func:`dominates`, :func:`hypervolume`)
+back the evolutionary design-space explorer (:mod:`repro.evolve`, whose
+``non_dominated_sort`` gives the Pareto front as its front 0): both use
+the **minimization** convention, so callers negate maximization
+objectives before handing vectors in.
 """
 
 from __future__ import annotations
@@ -243,21 +244,6 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
         if ai < bi:
             better = True
     return better
-
-
-def pareto_front(points: Sequence[Sequence[float]]) -> List[int]:
-    """Indices of the non-dominated points (minimization), in input order.
-
-    Duplicate points are all kept: a point never dominates an exact copy
-    of itself (dominance requires strict improvement somewhere), and the
-    evolutionary driver relies on that to keep seed-repeated genomes
-    visible in the front report.
-    """
-    front: List[int] = []
-    for i, p in enumerate(points):
-        if not any(dominates(q, p) for j, q in enumerate(points) if j != i):
-            front.append(i)
-    return front
 
 
 def hypervolume(

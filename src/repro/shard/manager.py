@@ -200,16 +200,11 @@ class ShardedSystem(Substrate):
     # ------------------------------------------------------------------
     # Shard-level failover
     # ------------------------------------------------------------------
-    def _liveness_quorum(self, shard: Shard) -> int:
-        """Minimum correct replicas for the group to make progress."""
-        n = FAMILIES[shard.group.protocol].replicas_for(shard.group.f)
-        return n - shard.group.f
-
     def _check_health(self) -> None:
         for shard_id, shard in self.shards.items():
             correct = len(shard.group.correct_replicas())
             degraded = self.directory.is_degraded(shard_id)
-            if correct < self._liveness_quorum(shard):
+            if correct < shard.group.liveness_quorum:
                 if not degraded:
                     self.directory.mark_degraded(shard_id)
                     self.chip.metrics.counter("shard.degraded_transitions").inc()

@@ -246,7 +246,7 @@ def _scan_under_agreement(replica, key):
     """The original admission check: walk every slot / log entry."""
     if hasattr(replica, "_log"):  # cft
         return any(
-            e.seq > replica._committed_seq and key in proposal_keys(e.request)
+            e.seq > replica.last_executed and key in proposal_keys(e.request)
             for e in replica._log.values()
         )
     slots, bound = replica._slots.values(), "prepare"

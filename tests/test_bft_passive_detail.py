@@ -27,10 +27,14 @@ def build(view_timeout=10_000.0, heartbeat=2_000.0, seed=29):
     return sim, chip, group, client
 
 
+def promotions(group):
+    return group.chip.metrics.counter("p.promotions").value
+
+
 def test_roles_assigned_by_member_order():
     sim, chip, group, client = build()
-    assert group.replicas[group.members[0]].role == "primary"
-    assert group.replicas[group.members[1]].role == "backup"
+    assert group.replicas[group.members[0]].is_primary
+    assert not group.replicas[group.members[1]].is_primary
 
 
 def test_heartbeats_keep_backup_from_promoting():
@@ -38,15 +42,15 @@ def test_heartbeats_keep_backup_from_promoting():
     client.start()
     sim.run(until=500_000)
     backup = group.replicas[group.members[1]]
-    assert backup.role == "backup"
-    assert backup.promotions == 0
+    assert not backup.is_primary
+    assert promotions(group) == 0
 
 
 def test_idle_primary_still_heartbeats():
     """Even with no client traffic the backup must not false-promote."""
     sim, chip, group, client = build()
     sim.run(until=300_000)  # client never started
-    assert group.replicas[group.members[1]].role == "backup"
+    assert not group.replicas[group.members[1]].is_primary
 
 
 def test_backup_applies_state_updates_in_order():
@@ -68,10 +72,10 @@ def test_promotion_happens_after_detect_timeout():
     crash_time = sim.now
     backup = group.replicas[group.members[1]]
     sim.run(until=crash_time + 9_000)
-    assert backup.role == "backup"  # not yet: inside the detection window
+    assert not backup.is_primary  # not yet: inside the detection window
     sim.run(until=crash_time + 30_000)
-    assert backup.role == "primary"
-    assert backup.promotions == 1
+    assert backup.is_primary
+    assert promotions(group) == 1
 
 
 def test_promoted_backup_serves_buffered_requests():

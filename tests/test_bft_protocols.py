@@ -161,7 +161,7 @@ def test_passive_failover_gap_visible():
     assert client.completed > 100
     gap = client.max_completion_gap(50_000, 1_000_000)
     assert gap > 5_000  # the §II.A "not seamless" gap
-    assert group.replicas[group.members[1]].role == "primary"
+    assert group.replicas[group.members[1]].is_primary
     assert group.safety.is_safe
 
 

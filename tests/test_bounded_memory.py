@@ -144,14 +144,14 @@ def test_minbft_late_commit_does_not_recreate_the_slot():
     primary = group.members[0]
     assert backup._slots == {} and backup._exec_cursor is not None
     executed = backup._exec_cursor - 1
-    commits_before = backup.commits
+    executed_before = backup.app.ops_executed
     late = MbCommit(
         backup.view, group.members[2], UI(primary, executed, b"m" * 16),
         b"d" * 32, UI(group.members[2], 999, b"m" * 16),
     )
     backup._handle_commit(group.members[2], late)
     assert backup._slots == {} and backup._ready == {}
-    assert backup.commits == commits_before
+    assert backup.app.ops_executed == executed_before
     # The live window is untouched: a vote at the cursor still opens a slot.
     ahead = MbCommit(
         backup.view, group.members[2], UI(primary, backup._exec_cursor, b"m" * 16),
@@ -167,14 +167,14 @@ def test_cft_late_ack_recreates_nothing_and_still_announces_the_commit():
     sim.run(until=1_000_000)
     assert client.completed == 20
     leader = group.replicas[group.members[0]]
-    assert leader.is_primary and leader._committed_seq == leader.last_executed > 0
+    assert leader.is_primary and leader.last_executed > 0
     assert leader._log == {} and leader._acks == {}
     sent = []
     leader.broadcast = lambda dests, message, size: sent.append(message)
-    executed = leader._committed_seq - 3
+    executed = leader.last_executed - 3
     leader._handle_ack(group.members[2], AppendAck(leader.view, executed, group.members[2]))
     assert leader._log == {} and leader._acks == {}
-    assert sent == [CommitNotice(leader.view, leader._committed_seq, leader.name)]
+    assert sent == [CommitNotice(leader.view, leader.last_executed, leader.name)]
     # A follower asked to re-log what it already executed acks without keeping it.
     follower = group.replicas[group.members[1]]
     replies = []

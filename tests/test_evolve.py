@@ -192,6 +192,18 @@ def test_non_dominated_sort_hand_checked():
     assert fronts[2] == [5]
 
 
+def test_front_zero_keeps_trade_offs_and_duplicates():
+    # The Pareto front: dominance is strict, so an exact copy of a front
+    # point is on the front too, and input order is kept.
+    points = [(1.0, 2.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
+    assert non_dominated_sort(points)[0] == [0, 1, 3]
+
+
+def test_front_zero_trivial_cases():
+    assert non_dominated_sort([])[0] == []
+    assert non_dominated_sort([(3.0, 4.0)])[0] == [0]
+
+
 def test_crowding_distance_boundaries_are_infinite():
     vectors = [(1.0, 4.0), (2.0, 2.0), (4.0, 1.0)]
     crowd = crowding_distance(vectors, [0, 1, 2])

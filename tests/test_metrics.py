@@ -241,20 +241,6 @@ def test_dominates_requires_no_worse_everywhere_and_better_somewhere():
     assert not dominates((2.0, 2.0), (1.0, 1.0))
 
 
-def test_pareto_front_keeps_trade_offs_and_duplicates():
-    from repro.metrics.stats import pareto_front
-
-    points = [(1.0, 2.0), (2.0, 1.0), (2.0, 2.0), (1.0, 2.0)]
-    assert pareto_front(points) == [0, 1, 3]
-
-
-def test_pareto_front_trivial_cases():
-    from repro.metrics.stats import pareto_front
-
-    assert pareto_front([]) == []
-    assert pareto_front([(3.0, 4.0)]) == [0]
-
-
 def test_hypervolume_hand_computed_2d():
     from repro.metrics.stats import hypervolume
 
