@@ -315,11 +315,11 @@ class StateRequest:
 
 @dataclass(frozen=True)
 class StateResponse:
-    """A peer's state offer: full snapshot + its digest for cross-checking.
-
-    Requesters adopt a snapshot only once ``state_sync_quorum`` responders
-    agree on (last_executed, state_digest) — a single Byzantine responder
-    cannot poison a recovering replica.
+    """A peer's state offer: its ``export_state()`` and the digest that
+    vouches for it (``replica.offer_digest``).  Requesters adopt a copy
+    matching it once ``state_sync_quorum`` responders agree on
+    (last_executed, state_digest) — one Byzantine responder cannot
+    poison a recovering replica.
     """
 
     replica: str
@@ -328,7 +328,7 @@ class StateResponse:
     state: Any  # the export_state() dict; opaque to the wire layer
 
     def wire_size(self) -> int:
-        # Snapshot size dominates; approximate from the dedup cache size.
+        # Snapshot size dominates; approximate from the ledger's clients.
         executed = self.state.get("executed_requests", {}) if isinstance(self.state, dict) else {}
         return HEADER_BYTES + 8 + DIGEST_BYTES + 64 + 16 * len(executed)
 

@@ -39,8 +39,8 @@ from repro.bft.messages import (
     requests_of,
 )
 from repro.bft.safety import SafetyRecorder
-# Unused here, but benchmarks/perf/trace.py patches it by this module attribute.
-from repro.crypto.mac import digest as payload_digest  # noqa: F401
+# Called by this module-level name: benchmarks/perf/trace.py patches it here.
+from repro.crypto.mac import digest as payload_digest
 from repro.crypto.keys import KeyStore
 from repro.metrics import MetricsRegistry
 from repro.sim.timers import Timeout
@@ -52,12 +52,12 @@ def _ignore(sender: str, message: Any) -> None:
 
 
 class ExecutionLedger:
-    """Bounded request-dedup state: per-client high-watermark + window.
+    """Bounded record of executed requests and their results: a
+    per-client high-watermark + a window of recent rids.
 
-    The old unbounded ``{(client, rid): True}`` dict grew one entry per
-    executed request forever.  Client rids are monotone, so a per-client
-    **high-watermark** plus a small **out-of-order window** captures the
-    same ``already_executed`` answers in O(clients · window) memory:
+    Client rids are monotone, so a per-client **high-watermark** plus a
+    small **out-of-order window** answers ``already_executed`` in
+    O(clients · window) memory:
 
     * rid above the watermark       → not executed yet;
     * rid inside the recent window  → executed iff recorded there;
@@ -65,8 +65,11 @@ class ExecutionLedger:
       (a client never advances its rid past an incomplete request by more
       than its outstanding window, so nothing that old can still be live).
 
-    The window must exceed the largest client ``max_outstanding`` plus
-    re-ordering slack; the default of 256 dwarfs any configured pipeline.
+    A rid in the window keeps its result, which answers a retransmit;
+    every correct member at one ``last_executed`` holds the same window,
+    so a state offer can vouch for it.  The window must exceed the
+    largest client ``max_outstanding`` plus re-ordering slack; the
+    default of 256 dwarfs any configured pipeline.
     """
 
     DEFAULT_WINDOW = 256
@@ -76,7 +79,7 @@ class ExecutionLedger:
             raise ValueError(f"ledger window must be >= 1, got {window}")
         self.window = window
         self._high: Dict[str, int] = {}
-        self._recent: Dict[str, set] = {}
+        self._recent: Dict[str, Dict[int, Any]] = {}
 
     def contains(self, client: str, rid: int) -> bool:
         """True if (client, rid) was executed (or is an ancient replay)."""
@@ -87,26 +90,34 @@ class ExecutionLedger:
             return True
         return rid in self._recent[client]
 
-    def add(self, client: str, rid: int) -> None:
-        """Record an execution.  Amortized O(1): pruning is deferred until
-        the recent set doubles past the window."""
-        recent = self._recent.setdefault(client, set())
+    def lookup(self, client: str, rid: int) -> Tuple[bool, Any]:
+        """``(recorded, result)`` for (client, rid) in the window; a
+        ``None`` result is still recorded."""
+        high = self._high.get(client)
+        recent = {} if high is None or rid <= high - self.window else self._recent[client]
+        return rid in recent, recent.get(rid)
+
+    def add(self, client: str, rid: int, result: Any) -> None:
+        """Record an execution and its result.  Amortized O(1): pruning is
+        deferred until the recent window doubles."""
+        recent = self._recent.setdefault(client, {})
         high = self._high.get(client)
         if high is None or rid > high:
             self._high[client] = rid
             high = rid
-        recent.add(rid)
+        recent[rid] = result
         if len(recent) > 2 * self.window:
             floor = high - self.window
-            self._recent[client] = {r for r in recent if r > floor}
+            self._recent[client] = {r: v for r, v in recent.items() if r > floor}
 
     def export(self) -> Dict[str, Dict[str, Any]]:
-        """Snapshot for state transfer: fully pruned, deterministic."""
+        """Snapshot for state transfer: fully pruned, deterministic;
+        ``recent`` is ``[(rid, result)]`` in rid order."""
         out: Dict[str, Dict[str, Any]] = {}
-        for client, high in self._high.items():
-            floor = high - self.window
-            recent = sorted(r for r in self._recent.get(client, ()) if r > floor)
-            out[client] = {"high": high, "recent": recent}
+        for client in sorted(self._high):
+            high, recent = self._high[client], self._recent[client]
+            kept = [(r, recent[r]) for r in sorted(recent) if r > high - self.window]
+            out[client] = {"high": high, "recent": kept}
         return out
 
     @classmethod
@@ -115,12 +126,19 @@ class ExecutionLedger:
         ledger = cls(window)
         for client, entry in data.items():
             ledger._high[client] = entry["high"]
-            ledger._recent[client] = set(entry["recent"])
+            ledger._recent[client] = dict(entry["recent"])
         return ledger
 
     def __len__(self) -> int:
         """Tracked clients (state-transfer cost accounting)."""
         return len(self._high)
+
+
+def offer_digest(snapshot_digest: bytes, executed: Dict[str, Dict[str, Any]]) -> bytes:
+    """What a state offer vouches for: the app state and the execution
+    ledger with its results, which every correct member shares at one
+    ``last_executed`` (the view is left out)."""
+    return payload_digest((snapshot_digest, executed))
 
 
 @dataclass
@@ -194,10 +212,6 @@ class BaseReplica(Node):
     client replies, the safety recorder).
     """
 
-    # Cached replies kept per client; must cover the client's outstanding
-    # pipeline so retransmits of any incomplete rid can be answered.
-    REPLY_CACHE_SIZE = 64
-
     # The family, stated once per subclass (DESIGN §4, *What a protocol
     # family declares*): REPLICAS_PER_F·f + 1 members tolerate f faults.
     REPLICAS_PER_F: int
@@ -227,7 +241,6 @@ class BaseReplica(Node):
         self.view = 0
         self.last_executed = 0
         self._pending_execution: Dict[int, Tuple[bytes, Proposal]] = {}
-        self._last_reply: Dict[str, Dict[int, ClientReply]] = {}
         self._executed = ExecutionLedger()
         self._state_offers: Dict[Tuple[int, bytes], Dict[str, Any]] = {}
         self._sync_current_votes: set = set()
@@ -517,24 +530,9 @@ class BaseReplica(Node):
         client, rid = request.client, request.rid
         if self._executed.contains(client, rid):
             return None
-        self._executed.add(client, rid)
         result = self.app.execute(request.op)
-        reply = ClientReply(self.name, client, rid, result, self.view)
-        self._cache_reply(reply)
-        return reply
-
-    def _cache_reply(self, reply: ClientReply) -> None:
-        # Kept in rid order, so the smallest rid is the first key.
-        cache = self._last_reply.setdefault(reply.client, {})
-        rid = reply.rid
-        out_of_order = bool(cache) and rid < next(reversed(cache))
-        cache[rid] = reply
-        if out_of_order:  # rare: a retransmit ordered behind its successors
-            replies = sorted(cache.items())
-            cache.clear()
-            cache.update(replies)
-        while len(cache) > self.REPLY_CACHE_SIZE:
-            del cache[next(iter(cache))]
+        self._executed.add(client, rid, result)
+        return ClientReply(self.name, client, rid, result, self.view)
 
     def _reaches(self, client: str) -> bool:
         """True when a message to ``client`` can leave this replica: the
@@ -548,12 +546,14 @@ class BaseReplica(Node):
             self.send(reply.client, reply, reply.wire_size())
 
     def resend_cached_reply(self, request: ClientRequest) -> bool:
-        """Resend the cached reply for a retransmitted, executed request."""
-        cached = self._last_reply.get(request.client, {}).get(request.rid)
-        if cached is not None:
-            self.send(request.client, cached, cached.wire_size())
-            return True
-        return False
+        """Answer a retransmitted, executed request from the ledger — the
+        one place a re-sent reply is built, under this replica's name and
+        view.  False when the ledger keeps no result (an ancient replay)."""
+        recorded, result = self._executed.lookup(*request.key())
+        if recorded:
+            reply = ClientReply(self.name, request.client, request.rid, result, self.view)
+            self.send(request.client, reply, reply.wire_size())
+        return recorded
 
     def already_executed(self, request: ClientRequest) -> bool:
         """True if the request was executed (dedup check)."""
@@ -563,12 +563,12 @@ class BaseReplica(Node):
     # State transfer (rejuvenation / protocol switch)
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, Any]:
-        """Snapshot for state transfer to a recovering/switching replica."""
+        """Snapshot for state transfer: the app state and the execution
+        ledger as of ``last_executed`` (what :func:`offer_digest` covers) and the view."""
         return {
             "snapshot": self.app.snapshot(),
             "last_executed": self.last_executed,
             "executed_requests": self._executed.export(),
-            "last_reply": {c: dict(replies) for c, replies in self._last_reply.items()},
             "view": self.view,
         }
 
@@ -584,7 +584,6 @@ class BaseReplica(Node):
         self._executed = ExecutionLedger.restore(
             state["executed_requests"], window=self._executed.window
         )
-        self._last_reply = {c: dict(replies) for c, replies in state["last_reply"].items()}
         self.view = max(self.view, state["view"])
         self._pending_execution = {
             s: v for s, v in self._pending_execution.items() if s > self.last_executed
@@ -776,9 +775,8 @@ class BaseReplica(Node):
             self.send(sender, response, response.wire_size())
             return
         state = self.export_state()
-        response = StateResponse(
-            self.name, self.last_executed, self.app.state_digest(), state
-        )
+        digest = offer_digest(self.app.state_digest(), state["executed_requests"])
+        response = StateResponse(self.name, self.last_executed, digest, state)
         self.send(sender, response, response.wire_size())
 
     def _handle_state_response(self, sender: str, message: StateResponse) -> None:
@@ -794,9 +792,9 @@ class BaseReplica(Node):
         offers = self._state_offers.setdefault(key, {})
         offers[sender] = message.state
         if len(offers) >= self.state_sync_quorum:
-            # Adopt the first copy whose snapshot actually matches the
-            # agreed digest — a Byzantine responder can echo the agreed
-            # key but cannot craft a poisoned snapshot with that digest.
+            # Adopt the first copy whose snapshot and ledger actually
+            # match the agreed digest — a Byzantine responder can echo the
+            # agreed key but cannot craft a poisoned state with that digest.
             state = self._first_valid_offer(offers, message.state_digest)
             if state is None:
                 return
@@ -808,14 +806,13 @@ class BaseReplica(Node):
 
     def _first_valid_offer(self, offers: Dict[str, Any], digest: bytes) -> Optional[Any]:
         probe = self.group.app_factory()
-        for sender in sorted(offers):
-            state = offers[sender]
+        for _, state in sorted(offers.items()):
             try:
                 probe.restore(state["snapshot"])
+                if offer_digest(probe.state_digest(), state["executed_requests"]) == digest:
+                    return state
             except (KeyError, TypeError, ValueError):
                 continue
-            if probe.state_digest() == digest:
-                return state
         return None
 
     def on_state_synced(self) -> None:

@@ -313,8 +313,10 @@ def test_admission_check_equals_slot_scan(protocol, monkeypatch):
 def test_execution_ledger_basic_replay_semantics():
     ledger = ExecutionLedger(window=8)
     assert not ledger.contains("c0", 0)
-    ledger.add("c0", 0)
+    assert ledger.lookup("c0", 0) == (False, None)
+    ledger.add("c0", 0, None)
     assert ledger.contains("c0", 0)
+    assert ledger.lookup("c0", 0) == (True, None)  # a None result is recorded
     assert not ledger.contains("c0", 1)
     assert not ledger.contains("c1", 0)
     assert len(ledger) == 1  # one tracked client
@@ -323,9 +325,10 @@ def test_execution_ledger_basic_replay_semantics():
 def test_execution_ledger_out_of_order_window():
     ledger = ExecutionLedger(window=8)
     for rid in (5, 3, 7, 4, 6):
-        ledger.add("c0", rid)
+        ledger.add("c0", rid, ("r", rid))
     for rid in (3, 4, 5, 6, 7):
         assert ledger.contains("c0", rid)
+        assert ledger.lookup("c0", rid) == (True, ("r", rid))
     assert not ledger.contains("c0", 2)  # inside the window, never executed
     assert not ledger.contains("c0", 8)
 
@@ -333,48 +336,76 @@ def test_execution_ledger_out_of_order_window():
 def test_execution_ledger_ancient_rids_report_executed():
     ledger = ExecutionLedger(window=8)
     for rid in range(100):
-        ledger.add("c0", rid)
-    # Far below the high-watermark window: treated as executed (replay).
+        ledger.add("c0", rid, "OK")
+    # Far below the high-watermark window: treated as executed (replay),
+    # with no result kept.
     assert ledger.contains("c0", 0)
+    assert ledger.lookup("c0", 0) == (False, None)
     assert ledger.contains("c0", 91)
+    assert ledger.lookup("c0", 91) == (False, None)
     assert ledger.contains("c0", 99)
+    assert ledger.lookup("c0", 99) == (True, "OK")
     assert not ledger.contains("c0", 100)
-    # The recent set is pruned: bounded by 2x the window, not by history.
+    # The recent results are pruned: bounded by 2x the window, not by history.
     assert len(ledger._recent["c0"]) <= 2 * ledger.window
 
 
 def test_execution_ledger_export_restore_roundtrip():
     ledger = ExecutionLedger(window=8)
     for rid in (0, 1, 2, 5):
-        ledger.add("c0", rid)
-    ledger.add("c1", 9)
+        ledger.add("c0", rid, rid * 10)
+    ledger.add("c1", 9, None)
     restored = ExecutionLedger.restore(ledger.export(), window=8)
     for client, rid in (("c0", 0), ("c0", 5), ("c1", 9)):
         assert restored.contains(client, rid)
+        assert restored.lookup(client, rid) == ledger.lookup(client, rid)
     assert not restored.contains("c0", 3)
     assert not restored.contains("c0", 4)
     assert not restored.contains("c1", 8)
 
 
-def test_replica_reply_cache_bounded_per_client():
-    sim, chip, group, client = run_workload("minbft", n_requests=100, max_outstanding=4,
-                                            until=3_000_000)
+def test_replica_ledger_results_bounded_per_client():
+    sim, chip, group, client = build(
+        "minbft", client_cfg=ClientConfig(think_time=50, timeout=20_000,
+                                          max_requests=100, max_outstanding=4)
+    )
+    for replica in group.replicas.values():
+        replica._executed = ExecutionLedger(window=8)
+    client.start()
+    sim.run(until=3_000_000)
     assert client.completed == 100
     primary = group.replicas[group.members[0]]
-    cache = primary._last_reply["c0"]
-    assert len(cache) <= primary.REPLY_CACHE_SIZE
-    assert max(cache) == 99  # the newest replies are retained
+    ledger = primary._executed
+    assert len(ledger._recent["c0"]) <= 2 * ledger.window
+    assert max(ledger._recent["c0"]) == 99  # the newest results are retained
     # The ledger still answers replay checks for every historical rid.
     for rid in (0, 50, 99):
         assert primary.already_executed(ClientRequest("c0", rid, ("get", "k0")))
 
 
-def cache_reply_by_scanning(caches, size, reply):
-    """The eviction ``_cache_reply`` replaced, kept as its reference."""
-    cache = caches.setdefault(reply.client, {})
-    cache[reply.rid] = reply
-    while len(cache) > size:
-        del cache[min(cache)]
+class SetLedger:
+    """The execution ledger before it kept results (a set per client),
+    kept as the reference for which requests count as executed."""
+
+    def __init__(self, window):
+        self.window, self.high, self.recent = window, {}, {}
+
+    def contains(self, client, rid):
+        high = self.high.get(client)
+        if high is None or rid > high:
+            return False
+        return rid <= high - self.window or rid in self.recent[client]
+
+    def add(self, client, rid):
+        recent = self.recent.setdefault(client, set())
+        high = self.high[client] = max(rid, self.high.get(client, rid))
+        recent.add(rid)
+        if len(recent) > 2 * self.window:
+            self.recent[client] = {r for r in recent if r > high - self.window}
+
+    def recorded(self, client, rid):
+        """In the window and executed: what a resend must answer."""
+        return self.contains(client, rid) and rid > self.high[client] - self.window
 
 
 @settings(max_examples=60, deadline=None)
@@ -388,38 +419,38 @@ def cache_reply_by_scanning(caches, size, reply):
     ),
     st.sampled_from([1, 5, 64]),
 )
-def test_reply_cache_in_rid_order_evicts_what_scanning_for_the_minimum_did(stream, size):
+def test_the_ledger_with_results_answers_as_the_set_ledger_did(stream, window):
     _, _, group, _ = build("minbft")
     replica = group.replicas[group.members[0]]
-    replica.REPLY_CACHE_SIZE = size
+    replica._executed = ledger = ExecutionLedger(window)
     resent = []
     replica.send = lambda dst, message, size_bytes: resent.append(message)
-    reference, newest = {}, {}
+    reference, newest, results = SetLedger(window), {}, {}
     for client, how, n in stream:
         rid = max(0, n + (newest.get(client, 0) if how == "step" else 3))
         newest[client] = max(rid, newest.get(client, 0))
-        reply = ClientReply(replica.name, client, rid, ("ok", len(resent)), 0)
-        replica._cache_reply(reply)
-        cache_reply_by_scanning(reference, size, reply)
-        assert replica._last_reply == reference
-        assert all(list(c) == sorted(c) for c in replica._last_reply.values())
-    for client, cache in reference.items():
-        for rid in range(min(cache) - 2, max(cache) + 3):
-            resent.clear()
-            answered = replica.resend_cached_reply(ClientRequest(client, rid, ("get", "k")))
-            assert answered == (rid in cache) and resent == ([cache[rid]] if answered else [])
-    # State transfer keeps the order, so the receiver evicts correctly too.
+        assert ledger.contains(client, rid) == reference.contains(client, rid)
+        if not reference.contains(client, rid):  # as _apply_request records
+            result = None if len(results) % 7 == 0 else ("ok", len(results))
+            ledger.add(client, rid, result)
+            reference.add(client, rid)
+            results[client, rid] = result
+    queries = [(c, rid) for c in newest for rid in range(-2, newest[c] + 3)]
+    for client, rid in queries:
+        assert ledger.contains(client, rid) == reference.contains(client, rid)
+        resent.clear()
+        answered = replica.resend_cached_reply(ClientRequest(client, rid, ("get", "k")))
+        assert answered == reference.recorded(client, rid)
+        expected = ClientReply(replica.name, client, rid, results.get((client, rid)), replica.view)
+        assert resent == ([expected] if answered else [])
+    # Export -> restore keeps every answer and every result.
     _, _, other_group, _ = build("minbft")
     receiver = other_group.replicas[other_group.members[1]]
-    receiver.REPLY_CACHE_SIZE = size
+    receiver._executed = ExecutionLedger(window)
     receiver.import_state(replica.export_state())
-    assert receiver._last_reply == reference
-    assert all(list(c) == sorted(c) for c in receiver._last_reply.values())
-    for client in reference:
-        reply = ClientReply(replica.name, client, max(reference[client]) + 1, "next", 0)
-        receiver._cache_reply(reply)
-        cache_reply_by_scanning(reference, size, reply)
-    assert receiver._last_reply == reference
+    for client, rid in queries:
+        assert receiver._executed.contains(client, rid) == reference.contains(client, rid)
+        assert receiver._executed.lookup(client, rid) == ledger.lookup(client, rid)
 
 
 # ----------------------------------------------------------------------

@@ -42,8 +42,19 @@ broke agreement, and none without the scale-out.  With a majority of n
 every one keeps agreement and makes progress (at least 962 completions
 in the window).
 
-Tier-1 runs seed 1, the pinned seeds and the CFT leader crash on seed 3
-at t1 + 5 000.  CI runs seeds 1–40 through :func:`sweep`.
+A fourth has no Byzantine member either: one **switch** at t1, minbft →
+pbft or pbft → minbft, under two closed-loop (window-1) clients, each of
+which must complete operations in the window.  While a member kept the
+replies it had cached as ``ClientReply`` objects, a rebuilt member resent
+them under the donor's name, which a client drops from anyone else: both
+clients served nothing for good after minbft → pbft on seeds 1, 5, 9, 13
+and 17 of 1–20, and after pbft → minbft on seed 7.  A re-sent reply is
+now built at send from the execution ledger (DESIGN §4 *What a replica
+holds once*), and every client is served on seeds 1–20.
+
+Tier-1 runs seed 1, the pinned seeds, the CFT leader crash on seed 3 at
+t1 + 5 000 and the switches minbft → pbft on seed 1 and pbft → minbft on
+seed 7.  CI runs seeds 1–40 through :func:`sweep`.
 """
 
 import pytest
@@ -80,13 +91,15 @@ def _config(protocol="minbft"):
     )
 
 
-def _drive(sim, group, seed, strategy, target, steps):
-    """Load the group, compromise member ``target`` at FAULT_AT, run each
-    ``(at, step, rebuilds)`` and return the completions in the progress
+def _drive(sim, group, seed, strategy, target, steps, window=6):
+    """Load the group with two clients of ``window`` outstanding requests,
+    compromise member ``target`` at FAULT_AT, run each ``(at, step,
+    rebuilds)`` and return each client's completions in the progress
     window."""
     clients = []
     for i in range(2):
-        client = ClientNode(f"c{i}", ClientConfig(think_time=50, timeout=20_000, max_outstanding=6))
+        config = ClientConfig(think_time=50, timeout=20_000, max_outstanding=window)
+        client = ClientNode(f"c{i}", config)
         group.attach_client(client)
         client.start()
         clients.append(client)
@@ -107,7 +120,7 @@ def _drive(sim, group, seed, strategy, target, steps):
         sim.schedule_at(at, run_step, step, rebuilds)
     t1 = switch_at(seed)
     sim.run(until=t1 + WINDOW[1])
-    return sum(c.completions_in(t1 + WINDOW[0], t1 + WINDOW[1]) for c in clients)
+    return [c.completions_in(t1 + WINDOW[0], t1 + WINDOW[1]) for c in clients]
 
 
 def run_round_trip(seed, strategy=None, target=1):
@@ -120,7 +133,20 @@ def run_round_trip(seed, strategy=None, target=1):
         (t1, lambda: group.switch_protocol("pbft"), True),
         (t1 + ROUND_TRIP, lambda: group.switch_protocol("minbft"), True),
     ]
-    return group, _drive(sim, group, seed, strategy, target, steps)
+    return group, sum(_drive(sim, group, seed, strategy, target, steps))
+
+
+def run_switch(seed, protocol, to):
+    """One switch ``protocol`` → ``to`` at t1 under two closed-loop
+    (window-1) clients, no Byzantine member; returns (group, each
+    client's completions in the window)."""
+    sim = Simulator(seed=seed)
+    chip = Chip(sim, ChipConfig(width=6, height=6))
+    group = build_group(
+        chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=_config(protocol))
+    )
+    steps = [(switch_at(seed), lambda: group.switch_protocol(to), False)]
+    return group, _drive(sim, group, seed, None, 1, steps, window=1)
 
 
 def _deploy(seed, protocol):
@@ -142,7 +168,7 @@ def run_scale_out(seed, strategy=None, target=1):
     in the window)."""
     sim, manager, group = _deploy(seed, "minbft")
     steps = [(switch_at(seed), manager.scale_out, False)]
-    return group, _drive(sim, group, seed, strategy, target, steps)
+    return group, sum(_drive(sim, group, seed, strategy, target, steps))
 
 
 def crash_leader(group):
@@ -156,7 +182,7 @@ def run_cft_scale_out(seed, crash_after):
     sim, manager, group = _deploy(seed, "cft")
     t1 = switch_at(seed)
     steps = [(t1, manager.scale_out, False), (t1 + crash_after, lambda: crash_leader(group), False)]
-    return group, _drive(sim, group, seed, None, 1, steps)
+    return group, sum(_drive(sim, group, seed, None, 1, steps))
 
 
 def must_progress(strategy, target):
@@ -164,13 +190,15 @@ def must_progress(strategy, target):
 
 
 VARIANTS = {"round-trip": run_round_trip, "scale-out": run_scale_out}
+SWITCHES = [("minbft", "pbft"), ("pbft", "minbft")]
 
 
 def sweep(seeds):
-    """Every case of both variants, and the CFT leader crash at each
-    ``CRASH_AFTER``, on ``seeds``: the failures as ``(variant, seed,
-    strategy or crash offset, target, safe, served)``.  A pinned case
-    fails when it is safe (strict)."""
+    """Every case of both variants, the CFT leader crash at each
+    ``CRASH_AFTER`` and each of ``SWITCHES`` under closed-loop clients, on
+    ``seeds``: the failures as ``(variant, seed, strategy or crash offset,
+    target, safe, served)``.  A pinned case fails when it is safe
+    (strict); a switch fails when a client completes nothing."""
     failures = []
     for variant, run in VARIANTS.items():
         for seed in seeds:
@@ -185,6 +213,11 @@ def sweep(seeds):
             group, served = run_cft_scale_out(seed, crash_after)
             if not group.safety.is_safe or served < PROGRESS:
                 failures.append(("cft-scale-out", seed, crash_after, None, group.safety.is_safe, served))
+    for protocol, to in SWITCHES:
+        for seed in seeds:
+            group, served = run_switch(seed, protocol, to)
+            if not group.safety.is_safe or min(served) == 0:
+                failures.append((f"{protocol}->{to}", seed, None, None, group.safety.is_safe, served))
     return failures
 
 
@@ -209,3 +242,10 @@ def test_a_scaled_out_cft_group_survives_a_leader_crash():
     assert len(group.members) == 4
     assert group.safety.is_safe
     assert served >= PROGRESS
+
+
+@pytest.mark.parametrize("protocol,to,seed", [("minbft", "pbft", 1), ("pbft", "minbft", 7)])
+def test_every_closed_loop_client_is_served_after_a_switch(protocol, to, seed):
+    group, served = run_switch(seed, protocol, to)
+    assert group.safety.is_safe
+    assert min(served) > 0, served

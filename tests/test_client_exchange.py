@@ -319,6 +319,24 @@ def test_who_owns_the_timer_decides_how_often_the_primary_is_suspected():
     assert router.session.primary_hint == 4
 
 
+@pytest.mark.xfail(strict=True, reason="finding: each completion restarts the window's one "
+                   "timer, so a lost request waits while its neighbours complete (ROADMAP item 2)")
+def test_a_request_whose_replies_were_lost_is_retransmitted_while_the_window_completes():
+    """rid 0's replies are lost while the other slot of a window-2 client
+    completes every quarter timeout: rid 0 must still go to every member
+    within one timeout of its send."""
+    rq = Requester("client-w2", lease_reads=False)
+    rq.issue(WRITE)  # rids 0 and 1 in flight
+    while rq.sim.now <= TIMEOUT:
+        rid = max(rq.node._outstanding)
+        if rid != 0:
+            for sender in MEMBERS[:2]:
+                rq.reply(sender, rid=rid)
+        rq.sim.run(until=rq.sim.now + TIMEOUT / 4)
+    assert rq.exchange(0) is not None and rq.node.completed >= 3
+    assert sorted(dsts(rq.sent)) == MEMBERS
+
+
 # ----------------------------------------------------------------------
 # One copy
 # ----------------------------------------------------------------------
