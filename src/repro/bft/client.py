@@ -1,9 +1,10 @@
 """Clients: the requester's half of the protocol, and the workload driver.
 
 :class:`ClientSession` is the one copy of what a requester does towards a
-replica group — dispatch, reply voting, ``ReadNack`` and timeout
-fall-backs, primary-hint adoption — used by :class:`ClientNode` here and
-by every :class:`~repro.shard.router.ShardRouter` (one session per shard).
+replica group — numbering and timing each request, dispatch, reply
+voting, ``ReadNack`` and timeout fall-backs, primary-hint rotation and
+adoption — used by :class:`ClientNode` here and by every
+:class:`~repro.shard.router.ShardRouter` (one session per shard).
 
 :class:`ClientNode` drives one group with ``ClientConfig.workload`` — the
 ops it sends and which of them are reads — and a window of
@@ -20,8 +21,9 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.bft.leases import keys_of, lease_holder
 from repro.bft.messages import ClientReply, ClientRequest, ReadNack
+from repro.bft.replica import ExecutionLedger
 from repro.metrics.traffic import TrafficSource
-from repro.sim.timers import Timeout
+from repro.sim.events import ScheduledEvent
 from repro.soc.chip import is_corrupted
 from repro.soc.node import Node
 from repro.workloads.workload import AlternatingKV, Workload
@@ -44,9 +46,11 @@ class ClientConfig:
     ``max_outstanding`` is the client's window: up to that many requests
     are kept in flight concurrently, each voted and completed
     independently (what keeps a batching primary's batches full).  The
-    default of 1 is the classic closed loop.  Keep it below the replicas'
-    execution-ledger window (256) or replay detection of very old rids
-    degrades.
+    default of 1 is the classic closed loop.  The session never opens a
+    rid :attr:`~repro.bft.replica.ExecutionLedger.DEFAULT_WINDOW` (256)
+    or more past its oldest open one, so a wider window — or one request
+    that keeps retrying while the others complete — holds new requests
+    back instead of breaking the replicas' replay detection.
 
     ``on_result`` (when set) observes every completion as ``(request,
     accepted_reply)`` — the hook the staleness-bound oracle in the lease
@@ -68,47 +72,69 @@ class ClientConfig:
 @dataclass
 class Exchange:
     """One request in flight: the request as last sent (a fall-back
-    rewrites it under the same rid), when it was first sent, and who has
-    replied so far, grouped by the replies' match key."""
+    rewrites it under the same rid), when it was first sent, who has
+    replied (by the replies' match key), its retransmit deadline (the
+    kernel event), its expiries so far, the member believed primary when
+    it was last sent ordered (None while it is a read), and what the
+    owner files it under."""
 
-    __slots__ = ("request", "sent_at", "votes")  # one per operation: keep it lean
+    __slots__ = ("request", "sent_at", "votes", "deadline", "attempts", "sent_under",
+                 "context")  # one per operation: keep it lean
     request: ClientRequest
     sent_at: float
     votes: Dict[Any, Set[str]]
+    deadline: Optional[ScheduledEvent]
+    attempts: int
+    sent_under: Optional[str]
+    context: Any
 
 
 class ClientSession:
     """One requester's half of the protocol towards one replica group.
 
     Owns the requester's picture of the group (members, the reply quorum,
-    whether reads are leased, the believed primary) and the rules every
-    :class:`Exchange` follows.  ``node`` is the NoC node that sends and
-    is replied to.  Whether an op is a read is not the session's to
-    decide: the owner passes it to :meth:`open`.
+    whether reads are leased, the believed primary), its open
+    ``exchanges`` (by rid, oldest first) and the rules every
+    :class:`Exchange` follows.  ``node`` is the NoC node that sends and is
+    replied to; ``timeout`` is a fresh exchange's retransmit deadline.
+    Whether an op is a read is the owner's to say, in :meth:`open`.
 
-    Two policies are the owner's, not the session's: *who owns the timer*
-    (the owner arms it after :meth:`open` and calls :meth:`escalate` when
-    it expires) and *how often an expiry suspects the primary* (the owner
-    calls :meth:`suspect_primary` — once per expired timer, however many
-    exchanges that timer covers).  Which replica serves a leased read is
-    nobody's choice: :meth:`lease_target` is the key's one leaseholder.
+    The session numbers its requests (rids count up per session, so a
+    group's execution ledger sees one monotone stream per requester) and
+    times each on its own deadline, backed off per exchange.  The primary
+    hint rotates only if it still names the member the expired exchange
+    was last sent under: k exchanges expiring together rotate it once, a
+    second stalled round once more.  :meth:`open` checks the ledger's
+    premise: it opens no rid a ledger window past the oldest open one.
+
+    One policy is the owner's: *when to give up* — :meth:`gives_up` is
+    asked at each expiry (a router gives up on a degraded shard or after
+    ``MAX_ATTEMPTS``, a :class:`ClientNode` never), and which side gives
+    way when :meth:`open` refuses (a client waits for its oldest request,
+    a router fails it).  Which replica serves a leased read is nobody's
+    choice: :meth:`lease_target` is the key's one leaseholder.
 
     A replica group reconfigures its requesters through
     :meth:`configure`, so a session is what sits in a group's ``clients``
     list on behalf of a router.
     """
 
-    #: Each expiry without progress multiplies the timeout by this much.
+    #: Each expiry multiplies an exchange's timeout by this much.
     BACKOFF_FACTOR = 2.0
     #: The backed-off timeout never exceeds this.
     MAX_TIMEOUT = 480_000.0
 
-    def __init__(self, node: Node) -> None:
+    def __init__(self, node: Node, timeout: float) -> None:
         self.node = node
+        self.timeout = timeout
         self.members: List[str] = []
         self.reply_quorum = 1
         self.lease_reads = False
         self.primary_hint = 0
+        self.exchanges: Dict[int, Exchange] = {}
+        self._next_rid = 0
+        self.rotations = 0  # primary-hint rotations: one per stalled round
+        self.read_fallbacks = 0  # reads whose deadline sent them down the ordered path
 
     def configure(
         self, replicas: List[str], reply_quorum: int, lease_reads: bool = False
@@ -151,28 +177,44 @@ class ClientSession:
         return holder if chip is not None and chip.has_node(holder) else None
 
     def open(
-        self, rid: int, op: Any, read_only: bool, lease_target: Optional[str]
-    ) -> Exchange:
-        """Send request ``rid`` and return its exchange: a leased read
-        goes to ``lease_target`` alone — the op's :meth:`lease_target`,
-        which the owner worked out, None for anything but a leased read —
-        any other read to every member (fast path: wait for
-        ``reply_quorum`` matching), a write to the believed primary."""
+        self, op: Any, read_only: bool, lease_target: Optional[str], context: Any = None
+    ) -> Optional[Exchange]:
+        """Send the session's next request, arm its deadline and return
+        its exchange, filed under ``context``: a leased read goes to
+        ``lease_target`` alone — the op's :meth:`lease_target`, which the
+        owner worked out, None for anything but a leased read — any other
+        read to every member (fast path: wait for ``reply_quorum``
+        matching), a write to the believed primary.
+
+        None, and nothing sent, while the next rid would be a ledger
+        window or more past the oldest open one: the replicas would call
+        that one an ancient replay."""
+        rid = self._next_rid
+        exchanges = self.exchanges
+        if exchanges and rid - next(iter(exchanges)) >= ExecutionLedger.DEFAULT_WINDOW:
+            return None
+        self._next_rid = rid + 1
+        node = self.node
         request = ClientRequest(
-            self.node.name, rid, op,
-            read_only=read_only, lease_read=lease_target is not None,
+            node.name, rid, op, read_only=read_only, lease_read=lease_target is not None,
         )
+        primary = None
         if lease_target is not None:
-            self.node.send(lease_target, request, request.wire_size())
+            node.send(lease_target, request, request.wire_size())
         elif read_only:
-            self.node.broadcast(self.members, request, request.wire_size())
+            node.broadcast(self.members, request, request.wire_size())
         else:
-            self.node.send(self.primary(), request, request.wire_size())
-        return Exchange(request, self.node.sim.now, {})
+            primary = self.primary()
+            node.send(primary, request, request.wire_size())
+        sim = node.sim
+        exchange = exchanges[rid] = Exchange(request, sim.now, {}, None, 0, primary, context)
+        exchange.deadline = sim.schedule_at(sim.now + self.timeout, self._on_deadline, exchange)
+        return exchange
 
     def accept(self, exchange: Exchange, sender: str, reply: ClientReply) -> bool:
         """Count ``reply`` towards ``exchange``; True when it completes it
-        (and the replier's view is adopted for primary targeting)."""
+        (the exchange is closed and the replier's view is adopted for
+        primary targeting)."""
         if sender != reply.replica or sender not in self.members:
             return False  # transport-authenticated sender must match the claim
         lease_read = exchange.request.lease_read
@@ -185,7 +227,14 @@ class ClientSession:
         if len(votes) < needed:
             return False
         self.primary_hint = reply.view % len(self.members)
+        self.close(exchange)
         return True
+
+    def close(self, exchange: Exchange) -> None:
+        """Forget ``exchange`` and disarm its deadline (a completing
+        :meth:`accept` does this itself)."""
+        exchange.deadline.cancel()
+        del self.exchanges[exchange.request.rid]
 
     def nacked(self, exchange: Exchange, sender: str, nack: ReadNack) -> bool:
         """No valid lease at the target.  True when the nack is genuine —
@@ -204,40 +253,49 @@ class ClientSession:
     def rebroadcast(self, exchange: Exchange) -> None:
         """Send the exchange's current request to every member."""
         request = exchange.request
+        exchange.sent_under = None if request.read_only else self.primary()
         self.node.broadcast(self.members, request, request.wire_size())
 
-    def escalate(self, exchange: Exchange) -> bool:
-        """``exchange`` timed out: retransmit to every member, so each
-        backup sees the request (that is what arms their view-change
-        timers).  A read whose fast path stalled (concurrent writes or
-        faulty replies) first falls back to the ordered path under the
-        same rid, votes cleared — True when that happened."""
-        fell_back = exchange.request.read_only
-        if fell_back:
-            exchange.request = dataclasses.replace(
-                exchange.request, read_only=False, lease_read=False
-            )
-            exchange.votes = {}
-        self.rebroadcast(exchange)
-        return fell_back
+    def gives_up(self, exchange: Exchange) -> bool:
+        """Asked at each expiry, before anything is resent: True when the
+        owner has given up on ``exchange`` and closed it.  Never, here."""
+        return False
 
-    def suspect_primary(self, current_timeout: float) -> float:
-        """A timer expired: aim at the next member, and return the
-        timeout to wait next (backed off, capped at :attr:`MAX_TIMEOUT`)."""
-        self.primary_hint += 1
-        return min(current_timeout * self.BACKOFF_FACTOR, self.MAX_TIMEOUT)
+    def _on_deadline(self, exchange: Exchange) -> None:
+        """``exchange`` went unanswered.  Unless the owner :meth:`gives_up`,
+        resend it to every member (so each backup's view-change timer
+        arms) and re-arm it backed off; rotate the hint if it still names
+        the member the exchange was last sent under as an ordered request
+        (a stalled read implicates no primary).  A read whose fast path
+        stalled first falls back to the ordered path under the same rid,
+        votes cleared."""
+        exchange.attempts += 1
+        if self.gives_up(exchange):
+            return
+        if self.primary() == exchange.sent_under:
+            self.primary_hint += 1
+            self.rotations += 1
+        request = exchange.request
+        if request.read_only:
+            exchange.request = dataclasses.replace(request, read_only=False, lease_read=False)
+            exchange.votes = {}
+            self.read_fallbacks += 1
+        self.rebroadcast(exchange)
+        delay = min(self.timeout * self.BACKOFF_FACTOR ** exchange.attempts, self.MAX_TIMEOUT)
+        sim = self.node.sim
+        exchange.deadline = sim.schedule_at(sim.now + delay, self._on_deadline, exchange)
 
 
 class ClientNode(Node, TrafficSource):
     """A client of one replica group: the workload loop over a
     :class:`ClientSession`.
 
-    Keeps up to ``max_outstanding`` requests in flight under one timer,
-    issuing the next ``think_time`` after a completion; the session sends
-    each request to the believed primary, collects replies until
-    ``reply_quorum`` *matching* ones arrive (f+1 for BFT — at least one
-    is from a correct replica) and retransmits to all replicas on
-    timeout.
+    Keeps up to ``max_outstanding`` requests in flight, issuing the next
+    ``think_time`` after a completion; the session sends each request to
+    the believed primary, collects replies until ``reply_quorum``
+    *matching* ones arrive (f+1 for BFT — at least one is from a correct
+    replica) and retransmits to all replicas when that request's own
+    deadline expires.  A client never gives up on a request.
 
     Windowed measurement (``completions_in``/``latencies_in``/
     ``max_completion_gap``) comes from the shared
@@ -248,17 +306,23 @@ class ClientNode(Node, TrafficSource):
         Node.__init__(self, name)
         TrafficSource.__init__(self)
         self.config = config or ClientConfig()
-        self.session = ClientSession(self)
-        self._rid = 0
-        self._outstanding: Dict[int, Exchange] = {}
-        self._timeout: Optional[Timeout] = None
-        self._current_timeout = 0.0
+        self.session = ClientSession(self, self.config.timeout)
+        self._issued = 0  # ops taken from the workload
         self.fast_reads_completed = 0
         self.leased_reads_completed = 0
-        self.read_fallbacks = 0
         self.lease_fallbacks = 0
-        self.timeouts = 0
         self.running = False
+
+    @property
+    def timeouts(self) -> int:
+        """Stalled rounds: one per primary-hint rotation, however many
+        requests expired together (what a severity detector samples)."""
+        return self.session.rotations
+
+    @property
+    def read_fallbacks(self) -> int:
+        """Reads whose deadline sent them down the ordered path."""
+        return self.session.read_fallbacks
 
     # ------------------------------------------------------------------
     def configure(
@@ -272,15 +336,15 @@ class ClientNode(Node, TrafficSource):
         if not self.session.members:
             raise ValueError(f"client {self.name} has no replicas configured")
         self.running = True
-        self._timeout = Timeout(self.sim, self.config.timeout, self._on_timeout)
-        self._current_timeout = self.config.timeout
+        self.session.timeout = self.config.timeout
         self._fill_window()
 
     def stop(self) -> None:
         """Stop issuing requests (those in flight are abandoned)."""
         self.running = False
-        if self._timeout is not None:
-            self._timeout.cancel()
+        session = self.session
+        for exchange in list(session.exchanges.values()):
+            session.close(exchange)
 
     # ------------------------------------------------------------------
     @property
@@ -289,34 +353,23 @@ class ClientNode(Node, TrafficSource):
         return self.session.primary()
 
     # ------------------------------------------------------------------
-    # The window: one timer over every outstanding request
+    # The window
     # ------------------------------------------------------------------
     def _fill_window(self) -> None:
         if not self.running:
             return
-        while len(self._outstanding) < self.config.max_outstanding:
-            if self.config.max_requests is not None and self._rid >= self.config.max_requests:
-                if not self._outstanding:
+        config, session = self.config, self.session
+        workload = config.workload
+        while len(session.exchanges) < config.max_outstanding:
+            if config.max_requests is not None and self._issued >= config.max_requests:
+                if not session.exchanges:
                     self.running = False
                 break
-            self._issue_one()
-        assert self._timeout is not None
-        if self._outstanding:
-            if not self._timeout.armed:
-                self._timeout.duration = self._current_timeout
-                self._timeout.start()
-        else:
-            self._timeout.cancel()
-
-    def _issue_one(self) -> None:
-        workload = self.config.workload
-        op = workload.op(self._rid)
-        read = workload.is_read(op)
-        session = self.session
-        self._outstanding[self._rid] = session.open(
-            self._rid, op, read, session.lease_target(op) if read else None
-        )
-        self._rid += 1
+            op = workload.op(self._issued)
+            read = workload.is_read(op)
+            if session.open(op, read, session.lease_target(op) if read else None) is None:
+                break  # a ledger window past the oldest: wait for it
+            self._issued += 1
 
     def _complete_one(self, exchange: Exchange, reply: ClientReply) -> None:
         request = exchange.request
@@ -326,41 +379,18 @@ class ClientNode(Node, TrafficSource):
             self.fast_reads_completed += 1
         if self.config.on_result is not None:
             self.config.on_result(request, reply)
-        del self._outstanding[request.rid]
         self.record_completion(self.sim.now, self.sim.now - exchange.sent_at)
-        # Progress: reset backoff and give the rest a fresh window.
-        self._current_timeout = self.config.timeout
-        assert self._timeout is not None
-        if self._outstanding:
-            self._timeout.duration = self._current_timeout
-            self._timeout.start()
-        else:
-            self._timeout.cancel()
         self.sim.schedule(self.config.think_time, self._fill_window)
-
-    def _on_timeout(self) -> None:
-        if not self.running or not self._outstanding:
-            return
-        self.timeouts += 1
-        # One timer covers the window: escalate everything still open,
-        # then suspect the primary once for the expiry.
-        for exchange in self._outstanding.values():  # in rid order
-            if self.session.escalate(exchange):
-                self.read_fallbacks += 1
-        self._current_timeout = self.session.suspect_primary(self._current_timeout)
-        assert self._timeout is not None
-        self._timeout.duration = self._current_timeout
-        self._timeout.start()
 
     def on_message(self, sender: str, message: Any) -> None:
         if is_corrupted(message):
             return
         if isinstance(message, ReadNack):
-            exchange = self._outstanding.get(message.rid)
+            exchange = self.session.exchanges.get(message.rid)
             if exchange is not None and self.session.nacked(exchange, sender, message):
                 self.lease_fallbacks += 1
                 self.session.rebroadcast(exchange)
         elif isinstance(message, ClientReply):
-            exchange = self._outstanding.get(message.rid)
+            exchange = self.session.exchanges.get(message.rid)
             if exchange is not None and self.session.accept(exchange, sender, message):
                 self._complete_one(exchange, message)

@@ -61,15 +61,16 @@ class ExecutionLedger:
 
     * rid above the watermark       → not executed yet;
     * rid inside the recent window  → executed iff recorded there;
-    * rid at/below watermark−window → an ancient replay, reported executed
-      (a client never advances its rid past an incomplete request by more
-      than its outstanding window, so nothing that old can still be live).
+    * rid at/below watermark−window → an ancient replay, reported executed.
 
-    A rid in the window keeps its result, which answers a retransmit;
-    every correct member at one ``last_executed`` holds the same window,
-    so a state offer can vouch for it.  The window must exceed the
-    largest client ``max_outstanding`` plus re-ordering slack; the
-    default of 256 dwarfs any configured pipeline.
+    The last rule's premise is the requester's to keep, and it checks it:
+    rids count up per requester node and group
+    (:class:`~repro.bft.client.ClientSession`), and a session never opens
+    a rid :attr:`DEFAULT_WINDOW` or more past its oldest open one — a
+    client waits for that one, a router gives it up — so nothing that old
+    is still live.  A rid in the window keeps its result, which answers a
+    retransmit; every correct member at one ``last_executed`` holds the
+    same window, so a state offer can vouch for it.
     """
 
     DEFAULT_WINDOW = 256

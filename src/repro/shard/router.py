@@ -9,8 +9,9 @@ speaks the BFT client protocol to the owning group through one
 
 The router's own part: a multi-key ``("mget", k1, k2, …)`` fans out one
 sub-operation per key to each owning shard and completes when every
-fragment has its quorum; each sub-operation has its own retransmit timer
-and a bounded number of attempts; operations against a shard the
+fragment has its quorum; a sub-operation is one exchange of its shard's
+session, numbered and timed there, and the router gives up on it after
+:attr:`ShardRouter.MAX_ATTEMPTS` expiries; operations against a shard the
 directory has marked degraded fail fast instead of burning retransmit
 timeouts (a leased read still tries its key's leaseholder).
 
@@ -42,7 +43,6 @@ from repro.bft.client import ClientSession, Exchange
 from repro.bft.leases import keys_of
 from repro.bft.messages import ClientReply, ReadNack
 from repro.shard.directory import ShardDirectory
-from repro.sim.events import ScheduledEvent
 from repro.soc.node import Node
 
 
@@ -67,10 +67,11 @@ def default_key_of(op: Any) -> Union[str, List[str]]:
 
 @dataclass
 class RouterConfig:
-    """Routing behaviour parameters: ``timeout`` arms a timer per
-    sub-operation, backed off by the shard's
-    :class:`~repro.bft.client.ClientSession` on each expiry; the
-    sub-operation fails after :attr:`ShardRouter.MAX_ATTEMPTS` of them."""
+    """Routing behaviour parameters: ``timeout`` is a sub-operation's
+    first retransmit deadline, armed and backed off by its shard's
+    :class:`~repro.bft.client.ClientSession`; the sub-operation fails
+    after :attr:`ShardRouter.MAX_ATTEMPTS` expiries, and a shard whose
+    oldest open one trails a ledger window refuses new ones."""
 
     timeout: float = 30_000.0
 
@@ -104,19 +105,42 @@ class TicketResult:
 
 
 class _ShardSession(ClientSession):
-    """The router's session with one shard's group, plus the per-shard
-    bookkeeping only a router keeps."""
+    """The router's session with one shard's group: its open exchanges
+    are the sub-operations in flight there, each filed under its
+    ``(ticket, result slot)``.  Adds the router's give-up policy and the
+    per-shard bookkeeping only a router keeps."""
 
-    def __init__(self, node: Node, shard_id: str, stats: ShardStats) -> None:
-        super().__init__(node)
+    node: "ShardRouter"
+
+    def __init__(self, router: "ShardRouter", shard_id: str, stats: ShardStats) -> None:
+        super().__init__(router, router.config.timeout)
         self.shard_id = shard_id
         self.stats = stats
-        self.inflight = 0  # sub-operations awaiting a quorum from this shard
         # Metric handles, bound on first use: a zero-valued metric created
         # ahead of use would change byte-stable summaries.
         self.ops: Any = None
         self.latency: Any = None
         self.inflight_gauge: Any = None
+
+    def configure(
+        self, replicas: List[str], reply_quorum: int, lease_reads: bool = False
+    ) -> None:
+        super().configure(replicas, reply_quorum, lease_reads)
+        for member in self.members:  # a reply finds its exchange through its sender
+            self.node._session_of[member] = self
+
+    def gives_up(self, exchange: Exchange) -> bool:
+        """Every expiry counts; the sub-operation fails on a degraded
+        shard or at the :attr:`ShardRouter.MAX_ATTEMPTS`-th expiry."""
+        router = self.node
+        router.timeouts += 1
+        self.stats.timeouts += 1
+        attempts = exchange.attempts
+        if router.directory.is_degraded(self.shard_id) or attempts >= router.MAX_ATTEMPTS:
+            router._fail_sub(self, exchange, f"shard {self.shard_id} unresponsive after "
+                                             f"{attempts} attempt(s)")
+            return True
+        return False
 
 
 #: One sub-operation of a route: owning shard, that shard's session (None
@@ -163,24 +187,6 @@ class _Ticket:
     errors: Optional[List[str]]
 
 
-@dataclass
-class _SubOp:
-    """One routed fragment: a client exchange with a single shard, under
-    its own retransmit timer (the kernel event itself).  ``key`` is its
-    result slot in a fan-out (None for a single op)."""
-
-    __slots__ = ("rid", "ticket", "session", "key", "exchange", "current_timeout",
-                 "timer", "attempts")
-    rid: int
-    ticket: _Ticket
-    session: _ShardSession
-    key: Any
-    exchange: Exchange
-    current_timeout: float
-    timer: ScheduledEvent
-    attempts: int
-
-
 class ShardRouter(Node):
     """Routes operations to their owning replica group over the NoC."""
 
@@ -197,9 +203,8 @@ class ShardRouter(Node):
         self.directory = directory
         self.config = config or RouterConfig()
         self._sessions: Dict[str, _ShardSession] = {}
+        self._session_of: Dict[str, _ShardSession] = {}  # by member
         self.stats: Dict[str, ShardStats] = {}
-        self._rid = 0
-        self._subops: Dict[int, _SubOp] = {}
         self.timeouts = 0
 
     # ------------------------------------------------------------------
@@ -291,7 +296,7 @@ class ShardRouter(Node):
     @property
     def inflight(self) -> int:
         """Sub-operations currently awaiting a quorum."""
-        return len(self._subops)
+        return sum(len(session.exchanges) for session in self._sessions.values())
 
     def _issue(
         self,
@@ -315,41 +320,33 @@ class ShardRouter(Node):
             self._counter(shard_id, "rejected_degraded").inc()
             self._reject(ticket, f"shard {shard_id} degraded")
             return
-        rid = self._rid
-        self._rid = rid + 1
-        session.inflight += 1
-        self._set_inflight_gauge(session)
         # A leased read is one NoC hop to the key's leaseholder; a ReadNack
         # (no covering lease) falls back to the quorum path.
-        exchange = session.open(rid, op, read_only, target)
-        timeout = self.config.timeout
-        sim = self.sim
-        self._subops[rid] = _SubOp(
-            rid, ticket, session, key, exchange, timeout,
-            sim.schedule_at(sim.now + timeout, self._on_timeout, rid), 0,
-        )
+        context = (ticket, key)
+        if session.open(op, read_only, target, context) is None:
+            # The oldest sub-operation trails a ledger window: it gives way.
+            oldest = next(iter(session.exchanges.values()))
+            self._fail_sub(session, oldest, f"shard {shard_id} left it a ledger window behind")
+            session.open(op, read_only, target, context)
+        self._set_inflight_gauge(session)
 
     # ------------------------------------------------------------------
     # Reply and timeout handling
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
         kind = type(message)
-        if kind is ReadNack:
-            self._handle_read_nack(sender, message)
-            return
-        if kind is not ClientReply:
+        if kind is not ClientReply and kind is not ReadNack:
             return  # corrupted in transit, or not addressed to a router
-        sub = self._subops.get(message.rid)
-        if sub is not None and sub.session.accept(sub.exchange, sender, message):
-            self._complete_sub(sub, message)
-
-    def _handle_read_nack(self, sender: str, nack: ReadNack) -> None:
-        """No covering lease at the target: fall back to the quorum path."""
-        sub = self._subops.get(nack.rid)
-        if sub is None:
+        session = self._session_of.get(sender)
+        exchange = None if session is None else session.exchanges.get(message.rid)
+        if exchange is None:
             return
-        session = sub.session
-        if not session.nacked(sub.exchange, sender, nack):
+        if kind is ClientReply:
+            if session.accept(exchange, sender, message):
+                self._complete_sub(session, exchange, message)
+            return
+        # No covering lease at the target: fall back to the quorum path.
+        if not session.nacked(exchange, sender, message):
             return
         shard_id = session.shard_id
         self._counter(shard_id, "lease_fallbacks").inc()
@@ -357,58 +354,31 @@ class ShardRouter(Node):
             # The lease attempt was the only path past a degraded shard.
             session.stats.rejected_degraded += 1
             self._counter(shard_id, "rejected_degraded").inc()
-            self._fail_sub(sub, f"shard {shard_id} degraded")
+            self._fail_sub(session, exchange, f"shard {shard_id} degraded")
             return
-        session.rebroadcast(sub.exchange)
+        session.rebroadcast(exchange)
 
-    def _on_timeout(self, rid: int) -> None:
-        sub = self._subops.get(rid)
-        if sub is None:
-            return
-        session = sub.session
-        sub.attempts += 1
-        self.timeouts += 1
-        session.stats.timeouts += 1
-        if self.directory.is_degraded(session.shard_id) or sub.attempts >= self.MAX_ATTEMPTS:
-            self._fail_sub(sub, f"shard {session.shard_id} unresponsive after "
-                                f"{sub.attempts} attempt(s)")
-            return
-        # One timer per sub-operation, so every expired sub-operation
-        # suspects the primary: k of them expiring together towards one
-        # shard rotate its hint k times (known, kept; ROADMAP item 1 (b)).
-        session.escalate(sub.exchange)
-        sub.current_timeout = session.suspect_primary(sub.current_timeout)
-        sim = self.sim
-        sub.timer = sim.schedule_at(sim.now + sub.current_timeout, self._on_timeout, rid)
-
-    def _complete_sub(self, sub: _SubOp, reply: ClientReply) -> None:
-        del self._subops[sub.rid]
-        sub.timer.cancel()
-        session = sub.session
-        session.inflight -= 1
+    def _complete_sub(self, session: _ShardSession, exchange: Exchange, reply: ClientReply) -> None:
         session.stats.completed += 1
         if session.ops is None:
             session.ops = self._counter(session.shard_id, "ops")
             session.latency = self.chip.metrics.histogram(f"shard.{session.shard_id}.latency")
         session.ops.inc()
-        session.latency.observe(self.sim.now - sub.exchange.sent_at)
+        session.latency.observe(self.sim.now - exchange.sent_at)
         self._set_inflight_gauge(session)
-        ticket = sub.ticket
+        ticket, key = exchange.context
         if ticket.multi:
-            ticket.value[sub.key] = reply.result
+            ticket.value[key] = reply.result
         else:
             ticket.value = reply.result
         self._sub_done(ticket)
 
-    def _fail_sub(self, sub: _SubOp, reason: str) -> None:
-        del self._subops[sub.rid]
-        sub.timer.cancel()
-        session = sub.session
-        session.inflight -= 1
+    def _fail_sub(self, session: _ShardSession, exchange: Exchange, reason: str) -> None:
+        session.close(exchange)
         session.stats.failed += 1
         self._counter(session.shard_id, "failed_ops").inc()
         self._set_inflight_gauge(session)
-        self._reject(sub.ticket, reason)
+        self._reject(exchange.context[0], reason)
 
     def _reject(self, ticket: _Ticket, reason: str) -> None:
         if ticket.errors is None:
@@ -440,4 +410,4 @@ class ShardRouter(Node):
             gauge = session.inflight_gauge = self.chip.metrics.gauge(
                 f"shard.{session.shard_id}.inflight"
             )
-        gauge.set(session.inflight)
+        gauge.set(len(session.exchanges))

@@ -208,7 +208,7 @@ def test_target_server_and_revoked_member_are_the_keys_one_holder(members, key, 
     primary = members[view % len(members)]
     # The requester aims the key's leased reads at the holder.
     node = SimpleNamespace(name="c", chip=SimpleNamespace(has_node=lambda name: True))
-    session = ClientSession(node)
+    session = ClientSession(node, 1_000.0)
     session.configure(members, 1, lease_reads=True)
     assert session.lease_target(("get", key)) == holder
     # Every backup is granted every range; only the holder serves the key

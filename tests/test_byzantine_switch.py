@@ -136,17 +136,17 @@ def run_round_trip(seed, strategy=None, target=1):
     return group, sum(_drive(sim, group, seed, strategy, target, steps))
 
 
-def run_switch(seed, protocol, to):
-    """One switch ``protocol`` → ``to`` at t1 under two closed-loop
-    (window-1) clients, no Byzantine member; returns (group, each
-    client's completions in the window)."""
+def run_switch(seed, protocol, to, window=1):
+    """One switch ``protocol`` → ``to`` at t1 under two clients of
+    ``window`` outstanding requests (closed-loop by default), no Byzantine
+    member; returns (group, each client's completions in the window)."""
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=6, height=6))
     group = build_group(
         chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=_config(protocol))
     )
     steps = [(switch_at(seed), lambda: group.switch_protocol(to), False)]
-    return group, _drive(sim, group, seed, None, 1, steps, window=1)
+    return group, _drive(sim, group, seed, None, 1, steps, window=window)
 
 
 def _deploy(seed, protocol):
@@ -249,3 +249,20 @@ def test_every_closed_loop_client_is_served_after_a_switch(protocol, to, seed):
     group, served = run_switch(seed, protocol, to)
     assert group.safety.is_safe
     assert min(served) > 0, served
+
+
+def test_no_request_is_stranded_after_a_switch_under_windowed_clients():
+    """While a client kept one timer over its window and every completion
+    restarted it, a request whose replies were lost was never resent as
+    long as its other slots kept completing: after one minbft → cft
+    switch, two window-6 clients stranded 52 requests over seeds 1–20,
+    5 of them on seed 1.  Each request now has its own deadline."""
+    group, served = run_switch(1, "minbft", "cft", window=6)
+    now = group.chip.sim.now
+    stranded = [
+        (client.name, rid) for client in group.clients
+        for rid, exchange in client.session.exchanges.items()
+        if now - exchange.sent_at > 2 * client.config.timeout
+    ]
+    assert group.safety.is_safe
+    assert stranded == [] and min(served) > 0, (stranded, served)

@@ -5,8 +5,8 @@ requester's half of the protocol.  Every rule below is checked through a
 :class:`ClientNode` with a window of one (the closed loop), a
 :class:`ClientNode` with a wider window, and a :class:`ShardRouter`
 sub-operation — the requester's sends are captured instead of delivered,
-replies and nacks are handed to ``on_message`` and timers are expired by
-hand, so each row sees exactly one decision.
+replies and nacks are handed to ``on_message`` and the simulator is run
+to an exchange's deadline, so each row sees exactly one decision.
 """
 
 import inspect
@@ -16,6 +16,7 @@ import pytest
 import repro.shard.router
 from repro.bft import ClientConfig, ClientNode, ClientSession
 from repro.bft.messages import ClientReply, ReadNack
+from repro.bft.replica import ExecutionLedger
 from repro.noc import Coord
 from repro.shard import RouterConfig, ShardRouter
 from repro.shard.directory import ShardDirectory
@@ -85,32 +86,28 @@ class Requester:
         self.node.on_message(sender, ReadNack(replica or sender, client, rid))
 
     def expire(self, rid=0):
-        """Fire the timer that covers ``rid``."""
-        if isinstance(self.node, ShardRouter):
-            self.node._on_timeout(rid)
-        else:
-            self.node._on_timeout()
+        """Run to ``rid``'s deadline: it fires, with every deadline due
+        at the same instant (a window sent together expires together)."""
+        self.sim.run(until=self.exchange(rid).deadline.time)
         return self.take_sent()
 
     # -- observing -------------------------------------------------------
     def exchange(self, rid=0):
         """The open exchange for ``rid``; None once it completed."""
-        if isinstance(self.node, ShardRouter):
-            sub = self.node._subops.get(rid)
-            return None if sub is None else sub.exchange
-        return self.node._outstanding.get(rid)
+        return self.session.exchanges.get(rid)
 
     def timeout_of(self, rid=0):
-        if isinstance(self.node, ShardRouter):
-            return self.node._subops[rid].current_timeout
-        return self.node._current_timeout
+        """How long ``rid`` waits from now (just sent or just resent)."""
+        return self.exchange(rid).deadline.time - self.sim.now
 
     def fresh_timeout(self):
         """The timeout the next request starts from."""
         if isinstance(self.node, ShardRouter):
             self.node.submit(WRITE)
-            return self.node._subops[max(self.node._subops)].current_timeout
-        return self.node._current_timeout
+        else:
+            self.sim.run(until=self.sim.now + self.node.config.think_time)
+        newest = self.session.exchanges[max(self.session.exchanges)]
+        return newest.deadline.time - newest.sent_at
 
     def lease_fallbacks(self):
         if isinstance(self.node, ShardRouter):
@@ -233,8 +230,13 @@ def test_read_timeout_falls_back_to_the_ordered_path_under_the_same_rid(kind):
     sent = rq.expire()
     request = exchange.request
     assert request.rid == 0 and not request.read_only and not request.lease_read
-    assert exchange.votes == {} and rq.node.timeouts == 1
-    assert dsts(sent) == MEMBERS and all(m is request for d, m in sent if m.rid == 0)
+    assert exchange.votes == {} and dsts(sent) == MEMBERS
+    assert all(m is request for d, m in sent if m.rid == 0)
+    # A stalled read implicates no primary; once ordered, its next expiry does.
+    assert rq.session.rotations == 0 and rq.session.primary() == "g-r0"
+    rq.expire()
+    assert rq.session.rotations == 1 and rq.session.primary() == "g-r1"
+    assert rq.node.timeouts == (2 if kind == "router" else 1)
     # A leased read skips the quorum read and goes straight to ordered.
     rq = Requester(kind, lease_reads=True)
     rq.issue(READ)
@@ -249,7 +251,7 @@ def test_write_timeout_rebroadcasts_suspects_and_backs_off(kind, monkeypatch):
     assert dsts(rq.issue(WRITE)) == ["g-r0"]
     assert rq.timeout_of() == TIMEOUT and rq.session.primary() == "g-r0"
     sent = rq.expire()
-    for rid in range(rq.window):  # the one timer covers the whole window
+    for rid in range(rq.window):  # a window sent together expires together
         assert dsts(sent, rid) == MEMBERS
     assert rq.session.primary_hint == 1 and rq.session.primary() == "g-r1"
     assert rq.timeout_of() == 2 * TIMEOUT
@@ -261,6 +263,8 @@ def test_write_timeout_rebroadcasts_suspects_and_backs_off(kind, monkeypatch):
 
 
 def test_completion_adopts_the_view_and_resets_the_backoff(kind):
+    """The completed exchange's backoff goes with it: the next request
+    starts from the base timeout."""
     rq = Requester(kind, lease_reads=False)
     rq.issue(WRITE)
     rq.expire()
@@ -289,6 +293,10 @@ def test_reconfigure_repoints_exchanges_in_flight(kind):
     rq.reply("g-r0")  # left the group: no longer counted
     assert rq.exchange().votes == {}
     assert dsts(rq.expire()) == grown[:3]  # retransmits follow the new membership
+    # It was last sent under g-r2; the new membership re-aimed the hint, so
+    # this expiry does not rotate it.  The next one does.
+    assert rq.session.primary() == OUTSIDER
+    rq.expire()
     assert rq.session.primary() == "g-r1"  # hint 3 wraps over three members
     for name in grown[:2]:
         rq.reply(name)
@@ -300,27 +308,26 @@ def test_reconfigure_repoints_exchanges_in_flight(kind):
 
 
 # ----------------------------------------------------------------------
-# The two policies that stay with the owners
+# One deadline per exchange, one hint rotation per round
 # ----------------------------------------------------------------------
-def test_who_owns_the_timer_decides_how_often_the_primary_is_suspected():
-    """A client's one timer suspects once per expiry however wide the
-    window; a router has one timer per sub-operation, so k sub-operations
-    to one shard expiring together rotate the hint k times (known and
-    kept — ROADMAP item 1 (b))."""
-    client = Requester("client-w4", lease_reads=False)
-    client.issue(WRITE)
-    client.expire()
-    assert client.session.primary_hint == 1
-    router = Requester("router", lease_reads=False)
-    for _ in range(4):
-        router.issue(WRITE)
-    for rid in range(4):
-        router.expire(rid)
-    assert router.session.primary_hint == 4
+@pytest.mark.parametrize("kind", ["client-w4", "router"])
+def test_exchanges_expiring_together_rotate_the_hint_once_per_round(kind):
+    """Four exchanges of one session sent under one primary expire
+    together: the hint rotates once, and a second stalled round rotates
+    it once more.  A client counts a timeout per rotation, a router one
+    per sub-operation expiry."""
+    rq = Requester(kind, lease_reads=False)
+    for _ in range(1 if kind == "client-w4" else 4):
+        rq.issue(WRITE)
+    assert sorted(rq.session.exchanges) == [0, 1, 2, 3]
+    sent = rq.expire()
+    assert all(dsts(sent, rid) == MEMBERS for rid in range(4))
+    assert rq.session.primary() == "g-r1" and rq.session.rotations == 1
+    rq.expire()
+    assert rq.session.primary() == "g-r2" and rq.session.rotations == 2
+    assert rq.node.timeouts == (2 if kind == "client-w4" else 8)
 
 
-@pytest.mark.xfail(strict=True, reason="finding: each completion restarts the window's one "
-                   "timer, so a lost request waits while its neighbours complete (ROADMAP item 2)")
 def test_a_request_whose_replies_were_lost_is_retransmitted_while_the_window_completes():
     """rid 0's replies are lost while the other slot of a window-2 client
     completes every quarter timeout: rid 0 must still go to every member
@@ -328,7 +335,7 @@ def test_a_request_whose_replies_were_lost_is_retransmitted_while_the_window_com
     rq = Requester("client-w2", lease_reads=False)
     rq.issue(WRITE)  # rids 0 and 1 in flight
     while rq.sim.now <= TIMEOUT:
-        rid = max(rq.node._outstanding)
+        rid = max(rq.session.exchanges)
         if rid != 0:
             for sender in MEMBERS[:2]:
                 rq.reply(sender, rid=rid)
@@ -337,16 +344,65 @@ def test_a_request_whose_replies_were_lost_is_retransmitted_while_the_window_com
     assert sorted(dsts(rq.sent)) == MEMBERS
 
 
+def _complete_all_but_rid_0(rq, rounds):
+    """Each round, answer the newest open request unless it is rid 0
+    (whose replies are lost), then let 100 ms pass and a router submit
+    one more write; a client refills its window by itself."""
+    for _ in range(rounds):
+        newest = max(rq.session.exchanges)
+        if newest:
+            for sender in MEMBERS[:2]:
+                rq.reply(sender, rid=newest)
+        if isinstance(rq.node, ShardRouter):
+            rq.node.submit(WRITE, rq.results.append)
+        rq.sim.run(until=rq.sim.now + 100.0)
+
+
+def test_a_client_waits_while_its_oldest_request_trails_a_ledger_window():
+    """The replicas' ledger calls a rid a window below its newest executed
+    one an ancient replay, so a session never opens a rid that far past
+    its oldest open one.  A client's window does not bound that span
+    while one request keeps retrying and the others complete: the new
+    request gives way and waits for the oldest."""
+    window = ExecutionLedger.DEFAULT_WINDOW
+    rq = Requester("client-w2", lease_reads=False)
+    rq.issue(WRITE)
+    _complete_all_but_rid_0(rq, 2 * window)
+    assert list(rq.session.exchanges) == [0] and rq.exchange(0).attempts >= 5
+    assert rq.session._next_rid == window and rq.node.completed == window - 1
+    rq.reply("g-r0")
+    rq.reply("g-r1")  # rid 0 completes: the window refills
+    rq.sim.run(until=rq.sim.now + 100.0)
+    assert sorted(rq.session.exchanges) == [window, window + 1]
+
+
+def test_a_router_gives_up_a_sub_operation_a_ledger_window_behind():
+    """A router cannot make its submitters wait: at the rid that would
+    put its oldest open sub-operation a ledger window behind, that oldest
+    one gives way — it fails — and the new one goes out."""
+    window = ExecutionLedger.DEFAULT_WINDOW
+    rq = Requester("router", lease_reads=False)
+    rq.issue(WRITE)
+    _complete_all_but_rid_0(rq, 2 * window)
+    failed = [r.error for r in rq.results if not r.ok]
+    assert failed == ["shard s0 left it a ledger window behind"]
+    assert len(rq.results) == 2 * window and list(rq.session.exchanges) == [2 * window]
+    assert rq.node.stats["s0"].failed == 1
+
+
 # ----------------------------------------------------------------------
 # One copy
 # ----------------------------------------------------------------------
+#: The session's exchange rules, its deadline methods among them: ``open``
+#: numbers and arms, ``_on_deadline`` resends, backs off and rotates the
+#: hint, ``close`` disarms.
 RULES = (
-    "primary", "open", "accept", "nacked", "rebroadcast", "escalate",
-    "suspect_primary",
+    "primary", "open", "accept", "nacked", "rebroadcast", "close", "_on_deadline",
 )
 RULE_TEXT = (
     ".replica or sender not in", "dataclasses.replace(", "BACKOFF_FACTOR",
     "primary_hint +=", "reply.view %", "match_key()", "ClientRequest(",
+    "schedule_at(", "_next_rid", "MAX_TIMEOUT",
 )
 
 

@@ -333,13 +333,14 @@ def test_a_get_submitted_without_read_only_is_ordered():
 # O(1) per-op bookkeeping: in-flight counts and the lease-target order
 # ----------------------------------------------------------------------
 def _scan_inflight(router, shard_id):
-    """The per-shard in-flight depth as the router used to compute it."""
-    return sum(1 for sub in router._subops.values() if sub.session.shard_id == shard_id)
+    """The per-shard in-flight depth: the shard session's open exchanges."""
+    return len(router._sessions[shard_id].exchanges)
 
 
 def test_per_shard_inflight_count_equals_a_scan_of_the_subops(monkeypatch):
     """Through issue, completion, timeout-failure and degraded fast-fail
-    the maintained count, the scan and the published gauge agree."""
+    the shard sessions' open exchanges, the published gauge and the
+    router's total agree."""
     monkeypatch.setattr(ShardRouter, "MAX_ATTEMPTS", 2)
     system = build(n_shards=2, router=RouterConfig(timeout=5_000.0))
     router = system.place_router("c0")
@@ -348,11 +349,10 @@ def test_per_shard_inflight_count_equals_a_scan_of_the_subops(monkeypatch):
 
     def check():
         for sid in shards:
-            assert router._sessions[sid].inflight == _scan_inflight(router, sid), sid
             gauge = system.chip.metrics.gauge(f"shard.{sid}.inflight")
             if sid in seen:
-                assert gauge.value == _scan_inflight(router, sid)
-        assert router.inflight == sum(router._sessions[sid].inflight for sid in shards)
+                assert gauge.value == _scan_inflight(router, sid), sid
+        assert router.inflight == sum(_scan_inflight(router, sid) for sid in shards)
 
     seen, done = set(), []
     keys = [f"k{i}" for i in range(24)]
@@ -375,11 +375,11 @@ def test_per_shard_inflight_count_equals_a_scan_of_the_subops(monkeypatch):
     for key in s0_keys:
         router.submit(("put", key, 0), done.append)
     check()
-    assert router._sessions["s0"].inflight == len(s0_keys)
+    assert _scan_inflight(router, "s0") == len(s0_keys)
     for _ in range(60):
         system.run(500)
         check()
-    assert router._sessions["s0"].inflight == 0 and router.stats["s0"].failed == len(s0_keys)
+    assert _scan_inflight(router, "s0") == 0 and router.stats["s0"].failed == len(s0_keys)
     system.directory.mark_degraded("s0")
     router.submit(("put", s0_keys[0], 1), done.append)  # fails fast, never in flight
     check()
@@ -424,13 +424,16 @@ def test_lease_target_is_the_keys_holder_whatever_the_placement():
 
 
 # ----------------------------------------------------------------------
-# A sub-operation's life: its timer is one kernel event
+# A sub-operation's life: its deadline is one kernel event
 # ----------------------------------------------------------------------
 def _pending_router_events(system, router):
-    """Kernel events still due that would call back into ``router``."""
+    """Kernel events still due that would call back into ``router`` or
+    one of its shard sessions."""
+    owners = [router, *router._sessions.values()]
     return [
         event for *_, event in system.sim._heap
-        if event.pending and getattr(event.callback, "__self__", None) is router
+        if event.pending and any(getattr(event.callback, "__self__", None) is owner
+                                 for owner in owners)
     ]
 
 
@@ -443,10 +446,11 @@ def test_a_completed_sub_op_leaves_nothing_armed_in_the_kernel():
     assert driver.completed > 50
     while router.inflight == 0:
         system.sim.step()
-    # An op in flight: its sub-operation's timer is armed, and only it.
+    # An op in flight: its sub-operation's deadline is armed, and only it.
     armed = _pending_router_events(system, router)
     assert router.inflight == 1 and len(armed) == 1
-    assert armed[0].time == router._subops[max(router._subops)].exchange.sent_at + 30_000.0
+    (exchange,) = [e for s in router._sessions.values() for e in s.exchanges.values()]
+    assert armed[0] is exchange.deadline and armed[0].time == exchange.sent_at + 30_000.0
     driver.stop()
     system.run(30_000)
     assert router.inflight == 0
@@ -468,9 +472,10 @@ def test_an_unanswered_sub_op_backs_off_then_fails_after_max_attempts():
     router.add_outbound_filter(
         lambda dst, message: sends.append((system.sim.now, dst)) or message
     )
-    expiries = []
-    on_timeout = router._on_timeout
-    router._on_timeout = lambda rid: (expiries.append(system.sim.now), on_timeout(rid))
+    expiries = []  # the router's give-up policy is asked at every expiry
+    session = router._sessions["s0"]
+    gives_up = session.gives_up
+    session.gives_up = lambda exchange: (expiries.append(system.sim.now), gives_up(exchange))[1]
     key = next(k for k in (f"k{i}" for i in range(64))
                if system.directory.shard_for(k) == "s0")
     results = []
@@ -491,3 +496,55 @@ def test_an_unanswered_sub_op_backs_off_then_fails_after_max_attempts():
     assert router.stats["s0"].failed == 1 and router.stats["s0"].completed == 0
     assert system.chip.metrics.counter("shard.s0.failed_ops").value == 1
     assert router.inflight == 0 and _pending_router_events(system, router) == []
+
+
+# ----------------------------------------------------------------------
+# Rids per (router, shard): one shard's traffic does not age another's
+# ----------------------------------------------------------------------
+def test_a_stalled_shard_is_not_told_a_request_was_executed_that_it_never_ran(monkeypatch):
+    """While a router numbered the sub-operations of every shard from one
+    counter, a request whose first send to ``s0`` was lost came back —
+    after ``s1`` completed more than a ledger window of sub-operations and
+    ``s0`` executed a newer one — as an ancient replay: ``s0`` answered
+    "already executed" for a request no member of it ran, and the
+    sub-operation could only fail after MAX_ATTEMPTS.  Each shard session
+    now numbers its own."""
+    from repro.bft.replica import BaseReplica, ExecutionLedger
+
+    answered = []
+    already_executed = BaseReplica.already_executed
+
+    def recording(replica, request):
+        seen = already_executed(replica, request)
+        if seen:
+            answered.append((replica.name, request.key()))
+        return seen
+
+    monkeypatch.setattr(BaseReplica, "already_executed", recording)
+    timeout = 150_000.0
+    system = build(n_shards=2, router=RouterConfig(timeout=timeout))
+    router = system.place_router("c0")
+    system.start(warmup=60_000)
+    keys = {sid: [k for k in (f"k{i}" for i in range(64)) if system.directory.shard_for(k) == sid]
+            for sid in ("s0", "s1")}
+    s0 = system.shards["s0"].group
+    lost = [True]
+    router.add_outbound_filter(lambda dst, message: None if lost[0] and dst in s0.members else message)
+    stalled = []
+    sent_at = system.sim.now
+    router.submit(("put", keys["s0"][0], "x"), stalled.append)  # its first send is lost
+    lost[0] = False
+    done = []
+    n = ExecutionLedger.DEFAULT_WINDOW + 44
+    for i in range(n):
+        router.submit(("put", keys["s1"][i % len(keys["s1"])], i), done.append)
+        while i % 50 == 49 and router.inflight > 1:
+            system.run(1_000)
+    router.submit(("put", keys["s0"][1], "y"), done.append)  # s0 executes a newer one
+    while router.inflight > 1:
+        system.run(1_000)
+    assert len(done) == n + 1 and all(r.ok for r in done)
+    assert not stalled and system.sim.now < sent_at + timeout
+    system.run(sent_at + timeout + 20_000 - system.sim.now)  # its deadline: resent to all
+    assert [r.ok for r in stalled] == [True]
+    assert answered == []
