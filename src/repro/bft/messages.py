@@ -597,10 +597,12 @@ class StateAck:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Primary liveness beacon for the backup's failure detector."""
+    """Primary liveness beacon for the backup's failure detector, with the
+    view its sender leads (the header already counts a view)."""
 
     primary: str
     seq: int
+    view: int
 
     def wire_size(self) -> int:
         return HEADER_BYTES + 8

@@ -13,9 +13,11 @@ The role is the view, as in every family: the view's primary
 heartbeats; every other member is a backup that applies StateUpdates
 from that primary alone and runs the failure detector on it.  A detector
 timeout moves a backup to ``view + 1``, and it promotes only if it leads
-that view — one promotion per primary crash, whatever f is.  A primary
-that returns after its backup took over learns the newer view from the
-state it syncs on recovery and is a backup from then on.
+that view — one promotion per primary crash, whatever f is.  A heartbeat
+carries its sender's view, and a member that hears the primary of a
+newer view enters it: a primary that returns after its backup took over
+follows the new primary within one heartbeat period, with no state
+transfer, and is a backup from then on.
 
 Crash-only fault model: a Byzantine primary trivially corrupts the backup
 (it ships state updates unchecked) — another reason the adaptation layer
@@ -101,7 +103,7 @@ class PassiveReplica(BaseReplica):
     def _send_heartbeat(self) -> None:
         if self.state is NodeState.CRASHED or not self.is_primary:
             return
-        message = Heartbeat(self.name, self.last_executed)
+        message = Heartbeat(self.name, self.last_executed, self.view)
         self.broadcast(self.other_members(), message, message.wire_size())
 
     # ------------------------------------------------------------------
@@ -163,6 +165,8 @@ class PassiveReplica(BaseReplica):
         self.send(sender, ack, ack.wire_size())
 
     def _handle_heartbeat(self, sender: str, message: Heartbeat) -> None:
+        if message.view > self.view and sender == self.group.primary_of(message.view):
+            self._enter_era(message.view)  # e.g. a returning primary: follow the new one
         if sender == self.primary and not self.is_primary:
             self._watch_primary()
 
@@ -187,9 +191,8 @@ class PassiveReplica(BaseReplica):
 
     # ------------------------------------------------------------------
     def on_state_synced(self) -> None:
-        """A primary that returns after its backup took over learns the
-        view from the state it adopted: from then on it is a backup, and
-        watches the new primary."""
+        """A member that adopted a newer view from a transferred state is
+        a backup from then on, and watches the new primary."""
         if not self.is_primary and (self._detector is None or not self._detector.armed):
             self._watch_primary()
 

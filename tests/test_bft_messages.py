@@ -76,7 +76,7 @@ def all_messages():
         CommitNotice(0, 1, "r0"),
         StateUpdate(1, request, "OK", b"\x00" * 32),
         StateAck(1, "r1"),
-        Heartbeat("r0", 5),
+        Heartbeat("r0", 5, 0),
         StateRequest("r1", 10),
         StateResponse("r0", 12, b"\x00" * 32, {"executed_requests": {}}),
     ]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
+from repro.bft.messages import StateRequest
 from repro.bft.passive import PassiveConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
@@ -119,3 +120,26 @@ def test_updates_after_promotion_continue_sequence():
     backup = group.replicas[group.members[1]]
     assert backup.last_executed > primary_executed
     assert group.safety.is_safe
+
+
+def test_a_returning_primary_follows_the_new_one_within_a_heartbeat():
+    """A heartbeat carries its sender's view: a primary that returns
+    after its backup took over hears the new primary's next beat, enters
+    its view and watches it — with no state transfer (the new primary
+    drops every StateRequest here).  Before, only a recovery sync carried the
+    view, so without one it led its stale view."""
+    sim, chip, group, client = build(view_timeout=8_000, heartbeat=2_000)
+    client.start()
+    old, new = (group.replicas[name] for name in group.members)
+    sim.run(until=100_000)
+    group.crash(old.name)
+    sim.run(until=150_000)
+    assert new.is_primary and new.view == 1 and old.view == 0
+    new.add_inbound_filter(lambda sender, message: None if isinstance(message, StateRequest) else message)
+    back = sim.now
+    old.recover()
+    sim.run(until=back + 2_000)
+    assert old.view == new.view == 1 and not old.is_primary
+    assert old._detector is not None and old._detector.armed  # it watches the new primary
+    sim.run(until=back + 100_000)
+    assert new.is_primary and not old.is_primary and group.safety.is_safe
