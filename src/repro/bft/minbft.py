@@ -375,6 +375,21 @@ class MinBftReplica(BaseReplica):
     def on_state_synced(self) -> None:
         self._drain_ready()
 
+    def on_state_imported(self) -> None:
+        """A state that carries a newer view ends this member's older one,
+        as entering the view does: a slot it prepared there can no longer
+        execute (its request is still pending and gets re-proposed)."""
+        view = self.view
+        if any(slot.prepare is not None and slot.prepare.view < view
+               for slot in self._slots.values()):
+            self._drop_slots()
+
+    def _drop_slots(self) -> None:
+        self._slots.clear()
+        self._ordering.clear()
+        self._exec_cursor = None  # next accepted prepare re-anchors it
+        self._ready.clear()
+
     # ------------------------------------------------------------------
     # View change (REQ-VIEW-CHANGE → VIEW-CHANGE → NEW-VIEW)
     # ------------------------------------------------------------------
@@ -450,10 +465,7 @@ class MinBftReplica(BaseReplica):
         cleared and the cursor re-anchored they could never execute or be
         dropped; their requests are still pending and get re-proposed.
         """
-        self._slots.clear()
-        self._ordering.clear()
-        self._exec_cursor = None  # next accepted prepare re-anchors it
-        self._ready.clear()
+        self._drop_slots()
         self._next_seq = max(self._next_seq, start)
         for stale in [v for v in self._req_view_change_votes if v <= new_view]:
             del self._req_view_change_votes[stale]

@@ -237,6 +237,17 @@ def test_a_pinned_unsafe_case_still_breaks_agreement(variant, seed, strategy, ta
     assert group.safety.is_safe
 
 
+def test_a_member_that_adopts_a_newer_view_by_state_transfer_drops_its_older_slots():
+    """Seed 12's scale-out under a dropping primary: the joining member,
+    still syncing, committed a view-0 PREPARE for seq 13 on the dropping
+    primary's vote and its own; it then adopted a view-1 state at seq 12
+    and executed that PREPARE at 13, against what view 1 committed there.
+    A state that carries a newer view now ends the older one, as entering
+    the view does (found when client timing moved under this sweep)."""
+    group, _ = run_scale_out(12, "drop", 0)
+    assert group.safety.is_safe
+
+
 def test_a_scaled_out_cft_group_survives_a_leader_crash():
     group, served = run_cft_scale_out(3, CRASH_AFTER[0])
     assert len(group.members) == 4
