@@ -107,11 +107,11 @@ class ClientSession:
     second stalled round once more.  :meth:`open` checks the ledger's
     premise: it opens no rid a ledger window past the oldest open one.
 
-    One policy is the owner's: *when to give up* — :meth:`gives_up` is
-    asked at each expiry (a router gives up on a degraded shard or after
-    ``MAX_ATTEMPTS``, a :class:`ClientNode` never), and which side gives
-    way when :meth:`open` refuses (a client waits for its oldest request,
-    a router fails it).  Which replica serves a leased read is nobody's
+    What stays the owner's is giving up: :meth:`gives_up` is asked at
+    each expiry (a router gives up on a degraded shard or after
+    ``MAX_ATTEMPTS``, a :class:`ClientNode` never), and the owner decides
+    which side gives way when :meth:`open` refuses (a client waits for
+    its oldest request, a router fails it).  Which replica serves a leased read is nobody's
     choice: :meth:`lease_target` is the key's one leaseholder.
 
     A replica group reconfigures its requesters through
@@ -191,7 +191,9 @@ class ClientSession:
         that one an ancient replay."""
         rid = self._next_rid
         exchanges = self.exchanges
-        if exchanges and rid - next(iter(exchanges)) >= ExecutionLedger.DEFAULT_WINDOW:
+        # Every open rid is above the last one opened minus the window, so
+        # only this one can be a window behind.
+        if rid - ExecutionLedger.DEFAULT_WINDOW in exchanges:
             return None
         self._next_rid = rid + 1
         node = self.node
@@ -318,11 +320,6 @@ class ClientNode(Node, TrafficSource):
         """Stalled rounds: one per primary-hint rotation, however many
         requests expired together (what a severity detector samples)."""
         return self.session.rotations
-
-    @property
-    def read_fallbacks(self) -> int:
-        """Reads whose deadline sent them down the ordered path."""
-        return self.session.read_fallbacks
 
     # ------------------------------------------------------------------
     def configure(

@@ -70,8 +70,8 @@ class RouterConfig:
     """Routing behaviour parameters: ``timeout`` is a sub-operation's
     first retransmit deadline, armed and backed off by its shard's
     :class:`~repro.bft.client.ClientSession`; the sub-operation fails
-    after :attr:`ShardRouter.MAX_ATTEMPTS` expiries, and a shard whose
-    oldest open one trails a ledger window refuses new ones."""
+    after :attr:`ShardRouter.MAX_ATTEMPTS` expiries, or once a ledger
+    window of newer ones to its shard has been opened."""
 
     timeout: float = 30_000.0
 
@@ -331,7 +331,7 @@ class ShardRouter(Node):
         self._set_inflight_gauge(session)
 
     # ------------------------------------------------------------------
-    # Reply and timeout handling
+    # Reply handling
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
         kind = type(message)

@@ -122,7 +122,7 @@ def test_read_falls_back_to_ordered_path_when_stalled():
     client.start()
     sim.run(until=2_000_000)
     assert client.completed == 10
-    assert client.read_fallbacks > 0
+    assert client.session.read_fallbacks > 0
     assert group.safety.is_safe
 
 
@@ -150,7 +150,7 @@ def test_non_read_marked_read_only_is_refused():
     client.start()
     sim.run(until=2_000_000)
     assert client.completed == 5
-    assert client.read_fallbacks == 5
+    assert client.session.read_fallbacks == 5
     kv = group.replicas[group.members[0]].app
     assert kv.ops_executed == 5  # each put executed exactly once
     assert group.safety.is_safe
