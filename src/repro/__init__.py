@@ -27,7 +27,9 @@ deterministic discrete-event simulation:
   modeled clients per object) with arrival-process demand, admission
   control, and load shedding (:mod:`repro.mesoscale`), and
 * a sweep-scale campaign engine: resumable result stores and trial-level
-  process parallelism, one kernel per trial (:mod:`repro.campaign`), and
+  process parallelism, one kernel per trial (:mod:`repro.campaign`),
+* promise checks: named fault scenarios played into outcomes and held
+  to one table of pinned findings, swept as campaigns (:mod:`repro.check`), and
 * evolutionary design-space exploration: an NSGA-II loop over the
   protocol/batching/sharding/placement/rejuvenation space with common
   random numbers, trial memoization, and Pareto decision support
@@ -50,6 +52,7 @@ __all__ = [
     "analysis",
     "bft",
     "campaign",
+    "check",
     "core",
     "crypto",
     "evolve",

@@ -21,6 +21,10 @@ Three built-ins, graded by size:
 * ``leased-reads`` — the P4 read-path sweep: leases on/off × read ratio
   on PBFT and MinBFT, an aggregated population at a read-heavy mix —
   what single-hop leased reads buy over the f+1 quorum fast path.
+* ``byzantine`` / ``membership`` / ``crash-cycles`` — the promise
+  checks of :mod:`repro.check`, one trial per named scenario on CI's
+  seeds (2 400, 1 040 and 80 trials); a trial whose outcome departs
+  from its row of the expectation table fails, and so does the run.
 * ``scaling``    — 20 deliberately I/O-bound selftest trials used to
   measure the executor's parallel speedup.  Simulation trials are
   CPU-bound, so their speedup needs as many cores as workers; this
@@ -231,6 +235,24 @@ def _scaling(n_seeds: int = 4, campaign_seed: int = 0) -> CampaignSpec:
     )
 
 
+def _check_suite(name: str, description: str) -> Callable[..., CampaignSpec]:
+    def factory(n_seeds: int = 1, campaign_seed: int = 0) -> CampaignSpec:
+        from repro.check import SUITES
+
+        return CampaignSpec(
+            name=name,
+            runner="check",
+            axes={"scenario": SUITES[name]()},
+            n_seeds=n_seeds,
+            campaign_seed=campaign_seed,
+            trial_timeout=600.0,
+            max_retries=0,
+            description=description,
+        )
+
+    return factory
+
+
 BUILTIN_CAMPAIGNS: Dict[str, Callable[..., CampaignSpec]] = {
     "throughput": _throughput,
     "rejuv-apt": _rejuv_apt,
@@ -241,6 +263,15 @@ BUILTIN_CAMPAIGNS: Dict[str, Callable[..., CampaignSpec]] = {
     "leased-reads": _leased_reads,
     "faultspace": _faultspace,
     "smoke": _smoke,
+    "byzantine": _check_suite(
+        "byzantine", "every strategy on a PBFT / MinBFT primary and backup, seeds 1-120"
+    ),
+    "membership": _check_suite(
+        "membership", "a Byzantine member across a switch and a scale-out, seeds 1-40"
+    ),
+    "crash-cycles": _check_suite(
+        "crash-cycles", "the acting primary crashes, recovers, crashes; seeds 1-5"
+    ),
 }
 
 

@@ -39,6 +39,9 @@ Built-ins:
 * ``evolve_selftest`` — an analytic stand-in for ``evolve`` with the
   same genome params, metric keys, and trade-off structure; used by the
   search's own tests and the CI evolve smoke.
+* ``check`` — one named promise-check scenario (:mod:`repro.check`),
+  held against its row of the expectation table; a departure fails the
+  trial.
 * ``selftest`` — a microscopic deterministic workload with optional
   failure/sleep/crash knobs, used by the engine's own tests and CI smoke.
 """
@@ -639,6 +642,27 @@ def run_evolve_selftest(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         "safe": 1,
         "feasible": 1 if feasible else 0,
     }
+
+
+CHECK_PARAMS: ParamTable = {"scenario": ""}
+
+
+@register_runner("check", CHECK_PARAMS)
+def run_check(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Play out one named scenario and check its outcome
+    (:func:`repro.check.check`): a departure from its row raises, so the
+    trial fails.  ``seed`` is unused — a scenario's seed is in its name,
+    so a suite's seeds are the ones it lists.
+
+    Params: ``scenario`` (a name, see :mod:`repro.check.suites`).
+    """
+    from repro.check import check, run
+    from repro.check import scenario as named
+
+    s = named(params["scenario"])
+    outcome = run(s)
+    check(s, outcome)
+    return outcome.metrics()
 
 
 SELFTEST_PARAMS: ParamTable = {"draws": 100, "sleep": 0.0, "crash": False, "fail": False}

@@ -15,8 +15,8 @@ The unit tests drive one backup of a 4-replica PBFT group by hand and
 read the core's reservations (``Node._busy_until``): a dropped vote costs
 ``handle_message``, a verified one ``handle_message + mac_verify``.
 
-The Byzantine sweeps run whole groups (``run_group``) with one strategy
-on the primary or a backup.  They found the view-change holes that the
+The Byzantine sweeps run whole groups (``byzantine/...`` scenarios of
+``repro.check``) with one strategy on the primary or a backup.  They found the view-change holes that the
 last section pins: what a PBFT VIEW-CHANGE reports and what NEW-VIEW
 re-proposes, and where a MinBFT NEW-VIEW starts (DESIGN §4, *Simplified
 view changes*).
@@ -40,12 +40,11 @@ from repro.bft.messages import (
     proposal_digest,
     proposal_keys,
 )
-from repro.faults import make_strategy
+from repro.check.suites import STRATEGIES
 from repro.faults.byzantine import _tamper
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
-
-STRATEGIES = ["silent", "drop", "corrupt", "equivocate", "delay"]
+from tests import checks
 
 
 # ----------------------------------------------------------------------
@@ -194,74 +193,25 @@ def test_a_non_member_vote_is_dropped_before_the_triage_as_before(backup):
 # ----------------------------------------------------------------------
 # Rule (2), whole runs: every Byzantine strategy, several seeds
 # ----------------------------------------------------------------------
-FAULT_AT = 30_000.0
-RUN_UNTIL = 300_000.0
-
-
-def run_group(seed, strategy=None, target=2, protocol="pbft"):
-    """A batched group (f = 1) under two open-loop clients; ``strategy`` is
-    activated on member ``target`` at FAULT_AT (0 is the primary).  On
-    PBFT every vote the triage reads is checked as it is read: only a vote
-    matching its slot's pre-prepare may be recorded as queued or dropped."""
-    sim = Simulator(seed=seed)
-    chip = Chip(sim, ChipConfig(width=5, height=5))
-    config = protocol_config_for(
-        protocol, batching=BatchConfig(batch_size=4, batch_delay=100.0, max_inflight=4)
-    )
-    group = build_group(chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=config))
-    dropped = []
-    if protocol == "pbft":
-        for replica in group.replicas.values():
-            replica._vote_is_moot = _checked_triage(replica, dropped)
-    for i in range(2):
-        client = ClientNode(f"c{i}", ClientConfig(think_time=50, timeout=20_000, max_outstanding=6))
-        group.attach_client(client)
-        client.start()
-    if strategy is not None:
-        attack = make_strategy(strategy, sim.rng.stream("byzantine"))
-        sim.schedule_at(FAULT_AT, attack.activate, group.replicas[group.members[target]])
-    sim.run(until=RUN_UNTIL)
-    return group, dropped
-
-
-def _checked_triage(replica, dropped):
-    triage = replica._vote_is_moot
-
-    def checked(sender, vote):
-        slot = replica._slots.get((vote.view, vote.seq))
-        queued = None if slot is None else (
-            set(slot.prepares_queued) if type(vote) is Prepare else set(slot.commits_queued)
-        )
-        moot = triage(sender, vote)
-        after = None if slot is None else (
-            slot.prepares_queued if type(vote) is Prepare else slot.commits_queued
-        )
-        if moot or (slot is not None and after != queued):
-            assert slot.pre_prepare is not None and slot.pre_prepare.digest == vote.digest
-            assert vote.view == replica.view and sender == vote.replica
-        if moot:
-            dropped.append((replica.name, type(vote).__name__))
-        return moot
-
-    return checked
-
-
+# ``byzantine/...`` scenarios (``repro.check``): a batched group under two
+# open-loop clients, one strategy on member 0 (the primary) or 2 from
+# 30 s.  On PBFT every vote the triage reads is checked as it is read:
+# one it queues or drops must match its slot's pre-prepare, or the run
+# counts a violation.
 def test_fault_free_runs_drop_votes_and_stay_safe():
-    group, dropped = run_group(seed=1)
-    assert group.safety.is_safe
-    assert all(client.completed > 200 for client in group.clients)
-    kinds = {kind for _, kind in dropped}
-    assert kinds == {"Prepare", "Commit"}
-    assert {name for name, _ in dropped} == set(group.members)
+    trial, result = checks.trial("byzantine/pbft/none@2/1")
+    assert result.safe
+    assert all(client.completed > 200 for client in trial.clients)
+    assert {kind for _, kind in trial.dropped} == {"Prepare", "Commit"}
+    assert {name for name, _ in trial.dropped} == set(trial.group.members)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_every_byzantine_backup_keeps_pbft_safe_and_committing(strategy, seed):
     """A Byzantine voter: the triage reads its lies, drops, and delays."""
-    group, _ = run_group(seed, strategy, target=2)
-    assert group.safety.is_safe
-    assert all(client.completions_in(FAULT_AT, RUN_UNTIL) > 0 for client in group.clients)
+    result = checks.outcome(f"byzantine/pbft/{strategy}@2/{seed}")
+    assert result.safe and not result.stalled
 
 
 @pytest.mark.parametrize(
@@ -279,9 +229,8 @@ def test_the_group_survives_every_byzantine_primary(protocol, strategy, seed):
     out executed slots; MinBFT seeds 2 and 4 did while a new primary
     numbered from its own execution point (DESIGN §4, *Simplified view
     changes*)."""
-    group, _ = run_group(seed, strategy, target=0, protocol=protocol)
-    assert group.safety.is_safe
-    assert all(client.completions_in(FAULT_AT, RUN_UNTIL) > 0 for client in group.clients)
+    result = checks.outcome(f"byzantine/{protocol}/{strategy}@0/{seed}")
+    assert result.safe and not result.stalled
 
 
 # ----------------------------------------------------------------------

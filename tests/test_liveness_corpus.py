@@ -3,8 +3,9 @@
 Each entry is a small (config, fault schedule, seed) run with a *liveness*
 expectation — ``SafetyRecorder`` checks agreement and order only, so
 nothing else in tier-1 notices a group that is safe and serves nothing.
-An entry is pinned before the fix that turns it green (ROADMAP item 4
-grows this into a file-backed corpus).
+All but E5's are ``liveness/...`` scenarios of ``repro.check``; an entry
+is pinned, as a row of its expectation table, before the fix that turns
+it green.
 
 * **One crash** — MinBFT, PBFT and CFT, f = 1 with batching and leases,
   one windowed client; the view-0 primary crashes at 20 s and stays down
@@ -31,63 +32,33 @@ import dataclasses
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
-from repro.bft.batching import BatchConfig
-from repro.bft.group import protocol_config_for
-from repro.bft.leases import LeaseConfig
 from repro.bft.messages import Append
 from repro.core import AdaptationController, AdaptationPolicy, SeverityDetector
 from repro.core.severity import SeverityConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
-from repro.workloads import AlternatingKV, FactoryWorkload
+from tests import checks
 
-CRASH_AT, SETTLED_BY, HORIZON = 20_000.0, 130_000.0, 400_000.0
-
-
+CRASH_AT = 20_000.0
 PROTOCOLS = ["minbft", "pbft", "cft"]
 
 
-def run_crashes(protocol, f, crashed):
-    """Members ``0 .. crashed - 1`` (the primaries of the first views)
-    crash together at CRASH_AT and stay down."""
-    sim = Simulator(seed=1)
-    chip = Chip(sim, ChipConfig(width=5, height=5))
-    group = build_group(chip, GroupConfig(
-        protocol=protocol, f=f,
-        protocol_config=protocol_config_for(
-            protocol,
-            batching=BatchConfig(8, batch_delay=100.0, max_inflight=4),
-            leases=LeaseConfig(),
-            view_timeout=8_000.0,
-        ),
-    ))
-    client = ClientNode("c0", ClientConfig(
-        think_time=50, timeout=3_000, max_outstanding=8,
-        workload=FactoryWorkload(AlternatingKV().op, reads=lambda op: op[0] == "get"),
-    ))
-    group.attach_client(client)
-    client.start()
-    for name in group.members[:crashed]:
-        sim.schedule_at(CRASH_AT, group.crash, name)
-    sim.run(until=HORIZON)
-    return group, client
-
-
-def serves_again_in_few_views(group, client):
-    return client.completions_in(SETTLED_BY, HORIZON) > 0 and all(
-        replica.view <= len(group.members) for replica in group.correct_replicas()
+def serves_again_in_few_views(trial, result):
+    """Served in [130 s, 400 s], and no live member past view n."""
+    return not result.stalled and all(
+        replica.view <= len(trial.group.members) for replica in trial.group.correct_replicas()
     )
 
 
 @pytest.fixture(scope="module", params=PROTOCOLS)
 def one_crash(request):
-    return run_crashes(request.param, f=1, crashed=1)
+    return checks.trial(f"liveness/{request.param}/f1-crash1/1")
 
 
 def test_one_primary_crash_keeps_safety(one_crash):
-    group, client = one_crash
-    assert client.completions_in(0.0, CRASH_AT) > 100
-    assert group.safety.is_safe
+    trial, result = one_crash
+    assert trial.clients[0].completions_in(0.0, CRASH_AT) > 100
+    assert result.safe
 
 
 def test_one_primary_crash_recovers_liveness(one_crash):
@@ -99,9 +70,9 @@ def test_a_view_change_onto_a_dead_primary_escalates(protocol):
     """f = 2 and the primaries of views 0 and 1 crash together, so the
     change to view 1 stalls too.  MinBFT and PBFT used to re-ask for
     view 1 forever."""
-    group, client = run_crashes(protocol, f=2, crashed=2)
-    assert group.safety.is_safe
-    assert serves_again_in_few_views(group, client)
+    trial, result = checks.trial(f"liveness/{protocol}/f2-crash2/1")
+    assert result.safe
+    assert serves_again_in_few_views(trial, result)
 
 
 # ----------------------------------------------------------------------
