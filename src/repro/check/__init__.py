@@ -13,7 +13,7 @@ any trial departs from its row.  Standard library only, besides
 """
 
 from repro.check.scenario import Crash, Outcome, Requesters, Scenario, Step, Trial, run
-from repro.check.suites import EXPECTED, SUITES, Departure, check, expected, scenario
+from repro.check.suites import EXPECTED, SUITES, Departure, check, scenario
 
 __all__ = [
     "Crash",
@@ -26,7 +26,6 @@ __all__ = [
     "Step",
     "Trial",
     "check",
-    "expected",
     "run",
     "scenario",
 ]

@@ -104,7 +104,7 @@ class Outcome:
                 "violations": self.violations, **served}
 
 
-def acting_primary(group: Any) -> str:
+def _acting_primary(group: Any) -> str:
     """The primary of the highest view a live member holds."""
     return group.context.primary_of(max(r.view for r in group.correct_replicas()))
 
@@ -196,21 +196,21 @@ class Trial:
         """Play to the horizon.  A crash or recovery at t comes after
         every event at t, so "the acting primary" is the one at t."""
         s, group = self.scenario, self.group
-        moments = [(c.at, i, None) for i, c in enumerate(s.crashes)] + [
-            (c.at + c.outage, i, c) for i, c in enumerate(s.crashes) if c.outage is not None
+        moments = [(c.at, i, False) for i, c in enumerate(s.crashes)] + [
+            (c.at + c.outage, i, True) for i, c in enumerate(s.crashes) if c.outage is not None
         ]
         down: Dict[int, str] = {}
-        for at, i, back in sorted(moments, key=lambda m: m[0]):
+        for at, i, recovering in sorted(moments, key=lambda m: m[0]):
             self.sim.run(until=at)
-            if back is not None:
+            if recovering:
                 group.replicas[down[i]].recover()
-                continue
-            member = s.crashes[i].member
-            down[i] = acting_primary(group) if member is None else group.members[member]
-            group.crash(down[i])
+            else:
+                member = s.crashes[i].member
+                down[i] = _acting_primary(group) if member is None else group.members[member]
+                group.crash(down[i])
         self.sim.run(until=s.horizon)
         served = tuple(client.completions_in(*s.window) for client in self.clients)
-        violations = len(self.group.safety.violations) + self.mistriaged
+        violations = len(group.safety.violations) + self.mistriaged
         return Outcome(
             safe=violations == 0,
             served=served,

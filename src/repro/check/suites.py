@@ -1,35 +1,20 @@
 """Named scenarios, the three swept suites, and the expectation table.
 
 A name is ``<family>/<variant>/<case>/<seed>`` and :func:`scenario`
-builds it:
-
-* ``byzantine/<pbft|minbft>/<strategy>@<member>/<seed>`` — a batched
-  group (f = 1) under two open-loop clients, one strategy (or ``none``)
-  on a member from 30 s (0 is the primary, 2 a backup);
-* ``membership/<round-trip|scale-out>/<strategy>@<member>/<seed>`` — a
-  batched MinBFT group on a 6×6 chip switched to PBFT and back, or
-  scaled out, at t1 (40–43 s), with a strategy on member 0 or 1 from
-  20 s; ``membership/cft-scale-out/crash+<ms>/<seed>`` — a CFT group
-  scaled out at t1 that loses its leader that long after;
-  ``membership/<from>-><to>/w<window>/<seed>`` — one switch at t1 under
-  two clients of that window.  The progress window is t1 + [60, 180] s;
-* ``crash-cycles/<family>/<outage>+<after>/<seed>`` — f = 1, view
-  timeout 10 s, two closed-loop clients: the acting primary crashes at
-  50 s for ``outage`` ms, and whoever leads ``after`` ms past its return
-  crashes for good; the window is the 300 s after that;
-* ``liveness/<family>/f<f>-crash<k>/<seed>`` — batching and leases,
-  one windowed client whose gets are reads; members 0 … k − 1 crash at
-  20 s and stay down; the window is [130, 400] s.
-
-The suites are CI's sweeps, with CI's seeds.  :data:`EXPECTED` is the
-one table of pinned outcomes; every other run must be safe, and served
-unless a Byzantine member leads view 0.  :func:`check` is strict in both
-directions: a pinned row whose outcome changes fails like a broken
-promise, so a fix shows as a row leaving the table.
+builds it: ``byzantine/<pbft|minbft>/<strategy>@<member>/<seed>``,
+``membership/<round-trip|scale-out>/<strategy>@<member>/<seed>``,
+``membership/cft-scale-out/crash+<ms>/<seed>``,
+``membership/<from>-><to>/w<window>/<seed>``,
+``crash-cycles/<family>/<outage>+<after>/<seed>`` and
+``liveness/<family>/f<f>-crash<k>/<seed>`` (DESIGN §5 *How a promise is
+swept*).  The suites are CI's sweeps on CI's seeds.  :data:`EXPECTED`
+pins the known findings; :func:`check` holds every run to its row,
+strictly in both directions, so a fix shows as rows leaving the table.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.check.scenario import Crash, Outcome, Requesters, Scenario, Step
@@ -66,7 +51,7 @@ def _membership(name: str, variant: str, case: str, seed: int) -> Scenario:
         crash = Crash(t1 + float(case.partition("+")[2]))
         return Scenario(name, "cft", steps=(Step(t1),), crashes=(crash,), **common)
     protocol, _, to = variant.partition("->")
-    common.update(progress=1, requesters=Requesters(window=int(case[1:]), think_time=50.0, timeout=20_000.0))
+    common.update(progress=1, requesters=replace(OPEN_LOOP, window=int(case[1:])))
     return Scenario(name, protocol, steps=(Step(t1, to),), **common)
 
 
@@ -163,18 +148,12 @@ class Departure(AssertionError):
     """A run's outcome is not the one its row expects."""
 
 
-def expected(s: Scenario) -> Tuple[bool, Optional[bool]]:
-    """The row of ``s``, or the default: safe, and served unless a
-    Byzantine member leads view 0."""
-    if s.name in EXPECTED:
-        return EXPECTED[s.name]
-    return SAFE if s.byzantine is not None and s.byzantine[1] == 0 else SERVED
-
-
 def check(s: Scenario, outcome: Outcome) -> None:
     """Raise :class:`Departure`, naming the row, unless ``outcome`` is
-    what ``s`` expects."""
-    safe, served = expected(s)
+    what ``s`` expects: its row, or without one, safe, and served unless
+    a Byzantine member leads view 0."""
+    default = SAFE if s.byzantine is not None and s.byzantine[1] == 0 else SERVED
+    safe, served = EXPECTED.get(s.name, default)
     if outcome.safe != safe or (served is not None and outcome.stalled == served):
         pinned = "pinned" if s.name in EXPECTED else "unpinned"
         raise Departure(
