@@ -216,8 +216,8 @@ class PbftReplica(BaseReplica):
 
     def _order_proposal(self, proposal: Proposal) -> bool:
         """PRE-PREPARE one proposal (a bare request, or a RequestBatch)."""
-        if self._in_view_change or not self.is_primary:
-            return False  # demoted while the batch was queued
+        if self._in_view_change or not self.is_primary or self._lost_own_slots():
+            return False  # demoted while the batch was queued, or restarted
         if self._next_seq - self._stable_seq >= self.WATERMARK_WINDOW:
             return False  # window full; clients will retry
         self._next_seq += 1
@@ -231,6 +231,15 @@ class PbftReplica(BaseReplica):
         # The primary prepares implicitly via its pre-prepare.
         self._maybe_prepared(self.view, seq, slot)
         return True
+
+    def _lost_own_slots(self) -> bool:
+        """True when this replica numbered past what it executed but holds
+        no pre-prepare for the last seq it numbered: a restart cleared
+        the log those slots were in, so it cannot fill them itself."""
+        if self._next_seq <= self.last_executed:
+            return False
+        slot = self._slots.get((self.view, self._next_seq))
+        return slot is None or slot.pre_prepare is None
 
     def _slot(self, view: int, seq: int) -> _SlotState:
         """Get or create: a lookup leaves the empty slot in the log, where
@@ -434,6 +443,15 @@ class PbftReplica(BaseReplica):
         # Imported state is as good as a stable checkpoint: anchor the
         # watermark window there or the window check rejects every seq.
         self._stable_seq = max(self._stable_seq, self.last_executed)
+
+    def on_state_synced(self) -> None:
+        # A primary back from a crash proposes nothing until its recovery
+        # sync settles (_order_proposal refuses).  If it numbered past
+        # what the group executed, nothing can fill those slots (there is
+        # no null-request gap fill), so it asks the group to move past it
+        # (Castro-Liskov proactive recovery) rather than number beyond them.
+        if self.is_primary and not self._in_view_change and self._lost_own_slots():
+            self._suspect(self.view + 1)
 
     def reset_protocol_state(self) -> None:
         self._slots.clear()

@@ -132,12 +132,6 @@ EXPECTED: Dict[str, Tuple[bool, Optional[bool]]] = {
     # ROADMAP item 9: a scale-out under a dropping primary diverges.
     "membership/scale-out/drop@0/28": UNSAFE,
     "membership/scale-out/drop@0/35": UNSAFE,
-    # ROADMAP item 14 (a): a PBFT primary back from a short outage numbers
-    # past a seq it never proposed, and the group stops serving.
-    **{
-        f"crash-cycles/pbft/5000+{after}/{seed}": WEDGED
-        for after in (60000, 150000) for seed in range(1, 6)
-    },
     # The dropping primaries that found PRs 25-28's agreement holes.
     **{f"byzantine/pbft/drop@0/{seed}": SERVED for seed in (2, 4, 5, 9, 344)},
     **{f"byzantine/minbft/drop@0/{seed}": SAFE for seed in (2, 4, 5, 9, 344)},

@@ -17,16 +17,17 @@ view, and a returning primary learns the view from the state it syncs.
 The same bug at f = 2 promoted both backups on one primary crash
 (:func:`test_one_passive_primary_crash_promotes_one_backup_at_f2`).
 
-One outcome is pinned, not fixed: **PBFT wedges after a short outage**
-(strict xfail, and ``WEDGED`` rows of the expectation table).  The
-primary crashes at ``last_executed`` 82 holding ``_next_seq`` 84, and 83
-commits without it.  Back up, it
-proposes 85–89; every replica buffers them behind 84, which nobody will
-propose, and because PBFT drops a request from the pending map when it
-commits, nothing stays pending, no view change starts and completions
-stop at 83.  Rolling ``_next_seq`` back on recovery instead would let
-the recovered primary propose a second request at 83 in the same view,
-which needs a fix of its own.
+**PBFT wedged after a short outage** until a restarted primary learned
+to step aside (ROADMAP item 14 (a)).  The primary crashed at
+``last_executed`` 82 holding ``_next_seq`` 84, and 83 committed without
+it.  Back up, it proposed 85–89; every replica buffered them behind 84,
+which nobody would propose, and because PBFT drops a request from the
+pending map when it commits, nothing stayed pending, no view change
+started and completions stopped at 83.  Rolling ``_next_seq`` back would
+let it propose a second request at 83 in the same view.  Instead it
+proposes nothing until its recovery sync settles, and if it still holds
+a ``_next_seq`` past what the group executed, it asks for the next view
+(Castro–Liskov proactive recovery).
 
 Tier-1 runs seed 1.  CI runs seeds 1–5 as the ``crash-cycles`` campaign.
 """
@@ -35,8 +36,7 @@ import dataclasses
 
 import pytest
 
-from repro.check import EXPECTED, Crash, Trial, scenario
-from repro.check.suites import WEDGED
+from repro.check import Crash, Trial, scenario
 from tests import checks
 
 PROTOCOLS = ["cft", "minbft", "passive", "pbft"]
@@ -54,17 +54,15 @@ def test_a_crash_cycle_keeps_agreement(protocol, outage, second_after):
     assert checks.outcome(named(protocol, outage, second_after)).safe
 
 
-@pytest.mark.parametrize(
-    "protocol,outage,second_after",
-    [case for case in CASES if EXPECTED.get(named(*case)) != WEDGED],
-)
+@pytest.mark.parametrize("protocol,outage,second_after", CASES)
 def test_a_crash_cycle_serves_after_the_second_crash(protocol, outage, second_after):
     assert not checks.outcome(named(protocol, outage, second_after)).stalled
 
 
-@pytest.mark.xfail(strict=True, reason="finding: a recovered PBFT primary numbers past a seq it never proposed")
 @pytest.mark.parametrize("second_after", SECOND_AFTER)
 def test_pbft_serves_after_a_short_outage(second_after):
+    """The primary crashed holding ``_next_seq`` past what the group
+    executed; back up, it asks for the next view instead of proposing."""
     assert not checks.outcome(named("pbft", OUTAGES[0], second_after)).stalled
 
 
