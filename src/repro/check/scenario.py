@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
-from repro.bft.batching import BatchConfig
-from repro.bft.group import protocol_config_for
 from repro.bft.leases import LeaseConfig
 from repro.bft.messages import Prepare
+from repro.campaign.scenario import protocol_config
 from repro.core import DiversityManager, ReplicationManager, VariantLibrary
 from repro.fabric import FpgaFabric
 from repro.faults import make_strategy
@@ -117,12 +116,9 @@ class Trial:
         s = self.scenario = scenario
         self.sim = sim = Simulator(seed=s.seed)
         chip = Chip(sim, ChipConfig(width=s.chip, height=s.chip))
-        knobs = {} if s.view_timeout is None else {"view_timeout": s.view_timeout}
-        config = GroupConfig(protocol=s.protocol, f=s.f, group_id="g", protocol_config=protocol_config_for(
-            s.protocol,
-            batching=None if s.batching is None else BatchConfig(*s.batching),
-            leases=LeaseConfig() if s.leases else None,
-            **knobs,
+        leases = (LeaseConfig.n_ranges, LeaseConfig.duration, LeaseConfig.renew_period)
+        config = GroupConfig(protocol=s.protocol, f=s.f, group_id="g", protocol_config=protocol_config(
+            s.protocol, s.batching, leases if s.leases else None, s.view_timeout
         ))
         if any(step.to is None for step in s.steps):
             fabric = FpgaFabric(sim, chip)

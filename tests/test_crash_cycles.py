@@ -36,6 +36,7 @@ import dataclasses
 
 import pytest
 
+from repro.bft.messages import ClientRequest
 from repro.check import Crash, Trial, scenario
 from tests import checks
 
@@ -64,6 +65,27 @@ def test_pbft_serves_after_a_short_outage(second_after):
     """The primary crashed holding ``_next_seq`` past what the group
     executed; back up, it asks for the next view instead of proposing."""
     assert not checks.outcome(named("pbft", OUTAGES[0], second_after)).stalled
+
+
+def test_a_restarted_pbft_primary_asks_for_the_next_view_before_it_proposes():
+    """The short-outage primary refuses to order while its recovery sync
+    runs, asks for view 1 itself once the sync settles, well inside a view
+    timeout, and sends no PRE-PREPARE between its return and that ask."""
+    trial = Trial(scenario(named("pbft", OUTAGES[0], SECOND_AFTER[0])))
+    primary = trial.group.replicas[trial.group.members[0]]
+    proposed, asked, ordered = [], [], []
+    multicast, suspect = primary._auth_multicast, primary._suspect
+    primary._auth_multicast = lambda m: (proposed.append((trial.sim.now, type(m).__name__)), multicast(m))
+    primary._suspect = lambda view: (asked.append((trial.sim.now, view)), suspect(view))
+    back = 50_000.0 + OUTAGES[0]
+    request = ClientRequest("c0", 10**6, ("put", "k", 0))
+    trial.sim.schedule_at(back + 1.0, lambda: ordered.append(primary._order_proposal(request)))
+    trial.run()
+    assert ordered == [False]
+    assert asked, "the restarted primary never asked for a view"
+    at, view = asked[0]
+    assert view == 1 and back <= at < back + 1_000.0
+    assert [t for t, kind in proposed if kind == "PrePrepare" and back <= t <= at] == []
 
 
 def test_one_passive_primary_crash_promotes_one_backup_at_f2():
