@@ -132,7 +132,8 @@ EXPECTED: Dict[str, Tuple[bool, Optional[bool]]] = {
     # ROADMAP item 9: a scale-out under a dropping primary diverges.
     "membership/scale-out/drop@0/28": UNSAFE,
     "membership/scale-out/drop@0/35": UNSAFE,
-    # The dropping primaries that found PRs 25-28's agreement holes.
+    # The dropping primaries that found the view-change agreement holes
+    # (DESIGN §4, *Simplified view changes*).
     **{f"byzantine/pbft/drop@0/{seed}": SERVED for seed in (2, 4, 5, 9, 344)},
     **{f"byzantine/minbft/drop@0/{seed}": SAFE for seed in (2, 4, 5, 9, 344)},
 }
