@@ -359,8 +359,8 @@ class NocNetwork:
         (``switch_latency``), occupy the outgoing link while the flits
         serialize onto it, and arrive after the link's fixed ``latency``,
         which pipelines with the next packet.  This is the whole of the
-        hop-by-hop reference; the analytic mode comes here for
-        deliveries and for packets that have met a fault.
+        hop-by-hop reference; the analytic mode comes here for packets
+        that have met a fault.
         """
         route = packet._route
         index = packet._index
@@ -470,7 +470,32 @@ class NocNetwork:
             arrival = end + latency
         packet.hops += index - packet._index
         packet._index = index
-        packet._event = sim.schedule_at(arrival, self._step, packet, priority=1 + packet_id)
+        packet._event = sim.schedule_at(arrival, self._deliver, packet, priority=1 + packet_id)
+
+    def _deliver(self, packet: Packet) -> None:
+        """Event: a packet :meth:`_commit` reserved to the end arrives.
+
+        In the ``fault_epoch`` it was committed in, its route is still
+        healthy (the argument :meth:`_commit` relies on), so this is
+        :meth:`_step`'s delivery without the per-hop router lookups.  A
+        fault transition since then leaves it to :meth:`_step`, which
+        checks the destination router like the reference does.
+        """
+        if packet._route.epoch != self.fault_epoch:
+            self._step(packet)
+            return
+        if packet.corrupted and self.config.drop_corrupted_silently:
+            self._drop(packet, "corrupted (end-to-end check)")
+            return
+        handler = self._handlers.get(packet.dst)
+        if handler is None:
+            self._drop(packet, f"no endpoint at {packet.dst}")
+            return
+        packet.delivered_at = self._fired_at = self.sim.now
+        self._fired_id = packet.packet_id
+        self._delivered.value += 1
+        self._flit_hops.value += packet.flits * packet.hops
+        handler(packet)
 
     def _requeue(self, displaced: List[Slot]) -> None:
         """Re-time the packets whose slots a calendar change displaced.

@@ -12,7 +12,11 @@ popped — which keeps cancellation O(1).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+# The one state field of a handle.  Pending is 0, so "is this heap entry
+# dead?" is a truth test: an entry still in the heap has not fired.
+_PENDING = 0
+_FIRED = 1
+_CANCELLED = 2
 
 
 class ScheduledEvent:
@@ -20,59 +24,44 @@ class ScheduledEvent:
 
     ``(time, priority, seq)`` is the kernel's deterministic firing order:
     earlier time first, then lower priority number, then insertion order.
+    Only :meth:`Simulator.schedule_at <repro.sim.simulator.Simulator.schedule_at>`
+    makes handles: it fills the slots in place (one handle per event, so
+    no ``__init__`` frame), the pending → fired / cancelled transition is
+    one write of ``_state``, and ``_owner`` is the simulator, told of
+    cancellations.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_fired", "_owner")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...] = (),
-        owner: Optional[Any] = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback: Optional[Callable[..., Any]] = callback
-        self.args = args
-        self._cancelled = False
-        self._fired = False
-        self._owner = owner  # the scheduling Simulator, told of cancellations
+    __slots__ = ("time", "priority", "seq", "callback", "args", "_state", "_owner")
 
     @property
     def cancelled(self) -> bool:
         """True if :meth:`cancel` was called before the event fired."""
-        return self._cancelled
+        return self._state == _CANCELLED
 
     @property
     def fired(self) -> bool:
         """True once the kernel has executed the callback."""
-        return self._fired
+        return self._state == _FIRED
 
     @property
     def pending(self) -> bool:
         """True while the event is still waiting to fire."""
-        return not (self._cancelled or self._fired)
+        return self._state == _PENDING
 
     def cancel(self) -> bool:
         """Cancel the event.
 
         Returns True if the event was pending and is now cancelled, False
-        if it had already fired or was already cancelled.
+        if it had already fired (or is firing) or was already cancelled.
         """
-        if self._fired or self._cancelled:
+        if self._state:
             return False
-        self._cancelled = True
+        self._state = _CANCELLED
         self.callback = None  # break reference cycles early
         self.args = ()
-        owner = self._owner
-        if owner is not None:
-            owner._note_cancelled()
+        self._owner._note_cancelled()
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")
+        state = ("pending", "fired", "cancelled")[self._state]
         return f"<ScheduledEvent t={self.time} prio={self.priority} seq={self.seq} {state}>"

@@ -5,10 +5,11 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import ScheduledEvent
+from repro.sim.events import _FIRED, _PENDING, ScheduledEvent
 from repro.sim.rng import RngRegistry
 
 _INF = float("inf")
+_new_handle = object.__new__
 
 SimTime = float
 """Simulated time.  Units are abstract; the SoC layer interprets them as
@@ -69,12 +70,12 @@ class Simulator:
     ) -> ScheduledEvent:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now.
 
-        ``delay`` must be non-negative.  A zero delay schedules the callback
-        for the current instant, after all events already scheduled for this
-        instant at the same priority.
+        ``delay`` must be non-negative (NaN is not).  A zero delay schedules
+        the callback for the current instant, after all events already
+        scheduled for this instant at the same priority.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay: {delay}")
         return self.schedule_at(self.now + delay, callback, *args, priority=priority)
 
     def schedule_at(
@@ -84,12 +85,24 @@ class Simulator:
         *args: Any,
         priority: int = 0,
     ) -> ScheduledEvent:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        The one funnel every event goes through (tracers patch it on the
+        class).  A NaN ``time`` fails the guard like a past one: it would
+        otherwise sit anywhere in the heap and set the clock to NaN.
+        """
+        if not time >= self.now:
+            raise SimulationError(f"cannot schedule in the past (or at NaN): {time} < {self.now}")
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, priority, seq, callback, args, self)
+        event = _new_handle(ScheduledEvent)
+        event.time = time
+        event.priority = priority
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event._state = _PENDING
+        event._owner = self
         heappush(self._heap, (time, priority, seq, event))
         return event
 
@@ -126,7 +139,7 @@ class Simulator:
         try:
             while heap and not self._stopped:
                 time, _, _, event = heap[0]
-                if event._cancelled:
+                if event._state:  # cancelled: a fired entry has left the heap
                     heappop(heap)
                     self._cancelled_pending -= 1
                     continue
@@ -135,7 +148,7 @@ class Simulator:
                 heappop(heap)
                 self.now = time
                 callback, args = event.callback, event.args
-                event._fired = True
+                event._state = _FIRED
                 event.callback = None
                 event.args = ()
                 callback(*args)
@@ -180,7 +193,7 @@ class Simulator:
         lazily rather than sorting the whole queue.
         """
         heap = self._heap
-        while heap and heap[0][3]._cancelled:
+        while heap and heap[0][3]._state:
             heappop(heap)
             self._cancelled_pending -= 1
         return heap[0][0] if heap else None
@@ -197,7 +210,7 @@ class Simulator:
             and self._cancelled_pending * 2 > len(self._heap)
         ):
             # In place: run() holds this list in a local.
-            self._heap[:] = [entry for entry in self._heap if not entry[3]._cancelled]
+            self._heap[:] = [entry for entry in self._heap if not entry[3]._state]
             heapify(self._heap)
             self._cancelled_pending = 0
 

@@ -24,7 +24,7 @@ class PeriodicTimer:
         callback: Callable[..., Any],
         *args: Any,
     ) -> None:
-        if period <= 0:
+        if not period > 0:  # NaN fails too
             raise ValueError(f"timer period must be positive, got {period}")
         self.sim = sim
         self.period = period
@@ -61,7 +61,7 @@ class Timeout:
     """
 
     def __init__(self, sim: "Simulator", duration: float, callback: Callable[[], Any]) -> None:
-        if duration <= 0:
+        if not duration > 0:  # NaN fails too
             raise ValueError(f"timeout duration must be positive, got {duration}")
         self.sim = sim
         self.duration = duration

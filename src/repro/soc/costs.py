@@ -23,9 +23,15 @@ class CostModel:
     usig_create: float = 60.0
     usig_verify: float = 45.0
 
+    def __post_init__(self) -> None:
+        # Node.deliver reserves handle_message without after()'s check.
+        for name, cost in vars(self).items():
+            if not cost >= 0:  # NaN fails too
+                raise ValueError(f"cost {name} must be >= 0, got {cost}")
+
     def scaled(self, factor: float) -> "CostModel":
         """A copy with every cost multiplied by ``factor`` (slower core)."""
-        if factor <= 0:
+        if not factor > 0:  # NaN fails too: it would make every cost NaN
             raise ValueError(f"cost scale factor must be positive, got {factor}")
         return CostModel(
             handle_message=self.handle_message * factor,

@@ -173,7 +173,7 @@ class Node:
         Returns the delay from *now* until the work completes; callers
         schedule continuations after that delay.
         """
-        if duration < 0:
+        if not duration >= 0:  # NaN fails too
             raise ValueError(f"negative charge duration {duration}")
         start = now = self.sim.now
         if self._busy_until > now:
@@ -188,7 +188,7 @@ class Node:
         Fires at the instant scheduling after a :meth:`charge` delay would,
         bit for bit, and returns the scheduled event.
         """
-        if duration < 0:
+        if not duration >= 0:  # NaN fails too
             raise ValueError(f"negative charge duration {duration}")
         sim = self.sim
         start = now = sim.now
@@ -207,7 +207,13 @@ class Node:
                 return
             message = filtered
         self.messages_received += 1
-        self.after(self.costs.handle_message, self._handle_if_alive, sender, message)
+        # after(handle_message, ...) inline, bit for bit: one per message.
+        sim = self.sim
+        start = now = sim.now
+        if self._busy_until > now:
+            start = self._busy_until
+        self._busy_until = busy_until = start + self.costs.handle_message
+        sim.schedule_at(now + (busy_until - now), self._handle_if_alive, sender, message)
 
     def _handle_if_alive(self, sender: str, message: Any) -> None:
         if self.state is NodeState.CRASHED:

@@ -471,6 +471,52 @@ def test_packet_sent_between_runs_whose_route_goes_stale_before_it_is_injected(s
     assert fates[True] == fates[False]
 
 
+def counters(net):
+    return {name: net.metrics.counter(name).value
+            for name in ("noc.delivered", "noc.dropped", "noc.flit_hops")}
+
+
+@pytest.mark.parametrize("where", ["destination", "elsewhere"])
+@pytest.mark.parametrize("seed", range(6))
+def test_delivery_whose_route_goes_stale_after_its_last_hop(seed, where):
+    # ``_commit`` leaves one event, ``_deliver``, which trusts the route
+    # only in the epoch it was committed in.  Here every slot A holds is
+    # behind the clock when a router fails, so the fault takes nothing
+    # back and A's delivery fires on a route of the old epoch: it must
+    # drop (destination) or arrive (elsewhere) exactly as hop by hop.
+    rng = random.Random(seed)
+    width = rng.randint(3, 8)
+    size = rng.choice([16, 64, 100])
+    per_hop = 2 + -(-size // 16)
+    last_arrival = float((width - 2) * per_hop)  # A at the last router before its destination
+    fail_at = last_arrival + rng.uniform(0.5, per_hop - 0.5)
+    router = Coord(width - 1, 0) if where == "destination" else Coord(rng.randrange(width - 1), 1)
+    fates = {}
+    for express in (True, False):
+        sim, net, got = mesh(width, 2, express=express)
+        a = send_at(sim, net, 0.0, (0, 0), (width - 1, 0), "A", size)
+        sim.schedule_at(fail_at, net.fail_router, router)
+        if express:
+            sim.run(until=fail_at)
+            delivery = a[0]._event
+            assert delivery.pending and delivery.callback == net._deliver
+            assert delivery.time == float((width - 1) * per_hop)
+            assert a[0]._route.epoch != net.fault_epoch
+            assert all(not link.slots or link.slots[-1][0] < fail_at for link in net.links.values())
+        sim.run()
+        assert not express or delivery.fired
+        fates[express] = (fate(a[0]), got, derived_loads(a), counters(net), sim.now)
+    assert fates[True] == fates[False]
+    (delivered_at, dropped, reason, hops, _, path), got, _, counts, _ = fates[True]
+    assert hops == width - 1 and path == tuple(Coord(x, 0) for x in range(width))
+    if where == "destination":
+        assert dropped and reason == f"router {router} failed" and not got
+        assert counts["noc.dropped"] == 1 and counts["noc.delivered"] == 0
+    else:
+        assert not dropped and delivered_at == (width - 1) * per_hop and len(got) == 1
+        assert counts["noc.dropped"] == 0 and counts["noc.delivered"] == 1
+
+
 PINNED_DETOUR = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0), (4, 0)]
 
 

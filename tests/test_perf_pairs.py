@@ -5,6 +5,8 @@ CI drives the tool end to end with the parent set to ``HEAD``.)
 """
 
 import argparse
+import json
+import subprocess
 import importlib.util
 from pathlib import Path
 
@@ -91,3 +93,57 @@ def test_seed_is_repeatable_and_defaults_to_seven(monkeypatch):
     monkeypatch.setattr("sys.argv", ["perf_pairs.py", "--parent", here])
     assert perf_pairs.main() == 0
     assert seen == [[7, 11], [7]]
+
+
+def test_traced_pairs_read_every_layer_beside_the_end_to_end_rows(monkeypatch, capsys):
+    # --trace: the run is ``run.py --trace 1 --child``; its rows come from
+    # the record the child prints, not from the per-layer JSON line.
+    commands = []
+    values = {name: 1.0 for name in perf_pairs.TRACED_ROWS}
+    values.update({"sim_ops_per_wall_s": 3300.0, "noc.self_s": 0.4, "noc.events": 190_000,
+                   "setup_s": 9.9, "trace.overhead_frac": 0.8})
+    stdout = "\n".join([
+        "workload write-pbft seed 7 seconds 1 window 6000 sim-ms  sim_digest d7  latency samples 90",
+        "RECORD " + json.dumps({"values": values}),
+        json.dumps({"correct": True, "attempted": 90, "failed": 0, "metrics": {"noc.self_s": {"value": 0.4}}}),
+    ])
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout)
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", run)
+    args = argparse.Namespace(pairs=2, seed=[7], seconds=1.0, trace=True)
+    digest, metrics = perf_pairs.run_once(Path("/parent"), args, "write-pbft", 7)
+    assert commands[0][-3:] == ["--trace", "1", "--child"]
+    assert digest == "d7" and list(metrics) == perf_pairs.TRACED_ROWS
+    assert metrics["sim_ops_per_wall_s"] == 3300.0 and metrics["noc.events"] == 190_000
+    assert "setup_s" not in metrics and "trace.overhead_frac" not in metrics
+    for layer in ("sim", "noc", "soc", "bft"):
+        assert f"{layer}.self_s" in metrics and f"{layer}.events" in metrics
+    assert perf_pairs.compare(args, Path("/parent"), "write-pbft")
+    out = capsys.readouterr().out
+    assert "sim_digest identical (d7)" in out
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("  ") and "parent" in line
+            and "pair" not in line] == perf_pairs.TRACED_ROWS
+    # A layer's self time and event count are better lower, like the end-to-end costs.
+    row, holds = perf_pairs.verdict("noc.self_s", [0.40] * 10, [0.37] * 10)
+    assert holds and "wins 10/10" in row
+
+
+def test_untraced_pairs_run_trace_zero(monkeypatch):
+    commands = []
+    stdout = "\n".join([
+        "workload write-pbft seed 7 seconds 1 window 6000 sim-ms  sim_digest d7  latency samples 90",
+        json.dumps({"correct": True, "attempted": 90, "failed": 0,
+                    "metrics": {"sim_ops_per_wall_s": {"value": 3300.0}}}),
+    ])
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout)
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", run)
+    args = argparse.Namespace(pairs=2, seed=[7], seconds=1.0, trace=False)
+    assert perf_pairs.run_once(Path("/parent"), args, "write-pbft", 7) == ("d7", {"sim_ops_per_wall_s": 3300.0})
+    assert commands[0][-2:] == ["--trace", "0"] and "--child" not in commands[0]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import ScheduledEvent, Simulator
+from repro.sim import ScheduledEvent, Simulator, Timeout
 from repro.sim.simulator import SimulationError
 
 
@@ -340,3 +340,97 @@ def test_firing_order_matches_reference_model(seed):
         while sim.pending_count():
             sim.run(until=sim.now + 1.5)
     assert _run_random_program(seed, windows)[:3] == (fired, hooked, count)
+
+
+# ----------------------------------------------------------------------
+# NaN times
+# ----------------------------------------------------------------------
+# ``nan < now`` is false, so a guard written as "reject if earlier" lets
+# NaN through; it then sits anywhere in the heap and sets the clock to NaN.
+def test_schedule_at_refuses_a_nan_time():
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 3.0, 5.0):
+        sim.schedule_at(t, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [1.0, 3.0, 5.0] and sim.pending_count() == 0
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)  # not even "in the past" once the clock moved
+
+
+def test_schedule_refuses_a_nan_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_count() == 0 and sim.peek_next_time() is None
+
+
+# ----------------------------------------------------------------------
+# One state per handle: pending, fired or cancelled
+# ----------------------------------------------------------------------
+def states(event):
+    return (event.pending, event.fired, event.cancelled)
+
+
+PENDING, FIRED, CANCELLED = (True, False, False), (False, True, False), (False, False, True)
+
+
+def test_cancel_inside_its_own_callback_is_refused_and_counts_nothing():
+    sim = Simulator()
+    seen = []
+
+    def own():
+        seen.append((states(event), event.cancel(), sim.pending_count()))
+
+    event = sim.schedule(1.0, own)
+    sim.schedule(2.0, lambda: None)
+    sim.run(until=1.0)
+    assert seen == [(FIRED, False, 1)]
+    assert sim.pending_count() == 1 and states(event) == FIRED
+
+
+def test_cancelling_a_fired_event_never_lowers_the_count():
+    sim = Simulator()
+    fired = sim.schedule(1.0, lambda: None)
+    later = [sim.schedule(5.0, lambda: None) for _ in range(3)]
+    sim.run(until=2.0)
+    for _ in range(3):
+        assert not fired.cancel()
+        assert sim.pending_count() == 3 and len(sim._heap) == 3
+    assert later[0].cancel() and not later[0].cancel()
+    assert sim.pending_count() == 2
+
+
+def test_states_stay_exclusive_through_fire_cancel_and_compaction():
+    sim = Simulator()
+    fired = sim.schedule(1.0, lambda: None)
+    doomed = [sim.schedule(10.0 + i, lambda: None) for i in range(2 * Simulator.COMPACTION_MIN)]
+    kept = sim.schedule(5.0, lambda: None)
+    assert all(states(e) == PENDING for e in [fired, kept] + doomed)
+    sim.run(until=1.0)
+    assert states(fired) == FIRED and fired.callback is None and fired.args == ()
+    for event in doomed:
+        assert event.cancel()
+        assert states(event) == CANCELLED and event.callback is None
+    assert sim.pending_count() == 1 and len(sim._heap) < len(doomed)  # compaction ran
+    assert states(kept) == PENDING and all(states(e) == CANCELLED for e in doomed)
+    sim.run()
+    assert states(kept) == FIRED and states(fired) == FIRED
+
+
+def test_timeout_rearm_and_expiry_keep_one_state_per_handle():
+    sim = Simulator()
+    inside = []
+    timeout = Timeout(sim, 10.0, lambda: inside.append((timeout.armed, states(second))))
+    timeout.start()
+    first = timeout._event
+    sim.run(until=4.0)
+    timeout.reset()  # re-arm: the first handle is cancelled, a second one pending
+    second = timeout._event
+    assert states(first) == CANCELLED and states(second) == PENDING and timeout.armed
+    sim.run()
+    assert inside == [(False, FIRED)]  # not armed inside its own expiry; its handle has fired
+    assert states(second) == FIRED and states(first) == CANCELLED
+    assert not timeout.armed and timeout.expired_count == 1 and sim.pending_count() == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import PeriodicTimer, Simulator, Timeout
+from repro.sim.simulator import SimulationError
 
 
 def test_periodic_timer_fires_every_period():
@@ -88,3 +89,15 @@ def test_timeout_rejects_nonpositive_duration():
     sim = Simulator()
     with pytest.raises(ValueError):
         Timeout(sim, 0, lambda: None)
+
+
+def test_timers_refuse_a_nan_duration():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        PeriodicTimer(sim, float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        Timeout(sim, float("nan"), lambda: None)
+    timeout = Timeout(sim, 5.0, lambda: None)
+    with pytest.raises(SimulationError):
+        timeout.start(float("nan"))
+    assert not timeout.armed and sim.pending_count() == 0

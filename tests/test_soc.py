@@ -245,3 +245,49 @@ def test_cost_model_scaling():
     assert slow.mac_compute == base.mac_compute * 2
     with pytest.raises(ValueError):
         base.scaled(0)
+
+
+def test_cost_model_refuses_a_nan_scale_or_cost():
+    from repro.soc import CostModel
+
+    with pytest.raises(ValueError):
+        CostModel().scaled(float("nan"))  # would make every cost NaN
+    for bad in (float("nan"), -1.0):  # a cost itself: deliver() charges handle_message unchecked
+        with pytest.raises(ValueError):
+            CostModel(handle_message=bad)
+
+
+def test_charge_and_after_refuse_a_nan_duration(chip):
+    a = Recorder("a")
+    chip.place_node(a, Coord(0, 0))
+    with pytest.raises(ValueError):
+        a.charge(float("nan"))
+    with pytest.raises(ValueError):
+        a.after(float("nan"), lambda: None)
+    assert a._busy_until == 0.0 and chip.sim.pending_count() == 0
+
+
+def test_deliver_reserves_its_receive_charge_as_after_does(chip):
+    # deliver() reserves handle_message inline; the arithmetic is after()'s,
+    # bit for bit, on fractional costs and a core busy or idle.
+    from repro.soc import CostModel
+
+    a, b = Recorder("a"), Recorder("b")
+    chip.place_node(a, Coord(0, 0))
+    chip.place_node(b, Coord(1, 0))
+    a.costs = b.costs = CostModel(handle_message=0.1)
+    handled = {"a": [], "b": []}
+    a.on_message = lambda sender, message: handled["a"].append((chip.sim.now, message))
+    b.on_message = lambda sender, message: handled["b"].append((chip.sim.now, message))
+
+    def receive(work, message):
+        a.charge(work)
+        b.charge(work)
+        a.deliver("x", message)
+        b.after(b.costs.handle_message, b._handle_if_alive, "x", message)
+
+    for i, (at, work) in enumerate([(0.3, 0.7), (0.35, 0.0), (1.1, 0.2), (1.7, 0.0), (9.9, 0.3)]):
+        chip.sim.schedule_at(at, receive, work, i)
+    chip.sim.run()
+    assert len(handled["a"]) == 5 and handled["a"] == handled["b"]
+    assert a._busy_until == b._busy_until and a.messages_received == 5

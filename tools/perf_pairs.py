@@ -11,6 +11,7 @@ runs them and applies the rule::
     python3 tools/perf_pairs.py --parent /path/to/checkout --pairs 6 --seed 23
     python3 tools/perf_pairs.py --parent HEAD~1 --seed 7 --seed 11 --seed 23 # seeds rotated over the pairs
     python3 tools/perf_pairs.py --parent HEAD --pairs 1 --seconds 1          # smoke (CI)
+    python3 tools/perf_pairs.py --parent HEAD~1 --trace --seed 7 --seed 11   # where the time went
 
 ``--seed`` is repeatable: with k seeds, pair *i* runs seed *i mod k* on both
 sides.  Sim-clock metrics are exact for a seed, so ten pairs on one seed are
@@ -34,6 +35,15 @@ change that **declares** a drift in simulated results it is the expected
 exit, and the table is the result: the sim-clock rows say what moved and by
 how much, and the wall-clock rows compare two programs doing different
 simulated work, so read them next to ``sim.events_per_op``.
+
+``--trace`` runs the same pairs as ``run.py --trace 1 --child``: each run
+times the window untraced, then again under the span tracer, and prints
+its whole record.  The rows are then the end-to-end metrics of the
+untraced window (no ``setup_s``: a traced run does not time setup, and
+its ``peak_rss_mb`` covers both windows) beside every layer's
+``L.self_s`` and ``L.events`` — where a wall-clock gain was made, and
+proof that each layer fired the same events.  ``sim_digest`` is compared
+as without it.
 """
 
 from __future__ import annotations
@@ -49,13 +59,18 @@ from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
-from perf.metrics import quartiles  # noqa: E402  (the benchmark's own median / q1 / q3)
+from perf.metrics import LAYERS, quartiles  # noqa: E402  (the benchmark's own median / q1 / q3)
 
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 LOWER_IS_BETTER = {
     metric["name"]
-    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in BENCHMARK["end_to_end"] + BENCHMARK["per_layer"]
     if metric["better"] == "lower"
 }
+#: The rows of a ``--trace`` pair, in this order (a traced run has no ``setup_s``).
+TRACED_ROWS = [m["name"] for m in BENCHMARK["end_to_end"] if m["name"] != "setup_s"] + [
+    f"{layer}.{what}" for what in ("self_s", "events") for layer in LAYERS
+]
 
 
 def export(rev: str, into: Path) -> None:
@@ -71,12 +86,16 @@ def export(rev: str, into: Path) -> None:
 def run_once(
     checkout: Path, args: argparse.Namespace, workload: str, seed: int
 ) -> Tuple[str, Dict[str, float]]:
-    """One measured run in a fresh interpreter: ``(sim_digest, metrics)``."""
+    """One measured run in a fresh interpreter: ``(sim_digest, metrics)``.
+
+    Traced, the metrics are :data:`TRACED_ROWS`, read from the record
+    ``--child`` prints (``--child`` also leaves out the layer probes)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py finds its own src/
+    command = [sys.executable, "benchmarks/perf/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", f"{args.seconds:g}"]
+    command += ["--trace", "1", "--child"] if args.trace else ["--trace", "0"]
     done = subprocess.run(
-        [sys.executable, "benchmarks/perf/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", f"{args.seconds:g}", "--trace", "0"],
-        cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        command, cwd=checkout, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     lines = done.stdout.strip().splitlines()
     try:
@@ -86,7 +105,10 @@ def run_once(
         sys.exit(f"perf_pairs: no result from {checkout} (exit {done.returncode}):\n{done.stdout}")
     if done.returncode or not result["correct"] or result["failed"]:
         sys.exit(f"perf_pairs: run in {checkout} failed its checks:\n{done.stdout}")
-    return digest, {name: m["value"] for name, m in result["metrics"].items()}
+    if not args.trace:
+        return digest, {name: m["value"] for name, m in result["metrics"].items()}
+    record = next(json.loads(line[len("RECORD "):]) for line in lines if line.startswith("RECORD "))
+    return digest, {name: record["values"][name] for name in TRACED_ROWS}
 
 
 def verdict(name: str, before: List[float], after: List[float]) -> Tuple[str, bool]:
@@ -140,6 +162,8 @@ def main() -> int:
                         help="repeatable; pair i runs seed i mod k on both sides (default 7)")
     parser.add_argument("--workload", action="append",
                         help="repeatable; default write-pbft (see BENCHMARK.json for the others)")
+    parser.add_argument("--trace", action="store_true",
+                        help="run --trace 1: every layer's self_s and events beside the end-to-end rows")
     args = parser.parse_args()
     args.seed = args.seed or [7]
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
@@ -148,7 +172,7 @@ def main() -> int:
             parent = Path(scratch)
             export(args.parent, parent)
         print(f"parent {args.parent} vs change {ROOT}: {args.pairs} alternating pairs,"
-              f" seeds {args.seed} --seconds {args.seconds:g} --trace 0")
+              f" seeds {args.seed} --seconds {args.seconds:g} --trace {int(args.trace)}")
         same = [compare(args, parent.resolve(), w) for w in args.workload or ["write-pbft"]]
     return 0 if all(same) else 1
 
