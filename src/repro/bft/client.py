@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.bft.leases import keys_of, lease_holder
+from repro.bft.leases import holder_of_all, keys_of, lease_holder
 from repro.bft.messages import ClientReply, ClientRequest, ReadNack
 from repro.bft.replica import ExecutionLedger
 from repro.metrics.traffic import TrafficSource
@@ -75,11 +75,14 @@ class Exchange:
     rewrites it under the same rid), when it was first sent, who has
     replied (by the replies' match key), its retransmit deadline (the
     kernel event), its expiries so far, the member believed primary when
-    it was last sent ordered (None while it is a read), and what the
-    owner files it under."""
+    it was last sent ordered (None while it is a read), what the owner
+    files it under, and, for a write on a leased group (None before its
+    first reply), who replied each match key in each view and what the
+    licensed replies vouched for: ``(match, None)`` from the holder,
+    ``(match, view)`` from that view's primary."""
 
     __slots__ = ("request", "sent_at", "votes", "deadline", "attempts", "sent_under",
-                 "context")  # one per operation: keep it lean
+                 "context", "views", "licensed")  # one per operation: keep it lean
     request: ClientRequest
     sent_at: float
     votes: Dict[Any, Set[str]]
@@ -87,6 +90,8 @@ class Exchange:
     attempts: int
     sent_under: Optional[str]
     context: Any
+    views: Optional[Dict[Any, Set[str]]]
+    licensed: Optional[Set[Any]]
 
 
 class ClientSession:
@@ -112,7 +117,10 @@ class ClientSession:
     ``MAX_ATTEMPTS``, a :class:`ClientNode` never), and the owner decides
     which side gives way when :meth:`open` refuses (a client waits for
     its oldest request, a router fails it).  Which replica serves a leased read is nobody's
-    choice: :meth:`lease_target` is the key's one leaseholder.
+    choice: :meth:`lease_target` is the key's one leaseholder.  On a leased
+    group an ordered request completes only with a licence among its
+    matching replies (:meth:`accept`): the barrier that keeps a leased read
+    issued after it from returning an older value.
 
     A replica group reconfigures its requesters through
     :meth:`configure`, so a session is what sits in a group's ``clients``
@@ -160,12 +168,13 @@ class ClientSession:
 
     def lease_target(self, op: Any) -> Optional[str]:
         """The one replica a leased read of ``op`` goes to: the holder of
-        its (first) key, :func:`~repro.bft.leases.lease_holder` — the
-        member the primary revokes for that key and the only one that will
-        serve it.  None when the group runs no leases, the keys are
-        underivable, or the holder is not placed on this chip.  Grant state
-        is not tracked here: a holder whose lease lapsed answers with a
-        :class:`ReadNack` and the read drops to the quorum path."""
+        its (first) key, :func:`~repro.bft.leases.lease_holder` — the only
+        member that will serve it, and one of the two whose licence
+        completes a write of it (:meth:`accept`).  None when the group
+        runs no leases, the keys are underivable, or the holder is not
+        placed on this chip.  Grant state is not tracked here: a holder
+        whose lease lapsed answers with a :class:`ReadNack` and the read
+        drops to the quorum path."""
         keys = keys_of(op) if self.lease_reads else None
         return self.holder_target(keys[0]) if keys else None
 
@@ -209,28 +218,65 @@ class ClientSession:
             primary = self.primary()
             node.send(primary, request, request.wire_size())
         sim = node.sim
-        exchange = exchanges[rid] = Exchange(request, sim.now, {}, None, 0, primary, context)
+        exchange = exchanges[rid] = Exchange(
+            request, sim.now, {}, None, 0, primary, context, None, None
+        )
         exchange.deadline = sim.schedule_at(sim.now + self.timeout, self._on_deadline, exchange)
         return exchange
 
     def accept(self, exchange: Exchange, sender: str, reply: ClientReply) -> bool:
         """Count ``reply`` towards ``exchange``; True when it completes it
         (the exchange is closed and the replier's view is adopted for
-        primary targeting)."""
+        primary targeting).
+
+        On a leased group an ordered request also needs a
+        :attr:`~repro.bft.messages.ClientReply.licensed` reply among its
+        matching ones (:meth:`_licensed`)."""
         if sender != reply.replica or sender not in self.members:
             return False  # transport-authenticated sender must match the claim
-        lease_read = exchange.request.lease_read
+        request = exchange.request
+        lease_read = request.lease_read
         if lease_read and not reply.leased:
             return False  # a lone unleased reply must not complete a read
         # The leaseholder answers alone; its staleness is bounded.
         needed = 1 if lease_read else self.reply_quorum
-        votes = exchange.votes.setdefault(reply.match_key(), set())
+        match = reply.match_key()
+        votes = exchange.votes.setdefault(match, set())
         votes.add(sender)
+        if self.lease_reads and not request.read_only:
+            if not self._licensed(exchange, sender, reply, match):
+                return False
         if len(votes) < needed:
             return False
         self.primary_hint = reply.view % len(self.members)
         self.close(exchange)
         return True
+
+    def _licensed(self, exchange: Exchange, sender: str, reply: ClientReply, match: Any) -> bool:
+        """Note ``reply``'s view and licence; True once ``match`` holds a
+        licence this requester can rely on.  The member it sends the op's
+        leased reads to (the holder of all its keys) licenses by having
+        executed the write.  The primary of view v licenses only once
+        ``reply_quorum`` replies with ``match`` report v: a view is the
+        replier's own claim, so a correct member must vouch that the
+        licensing primary leads it."""
+        views = exchange.views
+        licensed = exchange.licensed
+        if views is None:
+            views = exchange.views = {}
+            licensed = exchange.licensed = set()
+        view = reply.view
+        views.setdefault((match, view), set()).add(sender)
+        if reply.licensed:
+            members = self.members
+            if sender == holder_of_all(members, keys_of(exchange.request.op)):
+                licensed.add((match, None))
+            elif sender == members[view % len(members)]:
+                licensed.add((match, view))
+        quorum = self.reply_quorum
+        return (match, None) in licensed or any(
+            len(views[seen]) >= quorum for seen in licensed if seen[0] == match
+        )
 
     def close(self, exchange: Exchange) -> None:
         """Forget ``exchange`` and disarm its deadline (a completing

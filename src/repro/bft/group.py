@@ -120,7 +120,7 @@ class Launcher:
     @staticmethod
     def hand_over(replica: BaseReplica, donor: Optional[Dict[str, Any]]) -> None:
         """Give a placed member the group's state.  A leased member then
-        holds conflicting writes for one lease duration: a grant its
+        licenses no write as primary for one lease duration: a grant its
         predecessor of the same name accepted may still be live."""
         if donor is None:
             return

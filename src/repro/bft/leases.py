@@ -8,32 +8,42 @@ ordered-log traffic.
 
 **Who holds what.**  Grants travel per range and to every backup, but
 every *key* has exactly one leaseholder, :func:`lease_holder` — the one
-place the mapping is written, and the rule all three parties follow.  The
+place the mapping is written, and the rule every party follows.  The
 requester (:meth:`~repro.bft.client.ClientSession.lease_target`) sends a
 key's leased reads to its holder and to nobody else.  The holder
 (:meth:`LeaseTable.covers`) serves a leased read only for keys it is the
-holder of, whatever ranges it has grants on: a misrouted or
-stale-membership read gets a ``ReadNack``.  The primary
-(:meth:`LeaseManager.intercept`) therefore revokes a write's range from
-the holders of the write's keys only — at most one per key, and none when
-that holder is the primary itself, whose reads come from the state the
-write is about to change.  The holder-side check is the safety half: a
-grant on a range says "nobody has revoked this range *from you*", and
-only the key's holder is ever asked to give it up, so a grant on the
-range in any other member's table promises nothing about the key.
+holder of, whatever ranges it has grants on, and the primary's
+self-lease obeys the same rule: a misrouted or stale-membership read gets
+a ``ReadNack``.
 
-Safety comes from *write-through invalidation*:
+**When a write completes.**  A write is ordered the moment the primary
+admits it.  It *completes* at its requester only once its matching
+replies include a :attr:`~repro.bft.messages.ClientReply.licensed` one
+(:meth:`LeaseManager.licenses`): from the holder of its keys, which has
+then executed it, or from the view's primary, when no other member holds
+a live grant on those keys (and f+1 matching replies report that view).  So when a write completes, the one member
+that may serve its key has executed it or has no lease to serve it under;
+a later grant carries the primary's execution point, and the holder
+serves nothing under it before it has executed that far.
 
-* the primary holds any write until the holder of each of its keys
-  acknowledged a :class:`~repro.bft.messages.LeaseRevoke` **or** the lease
-  expired (a crashed holder cannot ack, so the lease ``duration`` is the
-  hard staleness bound — for the keys that holder serves, not for the
-  others);
+**The slow path.**  A crashed, cut-off or reply-withholding holder cannot
+license.  When a write the primary executed but cannot license is
+retransmitted, the primary revokes the live grants in its way
+(:class:`~repro.bft.messages.LeaseRevoke`) and sends its licensed reply
+once they are acknowledged or have expired.  A holder that has answered
+no revocation by the next renewal is renewed nothing and asked again
+each renewal until it answers, so a dead holder's grants lapse one
+``duration`` after its last renewal and later writes to its keys
+complete at once.
+
+The rest of the rules:
+
 * holders tag grants with the granting view — a view change invalidates
   every outstanding lease without any extra message;
-* a new primary *quiesces*: conflicting writes are held for one full
-  ``duration`` after a view/term change, covering leases a partitioned
-  old-view holder may still honor;
+* a primary *quiesces*: it licenses nothing for one full ``duration``
+  after a view/term change, covering leases a partitioned old-view holder
+  may still honor, and after a restart or a state hand-over, covering
+  grants it has forgotten;
 * the primary's own authority to grant (and to answer leased reads
   itself) is backed by **commit evidence**: it expires ``duration`` after
   the last committed operation, so a partitioned primary stops serving
@@ -51,7 +61,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.bft.messages import (
     ClientRequest,
@@ -59,7 +69,6 @@ from repro.bft.messages import (
     LeaseRevoke,
     LeaseRevokeAck,
 )
-from repro.sim.events import ScheduledEvent
 from repro.sim.timers import PeriodicTimer
 from repro.soc.node import NodeState
 
@@ -86,11 +95,21 @@ def lease_holder(members: Sequence[str], key: str) -> str:
     return members[stable_key_hash(key) % len(members)]
 
 
+def holder_of_all(members: Sequence[str], keys: Optional[Sequence[str]]) -> Optional[str]:
+    """The one member that holds every key in ``keys``; None when they
+    have different holders, or when there are none (underivable keys)."""
+    if not keys:
+        return None
+    holders = {lease_holder(members, k) for k in keys}
+    return holders.pop() if len(holders) == 1 else None
+
+
 def keys_of(op: Any) -> Optional[Tuple[str, ...]]:
     """The keys a KV operation touches; None when underivable.
 
-    Underivable operations conservatively conflict with *all* ranges on
-    the write path and are never served from a lease on the read path.
+    An underivable write is licensed only by a primary that no member
+    holds any live grant from, and an underivable read is never served
+    from a lease.
     """
     if isinstance(op, (tuple, list)) and len(op) >= 2:
         kind = op[0]
@@ -133,14 +152,15 @@ class LeaseTable:
     Grants are stored tagged with the view they were issued in and are
     valid only while the holder is still *in that view* — advancing the
     view (view change, term adoption, promotion) invalidates everything
-    without bookkeeping.  Expiry is checked lazily at read time.
+    without bookkeeping.  Expiry, and the grant's execution point, are
+    checked lazily at read time.
     """
 
     def __init__(self, replica: "BaseReplica", config: LeaseConfig) -> None:
         self.replica = replica
         self.config = config
-        # range -> (view, epoch, expiry)
-        self._grants: Dict[int, Tuple[int, int, float]] = {}
+        # range -> (view, epoch, expiry, the primary's last_executed at grant)
+        self._grants: Dict[int, Tuple[int, int, float, int]] = {}
 
     def on_grant(self, sender: str, grant: LeaseGrant) -> None:
         """Accept a grant from the current view's primary."""
@@ -151,7 +171,8 @@ class LeaseTable:
             return
         if grant.view != replica.view or replica.group.primary_of(grant.view) != sender:
             return  # stale era: the grant's view is not ours
-        self._grants.update(dict.fromkeys(grant.ranges, (grant.view, grant.epoch, grant.expiry)))
+        entry = (grant.view, grant.epoch, grant.expiry, grant.executed)
+        self._grants.update(dict.fromkeys(grant.ranges, entry))
 
     def on_revoke(self, sender: str, revoke: LeaseRevoke) -> None:
         """Drop the revoked ranges and confirm; always honored."""
@@ -164,12 +185,16 @@ class LeaseTable:
         replica.send(sender, ack, ack.wire_size())
 
     def covers(self, op: Any) -> bool:
-        """True if this replica is the leaseholder of every key of ``op``
-        and each sits in a currently valid lease.
+        """True if this replica is the leaseholder of every key of ``op``,
+        each sits in a currently valid lease, and the replica has executed
+        as far as the primary had when it granted that lease.
 
-        The holder check is not an optimisation: the primary revokes a
-        write's range from the key's holder alone, so a grant on the range
-        in anybody else's table was never going to be revoked for it.
+        The holder check is not an optimisation: a write completes once
+        the key's holder executed it or holds no live grant on it, so a
+        grant on the range in anybody else's table promises nothing about
+        the key.  The execution point is what makes a re-grant safe: the
+        primary licenses a write only after executing it, so a grant it
+        sends afterwards is not served from before the write.
         """
         keys = keys_of(op)
         if not keys:
@@ -177,6 +202,7 @@ class LeaseTable:
         replica = self.replica
         now = replica.sim.now
         view = replica.view
+        executed = replica.last_executed
         members = replica.group.members
         n_members = len(members)
         n_ranges = self.config.n_ranges
@@ -186,7 +212,7 @@ class LeaseTable:
             if members[h % n_members] != replica.name:
                 return False
             entry = self._grants.get(h % n_ranges)
-            if entry is None or entry[0] != view or now >= entry[2]:
+            if entry is None or entry[0] != view or now >= entry[2] or executed < entry[3]:
                 return False
         return True
 
@@ -199,13 +225,13 @@ class LeaseTable:
 
 
 class LeaseManager:
-    """Primary-side lease state: grants, revocations, held writes.
+    """Primary-side lease state: grants, licences, slow-path revocations.
 
-    Lives on every replica (any member can become primary), but acts only
-    while ``replica.is_primary``.  The ordering gate is
-    :meth:`intercept`: protocols call it from their primary admission
-    funnel before ordering a mutation; a parked request re-enters through
-    the protocol's ``_admit_ordered`` once its conflicting ranges clear.
+    Lives on every replica (any member can become primary); its renewal
+    timer runs only while the replica leads its view.  :meth:`licenses`
+    is asked for every reply the replica builds; :meth:`withhold` is the
+    slow path, taken when a write the primary executed is retransmitted
+    and still cannot be licensed.
     """
 
     def __init__(self, replica: "BaseReplica", config: LeaseConfig) -> None:
@@ -214,15 +240,15 @@ class LeaseManager:
         self.epoch = 0
         # holder -> range -> expiry (grants we issued and still believe live)
         self._granted: Dict[str, Dict[int, float]] = {}
-        # range -> holder -> expiry (revocations awaiting ack or expiry)
-        self._revoking: Dict[int, Dict[str, float]] = {}
-        # parked writes: (request, ranges still blocked)
-        self._parked: List[Tuple[ClientRequest, Set[int]]] = []
+        # holder -> range -> expiry: revoked, not yet acknowledged
+        self._revoking: Dict[str, Dict[int, float]] = {}
+        # Holders whose revocation was already outstanding at the last renewal.
+        self._unanswered: Set[str] = set()
+        # Executed writes whose licensed reply waits on a revocation.
+        self._withheld: Dict[Tuple[str, int], ClientRequest] = {}
         self._suspended: Set[str] = set()
         self._self_expiry: Optional[float] = None
         self._quiesce_until = 0.0
-        # The one armed expiry backstop (see _arm_backstop).
-        self._backstop: Optional[ScheduledEvent] = None
         self._timer: Optional[PeriodicTimer] = None
         gid = replica.group.group_id
         metrics = replica.group.metrics
@@ -235,38 +261,43 @@ class LeaseManager:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Begin the renewal cadence (requires placement on the chip)."""
-        if self._timer is None:
-            self._timer = PeriodicTimer(
-                self.replica.sim, self.config.renew_period, self._on_renew
-            )
+        """Placed on the chip: a primary begins renewing (group formation
+        is commit-grade evidence of its primacy)."""
         if self.replica.is_primary:
-            # Group formation is commit-grade evidence of primacy.
             self._self_expiry = self.replica.sim.now + self.config.duration
+        self._arm()
+
+    def _arm(self) -> None:
+        """Run the renewal timer exactly while the replica leads its view."""
+        if self.replica.is_primary:
+            if self._timer is None:
+                self._timer = PeriodicTimer(
+                    self.replica.sim, self.config.renew_period, self._on_renew
+                )
+        elif self._timer is not None:
+            self._timer.stop()
+            self._timer = None
 
     def stop(self) -> None:
-        """Tear down (replica shutdown): no further timers or releases."""
+        """Tear down (replica shutdown): no further timers or replies."""
         if self._timer is not None:
             self._timer.stop()
             self._timer = None
         self.reset()
 
     def reset(self) -> None:
-        """Drop all lease state; parked writes survive in the protocol's
-        pending map and re-enter via re-proposal or client retransmit."""
+        """Drop all lease state; a withheld write's requester retransmits."""
         self.epoch += 1
         self._granted.clear()
         self._revoking.clear()
-        self._parked.clear()
+        self._unanswered.clear()
+        self._withheld.clear()
         self._self_expiry = None
-        if self._backstop is not None:
-            self._backstop.cancel()
-            self._backstop = None
 
     def on_view_entered(self, view: int) -> None:
-        """View/term change or promotion: invalidate our grant era and
-        quiesce conflicting writes for one duration (partitioned holders
-        of old-view leases may serve until those expire)."""
+        """View/term change or promotion: invalidate our grant era, license
+        nothing for one duration (partitioned holders of old-view leases
+        may serve until those expire), and renew only if we now lead."""
         now = self.replica.sim.now
         had_grants = any(self._granted.values()) or bool(self._revoking)
         self.reset()
@@ -275,16 +306,12 @@ class LeaseManager:
         if self.replica.is_primary:
             # Installing a view required a vote quorum: fresh evidence.
             self._self_expiry = now + self.config.duration
+        self._arm()
 
     def quiesce(self) -> None:
-        """Hold conflicting writes for one lease duration from now: a
-        grant this manager never issued may still be live that long."""
+        """License nothing for one lease duration from now: a grant this
+        manager never issued may still be live that long."""
         self._quiesce_until = max(self._quiesce_until, self.replica.sim.now + self.config.duration)
-
-    @property
-    def quiesce_until(self) -> float:
-        """When the last era's write quiesce ends (0.0 before any)."""
-        return self._quiesce_until
 
     # ------------------------------------------------------------------
     # Grant authority
@@ -308,24 +335,29 @@ class LeaseManager:
     # ------------------------------------------------------------------
     def _on_renew(self) -> None:
         replica = self.replica
-        if replica.state is NodeState.CRASHED or not replica.is_primary:
+        if replica.state is NodeState.CRASHED:
             return
+        if self._withheld:
+            self._release_withheld()  # grants in the way may have lapsed
         if not self.holds_self_lease:
             return  # no commit evidence: a partitioned primary must not renew
         now = replica.sim.now
         expiry = now + self.config.duration
-        grantable = tuple(
-            r for r in range(self.config.n_ranges) if r not in self._revoking
-        )
-        if not grantable:
-            return
-        renewal = dict.fromkeys(grantable, expiry)
+        ranges = tuple(range(self.config.n_ranges))
+        renewal = dict.fromkeys(ranges, expiry)
         for holder in replica.other_members():
             if holder in self._suspended:
                 continue
+            revoking = self._revoking.get(holder)
+            if revoking:
+                # Nothing renewed until it answers; heard nothing since the
+                # last renewal: ask again.
+                if holder in self._unanswered:
+                    self._send_revoke(holder, revoking)
+                continue
             held = self._granted.setdefault(holder, {})
             fresh = renewed = expired = 0
-            for r in grantable:
+            for r in ranges:
                 previous = held.get(r)
                 if previous is None:
                     fresh += 1
@@ -338,178 +370,94 @@ class LeaseManager:
             self._c_granted.inc(fresh)
             self._c_renewed.inc(renewed)
             self._c_expired.inc(expired)
-            grant = LeaseGrant(replica.name, replica.view, self.epoch, grantable, expiry)
+            grant = LeaseGrant(
+                replica.name, replica.view, self.epoch, ranges, expiry, replica.last_executed
+            )
             replica.send(holder, grant, grant.wire_size())
+        self._unanswered = set(self._revoking)
 
     # ------------------------------------------------------------------
-    # Write-through invalidation
+    # Licences and the slow path
     # ------------------------------------------------------------------
-    def intercept(self, request: ClientRequest) -> bool:
-        """Gate one to-be-ordered request; True = parked (do not order).
-
-        Mutation-free requests (the app can answer them as reads) pass
-        straight through — an ordered ``get`` cannot violate staleness.
-        """
-        try:
-            self.replica.app.read(request.op)
-        except ValueError:
-            pass  # a genuine mutation: check lease conflicts
-        else:
+    def licenses(self, op: Any) -> bool:
+        """True when this replica's reply to an executed ``op`` licenses
+        its completion: the replica holds every key of ``op`` (it has just
+        executed it), or it leads its view, its quiesce is over and no
+        other member holds a live grant on the op's keys."""
+        replica = self.replica
+        keys = keys_of(op)
+        if holder_of_all(replica.group.members, keys) == replica.name:
+            return True
+        if not replica.is_primary or replica.sim.now < self._quiesce_until:
             return False
-        key = request.key()
-        if any(parked.key() == key for parked, _ in self._parked):
-            return True  # a retransmit of an already-parked write
+        return not self._live_grants(keys)
+
+    def _live_grants(self, keys: Optional[Sequence[str]]) -> Dict[str, List[int]]:
+        """holder -> the ranges of ``keys`` (all, when underivable) on
+        which another member holds a grant, issued or under revocation,
+        that has not expired."""
         replica = self.replica
         now = replica.sim.now
         n_ranges = self.config.n_ranges
-        # range -> the members whose lease on it this write conflicts with:
-        # the holders of its keys (None = everybody, for an op whose keys
-        # cannot be derived).  A key this primary holds itself contributes
-        # nobody — its leased reads are answered from the state the write
-        # is about to change.
-        needed: Dict[int, Optional[Set[str]]]
-        keys = keys_of(request.op)
+        wanted: Iterable[Tuple[str, int]]
         if keys is None:
-            needed = dict.fromkeys(range(n_ranges))
+            wanted = [(h, r) for h in replica.other_members() for r in range(n_ranges)]
         else:
-            needed = {}
             members = replica.group.members
-            for k in keys:
-                needed.setdefault(range_of(k, n_ranges), set()).add(lease_holder(members, k))
-        blocked: Set[int] = set()
-        if now < self._quiesce_until:
-            # Old-era holders (the old primary's self-lease among them) may
-            # serve any key until their leases run out: no exemption here.
-            for r in needed:
-                self._begin_revocation(r, {}, self._quiesce_until)
-                blocked.add(r)
-        for r, wanted in needed.items():
-            holders = self._conflicting_holders(r, now, wanted)
-            if holders:
-                self._begin_revocation(r, holders, max(holders.values()))
-                self._send_revokes({r: holders})
-            waiting = self._revoking.get(r)
-            if waiting and (wanted is None or not wanted.isdisjoint(waiting)):
-                blocked.add(r)
-        if not blocked:
-            return False
-        self._parked.append((request, blocked))
-        return True
-
-    def _conflicting_holders(
-        self, r: int, now: float, wanted: Optional[Set[str]]
-    ) -> Dict[str, float]:
-        """Those of ``wanted`` (None = anybody) with an unexpired grant on
-        range ``r``; prunes expired."""
-        out: Dict[str, float] = {}
-        for holder, held in self._granted.items():
-            if wanted is not None and holder not in wanted:
+            wanted = [(lease_holder(members, k), range_of(k, n_ranges)) for k in keys]
+        live: Dict[str, List[int]] = {}
+        for holder, r in wanted:
+            if holder == replica.name:
                 continue
-            expiry = held.get(r)
-            if expiry is None:
-                continue
-            if expiry <= now:
-                del held[r]
-                self._c_expired.inc()
-                continue
-            out[holder] = expiry
-        return out
+            expiry = self._granted.get(holder, {}).get(r)
+            if expiry is None or expiry <= now:
+                expiry = self._revoking.get(holder, {}).get(r)
+            if expiry is not None and expiry > now:
+                live.setdefault(holder, []).append(r)
+        return live
 
-    def _begin_revocation(
-        self, r: int, holders: Dict[str, float], release_at: float
-    ) -> None:
-        waiting = self._revoking.setdefault(r, {})
-        waiting.update(holders)
-        for holder in holders:
-            self._granted.get(holder, {}).pop(r, None)
-        self._arm_backstop(release_at)
+    def withhold(self, request: ClientRequest) -> None:
+        """The slow path: ``request`` was executed here and retransmitted,
+        yet cannot be licensed.  Revoke the live grants in its way; its
+        licensed reply goes out once they are answered or lapse."""
+        self._withheld[request.key()] = request
+        for holder, ranges in sorted(self._live_grants(keys_of(request.op)).items()):
+            held = self._granted.get(holder, {})
+            moved = {r: held.pop(r) for r in ranges if r in held}
+            if moved:
+                self._revoking.setdefault(holder, {}).update(moved)
+                self._send_revoke(holder, moved)
 
-    def _arm_backstop(self, release_at: float) -> None:
-        """Keep one expiry backstop armed per manager, just past the
-        earliest outstanding release — not one kernel event per revoked
-        range: acks arrive a hundred sim-ms after the revoke, the event
-        would sit in the heap for a lease duration to do nothing."""
-        sim = self.replica.sim
-        at = max(release_at, sim.now) + 1.0
-        armed = self._backstop  # non-None means pending: firing and reset() clear it
-        if armed is not None:
-            if armed.time <= at:
-                return
-            armed.cancel()
-        self._backstop = sim.schedule_at(at, self._expire_revocations)
-
-    def _send_revokes(self, per_range: Dict[int, Dict[str, float]]) -> None:
-        # Regroup range->holders into holder->ranges: one message each.
-        by_holder: Dict[str, List[int]] = {}
-        for r, holders in per_range.items():
-            for holder in holders:
-                by_holder.setdefault(holder, []).append(r)
+    def _send_revoke(self, holder: str, ranges: Iterable[int]) -> None:
         replica = self.replica
-        for holder, ranges in sorted(by_holder.items()):
-            self._c_revoked.inc(len(ranges))
-            revoke = LeaseRevoke(
-                replica.name, replica.view, self.epoch, tuple(sorted(ranges))
-            )
-            replica.send(holder, revoke, revoke.wire_size())
+        revoke = LeaseRevoke(replica.name, replica.view, self.epoch, tuple(sorted(ranges)))
+        self._c_revoked.inc(len(revoke.ranges))
+        replica.send(holder, revoke, revoke.wire_size())
 
     def on_revoke_ack(self, sender: str, ack: LeaseRevokeAck) -> None:
-        """A holder confirmed it stopped serving; maybe release writes."""
+        """A holder confirmed it stopped serving: it is heard from, and a
+        withheld write may now be licensed."""
         if ack.epoch != self.epoch or sender != ack.replica:
             return
         if sender not in self.replica.group.members:
             return
-        for r in ack.ranges:
-            waiting = self._revoking.get(r)
-            if waiting is not None and sender in waiting:
-                del waiting[sender]
-                if not waiting and self.replica.sim.now >= self._quiesce_until:
-                    self._clear_range(r)
+        self._unanswered.discard(sender)
+        revoking = self._revoking.get(sender)
+        if revoking is not None:
+            for r in ack.ranges:
+                revoking.pop(r, None)
+            if not revoking:
+                del self._revoking[sender]
+        if self._withheld:
+            self._release_withheld()
 
-    def _expire_revocations(self) -> None:
-        """The backstop fired: lapse what ran out, re-arm for the rest."""
-        self._backstop = None
-        if self.replica.state is NodeState.CRASHED:
-            return  # recovery resets the manager
-        now = self.replica.sim.now
-        quiesce = self._quiesce_until
-        if now >= quiesce:
-            for r in list(self._revoking):
-                waiting = self._revoking[r]
-                for holder in [h for h, exp in waiting.items() if exp <= now]:
-                    del waiting[holder]
-                    self._c_expired.inc()
-                if not waiting:
-                    self._clear_range(r)
-        # Whatever is still held (nothing lapses before the quiesce ends).
-        outstanding = [
-            max(expiry, quiesce)
-            for waiting in self._revoking.values()
-            for expiry in (waiting.values() if waiting else (quiesce,))
-        ]
-        if outstanding:
-            self._arm_backstop(min(outstanding))
-
-    def _clear_range(self, r: int) -> None:
-        self._revoking.pop(r, None)
-        released: List[ClientRequest] = []
-        remaining: List[Tuple[ClientRequest, Set[int]]] = []
-        for request, blocked in self._parked:
-            blocked.discard(r)
-            if blocked:
-                remaining.append((request, blocked))
-            else:
-                released.append(request)
-        self._parked = remaining
-        for request in released:
-            self.replica.sim.call_soon(self._release, request, self.epoch)
-
-    def _release(self, request: ClientRequest, epoch: int) -> None:
+    def _release_withheld(self) -> None:
+        """Send the licensed reply of every withheld write that now has one."""
         replica = self.replica
-        if epoch != self.epoch or replica.state is NodeState.CRASHED:
-            return
-        if not replica.is_primary or replica.already_executed(request):
-            return
-        replica._admit_ordered(request)
+        for key, request in list(self._withheld.items()):
+            if self.licenses(request.op):
+                del self._withheld[key]
+                replica.resend_cached_reply(request)
 
     # ------------------------------------------------------------------
     # Detector / rejuvenation integration
@@ -518,20 +466,12 @@ class LeaseManager:
         """Revoke every lease of one holder (suspicion, rejuvenation) and
         suspend re-granting until :meth:`readmit_holder`."""
         self._suspended.add(name)
-        held = self._granted.get(name)
-        if not held:
-            return
-        ranges = dict(held)
-        for r, expiry in ranges.items():
-            self._begin_revocation(r, {name: expiry}, expiry)
-        self._send_revokes({r: {name: exp} for r, exp in ranges.items()})
+        held = self._granted.pop(name, None)
+        if held:
+            self._revoking.setdefault(name, {}).update(held)
+            self._send_revoke(name, held)
 
     def readmit_holder(self, name: str) -> None:
-        """Allow re-granting to a healed holder (next renewal tick)."""
+        """Allow re-granting to a healed holder: at the next renewal tick,
+        or once it answers the revocation it may have missed while down."""
         self._suspended.discard(name)
-
-    # ------------------------------------------------------------------
-    @property
-    def parked_writes(self) -> int:
-        """Writes currently held awaiting revocation (observability)."""
-        return len(self._parked)

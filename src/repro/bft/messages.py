@@ -109,9 +109,18 @@ class ClientReply:
     """A replica's reply; clients wait for a quorum of matching replies.
 
     ``leased`` tags a reply served from a valid read lease: the client
-    accepts it alone (quorum of one), because lease safety — writes to
-    the range are held at the primary until the lease is revoked or
-    expires — substitutes for the vote quorum.
+    accepts it alone (quorum of one), because lease safety — a write
+    completes only once the key's holder executed it or holds no live
+    grant on it — substitutes for the vote quorum.
+
+    ``licensed`` is that completion rule's mark on an executed request's
+    reply (leased groups only): the holder of all the op's keys sets it
+    because it has executed the request, the view's primary when no other
+    member holds a live grant on those keys
+    (:meth:`~repro.bft.leases.LeaseManager.licenses`).  A requester
+    completes an ordered request on a leased group only when its matching
+    replies include one.  Outside :meth:`match_key`, and carried in the
+    header: the wire size does not change.
     """
 
     replica: str
@@ -120,6 +129,7 @@ class ClientReply:
     result: Any
     view: int
     leased: bool = False
+    licensed: bool = False
 
     def wire_size(self) -> int:
         return HEADER_BYTES + 8 + _op_size(self.result) + MAC_BYTES
@@ -243,7 +253,10 @@ class LeaseGrant:
     change / reset, so acknowledgements from a previous lease era are
     ignored.  Holders additionally accept a grant only when its ``view``
     matches their own and ``primary`` is that view's primary — a view
-    change implicitly invalidates every outstanding grant.
+    change implicitly invalidates every outstanding grant.  ``executed``
+    is the primary's ``last_executed`` when it granted: the holder serves
+    nothing under the grant before it has executed that far, so a write
+    the primary licensed before re-granting is never read around.
     """
 
     primary: str
@@ -251,14 +264,16 @@ class LeaseGrant:
     epoch: int
     ranges: Tuple[int, ...]
     expiry: float  # absolute sim time; also the staleness bound anchor
+    executed: int = 0
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + 8 + 8 + 4 * len(self.ranges) + 8 + MAC_BYTES
+        return HEADER_BYTES + 8 + 8 + 4 * len(self.ranges) + 8 + 8 + MAC_BYTES
 
 
 @dataclass(frozen=True)
 class LeaseRevoke:
-    """Primary revokes leases on ranges a pending write conflicts with."""
+    """Primary revokes leases on ranges an executed write cannot be
+    licensed on (the slow path), or all of a suspect's leases."""
 
     primary: str
     view: int

@@ -81,7 +81,7 @@ class PassiveReplica(BaseReplica):
 
         Must be called once the replica is placed on the chip.
         """
-        super().start()  # lease renewal cadence, when enabled
+        super().start()  # a leased primary's renewal cadence
         if self.is_primary:
             self._start_heartbeats()
         else:
@@ -131,8 +131,6 @@ class PassiveReplica(BaseReplica):
             # Buffer: if we are promoted later, these get served.
             self._buffered[request.key()] = request
             return
-        if self.lease_manager is not None and self.lease_manager.intercept(request):
-            return
         self._admit_ordered(request)
 
     def _already_ordering(self, request: ClientRequest) -> bool:
@@ -174,7 +172,7 @@ class PassiveReplica(BaseReplica):
         """Failure detector fired: move to the next view and promote if
         this member leads it (one promotion per primary crash, whatever f
         is).  The view steers replies, and so clients, to its primary; the
-        era change drops held grants and quiesces writes until any lease
+        era change drops held grants and licenses no write until any lease
         the old primary issued has expired."""
         if self.is_primary or self.state is NodeState.CRASHED:
             return

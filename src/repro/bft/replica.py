@@ -1,8 +1,8 @@
 """The ordering core shared by all protocol families.
 
 :class:`BaseReplica` owns everything about ordering client requests that
-is *not* agreement: primary admission (dedup, lease intercept, batch or
-order), the pending-request map, its progress timer and the stall rule,
+is *not* agreement: primary admission (dedup, batch or order), the
+pending-request map, its progress timer and the stall rule,
 the batcher and lease install, re-proposal after an era change, in-order
 execution, replies and state transfer.  A protocol module supplies only
 the hooks the core calls —
@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bft.app import StateMachine
 from repro.bft.batching import BatchAccumulator, BatchConfig
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable
+from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, holder_of_all, keys_of
 from repro.bft.messages import (
     ClientReply,
     ClientRequest,
@@ -208,9 +208,9 @@ class BaseReplica(Node):
     the module docstring and call :meth:`commit_operation` once an
     operation is committed at a sequence number (then
     :meth:`_note_executed` for that proposal); this class handles
-    everything before agreement (admission, batching, lease intercept,
-    stall detection) and after it (ordered execution, deduplication,
-    client replies, the safety recorder).
+    everything before agreement (admission, batching, stall detection)
+    and after it (ordered execution, deduplication, client replies and
+    their lease licence, the safety recorder).
     """
 
     # The family, stated once per subclass (DESIGN §4, *What a protocol
@@ -312,8 +312,8 @@ class BaseReplica(Node):
     def start(self) -> None:
         """Begin background activity once placed on the chip.
 
-        Subclasses with their own timers call ``super().start()`` so the
-        lease renewal cadence (when leases are enabled) runs everywhere.
+        Subclasses with their own timers call ``super().start()`` so a
+        leased primary starts its renewal cadence.
         """
         if self.lease_manager is not None:
             self.lease_manager.start()
@@ -349,17 +349,12 @@ class BaseReplica(Node):
         """The one stall rule (DESIGN §4, *When a replica suspects the
         primary*).  It also runs during a pending change, so a change that
         stalls too is escalated past every view already asked for.  A new
-        primary's lease quiesce is not a stall: the window restarts where
-        it ends (every member set that end on entering the view)."""
+        primary's lease quiesce holds no write back (it only withholds the
+        primary's licence), so it needs no exemption here."""
         if not self._pending_requests:
             return
-        timer = self._progress_timer
-        quiesce_end = 0.0 if self.lease_manager is None else self.lease_manager.quiesce_until
-        if self.sim.now < quiesce_end:
-            timer.start(quiesce_end - self.sim.now + timer.duration)
-            return
         self._suspect(max(self.view, self._asked_view) + 1)
-        timer.start()
+        self._progress_timer.start()
 
     def _rearm_timer(self) -> None:
         """Give the remaining pending requests a fresh window, or stand
@@ -400,10 +395,6 @@ class BaseReplica(Node):
             self._note_pending(request)
             return
         if self.is_primary:
-            if self.lease_manager is not None:
-                self._note_pending(request)  # parked writes survive view changes
-                if self.lease_manager.intercept(request):
-                    return
             self._admit_ordered(request)
         else:
             # Forward to the primary and start watching for progress.
@@ -413,9 +404,8 @@ class BaseReplica(Node):
     def _admit_ordered(self, request: ClientRequest) -> None:
         """Primary admission funnel: dedup, then batch-or-order one request.
 
-        Every primary-side path ends here — client requests, re-proposal
-        after an era change, and the lease manager re-admitting a parked
-        write once its revocation completes.
+        Every primary-side path ends here — client requests and
+        re-proposal after an era change.
         """
         if self._already_ordering(request):
             return
@@ -432,11 +422,8 @@ class BaseReplica(Node):
                 self.send(self.primary, request, request.wire_size())
             return
         for request in list(self._pending_requests.values()):
-            if self.already_executed(request):
-                continue
-            if self.lease_manager is not None and self.lease_manager.intercept(request):
-                continue  # held by the new-era quiesce; released later
-            self._admit_ordered(request)
+            if not self.already_executed(request):
+                self._admit_ordered(request)
         if self.batcher is not None:
             self.batcher.flush()
 
@@ -450,7 +437,7 @@ class BaseReplica(Node):
             # _repropose_pending / client retransmission.
             self.batcher.reset()
         if self.lease_manager is not None:
-            # Old-era grants and revocations are void; quiesce writes for
+            # Old-era grants and revocations are void; license nothing for
             # one lease duration so leftover holders drain safely.
             self.lease_manager.on_view_entered(self.view)
         if self.lease_table is not None:
@@ -533,7 +520,9 @@ class BaseReplica(Node):
             return None
         result = self.app.execute(request.op)
         self._executed.add(client, rid, result)
-        return ClientReply(self.name, client, rid, result, self.view)
+        manager = self.lease_manager
+        licensed = manager is not None and manager.licenses(request.op)
+        return ClientReply(self.name, client, rid, result, self.view, False, licensed)
 
     def _reaches(self, client: str) -> bool:
         """True when a message to ``client`` can leave this replica: the
@@ -549,11 +538,19 @@ class BaseReplica(Node):
     def resend_cached_reply(self, request: ClientRequest) -> bool:
         """Answer a retransmitted, executed request from the ledger — the
         one place a re-sent reply is built, under this replica's name and
-        view.  False when the ledger keeps no result (an ancient replay)."""
+        view.  A leased primary that cannot license it takes the slow path
+        (:meth:`~repro.bft.leases.LeaseManager.withhold`).  False when the
+        ledger keeps no result (an ancient replay)."""
         recorded, result = self._executed.lookup(*request.key())
         if recorded:
-            reply = ClientReply(self.name, request.client, request.rid, result, self.view)
+            manager = self.lease_manager
+            licensed = manager is not None and manager.licenses(request.op)
+            reply = ClientReply(
+                self.name, request.client, request.rid, result, self.view, False, licensed
+            )
             self.send(request.client, reply, reply.wire_size())
+            if manager is not None and not licensed and self.is_primary:
+                manager.withhold(request)
         return recorded
 
     def already_executed(self, request: ClientRequest) -> bool:
@@ -645,7 +642,9 @@ class BaseReplica(Node):
         if self.batcher is not None:
             self.batcher.reset()
         if self.lease_manager is not None:
+            # reset forgets grants that may still be live: license none.
             self.lease_manager.reset()
+            self.lease_manager.quiesce()
         if self.lease_table is not None:
             # A rejuvenated replica must not serve on pre-crash leases: it
             # waits for a fresh grant from the current primary.
@@ -734,19 +733,20 @@ class BaseReplica(Node):
     def _serve_lease_read(self, sender: str, request: ClientRequest) -> None:
         """Leased read: answer alone from local committed state, one hop.
 
-        Serveable iff a valid lease covers every key of the op — either a
-        grant from the current view's primary (backup side), or the
-        primary's own commit-evidence-backed self lease.  Anything else
-        gets a :class:`ReadNack`, pushing the client onto the f+1 quorum
-        path (same rid, no ordering traffic either way).
+        Serveable iff this replica holds every key of the op under a valid
+        lease — either a grant from the current view's primary (backup
+        side), or the primary's own commit-evidence-backed self lease.
+        Anything else gets a :class:`ReadNack`, pushing the client onto
+        the f+1 quorum path (same rid, no ordering traffic either way).
         """
         result: Any = None
-        serveable = not self.syncing and (
-            (self.lease_table is not None and self.lease_table.covers(request.op))
+        table = self.lease_table
+        serveable = not self.syncing and table is not None and (
+            table.covers(request.op)
             or (
                 self.is_primary
-                and self.lease_manager is not None
                 and self.lease_manager.holds_self_lease
+                and holder_of_all(self.group.members, keys_of(request.op)) == self.name
             )
         )
         if serveable:

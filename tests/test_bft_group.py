@@ -259,8 +259,9 @@ def test_switch_keeps_batching_and_leases():
 def test_switch_holds_writes_while_an_old_grant_may_be_live():
     """The old primary's last LeaseGrant is still in flight when the group
     switches, and the rebuilt member of the same name accepts it.  The new
-    primary never issued that grant, so it cannot revoke it: it holds
-    conflicting writes for one lease duration instead."""
+    primary never issued that grant, so it cannot revoke it: it licenses
+    no write for one lease duration instead (the key's holder still
+    licenses the writes it has executed)."""
     leases = LeaseConfig()
     sim = Simulator(seed=3)
     chip = Chip(sim, ChipConfig(width=6, height=6))
@@ -279,11 +280,11 @@ def test_switch_holds_writes_while_an_old_grant_may_be_live():
     stale = [
         expiry
         for replica in group.replicas.values() if replica.lease_table is not None
-        for _, _, expiry in replica.lease_table._grants.values()
+        for _, _, expiry, _ in replica.lease_table._grants.values()
     ]
     assert stale and max(stale) <= switch_at + leases.duration
     primary = group.replicas[group.members[0]].lease_manager
-    assert primary.quiesce_until >= max(stale)
+    assert primary._quiesce_until >= max(stale)
 
 
 # ----------------------------------------------------------------------

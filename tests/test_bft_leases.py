@@ -4,12 +4,16 @@ Covers the lease subsystem end-to-end:
 
 * leased reads complete locally with zero ordered-log growth;
 * one leaseholder per key (``lease_holder``): the requester's target, the
-  only member that serves the key and the only member a write revokes are
-  the same member — as a property, on the wire, and under a zero-slack
-  freshness oracle;
-* write-through invalidation: conflicting writes are held until the
-  key's holder acked (or the lease expired — the crashed-holder backstop,
-  one armed event per manager);
+  only member that serves the key, the member whose licence completes a
+  write of it and the only member the slow path revokes are the same
+  member — as a property, on the wire, and under a zero-slack freshness
+  oracle (also with the holder's agreement traffic delayed);
+* the completion rule: a write completes once the key's holder executed
+  it or holds no live grant on it — the licence, whom a requester takes
+  it from, and the slow path that revokes a crashed, cut-off or
+  reply-withholding holder;
+* a grant carries the primary's execution point, and only the primary
+  runs the renewal timer;
 * the staleness bound holds, including across a primary kill;
 * view changes and ``heal_first`` rejuvenation revoke outstanding
   leases before the replica serves (or is re-granted) again.
@@ -35,9 +39,14 @@ from repro.bft.leases import (
 from repro.bft.messages import (
     ClientReply,
     ClientRequest,
+    Commit,
     LeaseGrant,
     LeaseRevoke,
     LeaseRevokeAck,
+    MbCommit,
+    MbPrepare,
+    Prepare,
+    PrePrepare,
     ReadNack,
 )
 from repro.metrics.registry import MetricsRegistry
@@ -172,6 +181,7 @@ class StubReplica:
     a clock, the group's member list and a ``send`` that records."""
 
     state = NodeState.OK
+    last_executed = 0
 
     def __init__(self, sim, name, members, view):
         self.sim, self.name, self.view = sim, name, view
@@ -203,11 +213,17 @@ class StubReplica:
     view=st.integers(min_value=0, max_value=20),
 )
 def test_target_server_and_revoked_member_are_the_keys_one_holder(members, key, view):
+    """The requester's target, the only member that serves the key, the
+    only one besides the primary whose licence a requester takes, and the
+    only one the slow path revokes: the key's one holder."""
     sim = Simulator(seed=1)
     holder = lease_holder(members, key)
     primary = members[view % len(members)]
     # The requester aims the key's leased reads at the holder.
-    node = SimpleNamespace(name="c", chip=SimpleNamespace(has_node=lambda name: True))
+    node = SimpleNamespace(
+        name="c", sim=sim, send=lambda dst, message, size: None,
+        chip=SimpleNamespace(has_node=lambda name: True),
+    )
     session = ClientSession(node, 1_000.0)
     session.configure(members, 1, lease_reads=True)
     assert session.lease_target(("get", key)) == holder
@@ -221,29 +237,52 @@ def test_target_server_and_revoked_member_are_the_keys_one_holder(members, key, 
         if table.covers(("get", key)):
             serving.append(name)
     assert serving == ([holder] if holder != primary else [])
-    # The primary revokes the holder and nobody else — nobody when that is itself.
+    # Every member's licence on a write of the key: the holder's, and the
+    # primary's only when it holds the key itself (it granted everyone).
     replica = StubReplica(sim, primary, members, view)
     manager = LeaseManager(replica, LeaseConfig())
     manager.start()
     manager._on_renew()
     assert sorted(dst for dst, _ in replica.sent) == sorted(replica.other_members())
     del replica.sent[:]
-    parked = manager.intercept(ClientRequest("c", 0, ("put", key, 1)))
+    put = ClientRequest("c", 0, ("put", key, 1))
+    licensors = [
+        name for name in members
+        if (manager if name == primary
+            else LeaseManager(StubReplica(sim, name, members, view), LeaseConfig())
+            ).licenses(put.op)
+    ]
+    assert licensors == [holder]
+    # The requester takes a licence from the holder and the primary alone.
+    accepted = []
+    for name in members:
+        exchange = session.open(put.op, False, None)
+        reply = ClientReply(name, "c", exchange.request.rid, None, view, False, True)
+        if session.accept(exchange, name, reply):
+            accepted.append(name)
+        else:
+            session.close(exchange)
+    assert sorted(accepted) == sorted({holder, primary})
+    # The slow path revokes the holder and nobody else — nobody when that is itself.
+    manager.withhold(put)
     revoked = [dst for dst, m in replica.sent if isinstance(m, LeaseRevoke)]
     assert revoked == ([holder] if holder != primary else [])
-    assert parked == (holder != primary)
     manager.stop()
 
 
 def test_renewal_bookkeeping_fresh_renewed_lapsed_revoking_and_suspended():
     """What one renewal writes and counts, on both sides: the primary's
     ``_granted``, its granted / renewed / expired counters (the
-    ``leased-reads`` summaries report them) and each holder's table."""
+    ``leased-reads`` summaries report them) and each holder's table —
+    and the slow path's revocation: an unanswered holder is renewed
+    nothing, asked again, and its withheld write licensed once the grant
+    in the way lapses."""
     sim = Simulator(seed=1)
     members = ["p", "b1", "b2"]
     config = LeaseConfig(n_ranges=4, duration=100.0, renew_period=50.0)
     primary = StubReplica(sim, "p", members, 0)
-    primary.already_executed = lambda request: True  # a released write goes nowhere
+    released = []  # (when, rid) of each licensed reply the slow path sends
+    primary.resend_cached_reply = lambda request: released.append((sim.now, request.rid))
     manager = LeaseManager(primary, config)
     tables = {
         name: LeaseTable(StubReplica(sim, name, members, 0), config)
@@ -253,6 +292,7 @@ def test_renewal_bookkeeping_fresh_renewed_lapsed_revoking_and_suspended():
         primary.group.metrics.counter(f"g.lease.{name}")
         for name in ("granted", "renewed", "expired")
     ]
+    revoked = primary.group.metrics.counter("g.lease.revoked")
 
     def deliver():
         """Hand what the primary sent to the holders' tables; the grants."""
@@ -292,58 +332,71 @@ def test_renewal_bookkeeping_fresh_renewed_lapsed_revoking_and_suspended():
     assert state() == (
         [8, 0, 0],
         {"b1": dict.fromkeys(every, 100.0), "b2": dict.fromkeys(every, 100.0)},
-        {h: dict.fromkeys(every, (0, 0, 100.0)) for h in ("b1", "b2")},
+        {h: dict.fromkeys(every, (0, 0, 100.0, 0)) for h in ("b1", "b2")},
     )
     # A renewal before expiry.
     assert renew(50.0) == [("b1", every, 150.0), ("b2", every, 150.0)]
     assert state()[0] == [8, 8, 0]
-    assert state()[2] == {h: dict.fromkeys(every, (0, 0, 150.0)) for h in ("b1", "b2")}
+    assert state()[2] == {h: dict.fromkeys(every, (0, 0, 150.0, 0)) for h in ("b1", "b2")}
     # Every grant lapsed: each counts as expired and granted afresh.
     assert renew(300.0) == [("b1", every, 400.0), ("b2", every, 400.0)]
     assert state()[:2] == (
         [16, 8, 8],
         {"b1": dict.fromkeys(every, 400.0), "b2": dict.fromkeys(every, 400.0)},
     )
-    # A write on b1's key puts its range under revocation: not renewed.
+    # A retransmitted write on b1's key that cannot be licensed: b1's
+    # grant on the key's range goes under revocation, b2 keeps its own.
     sim.run(until=310.0)
-    assert manager.intercept(ClientRequest("cx", 0, ("put", key, 1)))
-    assert deliver() == []  # the revoke reached b1's table
-    assert renew(350.0) == [("b1", rest, 450.0), ("b2", rest, 450.0)]
+    write = ClientRequest("cx", 0, ("put", key, 1))
+    assert not manager.licenses(write.op)
+    manager.withhold(write)
+    assert deliver() == [] and revoked.value == 1  # the revoke reached b1's table
+    assert manager._revoking == {"b1": {r: 400.0}}
+    # b1's ack is lost.  A holder with a revocation outstanding is renewed
+    # nothing; b2 is renewed as ever.
+    assert renew(350.0) == [("b2", every, 450.0)]
     assert state() == (
-        [16, 14, 8],
-        {"b1": dict.fromkeys(rest, 450.0),
-         "b2": {**dict.fromkeys(rest, 450.0), r: 400.0}},
-        {"b1": dict.fromkeys(rest, (0, 0, 450.0)),
-         "b2": {**dict.fromkeys(rest, (0, 0, 450.0)), r: (0, 0, 400.0)}},
+        [16, 12, 8],
+        {"b1": dict.fromkeys(rest, 400.0), "b2": dict.fromkeys(every, 450.0)},
+        {"b1": dict.fromkeys(rest, (0, 0, 400.0, 0)),
+         "b2": dict.fromkeys(every, (0, 0, 450.0, 0))},
     )
-    # b1 acks: the range is grantable again — fresh for b1, lapsed for b2.
-    sim.run(until=360.0)
-    ack("b1", (r,))
-    assert manager.parked_writes == 0
-    assert renew(420.0) == [("b1", every, 520.0), ("b2", every, 520.0)]
-    assert state() == (
-        [18, 20, 9],
-        {"b1": dict.fromkeys(every, 520.0), "b2": dict.fromkeys(every, 520.0)},
-        {h: dict.fromkeys(every, (0, 0, 520.0)) for h in ("b1", "b2")},
-    )
-    # A suspended holder is revoked and skipped until readmitted.
+    assert released == []
+    # Heard nothing from b1 since that renewal: asked again, still renewed
+    # nothing.  The revoked grant has lapsed, so the write is licensed.
+    assert renew(420.0) == [("b2", every, 520.0)]
+    assert revoked.value == 2 and state()[0] == [16, 16, 8]
+    assert released == [(420.0, 0)] and manager.licenses(write.op)
+    # b1 answers: renewed again at the next tick, every range afresh (the
+    # three it kept lapsed at 400).
     sim.run(until=430.0)
+    ack("b1", (r,))
+    assert manager._revoking == {}
+    assert renew(470.0) == [("b1", every, 570.0), ("b2", every, 570.0)]
+    assert state() == (
+        [20, 20, 11],
+        {"b1": dict.fromkeys(every, 570.0), "b2": dict.fromkeys(every, 570.0)},
+        {h: dict.fromkeys(every, (0, 0, 570.0, 0)) for h in ("b1", "b2")},
+    )
+    assert not manager.licenses(write.op)  # b1 holds a live grant again
+    # A suspended holder is revoked and skipped until readmitted.
+    sim.run(until=480.0)
     manager.revoke_holder("b2")
     assert deliver() == []
-    sim.run(until=440.0)
+    sim.run(until=490.0)
     ack("b2", every)
-    assert renew(470.0) == [("b1", every, 570.0)]
+    assert renew(500.0) == [("b1", every, 600.0)]
     assert state() == (
-        [18, 24, 9],
-        {"b1": dict.fromkeys(every, 570.0), "b2": {}},
-        {"b1": dict.fromkeys(every, (0, 0, 570.0)), "b2": {}},
+        [20, 24, 11],
+        {"b1": dict.fromkeys(every, 600.0)},
+        {"b1": dict.fromkeys(every, (0, 0, 600.0, 0)), "b2": {}},
     )
     manager.readmit_holder("b2")
-    assert renew(480.0) == [("b1", every, 580.0), ("b2", every, 580.0)]
+    assert renew(510.0) == [("b1", every, 610.0), ("b2", every, 610.0)]
     assert state() == (
-        [22, 28, 9],
-        {"b1": dict.fromkeys(every, 580.0), "b2": dict.fromkeys(every, 580.0)},
-        {h: dict.fromkeys(every, (0, 0, 580.0)) for h in ("b1", "b2")},
+        [24, 28, 11],
+        {"b1": dict.fromkeys(every, 610.0), "b2": dict.fromkeys(every, 610.0)},
+        {h: dict.fromkeys(every, (0, 0, 610.0, 0)) for h in ("b1", "b2")},
     )
 
 
@@ -386,7 +439,10 @@ def test_non_holder_with_a_valid_grant_nacks_a_misrouted_leased_read():
     assert sender == holder and isinstance(reply, ClientReply) and reply.leased
 
 
-def test_a_write_revokes_its_keys_holders_and_nobody_else():
+def test_the_slow_path_revokes_a_writes_key_holders_and_nobody_else():
+    """What a primary that cannot license an executed, retransmitted write
+    revokes: the live grants of the write's key holders, one revoke per
+    holder, nobody else — and nothing for a key it holds itself."""
     sim, group, _, _ = granted_group()
     primary, b1, b2 = (group.replicas[m] for m in group.members)
     manager = primary.lease_manager
@@ -398,33 +454,34 @@ def test_a_write_revokes_its_keys_holders_and_nobody_else():
 
     def write(rid, op):
         del sent[:]
-        parked = manager.intercept(ClientRequest("cx", rid, op))
-        return parked, [(dst, m.ranges) for dst, m in sent]
+        licensed = manager.licenses(op)
+        manager.withhold(ClientRequest("cx", rid, op))
+        return licensed, [(dst, m.ranges) for dst, m in sent]
 
     mine = key_held_by(group.members, primary.name)
     taken = {range_of(mine, 16)}
     theirs = key_held_by(group.members, b1.name, taken)
     taken.add(range_of(theirs, 16))
-    # The primary holds the key: nobody to revoke, nothing to wait for.
-    assert write(0, ("put", mine, 1)) == (False, [])
-    assert manager.parked_writes == 0 and revoked.value == 0
+    # The primary holds the key: licensed, nobody to revoke.
+    assert write(0, ("put", mine, 1)) == (True, [])
+    assert revoked.value == 0
     # A backup holds it: exactly one revoke, to that backup, for that range.
-    assert write(1, ("put", theirs, 1)) == (True, [(b1.name, (range_of(theirs, 16),))])
-    assert manager.parked_writes == 1 and revoked.value == 1
+    assert write(1, ("put", theirs, 1)) == (False, [(b1.name, (range_of(theirs, 16),))])
+    assert revoked.value == 1
     # The other backup keeps its grant on the range and is not asked.
     assert range_of(theirs, 16) in manager._granted[b2.name]
     # Several keys: each key's holder, on each key's range.
     k1 = key_held_by(group.members, b1.name, taken)
     k2 = key_held_by(group.members, b2.name, taken | {range_of(k1, 16)})
-    parked, revokes = write(2, ("mget", mine, k1, k2))  # not a KV read: a conflict
-    assert parked and sorted(revokes) == sorted(
+    licensed, revokes = write(2, ("mget", mine, k1, k2))  # ordered: needs a licence
+    assert not licensed and sorted(revokes) == sorted(
         [(b1.name, (range_of(k1, 16),)), (b2.name, (range_of(k2, 16),))]
     )
-    # Underivable keys conflict with everything anybody still holds.
-    parked, revokes = write(3, ("add", 1))
+    # Underivable keys: everything anybody still holds.
+    licensed, revokes = write(3, ("add", 1))
     asked = {name: {r for dst, ranges in revokes if dst == name for r in ranges}
              for name in (b1.name, b2.name)}
-    assert parked and {dst for dst, _ in revokes} == set(asked)
+    assert not licensed and {dst for dst, _ in revokes} == set(asked)
     assert asked[b1.name] == set(range(16)) - {range_of(theirs, 16), range_of(k1, 16)}
     assert asked[b2.name] == set(range(16)) - {range_of(k2, 16)}
 
@@ -560,19 +617,48 @@ def test_staleness_bound_holds_across_primary_kill():
     assert reader.leased_reads_completed > 0
 
 
-def run_freshness_scenario(protocol, seed=5):
+AGREEMENT = (PrePrepare, Prepare, Commit, MbPrepare, MbCommit)
+
+
+def delay_inbound(node, kinds, delay):
+    """Hold every message of ``kinds`` that reaches ``node`` for ``delay``
+    sim-ms, then hand it in as if it had just arrived."""
+    releasing = set()
+
+    def release(sender, message):
+        releasing.add(id(message))
+        node.deliver(sender, message)
+
+    def hold(sender, message):
+        if id(message) in releasing:
+            releasing.discard(id(message))
+            return message
+        if not isinstance(message, kinds):
+            return message
+        node.sim.schedule(delay, release, sender, message)
+        return None
+
+    node.add_inbound_filter(hold)
+
+
+def run_freshness_scenario(protocol, seed=5, slow_holder=False):
     """Two read-your-writes clients and three readers over six keys — two
     per member, the primary included — under a zero-slack oracle
     (``staleness_oracle`` only flags a read a whole lease ``duration``
-    behind; revoking the wrong holder would pass it):
+    behind; a write completed without its holder would pass it):
 
     * values: once a write has completed at its client, no read *issued
       afterwards*, by any client, returns an older value — the writers
       re-read their key one sim-ms after each put;
-    * the gate: the instant a primary lets a write through to ordering, no
-      other member would still serve any of its keys.  Fault-free a holder
-      executes a write about when the client learns of it, so the values
-      alone rarely show a lease that was never revoked; this does, at once.
+    * the licence: the instant a write completes at its client, the
+      holder of its key has executed it or would not serve the key.
+      Fault-free a holder executes a write about when the client learns
+      of it, so the values alone rarely show a write completed early;
+      this does, at once.
+
+    ``slow_holder`` delays every agreement message reaching one backup
+    holder by 600 sim-ms: its keys' writes complete on its licence, late,
+    or not at all before it has executed them.
     """
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=5, height=5))
@@ -580,6 +666,8 @@ def run_freshness_scenario(protocol, seed=5):
     group = build_group(
         chip, GroupConfig(protocol=protocol, f=1, group_id="g", protocol_config=cfg)
     )
+    if slow_holder:
+        delay_inbound(group.replicas[group.members[1]], AGREEMENT, 600.0)
     keys = []
     for member in group.members * 2:
         keys.append(key_held_by(group.members, member, {range_of(k, 16) for k in keys}))
@@ -591,28 +679,26 @@ def run_freshness_scenario(protocol, seed=5):
         floors[(name, rid)] = completed.get(key, -1)
         return ("get", key)
 
+    def serves(replica, key):
+        """Would ``replica`` answer a leased read of ``key`` right now?"""
+        return replica.lease_table.covers(("get", key)) or (
+            replica.is_primary
+            and replica.lease_manager.holds_self_lease
+            and lease_holder(group.members, key) == replica.name
+        )
+
     def on_result(request, reply):
         if request.op[0] == "put":
             _, key, value = request.op
             completed[key] = max(completed.get(key, -1), value)
+            holder = group.replicas[lease_holder(group.members, key)]
+            if not holder.already_executed(request) and serves(holder, key):
+                violations.append(("unlicensed", sim.now, holder.name, key))
             return
         floor = floors.pop((request.client, request.rid))
         got = -1 if reply.result is None else reply.result
         if got < floor:
             violations.append(("stale", sim.now, request.client, request.op[1], got, floor))
-
-    for replica in group.replicas.values():
-        def gate(request, replica=replica, intercept=replica.lease_manager.intercept):
-            parked = intercept(request)
-            if not parked and request.op[0] == "put":
-                read = ("get", request.op[1])
-                violations.extend(
-                    ("served elsewhere", sim.now, other.name, request.op[1])
-                    for other in group.replicas.values()
-                    if other is not replica and other.lease_table.covers(read)
-                )
-            return parked
-        replica.lease_manager.intercept = gate
 
     # One writer per key, so a key's values rise in commit order.
     def put_then_get(name, own):
@@ -667,18 +753,62 @@ def test_no_read_issued_after_a_completed_write_returns_an_older_value(protocol)
     assert [c.completed for c in clients] == [120, 120, 300, 300, 300]
     # The lease path did the work, at every member: each holds two of the keys.
     assert sum(c.leased_reads_completed for c in clients) > 500
-    assert group.chip.metrics.counter("g.lease.revoked").value > 0
+    # Fault-free, every write completed on a licence: nothing was revoked.
+    assert group.chip.metrics.counter("g.lease.revoked").value == 0
     assert violations == []
     assert group.safety.is_safe
 
 
+@pytest.mark.parametrize("protocol", QUORUM_PROTOCOLS)
+def test_a_holder_behind_on_agreement_serves_no_read_older_than_a_completed_write(protocol):
+    """A backup holder whose PRE-PREPARE / PREPARE / COMMIT (MinBFT:
+    prepare and commit) arrive 600 sim-ms late is still granted, and used
+    to serve old values under a valid lease: a write completed on f+1
+    replies from the others before it had executed the write."""
+    group, clients, violations = run_freshness_scenario(protocol, slow_holder=True)
+    assert [c.completed for c in clients] == [120, 120, 300, 300, 300]
+    reads = 2 * 60 + 3 * 300
+    assert sum(c.leased_reads_completed for c in clients) >= 0.9 * reads
+    assert violations == []
+    assert group.safety.is_safe
+
+
+def test_a_primary_restarted_in_its_view_licenses_no_write_past_a_slow_holder():
+    """Recovery empties the primary's record of the grants it issued while
+    a holder that lags on agreement still holds one.  Licensing at once on
+    the empty record completed a write to that holder's key on the
+    primary's licence before the holder had executed it."""
+    sim, group, client, _ = granted_group()
+    primary, holder = (group.replicas[m] for m in group.members[:2])
+    key = key_held_by(group.members, holder.name)
+    delay_inbound(holder, AGREEMENT, 600.0)
+    primary.crash()
+    primary.recover()
+    held = []  # at each completion: has the holder executed the write?
+    client.config.max_requests = 3
+    client.config.workload = FactoryWorkload(lambda i: ("put", key, i))
+    client.config.on_result = lambda request, reply: held.append(
+        holder.already_executed(request)
+    )
+    client.start()
+    sim.run(until=sim.now + 5_000)
+    assert primary.view == 0 and primary.is_primary
+    assert holder.lease_table.covers(("get", key))  # the grant never lapsed
+    assert held == [True, True, True]
+    assert group.safety.is_safe
+
+
 def test_crashed_holder_cannot_wedge_writes_past_expiry():
-    """A holder that crashes without acking its revocation holds writes to
-    *its* keys at most one lease duration (the expiry backstop) — and
-    writes to anybody else's keys not at all."""
+    """A holder that crashes while granted delays writes to *its* keys
+    through the slow path — the requester's retransmit, an unanswered
+    revocation, the grant's lapse — and writes to anybody else's keys not
+    at all.  Once its grants lapsed it is renewed nothing, and writes to
+    its keys complete at once (each used to wait a duration again after
+    every renewal: a bystander's writes keep the primary renewing)."""
+    TIMEOUT = 60_000
     sim, chip, group, client = build(
         "minbft", leases=lease_config(),
-        client_cfg=ClientConfig(think_time=100, timeout=60_000, max_requests=3),
+        client_cfg=ClientConfig(think_time=100, timeout=TIMEOUT, max_requests=3),
     )
     primary, live, victim = (group.replicas[m] for m in group.members)
     stuck_key = key_held_by(group.members, victim.name)
@@ -687,7 +817,7 @@ def test_crashed_holder_cannot_wedge_writes_past_expiry():
     bystander = ClientNode(
         "c1",
         ClientConfig(
-            think_time=100, timeout=60_000, max_requests=3,
+            think_time=1_000, timeout=TIMEOUT,
             workload=FactoryWorkload(lambda i: ("put", free_key, i)),
         ),
     )
@@ -699,47 +829,91 @@ def test_crashed_holder_cannot_wedge_writes_past_expiry():
     client.start()
     bystander.start()
     sim.run(until=sim.now + DURATION / 3)
-    # The live holder acked within the round; the dead one's key still waits.
-    assert bystander.completed == 3 and max(bystander.latencies) < 1_000
-    assert client.completed == 0 and primary.lease_manager.parked_writes == 1
-    sim.run(until=sim.now + 10 * DURATION)
+    # The live holder licensed within the round; the dead one's key waits.
+    assert bystander.completed >= 3 and client.completed == 0
+    sim.run(until=sim.now + TIMEOUT + 4 * DURATION)
     assert client.completed == 3
-    # Every write waited at most ~one duration for the dead holder.
-    assert all(lat <= DURATION + 2_000 for lat in client.latencies)
+    # The first write waited for its retransmit, which stops the victim's
+    # renewals, and then for the grant renewed before it to lapse: at
+    # most a timeout, a duration and a renewal period (74 935 sim-ms here,
+    # where holding the write at the primary took 15 256, bounded by
+    # DURATION + 2 000).  The others were licensed by the primary at once.
+    assert max(client.latencies) <= TIMEOUT + DURATION + RENEW
+    assert sorted(client.latencies)[1] < 1_000
+    manager = primary.lease_manager
+    assert victim.name in manager._revoking and victim.name in manager._unanswered
+    # Writes issued after the lapse complete at normal latency.
+    late = ClientNode(
+        "c2",
+        ClientConfig(
+            think_time=100, timeout=TIMEOUT, max_requests=3,
+            workload=FactoryWorkload(lambda i: ("put", stuck_key, 100 + i)),
+        ),
+    )
+    group.attach_client(late)
+    late.start()
+    sim.run(until=sim.now + DURATION)
+    assert late.completed == 3 and max(late.latencies) < 1_000
+    assert max(bystander.latencies) < 1_000
     assert group.safety.is_safe
 
 
-def test_each_held_write_is_released_just_past_its_own_expiry():
-    """Two writes behind one dead holder, on ranges whose grants run out a
-    renewal apart: the single backstop fires for the first and re-arms."""
+def test_a_holder_withholding_its_replies_cannot_stall_its_keys_writes():
+    """A live holder that drops every ClientReply it would send still acks
+    the revocation: the primary licenses on the ack, one retransmit in —
+    for every write, since the holder, having answered, is renewed again
+    before the next one."""
+    sim, chip, group, client = build("minbft", leases=lease_config())
+    withholder = group.replicas[group.members[2]]
+    key = key_held_by(group.members, withholder.name)
+    client.config.max_requests = 3
+    client.config.think_time = 2 * RENEW
+    client.config.workload = FactoryWorkload(lambda i: ("put", key, i))
+    withholder.add_outbound_filter(
+        lambda dst, m: None if isinstance(m, ClientReply) else m
+    )
+    sim.run(until=2 * RENEW + 100)
+    client.start()
+    sim.run(until=sim.now + 10 * DURATION)
+    assert client.completed == 3
+    assert max(client.latencies) <= DURATION + 2_000
+    assert chip.metrics.counter("g.lease.revoked").value == 3
+    assert group.safety.is_safe
+
+
+def test_withheld_writes_are_licensed_at_the_first_renewal_past_the_dead_holders_expiry():
+    """Two writes behind one dead holder, withheld a renewal apart: the
+    holder answers no revocation, so after the first it is renewed
+    nothing, and both are licensed at the first renewal after its last
+    grant expired — no event of their own."""
     sim, group, _, _ = granted_group()
     primary, _, victim = (group.replicas[m] for m in group.members)
     manager = primary.lease_manager
     first = key_held_by(group.members, victim.name)
     second = key_held_by(group.members, victim.name, {range_of(first, 16)})
-    victim.crash()
-    first_expiry = manager._granted[victim.name][range_of(first, 16)]
-    assert manager.intercept(ClientRequest("cx", 0, ("put", first, 1)))
-    # The primary cannot know: the next renewal extends the other range.
-    sim.run(until=sim.now + RENEW)
-    second_expiry = manager._granted[victim.name][range_of(second, 16)]
-    assert second_expiry == first_expiry + RENEW
-    assert manager.intercept(ClientRequest("cx", 1, ("put", second, 1)))
     released = []
-    primary._admit_ordered = lambda request: released.append((sim.now, request.rid))
-    sim.run(until=first_expiry + 0.5)
-    assert manager.parked_writes == 2 and released == []
-    sim.run(until=second_expiry + 0.5)
-    assert manager.parked_writes == 1 and released == [(first_expiry + 1.0, 0)]
-    sim.run(until=second_expiry + 1.5)
-    assert manager.parked_writes == 0 and released[1:] == [(second_expiry + 1.0, 1)]
-    assert manager._backstop is None  # nothing outstanding, nothing armed
+    primary.resend_cached_reply = lambda request: released.append((sim.now, request.rid))
+    victim.crash()
+    expiry = manager._granted[victim.name][range_of(first, 16)]
+    manager.withhold(ClientRequest("cx", 0, ("put", first, 1)))
+    # The next renewal cannot know yet; the one after asks again and
+    # renews nothing.
+    sim.run(until=sim.now + 2 * RENEW)
+    assert victim.name in manager._unanswered
+    assert manager._granted[victim.name][range_of(second, 16)] == expiry
+    manager.withhold(ClientRequest("cx", 1, ("put", second, 1)))
+    sim.run(until=expiry - 1)
+    assert released == [] and len(manager._withheld) == 2
+    sim.run(until=expiry + RENEW)
+    tick = released[0][0]
+    assert expiry <= tick < expiry + RENEW
+    assert released == [(tick, 0), (tick, 1)] and not manager._withheld
 
 
-def test_acked_revocations_leave_one_backstop_not_one_each():
-    """Acks arrive within a round; the expiry backstop must not cost a
-    kernel event per revoked range that sits in the heap for a lease
-    duration and fires to do nothing."""
+def test_fault_free_writes_revoke_nothing_and_withhold_nothing():
+    """Writes to backup-held keys complete on their holder's licence: no
+    revocation, nothing withheld, one round each (each used to wait for a
+    revocation round trip before it could be ordered)."""
     sim, chip, group, client = build(
         "minbft", leases=lease_config(),
         client_cfg=ClientConfig(think_time=50, timeout=60_000, max_requests=100),
@@ -750,17 +924,109 @@ def test_acked_revocations_leave_one_backstop_not_one_each():
         taken = {range_of(k, 16) for k in keys}
         keys.append(key_held_by(group.members, group.members[1 + i % 2], taken))
     client.config.workload = FactoryWorkload(lambda i: ("put", keys[i % 8], i))
-    fired = []
-    expire = manager._expire_revocations
-    manager._expire_revocations = lambda: (fired.append(sim.events_fired), expire())[1]
     sim.run(until=2 * RENEW + 100)
     client.start()
     sim.run(until=sim.now + 40 * DURATION)
-    assert client.completed == 100
-    assert chip.metrics.counter("g.lease.revoked").value >= 90  # nearly every write revoked
-    assert chip.metrics.counter("g.lease.expired").value == 0  # ...and was acked
-    assert len(fired) <= 6  # one per revoked range, 100, before
-    assert manager._backstop is None and not manager._revoking
+    assert client.completed == 100 and max(client.latencies) < 1_000
+    assert chip.metrics.counter("g.lease.revoked").value == 0
+    assert chip.metrics.counter("g.lease.expired").value == 0
+    assert not manager._revoking and not manager._withheld
+
+
+# ----------------------------------------------------------------------
+# The licence at the requester, the execution point, the renewal timer
+# ----------------------------------------------------------------------
+def licence_session(requester_members):
+    """A session over ``requester_members`` (quorum 2) and a put on a key
+    that the group ``["p", "b1", "b2"]`` gives to ``b1``."""
+    sim = Simulator(seed=1)
+    node = SimpleNamespace(
+        name="c", sim=sim, send=lambda dst, message, size: None,
+        chip=SimpleNamespace(has_node=lambda name: True),
+    )
+    session = ClientSession(node, 1_000.0)
+    session.configure(requester_members, 2, lease_reads=True)
+    key = key_held_by(["p", "b1", "b2"], "b1")
+    exchange = session.open(("put", key, 1), False, None)
+
+    def reply(sender, licensed, view=0):
+        message = ClientReply(sender, "c", exchange.request.rid, None, view, False, licensed)
+        return session.accept(exchange, sender, message)
+
+    return session, key, reply
+
+
+def test_a_licence_from_a_non_holder_backup_is_ignored():
+    session, key, reply = licence_session(["p", "b1", "b2"])
+    assert not reply("b2", True)  # not the key's holder: no licence
+    assert not reply("p", False)  # f+1 matching, still unlicensed
+    assert reply("b1", True)  # the holder's licence completes it
+
+
+def test_a_backup_claiming_a_view_it_leads_cannot_license():
+    """b2 names view 2, whose primary it would be: the claim is its own,
+    and no other reply reports view 2, so its mark is no primary's."""
+    session, key, reply = licence_session(["p", "b1", "b2"])
+    assert not reply("b2", True, view=2)
+    assert not reply("p", False)  # f+1 matching, still unlicensed
+    assert reply("b1", True)  # the holder's licence completes it
+
+
+def test_a_primarys_licence_counts_once_f_plus_1_replies_report_its_view():
+    session, key, reply = licence_session(["p", "b2", "b1"])  # b2 holds the key here
+    assert not reply("b2", False, view=1)
+    assert not reply("p", True)  # view 0's primary: only p reports view 0
+    assert reply("b1", False)  # a second reply in view 0 vouches for it
+
+
+def test_a_requester_that_names_another_holder_completes_on_the_primarys_licence():
+    """The requester's member list gives the key to b2, the group's to b1:
+    b1's licence is not one this requester can rely on (its reads of the
+    key go to b2, which nacks them), so only the primary's completes."""
+    session, key, reply = licence_session(["p", "b2", "b1"])
+    assert lease_holder(["p", "b2", "b1"], key) == "b2"
+    assert not reply("b1", True)
+    assert not reply("b2", False)
+    assert reply("p", True)
+
+
+def test_a_grant_is_not_served_before_its_holder_executed_as_far_as_the_primary():
+    sim, group, client, probe = granted_group()
+    primary, holder = (group.replicas[m] for m in group.members[:2])
+    key = key_held_by(group.members, holder.name)
+    read = ("get", key)
+    assert holder.lease_table.covers(read)
+    # A re-grant whose execution point the holder has not reached.
+    ahead = LeaseGrant(
+        primary.name, primary.view, primary.lease_manager.epoch, tuple(range(16)),
+        sim.now + DURATION, holder.last_executed + 1,
+    )
+    holder.lease_table.on_grant(primary.name, ahead)
+    assert not holder.lease_table.covers(read)
+    probe.send(holder.name, ClientRequest("probe", 0, read, True, True), 64)
+    sim.run(until=sim.now + 500)
+    assert probe.received == [(holder.name, ReadNack(holder.name, "probe", 0))]
+    # One write later the holder has caught up, and serves again.
+    client.config.max_requests = 1
+    client.config.workload = FactoryWorkload(lambda i: ("put", "other", i))
+    client.start()
+    sim.run(until=sim.now + 2_000)
+    assert client.completed == 1 and holder.last_executed >= ahead.executed
+    assert holder.lease_table.covers(read)
+
+
+def test_only_the_primary_runs_the_renewal_timer():
+    sim, chip, group, client = build("minbft", leases=lease_config())
+    sim.run(until=RENEW + 100)
+    timers = [group.replicas[m].lease_manager._timer for m in group.members]
+    assert timers[0] is not None and timers[0].running
+    assert timers[1:] == [None, None]  # a backup's manager arms nothing
+    # A view change hands the cadence to the new primary.
+    for replica in group.replicas.values():
+        replica._enter_era(1)
+    assert not timers[0].running
+    timers = [group.replicas[m].lease_manager._timer for m in group.members]
+    assert timers[0] is None and timers[2] is None and timers[1].running
 
 
 # ----------------------------------------------------------------------

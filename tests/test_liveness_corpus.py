@@ -13,10 +13,12 @@ it green.
   ``BaseReplica._on_progress_timeout``, a view change that itself stalled
   was never escalated: MinBFT's survivors sat in view 2 and PBFT's in
   view 3, each asking for a view led by the dead member, serving nothing.
-  The view bound is the second half: a new primary's lease quiesce
-  (15 s) outlasts the 8 s view timeout, and unless the timer counts from
-  the quiesce's end every new primary is suspected before it may order a
-  write — views climb past 40 and nothing is served.
+  The view bound was the second half while a new primary's lease quiesce
+  (15 s, longer than the 8 s view timeout) held writes back: unless the
+  timer counted from the quiesce's end every new primary was suspected
+  before it could order a write — views climbed past 40 and nothing was
+  served.  A write is now ordered at once and completes on its key
+  holder's licence, so the quiesce holds nothing back.
 * **Two crashes** — the same with f = 2, the primaries of views 0 and 1
   crashed together: the change to view 1 stalls from its start and must
   be escalated (MinBFT and PBFT used to sit in view 0 asking for view 1).

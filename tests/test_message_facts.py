@@ -336,4 +336,7 @@ def test_sharded_smoke_registers_the_same_metric_names():
     assert names_fingerprint(system.chip.metrics) == SHARDED_NAMES, sorted(
         system.chip.metrics.dump()
     )
-    assert never_moved(system.chip.metrics) == ZERO_BY_DESIGN
+    # A write completes on its key holder's licence: revocations are the
+    # slow path only (a retransmitted write), and this run retransmits none.
+    revoked = ["s0.lease.revoked", "s1.lease.revoked"]
+    assert never_moved(system.chip.metrics) == sorted(ZERO_BY_DESIGN + revoked)

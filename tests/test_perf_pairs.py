@@ -44,15 +44,17 @@ def test_lower_is_better_metrics_and_ties():
     assert not holds and "wins 0/0" in row
 
 
-def canned_runs(monkeypatch, digest_of):
+def canned_runs(monkeypatch, digest_of, failed_of=lambda side, seed: 0.0):
     """Replace the fresh-interpreter run: record ``(side, seed)`` per call
-    and hand back ``digest_of(side, seed)`` with one metric."""
+    and hand back ``digest_of(side, seed)`` with one metric and
+    ``failed_of(side, seed)`` as the failed share."""
     calls = []
 
     def run_once(checkout, args, workload, seed):
         side = "change" if checkout == perf_pairs.ROOT else "parent"
         calls.append((side, seed))
-        return digest_of(side, seed), {"sim_ops_per_wall_s": 2300.0, "lat_p50_ms": 3000.0 + seed}
+        metrics = {"sim_ops_per_wall_s": 2300.0, "lat_p50_ms": 3000.0 + seed}
+        return digest_of(side, seed), metrics, failed_of(side, seed)
 
     monkeypatch.setattr(perf_pairs, "run_once", run_once)
     return calls
@@ -114,8 +116,8 @@ def test_traced_pairs_read_every_layer_beside_the_end_to_end_rows(monkeypatch, c
 
     monkeypatch.setattr(perf_pairs.subprocess, "run", run)
     args = argparse.Namespace(pairs=2, seed=[7], seconds=1.0, trace=True)
-    digest, metrics = perf_pairs.run_once(Path("/parent"), args, "write-pbft", 7)
-    assert commands[0][-3:] == ["--trace", "1", "--child"]
+    digest, metrics, failed = perf_pairs.run_once(Path("/parent"), args, "write-pbft", 7)
+    assert commands[0][-3:] == ["--trace", "1", "--child"] and failed == 0.0
     assert digest == "d7" and list(metrics) == perf_pairs.TRACED_ROWS
     assert metrics["sim_ops_per_wall_s"] == 3300.0 and metrics["noc.events"] == 190_000
     assert "setup_s" not in metrics and "trace.overhead_frac" not in metrics
@@ -145,5 +147,44 @@ def test_untraced_pairs_run_trace_zero(monkeypatch):
 
     monkeypatch.setattr(perf_pairs.subprocess, "run", run)
     args = argparse.Namespace(pairs=2, seed=[7], seconds=1.0, trace=False)
-    assert perf_pairs.run_once(Path("/parent"), args, "write-pbft", 7) == ("d7", {"sim_ops_per_wall_s": 3300.0})
+    assert perf_pairs.run_once(Path("/parent"), args, "write-pbft", 7) == (
+        "d7", {"sim_ops_per_wall_s": 3300.0}, 0.0
+    )
     assert commands[0][-2:] == ["--trace", "0"] and "--child" not in commands[0]
+
+
+def fault_storm_stdout(failed, correct=True):
+    return "\n".join([
+        "workload fault-storm seed 7 seconds 1 window 6000 sim-ms  sim_digest d7  latency samples 90",
+        json.dumps({"correct": correct, "attempted": 400, "failed": failed,
+                    "metrics": {"served_frac": {"value": 0.7}}}),
+    ])
+
+
+def test_a_workload_that_fails_ops_by_design_pairs_on_its_failed_share(monkeypatch, capsys):
+    # A run with failed operations is a result, not a refusal...
+    monkeypatch.setattr(perf_pairs.subprocess, "run", lambda command, **kwargs:
+                        subprocess.CompletedProcess(command, 0, stdout=fault_storm_stdout(100)))
+    args = argparse.Namespace(pairs=2, seed=[7], seconds=1.0, trace=False)
+    assert perf_pairs.run_once(Path("/parent"), args, "fault-storm", 7) == (
+        "d7", {"served_frac": 0.7}, 0.25
+    )
+    # ...but a run whose checks fail still is.
+    monkeypatch.setattr(perf_pairs.subprocess, "run", lambda command, **kwargs:
+                        subprocess.CompletedProcess(command, 0, stdout=fault_storm_stdout(100, False)))
+    try:
+        perf_pairs.run_once(Path("/parent"), args, "fault-storm", 7)
+    except SystemExit as refused:
+        assert "failed its checks" in str(refused)
+    else:
+        raise AssertionError("a run whose checks fail was paired")
+    # The pairs hold while the change fails no larger share than the parent...
+    canned_runs(monkeypatch, lambda side, seed: "d7",
+                lambda side, seed: 0.28 if side == "parent" else 0.27)
+    assert perf_pairs.compare(args, Path("/parent"), "fault-storm")
+    assert "failed share: parent 0.28 change 0.27 (worst run)" in capsys.readouterr().out
+    # ...and fail, digests identical or not, once it fails a larger one.
+    canned_runs(monkeypatch, lambda side, seed: "d7",
+                lambda side, seed: 0.28 if side == "parent" else 0.29)
+    assert not perf_pairs.compare(args, Path("/parent"), "fault-storm")
+    assert "LARGER for the change in pairs [1, 2]" in capsys.readouterr().out

@@ -27,9 +27,11 @@ Every metric gets a row — both medians [q1, q3], the move, wins/decided
 pairs — and, from ten pairs on, the rule's verdict: the change wins at least
 9 of 10 pairs (ties count for neither) with medians further apart than the
 parent's own inter-quartile distance — for sim-clock and wall-clock rows
-alike, whatever the seeds.  Exit status 1 if a run fails its checks or, on any
-one seed, ``sim_digest`` differs between the two sides (or between two runs of
-one side).  For a change that claims to preserve behaviour that is a failure:
+alike, whatever the seeds.  Exit status 1 if a run fails its checks, if in
+any pair the change fails a larger share of its operations than the parent
+(a workload such as ``fault-storm`` fails some by design, so a failure alone
+refuses nothing), or if, on any one seed, ``sim_digest`` differs between the
+two sides (or between two runs of one side).  For a change that claims to preserve behaviour that is a failure:
 a wall-clock comparison of two different simulations means nothing.  For a
 change that **declares** a drift in simulated results it is the expected
 exit, and the table is the result: the sim-clock rows say what moved and by
@@ -85,8 +87,9 @@ def export(rev: str, into: Path) -> None:
 
 def run_once(
     checkout: Path, args: argparse.Namespace, workload: str, seed: int
-) -> Tuple[str, Dict[str, float]]:
-    """One measured run in a fresh interpreter: ``(sim_digest, metrics)``.
+) -> Tuple[str, Dict[str, float], float]:
+    """One measured run in a fresh interpreter: ``(sim_digest, metrics,
+    failed share of attempted operations)``.
 
     Traced, the metrics are :data:`TRACED_ROWS`, read from the record
     ``--child`` prints (``--child`` also leaves out the layer probes)."""
@@ -103,12 +106,13 @@ def run_once(
         digest = lines[0].split("sim_digest", 1)[1].split()[0]
     except (IndexError, ValueError):
         sys.exit(f"perf_pairs: no result from {checkout} (exit {done.returncode}):\n{done.stdout}")
-    if done.returncode or not result["correct"] or result["failed"]:
+    if done.returncode or not result["correct"]:
         sys.exit(f"perf_pairs: run in {checkout} failed its checks:\n{done.stdout}")
+    failed = result["failed"] / result["attempted"] if result["attempted"] else 0.0
     if not args.trace:
-        return digest, {name: m["value"] for name, m in result["metrics"].items()}
+        return digest, {name: m["value"] for name, m in result["metrics"].items()}, failed
     record = next(json.loads(line[len("RECORD "):]) for line in lines if line.startswith("RECORD "))
-    return digest, {name: record["values"][name] for name in TRACED_ROWS}
+    return digest, {name: record["values"][name] for name in TRACED_ROWS}, failed
 
 
 def verdict(name: str, before: List[float], after: List[float]) -> Tuple[str, bool]:
@@ -131,16 +135,19 @@ def verdict(name: str, before: List[float], after: List[float]) -> Tuple[str, bo
 def compare(args: argparse.Namespace, parent: Path, workload: str) -> bool:
     """Run the pairs on one workload, pair *i* on seed *i mod k*, and print
     the rows; True if, seed by seed, every run of both sides had the same
-    ``sim_digest``."""
+    ``sim_digest``, and in no pair did the change fail a larger share of
+    its operations than the parent."""
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
+    failed: Dict[str, List[float]] = {"parent": [], "change": []}
     digests: Dict[int, Set[str]] = {}
     for pair in range(args.pairs):
         seed = args.seed[pair % len(args.seed)]
         sides = [("parent", parent), ("change", ROOT)]
         for side, checkout in sides if pair % 2 == 0 else reversed(sides):
-            digest, metrics = run_once(checkout, args, workload, seed)
+            digest, metrics, share = run_once(checkout, args, workload, seed)
             digests.setdefault(seed, set()).add(digest)
             runs[side].append(metrics)
+            failed[side].append(share)
         print(f"  pair {pair + 1}/{args.pairs} (seed {seed}): sim_ops_per_wall_s"
               f" parent {runs['parent'][-1]['sim_ops_per_wall_s']:.6g}"
               f"  change {runs['change'][-1]['sim_ops_per_wall_s']:.6g}", flush=True)
@@ -148,9 +155,13 @@ def compare(args: argparse.Namespace, parent: Path, workload: str) -> bool:
         print(f"{workload} seed {seed}: sim_digest"
               f" {'identical' if len(seen) == 1 else 'DIFFERS'} ({', '.join(sorted(seen))})")
     same = all(len(seen) == 1 for seen in digests.values())
+    worse = [i + 1 for i, (b, a) in enumerate(zip(failed["parent"], failed["change"])) if a > b]
+    print(f"{workload} failed share: parent {max(failed['parent']):.6g} change"
+          f" {max(failed['change']):.6g} (worst run)"
+          + (f"  LARGER for the change in pairs {worse}" if worse else ""))
     for name in runs["parent"][0]:
         print("  " + verdict(name, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])[0])
-    return same
+    return same and not worse
 
 
 def main() -> int:
