@@ -161,13 +161,18 @@ class CftReplica(BaseReplica):
 
     def _commit_up_to(self, seq: int) -> None:
         """Commit, and so execute, every entry up to ``seq``: the commit
-        point is last_executed.  An executed entry has no reader left —
-        elections forward and re-replicate only above it, and catch-up is
-        a snapshot — so it goes from the log."""
+        point is last_executed.  An executed entry has no reader left here
+        — elections forward and re-replicate only above it, and catch-up
+        ships the ordering core's checkpoint and executed log — so it goes
+        from this log."""
         while self.last_executed < seq:
             entry = self._log.pop(self.last_executed + 1, None)
             if entry is None:
-                break  # hole: wait for the missing append
+                # A hole under the commit point: an append this member
+                # missed (it was down, or a new leader re-replicated only
+                # above its own commit point).  Fetch it from the group.
+                self.request_state_sync()
+                break
             self._acks.pop(entry.seq, None)
             self.commit_operation(entry.seq, entry.digest, entry.request)
             self._note_executed(entry.request)

@@ -330,22 +330,32 @@ class StateRequest:
 
 @dataclass(frozen=True)
 class StateResponse:
-    """A peer's state offer: its ``export_state()`` and the digest that
-    vouches for it (``replica.offer_digest``).  Requesters adopt a copy
-    matching it once ``state_sync_quorum`` responders agree on
-    (last_executed, state_digest) — one Byzantine responder cannot
-    poison a recovering replica.
+    """A peer's answer to a :class:`StateRequest`: its latest checkpoint
+    and the log it executed above the requester's ``have_seq``.
+
+    The checkpoint is named by ``(checkpoint_seq, checkpoint_digest)``
+    (the digest is ``replica.offer_digest`` of the state right after that
+    seq); ``state`` is its ``export_state()``, shipped only when the
+    requester is behind it, else None.  ``log`` holds ``(seq, digest,
+    proposal)`` per executed seq above both.  ``view`` is the responder's
+    current view.  What the requester adopts or executes, a quorum of
+    responders must have shipped (``BaseReplica._end_sync_round``).
     """
 
     replica: str
-    last_executed: int
-    state_digest: bytes
-    state: Any  # the export_state() dict; opaque to the wire layer
+    view: int
+    checkpoint_seq: int
+    checkpoint_digest: bytes
+    state: Any  # the checkpoint's export_state() dict, or None
+    log: Tuple[Tuple[int, bytes, Proposal], ...]
 
     def wire_size(self) -> int:
-        # Snapshot size dominates; approximate from the ledger's clients.
-        executed = self.state.get("executed_requests", {}) if isinstance(self.state, dict) else {}
-        return HEADER_BYTES + 8 + DIGEST_BYTES + 64 + 16 * len(executed)
+        size = HEADER_BYTES + 16 + DIGEST_BYTES + MAC_BYTES
+        if isinstance(self.state, dict):
+            size += _op_size(self.state.get("snapshot")) + _op_size(
+                self.state.get("executed_requests")
+            )
+        return size + sum(8 + DIGEST_BYTES + proposal.wire_size() for _, _, proposal in self.log)
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +406,8 @@ class Commit:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Periodic state checkpoint for log truncation."""
+    """PBFT's vote on a member's checkpoint (``offer_digest`` of the state
+    right after ``seq``); 2f+1 matching votes make it stable."""
 
     seq: int
     state_digest: bytes

@@ -345,9 +345,10 @@ class MinBftReplica(BaseReplica):
     def _drain_ready(self) -> None:
         """Execute committed slots in prepare-counter order, dropping each
         as the cursor passes it: nothing reads an executed slot (a view
-        change carries ``last_executed``, catch-up is a snapshot, replays
-        stop at the USIG hold-back), so a replica retains only its
-        in-flight window however long it runs.
+        change carries ``last_executed``, catch-up ships the ordering
+        core's checkpoint and executed log, replays stop at the USIG
+        hold-back), so a replica retains only its in-flight window however
+        long it runs.
 
         Gated on ``syncing``: after recovery the replica must not assign
         global sequence numbers until it knows whether peers executed
@@ -360,16 +361,16 @@ class MinBftReplica(BaseReplica):
             if prepare.exec_seq > self.last_executed + 1:
                 # We missed operations (joined/recovered mid-stream):
                 # catch up by state transfer before executing further.
-                if not self.syncing:
-                    self.request_state_sync()
+                self.request_state_sync()
                 return
             del self._ready[self._exec_cursor]
             del self._slots[self._exec_cursor]
             self._exec_cursor += 1
             if prepare.exec_seq > self.last_executed:
                 self.commit_operation(prepare.exec_seq, prepare.digest, prepare.request)
-            # else: covered by an adopted snapshot / executed in an earlier
-            # view; consuming it again would shift later numbering.
+            # else: covered by an adopted checkpoint or replayed log /
+            # executed in an earlier view; consuming it again would shift
+            # later numbering.
             self._note_executed(prepare.request)
 
     def on_state_synced(self) -> None:

@@ -15,8 +15,8 @@ Implemented here with:
   recipient on multicasts — the message-cost asymmetry E2 measures); a
   PREPARE or COMMIT whose quorum is already met by verified and queued
   votes is dropped on its header, before its MAC is paid for;
-* periodic checkpointing with log truncation at 2f+1 matching
-  checkpoints;
+* a CHECKPOINT vote on each checkpoint the ordering core takes (its
+  ``offer_digest``), with log truncation at 2f+1 matching votes;
 * a view-change subprotocol: backups time-out on pending requests and
   broadcast VIEW-CHANGE with the PRE-PREPARE of every prepared slot in
   their log; the next primary installs NEW-VIEW re-proposing, per seq it
@@ -77,9 +77,6 @@ class PbftReplica(BaseReplica):
 
     REPLICAS_PER_F = 3
     byzantine_safe = True
-    #: Every this many sequence numbers a replica broadcasts a CHECKPOINT;
-    #: 2f+1 matching ones make it stable and truncate the log below it.
-    CHECKPOINT_INTERVAL = 64
     #: The primary assigns no sequence number this far past the last
     #: stable checkpoint, and backups accept none.
     WATERMARK_WINDOW = 256
@@ -322,18 +319,13 @@ class PbftReplica(BaseReplica):
             self._note_executed(proposal)
 
     # ------------------------------------------------------------------
-    # Checkpoints
+    # Checkpoints: 2f+1 matching votes make one stable
     # ------------------------------------------------------------------
-    def _execute(self, seq: int, digest: bytes, proposal: Proposal) -> None:
-        """Execute, then checkpoint: a CHECKPOINT names the state right
-        after its seq, whether that seq committed in order or waited for
-        a gap to close."""
-        super()._execute(seq, digest, proposal)
-        if seq % self.CHECKPOINT_INTERVAL == 0:
-            self._emit_checkpoint(seq)
-
-    def _emit_checkpoint(self, seq: int) -> None:
-        message = Checkpoint(seq, self.app.state_digest(), self.name)
+    def _on_checkpoint(self, seq: int) -> None:
+        """Vote on the checkpoint the ordering core just took: the state
+        right after ``seq``, whether that seq committed in order or waited
+        for a gap to close."""
+        message = Checkpoint(seq, self._checkpoint_digest(), self.name)
         self._record_checkpoint_vote(self.name, message)
         self._auth_multicast(message)
 

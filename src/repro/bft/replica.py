@@ -4,16 +4,19 @@
 is *not* agreement: primary admission (dedup, batch or order), the
 pending-request map, its progress timer and the stall rule,
 the batcher and lease install, re-proposal after an era change, in-order
-execution, replies and state transfer.  A protocol module supplies only
-the hooks the core calls —
+execution, replies, checkpoints and state transfer.  A protocol module
+supplies only the hooks the core calls —
 
 * ``_order_proposal(proposal) -> bool``: start agreement on one proposal;
 * ``_already_ordering(request) -> bool``: is it in an uncommitted slot;
 * ``_suspect(target)``: pending requests stalled — ask the group to move
   to view ``target`` (VIEW-CHANGE, REQ-VIEW-CHANGE, ELECT);
+* ``_on_checkpoint(seq)``: this member just took a checkpoint (PBFT
+  votes on it; the others send nothing);
 
 — plus what genuinely differs between families: slots, phases, quorum
-sizes, USIG sequencing, checkpoints and the view-change/election votes.
+sizes, USIG sequencing, stable checkpoints and the view-change/election
+votes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.bft.messages import (
     ReadNack,
     StateRequest,
     StateResponse,
+    proposal_digest,
     proposal_keys,
     requests_of,
 )
@@ -221,6 +225,13 @@ class BaseReplica(Node):
 
     #: Set by :meth:`shutdown`; a retired instance never comes back.
     retired = False
+    #: Every this many executions a member records its checkpoint; it
+    #: keeps the log it executes above it (DESIGN §4, *What a replica
+    #: retains*).
+    CHECKPOINT_INTERVAL = 64
+    #: A sync round still short of answers this long after it began is
+    #: sent again, and a round that moved nothing starts no other sooner.
+    SYNC_RETRY_AFTER = 20_000.0
 
     _committed_ops = _group_counter("committed_ops")
     _fast_reads = _group_counter("fast_reads")
@@ -243,8 +254,18 @@ class BaseReplica(Node):
         self.last_executed = 0
         self._pending_execution: Dict[int, Tuple[bytes, Proposal]] = {}
         self._executed = ExecutionLedger()
-        self._state_offers: Dict[Tuple[int, bytes], Dict[str, Any]] = {}
-        self._sync_current_votes: set = set()
+        # The latest checkpoint (seq, offer digest — None until first
+        # asked for —, export_state()) and (digest, proposal) per seq
+        # executed above it: what a state response ships.  Seq 0, the
+        # initial state, is shipped to nobody.
+        self._checkpoint: Tuple[int, Optional[bytes], Any] = (0, b"", None)
+        self._executed_log: Dict[int, Tuple[bytes, Proposal]] = {}
+        # The open sync round: answers by responder, when it began, and
+        # the earliest time a round may begin after one that moved nothing.
+        self._sync_answers: Dict[str, StateResponse] = {}
+        self._sync_began = 0.0
+        self._sync_not_before = 0.0
+        self._sync_deferred = False
         self.syncing = False
         self.state_syncs = 0
         # The last sequence number a primary assigned (CFT: seen assigned);
@@ -334,6 +355,10 @@ class BaseReplica(Node):
     def _suspect(self, target: int) -> None:
         """Pending requests stalled: ask the group to move to view ``target``."""
         raise NotImplementedError
+
+    def _on_checkpoint(self, seq: int) -> None:
+        """This member took its checkpoint at ``seq`` (runs last in
+        :meth:`_execute`)."""
 
     # ------------------------------------------------------------------
     # Progress timer and the stall rule
@@ -492,7 +517,8 @@ class BaseReplica(Node):
 
         State is applied at once, before anything else runs, so it stays
         in sequence order even where a proposal commits synchronously
-        (passive, PBFT with f = 0).  Then, before the k execution charges
+        (passive, PBFT with f = 0); the log entry or checkpoint is taken
+        on that state.  Then, before the k execution charges
         are reserved on the core, the batcher frees the window slot and
         may cut and propose the next batch: its MAC vector or UI queues
         ahead of work whose only product is this replica's reply — one of
@@ -503,12 +529,41 @@ class BaseReplica(Node):
         requests = requests_of(proposal)
         self._committed_ops.inc(len(requests))
         replies = [reply for reply in map(self._apply_request, requests) if reply is not None]
+        checkpoint = seq % self.CHECKPOINT_INTERVAL == 0
+        if checkpoint:
+            self._record_checkpoint()
+            self.group.safety.checkpoint(self.group.members)
+        else:
+            self._executed_log[seq] = (digest, proposal)
         if self.batcher is not None:
             self.batcher.on_committed()
         for reply in replies:
             self.after(self.costs.execute_request, self._send_reply, reply)
         if self.lease_manager is not None:
             self.lease_manager.on_committed()
+        if checkpoint:
+            self._on_checkpoint(seq)
+
+    def _record_checkpoint(self) -> None:
+        """Make the state right after ``last_executed`` this member's
+        checkpoint; the log below it goes."""
+        self._checkpoint = (self.last_executed, None, self.export_state())
+        self._executed_log.clear()
+
+    def _checkpoint_digest(self) -> bytes:
+        """The checkpoint's offer digest, computed on first use: a run
+        that ships no state and votes on no checkpoint never pays for it."""
+        seq, digest, state = self._checkpoint
+        if digest is None:
+            digest = self._offer_digest_of(state)
+            self._checkpoint = (seq, digest, state)
+        return digest
+
+    def _offer_digest_of(self, state: Dict[str, Any]) -> bytes:
+        """:func:`offer_digest` of an ``export_state()`` dict."""
+        probe = self.group.app_factory()
+        probe.restore(state["snapshot"])
+        return offer_digest(probe.state_digest(), state["executed_requests"])
 
     def _apply_request(self, request: ClientRequest) -> Optional[ClientReply]:
         """Execute one request against the app state now, so snapshots
@@ -571,7 +626,8 @@ class BaseReplica(Node):
         }
 
     def import_state(self, state: Dict[str, Any]) -> None:
-        """Adopt a transferred snapshot (the inverse of export_state).
+        """Adopt a transferred snapshot (the inverse of export_state); it
+        becomes this member's checkpoint.
 
         Protocol-internal queues are *kept* (messages that raced the
         transfer stay valid); :meth:`on_state_imported` prunes or
@@ -587,6 +643,7 @@ class BaseReplica(Node):
             s: v for s, v in self._pending_execution.items() if s > self.last_executed
         }
         self.group.safety.reset_replica(self.name, self.last_executed)
+        self._record_checkpoint()
         self._anchor_next_seq()
         # The adopted state may carry a newer view, and in-flight
         # accounting is stale relative to it: treat it as an era change —
@@ -632,7 +689,8 @@ class BaseReplica(Node):
         We model reliable local persistence of executed state (NVM or
         state transfer from peers); protocol-internal message state is
         subclass responsibility via :meth:`reset_protocol_state`.  The
-        replica also asks peers for anything it missed while down.
+        replica also asks peers for anything it missed while down (a
+        round open at the crash is void).
         """
         self._pending_execution.clear()
         self.group.safety.reset_replica(self.name, self.last_executed)
@@ -649,6 +707,7 @@ class BaseReplica(Node):
             # A rejuvenated replica must not serve on pre-crash leases: it
             # waits for a fresh grant from the current primary.
             self.lease_table.clear()
+        self.syncing = False
         if self.chip is not None:
             self.sim.call_soon(self.request_state_sync)
 
@@ -665,34 +724,53 @@ class BaseReplica(Node):
         """Subclass hook: drop in-flight agreement bookkeeping."""
 
     # ------------------------------------------------------------------
-    # State synchronisation (catch-up after downtime / view change)
+    # State synchronisation (catch-up after downtime / view change): the
+    # checkpoint a quorum shares, then the log above it
     # ------------------------------------------------------------------
     @property
     def state_sync_quorum(self) -> int:
-        """Matching state offers needed before adopting one."""
+        """Answers that close a sync round, and that must match on each
+        checkpoint, seq and view the round takes."""
         return self.vouch_quorum(self.group.f)
 
-    def request_state_sync(self, retry_after: float = 20_000.0) -> None:
-        """Ask all peers for state newer than what we executed.
+    def request_state_sync(self) -> None:
+        """Start a sync round: ask every peer for its latest checkpoint and
+        the log above what this member executed.
 
-        While ``syncing`` is True, subclasses must not assign new global
-        sequence numbers (MinBFT gates its execution drain on it).  The
-        flag clears when either a newer state is adopted or a quorum of
-        peers confirms we are current; unresolved syncs retry.
+        While ``syncing`` is True (a round is open), subclasses must not
+        assign new global sequence numbers (MinBFT gates its execution
+        drain on it).  The round ends once ``state_sync_quorum`` peers
+        have answered (:meth:`_end_sync_round`); one still short of that
+        after :attr:`SYNC_RETRY_AFTER` is sent again.  After a round that
+        moved nothing, the next begins no sooner than that long after it
+        began, so a member cannot flood its peers: a request before then
+        waits.
         """
-        if self.state is NodeState.CRASHED:
+        if self.state is NodeState.CRASHED or self.syncing:
             return
+        wait = self._sync_not_before - self.sim.now
+        if wait <= 0:
+            self._begin_sync_round()
+        elif not self._sync_deferred:
+            self._sync_deferred = True
+            self.sim.schedule(wait, self._deferred_sync)
+
+    def _deferred_sync(self) -> None:
+        self._sync_deferred = False
+        self.request_state_sync()
+
+    def _begin_sync_round(self) -> None:
         self.syncing = True
-        self._state_offers.clear()
-        self._sync_current_votes.clear()
+        self._sync_began = self.sim.now
+        self._sync_answers.clear()
         message = StateRequest(self.name, self.last_executed)
         self.broadcast(self.other_members(), message, message.wire_size())
-        if retry_after > 0:
-            self.sim.schedule(retry_after, self._retry_sync, retry_after)
+        self.sim.schedule(self.SYNC_RETRY_AFTER, self._retry_sync, self._sync_began)
 
-    def _retry_sync(self, retry_after: float) -> None:
-        if self.syncing and self.state is not NodeState.CRASHED:
-            self.request_state_sync(retry_after)
+    def _retry_sync(self, began: float) -> None:
+        """Send the round that began at ``began`` again if it is still open."""
+        if self.syncing and self._sync_began == began and self.state is not NodeState.CRASHED:
+            self._begin_sync_round()
 
     def handle_common(self, sender: str, message: Any) -> bool:
         """Protocols call this first in ``on_message``; True = consumed."""
@@ -767,50 +845,93 @@ class BaseReplica(Node):
             self.send(request.client, answer, answer.wire_size())
 
     def _handle_state_request(self, sender: str, message: StateRequest) -> None:
+        """Answer with this member's checkpoint — its state only if the
+        requester is behind it — and the log above ``have_seq``."""
         if sender != message.replica or sender not in self.group.members:
             return
-        if self.last_executed <= message.have_seq:
-            # "You are current": lets the requester resolve its sync even
-            # when nothing was missed.
-            response = StateResponse(self.name, self.last_executed, b"", None)
-            self.send(sender, response, response.wire_size())
-            return
-        state = self.export_state()
-        digest = offer_digest(self.app.state_digest(), state["executed_requests"])
-        response = StateResponse(self.name, self.last_executed, digest, state)
+        digest = self._checkpoint_digest()
+        seq, _, state = self._checkpoint
+        have = message.have_seq
+        log = tuple((s, d, p) for s, (d, p) in self._executed_log.items() if s > have)
+        response = StateResponse(
+            self.name, self.view, seq, digest, state if have < seq else None, log
+        )
         self.send(sender, response, response.wire_size())
 
     def _handle_state_response(self, sender: str, message: StateResponse) -> None:
-        if sender != message.replica or sender not in self.group.members:
+        if not self.syncing or sender != message.replica or sender not in self.group.members:
             return
-        if message.last_executed <= self.last_executed:
-            self._sync_current_votes.add(sender)
-            if self.syncing and len(self._sync_current_votes) >= self.state_sync_quorum:
-                self.syncing = False
-                self.on_state_synced()
-            return
-        key = (message.last_executed, message.state_digest)
-        offers = self._state_offers.setdefault(key, {})
-        offers[sender] = message.state
-        if len(offers) >= self.state_sync_quorum:
-            # Adopt the first copy whose snapshot and ledger actually
-            # match the agreed digest — a Byzantine responder can echo the
-            # agreed key but cannot craft a poisoned state with that digest.
-            state = self._first_valid_offer(offers, message.state_digest)
-            if state is None:
-                return
-            self._state_offers.clear()
-            self.state_syncs += 1
-            self.import_state(state)
-            self.syncing = False
-            self.on_state_synced()
+        self._sync_answers[sender] = message
+        if len(self._sync_answers) >= self.state_sync_quorum:
+            self._end_sync_round()
 
-    def _first_valid_offer(self, offers: Dict[str, Any], digest: bytes) -> Optional[Any]:
-        probe = self.group.app_factory()
+    def _end_sync_round(self) -> None:
+        """Take what ``state_sync_quorum`` of the round's answers vouch
+        for, then close the round.
+
+        In order: the highest view that many answers report at least; the
+        highest checkpoint above ``last_executed`` that many name, from the
+        first copy whose contents match its digest; then each next seq
+        for which that many shipped one digest, with a body that matches
+        it.  One liar can name neither a state, nor a seq, nor a view.
+        """
+        answers, quorum = self._sync_answers, self.state_sync_quorum
+        self._sync_answers = {}
+        began_at = self.last_executed
+        offers: Dict[Tuple[int, bytes], Dict[str, Any]] = {}
+        shipped: Dict[int, Dict[bytes, Dict[str, Proposal]]] = {}
+        for sender, answer in answers.items():
+            if answer.checkpoint_seq > began_at:
+                key = (answer.checkpoint_seq, answer.checkpoint_digest)
+                offers.setdefault(key, {})[sender] = answer.state
+            for seq, digest, proposal in answer.log:
+                shipped.setdefault(seq, {}).setdefault(digest, {})[sender] = proposal
+        view = sorted((answer.view for answer in answers.values()), reverse=True)[quorum - 1]
+        adopted = None
+        for (seq, digest), states in sorted(offers.items(), reverse=True):
+            if len(states) >= quorum:
+                adopted = self._first_valid_offer(states, seq, digest)
+                if adopted is not None:
+                    break
+        if adopted is not None:
+            self.import_state(dict(adopted, view=view))
+        elif view > self.view:
+            self.view = view
+            self._void_era_state()
+            self.on_state_imported()
+        while True:
+            entry = self._vouched_entry(shipped.get(self.last_executed + 1, {}), quorum)
+            if entry is None:
+                break
+            self.commit_operation(self.last_executed + 1, *entry)
+            self._note_executed(entry[1])
+        self.syncing = False
+        if self.last_executed > began_at:
+            self.state_syncs += 1
+        else:
+            self._sync_not_before = self._sync_began + self.SYNC_RETRY_AFTER
+        self.on_state_synced()
+
+    @staticmethod
+    def _vouched_entry(
+        by_digest: Dict[bytes, Dict[str, Proposal]], quorum: int
+    ) -> Optional[Tuple[bytes, Proposal]]:
+        """The (digest, body) ``quorum`` responders shipped for one seq,
+        with a body that matches the digest; None if there is none."""
+        for digest, bodies in by_digest.items():
+            if len(bodies) >= quorum:
+                for body in bodies.values():
+                    if proposal_digest(body) == digest:
+                        return digest, body
+        return None
+
+    def _first_valid_offer(self, offers: Dict[str, Any], seq: int, digest: bytes) -> Optional[Any]:
+        """The first copy, by sender, whose contents match the agreed
+        checkpoint: a liar can echo the agreed (seq, digest) but cannot
+        craft a poisoned state with that digest."""
         for _, state in sorted(offers.items()):
             try:
-                probe.restore(state["snapshot"])
-                if offer_digest(probe.state_digest(), state["executed_requests"]) == digest:
+                if state["last_executed"] == seq and self._offer_digest_of(state) == digest:
                     return state
             except (KeyError, TypeError, ValueError):
                 continue

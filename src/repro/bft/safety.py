@@ -11,12 +11,15 @@ the two SMR safety invariants on every commit by a *correct* replica:
 Commits by crashed/compromised replicas are recorded but excluded from
 violation checks (a Byzantine replica diverging locally is allowed; the
 protocol must only protect correct replicas and clients).
+
+What it keeps is bounded by a low-watermark: at each checkpoint the seqs
+every member has passed go (:meth:`SafetyRecorder.checkpoint`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -33,6 +36,7 @@ class SafetyRecorder:
 
     def __init__(self) -> None:
         self._committed: Dict[int, Tuple[bytes, str]] = {}  # seq -> (digest, first replica)
+        self._floor = 0  # every seq at or below it was dropped
         self._last_executed: Dict[str, int] = {}
         self.violations: List[Violation] = []
         self.total_commits = 0
@@ -67,6 +71,16 @@ class SafetyRecorder:
             )
         self._last_executed[replica] = max(last, seq)
 
+    def checkpoint(self, members: Iterable[str]) -> None:
+        """Drop the seqs at or below the lowest ``last_executed`` of every
+        member, crashed ones included (a member never recorded counts as
+        0): a member's next commit lies above its own ``last_executed``,
+        so it is still checked against what the others committed."""
+        floor = min(self._last_executed.get(member, 0) for member in members)
+        for seq in range(self._floor + 1, floor + 1):
+            self._committed.pop(seq, None)
+        self._floor = max(self._floor, floor)
+
     def reset_replica(self, replica: str, executed_up_to: int) -> None:
         """Re-align a replica's expected next sequence after state transfer
         or rejuvenation (it legally skips re-executing transferred ops)."""
@@ -80,10 +94,11 @@ class SafetyRecorder:
     @property
     def highest_committed(self) -> int:
         """Highest sequence committed by any correct replica (0 if none)."""
-        return max(self._committed, default=0)
+        return max(self._committed, default=self._floor)
 
     def digest_at(self, seq: int) -> Optional[bytes]:
-        """The agreed digest at a sequence number, if any."""
+        """The agreed digest at a sequence number, if any (None at or
+        below the low-watermark)."""
         entry = self._committed.get(seq)
         return entry[0] if entry else None
 

@@ -641,7 +641,9 @@ def delay_inbound(node, kinds, delay):
     node.add_inbound_filter(hold)
 
 
-def run_freshness_scenario(protocol, seed=5, slow_holder=False):
+def run_freshness_scenario(
+    protocol, seed=5, slow_holder=False, primary_outage=None, writer_timeout=30_000
+):
     """Two read-your-writes clients and three readers over six keys — two
     per member, the primary included — under a zero-slack oracle
     (``staleness_oracle`` only flags a read a whole lease ``duration``
@@ -658,7 +660,10 @@ def run_freshness_scenario(protocol, seed=5, slow_holder=False):
 
     ``slow_holder`` delays every agreement message reaching one backup
     holder by 600 sim-ms: its keys' writes complete on its licence, late,
-    or not at all before it has executed them.
+    or not at all before it has executed them.  ``primary_outage`` =
+    ``(after, length)`` crashes the primary ``after`` sim-ms into the
+    traffic and recovers it ``length`` later; ``writer_timeout`` is the
+    writers' request timeout.
     """
     sim = Simulator(seed=seed)
     chip = Chip(sim, ChipConfig(width=5, height=5))
@@ -711,7 +716,7 @@ def run_freshness_scenario(protocol, seed=5, slow_holder=False):
         ClientNode(
             name,
             ClientConfig(
-                think_time=1, timeout=30_000, max_requests=120,
+                think_time=1, timeout=writer_timeout, max_requests=120,
                 workload=FactoryWorkload(put_then_get(name, own), reads=is_read),
                 on_result=on_result,
             ),
@@ -743,6 +748,11 @@ def run_freshness_scenario(protocol, seed=5, slow_holder=False):
     sim.run(until=2 * RENEW + 100)  # grants are out before the first op
     for client in clients:
         client.start()
+    if primary_outage is not None:
+        after, length = primary_outage
+        primary = group.replicas[group.members[0]]
+        sim.schedule(after, primary.crash)
+        sim.schedule(after + length, primary.recover)
     sim.run(until=3_000_000)
     return group, clients, violations
 
@@ -771,6 +781,26 @@ def test_a_holder_behind_on_agreement_serves_no_read_older_than_a_completed_writ
     assert sum(c.leased_reads_completed for c in clients) >= 0.9 * reads
     assert violations == []
     assert group.safety.is_safe
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the quorum read (f+1 matching replies) is sequentially consistent, not fresh: "
+    "around a view change two lagging members outvote a completed write"
+))
+def test_a_quorum_read_around_a_view_change_returns_no_value_older_than_a_completed_write():
+    """The primary crashes 20 000 sim-ms into the traffic and is back 100
+    sim-ms later, with one backup holder 600 sim-ms behind on agreement.
+    The group moves to view 1; w1's write of ``k2`` = 11 completes on its
+    holder's licence and one more reply, and w1's read of ``k2`` one
+    sim-ms later takes the quorum path (the new view has granted nothing
+    yet) and completes on the recovering old primary and the delayed
+    member, both answering 7."""
+    group, clients, violations = run_freshness_scenario(
+        "pbft", slow_holder=True, primary_outage=(20_000.0, 100.0), writer_timeout=2_000
+    )
+    assert [c.completed for c in clients] == [120, 120, 300, 300, 300]
+    assert group.safety.is_safe
+    assert violations == []
 
 
 def test_a_primary_restarted_in_its_view_licenses_no_write_past_a_slow_holder():

@@ -78,7 +78,10 @@ def all_messages():
         StateAck(1, "r1"),
         Heartbeat("r0", 5, 0),
         StateRequest("r1", 10),
-        StateResponse("r0", 12, b"\x00" * 32, {"executed_requests": {}}),
+        StateResponse(
+            "r0", 0, 64, b"\x00" * 32, {"snapshot": {}, "executed_requests": {}},
+            ((65, b"\x00" * 32, request),),
+        ),
     ]
 
 

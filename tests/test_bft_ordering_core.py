@@ -158,6 +158,7 @@ PLUMBING = (
     "_handle_request",
     "_admit_ordered",
     "_repropose_pending",
+    "_execute",  # where every family's checkpoint is taken
 )
 
 

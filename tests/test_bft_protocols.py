@@ -16,7 +16,7 @@ from repro.bft.group import FAMILIES
 from repro.bft.pbft import PbftReplica
 from repro.bft.messages import ClientRequest, MbViewChange, PrePrepare, proposal_digest
 from repro.bft.minbft import _ui_payload
-from repro.bft.replica import GroupContext
+from repro.bft.replica import ExecutionLedger, GroupContext, offer_digest
 from repro.crypto import KeyStore
 from repro.faults import make_strategy
 from repro.sim import Simulator
@@ -270,7 +270,8 @@ def test_pbft_checkpoint_truncates_log(monkeypatch):
 
 def test_a_checkpoint_names_the_state_right_after_its_seq(monkeypatch):
     """Checkpoint seq 2 commits ahead of seq 1: its CHECKPOINT waits for
-    2 to execute and carries the digest of the state right after it."""
+    2 to execute and carries the offer digest (app state and ledger) of
+    the state right after it."""
     monkeypatch.setattr(PbftReplica, "CHECKPOINT_INTERVAL", 2)
     _, _, group, _ = build("pbft")
     replica = group.replicas[group.members[1]]
@@ -282,10 +283,11 @@ def test_a_checkpoint_names_the_state_right_after_its_seq(monkeypatch):
         slot.commits.update(group.members[:3])
         replica._maybe_committed(0, seq, slot)
     assert replica.last_executed == 2
-    expected = KeyValueStore()
+    expected, ledger = KeyValueStore(), ExecutionLedger()
     for seq in (1, 2):
-        expected.execute(("put", f"k{seq}", seq))
-    assert replica._checkpoint_votes == {(2, expected.state_digest()): {replica.name}}
+        ledger.add("c0", seq, expected.execute(("put", f"k{seq}", seq)))
+    digest = offer_digest(expected.state_digest(), ledger.export())
+    assert replica._checkpoint_votes == {(2, digest): {replica.name}}
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,14 @@ sweep, with identical results):
 * round trip: 28 stalls in 440 runs, 16 with a ``drop`` primary and 12
   with an ``equivocate`` primary; no agreement violation;
 * scale-out: 31 stalls, all with an ``equivocate`` primary; **two
-  agreement violations**, both with a ``drop`` primary (seeds 28 and 35,
-  ``UNSAFE``, pinned below as strict xfails).  Quorums that are too small
-  for n = 4 are not the whole cause: with MinBFT's commit and NEW-VIEW
+  agreement violations**, both with a ``drop`` primary (seeds 28 and 35).
+  Since a lagging member takes only the checkpoint and log its peers
+  share, those two keep agreement (pinned as safe rows) and seed 5 breaks
+  it (``UNSAFE``, pinned below as a strict xfail): a syncing member whose
+  round closes executes a seq only the dropping primary and it committed,
+  and the view-1 NEW-VIEW is installed by two members that never saw it
+  (two f + 1 sets of four need not intersect).  Quorums that are too
+  small for n = 4 are not the whole cause: with MinBFT's commit and NEW-VIEW
   quorums sized ⌊n/2⌋ + 1, seed 28 kept agreement but seed 35 did not.
   There a correct member reported ``last_executed`` 0 in its VIEW-CHANGE
   while it was state-syncing, then executed seq 4 in the view it had

@@ -15,6 +15,7 @@ digest covers it with the app state.  So:
 """
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -101,21 +102,23 @@ def tamper_entry(state):
 @pytest.mark.parametrize("tamper", [tamper_result, tamper_entry])
 @pytest.mark.parametrize("protocol", ["pbft", "minbft"])
 def test_an_offer_with_a_tampered_ledger_is_not_adopted(protocol, tamper):
-    donor_group, _ = build(protocol, n_requests=20)
+    # Past one checkpoint (seq 64), so the answer to a member at 0 ships its state.
+    donor_group, _ = build(protocol, n_requests=70)
     liar, honest = (donor_group.replicas[name] for name in donor_group.members[:2])
     sent = capture(honest)
     honest._handle_state_request(liar.name, StateRequest(liar.name, 0))
     (_, offer), = sent
+    assert offer.checkpoint_seq == 64 and offer.state is not None
     forged = copy.deepcopy(offer.state)
     tamper(forged)
     group, _ = build(protocol)
     importer = group.replicas[group.members[2]]
     importer.syncing = True
-    # The liar echoes the honest key and sorts first among the senders.
+    # The liar echoes the honest checkpoint and log and sorts first among the senders.
     assert liar.name < honest.name
-    importer._handle_state_response(
-        liar.name, StateResponse(liar.name, offer.last_executed, offer.state_digest, forged)
-    )
+    importer._handle_state_response(liar.name, dataclasses.replace(
+        offer, replica=liar.name, state=forged
+    ))
     importer._handle_state_response(honest.name, offer)
-    assert importer.last_executed == offer.last_executed
-    assert importer.export_state()["executed_requests"] == offer.state["executed_requests"]
+    assert importer.last_executed == honest.last_executed
+    assert importer.export_state()["executed_requests"] == honest.export_state()["executed_requests"]
