@@ -4,8 +4,10 @@
 adaptation actions once needed."  This ablation sweeps the detector's
 window length and hysteresis against two workloads:
 
-* a *benign* run that nevertheless contains operational noise (a primary
-  rejuvenation mid-run) — where escalations are false positives that cost
+* a *benign* run that nevertheless contains operational noise (a backup
+  crash-recovers mid-run, then three transient router faults on the
+  client's tile each lose the request in flight, which the client re-sends
+  after its timeout) — where escalations are false positives that cost
   performance;
 * an *attacked* run (compromised CFT leader) — where detection latency is
   exposure.
@@ -41,6 +43,9 @@ from repro.soc import Chip, ChipConfig
 
 HORIZON = 700_000.0
 ATTACK_AT = 250_000.0
+GLITCHES = 3  # transient router faults on the client's tile, benign run
+GLITCH_EVERY = 30_000.0
+GLITCH_LENGTH = 200.0
 
 
 def _split_brain(group):
@@ -72,10 +77,17 @@ def run(window, hysteresis, attacked, seed=71):
     if attacked:
         sim.schedule_at(ATTACK_AT, _split_brain, group)
     else:
-        # Benign operational noise: one replica crash-recovers mid-run.
+        # Benign operational noise: one replica crash-recovers mid-run,
+        # then the client's router glitches a few times; no replica is
+        # touched by the glitches and no message is forged.
         victim = group.members[1]
         sim.schedule_at(ATTACK_AT, group.crash, victim)
         sim.schedule_at(ATTACK_AT + 15_000, group.replicas[victim].recover)
+        noc, tile = chip.noc, client.coord
+        for glitch in range(1, GLITCHES + 1):
+            at = ATTACK_AT + glitch * GLITCH_EVERY
+            sim.schedule_at(at, noc.fail_router, tile)
+            sim.schedule_at(at + GLITCH_LENGTH, noc.repair_router, tile)
     sim.run(until=HORIZON)
     first_detection = None
     for t, _, target, _ in controller.switches:

@@ -247,6 +247,11 @@ class CftReplica(BaseReplica):
         self._log = {s: e for s, e in self._log.items() if s > self.last_executed}
         self._acks = {s: a for s, a in self._acks.items() if s > self.last_executed}
 
+    def on_state_synced(self) -> None:
+        # A replayed log executes past entries held above a hole, which
+        # _commit_up_to (popping only the next seq) would never reach.
+        self.on_state_imported()
+
     def reset_protocol_state(self) -> None:
         # Every entry left in the log is uncommitted (see _commit_up_to).
         self._log.clear()

@@ -339,7 +339,7 @@ class StateResponse:
     requester is behind it, else None.  ``log`` holds ``(seq, digest,
     proposal)`` per executed seq above both.  ``view`` is the responder's
     current view.  What the requester adopts or executes, a quorum of
-    responders must have shipped (``BaseReplica._end_sync_round``).
+    responders must have shipped (``BaseReplica._step_sync_round``).
     """
 
     replica: str

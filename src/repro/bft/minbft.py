@@ -125,6 +125,10 @@ class MinBftReplica(BaseReplica):
         # reaches them; the global execution sequence is last_executed + 1.
         self._exec_cursor: Optional[int] = None
         self._ready: Dict[int, MbPrepare] = {}
+        # Slots committed while this member was syncing, up to this
+        # execution seq, run only once a sync round vouches for their seq
+        # (in a group grown past 2f + 1 only; see _drain_ready).
+        self._unvouched_to = 0
         self._req_view_change_votes: Dict[int, set] = {}
         self._view_change_votes: Dict[int, Dict[str, MbViewChange]] = {}
         # UI-carrying traffic by exact type: verified and sequenced per
@@ -353,14 +357,22 @@ class MinBftReplica(BaseReplica):
         Gated on ``syncing``: after recovery the replica must not assign
         global sequence numbers until it knows whether peers executed
         further while it was down (its ``last_executed`` would be stale).
+        Where the group outgrew 2f + 1, nor does it execute, once the
+        round closes, a slot it committed meanwhile that the round did not
+        vouch for: another round must (or a view change drops it).  There
+        the f + 1 votes that committed it need not intersect the next
+        view's; at 2f + 1 they do, and holding the slot would only stall.
         """
         if self.syncing:
             return
         while self._exec_cursor is not None and self._exec_cursor in self._ready:
             prepare = self._ready[self._exec_cursor]
-            if prepare.exec_seq > self.last_executed + 1:
-                # We missed operations (joined/recovered mid-stream):
-                # catch up by state transfer before executing further.
+            if prepare.exec_seq > self.last_executed + 1 or (
+                self.last_executed < prepare.exec_seq <= self._unvouched_to
+            ):
+                # We missed operations (joined/recovered mid-stream), or
+                # only our own commit vouches for this one: catch up by
+                # state transfer before executing further.
                 self.request_state_sync()
                 return
             del self._ready[self._exec_cursor]
@@ -374,6 +386,8 @@ class MinBftReplica(BaseReplica):
             self._note_executed(prepare.request)
 
     def on_state_synced(self) -> None:
+        if self.group.n > self.replicas_for(self.group.f):
+            self._unvouched_to = max((p.exec_seq for p in self._ready.values()), default=0)
         self._drain_ready()
 
     def on_state_imported(self) -> None:
@@ -390,6 +404,7 @@ class MinBftReplica(BaseReplica):
         self._ordering.clear()
         self._exec_cursor = None  # next accepted prepare re-anchors it
         self._ready.clear()
+        self._unvouched_to = 0
 
     # ------------------------------------------------------------------
     # View change (REQ-VIEW-CHANGE → VIEW-CHANGE → NEW-VIEW)
@@ -486,5 +501,6 @@ class MinBftReplica(BaseReplica):
         self._expected_counter.clear()  # resync on first contact per sender
         self._exec_cursor = None
         self._ready.clear()
+        self._unvouched_to = 0
         self._req_view_change_votes.clear()
         self._view_change_votes.clear()

@@ -21,6 +21,7 @@ votes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -260,12 +261,12 @@ class BaseReplica(Node):
         # initial state, is shipped to nobody.
         self._checkpoint: Tuple[int, Optional[bytes], Any] = (0, b"", None)
         self._executed_log: Dict[int, Tuple[bytes, Proposal]] = {}
-        # The open sync round: answers by responder, when it began, and
-        # the earliest time a round may begin after one that moved nothing.
+        # The open sync round: answers by responder and when it began
+        # (-inf once a round moved something: no retry window is open),
+        # and whether a round was asked for inside that window.
         self._sync_answers: Dict[str, StateResponse] = {}
-        self._sync_began = 0.0
-        self._sync_not_before = 0.0
-        self._sync_deferred = False
+        self._sync_began = -math.inf
+        self._sync_wanted = False
         self.syncing = False
         self.state_syncs = 0
         # The last sequence number a primary assigned (CFT: seen assigned);
@@ -708,6 +709,7 @@ class BaseReplica(Node):
             # waits for a fresh grant from the current primary.
             self.lease_table.clear()
         self.syncing = False
+        self._sync_began = -math.inf
         if self.chip is not None:
             self.sim.call_soon(self.request_state_sync)
 
@@ -739,37 +741,37 @@ class BaseReplica(Node):
 
         While ``syncing`` is True (a round is open), subclasses must not
         assign new global sequence numbers (MinBFT gates its execution
-        drain on it).  The round ends once ``state_sync_quorum`` peers
-        have answered (:meth:`_end_sync_round`); one still short of that
-        after :attr:`SYNC_RETRY_AFTER` is sent again.  After a round that
-        moved nothing, the next begins no sooner than that long after it
-        began, so a member cannot flood its peers: a request before then
-        waits.
+        drain on it).  The round stays open until it takes something, or
+        until the peers yet to answer could vouch for nothing more
+        (:meth:`_step_sync_round`); one still open after
+        :attr:`SYNC_RETRY_AFTER` is sent again.  After a round that moved
+        nothing, the next begins no sooner than that long after it began,
+        so a member cannot flood its peers: a request before then waits.
         """
         if self.state is NodeState.CRASHED or self.syncing:
             return
-        wait = self._sync_not_before - self.sim.now
-        if wait <= 0:
+        if self.sim.now < self._sync_began + self.SYNC_RETRY_AFTER:
+            self._sync_wanted = True
+        else:
             self._begin_sync_round()
-        elif not self._sync_deferred:
-            self._sync_deferred = True
-            self.sim.schedule(wait, self._deferred_sync)
-
-    def _deferred_sync(self) -> None:
-        self._sync_deferred = False
-        self.request_state_sync()
 
     def _begin_sync_round(self) -> None:
         self.syncing = True
+        self._sync_wanted = False
         self._sync_began = self.sim.now
         self._sync_answers.clear()
         message = StateRequest(self.name, self.last_executed)
         self.broadcast(self.other_members(), message, message.wire_size())
-        self.sim.schedule(self.SYNC_RETRY_AFTER, self._retry_sync, self._sync_began)
+        self.sim.schedule(self.SYNC_RETRY_AFTER, self._sync_timer, self._sync_began)
 
-    def _retry_sync(self, began: float) -> None:
-        """Send the round that began at ``began`` again if it is still open."""
-        if self.syncing and self._sync_began == began and self.state is not NodeState.CRASHED:
+    def _sync_timer(self, began: float) -> None:
+        """The retry window of the round that began at ``began`` closed:
+        send it again if it is still open, or begin the one asked for."""
+        if (
+            began == self._sync_began
+            and (self.syncing or self._sync_wanted)
+            and self.state is not NodeState.CRASHED
+        ):
             self._begin_sync_round()
 
     def handle_common(self, sender: str, message: Any) -> bool:
@@ -863,20 +865,21 @@ class BaseReplica(Node):
             return
         self._sync_answers[sender] = message
         if len(self._sync_answers) >= self.state_sync_quorum:
-            self._end_sync_round()
+            self._step_sync_round()
 
-    def _end_sync_round(self) -> None:
+    def _step_sync_round(self) -> None:
         """Take what ``state_sync_quorum`` of the round's answers vouch
-        for, then close the round.
+        for and close the round — or, while nothing is vouched for and the
+        peers yet to answer could still vouch for something, wait for them.
 
         In order: the highest view that many answers report at least; the
         highest checkpoint above ``last_executed`` that many name, from the
         first copy whose contents match its digest; then each next seq
         for which that many shipped one digest, with a body that matches
-        it.  One liar can name neither a state, nor a seq, nor a view.
+        it.  One liar can name neither a state, nor a seq, nor a view, nor
+        close a round on an answer that disagrees with the rest.
         """
         answers, quorum = self._sync_answers, self.state_sync_quorum
-        self._sync_answers = {}
         began_at = self.last_executed
         offers: Dict[Tuple[int, bytes], Dict[str, Any]] = {}
         shipped: Dict[int, Dict[bytes, Dict[str, Proposal]]] = {}
@@ -893,6 +896,14 @@ class BaseReplica(Node):
                 adopted = self._first_valid_offer(states, seq, digest)
                 if adopted is not None:
                     break
+        following = shipped.get(began_at + 1, {})
+        if adopted is None and self._vouched_entry(following, quorum) is None:
+            unanswered = len(self.other_members()) - len(answers)
+            votes = [len(states) for states in offers.values()]
+            votes += [len(bodies) for bodies in following.values()]
+            if unanswered and max(votes, default=0) + unanswered >= quorum:
+                return
+        self._sync_answers = {}
         if adopted is not None:
             self.import_state(dict(adopted, view=view))
         elif view > self.view:
@@ -908,8 +919,7 @@ class BaseReplica(Node):
         self.syncing = False
         if self.last_executed > began_at:
             self.state_syncs += 1
-        else:
-            self._sync_not_before = self._sync_began + self.SYNC_RETRY_AFTER
+            self._sync_began = -math.inf
         self.on_state_synced()
 
     @staticmethod

@@ -129,12 +129,15 @@ SAFE = (True, None)
 
 #: Pinned outcomes, by scenario name.  Tier-1 replays every row.
 EXPECTED: Dict[str, Tuple[bool, Optional[bool]]] = {
-    # ROADMAP item 9: a scale-out under a dropping primary diverges (MinBFT's
-    # f+1 quorums need not intersect at n = 4).  Seeds 28 and 35 did until
-    # a lagging member came to take the checkpoint and log its peers share
-    # (DESIGN §4, *What a replica holds once*); seed 5 does since.
-    "membership/scale-out/drop@0/5": UNSAFE,
-    **{f"membership/scale-out/drop@0/{seed}": SAFE for seed in (28, 35)},
+    # ROADMAP items 5 and 9: a scale-out under a dropping primary diverges.
+    # Seed 28 does: a MinBFT VIEW-CHANGE reports the sender's last_executed,
+    # not the slots it prepared above it.  Seed 35 did until a lagging
+    # member came to take the checkpoint and log its peers share (DESIGN §4,
+    # *What a replica holds once*); seed 5 is the run where a member fresh
+    # out of a sync round would execute a slot only it and the dropping
+    # primary committed (MinBFT's f+1 quorums need not intersect at n = 4).
+    "membership/scale-out/drop@0/28": UNSAFE,
+    **{f"membership/scale-out/drop@0/{seed}": SAFE for seed in (5, 35)},
     # The dropping primaries that found the view-change agreement holes
     # (DESIGN §4, *Simplified view changes*).
     **{f"byzantine/pbft/drop@0/{seed}": SERVED for seed in (2, 4, 5, 9, 344)},

@@ -230,6 +230,36 @@ def test_cft_late_ack_recreates_nothing_and_still_announces_the_commit():
     assert replies == [AppendAck(leader.view, executed, follower.name)]
 
 
+def test_a_cft_follower_that_syncs_across_a_hole_keeps_nothing_it_executed():
+    """A follower misses the APPEND for seq 10 and the commit notices up
+    to 14, so it logs 11–15 above a hole: the commit point passing the
+    hole makes it sync, and the replayed log executes past entries it
+    holds; those go with the round."""
+    sim, group, client = build("cft", batched=False, n_requests=40)
+    follower = group.replicas[group.members[1]]
+    handlers = follower._peer_handlers
+    append, notice = handlers[Append], handlers[CommitNotice]
+    handlers[Append] = lambda sender, message: (
+        None if message.seq == 10 else append(sender, message)
+    )
+    handlers[CommitNotice] = lambda sender, message: (
+        None if 10 <= message.seq < 15 else notice(sender, message)
+    )
+    held = []
+
+    def sample():
+        held.extend(seq for seq in follower._log if seq <= follower.last_executed)
+        if client.completed < 40:
+            sim.schedule(50.0, sample)
+
+    client.start()
+    sim.schedule(50.0, sample)
+    sim.run(until=1_000_000)
+    assert client.completed == 40 and group.safety.is_safe
+    assert follower.state_syncs >= 1 and follower.last_executed == 40
+    assert held == [] and follower._log == {} and follower._acks == {}
+
+
 # ----------------------------------------------------------------------
 # Faults on truncated logs
 # ----------------------------------------------------------------------

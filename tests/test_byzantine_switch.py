@@ -24,11 +24,15 @@ sweep, with identical results):
 * scale-out: 31 stalls, all with an ``equivocate`` primary; **two
   agreement violations**, both with a ``drop`` primary (seeds 28 and 35).
   Since a lagging member takes only the checkpoint and log its peers
-  share, those two keep agreement (pinned as safe rows) and seed 5 breaks
-  it (``UNSAFE``, pinned below as a strict xfail): a syncing member whose
-  round closes executes a seq only the dropping primary and it committed,
-  and the view-1 NEW-VIEW is installed by two members that never saw it
-  (two f + 1 sets of four need not intersect).  Quorums that are too
+  share, seed 35 keeps agreement (a safe row) and seed 28 still breaks it
+  (``UNSAFE``, pinned below as a strict xfail): view 2 is installed from
+  a syncing member's report of 0 and the view-1 primary's report of 42,
+  while a backup had executed 43 and 44 on that primary's PREPAREs, which
+  a VIEW-CHANGE does not carry.  Seed 5 (a safe row) is the run where a
+  member fresh out of a sync round executed a slot only it and the
+  dropping primary committed, before view 1 re-assigned that seq (two
+  f + 1 sets of four need not intersect); such a slot now waits for a
+  round that vouches for it.  Quorums that are too
   small for n = 4 are not the whole cause: with MinBFT's commit and NEW-VIEW
   quorums sized ⌊n/2⌋ + 1, seed 28 kept agreement but seed 35 did not.
   There a correct member reported ``last_executed`` 0 in its VIEW-CHANGE

@@ -13,7 +13,7 @@ import pytest
 
 from repro.campaign import CampaignExecutor, CampaignSpec, ResultStore, write_summary
 from repro.check import EXPECTED, SUITES, Departure, Outcome, check, scenario
-from repro.check.suites import UNSAFE, WEDGED
+from repro.check.suites import WEDGED
 from tests import checks
 
 
@@ -27,13 +27,12 @@ def test_every_pinned_row_holds(name):
 
 
 @pytest.mark.parametrize("name, result", [
-    ("membership/scale-out/drop@0/28", synthetic(True)),  # pinned unsafe (below), now safe
+    ("membership/scale-out/drop@0/28", synthetic(True)),  # pinned unsafe, now safe
     ("crash-cycles/pbft/5000+60000/1", synthetic(True)),  # pinned wedged, now served
     ("byzantine/pbft/silent@2/1", synthetic(False)),  # unpinned, unsafe
     ("byzantine/pbft/silent@2/1", synthetic(True, (0, 5))),  # unpinned, a client starved
 ])
 def test_a_departure_either_way_fails_and_names_its_row(monkeypatch, name, result):
-    monkeypatch.setitem(EXPECTED, "membership/scale-out/drop@0/28", UNSAFE)
     monkeypatch.setitem(EXPECTED, "crash-cycles/pbft/5000+60000/1", WEDGED)
     with pytest.raises(Departure, match=name.replace("+", r"\+")):
         check(scenario(name), result)

@@ -2,16 +2,19 @@
 
 Every ``CHECKPOINT_INTERVAL`` executions a member records its checkpoint
 (the state right after that seq and its offer digest) and keeps the log it
-executes above it.  A lagging member asks every peer; a round ends once
-``state_sync_quorum`` have answered, and the member takes only what that
-many vouch for: the checkpoint they share, then each next seq they shipped
-under one digest.  So:
+executes above it.  A lagging member asks every peer and takes only what
+``state_sync_quorum`` answers vouch for: the checkpoint they share, then
+each next seq they shipped under one digest.  Its round stays open while
+the peers yet to answer could still vouch for something.  So:
 
 * a MinBFT member behind a group that keeps executing converges (the
   rejuvenated MinBFT service used to leave two of three members
   ``syncing`` for the last 460 000 sim-ms of its window);
 * one Byzantine responder can make a member adopt neither its forged
-  checkpoint nor its forged log entry;
+  checkpoint nor its forged log entry, nor void the round by answering
+  first;
+* two first answers on either side of a checkpoint leave the round open
+  for the third, which completes it;
 * a round that moved nothing starts no other sooner than
   ``SYNC_RETRY_AFTER`` after it began.
 """
@@ -83,11 +86,22 @@ def test_a_response_ships_the_state_only_to_a_member_behind_the_checkpoint():
     assert past.wire_size() > bodies > 0
 
 
+def deliver(member, *answers):
+    """Hand ``answers`` to ``member`` inside one open round, in order; True
+    when the round is still open after the last."""
+    member.syncing = True
+    for response in answers:
+        assert member.syncing  # no earlier answer closed the round
+        member._handle_state_response(response.replica, response)
+    return member.syncing
+
+
 def test_one_responder_can_plant_neither_a_checkpoint_nor_a_log_entry():
     """At f = 1 a member takes what 2 responders vouch for.  A liar ships
     a checkpoint forged to match its own digest and a log entry for seq 65
     whose body matches its own digest; it answers first, so a copy taken
-    on one answer would be its."""
+    on one answer would be its, and a round closed on the first two
+    answers would take nothing."""
     _, donors = build("pbft", n_requests=70)
     liar, honest, other = (donors.replicas[name] for name in ("g-r0", "g-r1", "g-r2"))
     _, group = build("pbft")
@@ -105,35 +119,56 @@ def test_one_responder_can_plant_neither_a_checkpoint_nor_a_log_entry():
             forged_state if have_seq < 64 else None, (forged_entry,) + true.log[1:],
         )
 
-    def round_of(*answers):
-        member.syncing = True
-        for response in answers:
-            member._handle_state_response(response.replica, response)
-        assert not member.syncing  # two answers close the round
-
-    # At 0: the forged checkpoint is named once, the true one once.
-    round_of(lie(0), answer(honest, 0))
+    # At 0: the forged checkpoint is named once, the true one once, so the
+    # round waits; the third answer vouches for the true one and its log.
+    assert deliver(member, lie(0), answer(honest, 0))
     assert member.last_executed == 0 and member.app.get_local("k0") is None
-    # Two honest answers: the true checkpoint and the log above it.
-    member._sync_not_before = 0.0
-    round_of(answer(honest, 0), answer(other, 0))
+    assert not deliver(member, answer(other, 0))
     assert member.last_executed == 70
     assert member.app.get_local("k0") == honest.app.get_local("k0") != "forged"
 
     # At 64 (a fresh member adopts the true checkpoint): seq 65 is shipped
-    # under two digests, one each, so neither runs.
+    # under two digests, one each, so neither runs until the third answer.
     _, group = build("pbft")
     member = group.replicas["g-r3"]
     member.import_state(honest._checkpoint[2])
     assert member.last_executed == 64
-    round_of(lie(64), answer(honest, 64))
+    assert deliver(member, lie(64), answer(honest, 64))
     assert member.last_executed == 64
     assert member.app.get_local("k0") != "forged"
-    member._sync_not_before = 0.0
-    round_of(answer(other, 64), answer(honest, 64))
+    assert not deliver(member, answer(other, 64))
     assert member.last_executed == 70
     assert member.export_state()["snapshot"] == honest.export_state()["snapshot"]
     assert member.group.safety.is_safe
+
+
+def test_first_answers_across_a_checkpoint_leave_the_round_open_for_the_third():
+    """PBFT n = 4, a member at 100.  The first answer comes from a peer at
+    127 (checkpoint 64, log 65–127), the second from one at 129
+    (checkpoint 128, log 129): neither checkpoint 128 nor seq 101 has two
+    vouchers.  The third peer, also at 129, completes the round."""
+    _, behind = build("pbft", n_requests=127)
+    _, ahead = build("pbft", n_requests=129)
+    _, group = build("pbft", n_requests=100)
+    member = group.replicas["g-r3"]
+    first = answer(behind.replicas["g-r0"], 100)
+    second, third = (answer(ahead.replicas[name], 100) for name in ("g-r1", "g-r2"))
+    assert (first.checkpoint_seq, second.checkpoint_seq) == (64, 128)
+    assert deliver(member, first, second)
+    assert member.last_executed == 100
+    assert not deliver(member, third)
+    assert member.last_executed == 129 and member.state_syncs == 1
+    assert member.export_state()["snapshot"] == ahead.replicas["g-r1"].export_state()["snapshot"]
+
+
+def test_a_round_nobody_else_can_complete_closes_on_the_answers_it_has():
+    """Two current peers answer a current member: nothing is named above
+    it and the one peer left could vouch for nothing alone, so the round
+    closes without waiting for it."""
+    _, group = build("pbft", n_requests=70)
+    member = group.replicas["g-r3"]
+    assert not deliver(member, *(answer(group.replicas[name], 70) for name in ("g-r0", "g-r1")))
+    assert member.last_executed == 70 and member.state_syncs == 0
 
 
 def test_a_round_that_moved_nothing_starts_no_other_before_the_retry_time():
