@@ -12,7 +12,8 @@ Implemented here with:
   tampering primary is caught by the digest check;
 * transport-authenticated channels standing in for pairwise MACs, with
   MAC compute/verify *time* charged per the cost model (one MAC per
-  recipient on multicasts — the message-cost asymmetry E2 measures); a
+  recipient on multicasts — the message-cost asymmetry E2 measures —
+  each copy carrying its own and leaving as soon as it is done); a
   PREPARE or COMMIT whose quorum is already met by verified and queued
   votes is dropped on its header, before its MAC is paid for;
 * a CHECKPOINT vote on each checkpoint the ordering core takes (its
@@ -118,18 +119,12 @@ class PbftReplica(BaseReplica):
     # Cost-charged authenticated send
     # ------------------------------------------------------------------
     def _auth_multicast(self, message: Any) -> None:
-        """Multicast with a MAC vector: charge one MAC per recipient, then
-        send."""
+        """Multicast with one MAC per recipient, computed back to back on
+        this core: each copy carries the MAC its recipient checks and
+        leaves when that MAC is done (DESIGN §4 *When a copy leaves*)."""
         recipients = self.other_members()
-        self.after(
-            self.costs.mac_compute * len(recipients), self._do_multicast, recipients, message
-        )
-
-    def _do_multicast(self, recipients, message) -> None:
-        if self.state is NodeState.CRASHED:
-            return
-        size = message.wire_size() + MAC_LENGTH * len(recipients)
-        self.broadcast(recipients, message, size)
+        done = self.charge_each(self.costs.mac_compute, len(recipients))
+        self.broadcast(recipients, message, message.wire_size() + MAC_LENGTH, done)
 
     # ------------------------------------------------------------------
     # Message dispatch

@@ -21,9 +21,12 @@ votes.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bft.app import StateMachine
@@ -45,7 +48,7 @@ from repro.bft.messages import (
 )
 from repro.bft.safety import SafetyRecorder
 # Called by this module-level name: benchmarks/perf/trace.py patches it here.
-from repro.crypto.mac import digest as payload_digest
+from repro.crypto.mac import canonical_bytes, digest as payload_digest
 from repro.crypto.keys import KeyStore
 from repro.metrics import MetricsRegistry
 from repro.sim.timers import Timeout
@@ -145,6 +148,57 @@ def offer_digest(snapshot_digest: bytes, executed: Dict[str, Dict[str, Any]]) ->
     ledger with its results, which every correct member shares at one
     ``last_executed`` (the view is left out)."""
     return payload_digest((snapshot_digest, executed))
+
+
+class CheckpointDigests:
+    """:func:`offer_digest` of one member's successive checkpoints, bit
+    for bit, without serializing the whole ledger each time.
+
+    It writes out ``canonical_bytes((snapshot_digest, executed))`` for an
+    :meth:`ExecutionLedger.export` (clients sorted, each ``{"high",
+    "recent"}`` with ``recent`` in rid order) and keeps, per client, the
+    rids, results and serialized ``(rid, result)`` entries of the last
+    checkpoint.  The next one's entries start with the last one's tail
+    (the window slid past its oldest rids) and add the rids executed
+    since: where the rids and the very result objects match, the tail's
+    bytes are reused and only the rest is serialized.
+    """
+
+    def __init__(self) -> None:
+        self._runs: Dict[str, Tuple[List[int], List[Any], List[bytes]]] = {}
+
+    def digest(self, snapshot_digest: bytes, executed: Dict[str, Dict[str, Any]]) -> bytes:
+        known, kept = self._runs, {}
+        parts = [b"l2:", canonical_bytes(snapshot_digest), b"d%d:" % len(executed)]
+        for client in sorted(executed):
+            entry = executed[client]
+            recent = entry["recent"]
+            rids = [item[0] for item in recent]
+            results = [item[1] for item in recent]
+            old_rids, old_results, old_bytes = known.get(client, ([], [], []))
+            first = bisect_left(old_rids, rids[0]) if rids else len(old_rids)
+            same = len(old_rids) - first
+            if rids[:same] == old_rids[first:] and all(map(is_, results, old_results[first:])):
+                encoded = old_bytes[first:] + [_entry_bytes(item) for item in recent[same:]]
+            else:
+                encoded = [_entry_bytes(item) for item in recent]
+            kept[client] = (rids, results, encoded)
+            parts.append(canonical_bytes(client))
+            parts.append(b"d2:s4:high%ss6:recentl%d:" % (canonical_bytes(entry["high"]), len(recent)))
+            parts += encoded
+        self._runs = kept
+        return hashlib.sha256(b"".join(parts)).digest()
+
+
+def _entry_bytes(item: Tuple[int, Any]) -> bytes:
+    """``canonical_bytes(item)`` of one ``(rid, result)`` ledger entry,
+    written out for the usual shape (an int rid, a str result)."""
+    rid, result = item
+    if type(rid) is int and type(result) is str:
+        digits = b"%d" % rid
+        text = result.encode("utf-8")
+        return b"l2:i%d:%ss%d:%s" % (len(digits), digits, len(text), text)
+    return canonical_bytes(item)
 
 
 @dataclass
@@ -260,6 +314,7 @@ class BaseReplica(Node):
         # executed above it: what a state response ships.  Seq 0, the
         # initial state, is shipped to nobody.
         self._checkpoint: Tuple[int, Optional[bytes], Any] = (0, b"", None)
+        self._checkpoint_digests = CheckpointDigests()
         self._executed_log: Dict[int, Tuple[bytes, Proposal]] = {}
         # The open sync round: answers by responder and when it began
         # (-inf once a round moved something: no retry window is open),
@@ -553,18 +608,26 @@ class BaseReplica(Node):
 
     def _checkpoint_digest(self) -> bytes:
         """The checkpoint's offer digest, computed on first use: a run
-        that ships no state and votes on no checkpoint never pays for it."""
+        that ships no state and votes on no checkpoint never pays for it.
+        The same bytes as :meth:`_offer_digest_of`, with each ledger
+        entry serialized once across this member's checkpoints."""
         seq, digest, state = self._checkpoint
         if digest is None:
-            digest = self._offer_digest_of(state)
+            digest = self._checkpoint_digests.digest(
+                self._snapshot_digest_of(state), state["executed_requests"]
+            )
             self._checkpoint = (seq, digest, state)
         return digest
 
     def _offer_digest_of(self, state: Dict[str, Any]) -> bytes:
         """:func:`offer_digest` of an ``export_state()`` dict."""
+        return offer_digest(self._snapshot_digest_of(state), state["executed_requests"])
+
+    def _snapshot_digest_of(self, state: Dict[str, Any]) -> bytes:
+        """The app-state half of an offer digest."""
         probe = self.group.app_factory()
         probe.restore(state["snapshot"])
-        return offer_digest(probe.state_digest(), state["executed_requests"])
+        return probe.state_digest()
 
     def _apply_request(self, request: ClientRequest) -> Optional[ClientReply]:
         """Execute one request against the app state now, so snapshots
@@ -669,6 +732,7 @@ class BaseReplica(Node):
         """
         self.retired = True
         self.state = NodeState.CRASHED
+        self.withdraw_undeparted()
         self.syncing = False
         self._drop_pending()
         self.reset_protocol_state()

@@ -186,20 +186,27 @@ class NocNetwork:
     def send(
         self, src: Coord, dst: Coord, payload: Any, size_bytes: int = 64,
         sender: Optional[str] = None, addressee: Optional[str] = None,
+        depart_at: Optional[float] = None,
     ) -> Packet:
         """Inject a packet; returns it so callers can trace its fate.
 
-        The packet enters the fabric at the current instant, behind every
-        older packet.  Inside an event the analytic traversal reserves
-        its whole route before ``send`` returns; between runs (and hop by
-        hop) injection is an event of its own.  ``sender`` and
-        ``addressee`` ride on the packet for the endpoints' use.
+        The packet enters the fabric at ``depart_at`` (default: the
+        current instant; never earlier), behind every older packet, and
+        that is its ``injected_at``.  Inside an event the analytic
+        traversal reserves its whole route before ``send`` returns, from
+        the departure on; between runs (and hop by hop) injection is an
+        event of its own at the departure.  A packet that has not
+        departed yet can be taken back (:meth:`withdraw`).  ``sender``
+        and ``addressee`` ride on the packet for the endpoints' use.
         """
         sim = self.sim
+        now = sim.now
+        if depart_at is None or depart_at < now:
+            depart_at = now
         # A cached route vouches for both ends: only a miss validates them.
         route = self._route_cache.get((src, dst)) or self._route(src, dst)
         packet = Packet(
-            next(self.packet_ids), src, dst, payload, size_bytes, sim.now, sender, addressee
+            next(self.packet_ids), src, dst, payload, size_bytes, depart_at, sender, addressee
         )
         packet._route = route
         if sim.running and route is not None and route.analytic:
@@ -341,7 +348,7 @@ class NocNetwork:
             self._drop(packet, "no route (failed links)")
             return
         sim = self.sim
-        at = sim.now
+        at = packet.injected_at
         enter = self._commit if route.analytic else self._step
         if not route.last:
             # Local loopback: skip the fabric, pay only switch latency.
@@ -421,20 +428,25 @@ class NocNetwork:
         """Reserve every remaining hop of ``packet``'s route, now.
 
         Called at the instant the packet is at router ``_index`` (from
-        :meth:`send`, or as the event that injects or resumes it).  Each
-        hop takes a slot in its link's calendar at the time the previous
-        one ends, so the only event left is the arrival at the
-        destination.  No hop looks at health: an analytic route of the
-        current ``fault_epoch`` is healthy by construction.  A packet
-        whose event outlived a fault transition goes on hop by hop, like
-        everything the transition cut back.
+        :meth:`send`, or as the event that injects or resumes it), or
+        from :meth:`send` before a departure still ahead: the first hop
+        is then reserved from ``injected_at``.  Each hop takes a slot in
+        its link's calendar at the time the previous one ends, so the
+        only event left is the arrival at the destination.  No hop looks
+        at health: an analytic route of the current ``fault_epoch`` is
+        healthy by construction.  A packet whose event outlived a fault
+        transition goes on hop by hop, like everything the transition
+        cut back.
         """
         route = packet._route
         if route.epoch != self.fault_epoch:
             self._step(packet)
             return
         sim = self.sim
-        now = arrival = sim.now
+        now = sim.now
+        arrival = packet.injected_at
+        if arrival < now:  # resumed past its first hop
+            arrival = now
         index = packet._index
         packet_id = packet.packet_id
         flits = packet.flits
@@ -496,6 +508,25 @@ class NocNetwork:
         self._delivered.value += 1
         self._flit_hops.value += packet.flits * packet.hops
         handler(packet)
+
+    def withdraw(self, packet: Packet) -> None:
+        """Take back a packet whose departure is still ahead: it gives up
+        every slot it holds and its pending event, and is never
+        delivered.  Packets it had pushed back in a calendar are
+        re-timed as if it had never been sent.  Not a drop: it never
+        entered the fabric (``dropped`` and ``drop_reason`` say so, and
+        ``noc.dropped`` does not count it)."""
+        if packet.dropped or packet.delivered_at is not None:
+            return
+        displaced: List[Slot] = []
+        links = packet._route.links
+        for hop in range(packet._index):
+            links[hop].release(packet, displaced)
+        packet.hops = packet._index = 0
+        packet._event.cancel()
+        packet.dropped = True
+        packet.drop_reason = "withdrawn before departure"
+        self._requeue(displaced)
 
     def _requeue(self, displaced: List[Slot]) -> None:
         """Re-time the packets whose slots a calendar change displaced.

@@ -114,8 +114,12 @@ class Chip:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def transmit(self, src_name: str, dst_name: str, body: Any, size_bytes: int) -> Optional[Packet]:
-        """Send a protocol message between named nodes over the NoC.
+    def transmit(
+        self, src_name: str, dst_name: str, body: Any, size_bytes: int,
+        depart_at: Optional[float] = None,
+    ) -> Optional[Packet]:
+        """Send a protocol message between named nodes over the NoC,
+        leaving the sender's tile at ``depart_at`` (default: now).
 
         Unknown destinations silently drop (the peer may have been evicted
         mid-rejuvenation — exactly the race protocols must tolerate).
@@ -129,10 +133,10 @@ class Chip:
         if dst_coord is None:
             if self.off_chip_handler is not None:
                 # The addressee may live on another chip (repro.sos).
-                return self.off_chip_handler(src_name, dst_name, body, size_bytes)
+                return self.off_chip_handler(src_name, dst_name, body, size_bytes, depart_at)
             self.metrics.counter("chip.dropped_unplaced").inc()
             return None
-        return self.noc.send(src_coord, dst_coord, body, size_bytes, src_name, dst_name)
+        return self.noc.send(src_coord, dst_coord, body, size_bytes, src_name, dst_name, depart_at)
 
     def multicast(self, src_name: str, dst_names: List[str], body: Any, size_bytes: int) -> int:
         """:meth:`transmit` one message to every name but the sender's;

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from collections import deque
+from itertools import repeat
+from typing import Any, Callable, Deque, List, Optional, TYPE_CHECKING
 
 from repro.noc.packet import Packet
 
@@ -50,6 +52,12 @@ class Node:
     proposal is requested before its executions, so it is served first;
     and a PBFT vote queued for verification completes before any vote
     delivered after it, so counting queued votes toward a quorum is exact.
+
+    A message whose last step on the core ends in the future can be sent
+    now with that instant as its departure (:meth:`send`'s
+    ``depart_at``): its outbound filters run now, the NoC commits it now,
+    and a crash before it leaves withdraws it (DESIGN §4, *When a copy
+    leaves*).
     """
 
     def __init__(self, name: str) -> None:
@@ -66,6 +74,9 @@ class Node:
         self.bytes_sent = 0
         self._outbound_filters: List[OutboundFilter] = []
         self._inbound_filters: List[InboundFilter] = []
+        # Packets sent with a departure ahead of the clock, in departure
+        # order; the ones that have left are dropped as more are sent.
+        self._departing: Deque[Packet] = deque()
 
     # ------------------------------------------------------------------
     # Wiring (called by Chip)
@@ -91,10 +102,26 @@ class Node:
         return self.state is NodeState.OK
 
     def crash(self) -> None:
-        """Stop the node.  In-flight handler work is abandoned."""
+        """Stop the node.  In-flight handler work is abandoned, and so is
+        every message still waiting for its departure."""
         if self.state is not NodeState.COMPROMISED:
             self.state = NodeState.CRASHED
+        self.withdraw_undeparted()
         self.on_crash()
+
+    def withdraw_undeparted(self) -> None:
+        """Take back every message sent with a departure still ahead: it
+        never leaves, and it no longer counts as sent."""
+        departing = self._departing
+        if not departing:
+            return
+        now = self.sim.now
+        while departing:
+            packet = departing.popleft()
+            if packet.injected_at > now:
+                self.chip.noc.withdraw(packet)
+                self.messages_sent -= 1
+                self.bytes_sent -= packet.size_bytes
 
     def recover(self) -> None:
         """Restart the node with protocol state reset by the subclass."""
@@ -134,9 +161,14 @@ class Node:
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
-    def send(self, dst: str, message: Any, size_bytes: int = 64) -> Optional[Packet]:
+    def send(
+        self, dst: str, message: Any, size_bytes: int = 64, depart_at: Optional[float] = None
+    ) -> Optional[Packet]:
         """Send a message to a named node over the NoC.
 
+        ``depart_at`` (default: now) is when it leaves this tile: the
+        instant the core work that produces it is done.  The outbound
+        filters see it now; until it leaves, :meth:`crash` withdraws it.
         Returns the packet, or None if the node is crashed or an
         adversarial filter dropped the send.
         """
@@ -149,23 +181,54 @@ class Node:
             message = filtered
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        return self.chip.transmit(self.name, dst, message, size_bytes)
+        if depart_at is None:
+            return self.chip.transmit(self.name, dst, message, size_bytes)
+        packet = self.chip.transmit(self.name, dst, message, size_bytes, depart_at)
+        if packet is not None:
+            self._departures().append(packet)
+        return packet
 
-    def broadcast(self, dsts: List[str], message: Any, size_bytes: int = 64) -> None:
+    def broadcast(
+        self, dsts: List[str], message: Any, size_bytes: int = 64,
+        depart_at: Optional[List[float]] = None,
+    ) -> None:
         """Send the same message to several nodes (self is skipped).
 
         What :meth:`send` would do name by name, in one call down to the
         chip — unless an outbound filter is installed, which must see (and
         may rewrite or drop) every ``(dst, message)`` on its own.
+        ``depart_at``, if given, is each name's departure (see
+        :meth:`send`); each copy then goes down on its own
+        (:meth:`Chip.transmit`).
         """
         if self._outbound_filters:
-            for dst in dsts:
+            for dst, at in zip(dsts, depart_at or repeat(None)):
                 if dst != self.name:
-                    self.send(dst, message, size_bytes)
+                    self.send(dst, message, size_bytes, at)
         elif self.state is not NodeState.CRASHED and self.chip is not None:
-            copies = self.chip.multicast(self.name, dsts, message, size_bytes)
+            name = self.name
+            if depart_at is None:
+                copies = self.chip.multicast(name, dsts, message, size_bytes)
+            else:
+                copies = 0
+                transmit, departing = self.chip.transmit, self._departures()
+                for dst, at in zip(dsts, depart_at):
+                    if dst != name:
+                        copies += 1
+                        packet = transmit(name, dst, message, size_bytes, at)
+                        if packet is not None:
+                            departing.append(packet)
             self.messages_sent += copies
             self.bytes_sent += copies * size_bytes
+
+    def _departures(self) -> Deque[Packet]:
+        """The packets sent with a departure still ahead (the ones that
+        have left are dropped here), in departure order."""
+        departing = self._departing
+        now = self.sim.now
+        while departing and departing[0].injected_at <= now:
+            departing.popleft()
+        return departing
 
     def charge(self, duration: float) -> float:
         """Serialize ``duration`` of compute on this node's core.
@@ -180,6 +243,24 @@ class Node:
             start = self._busy_until
         self._busy_until = busy_until = start + duration
         return busy_until - now
+
+    def charge_each(self, duration: float, count: int) -> List[float]:
+        """:meth:`charge` ``count`` steps of ``duration`` back to back;
+        returns the instant each one completes.
+
+        The core ends as busy as one charge of ``count * duration``
+        would leave it, bit for bit; the last instant is that end.
+        """
+        if not duration >= 0:  # NaN fails too
+            raise ValueError(f"negative charge duration {duration}")
+        start = now = self.sim.now
+        if self._busy_until > now:
+            start = self._busy_until
+        self._busy_until = busy_until = start + duration * count
+        ends = [start + duration * k for k in range(1, count)]
+        if count:
+            ends.append(busy_until)
+        return ends
 
     def after(self, duration: float, callback: Callable[..., Any], *args: Any) -> Any:
         """:meth:`charge` ``duration``, then run ``callback(*args)`` when the

@@ -137,16 +137,20 @@ class MultiChipSystem:
     def _make_egress(self, chip_name: str):
         """off_chip_handler for one chip: start the tunnel at the sender."""
 
-        def egress(src: str, dst: str, body: Any, size_bytes: int):
+        def egress(
+            src: str, dst: str, body: Any, size_bytes: int, depart_at: Optional[float] = None
+        ):
             dst_chip = self.owner_chip(dst)
             if dst_chip is None or dst_chip == chip_name:
                 self.dropped_no_owner += 1
                 return None
             chip = self.chips[chip_name]
             tunnel = _Tunnel(src, dst, body, size_bytes, dst_chip)
-            # Ride the local NoC from the sender's tile to the gateway.
+            # Ride the local NoC from the sender's tile to the gateway,
+            # leaving when the sender's core is done with it.
             return chip.noc.send(
-                chip.coord_of(src), self.gateways[chip_name], tunnel, size_bytes
+                chip.coord_of(src), self.gateways[chip_name], tunnel, size_bytes,
+                depart_at=depart_at,
             )
 
         return egress

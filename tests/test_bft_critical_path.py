@@ -347,7 +347,7 @@ def test_the_next_proposal_leaves_before_the_replies_of_the_committed_batch(
     client = ClientNode("c0", ClientConfig(think_time=50, timeout=20_000, max_outstanding=12))
     group.attach_client(client)
     primary = group.replicas[group.members[0]]
-    sent = []  # (time, message) the primary put on the wire
+    sent = []  # (departure, message) the primary put on the wire
     cuts = []  # (executed proposal, proposal cut while executing it)
     executing = []
 
@@ -355,9 +355,9 @@ def test_the_next_proposal_leaves_before_the_replies_of_the_committed_batch(
         sent.append((sim.now, message))
         return type(primary).send(primary, dst, message, size_bytes)
 
-    def broadcast(dsts, message, size_bytes=64):
-        sent.append((sim.now, message))
-        return type(primary).broadcast(primary, dsts, message, size_bytes)
+    def broadcast(dsts, message, size_bytes=64, depart_at=None):
+        sent.append((sim.now if depart_at is None else depart_at[0], message))
+        return type(primary).broadcast(primary, dsts, message, size_bytes, depart_at)
 
     def execute(seq, digest, proposal):
         executing.append(proposal)

@@ -788,15 +788,16 @@ def test_a_holder_behind_on_agreement_serves_no_read_older_than_a_completed_writ
     "around a view change two lagging members outvote a completed write"
 ))
 def test_a_quorum_read_around_a_view_change_returns_no_value_older_than_a_completed_write():
-    """The primary crashes 20 000 sim-ms into the traffic and is back 100
+    """The primary crashes 19 000 sim-ms into the traffic and is back 100
     sim-ms later, with one backup holder 600 sim-ms behind on agreement.
-    The group moves to view 1; w1's write of ``k2`` = 11 completes on its
-    holder's licence and one more reply, and w1's read of ``k2`` one
-    sim-ms later takes the quorum path (the new view has granted nothing
-    yet) and completes on the recovering old primary and the delayed
-    member, both answering 7."""
+    The group changes view; w1's write of ``k0`` = 13 completes, and w1's
+    read of ``k0`` one sim-ms later takes the quorum path and completes
+    at 70 727 on two members answering 9.  (With the crash at 20 000 the
+    same trace read ``k2`` = 7 after a write of 11 until each PBFT copy
+    came to leave when its own MAC is done; that timing now reads
+    nothing stale, the crash at 19 000 through 19 350 does.)"""
     group, clients, violations = run_freshness_scenario(
-        "pbft", slow_holder=True, primary_outage=(20_000.0, 100.0), writer_timeout=2_000
+        "pbft", slow_holder=True, primary_outage=(19_000.0, 100.0), writer_timeout=2_000
     )
     assert [c.completed for c in clients] == [120, 120, 300, 300, 300]
     assert group.safety.is_safe

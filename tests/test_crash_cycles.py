@@ -70,14 +70,21 @@ def test_pbft_serves_after_a_short_outage(second_after):
 def test_a_restarted_pbft_primary_asks_for_the_next_view_before_it_proposes():
     """The short-outage primary refuses to order while its recovery sync
     runs, asks for view 1 itself once the sync settles, well inside a view
-    timeout, and sends no PRE-PREPARE between its return and that ask."""
-    trial = Trial(scenario(named("pbft", OUTAGES[0], SECOND_AFTER[0])))
+    timeout, and sends no PRE-PREPARE between its return and that ask.
+
+    The first crash is moved to 49 540, while the primary computes the
+    MACs of the PRE-PREPARE it numbered at 49 533 (seq 85, copies due at
+    49 593 / 49 633 / 49 673): all three are withdrawn, so the group never
+    sees seq 85 and the restarted primary holds a slot it cannot fill."""
+    s = scenario(named("pbft", OUTAGES[0], SECOND_AFTER[0]))
+    crash_at = 49_540.0
+    trial = Trial(dataclasses.replace(s, crashes=(Crash(crash_at, outage=OUTAGES[0]), s.crashes[1])))
     primary = trial.group.replicas[trial.group.members[0]]
     proposed, asked, ordered = [], [], []
     multicast, suspect = primary._auth_multicast, primary._suspect
     primary._auth_multicast = lambda m: (proposed.append((trial.sim.now, type(m).__name__)), multicast(m))
     primary._suspect = lambda view: (asked.append((trial.sim.now, view)), suspect(view))
-    back = 50_000.0 + OUTAGES[0]
+    back = crash_at + OUTAGES[0]
     request = ClientRequest("c0", 10**6, ("put", "k", 0))
     trial.sim.schedule_at(back + 1.0, lambda: ordered.append(primary._order_proposal(request)))
     trial.run()

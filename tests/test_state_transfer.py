@@ -71,6 +71,48 @@ def test_every_member_checkpoints_every_interval_and_logs_what_it_executes_above
     assert len(digests) == 1  # every member vouches for the same state
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_the_checkpoint_digest_equals_the_full_recomputation_at_every_checkpoint(
+    protocol, monkeypatch
+):
+    """A member's checkpoint digest serializes each ledger entry once
+    across its checkpoints (``CheckpointDigests``); at every checkpoint of
+    every member — taken in order, or adopted from a state import — it
+    is ``offer_digest`` recomputed over the whole export.  Two clients
+    fill the ledger; a backup down for 30 000 sim-ms comes back behind a
+    checkpoint and imports one."""
+    imported, seen = [], {"taken": 0, "imported": 0}
+    record, import_state = BaseReplica._record_checkpoint, BaseReplica.import_state
+
+    def checked(self):
+        record(self)
+        state = self._checkpoint[2]
+        assert self._checkpoint_digest() == self._offer_digest_of(state), (self.name, state["last_executed"])
+        seen["imported" if self in imported else "taken"] += 1
+
+    def importing(self, state):
+        imported.append(self)
+        import_state(self, state)
+        imported.remove(self)
+
+    monkeypatch.setattr(BaseReplica, "_record_checkpoint", checked)
+    monkeypatch.setattr(BaseReplica, "import_state", importing)
+    sim = Simulator(seed=1)
+    chip = Chip(sim, ChipConfig(width=5, height=5))
+    group = build_group(chip, GroupConfig(protocol=protocol, f=1, group_id="g"))
+    for name in ("c0", "c1"):
+        client = ClientNode(name, ClientConfig(think_time=50, timeout=20_000))
+        group.attach_client(client)
+        client.start()
+    lagging = group.replicas[group.members[-1]]
+    sim.schedule_at(10_000.0, lagging.crash)
+    sim.schedule_at(40_000.0, lagging.recover)
+    sim.run(until=120_000.0)
+    ahead = max(r.last_executed for r in group.replicas.values())
+    assert ahead - lagging.last_executed < BaseReplica.CHECKPOINT_INTERVAL
+    assert seen["taken"] >= 2 * len(group.members) and seen["imported"] >= 1, seen
+
+
 def test_a_response_ships_the_state_only_to_a_member_behind_the_checkpoint():
     _, group = build("pbft", n_requests=70)
     responder = group.replicas["g-r1"]
