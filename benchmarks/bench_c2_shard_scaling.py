@@ -42,7 +42,8 @@ def run_sharded(n_shards, kill_shard=None, seed=SEED):
     drivers = scenario.closed_drivers(
         system, N_CLIENTS, THINK_TIME, AlternatingKV(UniformKeys(KEY_SPACE))
     )
-    return scenario.open_window(system, drivers, WARMUP, DURATION, kill_shard).run()
+    kill = scenario.kill_at_half(kill_shard, WARMUP, DURATION)
+    return scenario.open_window(system, drivers, WARMUP, DURATION, kill).run()
 
 
 def scaling_run(n_shards):

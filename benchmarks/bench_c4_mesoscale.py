@@ -39,6 +39,7 @@ from conftest import run_once
 from repro.campaign.scenario import (
     attach_populations,
     demand_totals,
+    kill_at_half,
     open_window,
     sharded_system,
     window_stats,
@@ -89,7 +90,7 @@ def scenario(per_pop, duration, kill=None, seed=SEED):
     tracemalloc.stop()
     attach_bytes = after - before
 
-    measured = open_window(system, populations, WARMUP, duration, kill).run()
+    measured = open_window(system, populations, WARMUP, duration, kill_at_half(kill, WARMUP, duration)).run()
     start, end = measured.start, measured.end
     kill_at = start + duration / 2
 

@@ -11,12 +11,12 @@ Run:  python examples/adaptive_smart_grid.py
 """
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
+from repro.campaign.scenario import Compromise, FaultPlayer
 from repro.core import AdaptationController, AdaptationPolicy, SeverityDetector
 from repro.core.severity import SeverityConfig
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 from repro.workloads import AlternatingKV, ZipfKeys
-from repro.workloads.scenarios import AttackPhase, ThreatScenario
 
 
 def main() -> None:
@@ -37,10 +37,9 @@ def main() -> None:
     controller = AdaptationController(group, detector, AdaptationPolicy(cooldown=20_000))
 
     # Threat timeline: calm, then a leader compromise window, then calm.
-    scenario = ThreatScenario(
-        phases=[AttackPhase(250_000, 500_000, "equivocate", 0, "intrusion")]
-    )
-    scenario.apply(sim, group)
+    faults = FaultPlayer(
+        (Compromise(250_000, "equivocate", 0, until=500_000),), sim, {None: group}
+    ).arm()
 
     scada.start()
     detector.start()
@@ -48,7 +47,7 @@ def main() -> None:
     horizon = 1_000_000
     checkpoints = []
     for t in range(50_000, horizon + 1, 50_000):
-        sim.run(until=t)
+        faults.run(t)
         checkpoints.append((t, controller.current_protocol, detector.level.name,
                             scada.completed))
 

@@ -21,7 +21,7 @@ import random
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.app import ControlLoopApp
-from repro.faults import make_strategy
+from repro.campaign.scenario import Compromise, FaultPlayer
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
 from repro.workloads import FactoryWorkload
@@ -71,12 +71,9 @@ def main() -> None:
     group.attach_client(sensor_hub)
     sensor_hub.start()
 
-    # Phase 2: the adversary owns one replica and equivocates.
-    attacker = make_strategy("equivocate", sim.rng.stream("vehicle.attack"))
-    victim = group.members[1]
-    sim.schedule_at(300_000, attacker.activate, group.replicas[victim])
-    # Phase 3: intrusion response rejuvenates the victim (state persists).
-    sim.schedule_at(600_000, group.replicas[victim].recover)
+    # Phase 2: the adversary owns one replica and equivocates; phase 3:
+    # intrusion response rejuvenates the victim (state persists).
+    FaultPlayer((Compromise(300_000, "equivocate", 1, until=600_000),), sim, {None: group}).arm()
 
     phases = [(0, 300_000, "nominal"), (300_000, 600_000, "under attack"),
               (600_000, 900_000, "recovered")]

@@ -240,9 +240,8 @@ def mesoscale_window(params: Dict[str, Any], seed: int) -> Window:
         workload=kv_workload(keys=p["key_space"], arrivals=scenario.arrival_process(p)),
         tick=p["tick"], max_inflight=p["max_inflight"], queue_limit=p["queue_limit"],
     )
-    return scenario.open_window(
-        system, populations, p["warmup"], p["duration"], p["kill_shard"]
-    ).run()
+    kill = scenario.kill_at_half(p["kill_shard"], p["warmup"], p["duration"])
+    return scenario.open_window(system, populations, p["warmup"], p["duration"], kill).run()
 
 
 @register_runner("mesoscale", MESOSCALE_PARAMS)

@@ -11,8 +11,8 @@ module is the one place each is written down:
    :func:`attach_populations` or :func:`closed_drivers`, or
    :func:`resilient_service` with its clients;
 3. **warm up, optionally break something, run** — :func:`open_window`
-   returns one :class:`Window`; a fault schedule is attached between it
-   and ``.run()``;
+   returns one :class:`Window`, whose fault :data:`Schedule` the one
+   :class:`FaultPlayer` plays;
 4. **the statistics every report repeats** — :func:`window_stats` and
    :func:`demand_totals`.
 
@@ -25,20 +25,23 @@ campaign.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.bft.batching import BatchConfig
 from repro.bft.client import ClientConfig, ClientNode
-from repro.bft.group import protocol_config_for
+from repro.bft.group import ReplicaGroup, protocol_config_for
 from repro.bft.leases import LeaseConfig
 from repro.bft.replica import ProtocolConfig
 from repro.core.orchestrator import OrchestratorConfig, ResilientSystem
 from repro.core.rejuvenation import RejuvenationPolicy
+from repro.faults.byzantine import make_strategy
 from repro.mesoscale.population import ClientPopulation, PopulationConfig
 from repro.metrics.stats import percentile
 from repro.metrics.traffic import TrafficSource, aggregate_completions, aggregate_latencies
 from repro.shard.manager import ShardConfig, ShardedSystem
 from repro.shard.router import RouterConfig
+from repro.sim.simulator import Simulator
 from repro.workloads.arrivals import (
     ArrivalProcess,
     DiurnalArrivals,
@@ -47,10 +50,6 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
 )
 from repro.workloads.workload import Workload
-
-
-class UnknownShard(ValueError):
-    """A window was asked to kill a shard the system does not have."""
 
 
 # ----------------------------------------------------------------------
@@ -231,18 +230,174 @@ def resilient_service(
 # 3. Warm up, optionally break something, run
 # ----------------------------------------------------------------------
 
+class UnknownShard(ValueError):
+    """A fault schedule names a shard the system does not have."""
+
+
+@dataclass(frozen=True)
+class Crash:
+    """``member`` (None: the acting primary) crashes; back ``outage`` later."""
+
+    at: float
+    member: Optional[int] = None
+    outage: Optional[float] = None
+    shard: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Compromise:
+    """``member`` runs the Byzantine ``strategy`` and recovers at ``until``."""
+
+    at: float
+    strategy: str
+    member: int
+    until: Optional[float] = None
+    shard: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Step:
+    """A switch to family ``to``, or a scale-out by one member."""
+
+    at: float
+    to: Optional[str] = None
+    shard: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class KillShard:
+    """Every tile of shard ``shard`` crashes."""
+
+    at: float
+    shard: str
+
+
+Fault = Union[Crash, Compromise, Step, KillShard]
+#: Entries at absolute sim-ms; ``shard`` None is a one-group service's group.
+Schedule = Tuple[Fault, ...]
+
+
+def _acting_primary(group: ReplicaGroup) -> str:
+    """The primary of the highest view a live member holds."""
+    return group.context.primary_of(max(r.view for r in group.correct_replicas()))
+
+
+class FaultPlayer:
+    """The one player of a fault schedule on ``groups`` (by shard id);
+    ``kill`` kills a shard.
+
+    Made before any event runs, it refuses an unknown shard
+    (:class:`UnknownShard`), an entry before ``start`` (default: now), an
+    end or outage before its start, a member index the group lacks and an
+    unknown strategy (ValueError).  :meth:`arm` makes every other entry
+    than a crash one event, in schedule order (a compromise's end right
+    after its start).  Targets are resolved as entries fire.  A crash or
+    recovery at t is played by :meth:`run` after every event at t, so "the
+    acting primary" is the one at t.  A switch rebuilds every member, so
+    each compromise in force on that group is activated again, with the
+    same strategy.
+    """
+
+    def __init__(self, schedule: Schedule, sim: Simulator, groups: Mapping[Optional[str], ReplicaGroup],
+                 kill: Optional[Callable[[str], None]] = None, start: Optional[float] = None) -> None:
+        opens = sim.now if start is None else start
+        for e in schedule:
+            if e.shard not in groups:
+                have = ", ".join(sid for sid in groups if sid is not None)
+                raise UnknownShard(f"unknown shard {e.shard!r}; have {have}")
+            if not e.at >= opens:
+                raise ValueError(f"{e} fires before the schedule opens at {opens}")
+            until, outage = getattr(e, "until", None), getattr(e, "outage", None)
+            if (until is not None and not until > e.at) or (outage is not None and not outage >= 0):
+                raise ValueError(f"{e} ends before it starts")
+            member = getattr(e, "member", None)
+            if member is not None and not 0 <= member < len(groups[e.shard].members):
+                raise ValueError(f"{e} names a member its group does not have")
+        self.schedule, self.sim, self.groups, self.kill = schedule, sim, groups, kill
+        self._strategies = {
+            i: make_strategy(e.strategy, sim.rng.stream("byzantine"))
+            for i, e in enumerate(schedule) if isinstance(e, Compromise)
+        }
+        self._in_force: Set[int] = set()
+        crashes = [(i, e) for i, e in enumerate(schedule) if isinstance(e, Crash)]
+        self._moments = sorted(
+            [(e.at, i, False) for i, e in crashes]
+            + [(e.at + e.outage, i, True) for i, e in crashes if e.outage is not None],
+            key=lambda moment: moment[0],
+        )
+        self._down: Dict[int, str] = {}
+
+    def arm(self) -> "FaultPlayer":
+        """Schedule the entries (every one but the crashes)."""
+        for i, e in enumerate(self.schedule):
+            if isinstance(e, Compromise):
+                self.sim.schedule_at(e.at, self._compromise, i)
+                if e.until is not None:
+                    self.sim.schedule_at(e.until, self._release, i)
+            elif not isinstance(e, Crash):
+                self.sim.schedule_at(e.at, self._fire, e)
+        return self
+
+    def run(self, until: float) -> None:
+        """Run to ``until``, crashing and recovering members on the way."""
+        while self._moments and self._moments[0][0] <= until:
+            at, i, recovering = self._moments.pop(0)
+            self.sim.run(until=at)
+            e, group = self.schedule[i], self.groups[self.schedule[i].shard]
+            if recovering:
+                group.replicas[self._down[i]].recover()
+                continue
+            self._down[i] = name = _acting_primary(group) if e.member is None else group.members[e.member]
+            group.crash(name)
+        self.sim.run(until=until)
+
+    def _compromise(self, i: int) -> None:
+        e, group = self.schedule[i], self.groups[self.schedule[i].shard]
+        self._in_force.add(i)
+        self._strategies[i].activate(group.replicas[group.members[e.member]])
+
+    def _release(self, i: int) -> None:
+        e, group = self.schedule[i], self.groups[self.schedule[i].shard]
+        self._in_force.discard(i)
+        replica = group.replicas[group.members[e.member]]
+        if not replica.is_correct:
+            replica.recover()
+
+    def _fire(self, e: Union[Step, KillShard]) -> None:
+        if isinstance(e, KillShard):
+            self.kill(e.shard)
+            return
+        group = self.groups[e.shard]
+        if e.to is None:
+            group.resize(len(group.members) + 1)
+            return
+        group.switch_protocol(e.to)
+        for i in self._strategies:  # in schedule order
+            if i in self._in_force and self.schedule[i].shard == e.shard:
+                self._compromise(i)
+
+
+def kill_at_half(shard: Optional[str], warmup: float, duration: float) -> Schedule:
+    """``shard``'s tiles crash half-way through the window opened after
+    ``warmup`` (no entry when ``shard`` is empty): ``repro shard|mesoscale
+    --kill-shard``, the ``mesoscale`` runner, C2 and C4."""
+    return (KillShard(warmup + duration / 2.0, shard),) if shard else ()
+
+
 class Window(NamedTuple):
     """One measured window ``[start, end)`` of a running service.
 
     ``duration`` is the nominal length the caller asked for: rates divide
     by it, as every summary always has, not by ``end - start``, which can
-    differ from it in the last bit.
+    differ from it in the last bit.  ``faults`` plays the window's
+    schedule.
     """
 
     system: Any
     sources: Sequence[TrafficSource]
     start: float
     duration: float
+    faults: FaultPlayer
 
     @property
     def end(self) -> float:
@@ -250,8 +405,8 @@ class Window(NamedTuple):
         return self.start + self.duration
 
     def run(self) -> "Window":
-        """Run the service to the end of the window."""
-        self.system.run(self.duration)
+        """Run the service, and its fault schedule, to the end of the window."""
+        self.faults.run(self.end)
         return self
 
 
@@ -260,23 +415,22 @@ def open_window(
     sources: Sequence[TrafficSource],
     warmup: float,
     duration: float,
-    kill_shard: Optional[str] = None,
+    faults: Schedule = (),
 ) -> Window:
     """Warm the service up and open the window; ``.run()`` runs it.
 
-    ``kill_shard`` crashes that shard's tiles half-way through the
-    window; the id is checked before any event runs.  Whatever else
+    ``faults`` is checked before any event runs, must fall after the
+    warm-up, and is armed the moment the window opens.  Whatever else
     should break inside the window is scheduled by the caller between
     this call and ``.run()``.
     """
-    if kill_shard and kill_shard not in system.shards:
-        raise UnknownShard(
-            f"unknown shard {kill_shard!r}; have {', '.join(system.directory.shard_ids)}"
-        )
+    if isinstance(system, ShardedSystem):
+        groups = {sid: shard.group for sid, shard in system.shards.items()}
+        player = FaultPlayer(faults, system.sim, groups, system.kill_shard, system.sim.now + warmup)
+    else:
+        player = FaultPlayer(faults, system.sim, {None: system.group}, start=system.sim.now + warmup)
     system.start(warmup=warmup)
-    if kill_shard:
-        system.sim.schedule(duration / 2.0, system.kill_shard, kill_shard)
-    return Window(system, sources, system.sim.now, duration)
+    return Window(system, sources, system.sim.now, duration, player.arm())
 
 
 # ----------------------------------------------------------------------

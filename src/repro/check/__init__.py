@@ -12,13 +12,16 @@ any trial departs from its row.  Standard library only, besides
 ``repro`` itself; nothing on the simulated side imports this package.
 """
 
-from repro.check.scenario import Crash, Outcome, Requesters, Scenario, Step, Trial, run
+from repro.campaign.scenario import Compromise, Crash, KillShard, Step
+from repro.check.scenario import Outcome, Requesters, Scenario, Trial, run
 from repro.check.suites import EXPECTED, SUITES, Departure, check, scenario
 
 __all__ = [
+    "Compromise",
     "Crash",
     "Departure",
     "EXPECTED",
+    "KillShard",
     "Outcome",
     "Requesters",
     "SUITES",

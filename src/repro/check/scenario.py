@@ -1,33 +1,40 @@
 """One promise check: a :class:`Scenario` in, an :class:`Outcome` out.
 
-A scenario is data: the replica group (family, f, chip, batching, leases,
-view timeout), its requesters, a fault schedule (a Byzantine strategy,
-crashes, membership steps), the horizon, the progress window and the
-seed.  :class:`Trial` builds it on a fresh simulator and plays it out;
-the outcome is what the sweeps judge (:func:`repro.check.check`).
+A scenario is data: the system (one replica group, or a sharded service
+of ``shards`` groups), its family, f, chip, batching, leases and view
+timeout, its requesters, a fault schedule
+(:data:`repro.campaign.scenario.Schedule`), the horizon, the progress
+window and the seed.  :class:`Trial` builds it on a fresh simulator and
+plays it out through :class:`~repro.campaign.scenario.FaultPlayer`; the
+outcome is what the sweeps judge (:func:`repro.check.check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
 from repro.bft.leases import LeaseConfig
 from repro.bft.messages import Prepare
-from repro.campaign.scenario import protocol_config
+from repro.campaign.scenario import (
+    FaultPlayer, Schedule, Step, closed_drivers, open_window, protocol_config, sharded_system,
+)
 from repro.core import DiversityManager, ReplicationManager, VariantLibrary
 from repro.fabric import FpgaFabric
-from repro.faults import make_strategy
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
-from repro.workloads import AlternatingKV, FactoryWorkload
+from repro.workloads import AlternatingKV, FactoryWorkload, UniformKeys
+
+#: How long a sharded service warms up before its drivers and schedule start.
+SHARD_WARMUP = 60_000.0
 
 
 @dataclass(frozen=True)
 class Requesters:
     """``count`` clients ``c0``, ``c1``, … of ``window`` outstanding
-    requests each; with ``reads`` their gets take the read path."""
+    requests each; with ``reads`` their gets take the read path.  A
+    sharded service's are closed-loop drivers on 256 uniform keys."""
 
     count: int = 2
     window: int = 1
@@ -37,32 +44,13 @@ class Requesters:
 
 
 @dataclass(frozen=True)
-class Crash:
-    """At ``at``, member ``member`` crashes — ``None``: the primary of the
-    highest view a live member holds — and recovers ``outage`` later
-    (``None``: it stays down)."""
-
-    at: float
-    member: Optional[int] = None
-    outage: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class Step:
-    """A membership change at ``at``: a switch to family ``to``, or a
-    scale-out when ``to`` is ``None`` (the group is then fabric-spawned)."""
-
-    at: float
-    to: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Everything one run depends on.  ``byzantine`` is (strategy, member,
-    activation time); a switch rebuilds every member, so the strategy is
-    activated again on the rebuilt one.  A run is served when every
-    requester completes something in ``window`` and together at least
-    ``progress`` operations."""
+    """Everything one run depends on.  ``shards`` 0 is one group with
+    :class:`~repro.bft.ClientNode` requesters (a scale-out step makes it
+    fabric-spawned); more is a sharded service of that many groups on a
+    ``chip`` × ``chip`` mesh, warmed up for :data:`SHARD_WARMUP`.  A run
+    is served when every requester completes something in ``window`` and
+    together at least ``progress`` operations."""
 
     name: str
     protocol: str
@@ -75,9 +63,8 @@ class Scenario:
     leases: bool = False
     view_timeout: Optional[float] = None
     requesters: Requesters = Requesters()
-    byzantine: Optional[Tuple[str, int, float]] = None
-    crashes: Tuple[Crash, ...] = ()
-    steps: Tuple[Step, ...] = ()
+    faults: Schedule = ()
+    shards: int = 0
     progress: int = 1
 
 
@@ -103,38 +90,43 @@ class Outcome:
                 "violations": self.violations, **served}
 
 
-def _acting_primary(group: Any) -> str:
-    """The primary of the highest view a live member holds."""
-    return group.context.primary_of(max(r.view for r in group.correct_replicas()))
-
-
 class Trial:
-    """A scenario built on a fresh simulator: ``sim``, ``group``,
-    ``clients``; :meth:`run` plays it to the horizon once."""
+    """A scenario built on a fresh simulator: ``sim``, ``group`` (or the
+    sharded ``system``), ``clients`` and ``faults``, its armed
+    :class:`~repro.campaign.scenario.FaultPlayer`; :meth:`run` plays it
+    to the horizon once."""
 
     def __init__(self, scenario: Scenario) -> None:
         s = self.scenario = scenario
-        self.sim = sim = Simulator(seed=s.seed)
-        chip = Chip(sim, ChipConfig(width=s.chip, height=s.chip))
         leases = (LeaseConfig.n_ranges, LeaseConfig.duration, LeaseConfig.renew_period)
-        config = GroupConfig(protocol=s.protocol, f=s.f, group_id="g", protocol_config=protocol_config(
-            s.protocol, s.batching, leases if s.leases else None, s.view_timeout
-        ))
-        if any(step.to is None for step in s.steps):
-            fabric = FpgaFabric(sim, chip)
-            library = VariantLibrary.generate("svc", 4, 2)
-            fabric.register_variants("svc", library.names())
-            self.manager = ReplicationManager(chip, fabric, DiversityManager(library))
-            self.group = group = self.manager.deploy_group(config)
-        else:
-            self.group = group = build_group(chip, config)
+        config = protocol_config(s.protocol, s.batching, leases if s.leases else None, s.view_timeout)
+        r = s.requesters
         #: (replica, vote kind) of every vote the PBFT triage dropped.
         self.dropped: Set[Tuple[str, str]] = set()
         self.mistriaged = 0
-        if s.protocol == "pbft":
-            for replica in group.replicas.values():
-                replica._vote_is_moot = self._checked_triage(replica)
-        r = s.requesters
+        if s.shards:
+            self.system = system = sharded_system(
+                s.seed, s.shards, router_timeout=r.timeout, protocol=s.protocol, f=s.f,
+                width=s.chip, height=s.chip, protocol_config=config,
+            )
+            self.sim = system.sim
+            self._check_triage(shard.group for shard in system.shards.values())
+            self.clients = closed_drivers(system, r.count, r.think_time, AlternatingKV(UniformKeys(256)))
+            window = open_window(system, self.clients, SHARD_WARMUP, s.horizon - SHARD_WARMUP, s.faults)
+            self.faults = window.faults
+            return
+        self.sim = sim = Simulator(seed=s.seed)
+        chip = Chip(sim, ChipConfig(width=s.chip, height=s.chip))
+        group_config = GroupConfig(protocol=s.protocol, f=s.f, group_id="g", protocol_config=config)
+        if any(isinstance(e, Step) and e.to is None for e in s.faults):
+            fabric = FpgaFabric(sim, chip)
+            library = VariantLibrary.generate("svc", 4, 2)
+            fabric.register_variants("svc", library.names())
+            manager = ReplicationManager(chip, fabric, DiversityManager(library))
+            self.group = group = manager.deploy_group(group_config)
+        else:
+            self.group = group = build_group(chip, group_config)
+        self._check_triage([group])
         workload = FactoryWorkload(AlternatingKV().op, reads=lambda op: op[0] == "get") if r.reads else AlternatingKV()
         self.clients = []
         for i in range(r.count):
@@ -144,23 +136,13 @@ class Trial:
             group.attach_client(client)
             client.start()
             self.clients.append(client)
-        self._attack = None
-        if s.byzantine is not None:
-            self._attack = make_strategy(s.byzantine[0], sim.rng.stream("byzantine"))
-            sim.schedule_at(s.byzantine[2], self._compromise)
-        for step in s.steps:
-            sim.schedule_at(step.at, self._change, step)
+        self.faults = FaultPlayer(s.faults, sim, {None: group}).arm()
 
-    def _compromise(self) -> None:
-        self._attack.activate(self.group.replicas[self.group.members[self.scenario.byzantine[1]]])
-
-    def _change(self, step: Step) -> None:
-        if step.to is None:
-            self.manager.scale_out()
-            return
-        self.group.switch_protocol(step.to)
-        if self._attack is not None:
-            self._compromise()  # the rebuilt member is a new, correct object
+    def _check_triage(self, groups: Iterable[Any]) -> None:
+        if self.scenario.protocol == "pbft":
+            for group in groups:
+                for replica in group.replicas.values():
+                    replica._vote_is_moot = self._checked_triage(replica)
 
     def _checked_triage(self, replica: Any) -> Any:
         """A PBFT replica's vote triage, checked as it reads each vote:
@@ -189,24 +171,11 @@ class Trial:
         return checked
 
     def run(self) -> Outcome:
-        """Play to the horizon.  A crash or recovery at t comes after
-        every event at t, so "the acting primary" is the one at t."""
-        s, group = self.scenario, self.group
-        moments = [(c.at, i, False) for i, c in enumerate(s.crashes)] + [
-            (c.at + c.outage, i, True) for i, c in enumerate(s.crashes) if c.outage is not None
-        ]
-        down: Dict[int, str] = {}
-        for at, i, recovering in sorted(moments, key=lambda m: m[0]):
-            self.sim.run(until=at)
-            if recovering:
-                group.replicas[down[i]].recover()
-            else:
-                member = s.crashes[i].member
-                down[i] = _acting_primary(group) if member is None else group.members[member]
-                group.crash(down[i])
-        self.sim.run(until=s.horizon)
+        """Play the scenario and its fault schedule to the horizon."""
+        s = self.scenario
+        self.faults.run(s.horizon)
         served = tuple(client.completions_in(*s.window) for client in self.clients)
-        violations = len(group.safety.violations) + self.mistriaged
+        violations = sum(len(g.safety.violations) for g in self.faults.groups.values()) + self.mistriaged
         return Outcome(
             safe=violations == 0,
             served=served,

@@ -117,10 +117,9 @@ def cmd_shard(args: argparse.Namespace) -> int:
     drivers = scenario.closed_drivers(
         system, args.clients, args.think_time, AlternatingKV(UniformKeys(defaults["key_space"]))
     )
+    kill = scenario.kill_at_half(args.kill_shard, defaults["warmup"], args.duration)
     try:
-        window = scenario.open_window(
-            system, drivers, defaults["warmup"], args.duration, args.kill_shard
-        )
+        window = scenario.open_window(system, drivers, defaults["warmup"], args.duration, kill)
     except scenario.UnknownShard as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Workloads, arrival processes, and threat scenarios.
+"""Workloads and arrival processes.
 
 * :mod:`~repro.workloads.workload` — the :class:`Workload` API: one
   object is all of a requester's traffic — the op stream (``op(i)``),
@@ -9,8 +9,9 @@
 * :mod:`~repro.workloads.arrivals` — aggregated demand models for
   client populations: Poisson, heavy-tailed Pareto bursts, diurnal
   sinusoid, and flash crowds.
-* :mod:`~repro.workloads.scenarios` — phased threat scenarios (calm →
-  attack → calm) used by the adaptation experiment (E5).
+
+A fault or threat timeline is a fault schedule
+(:data:`repro.campaign.scenario.Schedule`).
 """
 
 from repro.workloads.arrivals import (
@@ -21,7 +22,6 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
     sample_poisson,
 )
-from repro.workloads.scenarios import AttackPhase, ThreatScenario
 from repro.workloads.workload import (
     AlternatingKV,
     FactoryWorkload,
@@ -35,14 +35,12 @@ from repro.workloads.workload import (
 __all__ = [
     "AlternatingKV",
     "ArrivalProcess",
-    "AttackPhase",
     "DiurnalArrivals",
     "FactoryWorkload",
     "FlashCrowdArrivals",
     "KVWorkload",
     "ParetoArrivals",
     "PoissonArrivals",
-    "ThreatScenario",
     "UniformKeys",
     "Workload",
     "ZipfKeys",

@@ -47,7 +47,7 @@ def test_a_byzantine_primary_may_stall_but_not_diverge():
 
 def test_the_suites_are_the_ci_sweeps():
     sizes = {name: len(names()) for name, names in SUITES.items()}
-    assert sizes == {"byzantine": 2400, "membership": 1040, "crash-cycles": 80}
+    assert sizes == {"byzantine": 2400, "membership": 1040, "crash-cycles": 85}
     for suite in SUITES.values():
         names = suite()
         assert [scenario(n).name for n in names] == names

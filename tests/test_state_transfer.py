@@ -254,3 +254,21 @@ def test_a_rejuvenated_minbft_service_ends_its_window_with_no_member_syncing():
     edges = [window.start] + times + [window.end]
     assert max(b - a for a, b in zip(edges, edges[1:])) < 60_000
     assert scenario.window_stats(window)["ops"] > 3 * 285
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "finding (ROADMAP items 14 and 5): MinBFT with the default rejuvenation policy and three "
+    "closed-loop clients stops serving for good at ~210 000 sim-ms"
+))
+def test_a_rejuvenated_minbft_service_keeps_serving_three_clients():
+    """The system above with a third client.  It serves 350 ops in the
+    window (2 308 with rejuvenation off), nothing after ≈ 210 000, and
+    ends safe in view 2 with ``last_executed`` [350, 350, 362]: r2 alone
+    executed 351–362, and no f + 1 peers can vouch for those seqs.
+    Seeds 1–6 give the same; two clients serve 1 069."""
+    system, clients = scenario.resilient_service(
+        3, 3, {"think_time": 100.0}, True, protocol="minbft"
+    )
+    scenario.open_window(system, clients, 50_000.0, 600_000.0).run()
+    assert system.is_safe
+    assert all(client.completions_in(550_000.0, 650_000.0) > 0 for client in clients)

@@ -1,20 +1,17 @@
-"""Tests for workloads and threat scenarios."""
+"""Tests for workloads (a threat timeline is a fault schedule:
+``tests/test_fault_schedule.py``)."""
 
 import pytest
 
-from repro.bft import ClientConfig, ClientNode, GroupConfig, KeyValueStore, build_group
+from repro.bft import ClientConfig, KeyValueStore
 from repro.workloads import (
     AlternatingKV,
-    AttackPhase,
     FactoryWorkload,
     KVWorkload,
-    ThreatScenario,
     UniformKeys,
     ZipfKeys,
     kv_workload,
 )
-from repro.sim import Simulator
-from repro.soc import Chip, ChipConfig
 
 
 # ----------------------------------------------------------------------
@@ -84,58 +81,6 @@ def test_each_workload_classifies_its_own_reads():
     assert not opaque.is_read(get)
     classified = FactoryWorkload(lambda i: get, reads=lambda op: op[0] == "get")
     assert classified.is_read(get) and not classified.is_read(put)
-
-
-# ----------------------------------------------------------------------
-# Threat scenarios
-# ----------------------------------------------------------------------
-def test_attack_phase_validation():
-    with pytest.raises(ValueError):
-        AttackPhase(start=10, end=10)
-    with pytest.raises(ValueError):
-        AttackPhase(start=-1, end=10)
-
-
-def test_scenario_applies_and_ends_attack():
-    sim = Simulator(seed=4)
-    chip = Chip(sim, ChipConfig(width=5, height=5))
-    group = build_group(chip, GroupConfig(protocol="minbft", f=1, group_id="g"))
-    scenario = ThreatScenario(
-        phases=[AttackPhase(10_000, 50_000, "silent", target_index=0, label="mute")]
-    )
-    scenario.apply(sim, group)
-    victim = group.members[0]
-    sim.run(until=20_000)
-    assert not group.replicas[victim].is_correct
-    sim.run(until=60_000)
-    assert group.replicas[victim].is_correct  # phase ended, foothold lost
-    assert scenario.applied and "mute" in scenario.applied[0]
-
-
-def test_scenario_crash_phase():
-    sim = Simulator(seed=4)
-    chip = Chip(sim, ChipConfig(width=5, height=5))
-    group = build_group(chip, GroupConfig(protocol="cft", f=1, group_id="g"))
-    scenario = ThreatScenario(phases=[AttackPhase(5_000, 30_000, "crash", 1)])
-    scenario.apply(sim, group)
-    sim.run(until=10_000)
-    assert group.replicas[group.members[1]].state.value == "crashed"
-    sim.run(until=40_000)
-    assert group.replicas[group.members[1]].is_correct
-
-
-def test_scenario_service_survives_attack_window():
-    sim = Simulator(seed=4)
-    chip = Chip(sim, ChipConfig(width=5, height=5))
-    group = build_group(chip, GroupConfig(protocol="minbft", f=1, group_id="g"))
-    client = ClientNode("c0", ClientConfig(think_time=100, timeout=15_000))
-    group.attach_client(client)
-    client.start()
-    scenario = ThreatScenario(phases=[AttackPhase(50_000, 150_000, "equivocate", label="attack")])
-    scenario.apply(sim, group)
-    sim.run(until=400_000)
-    assert group.safety.is_safe
-    assert client.completed > 200
 
 
 # ----------------------------------------------------------------------
